@@ -30,8 +30,10 @@ _SYLLABLES = (
     "ba", "ko", "ri", "mu", "te", "sa", "lo", "ne", "vi", "du", "pa", "ge",
     "zo", "fi", "ha", "ju", "ur", "ol", "en", "ti",
 )
-# Malformed-record kinds injected into the sparse corpus, in rotation.
+# Malformed-record kinds injected into the sparse corpus, in rotation, one
+# line per BAD_EVERY records.
 BAD_KINDS = ("invalid_json", "missing_field", "duplicate_id", "year_out_of_range")
+BAD_EVERY = 200
 
 
 @dataclass
@@ -109,12 +111,11 @@ def dense(seed: int, n_docs: int, terms, *, phrases: bool = False) -> Corpus:
     return Corpus(b"".join(out), docs, params)
 
 
-def sparse(seed: int, n_docs: int, terms, *, marked_share: float = 0.03,
-           bad_every: int = 200) -> Corpus:
+def sparse(seed: int, n_docs: int, terms, *, marked_share: float = 0.03) -> Corpus:
     """~200-word documents of Zipf-distributed filler in sentences; a
     lexicon entry (phrases included) appears in *marked_share* of them. One
-    record in *bad_every* is replaced by a malformed line, rotating through
-    :data:`BAD_KINDS`."""
+    record in :data:`BAD_EVERY` is replaced by a malformed line, rotating
+    through :data:`BAD_KINDS`."""
     rng = random.Random(seed)
     pool = sorted(terms)
     forbidden = lexicon_tokens(terms)
@@ -126,7 +127,7 @@ def sparse(seed: int, n_docs: int, terms, *, marked_share: float = 0.03,
     table = [w for w, weight in zip(filler, weights) for _ in range(max(1, round(weight * scale)))]
     decoys = [t + "ish" for t in pool if " " not in t and t + "ish" not in forbidden]
 
-    n_bad = max(len(BAD_KINDS), n_docs // bad_every // len(BAD_KINDS) * len(BAD_KINDS))
+    n_bad = max(len(BAD_KINDS), n_docs // BAD_EVERY // len(BAD_KINDS) * len(BAD_KINDS))
     # Bad lines go after the first good record so a duplicate id has an
     # original to collide with.
     bad_at = sorted(rng.sample(range(1, n_docs + n_bad), n_bad))
@@ -160,7 +161,7 @@ def sparse(seed: int, n_docs: int, terms, *, marked_share: float = 0.03,
         good += 1
     params = {"generator": "sparse", "seed": seed, "n_docs": n_docs,
               "doc_words": 200, "filler_words": len(filler), "zipf_s": 1.1,
-              "marked_share": marked_share, "bad_every": bad_every,
+              "marked_share": marked_share, "bad_every": BAD_EVERY,
               "bad_lines": n_bad, "years": list(YEARS)}
     return Corpus(b"".join(out), docs, params, bad_lines)
 
