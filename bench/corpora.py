@@ -77,13 +77,12 @@ def _record(doc_id: str, year: int, text: str, cats: list[str]) -> bytes:
     ).encode("utf-8") + b"\n"
 
 
-def dense(seed: int, n_docs: int, terms, *, phrases: bool = False) -> Corpus:
+def dense(seed: int, n_docs: int, terms) -> Corpus:
     """The acceptance suite's desk-scale shape: 400 twenty-word chunks, half
-    with one marker; each document joins ten random chunks (~200 words) and
-    years rotate over five values. Markers are single words unless
-    *phrases* adds the multi-word lexicon entries to the pool."""
+    with one marker (a lexicon entry, phrases included); each document joins
+    ten random chunks (~200 words) and years rotate over five values."""
     rng = random.Random(seed)
-    pool = sorted(t for t in terms if phrases or " " not in t)
+    pool = sorted(terms)
     filler = filler_words(rng, 600, lexicon_tokens(terms))
     chunks: list[tuple[str, frozenset[str]]] = []
     for _ in range(400):
@@ -106,7 +105,7 @@ def dense(seed: int, n_docs: int, terms, *, phrases: bool = False) -> Corpus:
                      frozenset().union(*(c[1] for c in picked))))
     params = {"generator": "dense", "seed": seed, "n_docs": n_docs,
               "chunks": 400, "chunk_words": 20, "chunks_per_doc": 10,
-              "marker_chunk_share": 0.5, "phrases": phrases, "filler_words": 600,
+              "marker_chunk_share": 0.5, "filler_words": 600,
               "years": list(YEARS)}
     return Corpus(b"".join(out), docs, params)
 

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """lexdrift benchmark: seeded workloads timed from outside the package.
 
-    python3 bench/run.py --workload build-dense --seed 1 --seconds 30 --trace 0
+    python3 bench/run.py --workload build-sparse --seed 1 --seconds 50 --trace 0
 
 Run from anywhere; the repository root is the directory above this file.
 lexdrift is used straight from ``src/``: cold commands start a fresh
@@ -32,6 +32,7 @@ import math
 import os
 import platform
 import random
+import re
 import shutil
 import statistics
 import subprocess
@@ -53,12 +54,27 @@ SPEC_FILE = ROOT / "BENCHMARK.json"
 FIXTURE = SRC / "lexdrift" / "data" / "group_counts.csv"
 
 # Operation counts below are for this run length; --seconds scales them.
-NOMINAL_SECONDS = 30
-SETUP_REPS = 3
-# Each in-process query runs this many times and counts its fastest run, so
-# that the median and tail rank queries by their cost rather than by when the
-# machine hiccuped.
-QUERY_REPS = 2
+NOMINAL_SECONDS = 50
+SETUP_REPS = 5
+# Each in-process query runs this many times, at moments spread over the
+# run, and counts its fastest run, so that the median and tail rank queries
+# by their cost rather than by when the machine was slow.
+QUERY_REPS = 3
+# In-process queries are timed in batches of this many, one speed reference
+# per batch.
+QUERY_BATCH = 5
+# What the in-process reference work and a bare interpreter start take at
+# the speed every reported time is scaled to (about their medians on a
+# 2.0 GHz Xeon vCPU of a shared host).
+REF_NOMINAL_S = 0.008
+START_NOMINAL_S = 0.070
+# Measured and printed, but not in BENCHMARK.json (with their units): the
+# median query cost falls where the costs of the fixed query set change
+# steeply, so it moves by up to 0.2 of itself between runs of the same code.
+UNGATED = {"query_p50_ms": "ms"}
+# Sample groups timed in the benchmark's own process; the others are child
+# processes.
+IN_PROCESS = {"setup", "load", "query"}
 CHILD_TIMEOUT_S = 60
 CLI = "from lexdrift.cli import main_entry; main_entry()"
 INDEX_KINDS = ("drift", "excess", "query", "skew", "plot", "counts_export")
@@ -66,19 +82,15 @@ FIXTURE_KINDS = ("drift_fixture", "excess_fixture")
 SVG = "{http://www.w3.org/2000/svg}"
 
 WORKLOADS = {
-    # Tokenizing dominates; finish, save and load carry real weight because
-    # nearly every document has its own (year, mask) pair.
-    "build-dense": dict(generator="dense", phrases=False, docs=8_000, setup_index=False,
-                        index_runs=5, loads=25, cli_index=24, cli_fixture=10, queries=100, scans=5),
     # Tokenizing dominates and finish/load are nearly free (few distinct
     # masks); malformed lines exercise --on-error skip.
-    "build-sparse": dict(generator="sparse", docs=8_000, setup_index=False,
-                         index_runs=5, loads=25, cli_index=24, cli_fixture=10, queries=100, scans=5),
-    # The read side: set-up indexes the corpus, then cold commands and
-    # in-process queries dominate and the build barely runs (three builds join
-    # the set-up ones for index_docs_per_s).
-    "query-mix": dict(generator="dense", phrases=True, docs=8_000, setup_index=True,
-                      index_runs=3, loads=15, cli_index=30, cli_fixture=16, queries=100, scans=5),
+    "build-sparse": dict(generator="sparse", docs=4_000, setup_index=False,
+                         index_runs=16, loads=50, cli_index=30, cli_fixture=20, queries=200, scans=14),
+    # A dense corpus (nearly one mask per document, so finish, save and load
+    # carry real weight) indexed in set-up; the read side, cold commands and
+    # in-process queries, is where most of the run goes.
+    "query-mix": dict(generator="dense", docs=4_000, setup_index=True,
+                      index_runs=12, loads=50, cli_index=30, cli_fixture=20, queries=250, scans=14),
 }
 
 
@@ -109,6 +121,83 @@ def tail(samples: list[float]) -> tuple[float, int]:
         if n - rank >= 10:
             return ordered[rank - 1], q
     return ordered[-1], 100
+
+
+# -- machine speed ----------------------------------------------------------------------
+#
+# On a shared host the speed of each vCPU changes by up to 1.7x, from one
+# second to the next and, on average, from one minute to the next; it moves
+# every time alike, down to a bare interpreter start. So every time is
+# scaled to a fixed nominal speed, measured by references that use no
+# lexdrift code:
+#
+# * an operation in the benchmark's own process, by a fixed piece of work
+#   timed just before and just after it (same vCPU, same moment), at the
+#   speed where that work takes REF_NOMINAL_S;
+# * a child process, which may run on either vCPU, by the speed of the
+#   whole run: the geometric mean of the speed the in-process reference
+#   gives (median over the run) and the speed a bare interpreter start
+#   (``python -c pass``, timed after every other child) gives, where a
+#   start takes START_NOMINAL_S. A child is part interpreter start and
+#   imports, part compute, and the two slow down by different amounts.
+#
+# The in-process reference mixes the kinds of work lexdrift does: a regex
+# pass over text, JSON decoding into tuples, sorting and counting in a dict.
+
+_REF_TOKEN = re.compile(r"[^\W\d_]+(?:['-][^\W\d_]+)*")
+_REF_TEXT = " ".join(random.Random(0).choice(("alpha", "Beta", "gamma-ray", "delta's", "eps"))
+                     for _ in range(4000))
+_REF_BLOB = json.dumps([[f"d{i}", 2019 + i % 5, i * 7919 % 4096, ["a", "b"]] for i in range(3000)])
+
+
+def reference_s() -> float:
+    """Seconds the reference work takes now: the faster of two runs, so a
+    cold cache after a child process does not count."""
+    best = math.inf
+    for _ in range(2):
+        start = time.perf_counter()
+        counts: dict[str, int] = {}
+        for tok in _REF_TOKEN.findall(_REF_TEXT.casefold()):
+            counts[tok] = counts.get(tok, 0) + 1
+        rows = [(i, y, m, tuple(c)) for i, y, m, c in json.loads(_REF_BLOB)]
+        rows.sort(key=lambda r: (r[1], r[2]))
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
+class Speed:
+    """Reference timings taken between operations."""
+
+    def __init__(self, child):
+        self.child = child
+        self.refs = [reference_s()]
+        self.starts: list[float] = []
+        self.child_tasks = 0
+
+    def step(self, task, samples: dict[str, list[float]], child: bool = False) -> None:
+        """Run *task*, then time the reference. What *task* appends to the
+        in-process groups of *samples* is scaled by REF_NOMINAL_S over the
+        geometric mean of the reference timings just before and after it.
+        After every other child-process task, a bare interpreter start is
+        timed too."""
+        marks = {k: len(v) for k, v in samples.items()}
+        task()
+        self.refs.append(reference_s())
+        factor = REF_NOMINAL_S / math.sqrt(self.refs[-2] * self.refs[-1])
+        for k in IN_PROCESS.intersection(samples):
+            v = samples[k]
+            v[marks[k]:] = [x * factor for x in v[marks[k]:]]
+        if child:
+            self.child_tasks += 1
+            if self.child_tasks % 2:
+                self.starts.append(self.child.run([sys.executable, "-c", "pass"])[0])
+
+    def run_factor(self) -> float:
+        """The scale for child processes: the geometric mean of the run's two
+        speeds, REF_NOMINAL_S over the median reference timing and
+        START_NOMINAL_S over the median bare interpreter start."""
+        med = statistics.median
+        return math.sqrt(REF_NOMINAL_S / med(self.refs) * START_NOMINAL_S / med(self.starts))
 
 
 # -- bookkeeping ---------------------------------------------------------------------
@@ -198,33 +287,43 @@ class Bench:
         lexicon = builtin_lexicon()
         self.terms = lexicon.terms()
         self.groups = lexicon.groups()
+        self.speed = Speed(child)
         self.setup_times: list[float] = []
-        self.setup_builds: list[tuple[float, float]] = []
+        self.setup_builds: list[float] = []
+        self.setup_rss: list[float] = []
         self.record: dict = {}
 
     def generate(self) -> corpora.Corpus:
         spec = self.spec
         if spec["generator"] == "dense":
-            return corpora.dense(self.seed, spec["docs"], self.terms, phrases=spec["phrases"])
+            return corpora.dense(self.seed, spec["docs"], self.terms)
         return corpora.sparse(self.seed, spec["docs"], self.terms)
 
     def setup(self, reps: int) -> None:
         """Generate and write the corpus *reps* times (and, where the spec
-        says so, build its index with ``lexdrift index``)."""
+        says so, build its index with ``lexdrift index``), each time scaled
+        to the nominal speed."""
         hashes = set()
+        times = {"setup": [], "build": []}
         for _ in range(reps):
-            start = time.perf_counter()
-            corpus = self.generate()
-            self.corpus_path.write_bytes(corpus.data)
-            if self.spec["setup_index"]:
-                wall, code, rss, out = self.child.cli(
-                    ["index", "--corpus", self.corpus_path, "--out", self.index_path, *self.on_error])
-                self.tally.check(f"set-up index exit {code} {self.child.last_error}",
-                                 code == 0 and self.index_stdout_ok(out, corpus))
-                self.setup_builds.append((wall, rss))
-            self.setup_times.append(time.perf_counter() - start)
+            def once():
+                nonlocal corpus
+                start = time.perf_counter()
+                corpus = self.generate()
+                self.corpus_path.write_bytes(corpus.data)
+                if self.spec["setup_index"]:
+                    wall, code, rss, out = self.child.cli(
+                        ["index", "--corpus", self.corpus_path, "--out", self.index_path, *self.on_error])
+                    self.tally.check(f"set-up index exit {code} {self.child.last_error}",
+                                     code == 0 and self.index_stdout_ok(out, corpus))
+                    times["build"].append(wall)
+                    self.setup_rss.append(rss)
+                times["setup"].append(time.perf_counter() - start)
+            corpus = None
+            self.speed.step(once, times)
             hashes.add(corpus.sha256)
         self.tally.check("same seed, same corpus", len(hashes) == 1)
+        self.setup_times, self.setup_builds = times["setup"], times["build"]
         self.corpus = corpus
         self.oracle = orc.Oracle(corpus.docs, self.terms, self.groups)
         self.plan = Plan(self)
@@ -262,7 +361,10 @@ class Plan:
     """The operation sequence, identical in both modes. Its shape (the kind
     of each command, the structure of each query, how many names a command
     takes) is the same for every seed, so the work done stays alike across
-    seeds; the seed picks the names, years and growth rates."""
+    seeds; the seed picks the names, years and growth rates of the CLI
+    commands. The in-process queries are the same for every seed: with
+    names of their own per seed, their median cost moved by up to a quarter
+    between seeds."""
 
     def __init__(self, b: Bench):
         rng = random.Random(f"{b.seed}-plan")
@@ -276,7 +378,7 @@ class Plan:
                            if all(m > 0 for m, _ in o.series(n).values())]
         self.plot_every_year = bool(self.plot_names)
         self.plot_names = self.plot_names or sorted(b.groups)
-        self.queries = [orc.random_query(shape, rng, b.terms, b.groups)
+        self.queries = [orc.random_query(shape, shape, b.terms, b.groups)
                         for _ in range(spec["queries"])]
         self.scan_node = orc.random_query(shape, rng, b.terms, b.groups, depth=1)
         kinds = [k for k in INDEX_KINDS for _ in range(spec["cli_index"] // len(INDEX_KINDS))]
@@ -382,23 +484,29 @@ def interleave(*groups: list) -> list:
     return [groups[j][i] for _, j, i in sorted(keyed)]
 
 
-def measure(b: Bench) -> dict:
+def measure(b: Bench, seconds: float) -> dict:
+    """The end-to-end metrics. On a machine slow enough to take the run
+    past *seconds*, the remaining child processes are skipped once every
+    kind of operation has run."""
     from lexdrift import eval_count, load_index, parse_query
+
+    deadline = time.perf_counter() + seconds
 
     spec, tally, o, plan = b.spec, b.tally, b.oracle, b.plan
     n_docs = len(b.corpus.docs)
-    samples: dict[str, list[float]] = {"load": [], "query": [], "cli_index": [],
-                                       "cli_fixture": [], "scan": []}
-    builds = list(b.setup_builds)
+    samples: dict[str, list[float]] = {"build": list(b.setup_builds), "load": [], "query": [],
+                                       "cli_index": [], "cli_fixture": [], "scan": []}
+    rss = list(b.setup_rss)
     loaded = []
 
     def build(k: int) -> None:
         path = b.work / f"run-{k}.idx"
-        wall, code, rss, out = b.child.cli(
+        wall, code, peak, out = b.child.cli(
             ["index", "--corpus", b.corpus_path, "--out", path, *b.on_error])
         tally.check(f"index run {k} exit {code} {b.child.last_error}",
                     code == 0 and b.index_stdout_ok(out, b.corpus))
-        builds.append((wall, rss))
+        samples["build"].append(wall)
+        rss.append(peak)
         if k == 0:
             shutil.copyfile(path, b.index_path)
         else:
@@ -418,10 +526,11 @@ def measure(b: Bench) -> dict:
         if tally.guarded(f"load {index}", b.index_totals_ok, index):
             loaded[:] = [index]
 
-    def query(node) -> None:
-        text = orc.render(node)
-        best = math.inf
-        for _ in range(QUERY_REPS):
+    query_ids: list[int] = []  # the query each sample of samples["query"] timed
+
+    def queries(first: int, nodes) -> None:
+        for i, node in enumerate(nodes, first):
+            text = orc.render(node)
             gc.collect()
             start = time.perf_counter()
             try:
@@ -430,10 +539,10 @@ def measure(b: Bench) -> dict:
                 got = [eval_count(index, q, y) for y in index.years]
             except Exception as exc:  # counted as a failed query below
                 got = exc
-            best = min(best, time.perf_counter() - start)
-        samples["query"].append(best)
-        counts = o.query_counts(node)
-        tally.check(f"query {text}: {got}", got == [counts[y] for y in o.years])
+            samples["query"].append(time.perf_counter() - start)
+            query_ids.append(i)
+            counts = o.query_counts(node)
+            tally.check(f"query {text}: {got}", got == [counts[y] for y in o.years])
 
     def cli(group: str, argv, check) -> None:
         wall, code, _, out = b.child.cli(argv)
@@ -449,33 +558,50 @@ def measure(b: Bench) -> dict:
     # The oracle's bitsets and the corpus stay out of the collector's way.
     gc.collect()
     gc.freeze()
-    build(0)
+    b.speed.step(partial(build, 0), samples)
     tally.guarded("index content", lambda: b.check_index(load_index(b.index_path)))
-    load()
-    for task in interleave(
-        [partial(build, k) for k in range(1, spec["index_runs"])],
-        [load] * (spec["loads"] - 1),
-        [partial(query, node) for node in plan.queries],
-        [partial(cli, "cli_index", argv, check) for _, argv, check in plan.index_ops],
-        [partial(cli, "cli_fixture", argv, check) for _, argv, check in plan.fixture_ops],
-        [partial(cli, "scan", scan_argv, scan_ok)] * spec["scans"],
+    b.speed.step(load, samples)
+    # Each batch runs QUERY_REPS times, spread over the run.
+    batches = [(i, plan.queries[i:i + QUERY_BATCH])
+               for i in range(0, len(plan.queries), QUERY_BATCH)] * QUERY_REPS
+    for child, task in interleave(
+        [(True, partial(build, k)) for k in range(1, spec["index_runs"])],
+        [(False, load)] * (spec["loads"] - 1),
+        [(False, partial(queries, first, nodes)) for first, nodes in batches],
+        [(True, partial(cli, "cli_index", argv, check)) for _, argv, check in plan.index_ops],
+        [(True, partial(cli, "cli_fixture", argv, check)) for _, argv, check in plan.fixture_ops],
+        [(True, partial(cli, "scan", scan_argv, scan_ok))] * spec["scans"],
     ):
-        task()
+        # Past the deadline only the cheap in-process operations still run,
+        # so the query set is always complete.
+        if child and time.perf_counter() > deadline and all(samples.values()):
+            continue
+        b.speed.step(task, samples, child)
     loaded.clear()
     gc.unfreeze()
+    best: dict[int, float] = {}
+    for i, t in zip(query_ids, samples["query"]):
+        best[i] = min(best.get(i, math.inf), t)
+    samples["query"] = [best[i] for i in sorted(best)]
+    run_factor = b.speed.run_factor()
+    b.record["start_s"] = b.speed.starts
+    for k in set(samples) - IN_PROCESS:
+        samples[k] = [x * run_factor for x in samples[k]]
 
     cli_tail, cli_q = tail(samples["cli_index"])
     query_tail, query_q = tail(samples["query"])
     b.record["samples"] = {k: len(v) for k, v in samples.items()} | {
-        "index_builds": len(builds), "setup": len(b.setup_times),
+        "setup": len(b.setup_times), "reference": len(b.speed.refs), "start": len(b.speed.starts),
         "cli_index_tail_percentile": cli_q, "query_tail_percentile": query_q}
     b.record["index_file_bytes"] = b.index_path.stat().st_size
-    b.record["samples_s"] = {**samples, "index_build": [w for w, _ in builds]}
+    b.record["samples_s"] = {"setup": b.setup_times, **samples}
+    b.record["reference_s"] = b.speed.refs
+    b.record["run_factor"] = run_factor
     med = statistics.median
     return {
         "setup_s": med(b.setup_times),
-        "index_docs_per_s": n_docs / med(w for w, _ in builds),
-        "index_peak_rss_mb": med(r for _, r in builds),
+        "index_docs_per_s": n_docs / med(samples["build"]),
+        "index_peak_rss_mb": med(rss),
         "index_bytes_per_doc": b.index_path.stat().st_size / n_docs,
         "load_s": med(samples["load"]),
         "cli_index_p50_ms": 1000 * med(samples["cli_index"]),
@@ -729,7 +855,7 @@ def run(workload: str, seed: int, seconds: float, trace: bool) -> dict:
         child.run([sys.executable, "-c", "import lexdrift.cli"])
         b.setup(1 if trace else SETUP_REPS)
         start = time.perf_counter()
-        metrics = traced(b) if trace else measure(b)
+        metrics = traced(b) if trace else measure(b, seconds)
         measured_s = time.perf_counter() - start
     finally:
         child.close()
@@ -757,6 +883,8 @@ def run(workload: str, seed: int, seconds: float, trace: bool) -> dict:
         "corpus_bytes": len(corpus.data), "corpus_sha256": corpus.sha256,
         "setup_s": b.setup_times, "measured_s": measured_s,
         "failed_ratio": tally.failed / tally.attempted, "failures": tally.failures,
+        "ungated": {k: (metrics[k], UNGATED[k]) for k in UNGATED if k in metrics}
+                   | {"failed_ratio": (tally.failed / tally.attempted, "ratio")},
     })
     (OUT / f"result-{workload}-seed{seed}-trace{int(trace)}.json").write_text(
         json.dumps({"record": b.record, **result}, indent=1) + "\n")
@@ -783,7 +911,7 @@ def main(argv=None) -> int:
           f"python {record['python']}  nproc {record['nproc']}  git {record['git']}")
     print(f"{'metric':34} {'value':>16}  unit")
     rows = [(k, v["value"], v["unit"]) for k, v in result["metrics"].items()]
-    rows.append(("failed_ratio", record["failed_ratio"], "ratio"))
+    rows += [(k, v, unit) for k, (v, unit) in record["ungated"].items()]
     for name, value, unit in rows:
         print(f"{name:34} {value:16.6g}  {unit}")
     for failure in record["failures"]:

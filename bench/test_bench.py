@@ -53,7 +53,7 @@ class MetricsTest(unittest.TestCase):
 class CorpusTest(unittest.TestCase):
     def test_same_seed_same_corpus(self):
         terms = _terms()
-        for make in (lambda s: corpora.dense(s, 300, terms, phrases=True),
+        for make in (lambda s: corpora.dense(s, 300, terms),
                      lambda s: corpora.sparse(s, 300, terms)):
             self.assertEqual(make(5).sha256, make(5).sha256)
             self.assertNotEqual(make(5).sha256, make(6).sha256)
@@ -67,7 +67,7 @@ class CorpusTest(unittest.TestCase):
         forbidden = corpora.lexicon_tokens(terms)
         # With every sparse record marked, a phrase split by a later
         # insertion shows up within a few thousand records.
-        for corpus in (corpora.dense(3, 200, terms, phrases=True), corpora.sparse(3, 400, terms),
+        for corpus in (corpora.dense(3, 200, terms), corpora.sparse(3, 400, terms),
                        corpora.sparse(3, 3000, terms, marked_share=1.0)):
             texts: dict[str, str] = {}
             for line in corpus.data.splitlines():
@@ -113,7 +113,7 @@ class ContractTest(unittest.TestCase):
                             ignore=shutil.ignore_patterns("__pycache__"))
             shutil.copy(run.SPEC_FILE, bare / run.SPEC_FILE.name)
             proc = subprocess.run(
-                [sys.executable, f"{HERE.name}/run.py", "--workload", "build-dense",
+                [sys.executable, f"{HERE.name}/run.py", "--workload", "build-sparse",
                  "--seed", "1", "--seconds", "1", "--trace", "0"],
                 cwd=bare, capture_output=True, text=True, timeout=180)
         finally:
