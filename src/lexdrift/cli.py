@@ -25,8 +25,8 @@ import sys
 from typing import Sequence
 
 from .bundled import bundled_counts_path
-from .corpus import iter_corpus
-from .errors import DataError
+from .corpus import DEFAULT_MAX_YEAR, DEFAULT_MIN_YEAR, iter_corpus
+from .errors import CorpusFormatError, DataError
 from .index import (
     IndexBuilder,
     YearTermIndex,
@@ -49,6 +49,8 @@ from .stats import (
 from .svg import PlotSpec, render_line_chart
 
 _FORMATS = ("text", "csv", "json")
+# Line numbers of skipped corpus records named in the stderr report.
+_SKIPPED_SHOWN = 5
 
 
 # --------------------------------------------------------------------------
@@ -136,10 +138,24 @@ def _read_index(args: argparse.Namespace) -> YearTermIndex:
         return load_index(args.index)
     if getattr(args, "corpus", None):
         lexicon = _load_lexicon_arg(getattr(args, "lexicon", None))
-        builder = IndexBuilder(lexicon)
-        builder.add_all(iter_corpus(args.corpus, on_error=args.on_error))
-        return builder.finish()
+        return _build_from_corpus(args, IndexBuilder(lexicon))
     raise DataError("either --index or --corpus is required")
+
+
+def _build_from_corpus(args: argparse.Namespace, builder: IndexBuilder) -> YearTermIndex:
+    """Index ``--corpus`` with *builder*; under ``--on-error skip`` the
+    skipped records are reported in one stderr line."""
+    skipped: list[CorpusFormatError] = []
+    builder.add_all(iter_corpus(args.corpus, on_error=args.on_error,
+                                min_year=builder.min_year,
+                                max_year=builder.max_year,
+                                errors=skipped))
+    if skipped:
+        shown = ", ".join(str(err.line) for err in skipped[:_SKIPPED_SHOWN])
+        more = ", ..." if len(skipped) > _SKIPPED_SHOWN else ""
+        print(f"skipped {len(skipped)} malformed records (lines {shown}{more})",
+              file=sys.stderr)
+    return builder.finish()
 
 
 # --------------------------------------------------------------------------
@@ -150,13 +166,10 @@ def cmd_index(args: argparse.Namespace) -> int:
     lexicon = _load_lexicon_arg(args.lexicon)
     builder = IndexBuilder(
         lexicon,
-        min_year=args.from_year if args.from_year is not None else 2000,
-        max_year=args.to_year if args.to_year is not None else 2100,
+        min_year=args.from_year if args.from_year is not None else DEFAULT_MIN_YEAR,
+        max_year=args.to_year if args.to_year is not None else DEFAULT_MAX_YEAR,
     )
-    builder.add_all(iter_corpus(args.corpus, on_error=args.on_error,
-                                min_year=builder.min_year,
-                                max_year=builder.max_year))
-    index = builder.finish()
+    index = _build_from_corpus(args, builder)
     save_index(index, args.out)
     print(f"indexed {index.doc_count} documents into {args.out}")
     for year in index.years:

@@ -31,6 +31,16 @@ _TOKEN_RE = re.compile(rf"{_LETTER}+(?:['’-]{_LETTER}+)*")
 
 _JOINERS = "'’-"
 
+# ASCII fast path: the translate tables keep letters (lowercased when
+# folding) and the two ASCII joiners and turn everything else into a space;
+# the regex then blanks every joiner that lacks a letter on either side, so
+# each whitespace-separated chunk left is one whole _TOKEN_RE match.
+_ASCII_RAW = {
+    c: chr(c) if chr(c).isalpha() or chr(c) in "'-" else " " for c in range(128)
+}
+_ASCII_FOLD = {c: ch.lower() for c, ch in _ASCII_RAW.items()}
+_LOOSE_JOINER_RE = re.compile(r"(?<![A-Za-z])['-]|['-](?![A-Za-z])")
+
 
 def _letter_runs(text: str) -> list[str]:
     # The regex class is "word chars minus decimal digits", which still
@@ -50,14 +60,25 @@ def _letter_runs(text: str) -> list[str]:
     return out
 
 
+def _tokens(text: str, fold: bool) -> list[str]:
+    if text.isascii():
+        text = text.translate(_ASCII_FOLD if fold else _ASCII_RAW)
+        if "'" in text or "-" in text:
+            text = _LOOSE_JOINER_RE.sub(" ", text)
+        return text.split()
+    if fold:
+        text = text.casefold()
+    return [t.replace("’", "'") for t in _letter_runs(text)]
+
+
 def tokenize(text: str) -> list[str]:
     """Case-folded whole-word tokens of *text*, in document order."""
-    return [t.replace("’", "'") for t in _letter_runs(text.casefold())]
+    return _tokens(text, True)
 
 
 def raw_tokens(text: str) -> list[str]:
     """Tokens without case folding, for case-sensitive term matching."""
-    return [t.replace("’", "'") for t in _letter_runs(text)]
+    return _tokens(text, False)
 
 
 @dataclass(frozen=True)
@@ -158,6 +179,15 @@ def _record_problem(
     return None
 
 
+def _undecodable(line: str) -> str | None:
+    try:
+        line.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        byte = ord(line[exc.start]) - 0xDC00
+        return f"not valid UTF-8 (byte 0x{byte:02x})"
+    return None
+
+
 def iter_corpus(
     source,
     *,
@@ -170,26 +200,33 @@ def iter_corpus(
 
     ``on_error="abort"`` raises CorpusFormatError at the first malformed
     record; ``"skip"`` collects the error (into *errors*, if given) and
-    continues. Errors carry 1-based line numbers.
+    continues. Errors carry 1-based line numbers. In a file read from a
+    path, a line that is not valid UTF-8 is a malformed record.
     """
     if on_error not in ("abort", "skip"):
         raise ValueError(f"unknown error policy {on_error!r}")
     stream = source
-    close = False
+    opened = False
     if isinstance(source, (str, Path)):
-        stream = open(source, "r", encoding="utf-8")
-        close = True
+        # surrogateescape turns each undecodable byte into a lone surrogate,
+        # so a bad line is reported by number instead of ending the read.
+        stream = open(source, "r", encoding="utf-8", errors="surrogateescape")
+        opened = True
     try:
         seen: dict[str, int] = {}
         for lineno, line in enumerate(stream, start=1):
             if not line.strip():
                 continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                problem: str | None = f"invalid JSON ({exc.msg})"
-            else:
-                problem = _record_problem(record, seen, min_year, max_year)
+            problem: str | None = None
+            if opened and not line.isascii():
+                problem = _undecodable(line)
+            if problem is None:
+                try:
+                    record = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    problem = f"invalid JSON ({exc.msg})"
+                else:
+                    problem = _record_problem(record, seen, min_year, max_year)
             if problem is not None:
                 err = CorpusFormatError(f"line {lineno}: {problem}", line=lineno)
                 if on_error == "abort":
@@ -205,7 +242,7 @@ def iter_corpus(
                 categories=tuple(record.get("categories", [])),
             )
     finally:
-        if close:
+        if opened:
             stream.close()
 
 

@@ -77,6 +77,41 @@ def test_index_skip_policy(tmp_path, capsys):
     assert "2 documents" in capsys.readouterr().out
 
 
+def test_skip_policy_reports_skipped_lines(tmp_path, capsys):
+    good = [f'{{"id": "d{i}", "year": 2023, "text": "x"}}' for i in range(3)]
+    corpus = _write_corpus(tmp_path, [good[0], *["garbage"] * 7, *good[1:]])
+    args = ["--corpus", str(corpus), "--on-error", "skip"]
+    assert main(["index", *args, "--out", str(tmp_path / "c.idx")]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("indexed 3 documents")
+    assert captured.err == "skipped 7 malformed records (lines 2, 3, 4, 5, 6, ...)\n"
+    assert main(["query", "meticulous", *args]) == 0
+    assert capsys.readouterr().err.startswith("skipped 7 malformed records")
+
+
+def test_index_clean_corpus_reports_nothing(tmp_path, capsys):
+    corpus = _write_corpus(tmp_path, ['{"id": "a", "year": 2023, "text": "x"}'])
+    args = ["index", "--corpus", str(corpus), "--out", str(tmp_path / "c.idx")]
+    assert main([*args, "--on-error", "skip"]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_index_non_utf8_corpus(tmp_path, capsys):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_bytes(
+        b'{"id": "a", "year": 2023, "text": "x"}\n'
+        b'{"id": "b", "year": 2023, "text": "caf\xe9"}\n'
+    )
+    args = ["index", "--corpus", str(corpus), "--out", str(tmp_path / "c.idx")]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err == "error: line 2: not valid UTF-8 (byte 0xe9)\n"
+    assert main([*args, "--on-error", "skip"]) == 0
+    captured = capsys.readouterr()
+    assert "indexed 1 documents" in captured.out
+    assert captured.err == "skipped 1 malformed records (lines 2)\n"
+
+
 def test_usage_error_exits_2(capsys):
     assert main(["index"]) == 2  # --corpus and --out are required
     assert main(["no-such-command"]) == 2

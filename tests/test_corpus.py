@@ -180,3 +180,20 @@ def test_load_from_path(tmp_path):
     path.write_text('{"id": "a", "year": 2020, "text": "hello"}\n', encoding="utf-8")
     docs = load_corpus(path)
     assert docs[0].text == "hello"
+
+
+def test_undecodable_line_is_a_format_error(tmp_path):
+    path = tmp_path / "c.jsonl"
+    path.write_bytes(
+        b'{"id": "a", "year": 2020, "text": "caf\xc3\xa9"}\n'
+        b'{"id": "b", "year": 2020, "text": "caf\xe9"}\n'
+        b'{"id": "c", "year": 2020, "text": "y"}\n'
+    )
+    with pytest.raises(CorpusFormatError) as err:
+        load_corpus(path)
+    assert err.value.line == 2
+    assert "line 2: not valid UTF-8 (byte 0xe9)" in str(err.value)
+    errors: list[CorpusFormatError] = []
+    docs = load_corpus(path, on_error="skip", errors=errors)
+    assert [(d.id, d.text) for d in docs] == [("a", "café"), ("c", "y")]
+    assert [e.line for e in errors] == [2]

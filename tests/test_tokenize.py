@@ -2,11 +2,11 @@ from __future__ import annotations
 
 import string
 
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from lexdrift import tokenize
-from lexdrift.corpus import raw_tokens
+from lexdrift.corpus import _letter_runs, raw_tokens
 
 
 def test_basic_sentence():
@@ -80,3 +80,25 @@ def test_never_raises_and_tokens_are_folded(text):
 def test_case_invariance(words):
     text = " ".join(words)
     assert tokenize(text.upper()) == tokenize(text)
+
+
+# ASCII text weighted towards what the fast path must get right: joiners
+# next to non-letters, doubled joiners, digits and underscores inside words,
+# and every kind of ASCII whitespace.
+_ASCII_PIECES = st.one_of(
+    st.sampled_from([
+        "'", "-", "--", "'-", "-'", "''", " - ", "_", "4", "gpt-4", "a--b",
+        "a'-b", "don't", "-x", "x-", "'x'", "\t", "\n", "\r", " ",
+    ]),
+    st.text(alphabet=string.ascii_letters, min_size=1, max_size=4),
+    st.characters(max_codepoint=127),
+)
+_ASCII_TEXT = st.lists(_ASCII_PIECES, max_size=30).map("".join)
+
+
+@given(_ASCII_TEXT)
+@example("a--b a'-b -x- x' 'x gpt-4 _a_ a-4b - ' it's state-of-the-art")
+def test_ascii_fast_path_equals_unicode_path(text):
+    assert text.isascii()
+    assert tokenize(text) == _letter_runs(text.casefold())
+    assert raw_tokens(text) == _letter_runs(text)
