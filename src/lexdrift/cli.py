@@ -26,13 +26,15 @@ from typing import Sequence
 
 from .bundled import bundled_counts_path
 from .corpus import DEFAULT_MAX_YEAR, DEFAULT_MIN_YEAR, iter_corpus
-from .errors import CorpusFormatError, DataError
+from .errors import CorpusFormatError, DataError, UnindexedTermError
 from .index import (
     IndexBuilder,
     YearTermIndex,
+    compile_predicate,
     eval_count,
     load_index,
     save_index,
+    scan_counts,
 )
 from .lexicon import builtin_lexicon, load_lexicon
 from .query import parse_query
@@ -142,19 +144,28 @@ def _read_index(args: argparse.Namespace) -> YearTermIndex:
     raise DataError("either --index or --corpus is required")
 
 
-def _build_from_corpus(args: argparse.Namespace, builder: IndexBuilder) -> YearTermIndex:
-    """Index ``--corpus`` with *builder*; under ``--on-error skip`` the
-    skipped records are reported in one stderr line."""
+def _consume_corpus(args: argparse.Namespace, consume, *,
+                    min_year: int = DEFAULT_MIN_YEAR,
+                    max_year: int = DEFAULT_MAX_YEAR):
+    """Pass the documents of ``--corpus`` to *consume* and return its
+    result; under ``--on-error skip`` the skipped records are then reported
+    in one stderr line."""
     skipped: list[CorpusFormatError] = []
-    builder.add_all(iter_corpus(args.corpus, on_error=args.on_error,
-                                min_year=builder.min_year,
-                                max_year=builder.max_year,
-                                errors=skipped))
+    result = consume(iter_corpus(args.corpus, on_error=args.on_error,
+                                 min_year=min_year, max_year=max_year,
+                                 errors=skipped))
     if skipped:
         shown = ", ".join(str(err.line) for err in skipped[:_SKIPPED_SHOWN])
         more = ", ..." if len(skipped) > _SKIPPED_SHOWN else ""
         print(f"skipped {len(skipped)} malformed records (lines {shown}{more})",
               file=sys.stderr)
+    return result
+
+
+def _build_from_corpus(args: argparse.Namespace, builder: IndexBuilder) -> YearTermIndex:
+    """Index ``--corpus`` with *builder*."""
+    _consume_corpus(args, builder.add_all,
+                    min_year=builder.min_year, max_year=builder.max_year)
     return builder.finish()
 
 
@@ -318,34 +329,55 @@ def cmd_excess(args: argparse.Namespace) -> int:
     return 0
 
 
+def _in_range(args: argparse.Namespace, year: int) -> bool:
+    return ((args.from_year is None or year >= args.from_year)
+            and (args.to_year is None or year <= args.to_year))
+
+
+def _query_counts(args: argparse.Namespace) -> dict[int, tuple[int, int]]:
+    """(matches, total) of the query for each requested year. With
+    ``--corpus``, a query naming a term outside the lexicon is counted by a
+    scan of the corpus instead of an index built from it."""
+    if args.corpus and not args.index:
+        lexicon = _load_lexicon_arg(args.lexicon)
+        q = parse_query(args.query, lexicon)
+        builder = IndexBuilder(lexicon)
+        try:
+            # An empty index resolves query terms exactly as a full one does.
+            compile_predicate(builder.finish(), q)
+        except UnindexedTermError:
+            return _consume_corpus(args, lambda docs: scan_counts(
+                (doc for doc in docs if _in_range(args, doc.year)), lexicon, q))
+        index = _build_from_corpus(args, builder)
+    else:
+        index = _read_index(args)
+        q = parse_query(args.query, index.lexicon)
+    return {
+        year: (eval_count(index, q, year), index.total(year))
+        for year in index.years if _in_range(args, year)
+    }
+
+
 def cmd_query(args: argparse.Namespace) -> int:
-    index = _read_index(args)
-    q = parse_query(args.query, index.lexicon)
-    years = [
-        y for y in index.years
-        if (args.from_year is None or y >= args.from_year)
-        and (args.to_year is None or y <= args.to_year)
-    ]
+    counts = _query_counts(args)
+    years = list(counts)
     if not years:
         raise DataError("no indexed years in the requested range")
-    counts = {year: eval_count(index, q, year) for year in years}
     if args.format == "text":
         rows = [["year", "matches", "total"]]
-        rows += [
-            [str(y), str(counts[y]), str(index.total(y))] for y in years
-        ]
+        rows += [[str(y), str(m), str(n)] for y, (m, n) in counts.items()]
         text = f"query: {args.query}\n" + _table(rows)
     elif args.format == "json":
         text = _json_dumps({
             "query": args.query,
             "years": years,
-            "matches": [counts[y] for y in years],
-            "totals": [index.total(y) for y in years],
+            "matches": [m for m, _ in counts.values()],
+            "totals": [n for _, n in counts.values()],
         })
     else:
         text = _csv_text(
             ["year", "matches", "total"],
-            [[y, counts[y], index.total(y)] for y in years],
+            [[y, m, n] for y, (m, n) in counts.items()],
         )
     _write_output(text, args.out)
     return 0

@@ -1,11 +1,13 @@
 """Immutable per-year index of lexicon-term evidence.
 
 Each document is reduced at build time to a bitset over the lexicon
-vocabulary (phrases included as ordinary entries), so boolean counting,
-at-least-k queries and pairwise co-occurrence are cheap afterwards. Builds
-are deterministic: document order and any partitioning of the corpus across
-builders produce identical indexes. The finished index is immutable and safe
-for concurrent readers.
+vocabulary (phrases included as ordinary entries). The index also keeps, per
+year, a histogram of the distinct bitsets, so a boolean or at-least-k query,
+a term's document frequency or a pair's co-occurrence costs one test per
+distinct term set in the year, not one per document; none of them is
+tabulated ahead of time. Builds are deterministic: document order and any
+partitioning of the corpus across builders produce identical indexes. The
+finished index is immutable and safe for concurrent readers.
 
 Index files are a single binary container: magic, format version, payload
 length and SHA-256 checksum, then a zlib-compressed canonical JSON payload.
@@ -18,6 +20,7 @@ import json
 import struct
 import zlib
 from collections import Counter
+from itertools import chain
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
@@ -42,8 +45,9 @@ Mark = tuple[str, int, int, tuple[str, ...]]
 
 
 class YearTermIndex:
-    """Per-year document counts for every lexicon term, pair co-occurrence,
-    yearly totals and per-document term bitsets."""
+    """Yearly totals and per-document term bitsets, with each year's
+    distinct bitsets counted once so that queries scale with the number of
+    distinct term sets rather than with the number of documents."""
 
     def __init__(self, lexicon: Lexicon, min_year: int, max_year: int,
                  marks: Iterable[Mark]):
@@ -62,35 +66,15 @@ class YearTermIndex:
         self._masks: dict[int, tuple[int, ...]] = {}
         self._cats: dict[int, tuple[tuple[str, ...], ...]] = {}
         self._totals: dict[int, int] = {}
-        cat_totals: Counter = Counter()
-        mask_hist: Counter = Counter()
+        # year -> ((mask, documents with exactly that mask), ...)
+        self._hist: dict[int, tuple[tuple[int, int], ...]] = {}
         for year in self._years:
             rows = sorted(per_year[year])
             self._ids[year] = tuple(r[0] for r in rows)
             self._masks[year] = tuple(r[2] for r in rows)
             self._cats[year] = tuple(r[3] for r in rows)
             self._totals[year] = len(rows)
-            for _, _, mask, cats in rows:
-                mask_hist[(year, mask)] += 1
-                for cat in cats:
-                    cat_totals[(cat, year)] += 1
-        self._cat_totals = dict(cat_totals)
-
-        df: Counter = Counter()
-        pair: Counter = Counter()
-        for (year, mask), n in mask_hist.items():
-            bits = []
-            m = mask
-            while m:
-                low = m & -m
-                bits.append(low.bit_length() - 1)
-                m ^= low
-            for i, a in enumerate(bits):
-                df[(self._terms[a], year)] += n
-                for b in bits[i + 1:]:
-                    pair[(a, b, year)] += n
-        self._df = dict(df)
-        self._pair = dict(pair)
+            self._hist[year] = tuple(Counter(self._masks[year]).items())
 
     @property
     def lexicon(self) -> Lexicon:
@@ -126,21 +110,16 @@ class YearTermIndex:
         return bit
 
     def df(self, term: str, year: int) -> int:
-        return self._df.get((self._terms[self.term_bit(term)], year), 0)
+        return self._count_all(1 << self.term_bit(term), year)
 
     def pair_count(self, term_a: str, term_b: str, year: int) -> int:
-        a, b = self.term_bit(term_a), self.term_bit(term_b)
-        if a == b:
-            return self.df(term_a, year)
-        if a > b:
-            a, b = b, a
-        return self._pair.get((a, b, year), 0)
+        return self._count_all(
+            (1 << self.term_bit(term_a)) | (1 << self.term_bit(term_b)), year
+        )
 
-    def categories(self) -> tuple[str, ...]:
-        return tuple(sorted({c for c, _ in self._cat_totals}))
-
-    def category_total(self, category: str, year: int) -> int:
-        return self._cat_totals.get((category, year), 0)
+    def _count_all(self, bits: int, year: int) -> int:
+        """Documents of *year* holding every bit of *bits*."""
+        return sum(n for mask, n in self._hist.get(year, ()) if mask & bits == bits)
 
     def year_marks(self, year: int) -> Iterator[tuple[int, tuple[str, ...]]]:
         """(bitmask, categories) for every document of *year*."""
@@ -310,7 +289,7 @@ def eval_count(index: YearTermIndex, q: Query, year: int) -> int:
     if year not in index._totals:
         raise UnknownYearError(f"year {year} is not in the index")
     pred = compile_predicate(index, q)
-    return sum(1 for mask in index._masks[year] if pred(mask))
+    return sum(n for mask, n in index._hist[year] if pred(mask))
 
 
 class _ScanEvidence:
@@ -356,17 +335,26 @@ def _eval_on(ev: _ScanEvidence, q: Query) -> bool:
     raise TypeError(f"not a query node: {q!r}")
 
 
+def scan_counts(corpus: Iterable[Document], lexicon: Lexicon,
+                q: Query) -> dict[int, tuple[int, int]]:
+    """(documents satisfying *q*, all documents) for each year of *corpus*,
+    in one document-by-document pass; handles terms outside the indexed
+    vocabulary."""
+    matches: Counter = Counter()
+    totals: Counter = Counter()
+    for doc in corpus:
+        totals[doc.year] += 1
+        if _eval_on(_ScanEvidence(doc, lexicon), q):
+            matches[doc.year] += 1
+    return {year: (matches[year], totals[year]) for year in sorted(totals)}
+
+
 def eval_count_scan(corpus: Iterable[Document], lexicon: Lexicon, q: Query,
                     year: int) -> int:
     """Document-by-document fallback for :func:`eval_count`; handles terms
     outside the indexed vocabulary. Equal to eval_count on indexed queries."""
-    count = 0
-    for doc in corpus:
-        if doc.year != year:
-            continue
-        if _eval_on(_ScanEvidence(doc, lexicon), q):
-            count += 1
-    return count
+    counts = scan_counts((doc for doc in corpus if doc.year == year), lexicon, q)
+    return counts[year][0] if counts else 0
 
 
 def save_index(index: YearTermIndex, path) -> None:
@@ -396,9 +384,37 @@ def load_index(path) -> YearTermIndex:
     blob = data[_HEADER.size:]
     if len(blob) != length or hashlib.sha256(blob).digest() != digest:
         raise IndexChecksumError(f"{path}: checksum mismatch (truncated or corrupt)")
-    payload = json.loads(zlib.decompress(blob).decode("utf-8"))
-    if payload.get("format") != "lexdrift.index":
+    try:
+        payload = json.loads(zlib.decompress(blob).decode("utf-8"))
+    except (zlib.error, ValueError) as exc:
+        raise IndexFileError(f"{path}: malformed payload ({exc})") from None
+    if not isinstance(payload, dict) or payload.get("format") != "lexdrift.index":
         raise IndexFileError(f"{path}: unrecognized payload")
-    lexicon = lexicon_from_dict(payload["lexicon"])
-    marks = [(i, y, m, tuple(c)) for i, y, m, c in payload["docs"]]
-    return YearTermIndex(lexicon, payload["min_year"], payload["max_year"], marks)
+    try:
+        lexicon = lexicon_from_dict(payload["lexicon"])
+        marks = [(i, y, m, tuple(c)) for i, y, m, c in payload["docs"]]
+        index = YearTermIndex(lexicon, payload["min_year"], payload["max_year"], marks)
+    except KeyError as exc:
+        raise IndexFileError(f"{path}: malformed payload (no {exc} field)") from None
+    except (TypeError, ValueError) as exc:
+        raise IndexFileError(f"{path}: malformed payload ({exc})") from None
+    problem = _type_problem(index)
+    if problem is not None:
+        raise IndexFileError(f"{path}: malformed payload ({problem})")
+    return index
+
+
+def _type_problem(index: YearTermIndex) -> str | None:
+    """What in a decoded index has the wrong type or range, if anything.
+    Each year's columns go through ``map``, ``min`` and ``max``, so the
+    checks add little to a load."""
+    if set(map(type, (*index.year_range, *index.years))) - {int}:
+        return "a year is not an integer"
+    limit = 1 << len(index.vocabulary)
+    for year in index.years:
+        masks = index._masks[year]
+        if set(map(type, masks)) - {int} or min(masks) < 0 or max(masks) >= limit:
+            return f"a term bitmask in {year} is not an integer within the vocabulary"
+        if set(map(type, chain.from_iterable(index._cats[year]))) - {str}:
+            return f"a category in {year} is not a string"
+    return None

@@ -18,7 +18,8 @@ terms, or a lexicon term. Quoted strings in those lists are taken literally.
 A bare word outside the operators is a plain term and need not be in the
 lexicon (such terms can only be counted by a corpus scan, not via an index).
 
-Syntax errors report the byte offset of the offending input.
+Syntax errors report the byte offset of the offending input. Parentheses
+nest at most ``MAX_NESTING`` deep.
 """
 
 from __future__ import annotations
@@ -93,6 +94,10 @@ class Or:
 
 Query = Union[Term, Phrase, AnyOf, AtLeastK, And, Or]
 
+# Deepest parenthesis nesting the parser accepts; it recurses once per level,
+# so this keeps a hostile query far from the interpreter's recursion limit.
+MAX_NESTING = 100
+
 _WORD = r"[^\W\d_]+(?:['’-][^\W\d_]+)*"
 _LEX_RE = re.compile(
     rf"""(?P<space>\s+)
@@ -145,6 +150,7 @@ class _Parser:
         self.text = text
         self.tokens = _scan(text)
         self.pos = 0
+        self.depth = 0
         self.lexicon = lexicon
         self.groups = {g.casefold(): ts for g, ts in lexicon.groups().items()}
         self.terms = {e.term.casefold(): e.term for e in lexicon.entries}
@@ -190,8 +196,12 @@ class _Parser:
     def parse_atom(self) -> Query:
         kind, value, pos = self.next()
         if kind == "lparen":
+            if self.depth == MAX_NESTING:
+                self.error(f"parentheses nested deeper than {MAX_NESTING}", pos)
+            self.depth += 1
             q = self.parse_or()
             self.expect("rparen", "')'")
+            self.depth -= 1
             return q
         if kind == "quoted":
             return self.quoted_atom(value, pos)

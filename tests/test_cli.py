@@ -290,6 +290,44 @@ def test_query_corpus_scan_for_unindexed_term(capsys):
     assert "2023" in stdout
 
 
+def test_query_corpus_scans_a_term_outside_the_lexicon(capsys):
+    corpus = bundled_corpus_path()
+    assert main(["query", "zebra or outwith", "--corpus", str(corpus),
+                 "--from", "2021", "--format", "json"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    payload = json.loads(captured.out)
+    docs = load_corpus(corpus)
+    q = parse_query("zebra or outwith", builtin_lexicon())
+    assert payload["years"] == [2021, 2022, 2023]
+    assert payload["matches"] == [brute_force_count(docs, q, y) for y in payload["years"]]
+    assert payload["totals"] == [sum(d.year == y for d in docs) for y in payload["years"]]
+    assert sum(payload["matches"]) > 0
+
+
+def test_query_corpus_scan_applies_on_error(tmp_path, capsys):
+    corpus = _write_corpus(tmp_path, [
+        '{"id": "a", "year": 2023, "text": "a zebra crossing"}',
+        'garbage',
+        '{"id": "b", "year": 2022, "text": "no stripes"}',
+        '{"id": "a", "year": 2022, "text": "a repeated id"}',
+    ])
+    assert main(["query", "zebra", "--corpus", str(corpus)]) == 1
+    assert capsys.readouterr().err == "error: line 2: invalid JSON (Expecting value)\n"
+    assert main(["query", "zebra", "--corpus", str(corpus), "--on-error", "skip",
+                 "--format", "csv"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "year,matches,total\n2022,0,1\n2023,1,1\n"
+    assert captured.err == "skipped 2 malformed records (lines 2, 4)\n"
+
+
+def test_query_nested_too_deep_exits_1(sample_index, capsys):
+    text = "(" * 5000 + "intricate" + ")" * 5000
+    assert main(["query", text, "--index", str(sample_index)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: parentheses nested deeper") and err.count("\n") == 1
+
+
 def test_query_year_window(sample_index, capsys):
     assert main([
         "query", "any(strong)", "--index", str(sample_index),

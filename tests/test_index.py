@@ -1,8 +1,16 @@
 from __future__ import annotations
 
+import hashlib
+import json
 import random
+import struct
+import tempfile
+import zlib
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lexdrift import (
     And,
@@ -22,6 +30,7 @@ from lexdrift import (
     UnindexedTermError,
     UnknownYearError,
     build_index,
+    builtin_lexicon,
     eval_count,
     eval_count_scan,
     load_index,
@@ -29,7 +38,9 @@ from lexdrift import (
     save_index,
 )
 
-from conftest import brute_force_count, make_random_corpus, make_random_query
+from lexdrift.cli import main
+
+from conftest import FILLER, brute_force_count, make_random_corpus, make_random_query
 
 
 def _docs(*texts_by_year: tuple[int, str]) -> list[Document]:
@@ -317,3 +328,102 @@ def test_wrong_magic(tmp_path):
     path.write_bytes(b"not an index file at all")
     with pytest.raises(IndexFileError):
         load_index(path)
+
+
+# Index file header: magic, format version, payload length, SHA-256.
+_HEADER = struct.Struct("<4sHQ32s")
+
+
+def _write_container(path, blob: bytes) -> None:
+    """An index file around *blob* with a valid header and checksum."""
+    header = _HEADER.pack(b"LXDX", 1, len(blob), hashlib.sha256(blob).digest())
+    path.write_bytes(header + blob)
+
+
+def _saved_payload(tmp_path, lexicon) -> dict:
+    path = tmp_path / "good.idx"
+    save_index(build_index(_docs((2023, "an intricate proof")), lexicon), path)
+    return json.loads(zlib.decompress(path.read_bytes()[_HEADER.size:]))
+
+
+def _without_lexicon(payload: dict) -> bytes:
+    del payload["lexicon"]
+    return zlib.compress(json.dumps(payload).encode())
+
+
+def _with_doc_field(position: int, value):
+    def edit(payload: dict) -> bytes:
+        payload["docs"][0][position] = value
+        return zlib.compress(json.dumps(payload).encode())
+    return edit
+
+
+@pytest.mark.parametrize("make_blob", [
+    _without_lexicon,
+    lambda payload: zlib.compress(b"{not json"),
+    lambda payload: b"plain bytes, not deflated",
+    lambda payload: zlib.compress(b"[1, 2]"),
+    lambda payload: zlib.compress(b"\xff\xfe"),
+    _with_doc_field(1, "2023"),
+    _with_doc_field(2, "1"),
+    _with_doc_field(2, 1 << 60),
+    _with_doc_field(3, [7]),
+    _with_doc_field(3, None),
+], ids=["missing-key", "not-json", "not-zlib", "not-an-object", "not-utf8",
+        "year-not-int", "mask-not-int", "mask-past-vocabulary",
+        "category-not-str", "categories-not-list"])
+def test_malformed_payload_is_an_index_file_error(tmp_path, lexicon, capsys, make_blob):
+    path = tmp_path / "bad.idx"
+    _write_container(path, make_blob(_saved_payload(tmp_path, lexicon)))
+    with pytest.raises(IndexFileError, match="bad.idx"):
+        load_index(path)
+    assert main(["query", "intricate", "--index", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# A pool of texts far smaller than the corpus drawn from it, so that many
+# documents of a year share one term bitmask.
+_VOCAB = builtin_lexicon().terms()
+_POOL = st.lists(
+    st.lists(st.sampled_from(_VOCAB + FILLER), max_size=8).map(" ".join),
+    min_size=1, max_size=5,
+)
+_MEMBERS = st.lists(st.sampled_from(_VOCAB), min_size=1, max_size=5, unique=True)
+
+
+def _leaf(term: str):
+    return Term(term) if " " not in term else Phrase(tuple(term.split()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(pool=_POOL, data=st.data())
+def test_repeated_masks_count_like_brute_force(pool, data):
+    lexicon = builtin_lexicon()
+    picks = data.draw(st.lists(
+        st.tuples(st.integers(0, len(pool) - 1), st.sampled_from((2022, 2023))),
+        min_size=1, max_size=40,
+    ))
+    docs = [Document(id=f"d{i}", year=year, text=pool[k])
+            for i, (k, year) in enumerate(picks)]
+    a, b = data.draw(st.sampled_from(_VOCAB)), data.draw(st.sampled_from(_VOCAB))
+    members = tuple(data.draw(_MEMBERS))
+    k = data.draw(st.integers(1, len(members)))
+    phrase = data.draw(st.sampled_from([t for t in _VOCAB if " " in t]))
+    queries = [
+        Term(a), Phrase(tuple(phrase.split())), AnyOf(members),
+        AtLeastK(k, members), And((_leaf(a), _leaf(b))), Or((_leaf(a), _leaf(b))),
+    ]
+    index = build_index(docs, lexicon)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "pool.idx"
+        save_index(index, path)
+        loaded = load_index(path)
+    for idx in (index, loaded):
+        for year in idx.years:
+            for q in queries:
+                assert eval_count(idx, q, year) == brute_force_count(docs, q, year), q
+            for term in _VOCAB:
+                assert idx.df(term, year) == brute_force_count(docs, Term(term), year)
+            assert idx.pair_count(a, b, year) == brute_force_count(
+                docs, And((_leaf(a), _leaf(b))), year)

@@ -9,11 +9,15 @@ from lexdrift import (
     Or,
     Phrase,
     QuerySyntaxError,
+    Document,
     Term,
     UnknownNameError,
+    build_index,
+    eval_count,
+    eval_count_scan,
     parse_query,
 )
-from lexdrift.query import query_vocabulary
+from lexdrift.query import MAX_NESTING, query_vocabulary
 
 
 def test_or_of_terms(lexicon):
@@ -136,6 +140,29 @@ def test_byte_offset_counts_bytes_not_chars(lexicon):
     with pytest.raises(QuerySyntaxError) as err:
         parse_query("café ]", lexicon)
     assert err.value.offset == len("café ".encode("utf-8"))
+
+
+def test_nesting_limit_reports_first_parenthesis_over_it(lexicon):
+    assert parse_query("(" * MAX_NESTING + "delve" + ")" * MAX_NESTING,
+                       lexicon) == Term("delve")
+    for depth in (MAX_NESTING + 1, 5000):
+        head = '"café" and '
+        text = head + "(" * depth + "delve" + ")" * depth
+        with pytest.raises(QuerySyntaxError, match="nested deeper") as err:
+            parse_query(text, lexicon)
+        assert err.value.offset == len(head.encode("utf-8")) + MAX_NESTING
+
+
+def test_deepest_query_evaluates(lexicon):
+    # alternating and/or keeps every level as its own node
+    text = "intricate"
+    for level in range(MAX_NESTING):
+        text = f"({'notable' if level % 2 else 'pivotal'} {'and' if level % 2 else 'or'} {text})"
+    q = parse_query(text, lexicon)
+    docs = [Document(id="a", year=2023, text="a notable and pivotal case"),
+            Document(id="b", year=2023, text="a notable result")]
+    index = build_index(docs, lexicon)
+    assert eval_count(index, q, 2023) == eval_count_scan(docs, lexicon, q, 2023) == 1
 
 
 def test_unterminated_quote(lexicon):
