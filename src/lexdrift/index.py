@@ -1,13 +1,15 @@
 """Immutable per-year index of lexicon-term evidence.
 
 Each document is reduced at build time to a bitset over the lexicon
-vocabulary (phrases included as ordinary entries). The index also keeps, per
-year, a histogram of the distinct bitsets, so a boolean or at-least-k query,
-a term's document frequency or a pair's co-occurrence costs one test per
-distinct term set in the year, not one per document; none of them is
-tabulated ahead of time. Builds are deterministic: document order and any
-partitioning of the corpus across builders produce identical indexes. The
-finished index is immutable and safe for concurrent readers.
+vocabulary (phrases included as ordinary entries). On a year's first query
+the index turns that year's bitsets into posting columns: one big integer
+per vocabulary entry, whose bit *i* is set when document *i* of the year
+holds the entry. A boolean or at-least-k query, a term's document frequency
+or a pair's co-occurrence then costs a few big-integer operations per query
+node and a popcount, not one test per document; none of them is tabulated
+ahead of time. Builds are deterministic: document order and any partitioning
+of the corpus across builders produce identical indexes. The finished index
+is immutable and safe for concurrent readers.
 
 Index files are a single binary container: magic, format version, payload
 length and SHA-256 checksum, then a zlib-compressed canonical JSON payload.
@@ -20,7 +22,9 @@ import json
 import struct
 import zlib
 from collections import Counter
-from itertools import chain
+from functools import reduce
+from itertools import chain, repeat
+from operator import and_, or_
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
@@ -34,7 +38,7 @@ from .errors import (
     UnknownYearError,
 )
 from .lexicon import Lexicon, lexicon_from_dict, lexicon_to_dict
-from .query import And, AnyOf, AtLeastK, Or, Phrase, Query, Term
+from .query import And, AnyOf, AtLeastK, Or, Phrase, Query, Term, query_vocabulary
 
 _MAGIC = b"LXDX"
 _VERSION = 1
@@ -45,9 +49,10 @@ Mark = tuple[str, int, int, tuple[str, ...]]
 
 
 class YearTermIndex:
-    """Yearly totals and per-document term bitsets, with each year's
-    distinct bitsets counted once so that queries scale with the number of
-    distinct term sets rather than with the number of documents."""
+    """Yearly totals and per-document term bitsets. Queries read each
+    year's posting columns, built from the bitsets on the year's first
+    query, so a query costs a few big-integer operations per node rather
+    than a test per document."""
 
     def __init__(self, lexicon: Lexicon, min_year: int, max_year: int,
                  marks: Iterable[Mark]):
@@ -66,15 +71,16 @@ class YearTermIndex:
         self._masks: dict[int, tuple[int, ...]] = {}
         self._cats: dict[int, tuple[tuple[str, ...], ...]] = {}
         self._totals: dict[int, int] = {}
-        # year -> ((mask, documents with exactly that mask), ...)
-        self._hist: dict[int, tuple[tuple[int, int], ...]] = {}
+        # year -> one posting column per vocabulary bit, filled by _columns.
+        # Readers that race on a year's first query both build the same
+        # tuple, and either may be stored.
+        self._cols: dict[int, tuple[int, ...]] = {}
         for year in self._years:
             rows = sorted(per_year[year])
             self._ids[year] = tuple(r[0] for r in rows)
             self._masks[year] = tuple(r[2] for r in rows)
             self._cats[year] = tuple(r[3] for r in rows)
             self._totals[year] = len(rows)
-            self._hist[year] = tuple(Counter(self._masks[year]).items())
 
     @property
     def lexicon(self) -> Lexicon:
@@ -110,16 +116,31 @@ class YearTermIndex:
         return bit
 
     def df(self, term: str, year: int) -> int:
-        return self._count_all(1 << self.term_bit(term), year)
+        bit = self.term_bit(term)
+        if year not in self._totals:
+            return 0
+        return self._columns(year)[bit].bit_count()
 
     def pair_count(self, term_a: str, term_b: str, year: int) -> int:
-        return self._count_all(
-            (1 << self.term_bit(term_a)) | (1 << self.term_bit(term_b)), year
-        )
+        a, b = self.term_bit(term_a), self.term_bit(term_b)
+        if year not in self._totals:
+            return 0
+        cols = self._columns(year)
+        return (cols[a] & cols[b]).bit_count()
 
-    def _count_all(self, bits: int, year: int) -> int:
-        """Documents of *year* holding every bit of *bits*."""
-        return sum(n for mask, n in self._hist.get(year, ()) if mask & bits == bits)
+    def _columns(self, year: int) -> tuple[int, ...]:
+        """Posting columns of *year*, an indexed year: for each vocabulary
+        bit, an integer whose bit *i* is set when document *i* holds it."""
+        cols = self._cols.get(year)
+        if cols is None:
+            width = len(self._terms)
+            # Each mask as a fixed-width binary string, all documents in one
+            # string; reversed, the string holds the last document first and
+            # vocabulary bit j of every document at positions j, j+width, ...
+            bits = "".join(map(format, self._masks[year], repeat(f"0{width}b")))[::-1]
+            cols = tuple(int(bits[j::width], 2) for j in range(width))
+            self._cols[year] = cols
+        return cols
 
     def year_marks(self, year: int) -> Iterator[tuple[int, tuple[str, ...]]]:
         """(bitmask, categories) for every document of *year*."""
@@ -288,51 +309,55 @@ def eval_count(index: YearTermIndex, q: Query, year: int) -> int:
     semantics, each document counted once)."""
     if year not in index._totals:
         raise UnknownYearError(f"year {year} is not in the index")
-    pred = compile_predicate(index, q)
-    return sum(n for mask, n in index._hist[year] if pred(mask))
+    return _posting(index, index._columns(year), q).bit_count()
 
 
-class _ScanEvidence:
-    def __init__(self, doc: Document, lexicon: Lexicon):
-        self.seq = tokenize(doc.text)
-        self.tokens = set(self.seq)
-        self._doc = doc
-        self._raw_seq: list[str] | None = None
-        self._entries = {e.term: e for e in lexicon.entries}
-
-    def _raw(self) -> list[str]:
-        if self._raw_seq is None:
-            self._raw_seq = raw_tokens(self._doc.text)
-        return self._raw_seq
-
-    def present(self, member: str) -> bool:
-        entry = self._entries.get(member)
-        if entry is not None and entry.case_sensitive:
-            toks = raw_tokens(member)
-            seq = self._raw()
-            return toks[0] in seq if len(toks) == 1 else _seq_contains(seq, toks)
-        toks = tokenize(member)
-        if not toks:
-            return False
-        if len(toks) == 1:
-            return toks[0] in self.tokens
-        return _seq_contains(self.seq, toks)
-
-
-def _eval_on(ev: _ScanEvidence, q: Query) -> bool:
+def _posting(index: YearTermIndex, cols: tuple[int, ...], q: Query) -> int:
+    """The documents satisfying *q*, as a column over one year's documents.
+    Every term is resolved, so an unindexed one raises wherever it sits."""
     if isinstance(q, Term):
-        return ev.present(q.term)
+        return cols[index.term_bit(q.term)]
     if isinstance(q, Phrase):
-        return ev.present(q.text)
+        return cols[index.term_bit(q.text)]
     if isinstance(q, AnyOf):
-        return any(ev.present(m) for m in q.members)
+        return reduce(or_, [cols[index.term_bit(m)] for m in q.members])
     if isinstance(q, AtLeastK):
-        return sum(1 for m in q.members if ev.present(m)) >= q.k
+        # reach[j]: documents holding at least j + 1 of the members seen so far
+        reach = [0] * q.k
+        for member in q.members:
+            col = cols[index.term_bit(member)]
+            for j in range(q.k - 1, 0, -1):
+                reach[j] |= reach[j - 1] & col
+            reach[0] |= col
+        return reach[-1]
     if isinstance(q, And):
-        return all(_eval_on(ev, p) for p in q.parts)
+        return reduce(and_, [_posting(index, cols, p) for p in q.parts])
     if isinstance(q, Or):
-        return any(_eval_on(ev, p) for p in q.parts)
+        return reduce(or_, [_posting(index, cols, p) for p in q.parts])
     raise TypeError(f"not a query node: {q!r}")
+
+
+def _holds(q: Query, hits: set[str]) -> bool:
+    """Whether *q* holds for a document whose present members are *hits*."""
+    if isinstance(q, Term):
+        return q.term in hits
+    if isinstance(q, Phrase):
+        return q.text in hits
+    if isinstance(q, AnyOf):
+        return not hits.isdisjoint(q.members)
+    if isinstance(q, AtLeastK):
+        return len(hits.intersection(q.members)) >= q.k
+    if isinstance(q, And):
+        return all(_holds(p, hits) for p in q.parts)
+    if isinstance(q, Or):
+        return any(_holds(p, hits) for p in q.parts)
+    raise TypeError(f"not a query node: {q!r}")
+
+
+def _present(seq: list[str], tokens: set[str], toks: list[str]) -> bool:
+    if not toks or toks[0] not in tokens:
+        return False
+    return len(toks) == 1 or _seq_contains(seq, toks)
 
 
 def scan_counts(corpus: Iterable[Document], lexicon: Lexicon,
@@ -340,11 +365,29 @@ def scan_counts(corpus: Iterable[Document], lexicon: Lexicon,
     """(documents satisfying *q*, all documents) for each year of *corpus*,
     in one document-by-document pass; handles terms outside the indexed
     vocabulary."""
+    # Each member of the query, tokenized once: case-sensitive lexicon
+    # entries match the unfolded tokens, everything else the folded ones.
+    entries = {e.term: e for e in lexicon.entries}
+    folded: list[tuple[str, list[str]]] = []
+    raw: list[tuple[str, list[str]]] = []
+    for member in query_vocabulary(q):
+        entry = entries.get(member)
+        if entry is not None and entry.case_sensitive:
+            raw.append((member, raw_tokens(member)))
+        else:
+            folded.append((member, tokenize(member)))
     matches: Counter = Counter()
     totals: Counter = Counter()
     for doc in corpus:
         totals[doc.year] += 1
-        if _eval_on(_ScanEvidence(doc, lexicon), q):
+        seq = tokenize(doc.text)
+        tokens = set(seq)
+        hits = {m for m, toks in folded if _present(seq, tokens, toks)}
+        if raw:
+            rseq = raw_tokens(doc.text)
+            rtokens = set(rseq)
+            hits.update(m for m, toks in raw if _present(rseq, rtokens, toks))
+        if _holds(q, hits):
             matches[doc.year] += 1
     return {year: (matches[year], totals[year]) for year in sorted(totals)}
 

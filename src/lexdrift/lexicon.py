@@ -214,4 +214,6 @@ def load_lexicon(path) -> Lexicon:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise LexiconError(f"invalid lexicon JSON: {exc.msg} (line {exc.lineno})")
+    except UnicodeDecodeError as exc:
+        raise LexiconError(f"lexicon file is not UTF-8 (byte offset {exc.start})")
     return lexicon_from_dict(data)

@@ -211,7 +211,12 @@ class _Parser:
                 self.error(f"unexpected keyword {value!r}", pos)
             if keyword in ("any", "atleast") and self.peek()[0] == "lparen":
                 return self.call_atom(keyword, pos)
-            return Term(tokenize(value)[0])
+            toks = tokenize(value)
+            if len(toks) != 1:
+                # The lexer's word class admits numeric characters such as
+                # '¾' that tokenization drops or splits on.
+                self.error(f"{value!r} is not a single word token", pos)
+            return Term(toks[0])
         self.error("expected a term, phrase, group operator or '('", pos)
 
     def quoted_atom(self, value: str, pos: int) -> Query:

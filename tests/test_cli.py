@@ -328,6 +328,15 @@ def test_query_nested_too_deep_exits_1(sample_index, capsys):
     assert err.startswith("error: parentheses nested deeper") and err.count("\n") == 1
 
 
+def test_query_bad_input_exits_1_with_one_line(tmp_path, capsys):
+    lexicon = tmp_path / "latin1.json"
+    lexicon.write_bytes(b"\xf6g=*")
+    for args in (["¾"], ["strong", "--lexicon", str(lexicon)]):
+        assert main(["query", *args, "--corpus", str(bundled_corpus_path())]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, args
+
+
 def test_query_year_window(sample_index, capsys):
     assert main([
         "query", "any(strong)", "--index", str(sample_index),

@@ -1,0 +1,144 @@
+"""Arbitrary input to every reader of user data ends in a DataError or an
+OSError, which the CLI turns into exit 1 or 2 with one line; anything else
+would be a traceback."""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import struct
+import tempfile
+import zlib
+from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from lexdrift import (
+    DataError,
+    builtin_lexicon,
+    iter_corpus,
+    load_index,
+    load_lexicon,
+    parse_query,
+)
+from lexdrift.lexicon import lexicon_to_dict
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+def _json_with(keys: tuple[str, ...], *values) -> st.SearchStrategy[dict]:
+    """Objects whose keys are mostly the expected ones, with values either
+    of a plausible kind or anything JSON."""
+    return st.dictionaries(
+        st.sampled_from(keys) | st.text(max_size=4), st.one_of(*values, _JSON),
+        max_size=len(keys) + 1,
+    )
+
+
+def _survives(read, data: bytes, name: str = "input") -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / name
+        path.write_bytes(data)
+        try:
+            read(path)
+        except (DataError, OSError):
+            pass
+
+
+# ------------------------------------------------------------------ corpus
+
+_RECORD = _json_with(
+    ("id", "year", "text", "categories"),
+    st.text(max_size=8), st.integers(1990, 2110),
+    st.lists(st.text(max_size=4) | _JSON, max_size=3),
+)
+_CORPUS_LINE = (
+    _RECORD.map(lambda r: json.dumps(r).encode()) | _JSON.map(lambda v: json.dumps(v).encode())
+    | st.binary(max_size=40)
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(lines=st.lists(_CORPUS_LINE, max_size=6), on_error=st.sampled_from(("abort", "skip")))
+def test_corpus_reader_raises_only_data_errors(lines, on_error):
+    _survives(lambda p: list(iter_corpus(p, on_error=on_error)), b"\n".join(lines))
+
+
+# ------------------------------------------------------------------- index
+
+_HEADER = struct.Struct("<4sHQ32s")
+_LEXICON = lexicon_to_dict(builtin_lexicon())
+_PAYLOAD = _json_with(
+    ("format", "lexicon", "min_year", "max_year", "docs"),
+    st.just("lexdrift.index"), st.just(_LEXICON), st.integers(1990, 2110),
+    st.lists(
+        st.tuples(st.text(max_size=4), st.integers(1990, 2110) | _JSON,
+                  st.integers(-2, 1 << 50) | _JSON,
+                  st.lists(st.text(max_size=4), max_size=2) | _JSON).map(list)
+        | _JSON,
+        max_size=4,
+    ),
+)
+
+
+def _container(blob: bytes) -> bytes:
+    return _HEADER.pack(b"LXDX", 1, len(blob), hashlib.sha256(blob).digest()) + blob
+
+
+_INDEX_FILE = (
+    st.binary(max_size=80)
+    | st.binary(max_size=80).map(_container)
+    | st.binary(max_size=80).map(zlib.compress).map(_container)
+    | (_PAYLOAD | _JSON).map(lambda v: _container(zlib.compress(json.dumps(v).encode())))
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=_INDEX_FILE)
+def test_index_reader_raises_only_data_errors(data):
+    _survives(load_index, data, "input.idx")
+
+
+# ----------------------------------------------------------------- lexicon
+
+_ENTRY = _json_with(
+    ("term", "role", "case_sensitive"),
+    st.text(max_size=8), st.sampled_from(("adjective", "adverb", "control", "disclosure")),
+    st.booleans(),
+)
+_LEXICON_DOC = _json_with(
+    ("name", "entries", "groups"),
+    st.text(max_size=4), st.lists(_ENTRY, max_size=4),
+    st.dictionaries(st.sampled_from(("strong", "medium", "weak")),
+                    st.lists(st.text(max_size=8), max_size=3), max_size=3),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.binary(max_size=60)
+       | (_LEXICON_DOC | _JSON).map(lambda v: json.dumps(v).encode()))
+def test_lexicon_reader_raises_only_data_errors(data):
+    _survives(load_lexicon, data, "lexicon.json")
+
+
+# ------------------------------------------------------------------- query
+
+_QUERY_PIECES = ("any", "atleast", "(", ")", ",", "and", "OR", '"', "0", "2",
+                 "strong", "intricate", "large language model", "zebra", "¾",
+                 "gpt-4", "’", "-", "é")
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=st.text(max_size=30)
+       | st.lists(st.sampled_from(_QUERY_PIECES), max_size=12).map(" ".join))
+def test_query_parser_raises_only_data_errors(text):
+    try:
+        parse_query(text, builtin_lexicon())
+    except DataError:
+        pass

@@ -4,7 +4,9 @@ import hashlib
 import json
 import random
 import struct
+import sys
 import tempfile
+import threading
 import zlib
 from pathlib import Path
 
@@ -223,8 +225,10 @@ def test_unknown_year(lexicon):
 def test_unindexed_term_directs_to_scan(lexicon):
     docs = _docs((2023, "results lie outwith the expected range"))
     index = build_index(docs, lexicon)
-    with pytest.raises(UnindexedTermError, match="scan"):
-        eval_count(index, Term("zebra"), 2023)
+    for q in (Term("zebra"), And((Term("gpt"), Term("zebra"))),
+              AtLeastK(1, ("intricate", "zebra"))):
+        with pytest.raises(UnindexedTermError, match="scan"):
+            eval_count(index, q, 2023)
 
 
 def test_scan_fallback_counts_unindexed_terms(lexicon):
@@ -427,3 +431,88 @@ def test_repeated_masks_count_like_brute_force(pool, data):
                 assert idx.df(term, year) == brute_force_count(docs, Term(term), year)
             assert idx.pair_count(a, b, year) == brute_force_count(
                 docs, And((_leaf(a), _leaf(b))), year)
+
+
+# ---------------------------------------------------------- posting columns
+
+
+def _many_docs(lexicon, seed: int) -> list[Document]:
+    """Several hundred documents in 2023, so that each posting column spans
+    many machine words, and a few in 2022."""
+    rng = random.Random(seed)
+    docs = make_random_corpus(rng, lexicon, 700, (2023,))
+    # every strong term together, so atleast(len(strong), strong) is not 0
+    strong = " ".join(lexicon.groups()["strong"])
+    docs[::37] = [Document(d.id, d.year, f"{d.text} {strong}", d.categories)
+                   for d in docs[::37]]
+    return docs + [Document(id=f"e{i}", year=2022, text=t)
+                   for i, t in enumerate(("an intricate case", "plain", "gpt and llm"))]
+
+
+def test_wide_columns_count_like_brute_force(lexicon):
+    docs = _many_docs(lexicon, 16)
+    index = build_index(docs, lexicon)
+    strong = lexicon.groups()["strong"]
+    medium = lexicon.groups()["medium"]
+    queries = [
+        Term("intricate"), Phrase(("large", "language", "model")),
+        AnyOf(medium), AtLeastK(1, strong), AtLeastK(2, strong),
+        AtLeastK(len(strong), strong),
+        And((Term("notable"), AnyOf(strong))), Or((Term("gpt"), AtLeastK(2, medium))),
+        And((Or((Term("blue"), Term("red"))), AtLeastK(2, strong + medium))),
+    ]
+    rng = random.Random(17)
+    queries += [make_random_query(rng, lexicon) for _ in range(40)]
+    for year in index.years:
+        for q in queries:
+            assert eval_count(index, q, year) == brute_force_count(docs, q, year), q
+    assert brute_force_count(docs, AtLeastK(len(strong), strong), 2023) > 0
+    for term in lexicon.terms():
+        assert index.df(term, 2023) == brute_force_count(docs, Term(term), 2023)
+        assert index.pair_count(term, "notable", 2023) == brute_force_count(
+            docs, And((Term(term), Term("notable"))), 2023)
+
+
+def test_counts_for_a_year_not_indexed_are_zero(lexicon):
+    index = build_index(_docs((2023, "an intricate and notable proof")), lexicon)
+    assert index.df("intricate", 2023) == 1
+    assert index.pair_count("intricate", "notable", 2023) == 1
+    assert index.df("intricate", 1999) == 0
+    assert index.pair_count("intricate", "notable", 1999) == 0
+    with pytest.raises(UnindexedTermError):
+        index.df("zebra", 1999)
+
+
+def test_concurrent_readers_of_a_fresh_index(tmp_path, lexicon):
+    docs = _many_docs(lexicon, 18)
+    path = tmp_path / "shared.idx"
+    save_index(build_index(docs, lexicon), path)
+    rng = random.Random(19)
+    queries = [make_random_query(rng, lexicon) for _ in range(30)]
+
+    def answers(index) -> list:
+        return [(eval_count(index, q, year), index.df("notable", year),
+                 index.pair_count("gpt", "llm", year))
+                for q in queries for year in index.years]
+
+    expected = answers(load_index(path))
+    shared = load_index(path)  # no year's columns built yet
+    start = threading.Barrier(8)
+    results: list = [None] * 8
+
+    def reader(slot: int) -> None:
+        start.wait()
+        results[slot] = answers(shared)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=reader, args=(i,)) for i in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [expected] * 8

@@ -132,3 +132,10 @@ def test_load_rejects_malformed(tmp_path):
     path.write_text("{broken", encoding="utf-8")
     with pytest.raises(LexiconError, match="line"):
         load_lexicon(path)
+
+
+def test_load_rejects_non_utf8(tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b"\xf6g=*")
+    with pytest.raises(LexiconError, match="not UTF-8"):
+        load_lexicon(path)

@@ -142,6 +142,19 @@ def test_byte_offset_counts_bytes_not_chars(lexicon):
     assert err.value.offset == len("café ".encode("utf-8"))
 
 
+@pytest.mark.parametrize("text, word", [
+    ("¾", "¾"),
+    ("intricate and a¾b", "a¾b"),
+    ("café or Ⅻ", "Ⅻ"),
+])
+def test_word_that_is_not_one_token_is_a_syntax_error(lexicon, text, word):
+    # the lexer's word class admits numeric characters that tokenization
+    # drops ('¾') or splits on ('a¾b')
+    with pytest.raises(QuerySyntaxError, match="not a single word token") as err:
+        parse_query(text, lexicon)
+    assert err.value.offset == len(text[:text.index(word)].encode("utf-8"))
+
+
 def test_nesting_limit_reports_first_parenthesis_over_it(lexicon):
     assert parse_query("(" * MAX_NESTING + "delve" + ")" * MAX_NESTING,
                        lexicon) == Term("delve")
