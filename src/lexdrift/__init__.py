@@ -9,56 +9,7 @@ it, a compact persistent index, CSV/JSON reports and SVG trend charts.
 
 from __future__ import annotations
 
-from .bundled import bundled_corpus_path, bundled_counts_path
-from .corpus import Document, TokenSet, iter_corpus, load_corpus, term_presence, tokenize
-from .errors import (
-    CorpusFormatError,
-    CountsFormatError,
-    DataError,
-    IndexBuildError,
-    IndexChecksumError,
-    IndexFileError,
-    IndexVersionError,
-    LexiconError,
-    QueryError,
-    QuerySyntaxError,
-    UndefinedChangeError,
-    UnindexedTermError,
-    UnknownNameError,
-    UnknownYearError,
-)
-from .index import (
-    IndexBuilder,
-    YearTermIndex,
-    build_index,
-    compile_predicate,
-    eval_count,
-    eval_count_scan,
-    load_index,
-    save_index,
-)
-from .lexicon import Lexicon, TermEntry, builtin_lexicon, load_lexicon, save_lexicon
-from .query import AnyOf, AtLeastK, And, Or, Phrase, Query, Term, parse_query
-from .stats import (
-    CategorySkew,
-    CountSeries,
-    DriftReport,
-    baseline_projection,
-    category_skew,
-    count_increase,
-    drift_report,
-    excess,
-    excess_report,
-    export_counts,
-    implied_total_ratio,
-    import_counts,
-    max_historical_change,
-    series_from_index,
-    share,
-    share_increase,
-    yoy_change,
-)
-from .svg import PlotSpec, render_line_chart, save_chart
+import importlib
 
 __version__ = "0.1.0"
 
@@ -127,3 +78,42 @@ __all__ = [
     "tokenize",
     "yoy_change",
 ]
+
+# The submodule that defines each public name. A submodule is imported the
+# first time one of its names is read (PEP 562 module __getattr__), so
+# ``import lexdrift`` is cheap and a command loads only the modules it runs.
+_MODULE_OF = {
+    name: module
+    for module, names in {
+        "bundled": "bundled_corpus_path bundled_counts_path",
+        "corpus": "Document TokenSet iter_corpus load_corpus term_presence tokenize",
+        "errors": "CorpusFormatError CountsFormatError DataError IndexBuildError "
+                  "IndexChecksumError IndexFileError IndexVersionError LexiconError "
+                  "QueryError QuerySyntaxError UndefinedChangeError "
+                  "UnindexedTermError UnknownNameError UnknownYearError",
+        "index": "IndexBuilder YearTermIndex build_index compile_predicate eval_count "
+                 "eval_count_scan load_index save_index",
+        "lexicon": "Lexicon TermEntry builtin_lexicon load_lexicon save_lexicon",
+        "query": "AnyOf AtLeastK And Or Phrase Query Term parse_query",
+        "stats": "CategorySkew CountSeries DriftReport baseline_projection "
+                 "category_skew count_increase drift_report excess excess_report "
+                 "export_counts implied_total_ratio import_counts "
+                 "max_historical_change series_from_index share share_increase "
+                 "yoy_change",
+        "svg": "PlotSpec render_line_chart save_chart",
+    }.items()
+    for name in names.split()
+}
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

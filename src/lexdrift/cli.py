@@ -7,6 +7,7 @@ Subcommands:
 * ``excess``         baseline projection and excess above it
 * ``query``          evaluate a boolean term query per year
 * ``plot``           SVG line chart of a metric over years
+* ``skew``           category mix of a query's matches in one year
 * ``counts import``  validate a count CSV and rewrite it canonically
 * ``counts export``  derive a count CSV from an index
 
@@ -18,37 +19,17 @@ formats values but never recomputes them.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
-import json
 import sys
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from .bundled import bundled_counts_path
-from .corpus import DEFAULT_MAX_YEAR, DEFAULT_MIN_YEAR, iter_corpus
 from .errors import CorpusFormatError, DataError, UnindexedTermError
-from .index import (
-    IndexBuilder,
-    YearTermIndex,
-    compile_predicate,
-    eval_count,
-    load_index,
-    save_index,
-    scan_counts,
-)
-from .lexicon import builtin_lexicon, load_lexicon
-from .query import parse_query
-from .stats import (
-    CountSeries,
-    DriftReport,
-    category_skew,
-    drift_report,
-    excess_report,
-    export_counts,
-    import_counts,
-    series_from_index,
-)
-from .svg import PlotSpec, render_line_chart
+
+# Each command imports the modules it runs when it runs, so a command that
+# reads only the bundled counts never loads the corpus, lexicon, query or
+# index code. These imports serve the annotations alone.
+if TYPE_CHECKING:
+    from .index import IndexBuilder, YearTermIndex
+    from .stats import CountSeries, DriftReport
 
 _FORMATS = ("text", "csv", "json")
 # Line numbers of skipped corpus records named in the stderr report.
@@ -75,6 +56,8 @@ def _write_output(text: str, out: str | None) -> None:
 
 
 def _json_dumps(payload) -> str:
+    import json
+
     return json.dumps(payload, indent=2, sort_keys=False, ensure_ascii=False) + "\n"
 
 
@@ -91,6 +74,9 @@ def _table(rows: Sequence[Sequence[str]]) -> str:
 
 
 def _csv_text(header: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
+    import csv
+    import io
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
@@ -107,6 +93,8 @@ def _opt(value: float | int | None):
 
 
 def _load_lexicon_arg(path: str | None):
+    from .lexicon import builtin_lexicon, load_lexicon
+
     if path is None or path == "builtin":
         return builtin_lexicon()
     return load_lexicon(path)
@@ -115,12 +103,18 @@ def _load_lexicon_arg(path: str | None):
 def _load_series(args: argparse.Namespace) -> dict[str, CountSeries]:
     """Series for the report commands, from --counts, --index, or the
     bundled fixture when neither is given."""
+    from .stats import import_counts, series_from_index
+
     if getattr(args, "index", None):
+        from .index import load_index
+
         index = load_index(args.index)
         names = args.series or sorted(index.lexicon.groups())
         return {name: series_from_index(index, name) for name in names}
     counts = getattr(args, "counts", None)
     if counts is None or counts == "builtin":
+        from .bundled import bundled_counts_path
+
         counts = bundled_counts_path()
     series_map = import_counts(counts)
     if not args.series:
@@ -135,25 +129,16 @@ def _load_series(args: argparse.Namespace) -> dict[str, CountSeries]:
     return picked
 
 
-def _read_index(args: argparse.Namespace) -> YearTermIndex:
-    if getattr(args, "index", None):
-        return load_index(args.index)
-    if getattr(args, "corpus", None):
-        lexicon = _load_lexicon_arg(getattr(args, "lexicon", None))
-        return _build_from_corpus(args, IndexBuilder(lexicon))
-    raise DataError("either --index or --corpus is required")
-
-
-def _consume_corpus(args: argparse.Namespace, consume, *,
-                    min_year: int = DEFAULT_MIN_YEAR,
-                    max_year: int = DEFAULT_MAX_YEAR):
+def _consume_corpus(args: argparse.Namespace, consume, **years):
     """Pass the documents of ``--corpus`` to *consume* and return its
-    result; under ``--on-error skip`` the skipped records are then reported
-    in one stderr line."""
+    result; *years* are ``iter_corpus``'s ``min_year``/``max_year``. Under
+    ``--on-error skip`` the skipped records are then reported in one stderr
+    line."""
+    from .corpus import iter_corpus
+
     skipped: list[CorpusFormatError] = []
     result = consume(iter_corpus(args.corpus, on_error=args.on_error,
-                                 min_year=min_year, max_year=max_year,
-                                 errors=skipped))
+                                 errors=skipped, **years))
     if skipped:
         shown = ", ".join(str(err.line) for err in skipped[:_SKIPPED_SHOWN])
         more = ", ..." if len(skipped) > _SKIPPED_SHOWN else ""
@@ -174,6 +159,9 @@ def _build_from_corpus(args: argparse.Namespace, builder: IndexBuilder) -> YearT
 
 
 def cmd_index(args: argparse.Namespace) -> int:
+    from .corpus import DEFAULT_MAX_YEAR, DEFAULT_MIN_YEAR
+    from .index import IndexBuilder, save_index
+
     lexicon = _load_lexicon_arg(args.lexicon)
     builder = IndexBuilder(
         lexicon,
@@ -189,6 +177,8 @@ def cmd_index(args: argparse.Namespace) -> int:
 
 
 def _drift_reports(args: argparse.Namespace) -> list[DriftReport]:
+    from .stats import drift_report
+
     series_map = _load_series(args)
     return [
         drift_report(
@@ -269,6 +259,8 @@ def cmd_drift(args: argparse.Namespace) -> int:
 
 
 def cmd_excess(args: argparse.Namespace) -> int:
+    from .stats import excess_report
+
     if args.growth <= -1:
         raise DataError(f"growth must be greater than -1, got {args.growth}")
     if args.total is not None and args.total <= 0:
@@ -334,24 +326,37 @@ def _in_range(args: argparse.Namespace, year: int) -> bool:
             and (args.to_year is None or year <= args.to_year))
 
 
+def _indexed_query(args: argparse.Namespace):
+    """(index, lexicon, parsed query) for ``query`` and ``skew``. With
+    ``--corpus``, a query naming a term outside the lexicon gets no index
+    (None): only a scan of the corpus can count it."""
+    from .index import IndexBuilder, compile_predicate, load_index
+    from .query import parse_query
+
+    if args.index:
+        index = load_index(args.index)
+        return index, index.lexicon, parse_query(args.query, index.lexicon)
+    if not args.corpus:
+        raise DataError("either --index or --corpus is required")
+    lexicon = _load_lexicon_arg(args.lexicon)
+    q = parse_query(args.query, lexicon)
+    builder = IndexBuilder(lexicon)
+    try:
+        # An empty index resolves query terms exactly as a full one does.
+        compile_predicate(builder.finish(), q)
+    except UnindexedTermError:
+        return None, lexicon, q
+    return _build_from_corpus(args, builder), lexicon, q
+
+
 def _query_counts(args: argparse.Namespace) -> dict[int, tuple[int, int]]:
-    """(matches, total) of the query for each requested year. With
-    ``--corpus``, a query naming a term outside the lexicon is counted by a
-    scan of the corpus instead of an index built from it."""
-    if args.corpus and not args.index:
-        lexicon = _load_lexicon_arg(args.lexicon)
-        q = parse_query(args.query, lexicon)
-        builder = IndexBuilder(lexicon)
-        try:
-            # An empty index resolves query terms exactly as a full one does.
-            compile_predicate(builder.finish(), q)
-        except UnindexedTermError:
-            return _consume_corpus(args, lambda docs: scan_counts(
-                (doc for doc in docs if _in_range(args, doc.year)), lexicon, q))
-        index = _build_from_corpus(args, builder)
-    else:
-        index = _read_index(args)
-        q = parse_query(args.query, index.lexicon)
+    """(matches, total) of the query for each requested year."""
+    from .index import eval_count, scan_counts
+
+    index, lexicon, q = _indexed_query(args)
+    if index is None:
+        return _consume_corpus(args, lambda docs: scan_counts(
+            (doc for doc in docs if _in_range(args, doc.year)), lexicon, q))
     return {
         year: (eval_count(index, q, year), index.total(year))
         for year in index.years if _in_range(args, year)
@@ -384,6 +389,8 @@ def cmd_query(args: argparse.Namespace) -> int:
 
 
 def cmd_plot(args: argparse.Namespace) -> int:
+    from .svg import PlotSpec, render_line_chart
+
     series_map = _load_series(args)
     spec = PlotSpec(
         series=tuple(series_map),
@@ -399,12 +406,17 @@ def cmd_plot(args: argparse.Namespace) -> int:
 
 
 def cmd_counts_import(args: argparse.Namespace) -> int:
+    from .stats import export_counts, import_counts
+
     series_map = import_counts(args.path)
     _write_output(export_counts(series_map), args.out)
     return 0
 
 
 def cmd_counts_export(args: argparse.Namespace) -> int:
+    from .index import load_index
+    from .stats import export_counts, series_from_index
+
     index = load_index(args.index)
     names = args.series or sorted(index.lexicon.groups())
     series_map = {name: series_from_index(index, name) for name in names}
@@ -413,9 +425,14 @@ def cmd_counts_export(args: argparse.Namespace) -> int:
 
 
 def cmd_skew(args: argparse.Namespace) -> int:
-    index = _read_index(args)
-    q = parse_query(args.query, index.lexicon)
-    skew = category_skew(index, q, args.year)
+    from .stats import category_skew, category_skew_scan
+
+    index, lexicon, q = _indexed_query(args)
+    if index is None:
+        skew = _consume_corpus(args, lambda docs: category_skew_scan(
+            docs, lexicon, q, args.year))
+    else:
+        skew = category_skew(index, q, args.year)
     if args.format == "json":
         text = _json_dumps({
             "year": skew.year,

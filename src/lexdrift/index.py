@@ -61,7 +61,6 @@ class YearTermIndex:
         self._max_year = max_year
         self._terms = lexicon.terms()
         self._bit = {t: i for i, t in enumerate(self._terms)}
-        self._bit_folded = {t.casefold(): i for i, t in enumerate(self._terms)}
 
         per_year: dict[int, list[Mark]] = {}
         for mark in marks:
@@ -107,12 +106,13 @@ class YearTermIndex:
 
     def term_bit(self, term: str) -> int:
         """Bit position of a vocabulary entry; accepts the entry verbatim or
-        its case-folded form."""
+        a name that exactly one entry equals ignoring case."""
         bit = self._bit.get(term)
         if bit is None:
-            bit = self._bit_folded.get(term.casefold())
-        if bit is None:
-            raise UnindexedTermError(term)
+            found = self._lexicon.resolve(term)
+            if len(found) != 1:
+                raise UnindexedTermError(term)
+            bit = self._bit[found[0]]
         return bit
 
     def df(self, term: str, year: int) -> int:
@@ -360,11 +360,10 @@ def _present(seq: list[str], tokens: set[str], toks: list[str]) -> bool:
     return len(toks) == 1 or _seq_contains(seq, toks)
 
 
-def scan_counts(corpus: Iterable[Document], lexicon: Lexicon,
-                q: Query) -> dict[int, tuple[int, int]]:
-    """(documents satisfying *q*, all documents) for each year of *corpus*,
-    in one document-by-document pass; handles terms outside the indexed
-    vocabulary."""
+def text_matcher(lexicon: Lexicon, q: Query) -> Callable[[str], bool]:
+    """Whether a document text satisfies *q*, tested token by token; the
+    one matcher of every corpus scan, so it handles terms outside the
+    indexed vocabulary."""
     # Each member of the query, tokenized once: case-sensitive lexicon
     # entries match the unfolded tokens, everything else the folded ones.
     entries = {e.term: e for e in lexicon.entries}
@@ -376,20 +375,33 @@ def scan_counts(corpus: Iterable[Document], lexicon: Lexicon,
             raw.append((member, raw_tokens(member)))
         else:
             folded.append((member, tokenize(member)))
-    matches: Counter = Counter()
-    totals: Counter = Counter()
-    for doc in corpus:
-        totals[doc.year] += 1
-        seq = tokenize(doc.text)
+
+    def matches(text: str) -> bool:
+        seq = tokenize(text)
         tokens = set(seq)
         hits = {m for m, toks in folded if _present(seq, tokens, toks)}
         if raw:
-            rseq = raw_tokens(doc.text)
+            rseq = raw_tokens(text)
             rtokens = set(rseq)
             hits.update(m for m, toks in raw if _present(rseq, rtokens, toks))
-        if _holds(q, hits):
-            matches[doc.year] += 1
-    return {year: (matches[year], totals[year]) for year in sorted(totals)}
+        return _holds(q, hits)
+
+    return matches
+
+
+def scan_counts(corpus: Iterable[Document], lexicon: Lexicon,
+                q: Query) -> dict[int, tuple[int, int]]:
+    """(documents satisfying *q*, all documents) for each year of *corpus*,
+    in one document-by-document pass; handles terms outside the indexed
+    vocabulary."""
+    matches = text_matcher(lexicon, q)
+    hits: Counter = Counter()
+    totals: Counter = Counter()
+    for doc in corpus:
+        totals[doc.year] += 1
+        if matches(doc.text):
+            hits[doc.year] += 1
+    return {year: (hits[year], totals[year]) for year in sorted(totals)}
 
 
 def eval_count_scan(corpus: Iterable[Document], lexicon: Lexicon, q: Query,

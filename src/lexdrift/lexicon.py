@@ -49,6 +49,22 @@ class Lexicon:
             self, "strength", {g: tuple(ts) for g, ts in self.strength.items()}
         )
         self._validate()
+        # Derived once, because every query parse reads both.
+        folded: dict[str, tuple[str, ...]] = {}
+        for entry in self.entries:
+            key = _fold(entry.term)
+            folded[key] = folded.get(key, ()) + (entry.term,)
+        object.__setattr__(self, "_folded", folded)
+        groups: dict[str, tuple[str, ...]] = {}
+        for role in ROLES:
+            members = tuple(e.term for e in self.entries if e.role == role)
+            if members:
+                groups[role] = members
+        for group in STRENGTH_GROUPS:
+            members = self.strength.get(group, ())
+            if members:
+                groups[group] = members
+        object.__setattr__(self, "_groups", groups)
 
     def _validate(self) -> None:
         if not self.name:
@@ -106,18 +122,21 @@ class Lexicon:
                 return e
         return None
 
+    def resolve(self, name: str) -> tuple[str, ...]:
+        """The entry terms *name* refers to: the entry spelled exactly so,
+        else every entry equal to it ignoring case (more than one makes the
+        name ambiguous), else none."""
+        found = self._folded.get(_fold(name), ())
+        return (name,) if name in found else found
+
     def groups(self) -> dict[str, tuple[str, ...]]:
         """Named, non-empty term groups: one per role plus strength tiers."""
-        out: dict[str, tuple[str, ...]] = {}
-        for role in ROLES:
-            members = tuple(e.term for e in self.entries if e.role == role)
-            if members:
-                out[role] = members
-        for group in STRENGTH_GROUPS:
-            members = self.strength.get(group, ())
-            if members:
-                out[group] = members
-        return out
+        return dict(self._groups)
+
+
+def _fold(term: str) -> str:
+    """*term* as the folded tokens of a valid entry spell it."""
+    return term.casefold().replace("’", "'")
 
 
 _ADJECTIVES = (

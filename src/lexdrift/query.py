@@ -17,6 +17,9 @@ control, extra, disclosure, strong, medium, weak) which expands to its member
 terms, or a lexicon term. Quoted strings in those lists are taken literally.
 A bare word outside the operators is a plain term and need not be in the
 lexicon (such terms can only be counted by a corpus scan, not via an index).
+A word or quoted phrase that names a lexicon term means the entry spelled
+exactly so, else the one entry equal to it ignoring case; a name that only
+case tells apart from several entries is an ``UnknownNameError``.
 
 Syntax errors report the byte offset of the offending input. Parentheses
 nest at most ``MAX_NESTING`` deep.
@@ -28,7 +31,7 @@ import re
 from dataclasses import dataclass
 from typing import Union
 
-from .corpus import tokenize
+from .corpus import raw_tokens, tokenize
 from .errors import QuerySyntaxError, UnknownNameError
 from .lexicon import Lexicon
 
@@ -153,7 +156,6 @@ class _Parser:
         self.depth = 0
         self.lexicon = lexicon
         self.groups = {g.casefold(): ts for g, ts in lexicon.groups().items()}
-        self.terms = {e.term.casefold(): e.term for e in lexicon.entries}
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.pos]
@@ -165,6 +167,19 @@ class _Parser:
 
     def error(self, message: str, pos: int, cls=QuerySyntaxError):
         raise cls(message, _byte_offset(self.text, pos))
+
+    def entry_term(self, name: str, pos: int) -> str | None:
+        """The lexicon entry *name* refers to (see ``Lexicon.resolve``), or
+        None when it names none; a name that only case tells apart from
+        several entries is an UnknownNameError."""
+        found = self.lexicon.resolve(name)
+        if len(found) > 1:
+            self.error(
+                f"{name!r} is ambiguous: lexicon entries "
+                f"{', '.join(map(repr, found))} differ only in case",
+                pos, UnknownNameError,
+            )
+        return found[0] if found else None
 
     def expect(self, kind: str, what: str) -> tuple[str, str, int]:
         tok = self.next()
@@ -216,16 +231,26 @@ class _Parser:
                 # The lexer's word class admits numeric characters such as
                 # '¾' that tokenization drops or splits on.
                 self.error(f"{value!r} is not a single word token", pos)
-            return Term(toks[0])
+            return Term(self.entry_term(value, pos) or toks[0])
         self.error("expected a term, phrase, group operator or '('", pos)
 
     def quoted_atom(self, value: str, pos: int) -> Query:
-        toks = tokenize(value[1:-1])
-        if not toks:
-            self.error("quoted phrase contains no tokens", pos)
+        toks = self.quoted_tokens(value, pos)
         if len(toks) == 1:
             return Term(toks[0])
         return Phrase(tuple(toks))
+
+    def quoted_tokens(self, value: str, pos: int) -> list[str]:
+        """The tokens of a quoted phrase: those of the lexicon entry it
+        names, else its case-folded tokens."""
+        text = value[1:-1]
+        term = self.entry_term(" ".join(raw_tokens(text)), pos)
+        if term is not None:
+            return term.split(" ")
+        toks = tokenize(text)
+        if not toks:
+            self.error("quoted phrase contains no tokens", pos)
+        return toks
 
     def call_atom(self, keyword: str, pos: int) -> Query:
         self.expect("lparen", "'('")
@@ -262,17 +287,14 @@ class _Parser:
                 if name in self.groups:
                     for term in self.groups[name]:
                         add(term)
-                elif name in self.terms:
-                    add(self.terms[name])
+                elif (term := self.entry_term(value, pos)) is not None:
+                    add(term)
                 else:
                     self.error(
                         f"unknown group or term {value!r}", pos, UnknownNameError
                     )
             elif kind == "quoted":
-                toks = tokenize(value[1:-1])
-                if not toks:
-                    self.error("quoted phrase contains no tokens", pos)
-                add(" ".join(toks))
+                add(" ".join(self.quoted_tokens(value, pos)))
             else:
                 self.error("expected a group or term name", pos)
             if self.peek()[0] != "comma":

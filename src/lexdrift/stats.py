@@ -25,11 +25,17 @@ import io
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping
 
-from .errors import CountsFormatError, DataError, UndefinedChangeError
-from .index import YearTermIndex, compile_predicate, eval_count
-from .query import AnyOf, Query, Term
+from .errors import CountsFormatError, DataError, UndefinedChangeError, UnknownYearError
+
+# The count-table path (import, drift, excess) needs no index or query code,
+# so those modules are imported by the functions that read an index.
+if TYPE_CHECKING:
+    from .corpus import Document
+    from .index import YearTermIndex
+    from .lexicon import Lexicon
+    from .query import Query
 
 COUNTS_HEADER = ("series", "year", "matches", "total")
 
@@ -278,13 +284,24 @@ def export_counts(series_map: Mapping[str, CountSeries], stream=None) -> str:
 
 def series_from_index(index: YearTermIndex, name: str,
                       series_id: str | None = None) -> CountSeries:
-    """Per-year counts for a lexicon group or single term from an index."""
+    """Per-year counts for a lexicon group or single term from an index.
+    A group name is matched ignoring case; a term name is the entry spelled
+    exactly so, else the one entry equal to it ignoring case."""
+    from .index import eval_count
+    from .query import AnyOf, Term
+
     groups = index.lexicon.groups()
     key = name.casefold()
+    terms = index.lexicon.resolve(name)
     if key in groups:
         query: Query = AnyOf(groups[key])
-    elif key in {t.casefold() for t in index.vocabulary}:
-        query = Term(key)
+    elif len(terms) == 1:
+        query = Term(terms[0])
+    elif terms:
+        raise DataError(
+            f"ambiguous series {name!r}: lexicon entries "
+            f"{', '.join(map(repr, terms))} differ only in case"
+        )
     else:
         raise DataError(
             f"unknown series {name!r}: not a lexicon group or indexed term"
@@ -385,19 +402,39 @@ class CategorySkew:
 def category_skew(index: YearTermIndex, q: Query, year: int) -> CategorySkew:
     """How matching documents skew across subject categories in one year.
     A document with several categories counts once per category."""
+    from .index import compile_predicate
+
     pred = compile_predicate(index, q)
-    total = index.total(year)
-    matched = 0
+    return _skew(year, ((pred(mask), cats) for mask, cats in index.year_marks(year)))
+
+
+def category_skew_scan(corpus: Iterable[Document], lexicon: Lexicon, q: Query,
+                       year: int) -> CategorySkew:
+    """:func:`category_skew` by one pass over *corpus*, for queries naming
+    terms outside the lexicon; equal to it on indexed queries."""
+    from .index import text_matcher
+
+    matches = text_matcher(lexicon, q)
+    return _skew(year, ((matches(doc.text), doc.categories)
+                        for doc in corpus if doc.year == year))
+
+
+def _skew(year: int, docs: Iterable[tuple[bool, Iterable[str]]]) -> CategorySkew:
+    """Tally (matches the query, categories) pairs, one per document of
+    *year*, into a CategorySkew."""
+    total = matched = 0
     match_counts: dict[str, int] = {}
     all_counts: dict[str, int] = {}
-    for mask, cats in index.year_marks(year):
-        hit = pred(mask)
+    for hit, cats in docs:
+        total += 1
         if hit:
             matched += 1
         for cat in cats:
             all_counts[cat] = all_counts.get(cat, 0) + 1
             if hit:
                 match_counts[cat] = match_counts.get(cat, 0) + 1
+    if not total:
+        raise UnknownYearError(f"no documents in year {year}")
     if not all_counts:
         return CategorySkew(
             year, matched, total, {},

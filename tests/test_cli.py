@@ -444,3 +444,45 @@ def test_skew_json(sample_index, capsys):
     assert payload["matched"] == 8
     shares = [v["among_all"] for v in payload["categories"].values()]
     assert all(0 <= s <= 1 for s in shares)
+
+
+def test_skew_corpus_scans_a_term_outside_the_lexicon(capsys):
+    corpus = bundled_corpus_path()
+    docs = load_corpus(corpus)
+    q = parse_query("catalyst or intricate", builtin_lexicon())
+    assert main(["skew", "catalyst or intricate", "--corpus", str(corpus),
+                 "--year", "2023", "--format", "json"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    payload = json.loads(captured.out)
+    matched = brute_force_count(docs, q, 2023)
+    assert 0 < matched < payload["total"] == sum(d.year == 2023 for d in docs)
+    assert payload["matched"] == matched
+    assert payload["categories"]
+    for cat, row in payload["categories"].items():
+        in_cat = [d for d in docs if cat in d.categories]
+        assert row["among_matches"] == brute_force_count(in_cat, q, 2023) / matched
+        assert row["among_all"] == sum(d.year == 2023 for d in in_cat) / payload["total"]
+    # A term outside the lexicon that no document holds.
+    assert main(["skew", "zebra", "--corpus", str(corpus), "--year", "2023"]) == 0
+    assert capsys.readouterr().out.startswith("year 2023: 0 of 20 documents match\n")
+
+
+def test_skew_corpus_scan_applies_on_error(tmp_path, capsys):
+    corpus = _write_corpus(tmp_path, [
+        '{"id": "a", "year": 2023, "text": "a zebra crossing", "categories": ["x"]}',
+        'garbage',
+        '{"id": "b", "year": 2023, "text": "no stripes", "categories": ["y"]}',
+        '{"id": "a", "year": 2023, "text": "a repeated id"}',
+    ])
+    assert main(["skew", "zebra", "--corpus", str(corpus), "--year", "2023"]) == 1
+    assert capsys.readouterr().err == "error: line 2: invalid JSON (Expecting value)\n"
+    assert main(["skew", "zebra", "--corpus", str(corpus), "--year", "2023",
+                 "--on-error", "skip", "--format", "csv"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "category,among_matches,among_all\nx,1.0,0.5\ny,0.0,0.5\n"
+    assert captured.err == "skipped 2 malformed records (lines 2, 4)\n"
+    assert main(["skew", "zebra", "--corpus", str(corpus), "--year", "2030",
+                 "--on-error", "skip"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: no documents in year 2030") and err.count("\n") == 1

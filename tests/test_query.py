@@ -6,16 +6,21 @@ from lexdrift import (
     And,
     AnyOf,
     AtLeastK,
+    DataError,
+    Lexicon,
     Or,
     Phrase,
     QuerySyntaxError,
     Document,
     Term,
+    TermEntry,
+    UnindexedTermError,
     UnknownNameError,
     build_index,
     eval_count,
     eval_count_scan,
     parse_query,
+    series_from_index,
 )
 from lexdrift.query import MAX_NESTING, query_vocabulary
 
@@ -207,3 +212,51 @@ def test_ast_k_invariant():
         AtLeastK(0, ("a", "b"))
     with pytest.raises(ValueError):
         AtLeastK(3, ("a", "b"))
+
+
+# ------------------------------------------------------ case-sensitive names
+
+
+def _case_pair():
+    lexicon = Lexicon("case", (TermEntry("GPT", "disclosure", case_sensitive=True),
+                               TermEntry("gpt", "disclosure")))
+    docs = [Document("a", 2023, "GPT is here"), Document("b", 2023, "gpt is here")]
+    return lexicon, docs, build_index(docs, lexicon)
+
+
+def test_case_sensitive_entry_is_reachable():
+    lexicon, docs, index = _case_pair()
+    assert index.df("GPT", 2023) == 1 and index.df("gpt", 2023) == 2
+    for text, term, count in (('"GPT"', "GPT", 1), ("GPT", "GPT", 1), ("gpt", "gpt", 2),
+                              ('"gpt"', "gpt", 2)):
+        q = parse_query(text, lexicon)
+        assert q == Term(term), text
+        assert eval_count(index, q, 2023) == eval_count_scan(docs, lexicon, q, 2023) == count
+    for text, member, count in (("any(GPT)", "GPT", 1), ("any(gpt)", "gpt", 2),
+                                ('any("GPT")', "GPT", 1), ("atleast(1, GPT)", "GPT", 1)):
+        q = parse_query(text, lexicon)
+        assert q.members == (member,), text
+        assert eval_count(index, q, 2023) == eval_count_scan(docs, lexicon, q, 2023) == count
+    assert series_from_index(index, "GPT").points == {2023: (1, 2)}
+    assert series_from_index(index, "gpt").points == {2023: (2, 2)}
+
+
+def test_name_told_apart_only_by_case_is_ambiguous():
+    lexicon, _, index = _case_pair()
+    for text, offset in (("Gpt", 0), ('"Gpt"', 0), ("any(Gpt)", 4), ("atleast(1, gPT)", 11)):
+        with pytest.raises(UnknownNameError, match=f"ambiguous.*offset {offset}"):
+            parse_query(text, lexicon)
+    with pytest.raises(DataError, match="ambiguous series 'Gpt'"):
+        series_from_index(index, "Gpt")
+    with pytest.raises(UnindexedTermError):
+        index.df("Gpt", 2023)
+
+
+def test_name_resolves_ignoring_case_when_unambiguous():
+    lexicon = Lexicon("one", (TermEntry("GPT", "disclosure", case_sensitive=True),
+                              TermEntry("Large Language Model", "disclosure")))
+    assert parse_query("gpt", lexicon) == Term("GPT")
+    assert parse_query("any(Gpt)", lexicon) == AnyOf(("GPT",))
+    assert parse_query('"large language model"', lexicon) == \
+        Phrase(("Large", "Language", "Model"))
+    assert parse_query("zebra", lexicon) == Term("zebra")

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import io
+import random
 
 import pytest
 from hypothesis import given
@@ -29,7 +30,9 @@ from lexdrift import (
     share_increase,
     yoy_change,
 )
-from lexdrift.stats import CountSeries
+from lexdrift.stats import CountSeries, category_skew_scan
+
+from conftest import make_random_corpus, make_random_query
 
 
 # ------------------------------------------------------------- primitives
@@ -406,3 +409,14 @@ def test_category_skew_multi_category_doc(lexicon):
     skew = category_skew(build_index(docs, lexicon), Term("intricate"), 2023)
     assert skew.rows["x"] == (pytest.approx(1.0), pytest.approx(1.0))
     assert skew.rows["y"] == (pytest.approx(1.0), pytest.approx(0.5))
+
+
+def test_category_skew_scan_equals_index_path(lexicon):
+    rng = random.Random(5)
+    for _ in range(20):
+        docs = make_random_corpus(rng, lexicon, 60, (2022, 2023))
+        index = build_index(docs, lexicon)
+        q = make_random_query(rng, lexicon)
+        for year in (2022, 2023):
+            assert category_skew_scan(docs, lexicon, q, year) == \
+                category_skew(index, q, year)
