@@ -39,7 +39,6 @@ __all__ = [
     "QuerySyntaxError",
     "Term",
     "TermEntry",
-    "TokenSet",
     "UndefinedChangeError",
     "UnindexedTermError",
     "UnknownNameError",
@@ -51,7 +50,6 @@ __all__ = [
     "bundled_corpus_path",
     "bundled_counts_path",
     "category_skew",
-    "compile_predicate",
     "count_increase",
     "drift_report",
     "eval_count",
@@ -74,7 +72,6 @@ __all__ = [
     "series_from_index",
     "share",
     "share_increase",
-    "term_presence",
     "tokenize",
     "yoy_change",
 ]
@@ -86,13 +83,13 @@ _MODULE_OF = {
     name: module
     for module, names in {
         "bundled": "bundled_corpus_path bundled_counts_path",
-        "corpus": "Document TokenSet iter_corpus load_corpus term_presence tokenize",
+        "corpus": "Document iter_corpus load_corpus tokenize",
         "errors": "CorpusFormatError CountsFormatError DataError IndexBuildError "
                   "IndexChecksumError IndexFileError IndexVersionError LexiconError "
                   "QueryError QuerySyntaxError UndefinedChangeError "
                   "UnindexedTermError UnknownNameError UnknownYearError",
-        "index": "IndexBuilder YearTermIndex build_index compile_predicate eval_count "
-                 "eval_count_scan load_index save_index",
+        "index": "IndexBuilder YearTermIndex build_index eval_count eval_count_scan "
+                 "load_index save_index",
         "lexicon": "Lexicon TermEntry builtin_lexicon load_lexicon save_lexicon",
         "query": "AnyOf AtLeastK And Or Phrase Query Term parse_query",
         "stats": "CategorySkew CountSeries DriftReport baseline_projection "

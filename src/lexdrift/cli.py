@@ -19,16 +19,16 @@ formats values but never recomputes them.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import TYPE_CHECKING, Sequence
 
-from .errors import CorpusFormatError, DataError, UnindexedTermError
+from .errors import CorpusFormatError, DataError
 
 # Each command imports the modules it runs when it runs, so a command that
 # reads only the bundled counts never loads the corpus, lexicon, query or
 # index code. These imports serve the annotations alone.
 if TYPE_CHECKING:
-    from .index import IndexBuilder, YearTermIndex
     from .stats import CountSeries, DriftReport
 
 _FORMATS = ("text", "csv", "json")
@@ -147,13 +147,6 @@ def _consume_corpus(args: argparse.Namespace, consume, **years):
     return result
 
 
-def _build_from_corpus(args: argparse.Namespace, builder: IndexBuilder) -> YearTermIndex:
-    """Index ``--corpus`` with *builder*."""
-    _consume_corpus(args, builder.add_all,
-                    min_year=builder.min_year, max_year=builder.max_year)
-    return builder.finish()
-
-
 # --------------------------------------------------------------------------
 # subcommands
 
@@ -168,7 +161,9 @@ def cmd_index(args: argparse.Namespace) -> int:
         min_year=args.from_year if args.from_year is not None else DEFAULT_MIN_YEAR,
         max_year=args.to_year if args.to_year is not None else DEFAULT_MAX_YEAR,
     )
-    index = _build_from_corpus(args, builder)
+    _consume_corpus(args, builder.add_all,
+                    min_year=builder.min_year, max_year=builder.max_year)
+    index = builder.finish()
     save_index(index, args.out)
     print(f"indexed {index.doc_count} documents into {args.out}")
     for year in index.years:
@@ -261,8 +256,8 @@ def cmd_drift(args: argparse.Namespace) -> int:
 def cmd_excess(args: argparse.Namespace) -> int:
     from .stats import excess_report
 
-    if args.growth <= -1:
-        raise DataError(f"growth must be greater than -1, got {args.growth}")
+    if not -1 < args.growth < math.inf:
+        raise DataError(f"growth must be finite and greater than -1, got {args.growth}")
     if args.total is not None and args.total <= 0:
         raise DataError(f"total must be positive, got {args.total}")
     series_map = _load_series(args)
@@ -326,11 +321,10 @@ def _in_range(args: argparse.Namespace, year: int) -> bool:
             and (args.to_year is None or year <= args.to_year))
 
 
-def _indexed_query(args: argparse.Namespace):
+def _parsed_query(args: argparse.Namespace):
     """(index, lexicon, parsed query) for ``query`` and ``skew``. With
-    ``--corpus``, a query naming a term outside the lexicon gets no index
-    (None): only a scan of the corpus can count it."""
-    from .index import IndexBuilder, compile_predicate, load_index
+    ``--corpus`` there is no index (None): the corpus is scanned instead."""
+    from .index import load_index
     from .query import parse_query
 
     if args.index:
@@ -339,21 +333,14 @@ def _indexed_query(args: argparse.Namespace):
     if not args.corpus:
         raise DataError("either --index or --corpus is required")
     lexicon = _load_lexicon_arg(args.lexicon)
-    q = parse_query(args.query, lexicon)
-    builder = IndexBuilder(lexicon)
-    try:
-        # An empty index resolves query terms exactly as a full one does.
-        compile_predicate(builder.finish(), q)
-    except UnindexedTermError:
-        return None, lexicon, q
-    return _build_from_corpus(args, builder), lexicon, q
+    return None, lexicon, parse_query(args.query, lexicon)
 
 
 def _query_counts(args: argparse.Namespace) -> dict[int, tuple[int, int]]:
     """(matches, total) of the query for each requested year."""
     from .index import eval_count, scan_counts
 
-    index, lexicon, q = _indexed_query(args)
+    index, lexicon, q = _parsed_query(args)
     if index is None:
         return _consume_corpus(args, lambda docs: scan_counts(
             (doc for doc in docs if _in_range(args, doc.year)), lexicon, q))
@@ -427,7 +414,7 @@ def cmd_counts_export(args: argparse.Namespace) -> int:
 def cmd_skew(args: argparse.Namespace) -> int:
     from .stats import category_skew, category_skew_scan
 
-    index, lexicon, q = _indexed_query(args)
+    index, lexicon, q = _parsed_query(args)
     if index is None:
         skew = _consume_corpus(args, lambda docs: category_skew_scan(
             docs, lexicon, q, args.year))

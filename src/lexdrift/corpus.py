@@ -1,4 +1,4 @@
-"""Document ingestion and whole-word token evidence.
+"""Document ingestion and whole-word tokenization.
 
 Corpus files are UTF-8 JSON Lines, one object per line::
 
@@ -17,9 +17,9 @@ import json
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator
 
-from .errors import CorpusFormatError
+from .errors import CorpusFormatError, undecodable
 
 DEFAULT_MIN_YEAR = 2000
 DEFAULT_MAX_YEAR = 2100
@@ -91,65 +91,6 @@ class Document:
     categories: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class TokenSet:
-    """Distinct case-folded tokens of one document, with the ordered
-    sequence retained when phrase matching is needed."""
-
-    doc_id: str
-    year: int
-    tokens: frozenset[str]
-    sequence: tuple[str, ...] | None = None
-
-    @property
-    def token_sequence_available(self) -> bool:
-        return self.sequence is not None
-
-
-def token_evidence(doc: Document) -> TokenSet:
-    seq = tuple(tokenize(doc.text))
-    return TokenSet(doc.id, doc.year, frozenset(seq), seq)
-
-
-def contains_sequence(sequence: Sequence[str], phrase: Sequence[str]) -> bool:
-    """True if *phrase* occurs in *sequence* as a contiguous token run."""
-    n = len(phrase)
-    if n == 0:
-        return False
-    first = phrase[0]
-    last_start = len(sequence) - n
-    for i, tok in enumerate(sequence):
-        if i > last_start:
-            return False
-        if tok == first and tuple(sequence[i : i + n]) == tuple(phrase):
-            return True
-    return False
-
-
-def term_presence(doc: Document, vocabulary: Iterable[str]) -> tuple[TokenSet, set[str]]:
-    """Which vocabulary terms appear in *doc*.
-
-    Single terms match by whole-token equality after case folding; entries
-    with spaces match as contiguous token sequences. Returns the document's
-    token evidence and the set of matched vocabulary entries (as given).
-    """
-    vocab = list(vocabulary)
-    if not vocab:
-        raise ValueError("vocabulary is empty")
-    evidence = token_evidence(doc)
-    matched: set[str] = set()
-    for term in vocab:
-        toks = tokenize(term)
-        if not toks:
-            continue
-        if len(toks) == 1:
-            if toks[0] in evidence.tokens:
-                matched.add(term)
-        elif contains_sequence(evidence.sequence or (), toks):
-            matched.add(term)
-    return evidence, matched
-
-
 def _record_problem(
     record: object,
     seen: dict[str, int],
@@ -176,15 +117,6 @@ def _record_problem(
     cats = record.get("categories", [])
     if not isinstance(cats, list) or not all(isinstance(c, str) for c in cats):
         return "field 'categories' must be a list of strings"
-    return None
-
-
-def _undecodable(line: str) -> str | None:
-    try:
-        line.encode("utf-8")
-    except UnicodeEncodeError as exc:
-        byte = ord(line[exc.start]) - 0xDC00
-        return f"not valid UTF-8 (byte 0x{byte:02x})"
     return None
 
 
@@ -219,7 +151,7 @@ def iter_corpus(
                 continue
             problem: str | None = None
             if opened and not line.isascii():
-                problem = _undecodable(line)
+                problem = undecodable(line)
             if problem is None:
                 try:
                     record = json.loads(line)

@@ -1,5 +1,6 @@
 """Exception types. All data/validation problems derive from DataError so the
-CLI can map them to exit code 1 (I/O and usage problems exit 2)."""
+CLI can map them to exit code 1 (I/O and usage problems exit 2). The readers
+of corpus and count files share the message for a line that is not UTF-8."""
 
 from __future__ import annotations
 
@@ -69,3 +70,14 @@ class CountsFormatError(DataError):
 
 class UndefinedChangeError(DataError):
     """A relative change whose reference value is zero; reported as a gap."""
+
+
+def undecodable(text: str) -> str | None:
+    """Why *text*, read from a file with ``errors="surrogateescape"``, was
+    not valid UTF-8, naming its first bad byte; None if it was."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        byte = ord(text[exc.start]) - 0xDC00
+        return f"not valid UTF-8 (byte 0x{byte:02x})"
+    return None

@@ -4,12 +4,17 @@ Each document is reduced at build time to a bitset over the lexicon
 vocabulary (phrases included as ordinary entries). On a year's first query
 the index turns that year's bitsets into posting columns: one big integer
 per vocabulary entry, whose bit *i* is set when document *i* of the year
-holds the entry. A boolean or at-least-k query, a term's document frequency
-or a pair's co-occurrence then costs a few big-integer operations per query
-node and a popcount, not one test per document; none of them is tabulated
-ahead of time. Builds are deterministic: document order and any partitioning
-of the corpus across builders produce identical indexes. The finished index
-is immutable and safe for concurrent readers.
+holds the entry. A boolean or at-least-k query, or a term's document
+frequency, then costs a few big-integer operations per query node and a
+popcount, not one test per document; none of them is tabulated ahead of
+time. Builds are deterministic: document order and any partitioning of the
+corpus across builders produce identical indexes. The finished index is
+immutable and safe for concurrent readers.
+
+A corpus scan is the same build over the query's own terms instead of the
+lexicon: one matcher masks every document, and one evaluator answers the
+query from the posting columns, so a scan also counts terms outside the
+lexicon.
 
 Index files are a single binary container: magic, format version, payload
 length and SHA-256 checksum, then a zlib-compressed canonical JSON payload.
@@ -21,12 +26,11 @@ import hashlib
 import json
 import struct
 import zlib
-from collections import Counter
 from functools import reduce
 from itertools import chain, repeat
 from operator import and_, or_
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .corpus import Document, DEFAULT_MAX_YEAR, DEFAULT_MIN_YEAR, raw_tokens, tokenize
 from .errors import (
@@ -121,32 +125,12 @@ class YearTermIndex:
             return 0
         return self._columns(year)[bit].bit_count()
 
-    def pair_count(self, term_a: str, term_b: str, year: int) -> int:
-        a, b = self.term_bit(term_a), self.term_bit(term_b)
-        if year not in self._totals:
-            return 0
-        cols = self._columns(year)
-        return (cols[a] & cols[b]).bit_count()
-
     def _columns(self, year: int) -> tuple[int, ...]:
-        """Posting columns of *year*, an indexed year: for each vocabulary
-        bit, an integer whose bit *i* is set when document *i* holds it."""
+        """Posting columns of *year*, an indexed year."""
         cols = self._cols.get(year)
         if cols is None:
-            width = len(self._terms)
-            # Each mask as a fixed-width binary string, all documents in one
-            # string; reversed, the string holds the last document first and
-            # vocabulary bit j of every document at positions j, j+width, ...
-            bits = "".join(map(format, self._masks[year], repeat(f"0{width}b")))[::-1]
-            cols = tuple(int(bits[j::width], 2) for j in range(width))
-            self._cols[year] = cols
+            cols = self._cols[year] = _columns(self._masks[year], len(self._terms))
         return cols
-
-    def year_marks(self, year: int) -> Iterator[tuple[int, tuple[str, ...]]]:
-        """(bitmask, categories) for every document of *year*."""
-        if year not in self._totals:
-            raise UnknownYearError(f"year {year} is not in the index")
-        return zip(self._masks[year], self._cats[year])
 
     def doc_marks(self) -> Iterator[Mark]:
         """All (doc_id, year, bitmask, categories) rows, ordered by id
@@ -160,28 +144,41 @@ class YearTermIndex:
             )
 
 
-class _CompiledVocab:
-    """Lexicon entries prepared for fast per-document matching."""
+def _columns(masks: Sequence[int], width: int) -> tuple[int, ...]:
+    """Posting columns of one year's document masks: for each of the
+    *width* vocabulary bits, an integer whose bit *i* is set when document
+    *i* holds it."""
+    # Each mask as a fixed-width binary string, all documents in one
+    # string; reversed, the string holds the last document first and
+    # vocabulary bit j of every document at positions j, j+width, ...
+    bits = "".join(map(format, masks, repeat(f"0{width}b")))[::-1]
+    return tuple(int(bits[j::width], 2) for j in range(width))
 
-    def __init__(self, lexicon: Lexicon):
+
+class _CompiledVocab:
+    """Vocabulary entries, given as (term, case-sensitive) pairs, prepared
+    for fast per-document matching: bit *j* of a document's mask is set
+    when the document holds entry *j*. A case-sensitive entry matches the
+    unfolded tokens, any other the folded ones; an entry with no tokens
+    never matches."""
+
+    def __init__(self, entries: Iterable[tuple[str, bool]]):
         self.fold_single: dict[str, int] = {}
         self.fold_phrases: list[tuple[str, list[str], int]] = []
         self.raw_single: dict[str, int] = {}
         self.raw_phrases: list[tuple[str, list[str], int]] = []
-        for bit, entry in enumerate(lexicon.entries):
+        for bit, (term, case_sensitive) in enumerate(entries):
             mask = 1 << bit
-            if entry.case_sensitive:
-                toks = raw_tokens(entry.term)
-                if len(toks) == 1:
-                    self.raw_single[toks[0]] = mask
-                else:
-                    self.raw_phrases.append((toks[0], toks, mask))
+            if case_sensitive:
+                toks, single, phrases = raw_tokens(term), self.raw_single, self.raw_phrases
             else:
-                toks = tokenize(entry.term)
-                if len(toks) == 1:
-                    self.fold_single[toks[0]] = mask
-                else:
-                    self.fold_phrases.append((toks[0], toks, mask))
+                toks, single, phrases = tokenize(term), self.fold_single, self.fold_phrases
+            if len(toks) == 1:
+                # Entries that differ only in case share a token: OR, so
+                # each of them gets its bit.
+                single[toks[0]] = single.get(toks[0], 0) | mask
+            elif toks:
+                phrases.append((toks[0], toks, mask))
         self.fold_single_set = frozenset(self.fold_single)
         self.raw_single_set = frozenset(self.raw_single)
         self.needs_raw = bool(self.raw_single or self.raw_phrases)
@@ -227,7 +224,7 @@ class IndexBuilder:
         self.lexicon = lexicon
         self.min_year = min_year
         self.max_year = max_year
-        self._vocab = _CompiledVocab(lexicon)
+        self._vocab = _CompiledVocab((e.term, e.case_sensitive) for e in lexicon.entries)
         self._marks: list[Mark] = []
         self._seen: set[str] = set()
 
@@ -272,6 +269,7 @@ def build_index(corpus: Iterable[Document], lexicon: Lexicon, *,
     return builder.finish()
 
 
+# Unused in the package; bench/run.py's masks_tested counter patches it.
 def compile_predicate(index: YearTermIndex, q: Query) -> Callable[[int], bool]:
     """Turn a query into a predicate over document bitmasks.
 
@@ -307,107 +305,79 @@ def compile_predicate(index: YearTermIndex, q: Query) -> Callable[[int], bool]:
 def eval_count(index: YearTermIndex, q: Query, year: int) -> int:
     """Exact number of documents in *year* satisfying *q* (presence
     semantics, each document counted once)."""
+    return _year_posting(index, q, year)[0].bit_count()
+
+
+def _year_posting(index: YearTermIndex, q: Query,
+                  year: int) -> tuple[int, tuple[tuple[str, ...], ...]]:
+    """(the documents of *year* satisfying *q* as a posting column, the
+    categories of each document of *year*)."""
     if year not in index._totals:
         raise UnknownYearError(f"year {year} is not in the index")
-    return _posting(index, index._columns(year), q).bit_count()
+    return _posting(index.term_bit, index._columns(year), q), index._cats[year]
 
 
-def _posting(index: YearTermIndex, cols: tuple[int, ...], q: Query) -> int:
-    """The documents satisfying *q*, as a column over one year's documents.
-    Every term is resolved, so an unindexed one raises wherever it sits."""
+def _posting(bit: Callable[[str], int], cols: tuple[int, ...], q: Query) -> int:
+    """The documents satisfying *q*, as a column over one year's documents;
+    *bit* gives each term's column. Every term is looked up, so an unknown
+    one raises wherever it sits."""
     if isinstance(q, Term):
-        return cols[index.term_bit(q.term)]
+        return cols[bit(q.term)]
     if isinstance(q, Phrase):
-        return cols[index.term_bit(q.text)]
+        return cols[bit(q.text)]
     if isinstance(q, AnyOf):
-        return reduce(or_, [cols[index.term_bit(m)] for m in q.members])
+        return reduce(or_, [cols[bit(m)] for m in q.members])
     if isinstance(q, AtLeastK):
         # reach[j]: documents holding at least j + 1 of the members seen so far
         reach = [0] * q.k
         for member in q.members:
-            col = cols[index.term_bit(member)]
+            col = cols[bit(member)]
             for j in range(q.k - 1, 0, -1):
                 reach[j] |= reach[j - 1] & col
             reach[0] |= col
         return reach[-1]
     if isinstance(q, And):
-        return reduce(and_, [_posting(index, cols, p) for p in q.parts])
+        return reduce(and_, [_posting(bit, cols, p) for p in q.parts])
     if isinstance(q, Or):
-        return reduce(or_, [_posting(index, cols, p) for p in q.parts])
+        return reduce(or_, [_posting(bit, cols, p) for p in q.parts])
     raise TypeError(f"not a query node: {q!r}")
 
 
-def _holds(q: Query, hits: set[str]) -> bool:
-    """Whether *q* holds for a document whose present members are *hits*."""
-    if isinstance(q, Term):
-        return q.term in hits
-    if isinstance(q, Phrase):
-        return q.text in hits
-    if isinstance(q, AnyOf):
-        return not hits.isdisjoint(q.members)
-    if isinstance(q, AtLeastK):
-        return len(hits.intersection(q.members)) >= q.k
-    if isinstance(q, And):
-        return all(_holds(p, hits) for p in q.parts)
-    if isinstance(q, Or):
-        return any(_holds(p, hits) for p in q.parts)
-    raise TypeError(f"not a query node: {q!r}")
-
-
-def _present(seq: list[str], tokens: set[str], toks: list[str]) -> bool:
-    if not toks or toks[0] not in tokens:
-        return False
-    return len(toks) == 1 or _seq_contains(seq, toks)
-
-
-def text_matcher(lexicon: Lexicon, q: Query) -> Callable[[str], bool]:
-    """Whether a document text satisfies *q*, tested token by token; the
-    one matcher of every corpus scan, so it handles terms outside the
-    indexed vocabulary."""
-    # Each member of the query, tokenized once: case-sensitive lexicon
-    # entries match the unfolded tokens, everything else the folded ones.
-    entries = {e.term: e for e in lexicon.entries}
-    folded: list[tuple[str, list[str]]] = []
-    raw: list[tuple[str, list[str]]] = []
-    for member in query_vocabulary(q):
-        entry = entries.get(member)
-        if entry is not None and entry.case_sensitive:
-            raw.append((member, raw_tokens(member)))
-        else:
-            folded.append((member, tokenize(member)))
-
-    def matches(text: str) -> bool:
-        seq = tokenize(text)
-        tokens = set(seq)
-        hits = {m for m, toks in folded if _present(seq, tokens, toks)}
-        if raw:
-            rseq = raw_tokens(text)
-            rtokens = set(rseq)
-            hits.update(m for m, toks in raw if _present(rseq, rtokens, toks))
-        return _holds(q, hits)
-
-    return matches
+def _scan_postings(corpus: Iterable[Document], lexicon: Lexicon,
+                   q: Query) -> dict[int, tuple[int, list[tuple[str, ...]]]]:
+    """For each year of *corpus*, ascending, (the documents satisfying *q*
+    as a posting column, the categories of each document), in corpus order:
+    the corpus indexed over the query's own terms. A term is case-sensitive
+    exactly when its lexicon entry is."""
+    members = sorted(query_vocabulary(q))
+    case_sensitive = {e.term: e.case_sensitive for e in lexicon.entries}
+    vocab = _CompiledVocab((m, case_sensitive.get(m, False)) for m in members)
+    masks: dict[int, list[int]] = {}
+    cats: dict[int, list[tuple[str, ...]]] = {}
+    for doc in corpus:
+        masks.setdefault(doc.year, []).append(vocab.mask_for(doc.text))
+        cats.setdefault(doc.year, []).append(doc.categories)
+    bit = {m: j for j, m in enumerate(members)}.__getitem__
+    return {
+        year: (_posting(bit, _columns(masks[year], len(members)), q), cats[year])
+        for year in sorted(masks)
+    }
 
 
 def scan_counts(corpus: Iterable[Document], lexicon: Lexicon,
                 q: Query) -> dict[int, tuple[int, int]]:
     """(documents satisfying *q*, all documents) for each year of *corpus*,
-    in one document-by-document pass; handles terms outside the indexed
-    vocabulary."""
-    matches = text_matcher(lexicon, q)
-    hits: Counter = Counter()
-    totals: Counter = Counter()
-    for doc in corpus:
-        totals[doc.year] += 1
-        if matches(doc.text):
-            hits[doc.year] += 1
-    return {year: (hits[year], totals[year]) for year in sorted(totals)}
+    from one pass that indexes the corpus over the query's own terms, so it
+    counts terms outside the lexicon too."""
+    return {year: (posting.bit_count(), len(cats))
+            for year, (posting, cats) in _scan_postings(corpus, lexicon, q).items()}
 
 
 def eval_count_scan(corpus: Iterable[Document], lexicon: Lexicon, q: Query,
                     year: int) -> int:
-    """Document-by-document fallback for :func:`eval_count`; handles terms
-    outside the indexed vocabulary. Equal to eval_count on indexed queries."""
+    """:func:`eval_count` by one pass over *corpus*, indexed over the
+    query's own terms; counts terms outside the lexicon too, and equals
+    eval_count on indexed queries."""
     counts = scan_counts((doc for doc in corpus if doc.year == year), lexicon, q)
     return counts[year][0] if counts else 0
 

@@ -25,9 +25,15 @@ import io
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
-from .errors import CountsFormatError, DataError, UndefinedChangeError, UnknownYearError
+from .errors import (
+    CountsFormatError,
+    DataError,
+    UndefinedChangeError,
+    UnknownYearError,
+    undecodable,
+)
 
 # The count-table path (import, drift, excess) needs no index or query code,
 # so those modules are imported by the functions that read an index.
@@ -97,8 +103,8 @@ def baseline_projection(n_base: int, growth: float) -> int:
     rounded half away from zero."""
     if n_base < 0:
         raise ValueError(f"base count must be non-negative, got {n_base}")
-    if growth <= -1.0:
-        raise ValueError("growth must be greater than -1")
+    if not -1.0 < growth < math.inf:
+        raise ValueError(f"growth must be finite and greater than -1, got {growth}")
     return _round_half_away(n_base * (1.0 + growth))
 
 
@@ -211,7 +217,10 @@ def import_counts(source) -> dict[str, CountSeries]:
     stream = source
     close = False
     if isinstance(source, (str, Path)):
-        stream = open(source, "r", encoding="utf-8", newline="")
+        # surrogateescape turns each undecodable byte into a lone surrogate,
+        # so a bad line is reported by number instead of ending the read.
+        stream = open(source, "r", encoding="utf-8", errors="surrogateescape",
+                      newline="")
         close = True
     try:
         reader = csv.reader(stream)
@@ -219,6 +228,7 @@ def import_counts(source) -> dict[str, CountSeries]:
             header = next(reader)
         except StopIteration:
             raise CountsFormatError("count table is empty (missing header)", line=1)
+        _check_utf8(header, 1)
         if tuple(h.strip() for h in header) != COUNTS_HEADER:
             raise CountsFormatError(
                 f"line 1: expected header {','.join(COUNTS_HEADER)!r}, "
@@ -230,6 +240,7 @@ def import_counts(source) -> dict[str, CountSeries]:
             line = reader.line_num
             if not row:
                 continue
+            _check_utf8(row, line)
             if len(row) != 4:
                 raise CountsFormatError(
                     f"line {line}: expected 4 fields, got {len(row)}", line=line
@@ -260,9 +271,19 @@ def import_counts(source) -> dict[str, CountSeries]:
                 )
             pts[year] = (matches, total)
         return {sid: CountSeries(sid, pts) for sid, pts in acc.items()}
+    except csv.Error as exc:  # e.g. an oversized field; a NUL before 3.11
+        line = reader.line_num
+        raise CountsFormatError(f"line {line}: {exc}", line=line) from None
     finally:
         if close:
             stream.close()
+
+
+def _check_utf8(row: list[str], line: int) -> None:
+    text = ",".join(row)
+    problem = None if text.isascii() else undecodable(text)
+    if problem is not None:
+        raise CountsFormatError(f"line {line}: {problem}", line=line)
 
 
 def export_counts(series_map: Mapping[str, CountSeries], stream=None) -> str:
@@ -402,39 +423,37 @@ class CategorySkew:
 def category_skew(index: YearTermIndex, q: Query, year: int) -> CategorySkew:
     """How matching documents skew across subject categories in one year.
     A document with several categories counts once per category."""
-    from .index import compile_predicate
+    from .index import _year_posting
 
-    pred = compile_predicate(index, q)
-    return _skew(year, ((pred(mask), cats) for mask, cats in index.year_marks(year)))
+    return _skew(year, *_year_posting(index, q, year))
 
 
 def category_skew_scan(corpus: Iterable[Document], lexicon: Lexicon, q: Query,
                        year: int) -> CategorySkew:
-    """:func:`category_skew` by one pass over *corpus*, for queries naming
-    terms outside the lexicon; equal to it on indexed queries."""
-    from .index import text_matcher
+    """:func:`category_skew` by one pass over *corpus*, indexed over the
+    query's own terms, so it handles terms outside the lexicon; equal to it
+    on indexed queries."""
+    from .index import _scan_postings
 
-    matches = text_matcher(lexicon, q)
-    return _skew(year, ((matches(doc.text), doc.categories)
-                        for doc in corpus if doc.year == year))
+    postings = _scan_postings((doc for doc in corpus if doc.year == year), lexicon, q)
+    return _skew(year, *postings.get(year, (0, ())))
 
 
-def _skew(year: int, docs: Iterable[tuple[bool, Iterable[str]]]) -> CategorySkew:
-    """Tally (matches the query, categories) pairs, one per document of
-    *year*, into a CategorySkew."""
-    total = matched = 0
-    match_counts: dict[str, int] = {}
-    all_counts: dict[str, int] = {}
-    for hit, cats in docs:
-        total += 1
-        if hit:
-            matched += 1
-        for cat in cats:
-            all_counts[cat] = all_counts.get(cat, 0) + 1
-            if hit:
-                match_counts[cat] = match_counts.get(cat, 0) + 1
+def _skew(year: int, posting: int, cats: Sequence[Iterable[str]]) -> CategorySkew:
+    """Tally the documents of *year*, given as the posting column of the
+    query's matches and the categories of each document, into a
+    CategorySkew."""
+    total, matched = len(cats), posting.bit_count()
     if not total:
         raise UnknownYearError(f"no documents in year {year}")
+    match_counts: dict[str, int] = {}
+    all_counts: dict[str, int] = {}
+    # Reversed, the binary string holds document i's hit at character i.
+    for hit, doc_cats in zip(format(posting, f"0{total}b")[::-1], cats):
+        for cat in doc_cats:
+            all_counts[cat] = all_counts.get(cat, 0) + 1
+            if hit == "1":
+                match_counts[cat] = match_counts.get(cat, 0) + 1
     if not all_counts:
         return CategorySkew(
             year, matched, total, {},

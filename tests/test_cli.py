@@ -3,9 +3,14 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import lexdrift
 from lexdrift import bundled_corpus_path
 from lexdrift.cli import main
 
@@ -239,6 +244,28 @@ def test_excess_growth_at_or_below_minus_one_exits_1(capsys):
     assert main(["excess", "group4", "--growth", "-1"]) == 1
     assert "growth" in capsys.readouterr().err
     assert main(["excess", "group4", "--growth", "-2.5"]) == 1
+
+
+@pytest.mark.parametrize("growth", ["nan", "inf", "-inf"])
+def test_excess_growth_not_finite_exits_1(growth):
+    # A fresh interpreter, as a user runs it, so a traceback would show.
+    src = str(Path(lexdrift.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    run = subprocess.run(
+        [sys.executable, "-c", "from lexdrift.cli import main_entry; main_entry()",
+         "excess", "group4", f"--growth={growth}"],
+        env=env, capture_output=True, text=True,
+    )
+    assert run.returncode == 1
+    assert run.stderr.startswith("error: growth must be finite")
+    assert run.stderr.count("\n") == 1 and "Traceback" not in run.stderr
+
+
+def test_drift_counts_given_an_index_file_exits_1(sample_index, capsys):
+    assert main(["drift", "--counts", str(sample_index)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 1: not valid UTF-8") and err.count("\n") == 1
 
 
 def test_excess_nonpositive_total_exits_1(capsys):

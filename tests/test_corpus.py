@@ -8,62 +8,57 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lexdrift import CorpusFormatError, Document, load_corpus, term_presence
-from lexdrift.corpus import iter_corpus, token_evidence
+from lexdrift import (
+    CorpusFormatError,
+    Document,
+    Term,
+    builtin_lexicon,
+    eval_count_scan,
+    load_corpus,
+)
+from lexdrift.corpus import iter_corpus
 
 
 def _jsonl(*records) -> io.StringIO:
     return io.StringIO("".join(json.dumps(r) + "\n" for r in records))
 
 
-def _doc(text: str) -> Document:
-    return Document(id="d1", year=2020, text=text)
+_LEXICON = builtin_lexicon()
+
+
+def _scan_presence(text: str, vocabulary) -> set[str]:
+    """The *vocabulary* terms that a scan finds in a one-document corpus
+    holding *text*, whether or not the lexicon has them."""
+    doc = [Document(id="d1", year=2020, text=text)]
+    return {t for t in vocabulary if eval_count_scan(doc, _LEXICON, Term(t), 2020)}
 
 
 # ---------------------------------------------------------------- presence
 
 
 def test_presence_direct():
-    _, found = term_presence(
-        _doc("The intricate results are notable"),
-        {"intricate", "meticulous", "notable"},
+    found = _scan_presence(
+        "The intricate results are notable", {"intricate", "meticulous", "notable"}
     )
     assert found == {"intricate", "notable"}
 
 
 def test_presence_whole_word_only():
-    _, found = term_presence(_doc("intricately woven"), {"intricate"})
-    assert found == set()
+    assert _scan_presence("intricately woven", {"intricate"}) == set()
 
 
 def test_presence_phrase():
-    _, found = term_presence(
-        _doc("a large language model was used"), {"large language model"}
-    )
+    found = _scan_presence("a large language model was used", {"large language model"})
     assert found == {"large language model"}
 
 
 def test_presence_phrase_not_scattered():
-    _, found = term_presence(
-        _doc("large scale language of the model"), {"large language model"}
-    )
+    found = _scan_presence("large scale language of the model", {"large language model"})
     assert found == set()
 
 
 def test_presence_case_insensitive():
-    _, found = term_presence(_doc("INTRICATE work"), {"intricate"})
-    assert found == {"intricate"}
-
-
-def test_presence_empty_vocabulary_rejected():
-    with pytest.raises(ValueError):
-        term_presence(_doc("anything"), set())
-
-
-def test_token_evidence_has_sequence():
-    ev = token_evidence(_doc("a b a"))
-    assert ev.sequence == ("a", "b", "a")
-    assert ev.tokens == frozenset({"a", "b"})
+    assert _scan_presence("INTRICATE work", {"intricate"}) == {"intricate"}
 
 
 _WORD = st.text(alphabet=string.ascii_lowercase, min_size=1, max_size=8)
@@ -72,10 +67,10 @@ _WORD = st.text(alphabet=string.ascii_lowercase, min_size=1, max_size=8)
 @given(st.lists(_WORD, min_size=1, max_size=15), st.sets(_WORD, min_size=1, max_size=5),
        st.sets(_WORD, min_size=1, max_size=5))
 def test_presence_distributes_over_vocab_union(words, v1, v2):
-    doc = _doc(" ".join(words))
-    _, both = term_presence(doc, v1 | v2)
-    _, first = term_presence(doc, v1)
-    _, second = term_presence(doc, v2)
+    text = " ".join(words)
+    both = _scan_presence(text, v1 | v2)
+    first = _scan_presence(text, v1)
+    second = _scan_presence(text, v2)
     assert both == first | second
 
 
@@ -83,15 +78,14 @@ def test_presence_distributes_over_vocab_union(words, v1, v2):
 def test_presence_never_matches_substrings(words, term, affix):
     # glue the term onto an affix: the combined token must not match
     text = " ".join(words) + f" {affix}{term}{affix}x"
-    _, found = term_presence(_doc(text), {term})
+    found = _scan_presence(text, {term})
     assert found == ({term} if term in words else set())
 
 
 @given(st.lists(_WORD, min_size=1, max_size=15), st.sets(_WORD, min_size=1, max_size=5))
 def test_presence_case_invariant(words, vocab):
-    doc_lower = _doc(" ".join(words))
-    doc_upper = _doc(" ".join(words).upper())
-    assert term_presence(doc_lower, vocab)[1] == term_presence(doc_upper, vocab)[1]
+    text = " ".join(words)
+    assert _scan_presence(text, vocab) == _scan_presence(text.upper(), vocab)
 
 
 # ---------------------------------------------------------------- loading

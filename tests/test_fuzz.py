@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from lexdrift import (
     DataError,
     builtin_lexicon,
+    import_counts,
     iter_corpus,
     load_index,
     load_lexicon,
@@ -103,6 +104,27 @@ _INDEX_FILE = (
 @given(data=_INDEX_FILE)
 def test_index_reader_raises_only_data_errors(data):
     _survives(load_index, data, "input.idx")
+
+
+# ------------------------------------------------------------ count table
+
+_CSV_FIELD = (
+    st.sampled_from(["series", "year", "matches", "total", "group4", "2023", "0",
+                     "-1", "10", " 5 ", '"', '"a,b"', "1e3", "é"])
+    | st.text(max_size=6)
+)
+_CSV_LINE = (
+    st.lists(_CSV_FIELD, max_size=5).map(lambda f: ",".join(f).encode())
+    | st.binary(max_size=30)
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(lines=st.lists(_CSV_LINE, max_size=6), header=st.booleans())
+def test_count_table_reader_raises_only_data_errors(lines, header):
+    if header:
+        lines = [b"series,year,matches,total", *lines]
+    _survives(import_counts, b"\n".join(lines), "counts.csv")
 
 
 # ----------------------------------------------------------------- lexicon

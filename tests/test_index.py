@@ -87,8 +87,8 @@ def test_pair_df_symmetric_and_bounded(lexicon):
     for year in index.years:
         for a in terms:
             for b in terms:
-                pab = index.pair_count(a, b, year)
-                assert pab == index.pair_count(b, a, year)
+                pab = eval_count(index, And((Term(a), Term(b))), year)
+                assert pab == eval_count(index, And((Term(b), Term(a))), year)
                 assert pab <= min(index.df(a, year), index.df(b, year))
                 assert pab == brute_force_count(
                     docs, And((Term(a), Term(b))), year
@@ -168,9 +168,9 @@ def test_and_of_two_terms_equals_pair_df(lexicon):
     docs = make_random_corpus(rng, lexicon, 150, (2023,))
     index = build_index(docs, lexicon)
     q = And((Term("intricate"), Term("notable")))
-    assert eval_count(index, q, 2023) == index.pair_count(
-        "intricate", "notable", 2023
-    )
+    assert eval_count(index, q, 2023) == eval_count(
+        index, And((Term("notable"), Term("intricate"))), 2023
+    ) == brute_force_count(docs, q, 2023)
 
 
 def test_atleast_monotone_in_k(lexicon):
@@ -192,7 +192,8 @@ def test_or_bounds_and_inclusion_exclusion(lexicon):
     a, b = "intricate", "meticulously"
     union = eval_count(index, Or((Term(a), Term(b))), 2023)
     assert union == (
-        index.df(a, 2023) + index.df(b, 2023) - index.pair_count(a, b, 2023)
+        index.df(a, 2023) + index.df(b, 2023)
+        - eval_count(index, And((Term(a), Term(b))), 2023)
     )
 
 
@@ -251,6 +252,38 @@ def test_scan_agrees_with_index_on_vocabulary(lexicon):
         assert eval_count_scan(docs, lexicon, q, year) == eval_count(
             index, q, year
         )
+
+
+def test_entries_equal_ignoring_case_each_count():
+    # Two case-insensitive entries with the same token: each gets its bit.
+    lex = Lexicon("dup", (
+        TermEntry("Delve", "adjective"),
+        TermEntry("delve", "adjective"),
+    ))
+    docs = _docs((2023, "we delve into it"), (2023, "nothing here"))
+    index = build_index(docs, lex)
+    for term in ("Delve", "delve"):
+        q = Term(term)
+        assert eval_count(index, q, 2023) == eval_count_scan(docs, lex, q, 2023) \
+            == brute_force_count(docs, q, 2023) == 1
+
+
+def test_term_without_tokens_counts_nothing(lexicon):
+    docs = _docs((2023, "figure 123 shows it"), (2023, "plain prose"))
+    assert eval_count_scan(docs, lexicon, Term("123"), 2023) == 0
+    assert brute_force_count(docs, Term("123"), 2023) == 0
+
+
+def test_multi_token_term_matches_as_a_phrase(lexicon):
+    docs = _docs(
+        (2023, "we used a Large Language Model today"),
+        (2023, "large scale language of the model"),
+        (2023, "a bright red fox"),
+    )
+    index = build_index(docs, lexicon)
+    for q in (Term("large language model"), Term("red fox")):
+        assert eval_count_scan(docs, lexicon, q, 2023) == brute_force_count(docs, q, 2023) == 1
+    assert eval_count(index, Term("large language model"), 2023) == 1
 
 
 def test_case_sensitive_entry_scan():
@@ -429,7 +462,7 @@ def test_repeated_masks_count_like_brute_force(pool, data):
                 assert eval_count(idx, q, year) == brute_force_count(docs, q, year), q
             for term in _VOCAB:
                 assert idx.df(term, year) == brute_force_count(docs, Term(term), year)
-            assert idx.pair_count(a, b, year) == brute_force_count(
+            assert eval_count(idx, And((Term(a), Term(b))), year) == brute_force_count(
                 docs, And((_leaf(a), _leaf(b))), year)
 
 
@@ -469,16 +502,15 @@ def test_wide_columns_count_like_brute_force(lexicon):
     assert brute_force_count(docs, AtLeastK(len(strong), strong), 2023) > 0
     for term in lexicon.terms():
         assert index.df(term, 2023) == brute_force_count(docs, Term(term), 2023)
-        assert index.pair_count(term, "notable", 2023) == brute_force_count(
+        assert eval_count(index, And((Term(term), Term("notable"))), 2023) == brute_force_count(
             docs, And((Term(term), Term("notable"))), 2023)
 
 
 def test_counts_for_a_year_not_indexed_are_zero(lexicon):
     index = build_index(_docs((2023, "an intricate and notable proof")), lexicon)
     assert index.df("intricate", 2023) == 1
-    assert index.pair_count("intricate", "notable", 2023) == 1
+    assert eval_count(index, And((Term("intricate"), Term("notable"))), 2023) == 1
     assert index.df("intricate", 1999) == 0
-    assert index.pair_count("intricate", "notable", 1999) == 0
     with pytest.raises(UnindexedTermError):
         index.df("zebra", 1999)
 
@@ -492,7 +524,7 @@ def test_concurrent_readers_of_a_fresh_index(tmp_path, lexicon):
 
     def answers(index) -> list:
         return [(eval_count(index, q, year), index.df("notable", year),
-                 index.pair_count("gpt", "llm", year))
+                 eval_count(index, And((Term("gpt"), Term("llm"))), year))
                 for q in queries for year in index.years]
 
     expected = answers(load_index(path))

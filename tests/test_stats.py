@@ -114,6 +114,12 @@ def test_baseline_projection_rounds_half_away_from_zero():
     assert baseline_projection(5, -0.5) == 3  # 2.5 -> 3
 
 
+@pytest.mark.parametrize("growth", [float("nan"), float("inf"), float("-inf"), -1.0])
+def test_baseline_projection_rejects_growth_not_finite_above_minus_one(growth):
+    with pytest.raises(ValueError, match="growth"):
+        baseline_projection(10, growth)
+
+
 @given(st.integers(0, 10**9))
 def test_baseline_projection_zero_growth_is_identity(n):
     assert baseline_projection(n, 0) == n
@@ -265,6 +271,20 @@ def test_import_rejects_bad_header():
 def test_import_rejects_non_integer():
     with pytest.raises(CountsFormatError, match="line 2"):
         import_counts(io.StringIO("series,year,matches,total\na,2022,x,5\n"))
+
+
+def test_import_rejects_bytes_not_utf8_by_line(tmp_path):
+    path = tmp_path / "c.csv"
+    path.write_bytes(b"series,year,matches,total\ncaf\xc3\xa9,2022,1,5\ncaf\xe9,2023,1,5\n")
+    with pytest.raises(CountsFormatError, match=r"line 3: not valid UTF-8 \(byte 0xe9\)") as err:
+        import_counts(path)
+    assert err.value.line == 3
+
+
+def test_import_rejects_a_field_past_the_csv_limit():
+    text = "series,year,matches,total\n" + "a" * 200_000 + ",2022,1,5\n"
+    with pytest.raises(CountsFormatError, match="line 2: field larger"):
+        import_counts(io.StringIO(text))
 
 
 def test_import_empty_file():

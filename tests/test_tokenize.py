@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from lexdrift import tokenize
 from lexdrift.corpus import _letter_runs, raw_tokens
 
+from conftest import oracle_tokens
+
 
 def test_basic_sentence():
     assert tokenize("Meticulously, the RED fox.") == [
@@ -102,3 +104,25 @@ def test_ascii_fast_path_equals_unicode_path(text):
     assert text.isascii()
     assert tokenize(text) == _letter_runs(text.casefold())
     assert raw_tokens(text) == _letter_runs(text)
+
+
+# Text weighted towards the cases a tokenizer gets wrong: joiners of each
+# kind, doubled or at a word's edge, digits (ASCII and not) and numeric
+# characters inside words, non-ASCII letters, and letters whose case folding
+# changes their length or adds a combining mark.
+_MIXED_PIECES = st.one_of(
+    st.sampled_from([
+        "'", "’", "-", "--", "'-", "’’", "-’", "4", "٣", "²", "¾", "Ⅻ", "_",
+        "é", "ß", "İ", "ﬁ", "Σ", "ς", "ǅ", "ª", "漢", "ا", " ", "\n",
+        "gpt-4", "don’t", "a’-b",
+    ]),
+    st.text(alphabet="abcXYZéÉñÑøΩωжЖ", min_size=1, max_size=4),
+    st.characters(),
+)
+_MIXED_TEXT = st.lists(_MIXED_PIECES, max_size=30).map("".join)
+
+
+@given(_MIXED_TEXT)
+@example("İstanbul ǅemal ﬁne STRAẞE a’-b don’t x-¾y 2fast4you ٣a")
+def test_tokenize_equals_the_test_oracle(text):
+    assert tokenize(text) == oracle_tokens(text)
