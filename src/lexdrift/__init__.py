@@ -13,72 +13,10 @@ import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AnyOf",
-    "And",
-    "AtLeastK",
-    "CategorySkew",
-    "CorpusFormatError",
-    "CountSeries",
-    "CountsFormatError",
-    "DataError",
-    "Document",
-    "DriftReport",
-    "IndexBuildError",
-    "IndexBuilder",
-    "IndexChecksumError",
-    "IndexFileError",
-    "IndexVersionError",
-    "Lexicon",
-    "LexiconError",
-    "Or",
-    "Phrase",
-    "PlotSpec",
-    "Query",
-    "QueryError",
-    "QuerySyntaxError",
-    "Term",
-    "TermEntry",
-    "UndefinedChangeError",
-    "UnindexedTermError",
-    "UnknownNameError",
-    "UnknownYearError",
-    "YearTermIndex",
-    "baseline_projection",
-    "build_index",
-    "builtin_lexicon",
-    "bundled_corpus_path",
-    "bundled_counts_path",
-    "category_skew",
-    "count_increase",
-    "drift_report",
-    "eval_count",
-    "eval_count_scan",
-    "excess",
-    "excess_report",
-    "export_counts",
-    "implied_total_ratio",
-    "import_counts",
-    "iter_corpus",
-    "load_corpus",
-    "load_index",
-    "load_lexicon",
-    "max_historical_change",
-    "parse_query",
-    "render_line_chart",
-    "save_chart",
-    "save_index",
-    "save_lexicon",
-    "series_from_index",
-    "share",
-    "share_increase",
-    "tokenize",
-    "yoy_change",
-]
-
-# The submodule that defines each public name. A submodule is imported the
-# first time one of its names is read (PEP 562 module __getattr__), so
-# ``import lexdrift`` is cheap and a command loads only the modules it runs.
+# The submodule that defines each public name, and so ``__all__``. A
+# submodule is imported the first time one of its names is read (PEP 562
+# module __getattr__), so ``import lexdrift`` is cheap and a command loads
+# only the modules it runs.
 _MODULE_OF = {
     name: module
     for module, names in {
@@ -97,10 +35,11 @@ _MODULE_OF = {
                  "export_counts implied_total_ratio import_counts "
                  "max_historical_change series_from_index share share_increase "
                  "yoy_change",
-        "svg": "PlotSpec render_line_chart save_chart",
+        "svg": "PlotSpec render_line_chart",
     }.items()
     for name in names.split()
 }
+__all__ = sorted(_MODULE_OF)
 
 
 def __getattr__(name: str):

@@ -19,7 +19,6 @@ formats values but never recomputes them.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from typing import TYPE_CHECKING, Sequence
 
@@ -31,7 +30,6 @@ from .errors import CorpusFormatError, DataError
 if TYPE_CHECKING:
     from .stats import CountSeries, DriftReport
 
-_FORMATS = ("text", "csv", "json")
 # Line numbers of skipped corpus records named in the stderr report.
 _SKIPPED_SHOWN = 5
 
@@ -84,10 +82,6 @@ def _csv_text(header: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
     return buf.getvalue()
 
 
-def _opt(value: float | int | None):
-    return value if value is not None else ""
-
-
 # --------------------------------------------------------------------------
 # input plumbing
 
@@ -105,13 +99,13 @@ def _load_series(args: argparse.Namespace) -> dict[str, CountSeries]:
     bundled fixture when neither is given."""
     from .stats import import_counts, series_from_index
 
-    if getattr(args, "index", None):
+    if args.index is not None:
         from .index import load_index
 
         index = load_index(args.index)
         names = args.series or sorted(index.lexicon.groups())
         return {name: series_from_index(index, name) for name in names}
-    counts = getattr(args, "counts", None)
+    counts = args.counts
     if counts is None or counts == "builtin":
         from .bundled import bundled_counts_path
 
@@ -256,10 +250,6 @@ def cmd_drift(args: argparse.Namespace) -> int:
 def cmd_excess(args: argparse.Namespace) -> int:
     from .stats import excess_report
 
-    if not -1 < args.growth < math.inf:
-        raise DataError(f"growth must be finite and greater than -1, got {args.growth}")
-    if args.total is not None and args.total <= 0:
-        raise DataError(f"total must be positive, got {args.total}")
     series_map = _load_series(args)
     reports = []
     for series in series_map.values():
@@ -270,10 +260,13 @@ def cmd_excess(args: argparse.Namespace) -> int:
             raise DataError(
                 f"series {series.series_id!r}: base and target year are both {base}"
             )
-        reports.append(excess_report(
-            series, base_year=base, target_year=target,
-            growth=args.growth, total=args.total,
-        ))
+        try:
+            reports.append(excess_report(
+                series, base_year=base, target_year=target,
+                growth=args.growth, total=args.total,
+            ))
+        except ValueError as exc:  # a growth or total the statistics reject
+            raise DataError(str(exc)) from None
     if args.format == "text":
         chunks = []
         for rep in reports:
@@ -401,13 +394,9 @@ def cmd_counts_import(args: argparse.Namespace) -> int:
 
 
 def cmd_counts_export(args: argparse.Namespace) -> int:
-    from .index import load_index
-    from .stats import export_counts, series_from_index
+    from .stats import export_counts
 
-    index = load_index(args.index)
-    names = args.series or sorted(index.lexicon.groups())
-    series_map = {name: series_from_index(index, name) for name in names}
-    _write_output(export_counts(series_map), args.out)
+    _write_output(export_counts(_load_series(args)), args.out)
     return 0
 
 
@@ -463,8 +452,8 @@ def _add_year_range(parser: argparse.ArgumentParser) -> None:
                         help="last year to include")
 
 
-def _add_output(parser: argparse.ArgumentParser, *, formats=_FORMATS) -> None:
-    parser.add_argument("--format", choices=formats, default="text",
+def _add_output(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--format", choices=("text", "csv", "json"), default="text",
                         help="output format (default: text)")
     parser.add_argument("--out", metavar="PATH",
                         help="write output here instead of stdout")
@@ -481,6 +470,22 @@ def _add_series_source(parser: argparse.ArgumentParser) -> None:
                         help="take counts from this index file instead")
 
 
+def _add_corpus_options(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--lexicon", metavar="PATH",
+                        help="lexicon JSON (default: builtin)")
+    parser.add_argument("--on-error", choices=("abort", "skip"), default="abort",
+                        help="bad corpus records: stop or skip (default: abort)")
+
+
+def _add_query_source(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("query", metavar="QUERY")
+    parser.add_argument("--index", metavar="PATH", help="index file to query")
+    parser.add_argument("--corpus", metavar="PATH",
+                        help="scan a corpus, matched against --lexicon, instead "
+                             "of using an index")
+    _add_corpus_options(parser)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lexdrift",
@@ -490,12 +495,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("index", help="build an index from a JSONL corpus")
     p.add_argument("--corpus", required=True, metavar="PATH")
-    p.add_argument("--lexicon", metavar="PATH",
-                   help="lexicon JSON (default: builtin)")
+    _add_corpus_options(p)
     p.add_argument("--out", required=True, metavar="PATH",
                    help="index file to write")
-    p.add_argument("--on-error", choices=("abort", "skip"), default="abort",
-                   help="bad corpus records: stop or skip (default: abort)")
     _add_year_range(p)
     p.set_defaults(func=cmd_index)
 
@@ -524,13 +526,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_excess)
 
     p = sub.add_parser("query", help="evaluate a boolean query per year")
-    p.add_argument("query", metavar="QUERY")
-    p.add_argument("--index", metavar="PATH")
-    p.add_argument("--corpus", metavar="PATH",
-                   help="scan a corpus directly instead of using an index")
-    p.add_argument("--lexicon", metavar="PATH",
-                   help="lexicon JSON for --corpus mode (default: builtin)")
-    p.add_argument("--on-error", choices=("abort", "skip"), default="abort")
+    _add_query_source(p)
     _add_year_range(p)
     _add_output(p)
     p.set_defaults(func=cmd_query)
@@ -547,11 +543,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_plot)
 
     p = sub.add_parser("skew", help="category mix of matches vs all documents")
-    p.add_argument("query", metavar="QUERY")
-    p.add_argument("--index", metavar="PATH")
-    p.add_argument("--corpus", metavar="PATH")
-    p.add_argument("--lexicon", metavar="PATH")
-    p.add_argument("--on-error", choices=("abort", "skip"), default="abort")
+    _add_query_source(p)
     p.add_argument("--year", type=int, required=True)
     _add_output(p)
     p.set_defaults(func=cmd_skew)

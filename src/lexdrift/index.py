@@ -158,59 +158,45 @@ def _columns(masks: Sequence[int], width: int) -> tuple[int, ...]:
 class _CompiledVocab:
     """Vocabulary entries, given as (term, case-sensitive) pairs, prepared
     for fast per-document matching: bit *j* of a document's mask is set
-    when the document holds entry *j*. A case-sensitive entry matches the
-    unfolded tokens, any other the folded ones; an entry with no tokens
-    never matches."""
+    when the document holds entry *j*. There is one table per tokenizer in
+    use, ``raw_tokens`` for the case-sensitive entries and ``tokenize`` for
+    the others; each holds the single-token entries by token and the
+    phrases with their first token. An entry with no tokens never
+    matches."""
 
     def __init__(self, entries: Iterable[tuple[str, bool]]):
-        self.fold_single: dict[str, int] = {}
-        self.fold_phrases: list[tuple[str, list[str], int]] = []
-        self.raw_single: dict[str, int] = {}
-        self.raw_phrases: list[tuple[str, list[str], int]] = []
+        tables: dict[Callable[[str], list[str]],
+                     tuple[dict[str, int], list[tuple[str, list[str], int]]]] = {}
         for bit, (term, case_sensitive) in enumerate(entries):
-            mask = 1 << bit
-            if case_sensitive:
-                toks, single, phrases = raw_tokens(term), self.raw_single, self.raw_phrases
-            else:
-                toks, single, phrases = tokenize(term), self.fold_single, self.fold_phrases
+            split = raw_tokens if case_sensitive else tokenize
+            single, phrases = tables.setdefault(split, ({}, []))
+            toks = split(term)
             if len(toks) == 1:
                 # Entries that differ only in case share a token: OR, so
                 # each of them gets its bit.
-                single[toks[0]] = single.get(toks[0], 0) | mask
+                single[toks[0]] = single.get(toks[0], 0) | (1 << bit)
             elif toks:
-                phrases.append((toks[0], toks, mask))
-        self.fold_single_set = frozenset(self.fold_single)
-        self.raw_single_set = frozenset(self.raw_single)
-        self.needs_raw = bool(self.raw_single or self.raw_phrases)
+                phrases.append((toks[0], toks, 1 << bit))
+        self.tables = [(split, frozenset(single), single, phrases)
+                       for split, (single, phrases) in tables.items()]
 
     def mask_for(self, text: str) -> int:
-        seq = tokenize(text)
-        uniq = set(seq)
         mask = 0
-        for tok in self.fold_single_set & uniq:
-            mask |= self.fold_single[tok]
-        for first, toks, bm in self.fold_phrases:
-            if first in uniq and _seq_contains(seq, toks):
-                mask |= bm
-        if self.needs_raw:
-            rseq = raw_tokens(text)
-            runiq = set(rseq)
-            for tok in self.raw_single_set & runiq:
-                mask |= self.raw_single[tok]
-            for first, toks, bm in self.raw_phrases:
-                if first in runiq and _seq_contains(rseq, toks):
+        for split, keys, single, phrases in self.tables:
+            seq = split(text)
+            uniq = set(seq)
+            for tok in keys & uniq:
+                mask |= single[tok]
+            for first, toks, bm in phrases:
+                if first in uniq and _seq_contains(seq, toks):
                     mask |= bm
         return mask
 
 
 def _seq_contains(seq: list[str], toks: list[str]) -> bool:
-    first = toks[0]
-    n = len(toks)
-    last_start = len(seq) - n
-    for i, tok in enumerate(seq):
-        if i > last_start:
-            return False
-        if tok == first and seq[i : i + n] == toks:
+    first, n = toks[0], len(toks)
+    for i in range(len(seq) - n + 1):
+        if seq[i] == first and seq[i : i + n] == toks:
             return True
     return False
 
@@ -260,11 +246,9 @@ class IndexBuilder:
         return YearTermIndex(self.lexicon, self.min_year, self.max_year, self._marks)
 
 
-def build_index(corpus: Iterable[Document], lexicon: Lexicon, *,
-                min_year: int = DEFAULT_MIN_YEAR,
-                max_year: int = DEFAULT_MAX_YEAR) -> YearTermIndex:
+def build_index(corpus: Iterable[Document], lexicon: Lexicon) -> YearTermIndex:
     """Index a document sequence against a lexicon vocabulary."""
-    builder = IndexBuilder(lexicon, min_year=min_year, max_year=max_year)
+    builder = IndexBuilder(lexicon)
     builder.add_all(corpus)
     return builder.finish()
 

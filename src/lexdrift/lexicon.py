@@ -116,12 +116,6 @@ class Lexicon:
         """All entry terms, in entry order; this is the index vocabulary."""
         return tuple(e.term for e in self.entries)
 
-    def entry(self, term: str) -> TermEntry | None:
-        for e in self.entries:
-            if e.term == term:
-                return e
-        return None
-
     def resolve(self, name: str) -> tuple[str, ...]:
         """The entry terms *name* refers to: the entry spelled exactly so,
         else every entry equal to it ignoring case (more than one makes the

@@ -92,12 +92,6 @@ def implied_total_ratio(count_inc: float, share_inc: float) -> float:
     return (1.0 + share_inc) / (1.0 + count_inc)
 
 
-def _round_half_away(x: float) -> int:
-    if x >= 0:
-        return math.floor(x + 0.5)
-    return math.ceil(x - 0.5)
-
-
 def baseline_projection(n_base: int, growth: float) -> int:
     """Expected count after one year of organic growth *growth* (e.g. 0.05),
     rounded half away from zero."""
@@ -105,7 +99,11 @@ def baseline_projection(n_base: int, growth: float) -> int:
         raise ValueError(f"base count must be non-negative, got {n_base}")
     if not -1.0 < growth < math.inf:
         raise ValueError(f"growth must be finite and greater than -1, got {growth}")
-    return _round_half_away(n_base * (1.0 + growth))
+    try:
+        return math.floor(n_base * (1.0 + growth) + 0.5)
+    except OverflowError:
+        raise ValueError(f"growth {growth} projects the base count past the "
+                         "float range") from None
 
 
 def excess(actual: int, expected: int, total: int | None = None) -> tuple[int, float | None]:
@@ -130,8 +128,6 @@ class CountSeries:
         if not self.series_id:
             raise DataError("series id must be non-empty")
         items = sorted(self.points.items())
-        if len(items) != len({y for y, _ in items}):
-            raise DataError(f"series {self.series_id!r}: duplicate years")
         for year, (matches, total) in items:
             if total <= 0:
                 raise DataError(
@@ -286,7 +282,7 @@ def _check_utf8(row: list[str], line: int) -> None:
         raise CountsFormatError(f"line {line}: {problem}", line=line)
 
 
-def export_counts(series_map: Mapping[str, CountSeries], stream=None) -> str:
+def export_counts(series_map: Mapping[str, CountSeries]) -> str:
     """Write series back to canonical CSV (years ascending within each
     series, ``\\n`` line endings). import -> export is the identity on its
     own output."""
@@ -297,14 +293,10 @@ def export_counts(series_map: Mapping[str, CountSeries], stream=None) -> str:
         for year in series.years:
             matches, total = series.points[year]
             writer.writerow([series.series_id, year, matches, total])
-    text = buf.getvalue()
-    if stream is not None:
-        stream.write(text)
-    return text
+    return buf.getvalue()
 
 
-def series_from_index(index: YearTermIndex, name: str,
-                      series_id: str | None = None) -> CountSeries:
+def series_from_index(index: YearTermIndex, name: str) -> CountSeries:
     """Per-year counts for a lexicon group or single term from an index.
     A group name is matched ignoring case; a term name is the entry spelled
     exactly so, else the one entry equal to it ignoring case."""
@@ -333,7 +325,7 @@ def series_from_index(index: YearTermIndex, name: str,
     }
     if not points:
         raise DataError("index contains no documents")
-    return CountSeries(series_id or name, points)
+    return CountSeries(name, points)
 
 
 @dataclass

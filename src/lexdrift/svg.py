@@ -72,12 +72,11 @@ def _metric_points(series: CountSeries, metric: str) -> dict[int, float | None]:
 
 
 def _nice_step(span: float, target: int) -> float:
-    """Smallest 1/2/2.5/5 x 10^k step giving at most *target* intervals."""
-    if span <= 0:
-        return 1.0
+    """Smallest 1/2/2.5/5 x 10^k step giving at most *target* intervals;
+    *span* is positive."""
     raw = span / target
     mag = 10.0 ** math.floor(math.log10(raw))
-    for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
+    for mult in (1.0, 2.0, 2.5, 5.0):
         if mag * mult >= raw:
             return mag * mult
     return mag * 10.0
@@ -237,9 +236,3 @@ def render_line_chart(spec: PlotSpec, series_map: Mapping[str, CountSeries]) -> 
 
     out.append("</svg>")
     return "\n".join(out) + "\n"
-
-
-def save_chart(spec: PlotSpec, series_map: Mapping[str, CountSeries], path) -> None:
-    markup = render_line_chart(spec, series_map)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(markup)

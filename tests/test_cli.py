@@ -16,6 +16,7 @@ from lexdrift.cli import main
 
 from conftest import brute_force_count
 from lexdrift import load_corpus, parse_query, builtin_lexicon
+from lexdrift import bundled_counts_path, excess_report, import_counts
 
 
 @pytest.fixture()
@@ -26,6 +27,18 @@ def sample_index(tmp_path):
     ])
     assert code == 0
     return path
+
+
+def _fresh_cli(*argv: str) -> subprocess.CompletedProcess:
+    """The CLI in a fresh interpreter, as a user runs it, so a traceback
+    would show."""
+    src = str(Path(lexdrift.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run(
+        [sys.executable, "-c", "from lexdrift.cli import main_entry; main_entry()", *argv],
+        env=env, capture_output=True, text=True,
+    )
 
 
 def _write_corpus(tmp_path, lines: list[str]):
@@ -248,18 +261,31 @@ def test_excess_growth_at_or_below_minus_one_exits_1(capsys):
 
 @pytest.mark.parametrize("growth", ["nan", "inf", "-inf"])
 def test_excess_growth_not_finite_exits_1(growth):
-    # A fresh interpreter, as a user runs it, so a traceback would show.
-    src = str(Path(lexdrift.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    run = subprocess.run(
-        [sys.executable, "-c", "from lexdrift.cli import main_entry; main_entry()",
-         "excess", "group4", f"--growth={growth}"],
-        env=env, capture_output=True, text=True,
-    )
+    run = _fresh_cli("excess", "group4", f"--growth={growth}")
     assert run.returncode == 1
     assert run.stderr.startswith("error: growth must be finite")
     assert run.stderr.count("\n") == 1 and "Traceback" not in run.stderr
+
+
+def test_excess_growth_overflowing_the_projection_exits_1():
+    run = _fresh_cli("excess", "group4", "--growth", "1e308")
+    assert run.returncode == 1
+    assert run.stderr.startswith("error: growth 1e+308 projects")
+    assert run.stderr.count("\n") == 1 and "Traceback" not in run.stderr
+
+
+def test_excess_csv_row_is_the_excess_report(capsys):
+    assert main(["excess", "group4", "--growth", "0.05", "--format", "csv"]) == 0
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    series = import_counts(bundled_counts_path())["group4"]
+    rep = excess_report(series, base_year=series.years[0],
+                        target_year=series.years[-1], growth=0.05)
+    assert rows == [
+        ["series", "base_year", "target_year", "growth", "expected", "actual",
+         "excess", "excess_share"],
+        ["group4", str(rep.base_year), str(rep.target_year), repr(rep.growth),
+         str(rep.expected), str(rep.actual), str(rep.excess), repr(rep.excess_share)],
+    ]
 
 
 def test_drift_counts_given_an_index_file_exits_1(sample_index, capsys):
@@ -362,6 +388,19 @@ def test_query_bad_input_exits_1_with_one_line(tmp_path, capsys):
         assert main(["query", *args, "--corpus", str(bundled_corpus_path())]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, args
+
+
+@pytest.mark.parametrize("command", [["query", "intricate"],
+                                     ["skew", "intricate", "--year", "2023"]])
+def test_query_source_missing_exits_1(command, capsys):
+    assert main(command) == 1
+    assert capsys.readouterr().err == "error: either --index or --corpus is required\n"
+
+
+def test_query_year_window_without_indexed_years_exits_1(sample_index, capsys):
+    assert main(["query", "intricate", "--index", str(sample_index),
+                 "--from", "2030", "--to", "2031"]) == 1
+    assert capsys.readouterr().err == "error: no indexed years in the requested range\n"
 
 
 def test_query_year_window(sample_index, capsys):
@@ -493,6 +532,18 @@ def test_skew_corpus_scans_a_term_outside_the_lexicon(capsys):
     # A term outside the lexicon that no document holds.
     assert main(["skew", "zebra", "--corpus", str(corpus), "--year", "2023"]) == 0
     assert capsys.readouterr().out.startswith("year 2023: 0 of 20 documents match\n")
+
+
+def test_skew_text_warns_of_a_year_without_categories(tmp_path, capsys):
+    corpus = _write_corpus(tmp_path, [
+        '{"id": "a", "year": 2023, "text": "an intricate plan"}',
+        '{"id": "b", "year": 2023, "text": "a plain one"}',
+    ])
+    assert main(["skew", "intricate", "--corpus", str(corpus), "--year", "2023"]) == 0
+    assert capsys.readouterr().out == (
+        "year 2023: 1 of 2 documents match\n"
+        "warning: no category metadata recorded for year 2023\n"
+    )
 
 
 def test_skew_corpus_scan_applies_on_error(tmp_path, capsys):

@@ -134,6 +134,21 @@ def test_load_bool_year_rejected():
         load_corpus(_jsonl({"id": "a", "year": True, "text": "x"}))
 
 
+@pytest.mark.parametrize("record, field", [
+    ({"id": "", "year": 2023, "text": "x"}, "'id'"),
+    ({"id": "a", "year": 2023, "text": 3}, "'text'"),
+    ({"id": "a", "year": 2023, "text": "x", "categories": "cs"}, "'categories'"),
+])
+def test_load_mistyped_field_names_it(record, field):
+    with pytest.raises(CorpusFormatError, match=field):
+        load_corpus(_jsonl(record))
+
+
+def test_unknown_error_policy_rejected():
+    with pytest.raises(ValueError, match="error policy"):
+        list(iter_corpus(io.StringIO(""), on_error="ignore"))
+
+
 def test_load_invalid_json_line():
     with pytest.raises(CorpusFormatError) as err:
         load_corpus(io.StringIO("not json\n"))

@@ -5,6 +5,7 @@ interpreters, because this test process has long since loaded everything."""
 from __future__ import annotations
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -59,6 +60,14 @@ def test_every_public_name_resolves():
     assert set(lexdrift.__all__) <= set(star)
     assert set(lexdrift.__all__) <= set(dir(lexdrift))
     assert lexdrift.parse_query is lexdrift.query.parse_query
+
+
+def test_each_public_name_is_written_once():
+    assert set(lexdrift.__all__) == set(lexdrift._MODULE_OF)
+    code = Path(lexdrift.__file__).read_text(encoding="utf-8").replace(lexdrift.__doc__, "")
+    words = re.findall(r"\w+", code)
+    assert {name: words.count(name) for name in lexdrift.__all__} \
+        == dict.fromkeys(lexdrift.__all__, 1)
 
 
 def test_unknown_attribute_raises_attribute_error():

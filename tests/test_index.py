@@ -62,6 +62,12 @@ def test_basic_df(lexicon):
     assert index.total(2023) == 2
 
 
+def test_df_accepts_a_name_equal_to_an_entry_ignoring_case(lexicon):
+    docs = _docs((2023, "an Intricate proof"), (2023, "intricate"), (2023, "plain"))
+    index = build_index(docs, lexicon)
+    assert index.df("INTRICATE", 2023) == index.df("intricate", 2023) == 2
+
+
 def test_presence_not_frequency(lexicon):
     docs = _docs((2023, "intricate intricate intricate"))
     index = build_index(docs, lexicon)
@@ -141,6 +147,18 @@ def test_merge_rejects_overlapping_ids(lexicon):
     b.add(Document(id="x", year=2023, text="two"))
     with pytest.raises(IndexBuildError, match="x"):
         a.merge(b)
+
+
+def test_merge_rejects_a_different_lexicon(lexicon):
+    other = IndexBuilder(Lexicon("other", (TermEntry("blue", "control"),)))
+    with pytest.raises(IndexBuildError, match="different lexicons"):
+        IndexBuilder(lexicon).merge(other)
+
+
+def test_eval_count_rejects_what_is_not_a_query(lexicon):
+    index = build_index(_docs((2023, "intricate")), lexicon)
+    with pytest.raises(TypeError, match="not a query node"):
+        eval_count(index, "intricate", 2023)
 
 
 def test_empty_corpus(lexicon):
@@ -294,6 +312,25 @@ def test_case_sensitive_entry_scan():
     docs = _docs((2023, "we used GPT here"), (2023, "we used gpt here"))
     assert eval_count_scan(docs, lex, Term("gpt"), 2023) == 2
     assert eval_count_scan(docs, lex, Term("GPT"), 2023) == 1
+
+
+def test_case_sensitive_phrase_by_index_scan_and_brute_force():
+    lex = Lexicon("cs", (
+        TermEntry("Large Language Model", "disclosure", case_sensitive=True),
+    ))
+    docs = _docs(
+        (2023, "we used a Large Language Model today"),
+        (2023, "Large Language, then a Model"),
+        (2023, "Model Large Language"),
+        (2022, "a large language model, in lower case"),
+    )
+    index = build_index(docs, lex)
+    q = Term("Large Language Model")
+    assert eval_count(index, q, 2023) == eval_count_scan(docs, lex, q, 2023) \
+        == brute_force_count(docs, q, 2023) == 1
+    # The case-folding oracle would count the lower-case mention; the entry
+    # is case-sensitive, so neither the index nor a scan does.
+    assert eval_count(index, q, 2022) == eval_count_scan(docs, lex, q, 2022) == 0
 
 
 def test_parse_and_eval_together(lexicon):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from lexdrift import (
@@ -93,7 +95,7 @@ def test_term_must_survive_tokenization():
 
 def test_case_sensitive_terms_keep_case():
     lex = Lexicon("x", (TermEntry("GPT", "disclosure", case_sensitive=True),))
-    assert lex.entry("GPT").case_sensitive
+    assert [e.case_sensitive for e in lex.entries] == [True]
 
 
 def test_groups_omit_empty():
@@ -122,6 +124,30 @@ def test_round_trip_custom(tmp_path):
     path = tmp_path / "lex.json"
     save_lexicon(lex, path)
     assert load_lexicon(path) == lex
+
+
+@pytest.mark.parametrize("name, entry, strength, message", [
+    ("", TermEntry("blue", "control"), {}, "name must be non-empty"),
+    ("x", TermEntry("blue", "colour"), {}, "unknown role"),
+    ("x", TermEntry("", "control"), {}, "empty term"),
+    ("x", TermEntry("blue", "control"), {"huge": ()}, "unknown strength group"),
+])
+def test_invalid_lexicon_rejected(name, entry, strength, message):
+    with pytest.raises(LexiconError, match=message):
+        Lexicon(name, (entry,), strength)
+
+
+@pytest.mark.parametrize("data, message", [
+    ({"name": "x", "entries": [{"term": "blue", "role": "control", "case_sensitive": 1}]},
+     "case_sensitive must be a bool"),
+    ({"name": "x", "entries": [], "groups": []}, "'groups' must be an object"),
+    ({"name": "x", "entries": [], "groups": {"strong": "blue"}}, "must be a list of terms"),
+])
+def test_load_rejects_mistyped_fields(tmp_path, data, message):
+    path = tmp_path / "lex.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    with pytest.raises(LexiconError, match=message):
+        load_lexicon(path)
 
 
 def test_load_rejects_malformed(tmp_path):

@@ -195,6 +195,13 @@ def test_empty_query(lexicon):
         parse_query("   ", lexicon)
 
 
+def test_empty_phrase_and_empty_name_list_rejected(lexicon):
+    with pytest.raises(QuerySyntaxError, match="no tokens"):
+        parse_query('"123"', lexicon)
+    with pytest.raises(QuerySyntaxError, match="expected a group or term name"):
+        parse_query("any(,)", lexicon)
+
+
 def test_trailing_tokens_rejected(lexicon):
     with pytest.raises(QuerySyntaxError):
         parse_query("blue red", lexicon)
@@ -212,6 +219,13 @@ def test_ast_k_invariant():
         AtLeastK(0, ("a", "b"))
     with pytest.raises(ValueError):
         AtLeastK(3, ("a", "b"))
+
+
+@pytest.mark.parametrize("make", [lambda: Phrase(()), lambda: AnyOf(()),
+                                  lambda: And(()), lambda: Or(())])
+def test_empty_ast_node_rejected(make):
+    with pytest.raises(ValueError, match="at least one"):
+        make()
 
 
 # ------------------------------------------------------ case-sensitive names

@@ -102,6 +102,17 @@ def test_implied_total_ratio_identity(c):
     assert implied_total_ratio(c, c) == pytest.approx(1.0)
 
 
+def test_primitives_reject_arguments_outside_their_domain():
+    with pytest.raises(UndefinedChangeError, match="totals"):
+        share_increase(1, 0, 1, 10)
+    with pytest.raises(UndefinedChangeError, match="previous count"):
+        share_increase(0, 10, 1, 10)
+    with pytest.raises(ValueError, match="greater than -1"):
+        implied_total_ratio(-1.0, 0.5)
+    with pytest.raises(ValueError, match="base count"):
+        baseline_projection(-1, 0.05)
+
+
 def test_baseline_projection_reference_values():
     assert baseline_projection(634831, 0.05) == 666573
     assert baseline_projection(1000870, 0.05) == 1050914  # the .5 tie
@@ -118,6 +129,13 @@ def test_baseline_projection_rounds_half_away_from_zero():
 def test_baseline_projection_rejects_growth_not_finite_above_minus_one(growth):
     with pytest.raises(ValueError, match="growth"):
         baseline_projection(10, growth)
+
+
+# 10 * (1 + 1e308) is infinite, and 10**400 has no float at all.
+@pytest.mark.parametrize("n_base, growth", [(10, 1e308), (10**400, 0.05)])
+def test_baseline_projection_past_the_float_range_is_a_value_error(n_base, growth):
+    with pytest.raises(ValueError, match="growth"):
+        baseline_projection(n_base, growth)
 
 
 @given(st.integers(0, 10**9))
@@ -180,6 +198,11 @@ def test_series_validation():
         _series({2022: (1, 0)})
     with pytest.raises(DataError):
         CountSeries("", {2022: (1, 2)})
+
+
+def test_series_names_a_missing_year():
+    with pytest.raises(DataError, match="has no year 2022"):
+        _series({2023: (5, 10)}).matches(2022)
 
 
 def test_series_yoy_gap_for_zero_share():
@@ -305,6 +328,11 @@ def test_export_sorts_years():
     assert text.splitlines()[1:] == ["a,2022,1,10", "a,2023,2,10"]
 
 
+def test_import_rejects_a_zero_total():
+    with pytest.raises(CountsFormatError, match="line 2: matches must be >= 0"):
+        import_counts(io.StringIO("series,year,matches,total\na,2022,0,0\n"))
+
+
 # ---------------------------------------------------------------- reports
 
 
@@ -356,6 +384,11 @@ def test_excess_report_zero_growth_flat_series():
 
 
 # ------------------------------------------------------------------ index
+
+
+def test_series_from_an_empty_index_is_a_data_error(lexicon):
+    with pytest.raises(DataError, match="no documents"):
+        series_from_index(build_index([], lexicon), "strong")
 
 
 def _corpus_with_mix() -> list[Document]:

@@ -87,6 +87,17 @@ def test_all_gaps_rejected():
         render_line_chart(spec, {"one": lonely})
 
 
+def test_dimensions_below_the_minimum_rejected():
+    with pytest.raises(DataError, match="200x150"):
+        PlotSpec(series=("alpha",), width=199)
+
+
+def test_height_too_small_for_the_legend_rejected():
+    spec = PlotSpec(series=("alpha", "beta"), height=150)
+    with pytest.raises(DataError, match="legend"):
+        render_line_chart(spec, _series_map())
+
+
 def test_series_names_escaped():
     name = "a<b&c"
     series = CountSeries(name, {2022: (1, 10), 2023: (2, 10)})
