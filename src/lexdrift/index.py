@@ -1,15 +1,17 @@
 """Immutable per-year index of lexicon-term evidence.
 
 Each document is reduced at build time to a bitset over the lexicon
-vocabulary (phrases included as ordinary entries). On a year's first query
-the index turns that year's bitsets into posting columns: one big integer
-per vocabulary entry, whose bit *i* is set when document *i* of the year
-holds the entry. A boolean or at-least-k query, or a term's document
-frequency, then costs a few big-integer operations per query node and a
-popcount, not one test per document; none of them is tabulated ahead of
-time. Builds are deterministic: document order and any partitioning of the
-corpus across builders produce identical indexes. The finished index is
-immutable and safe for concurrent readers.
+vocabulary (phrases included as ordinary entries), and ``finish`` turns each
+year's bitsets into posting columns: one big integer per vocabulary entry,
+whose bit *i* is set when document *i* of the year holds the entry. A year's
+categories are a table of the distinct per-document category tuples, each
+with the column of the documents that carry it. A boolean or at-least-k
+query, a term's document frequency or a category skew then costs a few
+big-integer operations and popcounts per query node, not one test per
+document; none of them is tabulated ahead of time. Builds are
+deterministic: document order and any partitioning of the corpus across
+builders produce identical indexes. The finished index is immutable and
+safe for concurrent readers.
 
 A corpus scan is the same build over the query's own terms instead of the
 lexicon: one matcher masks every document, and one evaluator answers the
@@ -17,7 +19,12 @@ query from the posting columns, so a scan also counts terms outside the
 lexicon.
 
 Index files are a single binary container: magic, format version, payload
-length and SHA-256 checksum, then a zlib-compressed canonical JSON payload.
+length and SHA-256 checksum, then a zlib-compressed payload. Version 2, the
+one written, stores the columns themselves: a length-prefixed canonical JSON
+header (lexicon, year range, and per year the document ids and the category
+table), then each year's columns as little-endian bytes. A load decodes no
+per-document rows, and no query builds columns. Version 1 files, one JSON
+row per document, still load.
 """
 
 from __future__ import annotations
@@ -30,7 +37,7 @@ from functools import reduce
 from itertools import chain, repeat
 from operator import and_, or_
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .corpus import Document, DEFAULT_MAX_YEAR, DEFAULT_MIN_YEAR, raw_tokens, tokenize
 from .errors import (
@@ -45,45 +52,62 @@ from .lexicon import Lexicon, lexicon_from_dict, lexicon_to_dict
 from .query import And, AnyOf, AtLeastK, Or, Phrase, Query, Term, query_vocabulary
 
 _MAGIC = b"LXDX"
-_VERSION = 1
+_VERSION = 2
 _HEADER = struct.Struct("<4sHQ32s")
+# A version 2 payload starts with the byte length of its JSON header.
+_JSON_LENGTH = struct.Struct("<I")
+_FORMAT = "lexdrift.index"
 
 # One mark per document: (doc_id, year, vocabulary bitmask, categories).
 Mark = tuple[str, int, int, tuple[str, ...]]
 
+# Each distinct category tuple of a year's documents, sorted, with the
+# posting column of the documents that carry it.
+CategoryTable = tuple[tuple[tuple[str, ...], int], ...]
+
+
+class _Year(NamedTuple):
+    ids: tuple[str, ...]  # document i of the year, ascending
+    columns: tuple[int, ...]  # one posting column per vocabulary entry
+    categories: CategoryTable
+
 
 class YearTermIndex:
-    """Yearly totals and per-document term bitsets. Queries read each
-    year's posting columns, built from the bitsets on the year's first
-    query, so a query costs a few big-integer operations per node rather
-    than a test per document."""
+    """Per year, the document ids, one posting column per vocabulary entry
+    and the category table, so a query costs a few big-integer operations
+    per node rather than a test per document."""
 
     def __init__(self, lexicon: Lexicon, min_year: int, max_year: int,
                  marks: Iterable[Mark]):
+        width = len(lexicon.terms())
+        per_year: dict[int, list[Mark]] = {}
+        for mark in marks:
+            per_year.setdefault(mark[1], []).append(mark)
+        years = {}
+        for year in sorted(per_year):
+            rows = sorted(per_year[year])
+            years[year] = _Year(tuple(r[0] for r in rows),
+                                _columns([r[2] for r in rows], width),
+                                _category_table([r[3] for r in rows]))
+        self._init(lexicon, min_year, max_year, years)
+
+    @classmethod
+    def _from_columns(cls, lexicon: Lexicon, min_year: int, max_year: int,
+                      years: dict[int, _Year]) -> YearTermIndex:
+        """The index of ready columns, *years* ascending."""
+        index = cls.__new__(cls)
+        index._init(lexicon, min_year, max_year, years)
+        return index
+
+    def _init(self, lexicon: Lexicon, min_year: int, max_year: int,
+              years: dict[int, _Year]) -> None:
         self._lexicon = lexicon
         self._min_year = min_year
         self._max_year = max_year
         self._terms = lexicon.terms()
         self._bit = {t: i for i, t in enumerate(self._terms)}
-
-        per_year: dict[int, list[Mark]] = {}
-        for mark in marks:
-            per_year.setdefault(mark[1], []).append(mark)
-        self._years = tuple(sorted(per_year))
-        self._ids: dict[int, tuple[str, ...]] = {}
-        self._masks: dict[int, tuple[int, ...]] = {}
-        self._cats: dict[int, tuple[tuple[str, ...], ...]] = {}
-        self._totals: dict[int, int] = {}
-        # year -> one posting column per vocabulary bit, filled by _columns.
-        # Readers that race on a year's first query both build the same
-        # tuple, and either may be stored.
-        self._cols: dict[int, tuple[int, ...]] = {}
-        for year in self._years:
-            rows = sorted(per_year[year])
-            self._ids[year] = tuple(r[0] for r in rows)
-            self._masks[year] = tuple(r[2] for r in rows)
-            self._cats[year] = tuple(r[3] for r in rows)
-            self._totals[year] = len(rows)
+        self._by_year = years
+        self._years = tuple(years)
 
     @property
     def lexicon(self) -> Lexicon:
@@ -103,10 +127,11 @@ class YearTermIndex:
 
     @property
     def doc_count(self) -> int:
-        return sum(self._totals.values())
+        return sum(len(y.ids) for y in self._by_year.values())
 
     def total(self, year: int) -> int:
-        return self._totals.get(year, 0)
+        y = self._by_year.get(year)
+        return len(y.ids) if y else 0
 
     def term_bit(self, term: str) -> int:
         """Bit position of a vocabulary entry; accepts the entry verbatim or
@@ -121,27 +146,19 @@ class YearTermIndex:
 
     def df(self, term: str, year: int) -> int:
         bit = self.term_bit(term)
-        if year not in self._totals:
-            return 0
-        return self._columns(year)[bit].bit_count()
-
-    def _columns(self, year: int) -> tuple[int, ...]:
-        """Posting columns of *year*, an indexed year."""
-        cols = self._cols.get(year)
-        if cols is None:
-            cols = self._cols[year] = _columns(self._masks[year], len(self._terms))
-        return cols
+        y = self._by_year.get(year)
+        return y.columns[bit].bit_count() if y else 0
 
     def doc_marks(self) -> Iterator[Mark]:
         """All (doc_id, year, bitmask, categories) rows, ordered by id
         within each year."""
-        for year in self._years:
-            yield from zip(
-                self._ids[year],
-                (year,) * self._totals[year],
-                self._masks[year],
-                self._cats[year],
-            )
+        for year, y in self._by_year.items():
+            n = len(y.ids)
+            table = [cats for cats, _ in y.categories]
+            # Each document is in one table row, so its category mask has one bit.
+            rows = _doc_masks([col for _, col in y.categories], n)
+            yield from zip(y.ids, repeat(year), _doc_masks(y.columns, n),
+                           (table[r.bit_length() - 1] for r in rows))
 
 
 def _columns(masks: Sequence[int], width: int) -> tuple[int, ...]:
@@ -153,6 +170,26 @@ def _columns(masks: Sequence[int], width: int) -> tuple[int, ...]:
     # vocabulary bit j of every document at positions j, j+width, ...
     bits = "".join(map(format, masks, repeat(f"0{width}b")))[::-1]
     return tuple(int(bits[j::width], 2) for j in range(width))
+
+
+def _doc_masks(columns: Sequence[int], n: int) -> list[int]:
+    """The masks of *n* documents from their posting columns: the inverse
+    of :func:`_columns`."""
+    if not columns:  # an empty vocabulary
+        return [0] * n
+    # Column j as an n-digit binary string holds document i at position
+    # n - 1 - i; read down the columns from the last, a position spells the
+    # mask of one document, the last document first.
+    digits = [format(col, f"0{n}b") for col in reversed(columns)]
+    return [int("".join(bits), 2) for bits in zip(*digits)][::-1]
+
+
+def _category_table(cats: Sequence[tuple[str, ...]]) -> CategoryTable:
+    """The category table of one year, given each document's categories:
+    a document's mask over the table's rows has the bit of its own row."""
+    table = sorted(set(cats))
+    row = {c: 1 << i for i, c in enumerate(table)}
+    return tuple(zip(table, _columns([row[c] for c in cats], len(table))))
 
 
 class _CompiledVocab:
@@ -293,12 +330,13 @@ def eval_count(index: YearTermIndex, q: Query, year: int) -> int:
 
 
 def _year_posting(index: YearTermIndex, q: Query,
-                  year: int) -> tuple[int, tuple[tuple[str, ...], ...]]:
+                  year: int) -> tuple[int, int, CategoryTable]:
     """(the documents of *year* satisfying *q* as a posting column, the
-    categories of each document of *year*)."""
-    if year not in index._totals:
+    number of documents of *year*, its category table)."""
+    y = index._by_year.get(year)
+    if y is None:
         raise UnknownYearError(f"year {year} is not in the index")
-    return _posting(index.term_bit, index._columns(year), q), index._cats[year]
+    return _posting(index.term_bit, y.columns, q), len(y.ids), y.categories
 
 
 def _posting(bit: Callable[[str], int], cols: tuple[int, ...], q: Query) -> int:
@@ -328,11 +366,11 @@ def _posting(bit: Callable[[str], int], cols: tuple[int, ...], q: Query) -> int:
 
 
 def _scan_postings(corpus: Iterable[Document], lexicon: Lexicon,
-                   q: Query) -> dict[int, tuple[int, list[tuple[str, ...]]]]:
+                   q: Query) -> dict[int, tuple[int, int, CategoryTable]]:
     """For each year of *corpus*, ascending, (the documents satisfying *q*
-    as a posting column, the categories of each document), in corpus order:
-    the corpus indexed over the query's own terms. A term is case-sensitive
-    exactly when its lexicon entry is."""
+    as a posting column, the number of documents, the category table), with
+    the documents in corpus order: the corpus indexed over the query's own
+    terms. A term is case-sensitive exactly when its lexicon entry is."""
     members = sorted(query_vocabulary(q))
     case_sensitive = {e.term: e.case_sensitive for e in lexicon.entries}
     vocab = _CompiledVocab((m, case_sensitive.get(m, False)) for m in members)
@@ -340,10 +378,11 @@ def _scan_postings(corpus: Iterable[Document], lexicon: Lexicon,
     cats: dict[int, list[tuple[str, ...]]] = {}
     for doc in corpus:
         masks.setdefault(doc.year, []).append(vocab.mask_for(doc.text))
-        cats.setdefault(doc.year, []).append(doc.categories)
+        cats.setdefault(doc.year, []).append(tuple(doc.categories))
     bit = {m: j for j, m in enumerate(members)}.__getitem__
     return {
-        year: (_posting(bit, _columns(masks[year], len(members)), q), cats[year])
+        year: (_posting(bit, _columns(masks[year], len(members)), q), len(masks[year]),
+               _category_table(cats[year]))
         for year in sorted(masks)
     }
 
@@ -353,8 +392,8 @@ def scan_counts(corpus: Iterable[Document], lexicon: Lexicon,
     """(documents satisfying *q*, all documents) for each year of *corpus*,
     from one pass that indexes the corpus over the query's own terms, so it
     counts terms outside the lexicon too."""
-    return {year: (posting.bit_count(), len(cats))
-            for year, (posting, cats) in _scan_postings(corpus, lexicon, q).items()}
+    return {year: (posting.bit_count(), total)
+            for year, (posting, total, _) in _scan_postings(corpus, lexicon, q).items()}
 
 
 def eval_count_scan(corpus: Iterable[Document], lexicon: Lexicon, q: Query,
@@ -367,63 +406,133 @@ def eval_count_scan(corpus: Iterable[Document], lexicon: Lexicon, q: Query,
 
 
 def save_index(index: YearTermIndex, path) -> None:
-    payload = {
-        "format": "lexdrift.index",
+    """Write *index* as a version 2 file: the JSON header, then per year
+    the term columns and the category-table columns, ceil(n/8) bytes each
+    for a year of n documents."""
+    years = []
+    columns: list[bytes] = []
+    for year, y in index._by_year.items():
+        size = (len(y.ids) + 7) // 8
+        years.append({"year": year, "ids": list(y.ids),
+                      "categories": [list(cats) for cats, _ in y.categories]})
+        columns += [col.to_bytes(size, "little")
+                    for col in chain(y.columns, (col for _, col in y.categories))]
+    header = json.dumps({
+        "format": _FORMAT,
         "lexicon": lexicon_to_dict(index.lexicon),
         "min_year": index.year_range[0],
         "max_year": index.year_range[1],
-        "docs": [[i, y, m, list(c)] for i, y, m, c in index.doc_marks()],
-    }
-    blob = zlib.compress(
-        json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8"), 9
-    )
-    header = _HEADER.pack(_MAGIC, _VERSION, len(blob), hashlib.sha256(blob).digest())
-    Path(path).write_bytes(header + blob)
+        "years": years,
+    }, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    # Level 6: level 9 compresses four to six times slower for under 2% fewer bytes.
+    blob = zlib.compress(b"".join([_JSON_LENGTH.pack(len(header)), header, *columns]), 6)
+    head = _HEADER.pack(_MAGIC, _VERSION, len(blob), hashlib.sha256(blob).digest())
+    Path(path).write_bytes(head + blob)
 
 
 def load_index(path) -> YearTermIndex:
+    """Read a version 1 or 2 index file. Anything malformed is an
+    IndexFileError naming *path*."""
     data = Path(path).read_bytes()
     if len(data) < _HEADER.size or data[:4] != _MAGIC:
         raise IndexFileError(f"{path}: not an index file")
     magic, version, length, digest = _HEADER.unpack(data[: _HEADER.size])
-    if version != _VERSION:
+    if version not in _DECODERS:
         raise IndexVersionError(
-            f"{path}: unsupported index version {version} (supported: {_VERSION})"
+            f"{path}: unsupported index version {version} "
+            f"(supported: {', '.join(map(str, _DECODERS))})"
         )
     blob = data[_HEADER.size:]
     if len(blob) != length or hashlib.sha256(blob).digest() != digest:
         raise IndexChecksumError(f"{path}: checksum mismatch (truncated or corrupt)")
     try:
-        payload = json.loads(zlib.decompress(blob).decode("utf-8"))
-    except (zlib.error, ValueError) as exc:
-        raise IndexFileError(f"{path}: malformed payload ({exc})") from None
-    if not isinstance(payload, dict) or payload.get("format") != "lexdrift.index":
-        raise IndexFileError(f"{path}: unrecognized payload")
-    try:
-        lexicon = lexicon_from_dict(payload["lexicon"])
-        marks = [(i, y, m, tuple(c)) for i, y, m, c in payload["docs"]]
-        index = YearTermIndex(lexicon, payload["min_year"], payload["max_year"], marks)
+        return _DECODERS[version](zlib.decompress(blob))
     except KeyError as exc:
         raise IndexFileError(f"{path}: malformed payload (no {exc} field)") from None
-    except (TypeError, ValueError) as exc:
+    except (zlib.error, TypeError, ValueError) as exc:
         raise IndexFileError(f"{path}: malformed payload ({exc})") from None
-    problem = _type_problem(index)
-    if problem is not None:
-        raise IndexFileError(f"{path}: malformed payload ({problem})")
-    return index
 
 
-def _type_problem(index: YearTermIndex) -> str | None:
-    """What in a decoded index has the wrong type or range, if anything.
-    Each year's columns go through ``map``, ``min`` and ``max``, so the
-    checks add little to a load."""
-    if set(map(type, (*index.year_range, *index.years))) - {int}:
-        return "a year is not an integer"
-    limit = 1 << len(index.vocabulary)
-    for year in index.years:
-        masks = index._masks[year]
-        if set(map(type, masks)) - {int} or min(masks) < 0 or max(masks) >= limit:
-            return f"a term bitmask in {year} is not an integer within the vocabulary"
-        if set(map(type, chain.from_iterable(index._cats[year]))) - {str}:
-            return f"a category in {year} is not a string"
-    return None
+def _decode_v1(payload: bytes) -> YearTermIndex:
+    """A version 1 payload, one JSON row per document, checked and then
+    built like a fresh index. A malformed payload raises KeyError,
+    TypeError or ValueError."""
+    doc = _json_object(payload)
+    lexicon = lexicon_from_dict(doc["lexicon"])
+    marks = [(i, y, m, tuple(c)) for i, y, m, c in doc["docs"]]
+    ids, years, masks, cats = zip(*marks) if marks else ((), (), (), ())
+    _check_years(doc["min_year"], doc["max_year"], years)
+    _check_strings(ids, "a document id")
+    _check_strings(chain.from_iterable(cats), "a category")
+    if masks and (set(map(type, masks)) - {int} or min(masks) < 0
+                  or max(masks) >> len(lexicon.terms())):
+        raise ValueError("a term bitmask is not an integer within the vocabulary")
+    return YearTermIndex(lexicon, doc["min_year"], doc["max_year"], marks)
+
+
+def _decode_v2(payload: bytes) -> YearTermIndex:
+    """A version 2 payload, each column read straight into an integer. A
+    malformed payload raises KeyError, TypeError or ValueError."""
+    if len(payload) < _JSON_LENGTH.size:
+        raise ValueError("no header length")
+    (size,) = _JSON_LENGTH.unpack_from(payload)
+    offset = _JSON_LENGTH.size + size
+    if offset > len(payload):
+        raise ValueError(f"header length {size} runs past the payload")
+    doc = _json_object(payload[_JSON_LENGTH.size:offset])
+    lexicon = lexicon_from_dict(doc["lexicon"])
+    entries = doc["years"]
+    if type(entries) is not list:
+        raise ValueError("'years' is not a list")
+    years = [entry["year"] for entry in entries]
+    _check_years(doc["min_year"], doc["max_year"], years)
+    if years != sorted(set(years)):
+        raise ValueError("the years are not strictly ascending")
+    width = len(lexicon.terms())
+    by_year = {}
+    for year, entry in zip(years, entries):
+        ids, table = entry["ids"], entry["categories"]
+        if type(ids) is not list or type(table) is not list or not all(
+                type(row) is list for row in table):
+            raise ValueError(f"the ids or the category table of {year} are not lists")
+        _check_strings(ids, f"a document id in {year}")
+        _check_strings(chain.from_iterable(table), f"a category in {year}")
+        n = len(ids)
+        if not n:
+            raise ValueError(f"year {year} has no documents")
+        step = (n + 7) // 8
+        end = offset + (width + len(table)) * step
+        if end > len(payload):
+            raise ValueError(f"the columns of {year} are cut short")
+        cols = [int.from_bytes(payload[o:o + step], "little") for o in range(offset, end, step)]
+        offset = end
+        if max(map(int.bit_length, cols), default=0) > n:
+            raise ValueError(f"a column of {year} is wider than its {n} documents")
+        rows = cols[width:]
+        if sum(map(int.bit_count, rows)) != n or reduce(or_, rows, 0) != (1 << n) - 1:
+            raise ValueError(f"the category table of {year} does not partition its documents")
+        by_year[year] = _Year(tuple(ids), tuple(cols[:width]), tuple(zip(map(tuple, table), rows)))
+    if offset != len(payload):
+        raise ValueError(f"{len(payload) - offset} bytes after the last column")
+    return YearTermIndex._from_columns(lexicon, doc["min_year"], doc["max_year"], by_year)
+
+
+_DECODERS = {1: _decode_v1, 2: _decode_v2}
+
+
+def _json_object(data: bytes) -> dict:
+    """The JSON object of an index payload, checked to be one."""
+    doc = json.loads(data.decode("utf-8"))
+    if not isinstance(doc, dict) or doc.get("format") != _FORMAT:
+        raise ValueError("not a lexdrift index payload")
+    return doc
+
+
+def _check_years(min_year, max_year, years: Iterable) -> None:
+    if set(map(type, chain((min_year, max_year), years))) - {int}:
+        raise ValueError("a year is not an integer")
+
+
+def _check_strings(values: Iterable, what: str) -> None:
+    if set(map(type, values)) - {str}:
+        raise ValueError(f"{what} is not a string")

@@ -25,7 +25,7 @@ import io
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 from .errors import (
     CountsFormatError,
@@ -39,7 +39,7 @@ from .errors import (
 # so those modules are imported by the functions that read an index.
 if TYPE_CHECKING:
     from .corpus import Document
-    from .index import YearTermIndex
+    from .index import CategoryTable, YearTermIndex
     from .lexicon import Lexicon
     from .query import Query
 
@@ -249,6 +249,14 @@ def import_counts(source) -> dict[str, CountSeries]:
                     f"line {line}: year, matches and total must be integers",
                     line=line,
                 )
+            try:
+                float(year), float(matches), float(total)
+            except OverflowError:
+                # Shares, changes and charts are computed in floats.
+                raise CountsFormatError(
+                    f"line {line}: year, matches and total must fit a float",
+                    line=line,
+                ) from None
             if matches > total:
                 raise CountsFormatError(
                     f"line {line}: matches {matches} exceeds total {total}",
@@ -428,24 +436,23 @@ def category_skew_scan(corpus: Iterable[Document], lexicon: Lexicon, q: Query,
     from .index import _scan_postings
 
     postings = _scan_postings((doc for doc in corpus if doc.year == year), lexicon, q)
-    return _skew(year, *postings.get(year, (0, ())))
+    return _skew(year, *postings.get(year, (0, 0, ())))
 
 
-def _skew(year: int, posting: int, cats: Sequence[Iterable[str]]) -> CategorySkew:
-    """Tally the documents of *year*, given as the posting column of the
-    query's matches and the categories of each document, into a
-    CategorySkew."""
-    total, matched = len(cats), posting.bit_count()
+def _skew(year: int, posting: int, total: int, table: CategoryTable) -> CategorySkew:
+    """Tally the *total* documents of *year*, given as the posting column
+    of the query's matches and the category table (each distinct category
+    tuple with the column of its documents), into a CategorySkew."""
     if not total:
         raise UnknownYearError(f"no documents in year {year}")
+    matched = posting.bit_count()
     match_counts: dict[str, int] = {}
     all_counts: dict[str, int] = {}
-    # Reversed, the binary string holds document i's hit at character i.
-    for hit, doc_cats in zip(format(posting, f"0{total}b")[::-1], cats):
-        for cat in doc_cats:
-            all_counts[cat] = all_counts.get(cat, 0) + 1
-            if hit == "1":
-                match_counts[cat] = match_counts.get(cat, 0) + 1
+    for cats, col in table:
+        hits, docs = (posting & col).bit_count(), col.bit_count()
+        for cat in cats:
+            all_counts[cat] = all_counts.get(cat, 0) + docs
+            match_counts[cat] = match_counts.get(cat, 0) + hits
     if not all_counts:
         return CategorySkew(
             year, matched, total, {},
@@ -453,7 +460,7 @@ def _skew(year: int, posting: int, cats: Sequence[Iterable[str]]) -> CategorySke
         )
     rows = {
         cat: (
-            (match_counts.get(cat, 0) / matched) if matched else 0.0,
+            (match_counts[cat] / matched) if matched else 0.0,
             all_counts[cat] / total,
         )
         for cat in sorted(all_counts)

@@ -131,7 +131,15 @@ def render_line_chart(spec: PlotSpec, series_map: Mapping[str, CountSeries]) -> 
     if y0 - y1 < 60:
         raise DataError("plot height too small for the legend")
 
-    yticks = _ticks(min(values), max(values))
+    if not all(map(math.isfinite, values)):
+        raise DataError(f"metric {spec.metric!r} is not finite in every year")
+    try:
+        yticks = _ticks(min(values), max(values))
+        scaled = math.isfinite(yticks[-1] - yticks[0])
+    except OverflowError:
+        scaled = False
+    if not scaled:
+        raise DataError(f"metric {spec.metric!r} is too large to scale an axis for")
     vlo, vhi = yticks[0], yticks[-1]
     ylo, yhi = float(years[0]), float(years[-1])
     if ylo == yhi:

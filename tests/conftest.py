@@ -88,6 +88,27 @@ def brute_force_count(docs: list[Document], q: Query, year: int) -> int:
     )
 
 
+def brute_force_skew(docs: list[Document], q: Query,
+                     year: int) -> tuple[int, int, dict[str, tuple[float, float]]]:
+    """(matching documents, all documents, {category: (share among matches,
+    share among all)}) of *year*, document by document; a document counts
+    once for each category it lists, a repeated one included."""
+    in_year = [d for d in docs if d.year == year]
+    hits = [d for d in in_year if _matches(oracle_tokens(d.text), q)]
+
+    def tally(group: list[Document]) -> dict[str, int]:
+        counts: dict[str, int] = {}
+        for d in group:
+            for cat in d.categories:
+                counts[cat] = counts.get(cat, 0) + 1
+        return counts
+
+    among_hits, among_all = tally(hits), tally(in_year)
+    rows = {cat: (among_hits.get(cat, 0) / len(hits) if hits else 0.0, n / len(in_year))
+            for cat, n in sorted(among_all.items())}
+    return len(hits), len(in_year), rows
+
+
 def _contains_phrase(tokens: list[str], phrase: tuple[str, ...]) -> bool:
     n = len(phrase)
     return any(

@@ -207,6 +207,11 @@ def test_criterion_7_determinism_and_persistence(capsys, tmp_path):
     path = tmp_path / "round.idx"
     save_index(whole, path)
     reloaded = load_index(path)
+    files_identical = True
+    for other in (reordered, partitioned):
+        other_path = tmp_path / "other.idx"
+        save_index(other, other_path)
+        files_identical &= other_path.read_bytes() == path.read_bytes()
 
     queries = [make_random_query(rng, lexicon) for _ in range(60)]
     identical = True
@@ -229,11 +234,11 @@ def test_criterion_7_determinism_and_persistence(capsys, tmp_path):
         assert code == 0
     plots_identical = first.read_bytes() == second.read_bytes()
 
-    ok = identical and counts_preserved and plots_identical
+    ok = identical and files_identical and counts_preserved and plots_identical
     _report(
         capsys, 7,
-        "index build is order/partition invariant, save/load preserves all "
-        "counts, and repeated plots are byte-identical",
+        "index build and file are order/partition invariant, save/load "
+        "preserves all counts, and repeated plots are byte-identical",
         ok,
     )
 

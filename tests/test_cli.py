@@ -452,6 +452,30 @@ def test_plot_empty_selection_errors(tmp_path, capsys):
     assert main(["plot", "--counts", str(counts)]) == 1
 
 
+_FLOAT_MAX = int(sys.float_info.max)
+
+
+@pytest.mark.parametrize("rows, metric, message", [
+    ([f"s,2022,{10**400},{10**400}"], "count",
+     "error: line 2: year, matches and total must fit a float"),
+    ([f"s,2021,1,{2 * 10**323}", "s,2022,1,1"], "yoy",
+     "error: line 2: year, matches and total must fit a float"),
+    # Every count fits a float, but the change from a share of 1/max is not finite.
+    ([f"s,2021,1,{_FLOAT_MAX}", "s,2022,1,1"], "yoy",
+     "error: metric 'yoy' is not finite in every year"),
+    ([f"s,2022,{_FLOAT_MAX},{_FLOAT_MAX}"], "count",
+     "error: metric 'count' is too large to scale an axis for"),
+], ids=["count-past-float", "total-past-float", "yoy-not-finite", "count-near-float-max"])
+def test_plot_of_counts_past_the_float_range_exits_1(tmp_path, rows, metric, message):
+    counts = tmp_path / "big.csv"
+    counts.write_text("\n".join(["series,year,matches,total", *rows]) + "\n", encoding="utf-8")
+    run = _fresh_cli("plot", "s", "--counts", str(counts), "--metric", metric,
+                     "--out", str(tmp_path / "big.svg"))
+    assert run.returncode == 1
+    assert run.stderr == message + "\n"
+    assert not (tmp_path / "big.svg").exists()
+
+
 # ----------------------------------------------------------------- counts
 
 

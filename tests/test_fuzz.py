@@ -88,8 +88,8 @@ _PAYLOAD = _json_with(
 )
 
 
-def _container(blob: bytes) -> bytes:
-    return _HEADER.pack(b"LXDX", 1, len(blob), hashlib.sha256(blob).digest()) + blob
+def _container(blob: bytes, version: int = 1) -> bytes:
+    return _HEADER.pack(b"LXDX", version, len(blob), hashlib.sha256(blob).digest()) + blob
 
 
 _INDEX_FILE = (
@@ -103,6 +103,80 @@ _INDEX_FILE = (
 @settings(max_examples=200, deadline=None)
 @given(data=_INDEX_FILE)
 def test_index_reader_raises_only_data_errors(data):
+    _survives(load_index, data, "input.idx")
+
+
+# A version 2 payload is a u32 header length, a JSON header and the column
+# bytes. Most headers are well formed, so that most files reach the column
+# checks, and their columns mostly fit the header before they are cut short
+# or extended.
+_WIDTH = len(builtin_lexicon().terms())
+_V2_YEAR = st.fixed_dictionaries({
+    "year": st.integers(2019, 2023),
+    "ids": st.lists(st.text(max_size=3), max_size=12),
+    "categories": st.lists(st.lists(st.sampled_from(("a", "b")), max_size=2), max_size=3),
+})
+
+
+@st.composite
+def _v2_header(draw) -> dict:
+    """A well-formed header, or one with a single field replaced by
+    anything JSON."""
+    years = sorted(draw(st.lists(_V2_YEAR, max_size=3)), key=lambda y: y["year"])
+    header = {"format": "lexdrift.index", "lexicon": _LEXICON, "min_year": 1990,
+              "max_year": 2100, "years": years}
+    where = draw(st.sampled_from((None, None, None, None, "format", "min_year", "years",
+                                  "year", "ids", "categories", "id")))
+    if where in header:
+        header[where] = draw(_JSON)
+    elif where == "id" and years and years[0]["ids"]:
+        years[0]["ids"][0] = draw(_JSON)
+    elif where in ("year", "ids", "categories") and years:
+        draw(st.sampled_from(years))[where] = draw(_JSON)
+    return header
+
+
+@st.composite
+def _fitting_columns(draw, header) -> bytes:
+    """Column bytes of the size *header* implies, if it is well formed
+    enough to say: each year's term columns within its documents, and its
+    category columns a partition of them, or else random bytes."""
+    try:
+        years = [(len(y["ids"]), len(y["categories"])) for y in header["years"]]
+    except (KeyError, TypeError):
+        return draw(st.binary(max_size=64))
+    if draw(st.sampled_from((False, False, False, True))):
+        return draw(st.binary(max_size=256))
+    out = b""
+    for n, rows in years:
+        step = (n + 7) // 8
+        # now and then a term column may set a bit past the year's documents
+        bits = 8 * step if draw(st.sampled_from((False,) * 5 + (True,))) else n
+        cols = [draw(st.integers(0, (1 << bits) - 1)) for _ in range(_WIDTH)]
+        owner = [draw(st.integers(0, rows - 1)) for _ in range(n)] if rows else []
+        cols += [sum(1 << i for i, r in enumerate(owner) if r == row) for row in range(rows)]
+        out += b"".join(col.to_bytes(step, "little") for col in cols)
+    return out
+
+
+@st.composite
+def _v2_files(draw) -> bytes:
+    header = draw(_v2_header())
+    columns = draw(_fitting_columns(header))
+    columns += draw(st.sampled_from((b"", b"", b"", b"\0", b"\xff\xff")))
+    columns = columns[:len(columns) - draw(st.sampled_from((0, 0, 0, 1, 3)))]
+    text = json.dumps(header).encode()
+    length = len(text) + draw(st.sampled_from((0, 0, 0, -1, 1, 1 << 20)))
+    payload = struct.pack("<I", max(length, 0)) + text + columns
+    if draw(st.sampled_from((False,) * 7 + (True,))):
+        payload = payload[:3]
+    return _container(zlib.compress(payload), 2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=_v2_files() | st.binary(max_size=80).map(zlib.compress).map(
+    lambda blob: _container(blob, 2)))
+def test_v2_index_reader_raises_only_data_errors(data):
     _survives(load_index, data, "input.idx")
 
 

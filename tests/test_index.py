@@ -33,16 +33,32 @@ from lexdrift import (
     UnknownYearError,
     build_index,
     builtin_lexicon,
+    bundled_corpus_path,
+    category_skew,
     eval_count,
     eval_count_scan,
+    load_corpus,
     load_index,
     parse_query,
     save_index,
+    series_from_index,
 )
 
 from lexdrift.cli import main
+from lexdrift.lexicon import lexicon_to_dict
+from lexdrift.stats import category_skew_scan
 
-from conftest import FILLER, brute_force_count, make_random_corpus, make_random_query
+from conftest import (
+    FILLER,
+    brute_force_count,
+    brute_force_skew,
+    make_random_corpus,
+    make_random_query,
+)
+
+# A version 1 index of the bundled sample corpus, written by the version 1
+# writer; CHANGES.md says how it was made.
+V1_SAMPLE = Path(__file__).parent / "data" / "sample-v1.idx"
 
 
 def _docs(*texts_by_year: tuple[int, str]) -> list[Document]:
@@ -408,16 +424,23 @@ def test_wrong_magic(tmp_path):
 _HEADER = struct.Struct("<4sHQ32s")
 
 
-def _write_container(path, blob: bytes) -> None:
+def _write_container(path, blob: bytes, version: int = 1) -> None:
     """An index file around *blob* with a valid header and checksum."""
-    header = _HEADER.pack(b"LXDX", 1, len(blob), hashlib.sha256(blob).digest())
+    header = _HEADER.pack(b"LXDX", version, len(blob), hashlib.sha256(blob).digest())
     path.write_bytes(header + blob)
 
 
-def _saved_payload(tmp_path, lexicon) -> dict:
-    path = tmp_path / "good.idx"
-    save_index(build_index(_docs((2023, "an intricate proof")), lexicon), path)
-    return json.loads(zlib.decompress(path.read_bytes()[_HEADER.size:]))
+def _saved_payload(lexicon) -> dict:
+    """A one-document index as a version 1 payload: one JSON row per
+    document."""
+    index = build_index(_docs((2023, "an intricate proof")), lexicon)
+    return {
+        "format": "lexdrift.index",
+        "lexicon": lexicon_to_dict(lexicon),
+        "min_year": index.year_range[0],
+        "max_year": index.year_range[1],
+        "docs": [[i, y, m, list(c)] for i, y, m, c in index.doc_marks()],
+    }
 
 
 def _without_lexicon(payload: dict) -> bytes:
@@ -448,12 +471,162 @@ def _with_doc_field(position: int, value):
         "category-not-str", "categories-not-list"])
 def test_malformed_payload_is_an_index_file_error(tmp_path, lexicon, capsys, make_blob):
     path = tmp_path / "bad.idx"
-    _write_container(path, make_blob(_saved_payload(tmp_path, lexicon)))
-    with pytest.raises(IndexFileError, match="bad.idx"):
+    _write_container(path, make_blob(_saved_payload(lexicon)))
+    _assert_rejected(path, capsys)
+
+
+def _assert_rejected(path, capsys, problem: str = "") -> None:
+    """Loading *path* is an IndexFileError naming it and *problem*, and a
+    query on it exits 1 with one line."""
+    with pytest.raises(IndexFileError, match=path.name) as caught:
         load_index(path)
+    assert problem in str(caught.value)
     assert main(["query", "intricate", "--index", str(path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# Three documents of 2023, so one byte per column, with the category table
+# [["a"], ["b"]]: documents 0 and 2 are in row "a", document 1 in row "b".
+_V2_DOCS = [
+    Document(id="d0", year=2023, text="an intricate proof", categories=("a",)),
+    Document(id="d1", year=2023, text="plain prose", categories=("b",)),
+    Document(id="d2", year=2023, text="a notable case", categories=("a",)),
+]
+
+
+def _v2_parts(tmp_path, lexicon) -> tuple[dict, bytearray]:
+    """The JSON header and the column bytes of the saved _V2_DOCS index."""
+    path = tmp_path / "good.idx"
+    save_index(build_index(_V2_DOCS, lexicon), path)
+    payload = zlib.decompress(path.read_bytes()[_HEADER.size:])
+    (size,) = struct.unpack_from("<I", payload)
+    return json.loads(payload[4:4 + size]), bytearray(payload[4 + size:])
+
+
+def _v2_blob(header: dict, columns: bytes, extra_length: int = 0) -> bytes:
+    text = json.dumps(header).encode()
+    return zlib.compress(struct.pack("<I", len(text) + extra_length) + text + columns)
+
+
+def test_v2_parts_reassemble_into_the_same_index(tmp_path, lexicon):
+    header, columns = _v2_parts(tmp_path, lexicon)
+    assert header["years"] == [{"year": 2023, "ids": ["d0", "d1", "d2"],
+                                "categories": [["a"], ["b"]]}]
+    width = len(lexicon.terms())
+    assert len(columns) == width + 2
+    assert columns[width:] == bytes([0b101, 0b010])
+    path = tmp_path / "again.idx"
+    _write_container(path, _v2_blob(header, columns), version=2)
+    assert list(load_index(path).doc_marks()) == list(build_index(_V2_DOCS, lexicon).doc_marks())
+
+
+def _column_byte(position: int, value: int):
+    """Set the byte of one column: *position* counts columns, the category
+    table's last."""
+    def edit(header: dict, columns: bytearray) -> bytes:
+        columns[position] = value
+        return _v2_blob(header, columns)
+    return edit
+
+
+def _first_id(value):
+    def edit(header: dict, columns: bytearray) -> bytes:
+        header["years"][0]["ids"][0] = value
+        return _v2_blob(header, columns)
+    return edit
+
+
+@pytest.mark.parametrize("make_blob, problem", [
+    (_column_byte(0, 0b1000), "a column of 2023 is wider than its 3 documents"),
+    (_column_byte(-1, 0b011), "the category table of 2023 does not partition"),
+    (_column_byte(-1, 0b000), "the category table of 2023 does not partition"),
+    # as many bits as documents, but document 0 twice and document 1 never
+    (_column_byte(-1, 0b001), "the category table of 2023 does not partition"),
+    (lambda header, columns: _v2_blob(header, columns + b"\0"), "1 bytes after the last column"),
+    (lambda header, columns: _v2_blob(header, columns[:-1]), "the columns of 2023 are cut short"),
+    (_first_id(7), "a document id in 2023 is not a string"),
+    (lambda header, columns: _v2_blob(header, columns, extra_length=len(columns) + 1),
+     "runs past the payload"),
+], ids=["column-wider-than-year", "category-rows-overlap", "category-rows-leave-a-gap",
+        "category-rows-overlap-and-leave-a-gap", "trailing-bytes", "short-column-block",
+        "id-not-str", "header-length-past-payload"])
+def test_malformed_v2_payload_is_an_index_file_error(tmp_path, lexicon, capsys, make_blob,
+                                                     problem):
+    header, columns = _v2_parts(tmp_path, lexicon)
+    path = tmp_path / "bad.idx"
+    _write_container(path, make_blob(header, columns), version=2)
+    _assert_rejected(path, capsys, problem)
+
+
+# ------------------------------------------------------------ format versions
+
+
+def _answers(index, lexicon) -> tuple:
+    """What a reader can ask of *index*: its rows, every term's document
+    frequency, a seeded set of random queries, every group's and term's
+    series, and category skews for every year."""
+    rng = random.Random(21)
+    queries = [make_random_query(rng, lexicon) for _ in range(80)]
+    return (
+        list(index.doc_marks()),
+        {(t, y): index.df(t, y) for t in lexicon.terms() for y in index.years},
+        [[eval_count(index, q, y) for y in index.years] for q in queries],
+        {name: series_from_index(index, name).points
+         for name in (*lexicon.groups(), *lexicon.terms())},
+        [category_skew(index, q, y) for q in queries[:20] for y in index.years],
+    )
+
+
+def test_v1_file_answers_like_a_fresh_v2_build(tmp_path, lexicon):
+    assert V1_SAMPLE.read_bytes()[4:6] == (1).to_bytes(2, "little")
+    path = tmp_path / "sample.idx"
+    save_index(build_index(load_corpus(bundled_corpus_path()), lexicon), path)
+    assert path.read_bytes()[4:6] == (2).to_bytes(2, "little")
+    v1, v2 = load_index(V1_SAMPLE), load_index(path)
+    assert (v1.lexicon, v1.year_range, v1.years) == (v2.lexicon, v2.year_range, v2.years)
+    assert v1.doc_count == v2.doc_count == 100
+    expected = _answers(v2, lexicon)
+    assert _answers(v1, lexicon) == expected
+    assert _answers(load_index(V1_SAMPLE), lexicon) == expected
+    assert any(skew.rows for skew in expected[-1])
+
+
+def test_awkward_ids_round_trip(tmp_path, lexicon):
+    ids = ["line\nbreak", "two words", "astral \U0001F600", "", 'quote"', "tab\t,comma"]
+    docs = [Document(id=i, year=2020 + k % 2, text="an intricate case" if k % 3 else "plain",
+                     categories=("x",) if k % 2 else ())
+            for k, i in enumerate(ids)]
+    index = build_index(docs, lexicon)
+    path = tmp_path / "awkward.idx"
+    save_index(index, path)
+    loaded = load_index(path)
+    assert list(loaded.doc_marks()) == list(index.doc_marks())
+    assert sorted(m[0] for m in loaded.doc_marks()) == sorted(ids)
+
+
+def test_repeated_and_unsorted_categories_skew_like_brute_force(tmp_path, lexicon):
+    docs = [
+        Document(id="a", year=2023, text="intricate", categories=("physics", "physics")),
+        Document(id="b", year=2023, text="plain", categories=("physics",)),
+        Document(id="c", year=2023, text="intricate and notable", categories=("b", "a")),
+        Document(id="d", year=2023, text="notable", categories=("a", "b")),
+        Document(id="e", year=2023, text="notable prose", categories=()),
+    ]
+    index = build_index(docs, lexicon)
+    path = tmp_path / "cats.idx"
+    save_index(index, path)
+    loaded = load_index(path)
+    assert list(loaded.doc_marks()) == list(index.doc_marks())
+    assert {m[0]: m[3] for m in loaded.doc_marks()} == {d.id: d.categories for d in docs}
+    for q in (Term("intricate"), Term("notable"), Term("meticulous"),
+              Or((Term("intricate"), Term("notable")))):
+        expected = brute_force_skew(docs, q, 2023)
+        for skew in (category_skew(index, q, 2023), category_skew(loaded, q, 2023),
+                     category_skew_scan(docs, lexicon, q, 2023)):
+            assert (skew.matched, skew.total, dict(skew.rows)) == expected, q
+    # "physics" twice in one document counts twice among all documents
+    assert brute_force_skew(docs, Term("intricate"), 2023)[2]["physics"] == (2 / 2, 3 / 5)
 
 
 # A pool of texts far smaller than the corpus drawn from it, so that many
@@ -565,7 +738,7 @@ def test_concurrent_readers_of_a_fresh_index(tmp_path, lexicon):
                 for q in queries for year in index.years]
 
     expected = answers(load_index(path))
-    shared = load_index(path)  # no year's columns built yet
+    shared = load_index(path)  # one set of columns that every reader shares
     start = threading.Barrier(8)
     results: list = [None] * 8
 
