@@ -4,14 +4,14 @@ Each document is reduced at build time to a bitset over the lexicon
 vocabulary (phrases included as ordinary entries), and ``finish`` turns each
 year's bitsets into posting columns: one big integer per vocabulary entry,
 whose bit *i* is set when document *i* of the year holds the entry. A year's
-categories are a table of the distinct per-document category tuples, each
-with the column of the documents that carry it. A boolean or at-least-k
-query, a term's document frequency or a category skew then costs a few
-big-integer operations and popcounts per query node, not one test per
-document; none of them is tabulated ahead of time. Builds are
-deterministic: document order and any partitioning of the corpus across
-builders produce identical indexes. The finished index is immutable and
-safe for concurrent readers.
+categories are a table of its distinct per-document category tuples, with
+each document's row in that table. A boolean or at-least-k query or a
+term's document frequency then costs a few big-integer operations and
+popcounts per query node, and a category skew one pass over the matching
+documents' rows, not one test per document; none of them is tabulated ahead
+of time. Builds are deterministic: document order and any partitioning of
+the corpus across builders produce identical indexes. The finished index is
+immutable and safe for concurrent readers.
 
 A corpus scan is the same build over the query's own terms instead of the
 lexicon: one matcher masks every document, and one evaluator answers the
@@ -22,20 +22,22 @@ Index files are a single binary container: magic, format version, payload
 length and SHA-256 checksum, then a zlib-compressed payload. Version 2, the
 one written, stores the columns themselves: a length-prefixed canonical JSON
 header (lexicon, year range, and per year the document ids and the category
-table), then each year's columns as little-endian bytes. A load decodes no
-per-document rows, and no query builds columns. Version 1 files, one JSON
-row per document, still load.
+table), then each year's term columns and category rows as little-endian
+bytes. A load decodes no per-document JSON rows, and no query builds
+columns. Version 1 files, one JSON row per document, still load.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import struct
+import sys
 import zlib
+from array import array
+from collections import Counter
 from functools import reduce
-from itertools import chain, repeat
-from operator import and_, or_
+from itertools import chain, compress, product, repeat
+from operator import and_, lt, or_
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -61,21 +63,22 @@ _FORMAT = "lexdrift.index"
 # One mark per document: (doc_id, year, vocabulary bitmask, categories).
 Mark = tuple[str, int, int, tuple[str, ...]]
 
-# Each distinct category tuple of a year's documents, sorted, with the
-# posting column of the documents that carry it.
-CategoryTable = tuple[tuple[tuple[str, ...], int], ...]
+# The distinct category tuples of a year's documents, sorted.
+CategoryTable = tuple[tuple[str, ...], ...]
 
 
 class _Year(NamedTuple):
     ids: tuple[str, ...]  # document i of the year, ascending
     columns: tuple[int, ...]  # one posting column per vocabulary entry
-    categories: CategoryTable
+    table: CategoryTable
+    rows: array  # document i's categories are table[rows[i]]
 
 
 class YearTermIndex:
     """Per year, the document ids, one posting column per vocabulary entry
-    and the category table, so a query costs a few big-integer operations
-    per node rather than a test per document."""
+    and the category table with each document's row in it, so a query
+    costs a few big-integer operations per node rather than a test per
+    document."""
 
     def __init__(self, lexicon: Lexicon, min_year: int, max_year: int,
                  marks: Iterable[Mark]):
@@ -85,10 +88,9 @@ class YearTermIndex:
             per_year.setdefault(mark[1], []).append(mark)
         years = {}
         for year in sorted(per_year):
-            rows = sorted(per_year[year])
-            years[year] = _Year(tuple(r[0] for r in rows),
-                                _columns([r[2] for r in rows], width),
-                                _category_table([r[3] for r in rows]))
+            ms = sorted(per_year[year])
+            years[year] = _Year(tuple(m[0] for m in ms), _columns([m[2] for m in ms], width),
+                                *_category_rows([m[3] for m in ms]))
         self._init(lexicon, min_year, max_year, years)
 
     @classmethod
@@ -153,12 +155,8 @@ class YearTermIndex:
         """All (doc_id, year, bitmask, categories) rows, ordered by id
         within each year."""
         for year, y in self._by_year.items():
-            n = len(y.ids)
-            table = [cats for cats, _ in y.categories]
-            # Each document is in one table row, so its category mask has one bit.
-            rows = _doc_masks([col for _, col in y.categories], n)
-            yield from zip(y.ids, repeat(year), _doc_masks(y.columns, n),
-                           (table[r.bit_length() - 1] for r in rows))
+            yield from zip(y.ids, repeat(year), _doc_masks(y.columns, len(y.ids)),
+                           map(y.table.__getitem__, y.rows))
 
 
 def _columns(masks: Sequence[int], width: int) -> tuple[int, ...]:
@@ -184,12 +182,50 @@ def _doc_masks(columns: Sequence[int], n: int) -> list[int]:
     return [int("".join(bits), 2) for bits in zip(*digits)][::-1]
 
 
-def _category_table(cats: Sequence[tuple[str, ...]]) -> CategoryTable:
-    """The category table of one year, given each document's categories:
-    a document's mask over the table's rows has the bit of its own row."""
-    table = sorted(set(cats))
-    row = {c: 1 << i for i, c in enumerate(table)}
-    return tuple(zip(table, _columns([row[c] for c in cats], len(table))))
+def _category_rows(cats: Sequence[tuple[str, ...]]) -> tuple[CategoryTable, array]:
+    """The category table of one year, given each document's categories,
+    and each document's row in it."""
+    table = tuple(sorted(set(cats)))
+    row = {c: i for i, c in enumerate(table)}
+    return table, array(_row_type(len(table)), map(row.__getitem__, cats))
+
+
+def _row_type(size: int) -> str:
+    """The array type of the rows of a category table of *size* rows: one,
+    two or four bytes a row."""
+    return "B" if size <= 1 << 8 else "H" if size <= 1 << 16 else "I"
+
+
+def _little_endian(rows: array) -> array:
+    """*rows* in little-endian byte order, or back: a byte-swapped copy on
+    a big-endian machine."""
+    if sys.byteorder == "big":
+        rows = array(rows.typecode, rows)
+        rows.byteswap()
+    return rows
+
+
+# The bits of each byte value, lowest first.
+_BYTE_BITS = [bits[::-1] for bits in product((0, 1), repeat=8)]
+
+
+def _category_counts(posting: int, table: CategoryTable,
+                     rows: Sequence[int]) -> tuple[dict[str, int], dict[str, int]]:
+    """For each category of one year, the number of matching documents
+    and of all documents that list it, given the posting column of the
+    matches, the category table and each document's row in it; a document
+    listing a category twice counts twice."""
+    # The bits of the posting, document by document, pick the matches' rows.
+    bits = chain.from_iterable(map(_BYTE_BITS.__getitem__,
+                                   posting.to_bytes((len(rows) + 7) // 8, "little")))
+    hits, docs = Counter(compress(rows, bits)), Counter(rows)
+    matches: dict[str, int] = {}
+    every: dict[str, int] = {}
+    for row, cats in enumerate(table):
+        for cat in cats:
+            matches[cat] = matches.get(cat, 0) + hits[row]
+            every[cat] = every.get(cat, 0) + docs[row]
+    return matches, every
 
 
 class _CompiledVocab:
@@ -330,13 +366,13 @@ def eval_count(index: YearTermIndex, q: Query, year: int) -> int:
 
 
 def _year_posting(index: YearTermIndex, q: Query,
-                  year: int) -> tuple[int, int, CategoryTable]:
+                  year: int) -> tuple[int, CategoryTable, array]:
     """(the documents of *year* satisfying *q* as a posting column, the
-    number of documents of *year*, its category table)."""
+    category table of *year*, each document's row in it)."""
     y = index._by_year.get(year)
     if y is None:
         raise UnknownYearError(f"year {year} is not in the index")
-    return _posting(index.term_bit, y.columns, q), len(y.ids), y.categories
+    return _posting(index.term_bit, y.columns, q), y.table, y.rows
 
 
 def _posting(bit: Callable[[str], int], cols: tuple[int, ...], q: Query) -> int:
@@ -366,11 +402,11 @@ def _posting(bit: Callable[[str], int], cols: tuple[int, ...], q: Query) -> int:
 
 
 def _scan_postings(corpus: Iterable[Document], lexicon: Lexicon,
-                   q: Query) -> dict[int, tuple[int, int, CategoryTable]]:
+                   q: Query) -> dict[int, tuple[int, list[tuple[str, ...]]]]:
     """For each year of *corpus*, ascending, (the documents satisfying *q*
-    as a posting column, the number of documents, the category table), with
-    the documents in corpus order: the corpus indexed over the query's own
-    terms. A term is case-sensitive exactly when its lexicon entry is."""
+    as a posting column, the categories of each document), in corpus order:
+    the corpus indexed over the query's own terms. A term is case-sensitive
+    exactly when its lexicon entry is."""
     members = sorted(query_vocabulary(q))
     case_sensitive = {e.term: e.case_sensitive for e in lexicon.entries}
     vocab = _CompiledVocab((m, case_sensitive.get(m, False)) for m in members)
@@ -381,8 +417,7 @@ def _scan_postings(corpus: Iterable[Document], lexicon: Lexicon,
         cats.setdefault(doc.year, []).append(tuple(doc.categories))
     bit = {m: j for j, m in enumerate(members)}.__getitem__
     return {
-        year: (_posting(bit, _columns(masks[year], len(members)), q), len(masks[year]),
-               _category_table(cats[year]))
+        year: (_posting(bit, _columns(masks[year], len(members)), q), cats[year])
         for year in sorted(masks)
     }
 
@@ -392,8 +427,8 @@ def scan_counts(corpus: Iterable[Document], lexicon: Lexicon,
     """(documents satisfying *q*, all documents) for each year of *corpus*,
     from one pass that indexes the corpus over the query's own terms, so it
     counts terms outside the lexicon too."""
-    return {year: (posting.bit_count(), total)
-            for year, (posting, total, _) in _scan_postings(corpus, lexicon, q).items()}
+    return {year: (posting.bit_count(), len(cats))
+            for year, (posting, cats) in _scan_postings(corpus, lexicon, q).items()}
 
 
 def eval_count_scan(corpus: Iterable[Document], lexicon: Lexicon, q: Query,
@@ -406,17 +441,18 @@ def eval_count_scan(corpus: Iterable[Document], lexicon: Lexicon, q: Query,
 
 
 def save_index(index: YearTermIndex, path) -> None:
-    """Write *index* as a version 2 file: the JSON header, then per year
-    the term columns and the category-table columns, ceil(n/8) bytes each
-    for a year of n documents."""
+    """Write *index* as a version 2 file: the JSON header, then per year of
+    n documents its term columns, ceil(n/8) bytes each, and the n category
+    rows, one, two or four bytes each as the table has up to 2**8, 2**16 or
+    more rows."""
     years = []
     columns: list[bytes] = []
     for year, y in index._by_year.items():
         size = (len(y.ids) + 7) // 8
         years.append({"year": year, "ids": list(y.ids),
-                      "categories": [list(cats) for cats, _ in y.categories]})
-        columns += [col.to_bytes(size, "little")
-                    for col in chain(y.columns, (col for _, col in y.categories))]
+                      "categories": [list(cats) for cats in y.table]})
+        columns += [col.to_bytes(size, "little") for col in y.columns]
+        columns.append(_little_endian(y.rows).tobytes())
     header = json.dumps({
         "format": _FORMAT,
         "lexicon": lexicon_to_dict(index.lexicon),
@@ -426,7 +462,7 @@ def save_index(index: YearTermIndex, path) -> None:
     }, sort_keys=True, separators=(",", ":")).encode("utf-8")
     # Level 6: level 9 compresses four to six times slower for under 2% fewer bytes.
     blob = zlib.compress(b"".join([_JSON_LENGTH.pack(len(header)), header, *columns]), 6)
-    head = _HEADER.pack(_MAGIC, _VERSION, len(blob), hashlib.sha256(blob).digest())
+    head = _HEADER.pack(_MAGIC, _VERSION, len(blob), _sha256(blob))
     Path(path).write_bytes(head + blob)
 
 
@@ -443,7 +479,7 @@ def load_index(path) -> YearTermIndex:
             f"(supported: {', '.join(map(str, _DECODERS))})"
         )
     blob = data[_HEADER.size:]
-    if len(blob) != length or hashlib.sha256(blob).digest() != digest:
+    if len(blob) != length or _sha256(blob) != digest:
         raise IndexChecksumError(f"{path}: checksum mismatch (truncated or corrupt)")
     try:
         return _DECODERS[version](zlib.decompress(blob))
@@ -486,8 +522,7 @@ def _decode_v2(payload: bytes) -> YearTermIndex:
         raise ValueError("'years' is not a list")
     years = [entry["year"] for entry in entries]
     _check_years(doc["min_year"], doc["max_year"], years)
-    if years != sorted(set(years)):
-        raise ValueError("the years are not strictly ascending")
+    _check_ascending(years, "the years")
     width = len(lexicon.terms())
     by_year = {}
     for year, entry in zip(years, entries):
@@ -497,27 +532,44 @@ def _decode_v2(payload: bytes) -> YearTermIndex:
             raise ValueError(f"the ids or the category table of {year} are not lists")
         _check_strings(ids, f"a document id in {year}")
         _check_strings(chain.from_iterable(table), f"a category in {year}")
+        table = tuple(map(tuple, table))
+        # A strict order keeps doc_marks() ordered by id and a re-save canonical.
+        _check_ascending(ids, f"the ids of {year}")
+        _check_ascending(table, f"the category-table rows of {year}")
         n = len(ids)
         if not n:
             raise ValueError(f"year {year} has no documents")
         step = (n + 7) // 8
-        end = offset + (width + len(table)) * step
+        rows = array(_row_type(len(table)))
+        end = offset + width * step + n * rows.itemsize
         if end > len(payload):
             raise ValueError(f"the columns of {year} are cut short")
-        cols = [int.from_bytes(payload[o:o + step], "little") for o in range(offset, end, step)]
-        offset = end
+        cols = [int.from_bytes(payload[o:o + step], "little")
+                for o in range(offset, offset + width * step, step)]
         if max(map(int.bit_length, cols), default=0) > n:
             raise ValueError(f"a column of {year} is wider than its {n} documents")
-        rows = cols[width:]
-        if sum(map(int.bit_count, rows)) != n or reduce(or_, rows, 0) != (1 << n) - 1:
-            raise ValueError(f"the category table of {year} does not partition its documents")
-        by_year[year] = _Year(tuple(ids), tuple(cols[:width]), tuple(zip(map(tuple, table), rows)))
+        rows.frombytes(payload[end - n * rows.itemsize:end])
+        rows = _little_endian(rows)
+        offset = end
+        if max(rows) >= len(table):
+            raise ValueError(f"a document of {year} has no row in its category table")
+        if len(set(rows)) != len(table):
+            raise ValueError(f"a category-table row of {year} has no documents")
+        by_year[year] = _Year(tuple(ids), tuple(cols), table, rows)
     if offset != len(payload):
         raise ValueError(f"{len(payload) - offset} bytes after the last column")
     return YearTermIndex._from_columns(lexicon, doc["min_year"], doc["max_year"], by_year)
 
 
 _DECODERS = {1: _decode_v1, 2: _decode_v2}
+
+
+def _sha256(blob: bytes) -> bytes:
+    # Imported here, so that a corpus scan, which reads and writes no index
+    # file, does not load it.
+    import hashlib
+
+    return hashlib.sha256(blob).digest()
 
 
 def _json_object(data: bytes) -> dict:
@@ -536,3 +588,8 @@ def _check_years(min_year, max_year, years: Iterable) -> None:
 def _check_strings(values: Iterable, what: str) -> None:
     if set(map(type, values)) - {str}:
         raise ValueError(f"{what} is not a string")
+
+
+def _check_ascending(values: Sequence, what: str) -> None:
+    if not all(map(lt, values, values[1:])):
+        raise ValueError(f"{what} are not strictly ascending")

@@ -25,7 +25,7 @@ import io
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .errors import (
     CountsFormatError,
@@ -433,26 +433,23 @@ def category_skew_scan(corpus: Iterable[Document], lexicon: Lexicon, q: Query,
     """:func:`category_skew` by one pass over *corpus*, indexed over the
     query's own terms, so it handles terms outside the lexicon; equal to it
     on indexed queries."""
-    from .index import _scan_postings
+    from .index import _category_rows, _scan_postings
 
     postings = _scan_postings((doc for doc in corpus if doc.year == year), lexicon, q)
-    return _skew(year, *postings.get(year, (0, 0, ())))
+    posting, cats = postings.get(year, (0, []))
+    return _skew(year, posting, *_category_rows(cats))
 
 
-def _skew(year: int, posting: int, total: int, table: CategoryTable) -> CategorySkew:
-    """Tally the *total* documents of *year*, given as the posting column
-    of the query's matches and the category table (each distinct category
-    tuple with the column of its documents), into a CategorySkew."""
+def _skew(year: int, posting: int, table: CategoryTable, rows: Sequence[int]) -> CategorySkew:
+    """Tally the documents of *year*, given as the posting column of the
+    query's matches, the category table (the distinct category tuples) and
+    each document's row in it, into a CategorySkew."""
+    from .index import _category_counts
+
+    total, matched = len(rows), posting.bit_count()
     if not total:
         raise UnknownYearError(f"no documents in year {year}")
-    matched = posting.bit_count()
-    match_counts: dict[str, int] = {}
-    all_counts: dict[str, int] = {}
-    for cats, col in table:
-        hits, docs = (posting & col).bit_count(), col.bit_count()
-        for cat in cats:
-            all_counts[cat] = all_counts.get(cat, 0) + docs
-            match_counts[cat] = match_counts.get(cat, 0) + hits
+    match_counts, all_counts = _category_counts(posting, table, rows)
     if not all_counts:
         return CategorySkew(
             year, matched, total, {},

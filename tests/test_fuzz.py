@@ -113,8 +113,9 @@ def test_index_reader_raises_only_data_errors(data):
 _WIDTH = len(builtin_lexicon().terms())
 _V2_YEAR = st.fixed_dictionaries({
     "year": st.integers(2019, 2023),
-    "ids": st.lists(st.text(max_size=3), max_size=12),
-    "categories": st.lists(st.lists(st.sampled_from(("a", "b")), max_size=2), max_size=3),
+    "ids": st.lists(st.text(max_size=3), max_size=12, unique=True).map(sorted),
+    "categories": st.lists(st.lists(st.sampled_from(("a", "b")), max_size=2), max_size=3,
+                           unique_by=tuple).map(sorted),
 })
 
 
@@ -140,7 +141,8 @@ def _v2_header(draw) -> dict:
 def _fitting_columns(draw, header) -> bytes:
     """Column bytes of the size *header* implies, if it is well formed
     enough to say: each year's term columns within its documents, and its
-    category columns a partition of them, or else random bytes."""
+    documents' rows mostly within its category table, or else random
+    bytes."""
     try:
         years = [(len(y["ids"]), len(y["categories"])) for y in header["years"]]
     except (KeyError, TypeError):
@@ -153,9 +155,10 @@ def _fitting_columns(draw, header) -> bytes:
         # now and then a term column may set a bit past the year's documents
         bits = 8 * step if draw(st.sampled_from((False,) * 5 + (True,))) else n
         cols = [draw(st.integers(0, (1 << bits) - 1)) for _ in range(_WIDTH)]
-        owner = [draw(st.integers(0, rows - 1)) for _ in range(n)] if rows else []
-        cols += [sum(1 << i for i, r in enumerate(owner) if r == row) for row in range(rows)]
         out += b"".join(col.to_bytes(step, "little") for col in cols)
+        # now and then a document's row may lie past the table
+        top = max(rows - 1, 0) + draw(st.sampled_from((0,) * 5 + (1,)))
+        out += bytes(draw(st.integers(0, top)) for _ in range(n))
     return out
 
 

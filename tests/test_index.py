@@ -31,6 +31,7 @@ from lexdrift import (
     TermEntry,
     UnindexedTermError,
     UnknownYearError,
+    YearTermIndex,
     build_index,
     builtin_lexicon,
     bundled_corpus_path,
@@ -487,7 +488,8 @@ def _assert_rejected(path, capsys, problem: str = "") -> None:
 
 
 # Three documents of 2023, so one byte per column, with the category table
-# [["a"], ["b"]]: documents 0 and 2 are in row "a", document 1 in row "b".
+# [["a"], ["b"]]: documents 0 and 2 are in row 0, "a", document 1 in row 1,
+# "b", one byte per document.
 _V2_DOCS = [
     Document(id="d0", year=2023, text="an intricate proof", categories=("a",)),
     Document(id="d1", year=2023, text="plain prose", categories=("b",)),
@@ -514,43 +516,47 @@ def test_v2_parts_reassemble_into_the_same_index(tmp_path, lexicon):
     assert header["years"] == [{"year": 2023, "ids": ["d0", "d1", "d2"],
                                 "categories": [["a"], ["b"]]}]
     width = len(lexicon.terms())
-    assert len(columns) == width + 2
-    assert columns[width:] == bytes([0b101, 0b010])
+    assert len(columns) == width + 3
+    assert columns[width:] == bytes([0, 1, 0])
     path = tmp_path / "again.idx"
     _write_container(path, _v2_blob(header, columns), version=2)
     assert list(load_index(path).doc_marks()) == list(build_index(_V2_DOCS, lexicon).doc_marks())
 
 
 def _column_byte(position: int, value: int):
-    """Set the byte of one column: *position* counts columns, the category
-    table's last."""
+    """Set one byte of the column bytes: the term columns' bytes come
+    first, the documents' category rows last."""
     def edit(header: dict, columns: bytearray) -> bytes:
         columns[position] = value
         return _v2_blob(header, columns)
     return edit
 
 
-def _first_id(value):
+def _year_field(field: str, value):
     def edit(header: dict, columns: bytearray) -> bytes:
-        header["years"][0]["ids"][0] = value
+        header["years"][0][field] = value
         return _v2_blob(header, columns)
     return edit
 
 
 @pytest.mark.parametrize("make_blob, problem", [
     (_column_byte(0, 0b1000), "a column of 2023 is wider than its 3 documents"),
-    (_column_byte(-1, 0b011), "the category table of 2023 does not partition"),
-    (_column_byte(-1, 0b000), "the category table of 2023 does not partition"),
-    # as many bits as documents, but document 0 twice and document 1 never
-    (_column_byte(-1, 0b001), "the category table of 2023 does not partition"),
+    (_column_byte(-1, 2), "a document of 2023 has no row in its category table"),
+    (_column_byte(-2, 0), "a category-table row of 2023 has no documents"),
     (lambda header, columns: _v2_blob(header, columns + b"\0"), "1 bytes after the last column"),
     (lambda header, columns: _v2_blob(header, columns[:-1]), "the columns of 2023 are cut short"),
-    (_first_id(7), "a document id in 2023 is not a string"),
+    (_year_field("ids", [7, "d1", "d2"]), "a document id in 2023 is not a string"),
+    (_year_field("ids", ["d1", "d0", "d2"]), "the ids of 2023 are not strictly ascending"),
+    (_year_field("ids", ["d0", "d0", "d2"]), "the ids of 2023 are not strictly ascending"),
+    (_year_field("categories", [["b"], ["a"]]),
+     "the category-table rows of 2023 are not strictly ascending"),
+    (_year_field("categories", [["a"], ["a"]]),
+     "the category-table rows of 2023 are not strictly ascending"),
     (lambda header, columns: _v2_blob(header, columns, extra_length=len(columns) + 1),
      "runs past the payload"),
-], ids=["column-wider-than-year", "category-rows-overlap", "category-rows-leave-a-gap",
-        "category-rows-overlap-and-leave-a-gap", "trailing-bytes", "short-column-block",
-        "id-not-str", "header-length-past-payload"])
+], ids=["column-wider-than-year", "category-row-past-table", "category-row-without-documents",
+        "trailing-bytes", "short-column-block", "id-not-str", "ids-unsorted", "ids-repeated",
+        "category-table-unsorted", "category-table-repeated", "header-length-past-payload"])
 def test_malformed_v2_payload_is_an_index_file_error(tmp_path, lexicon, capsys, make_blob,
                                                      problem):
     header, columns = _v2_parts(tmp_path, lexicon)
@@ -627,6 +633,33 @@ def test_repeated_and_unsorted_categories_skew_like_brute_force(tmp_path, lexico
             assert (skew.matched, skew.total, dict(skew.rows)) == expected, q
     # "physics" twice in one document counts twice among all documents
     assert brute_force_skew(docs, Term("intricate"), 2023)[2]["physics"] == (2 / 2, 3 / 5)
+
+
+@pytest.mark.parametrize("docs, tuples, row_bytes", [
+    (600, 1, 1), (600, 256, 1), (600, 257, 2), (65_537, 65_537, 4),
+])
+def test_category_rows_cost_a_few_bytes_per_document(tmp_path, lexicon, docs, tuples,
+                                                     row_bytes):
+    """However many distinct category tuples a year has, a document's row
+    in its category table takes one, two or four bytes of the file."""
+    marks = [(f"d{i:05d}", 2023, i % 7, (f"c{i % tuples}", "x")) for i in range(docs)]
+    index = YearTermIndex(lexicon, 1990, 2100, marks)
+    path = tmp_path / "rows.idx"
+    save_index(index, path)
+    payload = zlib.decompress(path.read_bytes()[_HEADER.size:])
+    (size,) = struct.unpack_from("<I", payload)
+    width = len(lexicon.terms())
+    assert len(payload) - 4 - size == width * ((docs + 7) // 8) + docs * row_bytes
+    loaded = load_index(path)
+    assert list(loaded.doc_marks()) == list(index.doc_marks())
+    # vocabulary entry 0 is in the documents whose mask i % 7 is odd
+    hits = [m for m in marks if m[2] & 1]
+    skew = category_skew(loaded, Term(lexicon.terms()[0]), 2023)
+    assert (skew.matched, skew.total) == (len(hits), docs)
+    assert skew == category_skew(index, Term(lexicon.terms()[0]), 2023)
+    assert skew.rows["x"] == (1.0, 1.0)
+    assert skew.rows["c0"] == (sum(m[3][0] == "c0" for m in hits) / len(hits),
+                               sum(m[3][0] == "c0" for m in marks) / docs)
 
 
 # A pool of texts far smaller than the corpus drawn from it, so that many
