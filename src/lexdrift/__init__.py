@@ -26,15 +26,14 @@ _MODULE_OF = {
                   "IndexChecksumError IndexFileError IndexVersionError LexiconError "
                   "QueryError QuerySyntaxError UndefinedChangeError "
                   "UnindexedTermError UnknownNameError UnknownYearError",
-        "index": "IndexBuilder YearTermIndex build_index eval_count eval_count_scan "
-                 "load_index save_index",
+        "index": "CategorySkew IndexBuilder YearTermIndex build_index category_skew "
+                 "eval_count eval_count_scan load_index save_index",
         "lexicon": "Lexicon TermEntry builtin_lexicon load_lexicon save_lexicon",
         "query": "AnyOf AtLeastK And Or Phrase Query Term parse_query",
-        "stats": "CategorySkew CountSeries DriftReport baseline_projection "
-                 "category_skew count_increase drift_report excess excess_report "
-                 "export_counts implied_total_ratio import_counts "
-                 "max_historical_change series_from_index share share_increase "
-                 "yoy_change",
+        "stats": "CountSeries DriftReport baseline_projection count_increase "
+                 "drift_report excess excess_report export_counts implied_total_ratio "
+                 "import_counts max_historical_change series_from_index share "
+                 "share_increase yoy_change",
         "svg": "PlotSpec render_line_chart",
     }.items()
     for name in names.split()

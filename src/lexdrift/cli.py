@@ -141,6 +141,17 @@ def _consume_corpus(args: argparse.Namespace, consume, **years):
     return result
 
 
+def _scan_years(*named: int | None) -> dict[str, int]:
+    """``iter_corpus``'s year range for a ``--corpus`` scan: the default
+    range, widened to take in each year the command names, so a scan
+    accepts every year an index built over those years would hold."""
+    from .corpus import DEFAULT_MAX_YEAR, DEFAULT_MIN_YEAR
+
+    years = [year for year in named if year is not None]
+    return {"min_year": min([DEFAULT_MIN_YEAR, *years]),
+            "max_year": max([DEFAULT_MAX_YEAR, *years])}
+
+
 # --------------------------------------------------------------------------
 # subcommands
 
@@ -270,9 +281,8 @@ def cmd_excess(args: argparse.Namespace) -> int:
     if args.format == "text":
         chunks = []
         for rep in reports:
-            denom = args.total if args.total is not None else \
-                series_map[rep.series_id].total(rep.target_year)
-            share_note = f" ({_pct(rep.excess_share, signed=False, digits=2)} of {denom})"
+            share_note = (f" ({_pct(rep.excess_share, signed=False, digits=2)}"
+                          f" of {rep.excess_denominator})")
             chunks.append(
                 f"series: {rep.series_id}\n"
                 f"base {rep.base_year}: {rep.matches[rep.years.index(rep.base_year)]}\n"
@@ -336,7 +346,8 @@ def _query_counts(args: argparse.Namespace) -> dict[int, tuple[int, int]]:
     index, lexicon, q = _parsed_query(args)
     if index is None:
         return _consume_corpus(args, lambda docs: scan_counts(
-            (doc for doc in docs if _in_range(args, doc.year)), lexicon, q))
+            (doc for doc in docs if _in_range(args, doc.year)), lexicon, q),
+            **_scan_years(args.from_year, args.to_year))
     return {
         year: (eval_count(index, q, year), index.total(year))
         for year in index.years if _in_range(args, year)
@@ -401,12 +412,12 @@ def cmd_counts_export(args: argparse.Namespace) -> int:
 
 
 def cmd_skew(args: argparse.Namespace) -> int:
-    from .stats import category_skew, category_skew_scan
+    from .index import category_skew, category_skew_scan
 
     index, lexicon, q = _parsed_query(args)
     if index is None:
         skew = _consume_corpus(args, lambda docs: category_skew_scan(
-            docs, lexicon, q, args.year))
+            docs, lexicon, q, args.year), **_scan_years(args.year))
     else:
         skew = category_skew(index, q, args.year)
     if args.format == "json":

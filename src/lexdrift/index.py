@@ -9,9 +9,11 @@ each document's row in that table. A boolean or at-least-k query or a
 term's document frequency then costs a few big-integer operations and
 popcounts per query node, and a category skew one pass over the matching
 documents' rows, not one test per document; none of them is tabulated ahead
-of time. Builds are deterministic: document order and any partitioning of
-the corpus across builders produce identical indexes. The finished index is
-immutable and safe for concurrent readers.
+of time. The category table is known to this module alone: the category
+skew of a query (:func:`category_skew`, or :func:`category_skew_scan` over a
+corpus) is tallied here. Builds are deterministic: document order and any
+partitioning of the corpus across builders produce identical indexes. The
+finished index is immutable and safe for concurrent readers.
 
 A corpus scan is the same build over the query's own terms instead of the
 lexicon: one matcher masks every document, and one evaluator answers the
@@ -35,11 +37,12 @@ import sys
 import zlib
 from array import array
 from collections import Counter
+from dataclasses import dataclass
 from functools import reduce
 from itertools import chain, compress, product, repeat
 from operator import and_, lt, or_
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .corpus import Document, DEFAULT_MAX_YEAR, DEFAULT_MIN_YEAR, raw_tokens, tokenize
 from .errors import (
@@ -205,29 +208,6 @@ def _little_endian(rows: array) -> array:
     return rows
 
 
-# The bits of each byte value, lowest first.
-_BYTE_BITS = [bits[::-1] for bits in product((0, 1), repeat=8)]
-
-
-def _category_counts(posting: int, table: CategoryTable,
-                     rows: Sequence[int]) -> tuple[dict[str, int], dict[str, int]]:
-    """For each category of one year, the number of matching documents
-    and of all documents that list it, given the posting column of the
-    matches, the category table and each document's row in it; a document
-    listing a category twice counts twice."""
-    # The bits of the posting, document by document, pick the matches' rows.
-    bits = chain.from_iterable(map(_BYTE_BITS.__getitem__,
-                                   posting.to_bytes((len(rows) + 7) // 8, "little")))
-    hits, docs = Counter(compress(rows, bits)), Counter(rows)
-    matches: dict[str, int] = {}
-    every: dict[str, int] = {}
-    for row, cats in enumerate(table):
-        for cat in cats:
-            matches[cat] = matches.get(cat, 0) + hits[row]
-            every[cat] = every.get(cat, 0) + docs[row]
-    return matches, every
-
-
 class _CompiledVocab:
     """Vocabulary entries, given as (term, case-sensitive) pairs, prepared
     for fast per-document matching: bit *j* of a document's mask is set
@@ -362,17 +342,32 @@ def compile_predicate(index: YearTermIndex, q: Query) -> Callable[[int], bool]:
 def eval_count(index: YearTermIndex, q: Query, year: int) -> int:
     """Exact number of documents in *year* satisfying *q* (presence
     semantics, each document counted once)."""
-    return _year_posting(index, q, year)[0].bit_count()
+    return _posting(index.term_bit, _year(index, year).columns, q).bit_count()
 
 
-def _year_posting(index: YearTermIndex, q: Query,
-                  year: int) -> tuple[int, CategoryTable, array]:
-    """(the documents of *year* satisfying *q* as a posting column, the
-    category table of *year*, each document's row in it)."""
+@dataclass(frozen=True)
+class CategorySkew:
+    """Per-category prevalence among query matches vs among all documents."""
+
+    year: int
+    matched: int
+    total: int
+    rows: Mapping[str, tuple[float, float]]
+    warning: str | None = None
+
+
+def category_skew(index: YearTermIndex, q: Query, year: int) -> CategorySkew:
+    """How matching documents skew across subject categories in one year.
+    A document with several categories counts once per category."""
+    y = _year(index, year)
+    return _skew(year, _posting(index.term_bit, y.columns, q), y.table, y.rows)
+
+
+def _year(index: YearTermIndex, year: int) -> _Year:
     y = index._by_year.get(year)
     if y is None:
         raise UnknownYearError(f"year {year} is not in the index")
-    return _posting(index.term_bit, y.columns, q), y.table, y.rows
+    return y
 
 
 def _posting(bit: Callable[[str], int], cols: tuple[int, ...], q: Query) -> int:
@@ -438,6 +433,46 @@ def eval_count_scan(corpus: Iterable[Document], lexicon: Lexicon, q: Query,
     eval_count on indexed queries."""
     counts = scan_counts((doc for doc in corpus if doc.year == year), lexicon, q)
     return counts[year][0] if counts else 0
+
+
+def category_skew_scan(corpus: Iterable[Document], lexicon: Lexicon, q: Query,
+                       year: int) -> CategorySkew:
+    """:func:`category_skew` by one pass over *corpus*, indexed over the
+    query's own terms, so it handles terms outside the lexicon; equal to it
+    on indexed queries."""
+    postings = _scan_postings((doc for doc in corpus if doc.year == year), lexicon, q)
+    if year not in postings:
+        raise UnknownYearError(f"no documents in year {year}")
+    posting, cats = postings[year]
+    return _skew(year, posting, *_category_rows(cats))
+
+
+# The bits of each byte value, lowest first.
+_BYTE_BITS = [bits[::-1] for bits in product((0, 1), repeat=8)]
+
+
+def _skew(year: int, posting: int, table: CategoryTable, rows: Sequence[int]) -> CategorySkew:
+    """Tally the documents of *year*, given as the posting column of the
+    query's matches, the category table and each document's row in it;
+    a document listing a category twice counts twice."""
+    # The bits of the posting, document by document, pick the matches' rows.
+    bits = chain.from_iterable(map(_BYTE_BITS.__getitem__,
+                                   posting.to_bytes((len(rows) + 7) // 8, "little")))
+    hits, docs = Counter(compress(rows, bits)), Counter(rows)
+    matches: dict[str, int] = {}
+    every: dict[str, int] = {}
+    for row, cats in enumerate(table):
+        for cat in cats:
+            matches[cat] = matches.get(cat, 0) + hits[row]
+            every[cat] = every.get(cat, 0) + docs[row]
+    total, matched = len(rows), posting.bit_count()
+    if not every:
+        return CategorySkew(year, matched, total, {},
+                            warning=f"no category metadata recorded for year {year}")
+    return CategorySkew(year, matched, total, {
+        cat: (matches[cat] / matched if matched else 0.0, every[cat] / total)
+        for cat in sorted(every)
+    })
 
 
 def save_index(index: YearTermIndex, path) -> None:

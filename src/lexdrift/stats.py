@@ -16,6 +16,8 @@ implies, which is useful when reconciling externally reported increases
 computed under the two different conventions.
 
 All arithmetic is double precision; callers round only at rendering time.
+This module is count-series arithmetic: it reads an index only through
+:func:`lexdrift.index.eval_count`, in :func:`series_from_index`.
 """
 
 from __future__ import annotations
@@ -25,22 +27,19 @@ import io
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping
 
 from .errors import (
     CountsFormatError,
     DataError,
     UndefinedChangeError,
-    UnknownYearError,
     undecodable,
 )
 
 # The count-table path (import, drift, excess) needs no index or query code,
 # so those modules are imported by the functions that read an index.
 if TYPE_CHECKING:
-    from .corpus import Document
-    from .index import CategoryTable, YearTermIndex
-    from .lexicon import Lexicon
+    from .index import YearTermIndex
     from .query import Query
 
 COUNTS_HEADER = ("series", "year", "matches", "total")
@@ -178,10 +177,10 @@ class CountSeries:
             and (to_year is None or y <= to_year)
         }
         if not pts:
-            raise DataError(
-                f"series {self.series_id!r}: no years in range "
-                f"{from_year}-{to_year}"
-            )
+            bounds = [f"{word} {year}" for word, year in
+                      (("from", from_year), ("to", to_year)) if year is not None]
+            raise DataError(f"series {self.series_id!r}: no years "
+                            f"{' '.join(bounds) or 'at all'}")
         return CountSeries(self.series_id, pts)
 
 
@@ -356,6 +355,7 @@ class DriftReport:
     actual: int | None = None
     excess: int | None = None
     excess_share: float | None = None
+    excess_denominator: int | None = None
 
 
 def drift_report(series: CountSeries, *, from_year: int | None = None,
@@ -406,60 +406,5 @@ def excess_report(series: CountSeries, *, base_year: int, target_year: int,
     report.actual = actual
     report.excess = diff
     report.excess_share = diff_share
+    report.excess_denominator = denominator
     return report
-
-
-@dataclass(frozen=True)
-class CategorySkew:
-    """Per-category prevalence among query matches vs among all documents."""
-
-    year: int
-    matched: int
-    total: int
-    rows: Mapping[str, tuple[float, float]]
-    warning: str | None = None
-
-
-def category_skew(index: YearTermIndex, q: Query, year: int) -> CategorySkew:
-    """How matching documents skew across subject categories in one year.
-    A document with several categories counts once per category."""
-    from .index import _year_posting
-
-    return _skew(year, *_year_posting(index, q, year))
-
-
-def category_skew_scan(corpus: Iterable[Document], lexicon: Lexicon, q: Query,
-                       year: int) -> CategorySkew:
-    """:func:`category_skew` by one pass over *corpus*, indexed over the
-    query's own terms, so it handles terms outside the lexicon; equal to it
-    on indexed queries."""
-    from .index import _category_rows, _scan_postings
-
-    postings = _scan_postings((doc for doc in corpus if doc.year == year), lexicon, q)
-    posting, cats = postings.get(year, (0, []))
-    return _skew(year, posting, *_category_rows(cats))
-
-
-def _skew(year: int, posting: int, table: CategoryTable, rows: Sequence[int]) -> CategorySkew:
-    """Tally the documents of *year*, given as the posting column of the
-    query's matches, the category table (the distinct category tuples) and
-    each document's row in it, into a CategorySkew."""
-    from .index import _category_counts
-
-    total, matched = len(rows), posting.bit_count()
-    if not total:
-        raise UnknownYearError(f"no documents in year {year}")
-    match_counts, all_counts = _category_counts(posting, table, rows)
-    if not all_counts:
-        return CategorySkew(
-            year, matched, total, {},
-            warning=f"no category metadata recorded for year {year}",
-        )
-    rows = {
-        cat: (
-            (match_counts[cat] / matched) if matched else 0.0,
-            all_counts[cat] / total,
-        )
-        for cat in sorted(all_counts)
-    }
-    return CategorySkew(year, matched, total, rows)

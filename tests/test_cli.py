@@ -209,6 +209,17 @@ def test_drift_year_window_from_index(sample_index, capsys):
     assert "2021" in stdout and "2019" not in stdout
 
 
+@pytest.mark.parametrize("command", ["drift", "plot"])
+@pytest.mark.parametrize("window, words", [
+    (["--from", "2030"], "from 2030"),
+    (["--to", "1990"], "to 1990"),
+    (["--from", "2030", "--to", "2031"], "from 2030 to 2031"),
+])
+def test_a_window_without_years_names_its_bounds(command, window, words, capsys):
+    assert main([command, "group1", *window]) == 1
+    assert capsys.readouterr().err == f"error: series 'group1': no years {words}\n"
+
+
 # ----------------------------------------------------------------- excess
 
 
@@ -286,6 +297,16 @@ def test_excess_csv_row_is_the_excess_report(capsys):
         ["group4", str(rep.base_year), str(rep.target_year), repr(rep.growth),
          str(rep.expected), str(rep.actual), str(rep.excess), repr(rep.excess_share)],
     ]
+
+
+@pytest.mark.parametrize("total", [None, 10_000_000])
+def test_excess_text_prints_the_report_denominator(total, capsys):
+    assert main(["excess", "group4", *(["--total", str(total)] if total else [])]) == 0
+    series = import_counts(bundled_counts_path())["group4"]
+    rep = excess_report(series, base_year=series.years[0],
+                        target_year=series.years[-1], growth=0.05, total=total)
+    assert capsys.readouterr().out.endswith(
+        f"excess: {rep.excess} ({rep.excess_share:.2%} of {rep.excess_denominator})\n")
 
 
 def test_drift_counts_given_an_index_file_exits_1(sample_index, capsys):
@@ -372,6 +393,58 @@ def test_query_corpus_scan_applies_on_error(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == "year,matches,total\n2022,0,1\n2023,1,1\n"
     assert captured.err == "skipped 2 malformed records (lines 2, 4)\n"
+
+
+def _stdout(capsys, argv: list[str]) -> str:
+    assert main(argv) == 0, argv
+    captured = capsys.readouterr()
+    assert captured.err == "", argv
+    return captured.out
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+def test_index_and_corpus_print_the_same(sample_index, capsys, fmt):
+    corpus = str(bundled_corpus_path())
+    years = sorted({doc.year for doc in load_corpus(corpus)})
+    for q in ["intricate", "any(strong)", "atleast(2, strong)", "any(weak) or outwith",
+              "any(strong) AND any(disclosure)", '"large language model"']:
+        commands = [["query", q], ["query", q, "--from", "2021", "--to", "2022"]]
+        commands += [["skew", q, "--year", str(year)] for year in years]
+        for argv in commands:
+            argv += ["--format", fmt]
+            assert _stdout(capsys, [*argv, "--index", str(sample_index)]) \
+                == _stdout(capsys, [*argv, "--corpus", corpus]), argv
+
+
+def test_corpus_scan_accepts_the_years_the_command_names(tmp_path, capsys):
+    corpus = _write_corpus(tmp_path, [
+        '{"id": "a", "year": 1995, "text": "an intricate plan", "categories": ["x"]}',
+        '{"id": "b", "year": 1996, "text": "a plain one", "categories": ["y"]}',
+        '{"id": "c", "year": 1995, "text": "plain", "categories": ["y"]}',
+    ])
+    index = str(tmp_path / "old.idx")
+    _stdout(capsys, ["index", "--corpus", str(corpus), "--out", index,
+                     "--from", "1990", "--to", "1999"])
+    commands = {"1990-2100": ["query", "intricate", "--from", "1990", "--to", "1999"],
+                "1995-2100": ["skew", "intricate", "--year", "1995"]}
+    for argv in commands.values():
+        for fmt in ("text", "csv", "json"):
+            assert _stdout(capsys, [*argv, "--format", fmt, "--index", index]) \
+                == _stdout(capsys, [*argv, "--format", fmt, "--corpus", str(corpus)])
+    # Without a window the default range applies.
+    assert main(["query", "intricate", "--corpus", str(corpus)]) == 1
+    assert capsys.readouterr().err == \
+        "error: line 1: year 1995 outside allowed range 2000-2100\n"
+    # A year outside both the default range and the named years is malformed.
+    with open(corpus, "a", encoding="utf-8") as fh:
+        fh.write('{"id": "d", "year": 1850, "text": "intricate"}\n')
+    for accepted, argv in commands.items():
+        assert main([*argv, "--corpus", str(corpus)]) == 1
+        assert capsys.readouterr().err == \
+            f"error: line 4: year 1850 outside allowed range {accepted}\n"
+        expected = _stdout(capsys, [*argv, "--index", index])
+        assert main([*argv, "--corpus", str(corpus), "--on-error", "skip"]) == 0
+        assert capsys.readouterr() == (expected, "skipped 1 malformed records (lines 4)\n")
 
 
 def test_query_nested_too_deep_exits_1(sample_index, capsys):

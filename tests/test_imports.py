@@ -4,6 +4,9 @@ interpreters, because this test process has long since loaded everything."""
 
 from __future__ import annotations
 
+import ast
+import contextlib
+import io
 import os
 import re
 import subprocess
@@ -50,6 +53,34 @@ def test_fixture_drift_loads_no_index_side_module():
     )
     assert "lexdrift.stats" in loaded
     assert loaded.isdisjoint(INDEX_SIDE | {"lexdrift.svg"}), loaded
+
+
+def test_skew_by_index_loads_no_stats_module(tmp_path):
+    from lexdrift import bundled_corpus_path
+    from lexdrift.cli import main
+
+    index = str(tmp_path / "sample.idx")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["index", "--corpus", str(bundled_corpus_path()), "--out", index]) == 0
+    loaded = _loaded_after(
+        "import contextlib, io\n"
+        "from lexdrift.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main(['skew', 'any(strong)', '--index', {index!r}, '--year', '2023']) == 0"
+    )
+    assert "lexdrift.index" in loaded
+    assert loaded.isdisjoint({"lexdrift.stats", "lexdrift.svg"}), loaded
+
+
+def test_no_module_imports_a_private_name_of_another():
+    found = []
+    for path in sorted((SRC / "lexdrift").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level or (node.module or "").startswith("lexdrift")):
+                found += [f"{path.name}: {alias.name}" for alias in node.names
+                          if alias.name.startswith("_")]
+    assert found == []
 
 
 def test_every_public_name_resolves():

@@ -47,7 +47,7 @@ from lexdrift import (
 
 from lexdrift.cli import main
 from lexdrift.lexicon import lexicon_to_dict
-from lexdrift.stats import category_skew_scan
+from lexdrift.index import category_skew_scan
 
 from conftest import (
     FILLER,

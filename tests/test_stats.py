@@ -30,7 +30,8 @@ from lexdrift import (
     share_increase,
     yoy_change,
 )
-from lexdrift.stats import CountSeries, category_skew_scan
+from lexdrift.index import category_skew_scan
+from lexdrift.stats import CountSeries
 
 from conftest import make_random_corpus, make_random_query
 
@@ -375,6 +376,15 @@ def test_excess_report_total_override():
     assert report.expected == 110
     assert report.excess == 50
     assert report.excess_share == pytest.approx(0.025)
+
+
+def test_excess_report_carries_the_share_denominator():
+    series = _series({2022: (100, 1000), 2023: (160, 800)})
+    for total, denominator in ((None, 800), (2000, 2000)):
+        report = excess_report(series, base_year=2022, target_year=2023,
+                               growth=0.1, total=total)
+        assert report.excess_denominator == denominator
+        assert report.excess_share == report.excess / denominator
 
 
 def test_excess_report_zero_growth_flat_series():
