@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .errors import CorpusFormatError, DataError
 
@@ -319,39 +319,39 @@ def cmd_excess(args: argparse.Namespace) -> int:
     return 0
 
 
-def _in_range(args: argparse.Namespace, year: int) -> bool:
-    return ((args.from_year is None or year >= args.from_year)
-            and (args.to_year is None or year <= args.to_year))
-
-
-def _parsed_query(args: argparse.Namespace):
-    """(index, lexicon, parsed query) for ``query`` and ``skew``. With
-    ``--corpus`` there is no index (None): the corpus is scanned instead."""
-    from .index import load_index
+def _answer(args: argparse.Namespace, answer: Callable, keep: Callable[[int], bool],
+            *named: int | None):
+    """``answer(index, parsed query)`` for ``query`` and ``skew``. The index
+    is the ``--index`` file, or the ``--corpus`` documents of the years
+    *keep* accepts indexed over the query's own terms; *named* are the
+    years the command names. An error in *answer* ends a scan before its
+    skipped records are reported, so that it is the one line printed."""
+    from .index import load_index, scan_index
     from .query import parse_query
 
     if args.index:
         index = load_index(args.index)
-        return index, index.lexicon, parse_query(args.query, index.lexicon)
+        return answer(index, parse_query(args.query, index.lexicon))
     if not args.corpus:
         raise DataError("either --index or --corpus is required")
     lexicon = _load_lexicon_arg(args.lexicon)
-    return None, lexicon, parse_query(args.query, lexicon)
+    q = parse_query(args.query, lexicon)
+    return _consume_corpus(args, lambda docs: answer(scan_index(
+        (doc for doc in docs if keep(doc.year)), lexicon, q), q), **_scan_years(*named))
 
 
 def _query_counts(args: argparse.Namespace) -> dict[int, tuple[int, int]]:
     """(matches, total) of the query for each requested year."""
-    from .index import eval_count, scan_counts
+    from .index import eval_count
 
-    index, lexicon, q = _parsed_query(args)
-    if index is None:
-        return _consume_corpus(args, lambda docs: scan_counts(
-            (doc for doc in docs if _in_range(args, doc.year)), lexicon, q),
-            **_scan_years(args.from_year, args.to_year))
-    return {
+    def in_range(year: int) -> bool:
+        return ((args.from_year is None or year >= args.from_year)
+                and (args.to_year is None or year <= args.to_year))
+
+    return _answer(args, lambda index, q: {
         year: (eval_count(index, q, year), index.total(year))
-        for year in index.years if _in_range(args, year)
-    }
+        for year in index.years if in_range(year)
+    }, in_range, args.from_year, args.to_year)
 
 
 def cmd_query(args: argparse.Namespace) -> int:
@@ -412,14 +412,10 @@ def cmd_counts_export(args: argparse.Namespace) -> int:
 
 
 def cmd_skew(args: argparse.Namespace) -> int:
-    from .index import category_skew, category_skew_scan
+    from .index import category_skew
 
-    index, lexicon, q = _parsed_query(args)
-    if index is None:
-        skew = _consume_corpus(args, lambda docs: category_skew_scan(
-            docs, lexicon, q, args.year), **_scan_years(args.year))
-    else:
-        skew = category_skew(index, q, args.year)
+    skew = _answer(args, lambda index, q: category_skew(index, q, args.year),
+                   args.year.__eq__, args.year)
     if args.format == "json":
         text = _json_dumps({
             "year": skew.year,
@@ -474,10 +470,11 @@ def _add_series_source(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("series", nargs="*", metavar="SERIES",
                         help="series ids (counts file) or group/term names "
                              "(index); default: every series in the file")
-    parser.add_argument("--counts", metavar="PATH",
+    source = parser.add_mutually_exclusive_group()
+    source.add_argument("--counts", metavar="PATH",
                         help="count CSV to read ('builtin' or omitted: the "
                              "bundled fixture)")
-    parser.add_argument("--index", metavar="PATH",
+    source.add_argument("--index", metavar="PATH",
                         help="take counts from this index file instead")
 
 
@@ -490,8 +487,9 @@ def _add_corpus_options(parser: argparse.ArgumentParser) -> None:
 
 def _add_query_source(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("query", metavar="QUERY")
-    parser.add_argument("--index", metavar="PATH", help="index file to query")
-    parser.add_argument("--corpus", metavar="PATH",
+    source = parser.add_mutually_exclusive_group()
+    source.add_argument("--index", metavar="PATH", help="index file to query")
+    source.add_argument("--corpus", metavar="PATH",
                         help="scan a corpus, matched against --lexicon, instead "
                              "of using an index")
     _add_corpus_options(parser)

@@ -10,15 +10,15 @@ term's document frequency then costs a few big-integer operations and
 popcounts per query node, and a category skew one pass over the matching
 documents' rows, not one test per document; none of them is tabulated ahead
 of time. The category table is known to this module alone: the category
-skew of a query (:func:`category_skew`, or :func:`category_skew_scan` over a
-corpus) is tallied here. Builds are deterministic: document order and any
-partitioning of the corpus across builders produce identical indexes. The
-finished index is immutable and safe for concurrent readers.
+skew of a query (:func:`category_skew`) is tallied here. Builds are
+deterministic: document order and any partitioning of the corpus across
+builders produce identical indexes. The finished index is immutable and
+safe for concurrent readers.
 
-A corpus scan is the same build over the query's own terms instead of the
-lexicon: one matcher masks every document, and one evaluator answers the
-query from the posting columns, so a scan also counts terms outside the
-lexicon.
+A corpus scan (:func:`scan_index`) is a :class:`YearTermIndex` too, built
+by the same matcher and the same per-year tables over the query's own terms
+instead of the lexicon, so a scan also counts terms outside the lexicon.
+:func:`eval_count` and :func:`category_skew` answer it like any index.
 
 Index files are a single binary container: magic, format version, payload
 length and SHA-256 checksum, then a zlib-compressed payload. Version 2, the
@@ -85,42 +85,31 @@ class YearTermIndex:
 
     def __init__(self, lexicon: Lexicon, min_year: int, max_year: int,
                  marks: Iterable[Mark]):
-        width = len(lexicon.terms())
-        per_year: dict[int, list[Mark]] = {}
-        for mark in marks:
-            per_year.setdefault(mark[1], []).append(mark)
-        years = {}
-        for year in sorted(per_year):
-            ms = sorted(per_year[year])
-            years[year] = _Year(tuple(m[0] for m in ms), _columns([m[2] for m in ms], width),
-                                *_category_rows([m[3] for m in ms]))
-        self._init(lexicon, min_year, max_year, years)
+        terms = lexicon.terms()
+        self._init(lexicon, terms, min_year, max_year, _years(marks, len(terms)))
 
     @classmethod
-    def _from_columns(cls, lexicon: Lexicon, min_year: int, max_year: int,
-                      years: dict[int, _Year]) -> YearTermIndex:
-        """The index of ready columns, *years* ascending."""
+    def _from_columns(cls, lexicon: Lexicon, terms: tuple[str, ...], min_year: int,
+                      max_year: int, years: dict[int, _Year]) -> YearTermIndex:
+        """The index of ready columns over the vocabulary *terms*, *years*
+        ascending."""
         index = cls.__new__(cls)
-        index._init(lexicon, min_year, max_year, years)
+        index._init(lexicon, terms, min_year, max_year, years)
         return index
 
-    def _init(self, lexicon: Lexicon, min_year: int, max_year: int,
-              years: dict[int, _Year]) -> None:
+    def _init(self, lexicon: Lexicon, terms: tuple[str, ...], min_year: int,
+              max_year: int, years: dict[int, _Year]) -> None:
         self._lexicon = lexicon
         self._min_year = min_year
         self._max_year = max_year
-        self._terms = lexicon.terms()
-        self._bit = {t: i for i, t in enumerate(self._terms)}
+        self._terms = terms
+        self._bit = {t: i for i, t in enumerate(terms)}
         self._by_year = years
         self._years = tuple(years)
 
     @property
     def lexicon(self) -> Lexicon:
         return self._lexicon
-
-    @property
-    def vocabulary(self) -> tuple[str, ...]:
-        return self._terms
 
     @property
     def years(self) -> tuple[int, ...]:
@@ -144,9 +133,9 @@ class YearTermIndex:
         bit = self._bit.get(term)
         if bit is None:
             found = self._lexicon.resolve(term)
-            if len(found) != 1:
+            bit = self._bit.get(found[0]) if len(found) == 1 else None
+            if bit is None:
                 raise UnindexedTermError(term)
-            bit = self._bit[found[0]]
         return bit
 
     def df(self, term: str, year: int) -> int:
@@ -160,6 +149,20 @@ class YearTermIndex:
         for year, y in self._by_year.items():
             yield from zip(y.ids, repeat(year), _doc_masks(y.columns, len(y.ids)),
                            map(y.table.__getitem__, y.rows))
+
+
+def _years(marks: Iterable[Mark], width: int) -> dict[int, _Year]:
+    """Each year's table of *marks* over a vocabulary of *width* entries,
+    years ascending and the documents of a year by id."""
+    per_year: dict[int, list[Mark]] = {}
+    for mark in marks:
+        per_year.setdefault(mark[1], []).append(mark)
+    years = {}
+    for year in sorted(per_year):
+        ms = sorted(per_year[year])
+        years[year] = _Year(tuple(m[0] for m in ms), _columns([m[2] for m in ms], width),
+                            *_category_rows([m[3] for m in ms]))
+    return years
 
 
 def _columns(masks: Sequence[int], width: int) -> tuple[int, ...]:
@@ -366,7 +369,7 @@ def category_skew(index: YearTermIndex, q: Query, year: int) -> CategorySkew:
 def _year(index: YearTermIndex, year: int) -> _Year:
     y = index._by_year.get(year)
     if y is None:
-        raise UnknownYearError(f"year {year} is not in the index")
+        raise UnknownYearError(f"no documents in year {year}")
     return y
 
 
@@ -396,55 +399,27 @@ def _posting(bit: Callable[[str], int], cols: tuple[int, ...], q: Query) -> int:
     raise TypeError(f"not a query node: {q!r}")
 
 
-def _scan_postings(corpus: Iterable[Document], lexicon: Lexicon,
-                   q: Query) -> dict[int, tuple[int, list[tuple[str, ...]]]]:
-    """For each year of *corpus*, ascending, (the documents satisfying *q*
-    as a posting column, the categories of each document), in corpus order:
-    the corpus indexed over the query's own terms. A term is case-sensitive
-    exactly when its lexicon entry is."""
-    members = sorted(query_vocabulary(q))
+def scan_index(corpus: Iterable[Document], lexicon: Lexicon, q: Query) -> YearTermIndex:
+    """*corpus* indexed over the query's own terms instead of the lexicon,
+    so that :func:`eval_count` and :func:`category_skew` answer *q* for it
+    even where it names terms outside the lexicon. A term is
+    case-sensitive exactly when its lexicon entry is. Such an index cannot
+    be saved."""
+    terms = tuple(sorted(query_vocabulary(q)))
     case_sensitive = {e.term: e.case_sensitive for e in lexicon.entries}
-    vocab = _CompiledVocab((m, case_sensitive.get(m, False)) for m in members)
-    masks: dict[int, list[int]] = {}
-    cats: dict[int, list[tuple[str, ...]]] = {}
-    for doc in corpus:
-        masks.setdefault(doc.year, []).append(vocab.mask_for(doc.text))
-        cats.setdefault(doc.year, []).append(tuple(doc.categories))
-    bit = {m: j for j, m in enumerate(members)}.__getitem__
-    return {
-        year: (_posting(bit, _columns(masks[year], len(members)), q), cats[year])
-        for year in sorted(masks)
-    }
-
-
-def scan_counts(corpus: Iterable[Document], lexicon: Lexicon,
-                q: Query) -> dict[int, tuple[int, int]]:
-    """(documents satisfying *q*, all documents) for each year of *corpus*,
-    from one pass that indexes the corpus over the query's own terms, so it
-    counts terms outside the lexicon too."""
-    return {year: (posting.bit_count(), len(cats))
-            for year, (posting, cats) in _scan_postings(corpus, lexicon, q).items()}
+    vocab = _CompiledVocab((t, case_sensitive.get(t, False)) for t in terms)
+    years = _years(((doc.id, doc.year, vocab.mask_for(doc.text), tuple(doc.categories))
+                    for doc in corpus), len(terms))
+    return YearTermIndex._from_columns(lexicon, terms, min(years, default=DEFAULT_MIN_YEAR),
+                                       max(years, default=DEFAULT_MAX_YEAR), years)
 
 
 def eval_count_scan(corpus: Iterable[Document], lexicon: Lexicon, q: Query,
                     year: int) -> int:
-    """:func:`eval_count` by one pass over *corpus*, indexed over the
-    query's own terms; counts terms outside the lexicon too, and equals
-    eval_count on indexed queries."""
-    counts = scan_counts((doc for doc in corpus if doc.year == year), lexicon, q)
-    return counts[year][0] if counts else 0
-
-
-def category_skew_scan(corpus: Iterable[Document], lexicon: Lexicon, q: Query,
-                       year: int) -> CategorySkew:
-    """:func:`category_skew` by one pass over *corpus*, indexed over the
-    query's own terms, so it handles terms outside the lexicon; equal to it
-    on indexed queries."""
-    postings = _scan_postings((doc for doc in corpus if doc.year == year), lexicon, q)
-    if year not in postings:
-        raise UnknownYearError(f"no documents in year {year}")
-    posting, cats = postings[year]
-    return _skew(year, posting, *_category_rows(cats))
+    """:func:`eval_count` by one pass over *corpus* (see
+    :func:`scan_index`); 0 for a year with no documents."""
+    index = scan_index((doc for doc in corpus if doc.year == year), lexicon, q)
+    return eval_count(index, q, year) if index.total(year) else 0
 
 
 # The bits of each byte value, lowest first.
@@ -480,6 +455,8 @@ def save_index(index: YearTermIndex, path) -> None:
     n documents its term columns, ceil(n/8) bytes each, and the n category
     rows, one, two or four bytes each as the table has up to 2**8, 2**16 or
     more rows."""
+    if index._terms != index.lexicon.terms():
+        raise IndexBuildError("an index over a query's terms (a corpus scan) cannot be saved")
     years = []
     columns: list[bytes] = []
     for year, y in index._by_year.items():
@@ -593,7 +570,8 @@ def _decode_v2(payload: bytes) -> YearTermIndex:
         by_year[year] = _Year(tuple(ids), tuple(cols), table, rows)
     if offset != len(payload):
         raise ValueError(f"{len(payload) - offset} bytes after the last column")
-    return YearTermIndex._from_columns(lexicon, doc["min_year"], doc["max_year"], by_year)
+    return YearTermIndex._from_columns(lexicon, lexicon.terms(), doc["min_year"],
+                                       doc["max_year"], by_year)
 
 
 _DECODERS = {1: _decode_v1, 2: _decode_v2}

@@ -470,6 +470,18 @@ def test_query_source_missing_exits_1(command, capsys):
     assert capsys.readouterr().err == "error: either --index or --corpus is required\n"
 
 
+@pytest.mark.parametrize("command", [
+    ["query", "intricate", "--index", "s.idx", "--corpus", "c.jsonl"],
+    ["skew", "intricate", "--year", "2023", "--corpus", "c.jsonl", "--index", "s.idx"],
+    ["drift", "--index", "s.idx", "--counts", "c.csv"],
+    ["excess", "--counts", "c.csv", "--index", "s.idx"],
+    ["plot", "--index", "s.idx", "--counts", "builtin"],
+])
+def test_two_sources_are_a_usage_error(command, capsys):
+    assert main(command) == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
 def test_query_year_window_without_indexed_years_exits_1(sample_index, capsys):
     assert main(["query", "intricate", "--index", str(sample_index),
                  "--from", "2030", "--to", "2031"]) == 1
@@ -657,7 +669,11 @@ def test_skew_corpus_scan_applies_on_error(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == "category,among_matches,among_all\nx,1.0,0.5\ny,0.0,0.5\n"
     assert captured.err == "skipped 2 malformed records (lines 2, 4)\n"
-    assert main(["skew", "zebra", "--corpus", str(corpus), "--year", "2030",
-                 "--on-error", "skip"]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: no documents in year 2030") and err.count("\n") == 1
+    index = str(tmp_path / "c.idx")
+    assert main(["index", "--corpus", str(corpus), "--out", index, "--on-error", "skip"]) == 0
+    capsys.readouterr()
+    # A year with no documents reads the same from a scan and from an index.
+    for source in (["--corpus", str(corpus), "--on-error", "skip"], ["--index", index]):
+        assert main(["skew", "zebra", *source, "--year", "2030"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: no documents in year 2030") and err.count("\n") == 1

@@ -47,7 +47,8 @@ from lexdrift import (
 
 from lexdrift.cli import main
 from lexdrift.lexicon import lexicon_to_dict
-from lexdrift.index import category_skew_scan
+from lexdrift.index import scan_index
+from lexdrift.query import query_vocabulary
 
 from conftest import (
     FILLER,
@@ -275,6 +276,28 @@ def test_scan_fallback_counts_unindexed_terms(lexicon):
     assert eval_count_scan(docs, lexicon, Term("zebra"), 2023) == 1
     assert eval_count_scan(docs, lexicon, Term("zebra"), 2022) == 0
     assert eval_count_scan([], lexicon, Term("zebra"), 2023) == 0
+
+
+def test_scan_index_holds_only_the_query_terms(lexicon):
+    docs = _docs((2023, "an intricate and notable zebra"))
+    scan = scan_index(docs, lexicon, And((Term("intricate"), Term("zebra"))))
+    assert scan.lexicon == lexicon and scan.years == (2023,) and scan.total(2023) == 1
+    # "notable" is a lexicon term outside the scan's vocabulary, and
+    # "Zebra" is neither a scanned term nor a lexicon entry.
+    for q in (Term("notable"), Or((Term("zebra"), Term("notable"))), Term("Zebra")):
+        with pytest.raises(UnindexedTermError):
+            eval_count(scan, q, 2023)
+        with pytest.raises(UnindexedTermError):
+            category_skew(scan, q, 2023)
+
+
+def test_scan_index_cannot_be_saved(tmp_path, lexicon):
+    scan = scan_index(_docs((2023, "an intricate zebra")), lexicon, Term("zebra"))
+    path = tmp_path / "scan.idx"
+    with pytest.raises(IndexBuildError) as info:
+        save_index(scan, path)
+    assert "\n" not in str(info.value)
+    assert not path.exists()
 
 
 def test_scan_agrees_with_index_on_vocabulary(lexicon):
@@ -625,11 +648,19 @@ def test_repeated_and_unsorted_categories_skew_like_brute_force(tmp_path, lexico
     loaded = load_index(path)
     assert list(loaded.doc_marks()) == list(index.doc_marks())
     assert {m[0]: m[3] for m in loaded.doc_marks()} == {d.id: d.categories for d in docs}
+    # A scan with a case-sensitive "notable" matches these lower-case
+    # documents as brute force does, and one also counts terms outside the
+    # lexicon ("plain", "prose"), which only a scan can answer.
+    cased = Lexicon("cased", tuple(TermEntry(e.term, e.role, e.term == "notable")
+                                   for e in lexicon.entries), lexicon.strength)
     for q in (Term("intricate"), Term("notable"), Term("meticulous"),
-              Or((Term("intricate"), Term("notable")))):
+              Or((Term("intricate"), Term("notable"))), Term("plain"),
+              And((Term("notable"), Term("prose")))):
         expected = brute_force_skew(docs, q, 2023)
-        for skew in (category_skew(index, q, 2023), category_skew(loaded, q, 2023),
-                     category_skew_scan(docs, lexicon, q, 2023)):
+        skews = [category_skew(scan_index(docs, lex, q), q, 2023) for lex in (lexicon, cased)]
+        if query_vocabulary(q) <= set(lexicon.terms()):
+            skews += [category_skew(index, q, 2023), category_skew(loaded, q, 2023)]
+        for skew in skews:
             assert (skew.matched, skew.total, dict(skew.rows)) == expected, q
     # "physics" twice in one document counts twice among all documents
     assert brute_force_skew(docs, Term("intricate"), 2023)[2]["physics"] == (2 / 2, 3 / 5)

@@ -8,10 +8,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from lexdrift import (
+    And,
     CountsFormatError,
     DataError,
     Document,
+    Lexicon,
+    Or,
     Term,
+    TermEntry,
     UndefinedChangeError,
     baseline_projection,
     build_index,
@@ -30,10 +34,10 @@ from lexdrift import (
     share_increase,
     yoy_change,
 )
-from lexdrift.index import category_skew_scan
+from lexdrift.index import scan_index
 from lexdrift.stats import CountSeries
 
-from conftest import make_random_corpus, make_random_query
+from conftest import FILLER, make_random_corpus, make_random_query
 
 
 # ------------------------------------------------------------- primitives
@@ -475,11 +479,24 @@ def test_category_skew_multi_category_doc(lexicon):
 
 
 def test_category_skew_scan_equals_index_path(lexicon):
+    # "GPT" is case-sensitive next to the builtin "gpt", and the random
+    # corpora hold both spellings.
+    cased = Lexicon("cased", lexicon.entries + (TermEntry("GPT", "disclosure", True),),
+                    lexicon.strength)
     rng = random.Random(5)
-    for _ in range(20):
-        docs = make_random_corpus(rng, lexicon, 60, (2022, 2023))
-        index = build_index(docs, lexicon)
-        q = make_random_query(rng, lexicon)
-        for year in (2022, 2023):
-            assert category_skew_scan(docs, lexicon, q, year) == \
-                category_skew(index, q, year)
+    for lex in (lexicon, cased):
+        # A scan over *lex* answers filler words, outside it, as an index
+        # over a lexicon that holds them does.
+        wider = Lexicon("wider", lex.entries + tuple(TermEntry(w, "extra") for w in FILLER),
+                        lex.strength)
+        for _ in range(20):
+            docs = make_random_corpus(rng, lex, 60, (2022, 2023))
+            index = build_index(docs, lex)
+            q = make_random_query(rng, lex)
+            outside = Term(rng.choice(FILLER))
+            widened = And((q, outside)) if rng.random() < 0.5 else Or((q, outside))
+            for year in (2022, 2023):
+                assert category_skew(scan_index(docs, lex, q), q, year) == \
+                    category_skew(index, q, year)
+                assert category_skew(scan_index(docs, lex, widened), widened, year) == \
+                    category_skew(build_index(docs, wider), widened, year)
