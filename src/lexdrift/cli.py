@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .errors import CorpusFormatError, DataError
 
@@ -28,6 +28,9 @@ from .errors import CorpusFormatError, DataError
 # reads only the bundled counts never loads the corpus, lexicon, query or
 # index code. These imports serve the annotations alone.
 if TYPE_CHECKING:
+    from .corpus import Document
+    from .index import YearTermIndex
+    from .query import Query
     from .stats import CountSeries, DriftReport
 
 # Line numbers of skipped corpus records named in the stderr report.
@@ -123,33 +126,48 @@ def _load_series(args: argparse.Namespace) -> dict[str, CountSeries]:
     return picked
 
 
-def _consume_corpus(args: argparse.Namespace, consume, **years):
-    """Pass the documents of ``--corpus`` to *consume* and return its
-    result; *years* are ``iter_corpus``'s ``min_year``/``max_year``. Under
-    ``--on-error skip`` the skipped records are then reported in one stderr
-    line."""
+def _documents(args: argparse.Namespace, **years: int) -> Iterator[Document]:
+    """The documents of ``--corpus``; *years* are ``iter_corpus``'s
+    ``min_year``/``max_year``. Under ``--on-error skip`` the skipped records
+    are reported in one stderr line once the corpus has been read, before
+    anything computed from it can fail."""
     from .corpus import iter_corpus
 
     skipped: list[CorpusFormatError] = []
-    result = consume(iter_corpus(args.corpus, on_error=args.on_error,
-                                 errors=skipped, **years))
+    yield from iter_corpus(args.corpus, on_error=args.on_error, errors=skipped, **years)
     if skipped:
         shown = ", ".join(str(err.line) for err in skipped[:_SKIPPED_SHOWN])
         more = ", ..." if len(skipped) > _SKIPPED_SHOWN else ""
         print(f"skipped {len(skipped)} malformed records (lines {shown}{more})",
               file=sys.stderr)
-    return result
 
 
-def _scan_years(*named: int | None) -> dict[str, int]:
-    """``iter_corpus``'s year range for a ``--corpus`` scan: the default
-    range, widened to take in each year the command names, so a scan
-    accepts every year an index built over those years would hold."""
+def _within(year: int, first: int | None, last: int | None) -> bool:
+    return (first is None or year >= first) and (last is None or year <= last)
+
+
+def _index_and_query(args: argparse.Namespace, first: int | None,
+                     last: int | None) -> tuple[YearTermIndex, Query]:
+    """The index and the parsed query of ``query`` and ``skew``. The index
+    is the ``--index`` file, or the ``--corpus`` documents of the years
+    *first* to *last* (``None`` is open) indexed over the query's own terms.
+    The scan accepts the default year range widened to take in *first* and
+    *last*, so it reads every year an index built over them would hold."""
     from .corpus import DEFAULT_MAX_YEAR, DEFAULT_MIN_YEAR
+    from .index import load_index, scan_index
+    from .query import parse_query
 
-    years = [year for year in named if year is not None]
-    return {"min_year": min([DEFAULT_MIN_YEAR, *years]),
-            "max_year": max([DEFAULT_MAX_YEAR, *years])}
+    if args.index:
+        index = load_index(args.index)
+        return index, parse_query(args.query, index.lexicon)
+    if not args.corpus:
+        raise DataError("either --index or --corpus is required")
+    lexicon = _load_lexicon_arg(args.lexicon)
+    q = parse_query(args.query, lexicon)
+    named = [year for year in (first, last) if year is not None]
+    docs = _documents(args, min_year=min([DEFAULT_MIN_YEAR, *named]),
+                      max_year=max([DEFAULT_MAX_YEAR, *named]))
+    return scan_index((doc for doc in docs if _within(doc.year, first, last)), lexicon, q), q
 
 
 # --------------------------------------------------------------------------
@@ -166,8 +184,7 @@ def cmd_index(args: argparse.Namespace) -> int:
         min_year=args.from_year if args.from_year is not None else DEFAULT_MIN_YEAR,
         max_year=args.to_year if args.to_year is not None else DEFAULT_MAX_YEAR,
     )
-    _consume_corpus(args, builder.add_all,
-                    min_year=builder.min_year, max_year=builder.max_year)
+    builder.add_all(_documents(args, min_year=builder.min_year, max_year=builder.max_year))
     index = builder.finish()
     save_index(index, args.out)
     print(f"indexed {index.doc_count} documents into {args.out}")
@@ -319,43 +336,12 @@ def cmd_excess(args: argparse.Namespace) -> int:
     return 0
 
 
-def _answer(args: argparse.Namespace, answer: Callable, keep: Callable[[int], bool],
-            *named: int | None):
-    """``answer(index, parsed query)`` for ``query`` and ``skew``. The index
-    is the ``--index`` file, or the ``--corpus`` documents of the years
-    *keep* accepts indexed over the query's own terms; *named* are the
-    years the command names. An error in *answer* ends a scan before its
-    skipped records are reported, so that it is the one line printed."""
-    from .index import load_index, scan_index
-    from .query import parse_query
-
-    if args.index:
-        index = load_index(args.index)
-        return answer(index, parse_query(args.query, index.lexicon))
-    if not args.corpus:
-        raise DataError("either --index or --corpus is required")
-    lexicon = _load_lexicon_arg(args.lexicon)
-    q = parse_query(args.query, lexicon)
-    return _consume_corpus(args, lambda docs: answer(scan_index(
-        (doc for doc in docs if keep(doc.year)), lexicon, q), q), **_scan_years(*named))
-
-
-def _query_counts(args: argparse.Namespace) -> dict[int, tuple[int, int]]:
-    """(matches, total) of the query for each requested year."""
+def cmd_query(args: argparse.Namespace) -> int:
     from .index import eval_count
 
-    def in_range(year: int) -> bool:
-        return ((args.from_year is None or year >= args.from_year)
-                and (args.to_year is None or year <= args.to_year))
-
-    return _answer(args, lambda index, q: {
-        year: (eval_count(index, q, year), index.total(year))
-        for year in index.years if in_range(year)
-    }, in_range, args.from_year, args.to_year)
-
-
-def cmd_query(args: argparse.Namespace) -> int:
-    counts = _query_counts(args)
+    index, q = _index_and_query(args, args.from_year, args.to_year)
+    counts = {year: (eval_count(index, q, year), index.total(year))
+              for year in index.years if _within(year, args.from_year, args.to_year)}
     years = list(counts)
     if not years:
         raise DataError("no indexed years in the requested range")
@@ -414,8 +400,7 @@ def cmd_counts_export(args: argparse.Namespace) -> int:
 def cmd_skew(args: argparse.Namespace) -> int:
     from .index import category_skew
 
-    skew = _answer(args, lambda index, q: category_skew(index, q, args.year),
-                   args.year.__eq__, args.year)
+    skew = category_skew(*_index_and_query(args, args.year, args.year), args.year)
     if args.format == "json":
         text = _json_dumps({
             "year": skew.year,

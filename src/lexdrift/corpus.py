@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
 
-from .errors import CorpusFormatError, undecodable
+from .errors import CorpusFormatError, lone_surrogate, undecodable
 
 DEFAULT_MIN_YEAR = 2000
 DEFAULT_MAX_YEAR = 2100
@@ -117,6 +117,10 @@ def _record_problem(
     cats = record.get("categories", [])
     if not isinstance(cats, list) or not all(isinstance(c, str) for c in cats):
         return "field 'categories' must be a list of strings"
+    # Categories are printed, so they must hold no lone surrogate.
+    problem = lone_surrogate("".join(cats))
+    if problem is not None:
+        return f"field 'categories' holds a {problem}"
     return None
 
 

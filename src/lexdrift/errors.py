@@ -1,6 +1,7 @@
 """Exception types. All data/validation problems derive from DataError so the
 CLI can map them to exit code 1 (I/O and usage problems exit 2). The readers
-of corpus and count files share the message for a line that is not UTF-8."""
+of corpus and count files and the query parser share the message for text
+that is not UTF-8."""
 
 from __future__ import annotations
 
@@ -73,11 +74,27 @@ class UndefinedChangeError(DataError):
 
 
 def undecodable(text: str) -> str | None:
-    """Why *text*, read from a file with ``errors="surrogateescape"``, was
-    not valid UTF-8, naming its first bad byte; None if it was."""
+    """Why *text*, read from a file or argv with ``errors="surrogateescape"``,
+    was not valid UTF-8, naming its first bad byte; None if it was. A lone
+    surrogate that no byte escapes to is named as such."""
     try:
         text.encode("utf-8")
     except UnicodeEncodeError as exc:
-        byte = ord(text[exc.start]) - 0xDC00
-        return f"not valid UTF-8 (byte 0x{byte:02x})"
+        code = ord(text[exc.start])
+        if 0xDC80 <= code <= 0xDCFF:
+            return f"not valid UTF-8 (byte 0x{code - 0xDC00:02x})"
+        return f"not valid Unicode (lone surrogate U+{code:04X})"
+    return None
+
+
+def lone_surrogate(text: str) -> str | None:
+    """The first lone surrogate in *text*, such as a JSON escape like
+    ``\\ud800`` decodes to, named ``lone surrogate U+D800``; None if there
+    is none. No UTF-8 output can hold one."""
+    if text.isascii():
+        return None
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        return f"lone surrogate U+{ord(text[exc.start]):04X}"
     return None

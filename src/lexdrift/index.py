@@ -52,6 +52,7 @@ from .errors import (
     IndexVersionError,
     UnindexedTermError,
     UnknownYearError,
+    lone_surrogate,
 )
 from .lexicon import Lexicon, lexicon_from_dict, lexicon_to_dict
 from .query import And, AnyOf, AtLeastK, Or, Phrase, Query, Term, query_vocabulary
@@ -511,7 +512,7 @@ def _decode_v1(payload: bytes) -> YearTermIndex:
     ids, years, masks, cats = zip(*marks) if marks else ((), (), (), ())
     _check_years(doc["min_year"], doc["max_year"], years)
     _check_strings(ids, "a document id")
-    _check_strings(chain.from_iterable(cats), "a category")
+    _check_categories(chain.from_iterable(cats), "a category")
     if masks and (set(map(type, masks)) - {int} or min(masks) < 0
                   or max(masks) >> len(lexicon.terms())):
         raise ValueError("a term bitmask is not an integer within the vocabulary")
@@ -543,7 +544,7 @@ def _decode_v2(payload: bytes) -> YearTermIndex:
                 type(row) is list for row in table):
             raise ValueError(f"the ids or the category table of {year} are not lists")
         _check_strings(ids, f"a document id in {year}")
-        _check_strings(chain.from_iterable(table), f"a category in {year}")
+        _check_categories(chain.from_iterable(table), f"a category in {year}")
         table = tuple(map(tuple, table))
         # A strict order keeps doc_marks() ordered by id and a re-save canonical.
         _check_ascending(ids, f"the ids of {year}")
@@ -601,6 +602,16 @@ def _check_years(min_year, max_year, years: Iterable) -> None:
 def _check_strings(values: Iterable, what: str) -> None:
     if set(map(type, values)) - {str}:
         raise ValueError(f"{what} is not a string")
+
+
+def _check_categories(values: Iterable, what: str) -> None:
+    """Categories are printed, so they must be strings with no lone
+    surrogate."""
+    values = list(values)
+    _check_strings(values, what)
+    problem = lone_surrogate("".join(values))
+    if problem is not None:
+        raise ValueError(f"{what} holds a {problem}")
 
 
 def _check_ascending(values: Sequence, what: str) -> None:

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from typing import Union
 
 from .corpus import raw_tokens, tokenize
-from .errors import QuerySyntaxError, UnknownNameError
+from .errors import QueryError, QuerySyntaxError, UnknownNameError, undecodable
 from .lexicon import Lexicon
 
 
@@ -303,5 +303,9 @@ class _Parser:
 
 
 def parse_query(text: str, lexicon: Lexicon) -> Query:
-    """Parse a query string, expanding group names via *lexicon*."""
+    """Parse a query string, expanding group names via *lexicon*. Text that
+    is not valid UTF-8, such as argv bytes that are not, is a QueryError."""
+    problem = None if text.isascii() else undecodable(text)
+    if problem is not None:
+        raise QueryError(f"query text is {problem}")
     return _Parser(text, lexicon).parse()

@@ -447,6 +447,46 @@ def test_corpus_scan_accepts_the_years_the_command_names(tmp_path, capsys):
         assert capsys.readouterr() == (expected, "skipped 1 malformed records (lines 4)\n")
 
 
+def test_a_scan_reads_the_years_between_a_named_year_and_the_default_range(tmp_path, capsys):
+    corpus = _write_corpus(tmp_path, [
+        '{"id": "a", "year": 1950, "text": "an intricate plan"}',
+        '{"id": "b", "year": 1975, "text": "intricate too"}',
+    ])
+    # --year 1950 accepts 1950-2100, so the 1975 record is read, then left
+    # out by the window, not reported as malformed.
+    assert main(["skew", "intricate", "--corpus", str(corpus), "--year", "1950"]) == 0
+    assert capsys.readouterr() == ("year 1950: 1 of 1 documents match\n"
+                                   "warning: no category metadata recorded for year 1950\n", "")
+    # Under the default range, index rejects both records.
+    out = str(tmp_path / "gap.idx")
+    assert main(["index", "--corpus", str(corpus), "--out", out]) == 1
+    assert capsys.readouterr().err == \
+        "error: line 1: year 1950 outside allowed range 2000-2100\n"
+    assert main(["index", "--corpus", str(corpus), "--out", out, "--on-error", "skip"]) == 0
+    assert capsys.readouterr() == (f"indexed 0 documents into {out}\n",
+                                   "skipped 2 malformed records (lines 1, 2)\n")
+
+
+def test_a_failed_scan_reports_its_skipped_records_first(tmp_path, capsys):
+    corpus = _write_corpus(tmp_path, [
+        '{"id": "a", "year": 2023, "text": "an intricate plan"}',
+        'garbage',
+        '{"id": "b", "year": 2030, "text": 7}',
+    ])
+    index = str(tmp_path / "c.idx")
+    skipped = "skipped 2 malformed records (lines 2, 3)\n"
+    assert main(["index", "--corpus", str(corpus), "--out", index, "--on-error", "skip"]) == 0
+    assert capsys.readouterr().err == skipped
+    for argv, error in ((["query", "intricate", "--from", "2030"],
+                         "error: no indexed years in the requested range\n"),
+                        (["skew", "intricate", "--year", "2030"],
+                         "error: no documents in year 2030\n")):
+        assert main([*argv, "--corpus", str(corpus), "--on-error", "skip"]) == 1
+        assert capsys.readouterr() == ("", skipped + error), argv
+        assert main([*argv, "--index", index]) == 1
+        assert capsys.readouterr() == ("", error), argv
+
+
 def test_query_nested_too_deep_exits_1(sample_index, capsys):
     text = "(" * 5000 + "intricate" + ")" * 5000
     assert main(["query", text, "--index", str(sample_index)]) == 1
@@ -461,6 +501,32 @@ def test_query_bad_input_exits_1_with_one_line(tmp_path, capsys):
         assert main(["query", *args, "--corpus", str(bundled_corpus_path())]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, args
+
+
+def test_query_text_not_utf8_exits_1(tmp_path):
+    out = tmp_path / "q.txt"
+    # The byte 0xff reaches the command line as is.
+    result = _fresh_cli("query", '"a\udcffb"', "--corpus", str(bundled_corpus_path()),
+                        "--out", str(out))
+    assert (result.returncode, result.stdout, result.stderr) == \
+        (1, "", "error: query text is not valid UTF-8 (byte 0xff)\n")
+    assert not out.exists()
+
+
+def test_lone_surrogate_category_is_a_malformed_record(tmp_path, capsys):
+    corpus = _write_corpus(tmp_path, [
+        '{"id": "a", "year": 2023, "text": "an intricate plan", "categories": ["\\ud800x"]}',
+        '{"id": "b", "year": 2023, "text": "plain", "categories": ["y"]}',
+    ])
+    for fmt in ("text", "csv", "json"):
+        assert main(["skew", "intricate", "--corpus", str(corpus), "--year", "2023",
+                     "--format", fmt]) == 1
+        assert capsys.readouterr() == (
+            "", "error: line 1: field 'categories' holds a lone surrogate U+D800\n")
+    assert main(["skew", "intricate", "--corpus", str(corpus), "--year", "2023",
+                 "--on-error", "skip", "--format", "csv"]) == 0
+    assert capsys.readouterr() == ("category,among_matches,among_all\ny,0.0,1.0\n",
+                                   "skipped 1 malformed records (lines 1)\n")
 
 
 @pytest.mark.parametrize("command", [["query", "intricate"],
@@ -672,8 +738,11 @@ def test_skew_corpus_scan_applies_on_error(tmp_path, capsys):
     index = str(tmp_path / "c.idx")
     assert main(["index", "--corpus", str(corpus), "--out", index, "--on-error", "skip"]) == 0
     capsys.readouterr()
-    # A year with no documents reads the same from a scan and from an index.
-    for source in (["--corpus", str(corpus), "--on-error", "skip"], ["--index", index]):
+    # A year with no documents is the same error from a scan and from an
+    # index; the scan first reports the records it skipped.
+    error = "error: no documents in year 2030\n"
+    for source, expected in ((["--corpus", str(corpus), "--on-error", "skip"],
+                              "skipped 2 malformed records (lines 2, 4)\n" + error),
+                             (["--index", index], error)):
         assert main(["skew", "zebra", *source, "--year", "2030"]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: no documents in year 2030") and err.count("\n") == 1
+        assert capsys.readouterr().err == expected

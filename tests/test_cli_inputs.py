@@ -2,9 +2,9 @@
 error (exit 1) is reported in one ``error:`` line. Each command starts from
 a valid command line; awkward values then replace its arguments: non-finite
 and huge numbers, zero or negative sizes, years and totals, reversed year
-ranges, paths that are missing, a directory or binary, and empty or
-over-deep queries. Every awkward value is tried alone, and hypothesis tries
-them in combination."""
+ranges, paths that are missing, a directory or binary, a corpus with
+malformed records, and empty or over-deep queries. Every awkward value is
+tried alone, and hypothesis tries them in combination."""
 
 from __future__ import annotations
 
@@ -28,6 +28,9 @@ SERIES = ("group1", "strong", "intricate", "nosuch")
 # input (the index is the binary one where text is expected), plus missing
 # and a directory. Outputs never overwrite an input.
 INPUTS = ("{index}", "{corpus}", "{counts}", "{lexicon}", "{missing}", "{directory}")
+# A corpus is also read with malformed records in it, so that index and
+# both scans are held to the same exit codes and stderr shape.
+CORPORA = (*INPUTS, "{malformed}")
 OUTPUTS = ("{out}", "{out_in_missing}", "{directory}")
 ON_ERROR = ("skip",)
 FORMATS = ("csv", "json")
@@ -36,7 +39,7 @@ FORMATS = ("csv", "json")
 # QUERY and PATH replace the positional argument, SERIES adds a series name.
 COMMANDS = {
     "index": (["index", "--corpus", "{corpus}", "--out", "{out}"], {
-        "--corpus": INPUTS, "--out": OUTPUTS, "--lexicon": INPUTS,
+        "--corpus": CORPORA, "--out": OUTPUTS, "--lexicon": INPUTS,
         "--on-error": ON_ERROR, "--from": INTEGERS, "--to": INTEGERS}),
     "drift": (["drift", "group1"], {
         "SERIES": SERIES, "--counts": INPUTS, "--index": INPUTS, "--from": INTEGERS,
@@ -47,7 +50,7 @@ COMMANDS = {
         "--target-year": INTEGERS, "--growth": NUMBERS, "--total": INTEGERS,
         "--format": FORMATS}),
     "query": (["query", "any(strong)", "--corpus", "{corpus}"], {
-        "QUERY": QUERIES, "--index": INPUTS, "--corpus": INPUTS, "--lexicon": INPUTS,
+        "QUERY": QUERIES, "--index": INPUTS, "--corpus": CORPORA, "--lexicon": INPUTS,
         "--on-error": ON_ERROR, "--from": INTEGERS, "--to": INTEGERS,
         "--format": FORMATS}),
     "plot": (["plot", "group1", "--out", "{out}"], {
@@ -55,7 +58,7 @@ COMMANDS = {
         "--metric": ("yoy", "count"), "--from": INTEGERS, "--to": INTEGERS,
         "--width": INTEGERS, "--height": INTEGERS, "--out": OUTPUTS}),
     "skew": (["skew", "any(strong)", "--corpus", "{corpus}", "--year", "2023"], {
-        "QUERY": QUERIES, "--index": INPUTS, "--corpus": INPUTS, "--lexicon": INPUTS,
+        "QUERY": QUERIES, "--index": INPUTS, "--corpus": CORPORA, "--lexicon": INPUTS,
         "--on-error": ON_ERROR, "--year": INTEGERS, "--format": FORMATS}),
     "counts import": (["counts", "import", "{counts}"], {"PATH": INPUTS}),
     "counts export": (["counts", "export", "strong", "--index", "{index}", "--out", "{out}"], {
@@ -70,9 +73,17 @@ def paths(tmp_path_factory) -> dict[str, str]:
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["index", "--corpus", str(bundled_corpus_path()), "--out", str(index)]) == 0
     save_lexicon(builtin_lexicon(), tmp / "lexicon.json")
+    (tmp / "malformed.jsonl").write_text("".join(line + "\n" for line in [
+        '{"id": "a", "year": 2023, "text": "a strong intricate plan", "categories": ["x"]}',
+        'garbage',
+        '{"id": "a", "year": 2023, "text": "a repeated id"}',
+        '{"id": "b", "year": 2101, "text": "past the default range"}',
+        '{"id": "c", "year": 2023, "text": "intricate", "categories": ["\\ud800"]}',
+    ]), encoding="utf-8")
     return {
         "index": str(index),
         "corpus": str(bundled_corpus_path()),
+        "malformed": str(tmp / "malformed.jsonl"),
         "counts": str(bundled_counts_path()),
         "lexicon": str(tmp / "lexicon.json"),
         "missing": str(tmp / "missing"),
@@ -100,6 +111,8 @@ def _check(command: str, changes: list[tuple[str, str]], paths: dict[str, str]) 
         code = main(argv)
     lines = err.getvalue().splitlines()
     assert code in (0, 1, 2), (argv, code)
+    # Output that a UTF-8 stdout cannot encode would end in a traceback.
+    out.getvalue().encode("utf-8")
     assert not any("Traceback" in line for line in lines), argv
     if code == 1:
         # One error line; under --on-error skip, the report of the skipped
@@ -116,6 +129,8 @@ def test_each_awkward_value_alone(paths):
                 _check(command, [(flag, value)], paths)
         if "--from" in flags:
             _check(command, [("--from", "2023"), ("--to", "2019")], paths)
+        if "--on-error" in flags:
+            _check(command, [("--corpus", "{malformed}"), ("--on-error", "skip")], paths)
 
 
 @st.composite

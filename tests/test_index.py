@@ -490,9 +490,10 @@ def _with_doc_field(position: int, value):
     _with_doc_field(2, 1 << 60),
     _with_doc_field(3, [7]),
     _with_doc_field(3, None),
+    _with_doc_field(3, ["\ud800x"]),
 ], ids=["missing-key", "not-json", "not-zlib", "not-an-object", "not-utf8",
         "year-not-int", "mask-not-int", "mask-past-vocabulary",
-        "category-not-str", "categories-not-list"])
+        "category-not-str", "categories-not-list", "category-lone-surrogate"])
 def test_malformed_payload_is_an_index_file_error(tmp_path, lexicon, capsys, make_blob):
     path = tmp_path / "bad.idx"
     _write_container(path, make_blob(_saved_payload(lexicon)))
@@ -577,15 +578,32 @@ def _year_field(field: str, value):
      "the category-table rows of 2023 are not strictly ascending"),
     (lambda header, columns: _v2_blob(header, columns, extra_length=len(columns) + 1),
      "runs past the payload"),
+    (_year_field("categories", [["a"], ["b\udcff"]]),
+     "a category in 2023 holds a lone surrogate U+DCFF"),
 ], ids=["column-wider-than-year", "category-row-past-table", "category-row-without-documents",
         "trailing-bytes", "short-column-block", "id-not-str", "ids-unsorted", "ids-repeated",
-        "category-table-unsorted", "category-table-repeated", "header-length-past-payload"])
+        "category-table-unsorted", "category-table-repeated", "header-length-past-payload",
+        "category-lone-surrogate"])
 def test_malformed_v2_payload_is_an_index_file_error(tmp_path, lexicon, capsys, make_blob,
                                                      problem):
     header, columns = _v2_parts(tmp_path, lexicon)
     path = tmp_path / "bad.idx"
     _write_container(path, make_blob(header, columns), version=2)
     _assert_rejected(path, capsys, problem)
+
+
+def test_saved_lone_surrogate_category_is_rejected_on_load(tmp_path, capsys):
+    # A JSON "\\ud800" escape in a corpus category decodes to a lone
+    # surrogate, which no output can print; the builder does not look.
+    path = tmp_path / "surrogate.idx"
+    save_index(build_index([Document(id="a", year=2023, text="an intricate plan",
+                                     categories=("\ud800x",))], builtin_lexicon()), path)
+    error = f"error: {path}: malformed payload (a category in 2023 holds a lone surrogate U+D800)\n"
+    out = tmp_path / "skew.txt"
+    for argv in ([], ["--out", str(out)]):
+        assert main(["skew", "intricate", "--index", str(path), "--year", "2023", *argv]) == 1
+        assert capsys.readouterr() == ("", error)
+    assert not out.exists()
 
 
 # ------------------------------------------------------------ format versions
