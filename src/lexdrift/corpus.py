@@ -15,9 +15,8 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .errors import CorpusFormatError, lone_surrogate, undecodable
 
@@ -81,8 +80,7 @@ def raw_tokens(text: str) -> list[str]:
     return _tokens(text, False)
 
 
-@dataclass(frozen=True)
-class Document:
+class Document(NamedTuple):
     """One corpus record: a published document with full text."""
 
     id: str

@@ -37,7 +37,6 @@ import sys
 import zlib
 from array import array
 from collections import Counter
-from dataclasses import dataclass
 from functools import reduce
 from itertools import chain, compress, product, repeat
 from operator import and_, lt, or_
@@ -349,8 +348,7 @@ def eval_count(index: YearTermIndex, q: Query, year: int) -> int:
     return _posting(index.term_bit, _year(index, year).columns, q).bit_count()
 
 
-@dataclass(frozen=True)
-class CategorySkew:
+class CategorySkew(NamedTuple):
     """Per-category prevalence among query matches vs among all documents."""
 
     year: int
@@ -358,6 +356,7 @@ class CategorySkew:
     total: int
     rows: Mapping[str, tuple[float, float]]
     warning: str | None = None
+    __hash__ = None  # rows is a dict
 
 
 def category_skew(index: YearTermIndex, q: Query, year: int) -> CategorySkew:
@@ -461,6 +460,13 @@ def save_index(index: YearTermIndex, path) -> None:
     years = []
     columns: list[bytes] = []
     for year, y in index._by_year.items():
+        # What the loader would refuse is not written: a category built in
+        # code, not read from a corpus, may be no string or hold a lone
+        # surrogate.
+        try:
+            _check_categories(chain.from_iterable(y.table), f"a category in {year}")
+        except ValueError as exc:
+            raise IndexBuildError(f"cannot save the index: {exc}") from None
         size = (len(y.ids) + 7) // 8
         years.append({"year": year, "ids": list(y.ids),
                       "categories": [list(cats) for cats in y.table]})

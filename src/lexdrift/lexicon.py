@@ -17,37 +17,32 @@ Lexicon JSON files mirror the in-memory structure::
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .corpus import raw_tokens, tokenize
 from .errors import LexiconError
+from .value import Value
 
 ROLES = ("adjective", "adverb", "control", "extra", "disclosure")
 STRENGTH_GROUPS = ("strong", "medium", "weak")
 
 
-@dataclass(frozen=True)
-class TermEntry:
+class TermEntry(NamedTuple):
     term: str
     role: str
     case_sensitive: bool = False
 
 
-@dataclass(frozen=True)
-class Lexicon:
+class Lexicon(Value):
     """Immutable named vocabulary; freely shareable once constructed."""
 
-    name: str
-    entries: tuple[TermEntry, ...]
-    strength: Mapping[str, tuple[str, ...]] = field(default_factory=dict)
+    __slots__ = ("name", "entries", "strength", "_folded", "_groups")
+    __hash__ = None  # strength is a dict
 
-    def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(self.entries))
-        object.__setattr__(
-            self, "strength", {g: tuple(ts) for g, ts in self.strength.items()}
-        )
+    def __init__(self, name: str, entries: Iterable[TermEntry],
+                 strength: Mapping[str, Iterable[str]] = {}):  # read, never kept
+        self._init(name, tuple(entries), {g: tuple(ts) for g, ts in strength.items()})
         self._validate()
         # Derived once, because every query parse reads both.
         folded: dict[str, tuple[str, ...]] = {}

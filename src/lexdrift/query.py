@@ -28,71 +28,75 @@ nest at most ``MAX_NESTING`` deep.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Union
 
 from .corpus import raw_tokens, tokenize
 from .errors import QueryError, QuerySyntaxError, UnknownNameError, undecodable
 from .lexicon import Lexicon
+from .value import Value
 
 
-@dataclass(frozen=True)
-class Term:
-    term: str
+# The nodes set their fields directly, not through Value._init, because a
+# parse builds many of them and the loop there doubles the cost of each.
 
 
-@dataclass(frozen=True)
-class Phrase:
-    tokens: tuple[str, ...]
+class Term(Value):
+    __slots__ = ("term",)
 
-    def __post_init__(self):
-        if not self.tokens:
+    def __init__(self, term: str):
+        object.__setattr__(self, "term", term)
+
+
+class Phrase(Value):
+    __slots__ = ("tokens",)
+
+    def __init__(self, tokens: tuple[str, ...]):
+        if not tokens:
             raise ValueError("phrase needs at least one token")
+        object.__setattr__(self, "tokens", tokens)
 
     @property
     def text(self) -> str:
         return " ".join(self.tokens)
 
 
-@dataclass(frozen=True)
-class AnyOf:
-    members: tuple[str, ...]
+class AnyOf(Value):
+    __slots__ = ("members",)
 
-    def __post_init__(self):
-        if not self.members:
+    def __init__(self, members: tuple[str, ...]):
+        if not members:
             raise ValueError("any() needs at least one member")
+        object.__setattr__(self, "members", members)
 
 
-@dataclass(frozen=True)
-class AtLeastK:
-    k: int
-    members: tuple[str, ...]
+class AtLeastK(Value):
+    __slots__ = ("k", "members")
 
-    def __post_init__(self):
-        if self.k < 1:
+    def __init__(self, k: int, members: tuple[str, ...]):
+        if k < 1:
             raise ValueError("k must be at least 1")
-        if self.k > len(self.members):
-            raise ValueError(
-                f"k={self.k} exceeds the {len(self.members)} listed members"
-            )
+        if k > len(members):
+            raise ValueError(f"k={k} exceeds the {len(members)} listed members")
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "members", members)
 
 
-@dataclass(frozen=True)
-class And:
-    parts: tuple["Query", ...]
+class And(Value):
+    __slots__ = ("parts",)
 
-    def __post_init__(self):
-        if not self.parts:
+    def __init__(self, parts: tuple[Query, ...]):
+        if not parts:
             raise ValueError("and needs at least one operand")
+        object.__setattr__(self, "parts", parts)
 
 
-@dataclass(frozen=True)
-class Or:
-    parts: tuple["Query", ...]
+class Or(Value):
+    __slots__ = ("parts",)
 
-    def __post_init__(self):
-        if not self.parts:
+    def __init__(self, parts: tuple[Query, ...]):
+        if not parts:
             raise ValueError("or needs at least one operand")
+        object.__setattr__(self, "parts", parts)
 
 
 Query = Union[Term, Phrase, AnyOf, AtLeastK, And, Or]

@@ -25,7 +25,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Mapping
 
@@ -35,6 +34,7 @@ from .errors import (
     UndefinedChangeError,
     undecodable,
 )
+from .value import Value
 
 # The count-table path (import, drift, excess) needs no index or query code,
 # so those modules are imported by the functions that read an index.
@@ -116,28 +116,27 @@ def excess(actual: int, expected: int, total: int | None = None) -> tuple[int, f
     return diff, diff / total
 
 
-@dataclass(frozen=True)
-class CountSeries:
+class CountSeries(Value):
     """Yearly (matches, total) points for one named series."""
 
-    series_id: str
-    points: Mapping[int, tuple[int, int]]
+    __slots__ = ("series_id", "points")
+    __hash__ = None  # points is a dict
 
-    def __post_init__(self):
-        if not self.series_id:
+    def __init__(self, series_id: str, points: Mapping[int, tuple[int, int]]):
+        if not series_id:
             raise DataError("series id must be non-empty")
-        items = sorted(self.points.items())
+        items = sorted(points.items())
         for year, (matches, total) in items:
             if total <= 0:
                 raise DataError(
-                    f"series {self.series_id!r} year {year}: total must be positive"
+                    f"series {series_id!r} year {year}: total must be positive"
                 )
             if not 0 <= matches <= total:
                 raise DataError(
-                    f"series {self.series_id!r} year {year}: matches {matches} "
+                    f"series {series_id!r} year {year}: matches {matches} "
                     f"outside 0..{total}"
                 )
-        object.__setattr__(self, "points", dict(items))
+        self._init(series_id, dict(items))
 
     @property
     def years(self) -> tuple[int, ...]:
@@ -335,27 +334,30 @@ def series_from_index(index: YearTermIndex, name: str) -> CountSeries:
     return CountSeries(name, points)
 
 
-@dataclass
-class DriftReport:
+class DriftReport(Value):
     """Everything a report renderer needs for one series; values are computed
-    here once and rendered elsewhere without recomputation."""
+    here once and rendered elsewhere without recomputation. The fields can
+    be assigned, so a report is unhashable."""
 
-    series_id: str
-    years: tuple[int, ...]
-    matches: tuple[int, ...]
-    totals: tuple[int, ...]
-    shares: tuple[float, ...]
-    yoy: tuple[float | None, ...]
-    base_year: int | None = None
-    target_year: int | None = None
-    count_increase: float | None = None
-    share_increase: float | None = None
-    growth: float | None = None
-    expected: int | None = None
-    actual: int | None = None
-    excess: int | None = None
-    excess_share: float | None = None
-    excess_denominator: int | None = None
+    __slots__ = ("series_id", "years", "matches", "totals", "shares", "yoy",
+                 "base_year", "target_year", "count_increase", "share_increase",
+                 "growth", "expected", "actual", "excess", "excess_share",
+                 "excess_denominator")
+    __hash__ = None
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+
+    def __init__(self, series_id: str, years: tuple[int, ...], matches: tuple[int, ...],
+                 totals: tuple[int, ...], shares: tuple[float, ...],
+                 yoy: tuple[float | None, ...], base_year: int | None = None,
+                 target_year: int | None = None, count_increase: float | None = None,
+                 share_increase: float | None = None, growth: float | None = None,
+                 expected: int | None = None, actual: int | None = None,
+                 excess: int | None = None, excess_share: float | None = None,
+                 excess_denominator: int | None = None):
+        self._init(series_id, years, matches, totals, shares, yoy, base_year, target_year,
+                   count_increase, share_increase, growth, expected, actual, excess,
+                   excess_share, excess_denominator)
 
 
 def drift_report(series: CountSeries, *, from_year: int | None = None,

@@ -14,11 +14,11 @@ one of three metrics:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .errors import DataError
 from .stats import CountSeries
+from .value import Value
 
 METRICS = ("count", "share", "yoy")
 
@@ -40,27 +40,24 @@ def _escape(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-@dataclass(frozen=True)
-class PlotSpec:
+class PlotSpec(Value):
     """What to draw: which series, which metric, over which years."""
 
-    series: tuple[str, ...]
-    metric: str = "share"
-    from_year: int | None = None
-    to_year: int | None = None
-    width: int = 900
-    height: int = 480
+    __slots__ = ("series", "metric", "from_year", "to_year", "width", "height")
 
-    def __post_init__(self):
-        object.__setattr__(self, "series", tuple(self.series))
-        if not self.series:
+    def __init__(self, series: Iterable[str], metric: str = "share",
+                 from_year: int | None = None, to_year: int | None = None,
+                 width: int = 900, height: int = 480):
+        series = tuple(series)
+        if not series:
             raise DataError("plot needs at least one series")
-        if self.metric not in METRICS:
+        if metric not in METRICS:
             raise DataError(
-                f"unknown metric {self.metric!r}; expected one of {', '.join(METRICS)}"
+                f"unknown metric {metric!r}; expected one of {', '.join(METRICS)}"
             )
-        if self.width < 200 or self.height < 150:
+        if width < 200 or height < 150:
             raise DataError("plot dimensions must be at least 200x150")
+        self._init(series, metric, from_year, to_year, width, height)
 
 
 def _metric_points(series: CountSeries, metric: str) -> dict[int, float | None]:

@@ -1,6 +1,8 @@
 """The package namespace loads submodules on first use, and each CLI command
-imports only the modules it runs. Cold imports are checked in fresh
-interpreters, because this test process has long since loaded everything."""
+imports only the modules it runs; no command imports ``dataclasses`` or
+``inspect``, which cost a cold start more than most commands' own work.
+Cold imports are checked in fresh interpreters, because this test process
+has long since loaded everything."""
 
 from __future__ import annotations
 
@@ -19,16 +21,40 @@ import lexdrift
 
 SRC = Path(lexdrift.__file__).resolve().parents[1]
 INDEX_SIDE = {"lexdrift.index", "lexdrift.query", "lexdrift.corpus", "lexdrift.lexicon"}
+SLOW = {"dataclasses", "inspect"}
 
 
 def _loaded_after(code: str) -> set[str]:
-    """The ``lexdrift`` modules a fresh interpreter holds after *code*."""
+    """The ``lexdrift`` modules a fresh interpreter holds after *code*,
+    which must have loaded none of SLOW."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
-    probe = code + "\nimport sys\nprint(' '.join(m for m in sys.modules if m.startswith('lexdrift')))"
+    probe = code + ("\nimport sys\nprint(' '.join(m for m in sys.modules"
+                    f" if m.startswith('lexdrift') or m in {sorted(SLOW)}))")
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout
-    return set(out.splitlines()[-1].split())
+    loaded = set(out.splitlines()[-1].split())
+    assert loaded.isdisjoint(SLOW), loaded & SLOW
+    return loaded
+
+
+def _cold_main(*argv: str) -> str:
+    """Code that runs ``main(argv)`` quietly and checks it exits 0."""
+    return ("import contextlib, io\n"
+            "from lexdrift.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert main({list(argv)!r}) == 0")
+
+
+@pytest.fixture(scope="module")
+def sample_index(tmp_path_factory) -> str:
+    from lexdrift import bundled_corpus_path
+    from lexdrift.cli import main
+
+    index = str(tmp_path_factory.mktemp("index") / "sample.idx")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["index", "--corpus", str(bundled_corpus_path()), "--out", index]) == 0
+    return index
 
 
 def test_import_package_loads_no_submodule():
@@ -45,30 +71,30 @@ def test_import_cli_loads_no_command_module():
 
 
 def test_fixture_drift_loads_no_index_side_module():
-    loaded = _loaded_after(
-        "import contextlib, io\n"
-        "from lexdrift.cli import main\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    assert main(['drift', '--format', 'json']) == 0"
-    )
+    loaded = _loaded_after(_cold_main("drift", "--format", "json"))
     assert "lexdrift.stats" in loaded
     assert loaded.isdisjoint(INDEX_SIDE | {"lexdrift.svg"}), loaded
 
 
-def test_skew_by_index_loads_no_stats_module(tmp_path):
-    from lexdrift import bundled_corpus_path
-    from lexdrift.cli import main
-
-    index = str(tmp_path / "sample.idx")
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert main(["index", "--corpus", str(bundled_corpus_path()), "--out", index]) == 0
-    loaded = _loaded_after(
-        "import contextlib, io\n"
-        "from lexdrift.cli import main\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    assert main(['skew', 'any(strong)', '--index', {index!r}, '--year', '2023']) == 0"
-    )
+def test_skew_by_index_loads_no_stats_module(sample_index):
+    loaded = _loaded_after(_cold_main("skew", "any(strong)", "--index", sample_index,
+                                      "--year", "2023"))
     assert "lexdrift.index" in loaded
+    assert loaded.isdisjoint({"lexdrift.stats", "lexdrift.svg"}), loaded
+
+
+def test_query_by_index_loads_no_stats_module(sample_index):
+    loaded = _loaded_after(_cold_main("query", "any(strong)", "--index", sample_index))
+    assert "lexdrift.index" in loaded
+    assert loaded.isdisjoint({"lexdrift.stats", "lexdrift.svg"}), loaded
+
+
+def test_index_build_loads_no_stats_module(tmp_path):
+    from lexdrift import bundled_corpus_path
+
+    loaded = _loaded_after(_cold_main("index", "--corpus", str(bundled_corpus_path()),
+                                      "--out", str(tmp_path / "cold.idx")))
+    assert (tmp_path / "cold.idx").exists()
     assert loaded.isdisjoint({"lexdrift.stats", "lexdrift.svg"}), loaded
 
 

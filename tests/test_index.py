@@ -592,18 +592,34 @@ def test_malformed_v2_payload_is_an_index_file_error(tmp_path, lexicon, capsys, 
     _assert_rejected(path, capsys, problem)
 
 
-def test_saved_lone_surrogate_category_is_rejected_on_load(tmp_path, capsys):
-    # A JSON "\\ud800" escape in a corpus category decodes to a lone
-    # surrogate, which no output can print; the builder does not look.
+def test_saved_lone_surrogate_category_is_rejected_on_load(tmp_path, lexicon, capsys):
+    # A JSON "\\ud800" escape in a category decodes to a lone surrogate,
+    # which no output can print. save_index writes no such file, so this
+    # one is made by hand.
+    header, columns = _v2_parts(tmp_path, lexicon)
+    header["years"][0]["categories"] = [["b"], ["\ud800x"]]
     path = tmp_path / "surrogate.idx"
-    save_index(build_index([Document(id="a", year=2023, text="an intricate plan",
-                                     categories=("\ud800x",))], builtin_lexicon()), path)
+    _write_container(path, _v2_blob(header, columns), version=2)
     error = f"error: {path}: malformed payload (a category in 2023 holds a lone surrogate U+D800)\n"
     out = tmp_path / "skew.txt"
     for argv in ([], ["--out", str(out)]):
         assert main(["skew", "intricate", "--index", str(path), "--year", "2023", *argv]) == 1
         assert capsys.readouterr() == ("", error)
     assert not out.exists()
+
+
+@pytest.mark.parametrize("category, problem", [
+    ("\ud800x", r"a category in 2023 holds a lone surrogate U\+D800"),
+    (7, "a category in 2023 is not a string"),
+], ids=["lone-surrogate", "not-a-string"])
+def test_save_refuses_a_category_the_loader_refuses(tmp_path, lexicon, category, problem):
+    # The corpus reader rejects such a record; a Document built in code
+    # reaches the builder unchecked.
+    index = build_index([Document("a", 2023, "an intricate plan", (category,))], lexicon)
+    path = tmp_path / "bad.idx"
+    with pytest.raises(IndexBuildError, match=problem):
+        save_index(index, path)
+    assert not path.exists()
 
 
 # ------------------------------------------------------------ format versions
