@@ -5,6 +5,7 @@ machinery."""
 from __future__ import annotations
 
 import random
+from typing import Sequence
 
 import pytest
 
@@ -59,12 +60,14 @@ def make_random_corpus(rng: random.Random, lexicon: Lexicon, n_docs: int,
 _JOINERS = "'’-"
 
 
-def oracle_tokens(text: str) -> list[str]:
+def oracle_tokens(text: str, fold: bool = True) -> list[str]:
     """The README's tokenizer rules, written out character by character:
-    after case folding, maximal runs of letters, where a single apostrophe
-    or hyphen with a letter on each side stays inside the token, and a
-    curly apostrophe reads as a straight one."""
-    text = text.casefold()
+    after case folding (unless *fold* is false, as for a case-sensitive
+    entry), maximal runs of letters, where a single apostrophe or hyphen
+    with a letter on each side stays inside the token, and a curly
+    apostrophe reads as a straight one."""
+    if fold:
+        text = text.casefold()
     tokens: list[str] = []
     current = ""
     for i, ch in enumerate(text):
@@ -81,10 +84,13 @@ def oracle_tokens(text: str) -> list[str]:
     return [tok.replace("’", "'") for tok in tokens]
 
 
-def brute_force_count(docs: list[Document], q: Query, year: int) -> int:
-    """Per-document reference evaluation, straight from the query semantics."""
+def brute_force_count(docs: list[Document], q: Query, year: int,
+                      cased: frozenset[str] = frozenset()) -> int:
+    """Per-document reference evaluation, straight from the query semantics;
+    a member named in *cased* is matched without case folding."""
     return sum(
-        1 for d in docs if d.year == year and _matches(oracle_tokens(d.text), q)
+        1 for d in docs if d.year == year and _matches(
+            oracle_tokens(d.text), q, cased, oracle_tokens(d.text, fold=False) if cased else ())
     )
 
 
@@ -109,15 +115,19 @@ def brute_force_skew(docs: list[Document], q: Query,
     return len(hits), len(in_year), rows
 
 
-def _contains_phrase(tokens: list[str], phrase: tuple[str, ...]) -> bool:
+def _contains_phrase(tokens: Sequence[str], phrase: tuple[str, ...]) -> bool:
     n = len(phrase)
     return any(
         tuple(tokens[i:i + n]) == phrase for i in range(len(tokens) - n + 1)
     )
 
 
-def _member_present(tokens: list[str], token_set: set[str], member: str) -> bool:
-    toks = tuple(oracle_tokens(member))
+def _member_present(tokens: Sequence[str], token_set: set[str], member: str,
+                    cased: frozenset[str], raw: Sequence[str]) -> bool:
+    fold = member not in cased
+    if not fold:
+        tokens, token_set = raw, set(raw)
+    toks = tuple(oracle_tokens(member, fold))
     if not toks:  # a member with no tokens, such as "123", matches nothing
         return False
     if len(toks) == 1:
@@ -125,21 +135,24 @@ def _member_present(tokens: list[str], token_set: set[str], member: str) -> bool
     return _contains_phrase(tokens, toks)
 
 
-def _matches(tokens: list[str], q: Query) -> bool:
+def _matches(tokens: list[str], q: Query, cased: frozenset[str] = frozenset(),
+             raw: Sequence[str] = ()) -> bool:
+    """Whether a document of folded *tokens* satisfies *q*; the members in
+    *cased* are looked for in its *raw* tokens, whose case is kept."""
     token_set = set(tokens)
     if isinstance(q, Term):
-        return _member_present(tokens, token_set, q.term)
+        return _member_present(tokens, token_set, q.term, cased, raw)
     if isinstance(q, Phrase):
         return _contains_phrase(tokens, q.tokens)
     if isinstance(q, AnyOf):
-        return any(_member_present(tokens, token_set, m) for m in q.members)
+        return any(_member_present(tokens, token_set, m, cased, raw) for m in q.members)
     if isinstance(q, AtLeastK):
-        hits = sum(1 for m in q.members if _member_present(tokens, token_set, m))
+        hits = sum(1 for m in q.members if _member_present(tokens, token_set, m, cased, raw))
         return hits >= q.k
     if isinstance(q, And):
-        return all(_matches(tokens, part) for part in q.parts)
+        return all(_matches(tokens, part, cased, raw) for part in q.parts)
     if isinstance(q, Or):
-        return any(_matches(tokens, part) for part in q.parts)
+        return any(_matches(tokens, part, cased, raw) for part in q.parts)
     raise TypeError(f"unknown query node {type(q).__name__}")
 
 

@@ -47,7 +47,7 @@ from lexdrift import (
 
 from lexdrift.cli import main
 from lexdrift.lexicon import lexicon_to_dict
-from lexdrift.index import scan_index
+from lexdrift.index import _PREFILTER_MAX_TOKENS, scan_index
 from lexdrift.query import query_vocabulary
 
 from conftest import (
@@ -371,6 +371,68 @@ def test_case_sensitive_phrase_by_index_scan_and_brute_force():
     # The case-folding oracle would count the lower-case mention; the entry
     # is case-sensitive, so neither the index nor a scan does.
     assert eval_count(index, q, 2022) == eval_count_scan(docs, lex, q, 2022) == 0
+    assert brute_force_count(docs, q, 2022, cased=frozenset({q.term})) == 0
+
+
+@pytest.mark.parametrize("term, word", [("red", "fred"), ("intricate", "intricately")])
+def test_a_term_inside_a_longer_word_counts_nothing(lexicon, term, word):
+    # A scan looks for its few words as substrings before it tokenizes a
+    # document; finding one inside a longer word is not a match.
+    docs = _docs((2023, f"Thereafter {word.upper()} and {word} were required"), (2022, f"a {term}"))
+    for year, count in ((2023, 0), (2022, 1)):
+        assert eval_count_scan(docs, lexicon, Term(term), year) == count
+        assert brute_force_count(docs, Term(term), year) == count
+
+
+# Letters that case-fold to two (ß, ﬁ) or to themselves, in both cases.
+_FUZZ_LETTERS = "aeirdAEIRDßﬁ"
+# Text also holds joiners, straight and curly, a numeric non-letter (²), a
+# soft hyphen, a digit and spaces.
+_FUZZ_TEXT = st.text(_FUZZ_LETTERS + "'’-²\u00ad0 ", max_size=12)
+_FUZZ_WORD = st.text(_FUZZ_LETTERS, min_size=1, max_size=3)
+_FUZZ_JOINED = st.tuples(_FUZZ_WORD, st.sampled_from("-'’"), _FUZZ_WORD).map("".join)
+
+
+@st.composite
+def _fuzz_lexicon(draw, wide: bool) -> tuple[Lexicon, frozenset[str]]:
+    """A lexicon of single words, words joined by a hyphen or apostrophe
+    and a phrase, some of them case-sensitive, and its case-sensitive
+    terms. With *wide*, it holds more distinct case-folded words than a
+    vocabulary may hold for the substring prefilter to apply; without, no
+    more terms than that."""
+    limit = _PREFILTER_MAX_TOKENS
+    folded = []
+    if wide:
+        folded = draw(st.lists(_FUZZ_WORD, min_size=limit + 1, max_size=limit + 6,
+                               unique_by=str.casefold))
+    phrase = " ".join(draw(st.lists(_FUZZ_WORD | _FUZZ_JOINED, min_size=2, max_size=3)))
+    others = [*draw(st.lists(_FUZZ_WORD | _FUZZ_JOINED, max_size=limit - 2)), phrase]
+    terms = list(dict.fromkeys([*folded, *others]))
+    cased = frozenset(t for t in others if t not in folded and draw(st.booleans()))
+    return Lexicon("fuzz", [TermEntry(t, "disclosure", t in cased) for t in terms]), cased
+
+
+@pytest.mark.parametrize("wide", [False, True], ids=["few-words", "many-words"])
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_scans_and_builds_count_like_brute_force_on_awkward_text(wide, data):
+    """Whether or not a scan or a build first looks for its words as
+    substrings, it counts what the oracle counts, on text that takes every
+    tokenizer path."""
+    lex, cased = data.draw(_fuzz_lexicon(wide))
+    terms = lex.terms()
+    # A term as written, upper-cased, case-folded or with a curly apostrophe,
+    # between random text.
+    variant = st.sampled_from(terms).flatmap(
+        lambda t: st.sampled_from((t, t.upper(), t.casefold(), t.replace("'", "’"))))
+    texts = st.lists(_FUZZ_TEXT | variant, max_size=6).map("".join)
+    docs = [Document(f"d{i}", 2023, text) for i, text in enumerate(data.draw(
+        st.lists(texts, min_size=1, max_size=8)))]
+    index = build_index(docs, lex)
+    for q in [AnyOf(terms), *map(Term, terms)]:
+        expected = brute_force_count(docs, q, 2023, cased)
+        assert eval_count_scan(docs, lex, q, 2023) == expected, q
+        assert eval_count(index, q, 2023) == expected, q
 
 
 def test_parse_and_eval_together(lexicon):
@@ -620,6 +682,17 @@ def test_save_refuses_a_category_the_loader_refuses(tmp_path, lexicon, category,
     with pytest.raises(IndexBuildError, match=problem):
         save_index(index, path)
     assert not path.exists()
+
+
+@pytest.mark.parametrize("category", [7, ["c"]], ids=["int", "unhashable"])
+def test_a_category_that_is_no_string_is_a_build_error(lexicon, category):
+    # Beside string categories of the same year, it cannot be sorted into
+    # the year's category table.
+    docs = [Document("a", 2023, "x", (category,)), Document("b", 2023, "y", ("c",))]
+    for build in (lambda: build_index(docs, lexicon),
+                  lambda: scan_index(docs, lexicon, Term("intricate"))):
+        with pytest.raises(IndexBuildError, match="^a category in 2023 is not a string$"):
+            build()
 
 
 # ------------------------------------------------------------ format versions
