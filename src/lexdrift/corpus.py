@@ -159,6 +159,8 @@ def iter_corpus(
                     record = json.loads(line)
                 except json.JSONDecodeError as exc:
                     problem = f"invalid JSON ({exc.msg})"
+                except RecursionError:
+                    problem = "invalid JSON (nested too deeply)"
                 else:
                     problem = _record_problem(record, seen, min_year, max_year)
             if problem is not None:

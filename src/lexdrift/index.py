@@ -18,7 +18,10 @@ safe for concurrent readers.
 A corpus scan (:func:`scan_index`) is a :class:`YearTermIndex` too, built
 by the same matcher and the same per-year tables over the query's own terms
 instead of the lexicon, so a scan also counts terms outside the lexicon.
-:func:`eval_count` and :func:`category_skew` answer it like any index.
+:func:`eval_count` and :func:`category_skew` answer its query like any
+index's. It tokenizes only the documents whose text could satisfy the query
+on plain substrings, so its columns are exact for those documents alone: a
+scan answers its own query, not another over the same terms.
 
 Index files are a single binary container: magic, format version, payload
 length and SHA-256 checksum, then a zlib-compressed payload. Version 2, the
@@ -216,17 +219,17 @@ def _little_endian(rows: array) -> array:
     return rows
 
 
-# A table whose probe holds at most this many tokens looks for their needles
-# in a document as plain substrings before it tokenizes the document. On a
-# 1.45 KB document of about 230 tokens, one substring test costs 0.7-1.0 µs
-# and tokenizing and probing 22-29 µs, about 0.1 µs a token (Python 3.11,
-# 2 vCPUs); both grow with the length, so the break-even is near 20 needles
-# whatever the length.
-_PREFILTER_MAX_TOKENS = 12
+# A gate of at most this many needles is tested on each document before it
+# is tokenized; a larger one is not. On the benchmark documents (1.45 KB,
+# about 230 tokens; Python 3.11.7, 2 vCPUs), a gate costs 2.4-3.9 µs a
+# document for its first needle, case-folding included, and 1.1-1.4 µs for
+# each further one that misses; tokenizing and probing cost 20-29 µs. So a
+# gate whose every needle misses costs what it saves at 16-20 needles.
+_GATE_MAX_NEEDLES = 16
 
 
 class _CompiledVocab:
-    """Vocabulary entries, given as (term, case-sensitive) pairs, prepared
+    """Vocabulary entries, given as {term: case-sensitive}, prepared
     for fast per-document matching: bit *j* of a document's mask is set
     when the document holds entry *j*. There is one table per tokenizer in
     use, ``raw_tokens`` for the case-sensitive entries and ``tokenize`` for
@@ -236,19 +239,23 @@ class _CompiledVocab:
     holds the phrases with their first token. A document's tokens are
     looked up in the probe once. An entry with no tokens never matches.
 
-    A table of few probe tokens also keeps their needles: each token's
-    longest run of letters without a joiner. Every token is a substring of
-    the text it came from (of its case fold, for ``tokenize``), except that
-    a curly apostrophe reads as a straight one, so a document holding none
-    of the needles holds none of the tokens and is not tokenized."""
+    Query *q* over these entries becomes a gate, *q* evaluated on plain
+    substrings (:func:`_gate`). Every token is a substring of the text it
+    came from (of its case fold, for ``tokenize``), except that a curly
+    apostrophe reads as a straight one, so a document the gate fails cannot
+    match *q*: its mask is 0 and it is not tokenized."""
 
-    def __init__(self, entries: Iterable[tuple[str, bool]]):
+    def __init__(self, entries: Mapping[str, bool], q: Query | None):
         tables: dict[Callable[[str], list[str]],
                      tuple[dict[str, int], list[tuple[str, list[str], int]]]] = {}
-        for bit, (term, case_sensitive) in enumerate(entries):
+        needles = {}
+        for bit, (term, case_sensitive) in enumerate(entries.items()):
             split = raw_tokens if case_sensitive else tokenize
             single, phrases = tables.setdefault(split, ({}, []))
             toks = split(term)
+            # A needle is a token's longest run of letters without a joiner.
+            needles[term] = (int(case_sensitive), tuple(dict.fromkeys(
+                max(re.split("['’-]", tok), key=len) for tok in toks)))
             if len(toks) == 1:
                 # Entries that differ only in case share a token: OR, so
                 # each of them gets its bit.
@@ -256,20 +263,16 @@ class _CompiledVocab:
             elif toks:
                 phrases.append((toks[0], toks, 1 << bit))
                 single.setdefault(toks[0], 0)
-        self.tables = [(split, frozenset(single), single, phrases,
-                        _needles(single) if len(single) <= _PREFILTER_MAX_TOKENS else None)
+        self.tables = [(split, frozenset(single), single, phrases)
                        for split, (single, phrases) in tables.items()]
+        gate, size = _gate(q, needles) if q is not None else (None, 0)
+        self.gate = gate if size <= _GATE_MAX_NEEDLES else None
 
     def mask_for(self, text: str) -> int:
+        if self.gate is not None and not self.gate((text.casefold(), text)):
+            return 0
         mask = 0
-        for split, probe, single, phrases, needles in self.tables:
-            if needles is not None:
-                hay = text.casefold() if split is tokenize else text
-                for needle in needles:
-                    if needle in hay:
-                        break
-                else:
-                    continue
+        for split, probe, single, phrases in self.tables:
             seq = split(text)
             hits = probe.intersection(seq)
             for tok in hits:
@@ -280,13 +283,58 @@ class _CompiledVocab:
         return mask
 
 
-def _needles(tokens: Iterable[str]) -> tuple[str, ...]:
-    """The longest joiner-free run of each of *tokens*, less any run that
-    holds a shorter one: a text holding none of them holds none of the
-    tokens."""
-    runs = {max(re.split("['’-]", tok), key=len) for tok in tokens}
-    return tuple(sorted(run for run in runs
-                        if not any(other in run for other in runs if other != run)))
+# A gate: a test of a document's case-folded and raw text, and its needle count.
+_Gate = tuple[Callable[[tuple[str, str]], bool], int]
+
+
+def _gate(q: Query, needles: Mapping[str, tuple[int, tuple[str, ...]]]) -> _Gate:
+    """*q* as a gate that passes wherever *q* can match. *needles* maps a
+    term to the text its needles are looked for in (1, the raw text, for a
+    case-sensitive term; 0, the case fold) and to the needles. A term
+    passes when all of its needles occur, one with none never; the other
+    nodes combine their parts as on tokens and stop once the answer is
+    known, and at-least-k counts a member listed twice twice."""
+    if isinstance(q, (And, Or)):  # the parts of fewest needles first
+        parts = sorted((_gate(p, needles) for p in q.parts), key=lambda part: part[1])
+        k = len(parts) if isinstance(q, And) else 1
+    else:
+        members = q.members if isinstance(q, (AnyOf, AtLeastK)) else (
+            q.term if isinstance(q, Term) else q.text,)
+        k = q.k if isinstance(q, AtLeastK) else 1
+        leaves = [needles[m] for m in members]
+        if len({hay for hay, _ in leaves}) == 1 and all(len(f) <= 1 for _, f in leaves):
+            # One pass over the needles, a member's one needle or none.
+            return _substrings(k, leaves[0][0], tuple(chain.from_iterable(f for _, f in leaves)))
+        parts = [_substrings(max(len(f), 1), hay, f) for hay, f in leaves]
+        if len(parts) == 1:  # a phrase
+            return parts[0]
+    tests, count = [test for test, _ in parts], _at_least(k, len(parts))
+    return (lambda hays: count(test(hays) for test in tests)), sum(size for _, size in parts)
+
+
+def _substrings(k: int, hay: int, found: tuple[str, ...]) -> _Gate:
+    """The gate passing when at least *k* of *found* occur in text *hay*."""
+    count = _at_least(k, len(found))
+    return (lambda hays: count(map(hays[hay].__contains__, found))), len(found)
+
+
+def _at_least(k: int, n: int) -> Callable[[Iterator[bool]], bool]:
+    """Whether at least *k* of *n* truth values hold, reading no more of
+    them than it must."""
+    if k == 1:
+        return any
+    if k == n:
+        return all
+
+    def count(results: Iterator[bool]) -> bool:
+        hits = misses = 0
+        for hit in results:
+            hits += hit
+            misses += not hit
+            if hits == k or misses > n - k:
+                return hits == k
+        return False
+    return count
 
 
 def _seq_contains(seq: list[str], toks: list[str]) -> bool:
@@ -306,7 +354,9 @@ class IndexBuilder:
         self.lexicon = lexicon
         self.min_year = min_year
         self.max_year = max_year
-        self._vocab = _CompiledVocab((e.term, e.case_sensitive) for e in lexicon.entries)
+        terms = lexicon.terms()
+        self._vocab = _CompiledVocab({e.term: e.case_sensitive for e in lexicon.entries},
+                                     AnyOf(terms) if terms else None)
         self._marks: list[Mark] = []
         self._seen: set[str] = set()
 
@@ -443,11 +493,13 @@ def scan_index(corpus: Iterable[Document], lexicon: Lexicon, q: Query) -> YearTe
     """*corpus* indexed over the query's own terms instead of the lexicon,
     so that :func:`eval_count` and :func:`category_skew` answer *q* for it
     even where it names terms outside the lexicon. A term is
-    case-sensitive exactly when its lexicon entry is. Such an index cannot
+    case-sensitive exactly when its lexicon entry is. A document that
+    cannot match *q*, tested on plain substrings, holds no term in it, so
+    the index answers *q* exactly and no other query. Such an index cannot
     be saved."""
     terms = tuple(sorted(query_vocabulary(q)))
     case_sensitive = {e.term: e.case_sensitive for e in lexicon.entries}
-    vocab = _CompiledVocab((t, case_sensitive.get(t, False)) for t in terms)
+    vocab = _CompiledVocab({t: case_sensitive.get(t, False) for t in terms}, q)
     years = _years(((doc.id, doc.year, vocab.mask_for(doc.text), tuple(doc.categories))
                     for doc in corpus), len(terms))
     return YearTermIndex._from_columns(lexicon, terms, min(years, default=DEFAULT_MIN_YEAR),
@@ -634,7 +686,10 @@ def _sha256(blob: bytes) -> bytes:
 
 def _json_object(data: bytes) -> dict:
     """The JSON object of an index payload, checked to be one."""
-    doc = json.loads(data.decode("utf-8"))
+    try:
+        doc = json.loads(data.decode("utf-8"))
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
     if not isinstance(doc, dict) or doc.get("format") != _FORMAT:
         raise ValueError("not a lexdrift index payload")
     return doc

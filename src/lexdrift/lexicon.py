@@ -224,4 +224,6 @@ def load_lexicon(path) -> Lexicon:
         raise LexiconError(f"invalid lexicon JSON: {exc.msg} (line {exc.lineno})")
     except UnicodeDecodeError as exc:
         raise LexiconError(f"lexicon file is not UTF-8 (byte offset {exc.start})")
+    except RecursionError:
+        raise LexiconError("invalid lexicon JSON: nested too deeply") from None
     return lexicon_from_dict(data)

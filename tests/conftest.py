@@ -143,7 +143,7 @@ def _matches(tokens: list[str], q: Query, cased: frozenset[str] = frozenset(),
     if isinstance(q, Term):
         return _member_present(tokens, token_set, q.term, cased, raw)
     if isinstance(q, Phrase):
-        return _contains_phrase(tokens, q.tokens)
+        return _member_present(tokens, token_set, q.text, cased, raw)
     if isinstance(q, AnyOf):
         return any(_member_present(tokens, token_set, m, cased, raw) for m in q.members)
     if isinstance(q, AtLeastK):

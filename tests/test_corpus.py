@@ -155,6 +155,17 @@ def test_load_invalid_json_line():
     assert "line 1" in str(err.value)
 
 
+def test_deeply_nested_json_line_is_a_malformed_record():
+    deep = "[" * 200_000 + "\n"
+    with pytest.raises(CorpusFormatError, match=r"line 1: invalid JSON \(nested too deeply\)"):
+        load_corpus(io.StringIO(deep))
+    errors: list[CorpusFormatError] = []
+    docs = load_corpus(io.StringIO(deep + '{"id": "a", "year": 2020, "text": "x"}\n'),
+                       on_error="skip", errors=errors)
+    assert [d.id for d in docs] == ["a"]
+    assert [str(e) for e in errors] == ["line 1: invalid JSON (nested too deeply)"]
+
+
 def test_load_year_out_of_range():
     with pytest.raises(CorpusFormatError):
         load_corpus(_jsonl({"id": "a", "year": 1800, "text": "x"}))

@@ -47,7 +47,7 @@ from lexdrift import (
 
 from lexdrift.cli import main
 from lexdrift.lexicon import lexicon_to_dict
-from lexdrift.index import _PREFILTER_MAX_TOKENS, scan_index
+from lexdrift.index import _GATE_MAX_NEEDLES, scan_index
 from lexdrift.query import query_vocabulary
 
 from conftest import (
@@ -384,6 +384,27 @@ def test_a_term_inside_a_longer_word_counts_nothing(lexicon, term, word):
         assert brute_force_count(docs, Term(term), year) == count
 
 
+def test_an_and_whose_rare_part_sits_inside_a_longer_word_counts_nothing(lexicon):
+    # "fred" lets the 2023 document through the substring test of the
+    # query, and its tokens then hold no "red".
+    docs = _docs((2023, "fred read an intricate proof"), (2022, "an intricate red proof"))
+    index = build_index(docs, lexicon)
+    q = And((Term("intricate"), Term("red")))
+    for year, count in ((2023, 0), (2022, 1)):
+        assert eval_count_scan(docs, lexicon, q, year) == eval_count(index, q, year) \
+            == brute_force_count(docs, q, year) == count
+
+
+@pytest.mark.parametrize("q", [
+    AtLeastK(2, ("intricate", "intricate")),  # a member listed twice counts twice
+    AtLeastK(2, ("red", "intricate", "meticulous")),  # the first member missing
+], ids=["twice", "first-missing"])
+def test_atleast_counts_alike_on_a_scan_and_an_index(lexicon, q):
+    docs = _docs((2023, "an intricate and meticulous proof"), (2023, "plain prose"))
+    assert eval_count_scan(docs, lexicon, q, 2023) == eval_count(build_index(docs, lexicon), q, 2023) \
+        == brute_force_count(docs, q, 2023) == 1
+
+
 # Letters that case-fold to two (ß, ﬁ) or to themselves, in both cases.
 _FUZZ_LETTERS = "aeirdAEIRDßﬁ"
 # Text also holds joiners, straight and curly, a numeric non-letter (²), a
@@ -396,20 +417,31 @@ _FUZZ_JOINED = st.tuples(_FUZZ_WORD, st.sampled_from("-'’"), _FUZZ_WORD).map("
 @st.composite
 def _fuzz_lexicon(draw, wide: bool) -> tuple[Lexicon, frozenset[str]]:
     """A lexicon of single words, words joined by a hyphen or apostrophe
-    and a phrase, some of them case-sensitive, and its case-sensitive
-    terms. With *wide*, it holds more distinct case-folded words than a
-    vocabulary may hold for the substring prefilter to apply; without, no
-    more terms than that."""
-    limit = _PREFILTER_MAX_TOKENS
+    and a phrase of two or three of them, some of them case-sensitive, and
+    its case-sensitive terms. With *wide*, its terms hold more needles than
+    a scan or a build may test as substrings (a word or joined word holds
+    one, the phrase one a word); without, no more than that."""
+    limit = _GATE_MAX_NEEDLES
     folded = []
     if wide:
         folded = draw(st.lists(_FUZZ_WORD, min_size=limit + 1, max_size=limit + 6,
                                unique_by=str.casefold))
     phrase = " ".join(draw(st.lists(_FUZZ_WORD | _FUZZ_JOINED, min_size=2, max_size=3)))
-    others = [*draw(st.lists(_FUZZ_WORD | _FUZZ_JOINED, max_size=limit - 2)), phrase]
+    others = [*draw(st.lists(_FUZZ_WORD | _FUZZ_JOINED, max_size=limit - 3)), phrase]
     terms = list(dict.fromkeys([*folded, *others]))
     cased = frozenset(t for t in others if t not in folded and draw(st.booleans()))
     return Lexicon("fuzz", [TermEntry(t, "disclosure", t in cased) for t in terms]), cased
+
+
+def _fuzz_docs(terms: tuple[str, ...]) -> st.SearchStrategy[list[Document]]:
+    """Documents of 2023 holding a term as written, upper-cased, case-folded
+    or with a curly apostrophe, between random text."""
+    variant = st.sampled_from(terms).flatmap(
+        lambda t: st.sampled_from((t, t.upper(), t.casefold(), t.replace("'", "’"))))
+    texts = st.lists(_FUZZ_TEXT | variant, max_size=6).map("".join)
+    docs = st.lists(st.tuples(texts, st.sampled_from("xy")), min_size=1, max_size=8)
+    return docs.map(lambda ds: [Document(f"d{i}", 2023, text, (cat,))
+                                for i, (text, cat) in enumerate(ds)])
 
 
 @pytest.mark.parametrize("wide", [False, True], ids=["few-words", "many-words"])
@@ -421,18 +453,44 @@ def test_scans_and_builds_count_like_brute_force_on_awkward_text(wide, data):
     tokenizer path."""
     lex, cased = data.draw(_fuzz_lexicon(wide))
     terms = lex.terms()
-    # A term as written, upper-cased, case-folded or with a curly apostrophe,
-    # between random text.
-    variant = st.sampled_from(terms).flatmap(
-        lambda t: st.sampled_from((t, t.upper(), t.casefold(), t.replace("'", "’"))))
-    texts = st.lists(_FUZZ_TEXT | variant, max_size=6).map("".join)
-    docs = [Document(f"d{i}", 2023, text) for i, text in enumerate(data.draw(
-        st.lists(texts, min_size=1, max_size=8)))]
+    docs = data.draw(_fuzz_docs(terms))
     index = build_index(docs, lex)
     for q in [AnyOf(terms), *map(Term, terms)]:
         expected = brute_force_count(docs, q, 2023, cased)
         assert eval_count_scan(docs, lex, q, 2023) == expected, q
         assert eval_count(index, q, 2023) == expected, q
+
+
+def _fuzz_query(terms: tuple[str, ...]) -> st.SearchStrategy:
+    """AND and OR trees at most two deep over the terms, the phrase, and
+    any() and atleast() of terms, a term now and then listed twice."""
+    phrase = next(t for t in terms if " " in t)
+    members = st.lists(st.sampled_from(terms), min_size=1, max_size=4).map(tuple)
+    leaf = st.one_of(
+        st.sampled_from(terms).map(Term), st.just(Phrase(tuple(phrase.split(" ")))),
+        members.map(AnyOf),
+        members.flatmap(lambda ms: st.integers(1, len(ms)).map(lambda k: AtLeastK(k, ms))),
+    )
+
+    def tree(part):
+        return st.tuples(st.sampled_from((And, Or)), st.lists(part, min_size=1, max_size=3)) \
+            .map(lambda node: node[0](tuple(node[1])))
+    return leaf | tree(leaf | tree(leaf))
+
+
+@pytest.mark.parametrize("wide", [False, True], ids=["few-words", "many-words"])
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_scans_of_query_trees_count_like_brute_force_and_skew_like_builds(wide, data):
+    """A scan that tests its whole query on substrings first, or one whose
+    query holds too many needles for that, counts what the oracle counts
+    and skews like the lexicon's index."""
+    lex, cased = data.draw(_fuzz_lexicon(wide))
+    docs = data.draw(_fuzz_docs(lex.terms()))
+    index = build_index(docs, lex)
+    for q in data.draw(st.lists(_fuzz_query(lex.terms()), min_size=1, max_size=4)):
+        assert eval_count_scan(docs, lex, q, 2023) == brute_force_count(docs, q, 2023, cased), q
+        assert category_skew(scan_index(docs, lex, q), q, 2023) == category_skew(index, q, 2023), q
 
 
 def test_parse_and_eval_together(lexicon):
@@ -553,9 +611,11 @@ def _with_doc_field(position: int, value):
     _with_doc_field(3, [7]),
     _with_doc_field(3, None),
     _with_doc_field(3, ["\ud800x"]),
+    lambda payload: zlib.compress(b"[" * 200_000),
 ], ids=["missing-key", "not-json", "not-zlib", "not-an-object", "not-utf8",
         "year-not-int", "mask-not-int", "mask-past-vocabulary",
-        "category-not-str", "categories-not-list", "category-lone-surrogate"])
+        "category-not-str", "categories-not-list", "category-lone-surrogate",
+        "nested-too-deeply"])
 def test_malformed_payload_is_an_index_file_error(tmp_path, lexicon, capsys, make_blob):
     path = tmp_path / "bad.idx"
     _write_container(path, make_blob(_saved_payload(lexicon)))
@@ -642,10 +702,12 @@ def _year_field(field: str, value):
      "runs past the payload"),
     (_year_field("categories", [["a"], ["b\udcff"]]),
      "a category in 2023 holds a lone surrogate U+DCFF"),
+    (lambda header, columns: zlib.compress(struct.pack("<I", 200_000) + b"[" * 200_000),
+     "malformed payload (JSON nested too deeply)"),
 ], ids=["column-wider-than-year", "category-row-past-table", "category-row-without-documents",
         "trailing-bytes", "short-column-block", "id-not-str", "ids-unsorted", "ids-repeated",
         "category-table-unsorted", "category-table-repeated", "header-length-past-payload",
-        "category-lone-surrogate"])
+        "category-lone-surrogate", "header-nested-too-deeply"])
 def test_malformed_v2_payload_is_an_index_file_error(tmp_path, lexicon, capsys, make_blob,
                                                      problem):
     header, columns = _v2_parts(tmp_path, lexicon)

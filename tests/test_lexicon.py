@@ -158,6 +158,9 @@ def test_load_rejects_malformed(tmp_path):
     path.write_text("{broken", encoding="utf-8")
     with pytest.raises(LexiconError, match="line"):
         load_lexicon(path)
+    path.write_text("[" * 200_000, encoding="utf-8")
+    with pytest.raises(LexiconError, match="nested too deeply"):
+        load_lexicon(path)
 
 
 def test_load_rejects_non_utf8(tmp_path):
