@@ -25,15 +25,14 @@ DEFAULT_MAX_YEAR = 2100
 
 # A token is letters optionally chained by single internal hyphens or
 # apostrophes; digits and underscores terminate a token ("gpt-4" -> "gpt").
+JOINERS = "'’-"
 _LETTER = r"[^\W\d_]"
-_TOKEN_RE = re.compile(rf"{_LETTER}+(?:['’-]{_LETTER}+)*")
-
-_JOINERS = "'’-"
+TOKEN_RE = re.compile(rf"{_LETTER}+(?:[{JOINERS}]{_LETTER}+)*")
 
 # ASCII fast path: the translate tables keep letters (lowercased when
 # folding) and the two ASCII joiners and turn everything else into a space;
 # the regex then blanks every joiner that lacks a letter on either side, so
-# each whitespace-separated chunk left is one whole _TOKEN_RE match.
+# each whitespace-separated chunk left is one whole TOKEN_RE match.
 _ASCII_RAW = {
     c: chr(c) if chr(c).isalpha() or chr(c) in "'-" else " " for c in range(128)
 }
@@ -48,14 +47,14 @@ def _letter_runs(text: str) -> list[str]:
     # does; ASCII tokens cannot contain them, so only non-ASCII tokens get a
     # second look.
     out: list[str] = []
-    for tok in _TOKEN_RE.findall(text):
-        if tok.isascii() or all(ch.isalpha() or ch in _JOINERS for ch in tok):
+    for tok in TOKEN_RE.findall(text):
+        if tok.isascii() or all(ch.isalpha() or ch in JOINERS for ch in tok):
             out.append(tok)
         else:
             cleaned = "".join(
-                ch if ch.isalpha() or ch in _JOINERS else " " for ch in tok
+                ch if ch.isalpha() or ch in JOINERS else " " for ch in tok
             )
-            out.extend(_TOKEN_RE.findall(cleaned))
+            out.extend(TOKEN_RE.findall(cleaned))
     return out
 
 

@@ -35,7 +35,6 @@ columns. Version 1 files, one JSON row per document, still load.
 from __future__ import annotations
 
 import json
-import re
 import struct
 import sys
 import zlib
@@ -47,7 +46,7 @@ from operator import and_, lt, or_
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .corpus import Document, DEFAULT_MAX_YEAR, DEFAULT_MIN_YEAR, raw_tokens, tokenize
+from .corpus import Document, DEFAULT_MAX_YEAR, DEFAULT_MIN_YEAR, JOINERS, raw_tokens, tokenize
 from .errors import (
     IndexBuildError,
     IndexChecksumError,
@@ -229,33 +228,34 @@ _GATE_MAX_NEEDLES = 16
 
 
 class _CompiledVocab:
-    """Vocabulary entries, given as {term: case-sensitive}, prepared
-    for fast per-document matching: bit *j* of a document's mask is set
-    when the document holds entry *j*. There is one table per tokenizer in
-    use, ``raw_tokens`` for the case-sensitive entries and ``tokenize`` for
-    the others. A table's probe tokens are its single-token entries and
+    """Vocabulary entries, given as {name: (spelling, case-sensitive)},
+    prepared for fast per-document matching: bit *j* of a document's mask
+    is set when the document holds entry *j*, as spelled. There is one
+    table per tokenizer in use, ``raw_tokens`` for the case-sensitive
+    entries and ``tokenize`` for the others. A table's probe tokens are its single-token entries and
     its phrases' first tokens; it maps each to the bits of the single-token
     entries with that token (none, for a phrase's first token alone), and
     holds the phrases with their first token. A document's tokens are
     looked up in the probe once. An entry with no tokens never matches.
 
-    Query *q* over these entries becomes a gate, *q* evaluated on plain
+    Query *q* over these names becomes a gate, *q* evaluated on plain
     substrings (:func:`_gate`). Every token is a substring of the text it
     came from (of its case fold, for ``tokenize``), except that a curly
     apostrophe reads as a straight one, so a document the gate fails cannot
     match *q*: its mask is 0 and it is not tokenized."""
 
-    def __init__(self, entries: Mapping[str, bool], q: Query | None):
+    def __init__(self, entries: Mapping[str, tuple[str, bool]], q: Query | None):
         tables: dict[Callable[[str], list[str]],
                      tuple[dict[str, int], list[tuple[str, list[str], int]]]] = {}
         needles = {}
-        for bit, (term, case_sensitive) in enumerate(entries.items()):
+        apart = str.maketrans(JOINERS, " " * len(JOINERS))
+        for bit, (name, (term, case_sensitive)) in enumerate(entries.items()):
             split = raw_tokens if case_sensitive else tokenize
             single, phrases = tables.setdefault(split, ({}, []))
             toks = split(term)
             # A needle is a token's longest run of letters without a joiner.
-            needles[term] = (int(case_sensitive), tuple(dict.fromkeys(
-                max(re.split("['’-]", tok), key=len) for tok in toks)))
+            needles[name] = (int(case_sensitive), tuple(dict.fromkeys(
+                max(tok.translate(apart).split(), key=len) for tok in toks)))
             if len(toks) == 1:
                 # Entries that differ only in case share a token: OR, so
                 # each of them gets its bit.
@@ -355,8 +355,8 @@ class IndexBuilder:
         self.min_year = min_year
         self.max_year = max_year
         terms = lexicon.terms()
-        self._vocab = _CompiledVocab({e.term: e.case_sensitive for e in lexicon.entries},
-                                     AnyOf(terms) if terms else None)
+        self._vocab = _CompiledVocab({e.term: (e.term, e.case_sensitive)
+                                      for e in lexicon.entries}, AnyOf(terms) if terms else None)
         self._marks: list[Mark] = []
         self._seen: set[str] = set()
 
@@ -401,35 +401,17 @@ def build_index(corpus: Iterable[Document], lexicon: Lexicon) -> YearTermIndex:
 
 # Unused in the package; bench/run.py's masks_tested counter patches it.
 def compile_predicate(index: YearTermIndex, q: Query) -> Callable[[int], bool]:
-    """Turn a query into a predicate over document bitmasks.
+    """Turn a query into a predicate over document bitmasks, true where
+    :func:`eval_count` counts the document: :func:`_posting` over the
+    one-document columns of the mask.
 
     Raises UnindexedTermError when the query mentions vocabulary the index
     does not carry (use :func:`eval_count_scan` for those).
     """
-    if isinstance(q, Term):
-        mask = 1 << index.term_bit(q.term)
-        return lambda m: m & mask != 0
-    if isinstance(q, Phrase):
-        mask = 1 << index.term_bit(q.text)
-        return lambda m: m & mask != 0
-    if isinstance(q, AnyOf):
-        mask = 0
-        for member in q.members:
-            mask |= 1 << index.term_bit(member)
-        return lambda m: m & mask != 0
-    if isinstance(q, AtLeastK):
-        mask = 0
-        for member in q.members:
-            mask |= 1 << index.term_bit(member)
-        k = q.k
-        return lambda m: (m & mask).bit_count() >= k
-    if isinstance(q, And):
-        parts = [compile_predicate(index, p) for p in q.parts]
-        return lambda m: all(p(m) for p in parts)
-    if isinstance(q, Or):
-        parts = [compile_predicate(index, p) for p in q.parts]
-        return lambda m: any(p(m) for p in parts)
-    raise TypeError(f"not a query node: {q!r}")
+    terms = tuple(query_vocabulary(q))
+    shifts = [index.term_bit(t) for t in terms]
+    local = {t: i for i, t in enumerate(terms)}.__getitem__
+    return lambda m: _posting(local, [m >> s & 1 for s in shifts], q) == 1
 
 
 def eval_count(index: YearTermIndex, q: Query, year: int) -> int:
@@ -492,14 +474,19 @@ def _posting(bit: Callable[[str], int], cols: tuple[int, ...], q: Query) -> int:
 def scan_index(corpus: Iterable[Document], lexicon: Lexicon, q: Query) -> YearTermIndex:
     """*corpus* indexed over the query's own terms instead of the lexicon,
     so that :func:`eval_count` and :func:`category_skew` answer *q* for it
-    even where it names terms outside the lexicon. A term is
-    case-sensitive exactly when its lexicon entry is. A document that
-    cannot match *q*, tested on plain substrings, holds no term in it, so
-    the index answers *q* exactly and no other query. Such an index cannot
-    be saved."""
+    even where it names terms outside the lexicon. A name means the entry
+    :meth:`Lexicon.resolve` finds, as for an index: one spelled exactly
+    so, else the one equal to it ignoring case. It is matched as that entry
+    is spelled, case-sensitive exactly when the entry is; a name of no
+    entry, or of several, is matched case-folded. A document that cannot
+    match *q*, tested on plain substrings, holds no term in it, so the
+    index answers *q* exactly and no other query. Such an index cannot be
+    saved."""
     terms = tuple(sorted(query_vocabulary(q)))
     case_sensitive = {e.term: e.case_sensitive for e in lexicon.entries}
-    vocab = _CompiledVocab({t: case_sensitive.get(t, False) for t in terms}, q)
+    found = {t: lexicon.resolve(t) for t in terms}
+    vocab = _CompiledVocab({t: (f[0], case_sensitive[f[0]]) if len(f) == 1 else (t, False)
+                            for t, f in found.items()}, q)
     years = _years(((doc.id, doc.year, vocab.mask_for(doc.text), tuple(doc.categories))
                     for doc in corpus), len(terms))
     return YearTermIndex._from_columns(lexicon, terms, min(years, default=DEFAULT_MIN_YEAR),

@@ -30,7 +30,7 @@ from __future__ import annotations
 import re
 from typing import Union
 
-from .corpus import raw_tokens, tokenize
+from .corpus import TOKEN_RE, raw_tokens, tokenize
 from .errors import QueryError, QuerySyntaxError, UnknownNameError, undecodable
 from .lexicon import Lexicon
 from .value import Value
@@ -105,7 +105,7 @@ Query = Union[Term, Phrase, AnyOf, AtLeastK, And, Or]
 # so this keeps a hostile query far from the interpreter's recursion limit.
 MAX_NESTING = 100
 
-_WORD = r"[^\W\d_]+(?:['’-][^\W\d_]+)*"
+# A word is what the corpus tokenizer reads as one token.
 _LEX_RE = re.compile(
     rf"""(?P<space>\s+)
       | (?P<lparen>\()
@@ -113,7 +113,7 @@ _LEX_RE = re.compile(
       | (?P<comma>,)
       | (?P<number>\d+)
       | (?P<quoted>"[^"]*")
-      | (?P<word>{_WORD})
+      | (?P<word>{TOKEN_RE.pattern})
     """,
     re.VERBOSE,
 )
@@ -149,7 +149,9 @@ def query_vocabulary(q: Query) -> set[str]:
         return {q.text}
     if isinstance(q, (AnyOf, AtLeastK)):
         return set(q.members)
-    return set().union(*(query_vocabulary(p) for p in q.parts))
+    if isinstance(q, (And, Or)):
+        return set().union(*(query_vocabulary(p) for p in q.parts))
+    raise TypeError(f"not a query node: {q!r}")
 
 
 class _Parser:

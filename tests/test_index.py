@@ -47,7 +47,7 @@ from lexdrift import (
 
 from lexdrift.cli import main
 from lexdrift.lexicon import lexicon_to_dict
-from lexdrift.index import _GATE_MAX_NEEDLES, scan_index
+from lexdrift.index import _GATE_MAX_NEEDLES, compile_predicate, scan_index
 from lexdrift.query import query_vocabulary
 
 from conftest import (
@@ -174,9 +174,14 @@ def test_merge_rejects_a_different_lexicon(lexicon):
 
 
 def test_eval_count_rejects_what_is_not_a_query(lexicon):
-    index = build_index(_docs((2023, "intricate")), lexicon)
+    docs = _docs((2023, "intricate"))
+    index = build_index(docs, lexicon)
     with pytest.raises(TypeError, match="not a query node"):
         eval_count(index, "intricate", 2023)
+    with pytest.raises(TypeError, match="not a query node"):
+        compile_predicate(index, Or((Term("intricate"), "notable")))
+    with pytest.raises(TypeError, match="not a query node"):
+        eval_count_scan(docs, lexicon, "intricate", 2023)
 
 
 def test_empty_corpus(lexicon):
@@ -374,6 +379,29 @@ def test_case_sensitive_phrase_by_index_scan_and_brute_force():
     assert brute_force_count(docs, q, 2022, cased=frozenset({q.term})) == 0
 
 
+@pytest.mark.parametrize("entry, q", [
+    ("GPT", Term("gpt")),
+    ("Large Language Model", Term("large language model")),
+    ("Large Language Model", Phrase(("large", "language", "model"))),
+], ids=["term", "phrase-as-term", "phrase"])
+def test_a_case_sensitive_entry_named_in_another_case_counts_alike_on_a_scan_and_an_index(
+        entry, q):
+    # The name means the one entry equal to it ignoring case, matched as
+    # that entry is spelled, on a scan as on the index.
+    lex = Lexicon("cs", (TermEntry(entry, "disclosure", case_sensitive=True),))
+    docs = _docs((2023, f"we used a {entry.casefold()}"), (2023, f"we used a {entry}"))
+    assert eval_count(build_index(docs, lex), q, 2023) == eval_count_scan(docs, lex, q, 2023) == 1
+
+
+def test_a_name_case_alone_tells_apart_from_two_entries_is_scanned_case_folded():
+    lex = Lexicon("cs", (TermEntry("GPT", "disclosure", case_sensitive=True),
+                         TermEntry("Gpt", "disclosure", case_sensitive=True)))
+    docs = _docs((2023, "we used gpt"), (2023, "we used GPT"), (2023, "we used Gpt"))
+    with pytest.raises(UnindexedTermError):
+        eval_count(build_index(docs, lex), Term("gpt"), 2023)
+    assert eval_count_scan(docs, lex, Term("gpt"), 2023) == 3
+
+
 @pytest.mark.parametrize("term, word", [("red", "fred"), ("intricate", "intricately")])
 def test_a_term_inside_a_longer_word_counts_nothing(lexicon, term, word):
     # A scan looks for its few words as substrings before it tokenizes a
@@ -463,9 +491,11 @@ def test_scans_and_builds_count_like_brute_force_on_awkward_text(wide, data):
 
 def _fuzz_query(terms: tuple[str, ...]) -> st.SearchStrategy:
     """AND and OR trees at most two deep over the terms, the phrase, and
-    any() and atleast() of terms, a term now and then listed twice."""
+    any() and atleast() of terms, in half of them the first one listed
+    twice."""
     phrase = next(t for t in terms if " " in t)
-    members = st.lists(st.sampled_from(terms), min_size=1, max_size=4).map(tuple)
+    members = st.lists(st.sampled_from(terms), min_size=1, max_size=4).flatmap(
+        lambda ms: st.sampled_from((tuple(ms), (*ms, ms[0]))))
     leaf = st.one_of(
         st.sampled_from(terms).map(Term), st.just(Phrase(tuple(phrase.split(" ")))),
         members.map(AnyOf),
@@ -478,19 +508,68 @@ def _fuzz_query(terms: tuple[str, ...]) -> st.SearchStrategy:
     return leaf | tree(leaf | tree(leaf))
 
 
+def _renamed(q, name):
+    """*q* with each term, phrase and member renamed by *name*."""
+    if isinstance(q, Term):
+        return Term(name(q.term))
+    if isinstance(q, Phrase):
+        return Phrase(tuple(name(q.text).split(" ")))
+    if isinstance(q, AnyOf):
+        return AnyOf(tuple(map(name, q.members)))
+    if isinstance(q, AtLeastK):
+        return AtLeastK(q.k, tuple(map(name, q.members)))
+    return type(q)(tuple(_renamed(p, name) for p in q.parts))
+
+
+def _spellings(lex: Lexicon, term: str) -> list[str]:
+    """*term* and each of its re-casings that names that entry alone."""
+    return [term, *(v for v in (term.upper(), term.casefold(), term.swapcase())
+                    if lex.resolve(v) == (term,))]
+
+
 @pytest.mark.parametrize("wide", [False, True], ids=["few-words", "many-words"])
 @settings(max_examples=80, deadline=None)
 @given(data=st.data())
 def test_scans_of_query_trees_count_like_brute_force_and_skew_like_builds(wide, data):
     """A scan that tests its whole query on substrings first, or one whose
     query holds too many needles for that, counts what the oracle counts
-    and skews like the lexicon's index."""
+    and skews like the lexicon's index, also where the query names an
+    entry in another case."""
     lex, cased = data.draw(_fuzz_lexicon(wide))
     docs = data.draw(_fuzz_docs(lex.terms()))
     index = build_index(docs, lex)
     for q in data.draw(st.lists(_fuzz_query(lex.terms()), min_size=1, max_size=4)):
-        assert eval_count_scan(docs, lex, q, 2023) == brute_force_count(docs, q, 2023, cased), q
-        assert category_skew(scan_index(docs, lex, q), q, 2023) == category_skew(index, q, 2023), q
+        expected = brute_force_count(docs, q, 2023, cased)
+        skew = category_skew(index, q, 2023)
+        assert eval_count_scan(docs, lex, q, 2023) == expected, q
+        assert category_skew(scan_index(docs, lex, q), q, 2023) == skew, q
+        recased = _renamed(q, lambda t: data.draw(st.sampled_from(_spellings(lex, t))))
+        assert eval_count_scan(docs, lex, recased, 2023) == eval_count(index, recased, 2023) \
+            == expected, recased
+        assert category_skew(scan_index(docs, lex, recased), recased, 2023) \
+            == category_skew(index, recased, 2023) == skew, recased
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_compiled_predicates_hold_on_the_documents_eval_count_counts(data):
+    """A member listed twice in atleast() counts twice here too."""
+    lex, _ = data.draw(st.booleans().flatmap(_fuzz_lexicon))
+    terms = lex.terms()
+    texts = data.draw(st.lists(st.lists(st.sampled_from(terms), max_size=4).map(" ".join),
+                               min_size=1, max_size=8))
+    index = build_index([Document(f"d{i}", 2023, text) for i, text in enumerate(texts)], lex)
+    masks = [mark[2] for mark in index.doc_marks()]
+    for q in data.draw(st.lists(_fuzz_query(terms), min_size=1, max_size=4)):
+        assert sum(map(compile_predicate(index, q), masks)) == eval_count(index, q, 2023), q
+
+
+def test_a_compiled_predicate_looks_its_terms_up_when_compiled(lexicon):
+    index = build_index(_docs((2023, "an intricate plan")), lexicon)
+    q = AtLeastK(2, ("intricate", "intricate"))
+    assert compile_predicate(index, q)(next(index.doc_marks())[2]) is True
+    with pytest.raises(UnindexedTermError):
+        compile_predicate(index, And((q, AnyOf(("notable", "zebra")))))
 
 
 def test_parse_and_eval_together(lexicon):
@@ -792,8 +871,9 @@ def test_v1_file_answers_like_a_fresh_v2_build(tmp_path, lexicon):
 
 def test_awkward_ids_round_trip(tmp_path, lexicon):
     ids = ["line\nbreak", "two words", "astral \U0001F600", "", 'quote"', "tab\t,comma"]
+    categories = [(), ("x",), ("informática", "Ökologie"), ("物理",)]
     docs = [Document(id=i, year=2020 + k % 2, text="an intricate case" if k % 3 else "plain",
-                     categories=("x",) if k % 2 else ())
+                     categories=categories[k % 4])
             for k, i in enumerate(ids)]
     index = build_index(docs, lexicon)
     path = tmp_path / "awkward.idx"
@@ -801,6 +881,8 @@ def test_awkward_ids_round_trip(tmp_path, lexicon):
     loaded = load_index(path)
     assert list(loaded.doc_marks()) == list(index.doc_marks())
     assert sorted(m[0] for m in loaded.doc_marks()) == sorted(ids)
+    save_index(loaded, tmp_path / "again.idx")
+    assert (tmp_path / "again.idx").read_bytes() == path.read_bytes()
 
 
 def test_repeated_and_unsorted_categories_skew_like_brute_force(tmp_path, lexicon):
