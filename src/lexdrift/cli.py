@@ -167,7 +167,9 @@ def _index_and_query(args: argparse.Namespace, first: int | None,
     named = [year for year in (first, last) if year is not None]
     docs = _documents(args, min_year=min([DEFAULT_MIN_YEAR, *named]),
                       max_year=max([DEFAULT_MAX_YEAR, *named]))
-    return scan_index((doc for doc in docs if _within(doc.year, first, last)), lexicon, q), q
+    if named:
+        docs = (doc for doc in docs if _within(doc.year, first, last))
+    return scan_index(docs, lexicon, q), q
 
 
 # --------------------------------------------------------------------------

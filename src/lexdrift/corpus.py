@@ -18,7 +18,7 @@ import re
 from pathlib import Path
 from typing import Iterator, NamedTuple
 
-from .errors import CorpusFormatError, lone_surrogate, undecodable
+from .errors import CorpusFormatError, lone_surrogate, long_integer, undecodable
 
 DEFAULT_MIN_YEAR = 2000
 DEFAULT_MAX_YEAR = 2100
@@ -88,6 +88,44 @@ class Document(NamedTuple):
     categories: tuple[str, ...] = ()
 
 
+# The categories of a record that has none.
+_NO_CATEGORIES: list[str] = []
+
+
+# json.loads reaches this scanner through three Python calls and two regex
+# matches that skip whitespace around the value. Called directly on a line
+# that starts with its value, it saves 1.3 of the 4.2 µs that decoding a
+# 1.5 KB record takes (Python 3.11.7, 2 vCPUs). It raises StopIteration
+# where no value starts.
+_scan_json = json.JSONDecoder().scan_once
+
+
+def _line_problem(
+    line: str,
+    from_file: bool,
+    seen: dict[str, int],
+    min_year: int,
+    max_year: int,
+) -> tuple[str | None, dict | None]:
+    """Why *line* is a malformed record, by the rules in order, and None;
+    or None and its record, which is None for a blank line."""
+    if not line.strip():
+        return None, None
+    if from_file and not line.isascii():
+        problem = undecodable(line)
+        if problem is not None:
+            return problem, None
+    try:
+        record = json.loads(line)
+    except json.JSONDecodeError as exc:
+        return f"invalid JSON ({exc.msg})", None
+    except ValueError:  # not a JSONDecodeError: an integer too long to convert
+        return f"invalid JSON ({long_integer()})", None
+    except RecursionError:
+        return "invalid JSON (nested too deeply)", None
+    return _record_problem(record, seen, min_year, max_year), record
+
+
 def _record_problem(
     record: object,
     seen: dict[str, int],
@@ -145,37 +183,48 @@ def iter_corpus(
         # so a bad line is reported by number instead of ending the read.
         stream = open(source, "r", encoding="utf-8", errors="surrogateescape")
         opened = True
+    scan = _scan_json
     try:
         seen: dict[str, int] = {}
         for lineno, line in enumerate(stream, start=1):
-            if not line.strip():
-                continue
-            problem: str | None = None
-            if opened and not line.isascii():
-                problem = undecodable(line)
-            if problem is None:
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    problem = f"invalid JSON ({exc.msg})"
-                except RecursionError:
-                    problem = "invalid JSON (nested too deeply)"
-                else:
-                    problem = _record_problem(record, seen, min_year, max_year)
-            if problem is not None:
-                err = CorpusFormatError(f"line {lineno}: {problem}", line=lineno)
-                if on_error == "abort":
-                    raise err
-                if errors is not None:
-                    errors.append(err)
-                continue
-            seen[record["id"]] = lineno
-            yield Document(
-                id=record["id"],
-                year=record["year"],
-                text=record["text"],
-                categories=tuple(record.get("categories", [])),
-            )
+            try:
+                record, end = scan(line, 0)
+            except (StopIteration, ValueError, RecursionError):
+                record, end = None, 0
+            # One test passes a well-formed record: one JSON value that ends
+            # the line, decoded into exact types (no subclasses), with ASCII
+            # categories. Every other line is read again by _line_problem,
+            # by the rules in full.
+            try:
+                well_formed = (
+                    type(record) is dict
+                    and (end == len(line) or line[end:] == "\n")
+                    and (not opened or line.isascii() or undecodable(line) is None)
+                    and type(doc_id := record.get("id")) is str and doc_id != ""
+                    and doc_id not in seen
+                    and type(year := record.get("year")) is int
+                    and min_year <= year <= max_year
+                    and type(text := record.get("text")) is str
+                    and type(cats := record.get("categories", _NO_CATEGORIES)) is list
+                    and "".join(cats).isascii()
+                )
+            except TypeError:  # a category that is no string
+                well_formed = False
+            if not well_formed:
+                problem, record = _line_problem(line, opened, seen, min_year, max_year)
+                if problem is not None:
+                    err = CorpusFormatError(f"line {lineno}: {problem}", line=lineno)
+                    if on_error == "abort":
+                        raise err
+                    if errors is not None:
+                        errors.append(err)
+                    continue
+                if record is None:  # a blank line
+                    continue
+                doc_id, year, text = record["id"], record["year"], record["text"]
+                cats = record.get("categories", _NO_CATEGORIES)
+            seen[doc_id] = lineno
+            yield Document(doc_id, year, text, tuple(cats))
     finally:
         if opened:
             stream.close()

@@ -1,9 +1,12 @@
 """Exception types. All data/validation problems derive from DataError so the
 CLI can map them to exit code 1 (I/O and usage problems exit 2). The readers
 of corpus and count files and the query parser share the message for text
-that is not UTF-8."""
+that is not UTF-8, and the readers of corpus and lexicon files and the
+query parser the one for an integer too long to convert."""
 
 from __future__ import annotations
+
+import sys
 
 
 class DataError(Exception):
@@ -85,6 +88,13 @@ def undecodable(text: str) -> str | None:
             return f"not valid UTF-8 (byte 0x{code - 0xDC00:02x})"
         return f"not valid Unicode (lone surrogate U+{code:04X})"
     return None
+
+
+def long_integer() -> str:
+    """What ``json.loads`` and ``int()`` refuse with a plain ValueError: an
+    integer of more digits than Python converts from text (4,300 unless
+    the interpreter is told otherwise)."""
+    return f"integer of more than {sys.get_int_max_str_digits()} digits"
 
 
 def lone_surrogate(text: str) -> str | None:

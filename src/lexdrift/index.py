@@ -238,11 +238,13 @@ class _CompiledVocab:
     holds the phrases with their first token. A document's tokens are
     looked up in the probe once. An entry with no tokens never matches.
 
-    Query *q* over these names becomes a gate, *q* evaluated on plain
-    substrings (:func:`_gate`). Every token is a substring of the text it
-    came from (of its case fold, for ``tokenize``), except that a curly
-    apostrophe reads as a straight one, so a document the gate fails cannot
-    match *q*: its mask is 0 and it is not tokenized."""
+    Query *q* over these names becomes :attr:`gate`, a test of a document's
+    text: *q* evaluated on plain substrings (:func:`_gate`). Every token is a
+    substring of the text it came from (of its case fold, for ``tokenize``),
+    except that a curly apostrophe reads as a straight one, so a document
+    the gate fails cannot match *q*: its mask is 0, and :meth:`mask` need
+    not tokenize it. Without *q*, or with a gate of too many needles to pay,
+    the gate passes every text."""
 
     def __init__(self, entries: Mapping[str, tuple[str, bool]], q: Query | None):
         tables: dict[Callable[[str], list[str]],
@@ -266,11 +268,11 @@ class _CompiledVocab:
         self.tables = [(split, frozenset(single), single, phrases)
                        for split, (single, phrases) in tables.items()]
         gate, size = _gate(q, needles) if q is not None else (None, 0)
-        self.gate = gate if size <= _GATE_MAX_NEEDLES else None
+        self.gate = _open_gate if gate is None or size > _GATE_MAX_NEEDLES else _text_gate(gate)
 
-    def mask_for(self, text: str) -> int:
-        if self.gate is not None and not self.gate((text.casefold(), text)):
-            return 0
+    def mask(self, text: str) -> int:
+        """The mask of a document of *text*, from its tokens. Where
+        :attr:`gate` fails the text, the mask is 0 and need not be made."""
         mask = 0
         for split, probe, single, phrases in self.tables:
             seq = split(text)
@@ -285,6 +287,16 @@ class _CompiledVocab:
 
 # A gate: a test of a document's case-folded and raw text, and its needle count.
 _Gate = tuple[Callable[[tuple[str, str]], bool], int]
+
+
+def _text_gate(test: Callable[[tuple[str, str]], bool]) -> Callable[[str], bool]:
+    """The gate *test* as a test of a document's text."""
+    # For ASCII text, lower() is the case fold, and the faster of the two.
+    return lambda text: test((text.lower() if text.isascii() else text.casefold(), text))
+
+
+def _open_gate(text: str) -> bool:
+    return True
 
 
 def _gate(q: Query, needles: Mapping[str, tuple[int, tuple[str, ...]]]) -> _Gate:
@@ -369,9 +381,9 @@ class IndexBuilder:
         if doc.id in self._seen:
             raise IndexBuildError(f"duplicate document id {doc.id!r}")
         self._seen.add(doc.id)
-        self._marks.append(
-            (doc.id, doc.year, self._vocab.mask_for(doc.text), tuple(doc.categories))
-        )
+        vocab = self._vocab
+        self._marks.append((doc.id, doc.year, vocab.mask(doc.text) if vocab.gate(doc.text) else 0,
+                            tuple(doc.categories)))
 
     def add_all(self, corpus: Iterable[Document]) -> None:
         for doc in corpus:
@@ -487,8 +499,9 @@ def scan_index(corpus: Iterable[Document], lexicon: Lexicon, q: Query) -> YearTe
     found = {t: lexicon.resolve(t) for t in terms}
     vocab = _CompiledVocab({t: (f[0], case_sensitive[f[0]]) if len(f) == 1 else (t, False)
                             for t, f in found.items()}, q)
-    years = _years(((doc.id, doc.year, vocab.mask_for(doc.text), tuple(doc.categories))
-                    for doc in corpus), len(terms))
+    gate, mask = vocab.gate, vocab.mask
+    years = _years([(doc_id, year, mask(text) if gate(text) else 0, tuple(cats))
+                    for doc_id, year, text, cats in corpus], len(terms))
     return YearTermIndex._from_columns(lexicon, terms, min(years, default=DEFAULT_MIN_YEAR),
                                        max(years, default=DEFAULT_MAX_YEAR), years)
 

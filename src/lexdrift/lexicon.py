@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple
 
 from .corpus import raw_tokens, tokenize
-from .errors import LexiconError
+from .errors import LexiconError, long_integer
 from .value import Value
 
 ROLES = ("adjective", "adverb", "control", "extra", "disclosure")
@@ -224,6 +224,8 @@ def load_lexicon(path) -> Lexicon:
         raise LexiconError(f"invalid lexicon JSON: {exc.msg} (line {exc.lineno})")
     except UnicodeDecodeError as exc:
         raise LexiconError(f"lexicon file is not UTF-8 (byte offset {exc.start})")
+    except ValueError:  # the rest: an integer too long to convert
+        raise LexiconError(f"invalid lexicon JSON: {long_integer()}") from None
     except RecursionError:
         raise LexiconError("invalid lexicon JSON: nested too deeply") from None
     return lexicon_from_dict(data)

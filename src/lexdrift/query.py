@@ -31,7 +31,7 @@ import re
 from typing import Union
 
 from .corpus import TOKEN_RE, raw_tokens, tokenize
-from .errors import QueryError, QuerySyntaxError, UnknownNameError, undecodable
+from .errors import QueryError, QuerySyntaxError, UnknownNameError, long_integer, undecodable
 from .lexicon import Lexicon
 from .value import Value
 
@@ -263,7 +263,10 @@ class _Parser:
         k = None
         if keyword == "atleast":
             num = self.expect("number", "a count for atleast(k, ...)")
-            k = int(num[1])
+            try:
+                k = int(num[1])
+            except ValueError:
+                self.error(f"atleast count is an {long_integer()}", num[2])
             if k < 1:
                 self.error("atleast count must be at least 1", num[2])
             self.expect("comma", "','")

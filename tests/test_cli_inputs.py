@@ -3,13 +3,15 @@ error (exit 1) is reported in one ``error:`` line. Each command starts from
 a valid command line; awkward values then replace its arguments: non-finite
 and huge numbers, zero or negative sizes, years and totals, reversed year
 ranges, paths that are missing, a directory or binary, a corpus with
-malformed records, and empty or over-deep queries. Every awkward value is
+malformed records, integers past Python's 4,300-digit limit for converting
+text (in a corpus, a lexicon and a query), and empty or over-deep queries. Every awkward value is
 tried alone, and hypothesis tries them in combination."""
 
 from __future__ import annotations
 
 import contextlib
 import io
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -20,17 +22,20 @@ from lexdrift.cli import main
 
 NUMBERS = ("nan", "inf", "-inf", "1e308", "0", "-1", "-2.5", "3")
 INTEGERS = ("0", "-1", "-2023", "1", "2019", "2101", str(10**30), "nan")
+HUGE = "9" * 5000
 QUERIES = ("", "INTRICATE", "zebra", "atleast(2, strong)", "atleast(0, strong)",
            '"large language model"', "and", "any(", "¾",
-           "(" * 150 + "intricate" + ")" * 150)
+           "(" * 150 + "intricate" + ")" * 150, f"atleast({HUGE}, strong)")
 SERIES = ("group1", "strong", "intricate", "nosuch")
 # Paths are filled in from the ``paths`` fixture: every readable kind of
 # input (the index is the binary one where text is expected), plus missing
 # and a directory. Outputs never overwrite an input.
 INPUTS = ("{index}", "{corpus}", "{counts}", "{lexicon}", "{missing}", "{directory}")
 # A corpus is also read with malformed records in it, so that index and
-# both scans are held to the same exit codes and stderr shape.
-CORPORA = (*INPUTS, "{malformed}")
+# both scans are held to the same exit codes and stderr shape, and with
+# huge integers in it.
+CORPORA = (*INPUTS, "{malformed}", "{huge_corpus}")
+LEXICONS = (*INPUTS, "{huge_lexicon}")
 OUTPUTS = ("{out}", "{out_in_missing}", "{directory}")
 ON_ERROR = ("skip",)
 FORMATS = ("csv", "json")
@@ -39,7 +44,7 @@ FORMATS = ("csv", "json")
 # QUERY and PATH replace the positional argument, SERIES adds a series name.
 COMMANDS = {
     "index": (["index", "--corpus", "{corpus}", "--out", "{out}"], {
-        "--corpus": CORPORA, "--out": OUTPUTS, "--lexicon": INPUTS,
+        "--corpus": CORPORA, "--out": OUTPUTS, "--lexicon": LEXICONS,
         "--on-error": ON_ERROR, "--from": INTEGERS, "--to": INTEGERS}),
     "drift": (["drift", "group1"], {
         "SERIES": SERIES, "--counts": INPUTS, "--index": INPUTS, "--from": INTEGERS,
@@ -50,7 +55,7 @@ COMMANDS = {
         "--target-year": INTEGERS, "--growth": NUMBERS, "--total": INTEGERS,
         "--format": FORMATS}),
     "query": (["query", "any(strong)", "--corpus", "{corpus}"], {
-        "QUERY": QUERIES, "--index": INPUTS, "--corpus": CORPORA, "--lexicon": INPUTS,
+        "QUERY": QUERIES, "--index": INPUTS, "--corpus": CORPORA, "--lexicon": LEXICONS,
         "--on-error": ON_ERROR, "--from": INTEGERS, "--to": INTEGERS,
         "--format": FORMATS}),
     "plot": (["plot", "group1", "--out", "{out}"], {
@@ -58,7 +63,7 @@ COMMANDS = {
         "--metric": ("yoy", "count"), "--from": INTEGERS, "--to": INTEGERS,
         "--width": INTEGERS, "--height": INTEGERS, "--out": OUTPUTS}),
     "skew": (["skew", "any(strong)", "--corpus", "{corpus}", "--year", "2023"], {
-        "QUERY": QUERIES, "--index": INPUTS, "--corpus": CORPORA, "--lexicon": INPUTS,
+        "QUERY": QUERIES, "--index": INPUTS, "--corpus": CORPORA, "--lexicon": LEXICONS,
         "--on-error": ON_ERROR, "--year": INTEGERS, "--format": FORMATS}),
     "counts import": (["counts", "import", "{counts}"], {"PATH": INPUTS}),
     "counts export": (["counts", "export", "strong", "--index", "{index}", "--out", "{out}"], {
@@ -80,8 +85,18 @@ def paths(tmp_path_factory) -> dict[str, str]:
         '{"id": "b", "year": 2101, "text": "past the default range"}',
         '{"id": "c", "year": 2023, "text": "intricate", "categories": ["\\ud800"]}',
     ]), encoding="utf-8")
+    (tmp / "huge.jsonl").write_text("".join(line + "\n" for line in [
+        '{"id": "a", "year": 2023, "text": "a strong intricate plan"}',
+        f'{{"id": "b", "year": 2023, "text": "intricate", "pages": {HUGE}}}',
+        f'{{"id": "c", "year": {HUGE}, "text": "intricate"}}',
+    ]), encoding="utf-8")
+    (tmp / "huge_lexicon.json").write_text(json.dumps(
+        {"name": "huge", "entries": [{"term": "intricate", "role": "adjective"}],
+         "groups": {"strong": ["intricate"]}})[:-1] + f', "version": {HUGE}}}', encoding="utf-8")
     return {
         "index": str(index),
+        "huge_corpus": str(tmp / "huge.jsonl"),
+        "huge_lexicon": str(tmp / "huge_lexicon.json"),
         "corpus": str(bundled_corpus_path()),
         "malformed": str(tmp / "malformed.jsonl"),
         "counts": str(bundled_counts_path()),

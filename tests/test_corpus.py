@@ -3,9 +3,12 @@ from __future__ import annotations
 import io
 import json
 import string
+import sys
+import tempfile
+from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lexdrift import (
@@ -217,3 +220,154 @@ def test_undecodable_line_is_a_format_error(tmp_path):
     docs = load_corpus(path, on_error="skip", errors=errors)
     assert [(d.id, d.text) for d in docs] == [("a", "café"), ("c", "y")]
     assert [e.line for e in errors] == [2]
+
+
+# ---------------------------------------------------------------- the rules
+
+
+# Written in a record as a quoted placeholder, then replaced by a number
+# past int()'s default limit of 4,300 digits.
+_HUGE = "9" * 5000
+_HUGE_MARK = "<huge>"
+
+
+# Changes that can each make a well-formed record line malformed, or leave
+# it well-formed but not in the usual shape: values of a field, None to drop
+# it, or text "before" or "after" the line.
+_CHANGES = {
+    "id": [None, "", 7, "null"],
+    "year": [None, 1999, 2101, True, 2020.0, "2020", 10**30, _HUGE_MARK],
+    "text": [None, 3],
+    "categories": [["\ud800"], ["cs", "\udfff"], "cs", [1], ["cs", 7], {}],
+    "pages": [_HUGE_MARK],
+    "before": [" ", "\ufeff"],
+    "after": [" ", " x"],
+}
+
+
+@st.composite
+def _record_line(draw) -> str:
+    """A well-formed record line, changed once in half the draws."""
+    record = {"id": draw(st.sampled_from("abcdefgh")), "year": draw(st.sampled_from([2000, 2023, 2100])),
+              # "caf\udcff" written unescaped is a byte that is not UTF-8 in a file.
+              "text": draw(st.sampled_from(["x", "an intricate plan", "café", "caf\udcff"]))}
+    cats = draw(st.sampled_from([None, [], ["cs"], ["cs", "ai"], ["économie"], ["\u3000"]]))
+    if cats is not None:
+        record["categories"] = cats
+    record.update(draw(st.sampled_from([{}, {"extra": 1}, {"extra": {"nested": [1, "x"]}}])))
+    around = {"before": "", "after": ""}
+    if draw(st.booleans()):
+        key = draw(st.sampled_from(sorted(_CHANGES)))
+        value = draw(st.sampled_from(_CHANGES[key]))
+        if key in around:
+            around[key] = value
+        elif value is None:
+            record.pop(key)
+        else:
+            record[key] = None if value == "null" else value
+    line = json.dumps(record, ensure_ascii=draw(st.booleans()))
+    try:
+        line.encode("utf-8", "surrogateescape")
+    except UnicodeEncodeError:  # a surrogate no file can hold unescaped
+        line = json.dumps(record)
+    return around["before"] + line.replace(f'"{_HUGE_MARK}"', _HUGE) + around["after"]
+
+
+_LINE = st.one_of(
+    _record_line(), _record_line(), _record_line(), _record_line(),
+    st.sampled_from([json.dumps(v) for v in ([1, 2], "text", 3, None)]),
+    st.sampled_from(["{", "garbage", '{"id": "a",}', "[" * 5000]),
+    st.sampled_from(["", " ", "\t", "\u3000", " \u3000 "]),  # blank
+)
+
+
+@st.composite
+def _corpus_lines(draw) -> list[str]:
+    """Lines as an iterable holds them: "\n", "\r\n" or no line end."""
+    return [draw(_LINE) + draw(st.sampled_from(["\n", "\n", "\r\n", ""]))
+            for _ in range(draw(st.integers(0, 12)))]
+
+
+def _rule_problem(record, seen: dict) -> str | None:
+    """Why a decoded record is malformed, by the README's rules."""
+    if not isinstance(record, dict):
+        return "record is not a JSON object"
+    for key in ("id", "year", "text"):
+        if key not in record:
+            return f"missing field {key!r}"
+    doc_id, year = record["id"], record["year"]
+    if not isinstance(doc_id, str) or doc_id == "":
+        return "field 'id' must be a non-empty string"
+    if doc_id in seen:
+        return f"duplicate id {doc_id!r} (first seen on line {seen[doc_id]})"
+    if type(year) is not int:
+        return f"field 'year' must be an integer, got {year!r}"
+    if not 2000 <= year <= 2100:
+        return f"year {year} outside allowed range 2000-2100"
+    if not isinstance(record["text"], str):
+        return "field 'text' must be a string"
+    cats = record.get("categories", [])
+    if not isinstance(cats, list) or not all(isinstance(c, str) for c in cats):
+        return "field 'categories' must be a list of strings"
+    lone = [c for c in "".join(cats) if 0xD800 <= ord(c) <= 0xDFFF]
+    if lone:
+        return f"field 'categories' holds a lone surrogate U+{ord(lone[0]):04X}"
+    return None
+
+
+def _expected(lines: list[str], from_file: bool):
+    """The (line, document) pairs and the (line, message) errors of
+    *lines*, in order."""
+    docs, errors, seen = [], [], {}
+    for n, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        escaped = [c for c in line if 0xDC80 <= ord(c) <= 0xDCFF]
+        if from_file and escaped:
+            problem = f"not valid UTF-8 (byte 0x{ord(escaped[0]) - 0xDC00:02x})"
+        else:
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                problem = f"invalid JSON ({exc.msg})"
+            except ValueError:
+                problem = f"invalid JSON (integer of more than {sys.get_int_max_str_digits()} digits)"
+            except RecursionError:
+                problem = "invalid JSON (nested too deeply)"
+            else:
+                problem = _rule_problem(record, seen)
+        if problem is not None:
+            errors.append((n, f"line {n}: {problem}"))
+            continue
+        seen[record["id"]] = n
+        docs.append((n, (record["id"], record["year"], record["text"],
+                         tuple(record.get("categories", [])))))
+    return docs, errors
+
+
+def _read(source, on_error: str):
+    docs, errors = [], []
+    try:
+        for doc in iter_corpus(source, on_error=on_error, errors=errors):
+            docs.append(tuple(doc))
+    except CorpusFormatError as exc:
+        errors.append(exc)
+    return docs, [(e.line, str(e)) for e in errors]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_corpus_lines())
+def test_reader_accepts_exactly_what_the_rules_accept(lines):
+    # The file gets a line end where a line has none, so it holds the same
+    # lines; reading it turns each "\r\n" into "\n".
+    in_file = [line.replace("\r\n", "\n") if line.endswith("\n") else line + "\n"
+               for line in lines]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "c.jsonl"
+        path.write_bytes("".join(in_file).encode("utf-8", "surrogateescape"))
+        for source, seen_lines, from_file in ((lines, lines, False), (path, in_file, True)):
+            docs, errors = _expected(seen_lines, from_file)
+            assert _read(source, "skip") == ([d for _, d in docs], errors)
+            # abort stops at the first error, after the documents before it
+            stop = errors[0][0] if errors else len(seen_lines) + 1
+            assert _read(source, "abort") == ([d for n, d in docs if n < stop], errors[:1])

@@ -433,6 +433,46 @@ def test_atleast_counts_alike_on_a_scan_and_an_index(lexicon, q):
         == brute_force_count(docs, q, 2023) == 1
 
 
+
+# Malformed lines of each kind, and a blank one, between marked documents.
+_SKIPPED_CORPUS = "".join(line + "\n" for line in [
+    '{"id": "a", "year": 2022, "text": "an intricate plan by ChatGPT", "categories": ["x"]}',
+    '{"id": "b", "year": 2022, "text": "plain prose", "categories": ["y"]}',
+    'garbage',
+    '{"id": "c", "year": 2023, "text": "meticulous and innovative", "categories": ["x"]}',
+    '{"id": "d", "year": 2023}',
+    '{"id": "a", "year": 2023, "text": "a repeated id, intricate"}',
+    '',
+    '{"id": "e", "year": 2023, "text": "a notable llm and a commendable plan"}',
+    '{"id": "f", "year": 1999, "text": "intricate, and out of range"}',
+    '{"id": "g", "year": 2023, "text": "intricate", "categories": ["\\ud800"]}',
+    '{"id": "h", "year": 2024, "text": "Intricate work with a large language model"}',
+    # "\udcff" is written as the byte 0xff, which is not UTF-8.
+    '{"id": "i", "year": 2024, "text": "invaluable, \udcff", "categories": ["z"]}',
+    '{"id": "j", "year": 2024, "text": "lucidly written"}',
+]).encode("utf-8", "surrogateescape")
+
+
+@pytest.mark.parametrize("query, matches", [
+    ("any(strong) AND any(disclosure)", (1, 1, 1)),  # 13 needles, tested before tokenizing
+    ("any(adjective, adverb)", (1, 2, 2)),  # 24 needles, too many to test
+], ids=["gated", "ungated"])
+def test_a_scan_that_skips_records_prints_what_an_index_of_them_prints(tmp_path, capsys, query,
+                                                                        matches):
+    corpus, index = tmp_path / "c.jsonl", str(tmp_path / "c.idx")
+    corpus.write_bytes(_SKIPPED_CORPUS)
+    skipped = "skipped 6 malformed records (lines 3, 5, 6, 9, 10, ...)\n"
+    assert main(["index", "--corpus", str(corpus), "--out", index, "--on-error", "skip"]) == 0
+    assert capsys.readouterr().err == skipped
+    assert main(["query", query, "--index", index, "--format", "csv"]) == 0
+    from_index = capsys.readouterr()
+    assert from_index == ("year,matches,total\n" + "".join(
+        f"{year},{n},2\n" for year, n in zip((2022, 2023, 2024), matches)), "")
+    assert main(["query", query, "--corpus", str(corpus), "--on-error", "skip",
+                 "--format", "csv"]) == 0
+    assert capsys.readouterr() == (from_index.out, skipped)
+
+
 # Letters that case-fold to two (ß, ﬁ) or to themselves, in both cases.
 _FUZZ_LETTERS = "aeirdAEIRDßﬁ"
 # Text also holds joiners, straight and curly, a numeric non-letter (²), a

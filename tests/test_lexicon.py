@@ -161,6 +161,10 @@ def test_load_rejects_malformed(tmp_path):
     path.write_text("[" * 200_000, encoding="utf-8")
     with pytest.raises(LexiconError, match="nested too deeply"):
         load_lexicon(path)
+    # json.loads refuses an integer past Python's limit with a plain ValueError.
+    path.write_text('{"name": "x", "entries": [], "size": ' + "9" * 5000 + "}", encoding="utf-8")
+    with pytest.raises(LexiconError, match=r"^invalid lexicon JSON: integer of more than 4300 digits$"):
+        load_lexicon(path)
 
 
 def test_load_rejects_non_utf8(tmp_path):

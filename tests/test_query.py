@@ -115,6 +115,10 @@ def test_atleast_k_validation(lexicon):
         parse_query("atleast(0, strong)", lexicon)
     with pytest.raises(QuerySyntaxError, match="exceeds"):
         parse_query("atleast(5, strong)", lexicon)
+    # int() refuses a count past Python's limit with a plain ValueError.
+    with pytest.raises(QuerySyntaxError,
+                       match=r"^atleast count is an integer of more than 4300 digits \(byte offset 8\)$"):
+        parse_query(f"atleast({'9' * 5000}, strong)", lexicon)
     # k == n is fine
     q = parse_query("atleast(4, strong)", lexicon)
     assert q.k == 4
