@@ -119,7 +119,9 @@ def _line_problem(
         record = json.loads(line)
     except json.JSONDecodeError as exc:
         return f"invalid JSON ({exc.msg})", None
-    except ValueError:  # not a JSONDecodeError: an integer too long to convert
+    except UnicodeDecodeError:  # of a line given as bytes
+        raise
+    except ValueError:  # the rest: an integer too long to convert
         return f"invalid JSON ({long_integer()})", None
     except RecursionError:
         return "invalid JSON (nested too deeply)", None
@@ -189,7 +191,7 @@ def iter_corpus(
         for lineno, line in enumerate(stream, start=1):
             try:
                 record, end = scan(line, 0)
-            except (StopIteration, ValueError, RecursionError):
+            except (StopIteration, ValueError, RecursionError, TypeError):  # TypeError: bytes
                 record, end = None, 0
             # One test passes a well-formed record: one JSON value that ends
             # the line, decoded into exact types (no subclasses), with ASCII

@@ -198,6 +198,19 @@ def test_blank_lines_skipped():
     assert len(load_corpus(stream)) == 2
 
 
+def test_lines_given_as_bytes_are_read_like_text():
+    stream = io.BytesIO(
+        b'{"id": "a", "year": 2020, "text": "caf\xc3\xa9"}\n'
+        b"\n"
+        b'{"id": "a", "year": 2020, "text": "dup"}\n'
+        b'{"id": "b", "year": 2021, "text": "y", "categories": ["cs"]}\n'
+    )
+    errors: list[CorpusFormatError] = []
+    docs = load_corpus(stream, on_error="skip", errors=errors)
+    assert docs == [Document("a", 2020, "café"), Document("b", 2021, "y", ("cs",))]
+    assert [str(e) for e in errors] == ["line 3: duplicate id 'a' (first seen on line 1)"]
+
+
 def test_load_from_path(tmp_path):
     path = tmp_path / "c.jsonl"
     path.write_text('{"id": "a", "year": 2020, "text": "hello"}\n', encoding="utf-8")
