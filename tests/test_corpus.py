@@ -245,8 +245,8 @@ _HUGE_MARK = "<huge>"
 
 
 # Changes that can each make a well-formed record line malformed, or leave
-# it well-formed but not in the usual shape: values of a field, None to drop
-# it, or text "before" or "after" the line.
+# it well-formed but not in the usual shape: values of a field (None drops
+# it, "null" makes it JSON null), or text "before" or "after" the line.
 _CHANGES = {
     "id": [None, "", 7, "null"],
     "year": [None, 1999, 2101, True, 2020.0, "2020", 10**30, _HUGE_MARK],
@@ -373,11 +373,11 @@ def _read(source, on_error: str):
 def test_reader_accepts_exactly_what_the_rules_accept(lines):
     # The file gets a line end where a line has none, so it holds the same
     # lines; reading it turns each "\r\n" into "\n".
-    in_file = [line.replace("\r\n", "\n") if line.endswith("\n") else line + "\n"
-               for line in lines]
+    ended = [line if line.endswith("\n") else line + "\n" for line in lines]
+    in_file = [line.replace("\r\n", "\n") for line in ended]
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "c.jsonl"
-        path.write_bytes("".join(in_file).encode("utf-8", "surrogateescape"))
+        path.write_bytes("".join(ended).encode("utf-8", "surrogateescape"))
         for source, seen_lines, from_file in ((lines, lines, False), (path, in_file, True)):
             docs, errors = _expected(seen_lines, from_file)
             assert _read(source, "skip") == ([d for _, d in docs], errors)
