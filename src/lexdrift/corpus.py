@@ -107,8 +107,9 @@ def _line_problem(
     min_year: int,
     max_year: int,
 ) -> tuple[str | None, dict | None]:
-    """Why *line* is a malformed record, by the rules in order, and None;
-    or None and its record, which is None for a blank line."""
+    """Why *line* is a malformed record, by the rules in order, or None;
+    and the record it decodes to, None for a blank line or one that does
+    not decode."""
     if not line.strip():
         return None, None
     if from_file and not line.isascii():
