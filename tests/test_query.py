@@ -10,6 +10,7 @@ from lexdrift import (
     Lexicon,
     Or,
     Phrase,
+    QueryError,
     QuerySyntaxError,
     Document,
     Term,
@@ -278,3 +279,84 @@ def test_name_resolves_ignoring_case_when_unambiguous():
     assert parse_query('"large language model"', lexicon) == \
         Phrase(("Large", "Language", "Model"))
     assert parse_query("zebra", lexicon) == Term("zebra")
+
+
+# ------------------------------------------------------------ every error
+
+
+def _case_lexicon():
+    return Lexicon("case", (TermEntry("GPT", "disclosure", case_sensitive=True),
+                            TermEntry("gpt", "disclosure")))
+
+
+# Each error the parser raises: the query after the prefix, the lexicon
+# ("case" for the pair above), the exception type, the message and the
+# byte offset into the query after the prefix. The lexer reads the whole
+# text before the parser starts, so a lexer error wins over any parse
+# error before it.
+ERRORS = [
+    ('"large language', "builtin", QuerySyntaxError, "unterminated quoted phrase", 0),
+    ('foo AND AND "bar', "builtin", QuerySyntaxError, "unterminated quoted phrase", 12),
+    ("blue ] red", "builtin", QuerySyntaxError, "unexpected character ']'", 5),
+    ("and ]", "builtin", QuerySyntaxError, "unexpected character ']'", 4),
+    ("bleu € bleu", "builtin", QuerySyntaxError, "unexpected character '€'", 5),
+    ("blue red", "builtin", QuerySyntaxError, "unexpected input 'red'", 5),
+    ('any(strong) "x"', "builtin", QuerySyntaxError, "unexpected input '\"x\"'", 12),
+    ("(blue", "builtin", QuerySyntaxError, "expected ')'", 5),
+    ("(blue red", "builtin", QuerySyntaxError, "expected ')'", 6),
+    ("any(blue red)", "builtin", QuerySyntaxError, "expected ')'", 9),
+    ("atleast(2, strong", "builtin", QuerySyntaxError, "expected ')'", 17),
+    ("atleast(strong)", "builtin", QuerySyntaxError, "expected a count for atleast(k, ...)", 8),
+    ("atleast(2 strong)", "builtin", QuerySyntaxError, "expected ','", 10),
+    ("(" * 101 + "blue" + ")" * 101, "builtin", QuerySyntaxError,
+     "parentheses nested deeper than 100", 100),
+    ("blue and and red", "builtin", QuerySyntaxError, "unexpected keyword 'and'", 9),
+    ("Or", "builtin", QuerySyntaxError, "unexpected keyword 'Or'", 0),
+    ("intricate and a¾b", "builtin", QuerySyntaxError, "'a¾b' is not a single word token", 14),
+    ("", "builtin", QuerySyntaxError, "expected a term, phrase, group operator or '('", 0),
+    ("any(blue) and", "builtin", QuerySyntaxError,
+     "expected a term, phrase, group operator or '('", 13),
+    (")", "builtin", QuerySyntaxError, "expected a term, phrase, group operator or '('", 0),
+    ("2", "builtin", QuerySyntaxError, "expected a term, phrase, group operator or '('", 0),
+    ('"123"', "builtin", QuerySyntaxError, "quoted phrase contains no tokens", 0),
+    ('atleast(2, strong, "")', "builtin", QuerySyntaxError, "quoted phrase contains no tokens",
+     19),
+    (f"atleast({'9' * 5000}, strong)", "builtin", QuerySyntaxError,
+     "atleast count is an integer of more than 4300 digits", 8),
+    ("atleast(0, strong)", "builtin", QuerySyntaxError, "atleast count must be at least 1", 8),
+    ("atleast(5, strong)", "builtin", QuerySyntaxError,
+     "atleast count 5 exceeds the 4 listed terms", 0),
+    ("any(zzzq)", "builtin", UnknownNameError, "unknown group or term 'zzzq'", 4),
+    ("any(,)", "builtin", QuerySyntaxError, "expected a group or term name", 4),
+    ("any(strong, 2)", "builtin", QuerySyntaxError, "expected a group or term name", 12),
+    ("Gpt", "case", UnknownNameError,
+     "'Gpt' is ambiguous: lexicon entries 'GPT', 'gpt' differ only in case", 0),
+    ('"Gpt"', "case", UnknownNameError,
+     "'Gpt' is ambiguous: lexicon entries 'GPT', 'gpt' differ only in case", 0),
+    ("atleast(1, gPT)", "case", UnknownNameError,
+     "'gPT' is ambiguous: lexicon entries 'GPT', 'gpt' differ only in case", 11),
+]
+
+
+@pytest.mark.parametrize("prefix", ["", "cafe OR ", "café OR "])
+@pytest.mark.parametrize("text, lexicon_name, error, message, offset", ERRORS,
+                         ids=[str(i) for i in range(len(ERRORS))])
+def test_each_error_message_and_offset(lexicon, prefix, text, lexicon_name, error, message,
+                                       offset):
+    lex = _case_lexicon() if lexicon_name == "case" else lexicon
+    with pytest.raises(QuerySyntaxError) as err:
+        parse_query(prefix + text, lex)
+    at = len(prefix.encode("utf-8")) + offset
+    assert type(err.value) is error
+    assert str(err.value) == f"{message} (byte offset {at})"
+    assert err.value.offset == at
+
+
+@pytest.mark.parametrize("text, message", [
+    ("blue \udcff", "query text is not valid UTF-8 (byte 0xff)"),
+    ('"large language \ud800', "query text is not valid Unicode (lone surrogate U+D800)"),
+])
+def test_text_that_is_not_utf8_is_refused_before_it_is_read(lexicon, text, message):
+    with pytest.raises(QueryError) as err:
+        parse_query(text, lexicon)
+    assert type(err.value) is QueryError and str(err.value) == message
