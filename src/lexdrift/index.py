@@ -42,7 +42,7 @@ from array import array
 from collections import Counter
 from functools import reduce
 from itertools import chain, compress, product, repeat
-from operator import and_, lt, or_
+from operator import and_, itemgetter, lt, or_
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -55,6 +55,7 @@ from .errors import (
     UnindexedTermError,
     UnknownYearError,
     lone_surrogate,
+    long_integer,
 )
 from .lexicon import Lexicon, lexicon_from_dict, lexicon_to_dict
 from .query import And, AnyOf, AtLeastK, Or, Phrase, Query, Term, query_vocabulary
@@ -414,22 +415,18 @@ def build_index(corpus: Iterable[Document], lexicon: Lexicon) -> YearTermIndex:
 # Unused in the package; bench/run.py's masks_tested counter patches it.
 def compile_predicate(index: YearTermIndex, q: Query) -> Callable[[int], bool]:
     """Turn a query into a predicate over document bitmasks, true where
-    :func:`eval_count` counts the document: :func:`_posting` over the
-    one-document columns of the mask.
-
-    Raises UnindexedTermError when the query mentions vocabulary the index
-    does not carry (use :func:`eval_count_scan` for those).
-    """
-    terms = tuple(query_vocabulary(q))
-    shifts = [index.term_bit(t) for t in terms]
-    local = {t: i for i, t in enumerate(terms)}.__getitem__
-    return lambda m: _posting(local, [m >> s & 1 for s in shifts], q) == 1
+    :func:`eval_count` counts the document: *q* compiled as for it, run on
+    the mask's one-document columns. Raises UnindexedTermError when the
+    query mentions vocabulary the index does not carry."""
+    test, width = _compile(index.term_bit, q), len(index._terms)
+    return lambda m: test([m >> j & 1 for j in range(width)]) == 1
 
 
 def eval_count(index: YearTermIndex, q: Query, year: int) -> int:
     """Exact number of documents in *year* satisfying *q* (presence
     semantics, each document counted once)."""
-    return _posting(index.term_bit, _year(index, year).columns, q).bit_count()
+    columns = _year(index, year).columns
+    return _plan(index, q)(columns).bit_count()
 
 
 class CategorySkew(NamedTuple):
@@ -447,7 +444,7 @@ def category_skew(index: YearTermIndex, q: Query, year: int) -> CategorySkew:
     """How matching documents skew across subject categories in one year.
     A document with several categories counts once per category."""
     y = _year(index, year)
-    return _skew(year, _posting(index.term_bit, y.columns, q), y.table, y.rows)
+    return _skew(year, _plan(index, q)(y.columns), y.table, y.rows)
 
 
 def _year(index: YearTermIndex, year: int) -> _Year:
@@ -457,30 +454,54 @@ def _year(index: YearTermIndex, year: int) -> _Year:
     return y
 
 
-def _posting(bit: Callable[[str], int], cols: tuple[int, ...], q: Query) -> int:
-    """The documents satisfying *q*, as a column over one year's documents;
-    *bit* gives each term's column. Every term is looked up, so an unknown
-    one raises wherever it sits."""
-    if isinstance(q, Term):
-        return cols[bit(q.term)]
-    if isinstance(q, Phrase):
-        return cols[bit(q.text)]
-    if isinstance(q, AnyOf):
-        return reduce(or_, [cols[bit(m)] for m in q.members])
+def _plan(index: YearTermIndex, q: Query) -> Callable[[tuple[int, ...]], int]:
+    """*q* compiled against the term table of *index*. The query node keeps
+    it, so a query evaluated year after year resolves its names once; a
+    query that names a term the index lacks keeps nothing."""
+    plan = getattr(q, "_plan", None)
+    if plan is None or plan[0] is not index._bit:
+        plan = (index._bit, _compile(index.term_bit, q))
+        object.__setattr__(q, "_plan", plan)
+    return plan[1]
+
+
+def _compile(bit: Callable[[str], int], q: Query) -> Callable[[tuple[int, ...]], int]:
+    """*q* as a function of one year's posting columns, giving the column of
+    the documents satisfying it; *bit* gives each term's column. Every term
+    is looked up here, so an unknown one raises wherever it sits."""
     if isinstance(q, AtLeastK):
-        # reach[j]: documents holding at least j + 1 of the members seen so far
-        reach = [0] * q.k
-        for member in q.members:
-            col = cols[bit(member)]
-            for j in range(q.k - 1, 0, -1):
-                reach[j] |= reach[j - 1] & col
-            reach[0] |= col
-        return reach[-1]
-    if isinstance(q, And):
-        return reduce(and_, [_posting(bit, cols, p) for p in q.parts])
-    if isinstance(q, Or):
-        return reduce(or_, [_posting(bit, cols, p) for p in q.parts])
-    raise TypeError(f"not a query node: {q!r}")
+        bits, k = [bit(m) for m in q.members], q.k
+
+        def at_least(cols: tuple[int, ...]) -> int:
+            reach = [0] * k  # documents holding at least j + 1 of the members so far
+            for col in map(cols.__getitem__, bits):
+                for j in range(k - 1, 0, -1):
+                    reach[j] |= reach[j - 1] & col
+                reach[0] |= col
+            return reach[-1]
+        return at_least
+    op = and_ if isinstance(q, And) else or_
+    bits, parts = [], []
+
+    def gather(node: Query) -> None:
+        # A node of q's operator, nested or not, gives its own operands, so
+        # a chain of them costs one reduce.
+        if isinstance(node, (Term, Phrase)):
+            bits.append(bit(node.term if isinstance(node, Term) else node.text))
+        elif isinstance(node, AnyOf) and op is or_:
+            bits.extend(map(bit, node.members))
+        elif isinstance(node, Or if op is or_ else And):
+            for part in node.parts:
+                gather(part)
+        elif isinstance(node, (AnyOf, AtLeastK, And, Or)):
+            parts.append(_compile(bit, node))
+        else:
+            raise TypeError(f"not a query node: {node!r}")
+    gather(q)
+    if bits:
+        get = itemgetter(*bits)
+        parts.append(get if len(bits) == 1 else lambda cols: reduce(op, get(cols)))
+    return parts[0] if len(parts) == 1 else lambda cols: reduce(op, [p(cols) for p in parts])
 
 
 def scan_index(corpus: Iterable[Document], lexicon: Lexicon, q: Query) -> YearTermIndex:
@@ -688,6 +709,10 @@ def _json_object(data: bytes) -> dict:
     """The JSON object of an index payload, checked to be one."""
     try:
         doc = json.loads(data.decode("utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError):
+        raise
+    except ValueError:  # the rest: an integer too long to convert
+        raise ValueError(long_integer()) from None
     except RecursionError:
         raise ValueError("JSON nested too deeply") from None
     if not isinstance(doc, dict) or doc.get("format") != _FORMAT:

@@ -38,17 +38,19 @@ from .value import Value
 
 # The nodes set their fields directly, not through Value._init, because a
 # parse builds many of them and the loop there doubles the cost of each.
+# Their _plan slot is no field: it holds the node compiled against the term
+# table of the index it was last evaluated on (see index.eval_count).
 
 
 class Term(Value):
-    __slots__ = ("term",)
+    __slots__ = ("term", "_plan")
 
     def __init__(self, term: str):
         object.__setattr__(self, "term", term)
 
 
 class Phrase(Value):
-    __slots__ = ("tokens",)
+    __slots__ = ("tokens", "_plan")
 
     def __init__(self, tokens: tuple[str, ...]):
         if not tokens:
@@ -61,7 +63,7 @@ class Phrase(Value):
 
 
 class AnyOf(Value):
-    __slots__ = ("members",)
+    __slots__ = ("members", "_plan")
 
     def __init__(self, members: tuple[str, ...]):
         if not members:
@@ -70,7 +72,7 @@ class AnyOf(Value):
 
 
 class AtLeastK(Value):
-    __slots__ = ("k", "members")
+    __slots__ = ("k", "members", "_plan")
 
     def __init__(self, k: int, members: tuple[str, ...]):
         if k < 1:
@@ -82,7 +84,7 @@ class AtLeastK(Value):
 
 
 class And(Value):
-    __slots__ = ("parts",)
+    __slots__ = ("parts", "_plan")
 
     def __init__(self, parts: tuple[Query, ...]):
         if not parts:
@@ -91,7 +93,7 @@ class And(Value):
 
 
 class Or(Value):
-    __slots__ = ("parts",)
+    __slots__ = ("parts", "_plan")
 
     def __init__(self, parts: tuple[Query, ...]):
         if not parts:
@@ -105,40 +107,24 @@ Query = Union[Term, Phrase, AnyOf, AtLeastK, And, Or]
 # so this keeps a hostile query far from the interpreter's recursion limit.
 MAX_NESTING = 100
 
-# A word is what the corpus tokenizer reads as one token.
-_LEX_RE = re.compile(
-    rf"""(?P<space>\s+)
-      | (?P<lparen>\()
-      | (?P<rparen>\))
-      | (?P<comma>,)
-      | (?P<number>\d+)
-      | (?P<quoted>"[^"]*")
-      | (?P<word>{TOKEN_RE.pattern})
-    """,
-    re.VERBOSE,
-)
+# A token is a parenthesis, a comma, a number, a quoted phrase or a word,
+# which is what the corpus tokenizer reads as one token; the parser tells
+# them apart by their first character, and reads the end of the text as "".
+_TOKEN = rf'[(),]|\d+|"[^"]*"|{TOKEN_RE.pattern}'
+# A token and the whitespace before it, so that no search starts in between.
+_TOKEN_RE = re.compile(rf"\s*({_TOKEN})")
+# The stretch of a text, from its start, that tokens and whitespace cover.
+_COVER_RE = re.compile(rf"(?:\s*(?:{_TOKEN}))*\s*")
 
 
-def _byte_offset(text: str, pos: int) -> int:
-    return len(text[:pos].encode("utf-8"))
+def _join(node, parts: list[Query]) -> Query:
+    return parts[0] if len(parts) == 1 else node(tuple(parts))
 
 
-def _scan(text: str) -> list[tuple[str, str, int]]:
-    tokens: list[tuple[str, str, int]] = []
-    pos = 0
-    while pos < len(text):
-        m = _LEX_RE.match(text, pos)
-        if m is None:
-            off = _byte_offset(text, pos)
-            if text[pos] == '"':
-                raise QuerySyntaxError("unterminated quoted phrase", off)
-            raise QuerySyntaxError(f"unexpected character {text[pos]!r}", off)
-        kind = m.lastgroup
-        if kind != "space":
-            tokens.append((kind, m.group(), m.start()))
-        pos = m.end()
-    tokens.append(("eof", "", len(text)))
-    return tokens
+def _is_word(token: str) -> bool:
+    """Whether *token* is a word; the end of the text ("") is none."""
+    first = token[:1]
+    return first not in '(),"' and not first.isdecimal()
 
 
 def query_vocabulary(q: Query) -> set[str]:
@@ -156,25 +142,26 @@ def query_vocabulary(q: Query) -> set[str]:
 
 class _Parser:
     def __init__(self, text: str, lexicon: Lexicon):
+        end = _COVER_RE.match(text).end()
+        if end < len(text):  # at a character that starts no token
+            offset = len(text[:end].encode("utf-8"))
+            if text[end] == '"':
+                raise QuerySyntaxError("unterminated quoted phrase", offset)
+            raise QuerySyntaxError(f"unexpected character {text[end]!r}", offset)
         self.text = text
-        self.tokens = _scan(text)
-        self.pos = 0
+        self.tokens = _TOKEN_RE.findall(text) + [""]
+        self.i = 0  # the next token
         self.depth = 0
         self.lexicon = lexicon
-        self.groups = {g.casefold(): ts for g, ts in lexicon.groups().items()}
+        # Group names are role and strength names: lowercase already.
+        self.groups = lexicon.groups()
 
-    def peek(self) -> tuple[str, str, int]:
-        return self.tokens[self.pos]
+    def error(self, message: str, i: int, cls=QuerySyntaxError):
+        """Raise *message* at token *i*, found again in the text."""
+        pos = [m.start(1) for m in _TOKEN_RE.finditer(self.text)] + [len(self.text)]
+        raise cls(message, len(self.text[:pos[i]].encode("utf-8")))
 
-    def next(self) -> tuple[str, str, int]:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def error(self, message: str, pos: int, cls=QuerySyntaxError):
-        raise cls(message, _byte_offset(self.text, pos))
-
-    def entry_term(self, name: str, pos: int) -> str | None:
+    def entry_term(self, name: str, i: int) -> str | None:
         """The lexicon entry *name* refers to (see ``Lexicon.resolve``), or
         None when it names none; a name that only case tells apart from
         several entries is an UnknownNameError."""
@@ -183,132 +170,119 @@ class _Parser:
             self.error(
                 f"{name!r} is ambiguous: lexicon entries "
                 f"{', '.join(map(repr, found))} differ only in case",
-                pos, UnknownNameError,
+                i, UnknownNameError,
             )
         return found[0] if found else None
 
-    def expect(self, kind: str, what: str) -> tuple[str, str, int]:
-        tok = self.next()
-        if tok[0] != kind:
-            self.error(f"expected {what}", tok[2])
-        return tok
+    def expect(self, token: str, what: str) -> None:
+        if self.tokens[self.i] != token:
+            self.error(f"expected {what}", self.i)
+        self.i += 1
 
     def parse(self) -> Query:
         q = self.parse_or()
-        tok = self.peek()
-        if tok[0] != "eof":
-            self.error(f"unexpected input {tok[1]!r}", tok[2])
+        if self.tokens[self.i]:
+            self.error(f"unexpected input {self.tokens[self.i]!r}", self.i)
         return q
 
     def parse_or(self) -> Query:
-        parts = [self.parse_and()]
-        while self.peek()[0] == "word" and self.peek()[1].casefold() == "or":
-            self.next()
-            parts.append(self.parse_and())
-        return parts[0] if len(parts) == 1 else Or(tuple(parts))
-
-    def parse_and(self) -> Query:
-        parts = [self.parse_atom()]
-        while self.peek()[0] == "word" and self.peek()[1].casefold() == "and":
-            self.next()
-            parts.append(self.parse_atom())
-        return parts[0] if len(parts) == 1 else And(tuple(parts))
+        """AND chains of atoms joined by OR: AND binds tighter."""
+        ors, ands = [], [self.parse_atom()]
+        while (keyword := self.tokens[self.i].casefold()) in ("and", "or"):
+            self.i += 1
+            if keyword == "or":
+                ors.append(_join(And, ands))
+                ands = []
+            ands.append(self.parse_atom())
+        ors.append(_join(And, ands))
+        return _join(Or, ors)
 
     def parse_atom(self) -> Query:
-        kind, value, pos = self.next()
-        if kind == "lparen":
+        i = self.i
+        token = self.tokens[i]
+        self.i = i + 1
+        if token == "(":
             if self.depth == MAX_NESTING:
-                self.error(f"parentheses nested deeper than {MAX_NESTING}", pos)
+                self.error(f"parentheses nested deeper than {MAX_NESTING}", i)
             self.depth += 1
             q = self.parse_or()
-            self.expect("rparen", "')'")
+            self.expect(")", "')'")
             self.depth -= 1
             return q
-        if kind == "quoted":
-            return self.quoted_atom(value, pos)
-        if kind == "word":
-            keyword = value.casefold()
-            if keyword in ("and", "or"):
-                self.error(f"unexpected keyword {value!r}", pos)
-            if keyword in ("any", "atleast") and self.peek()[0] == "lparen":
-                return self.call_atom(keyword, pos)
-            toks = tokenize(value)
+        if token[:1] == '"':
+            toks = self.quoted_tokens(token, i)
+            return Term(toks[0]) if len(toks) == 1 else Phrase(tuple(toks))
+        if _is_word(token):
+            keyword = token.casefold()
+            if keyword == "and" or keyword == "or":
+                self.error(f"unexpected keyword {token!r}", i)
+            if (keyword == "any" or keyword == "atleast") and self.tokens[i + 1] == "(":
+                return self.call_atom(keyword, i)
+            toks = tokenize(token)
             if len(toks) != 1:
                 # The lexer's word class admits numeric characters such as
                 # '¾' that tokenization drops or splits on.
-                self.error(f"{value!r} is not a single word token", pos)
-            return Term(self.entry_term(value, pos) or toks[0])
-        self.error("expected a term, phrase, group operator or '('", pos)
+                self.error(f"{token!r} is not a single word token", i)
+            return Term(self.entry_term(token, i) or toks[0])
+        self.error("expected a term, phrase, group operator or '('", i)
 
-    def quoted_atom(self, value: str, pos: int) -> Query:
-        toks = self.quoted_tokens(value, pos)
-        if len(toks) == 1:
-            return Term(toks[0])
-        return Phrase(tuple(toks))
-
-    def quoted_tokens(self, value: str, pos: int) -> list[str]:
+    def quoted_tokens(self, token: str, i: int) -> list[str]:
         """The tokens of a quoted phrase: those of the lexicon entry it
         names, else its case-folded tokens."""
-        text = value[1:-1]
-        term = self.entry_term(" ".join(raw_tokens(text)), pos)
+        text = token[1:-1]
+        term = self.entry_term(" ".join(raw_tokens(text)), i)
         if term is not None:
             return term.split(" ")
         toks = tokenize(text)
         if not toks:
-            self.error("quoted phrase contains no tokens", pos)
+            self.error("quoted phrase contains no tokens", i)
         return toks
 
-    def call_atom(self, keyword: str, pos: int) -> Query:
-        self.expect("lparen", "'('")
-        k = None
+    def call_atom(self, keyword: str, i: int) -> Query:
+        self.i += 1  # the '(' the caller saw
         if keyword == "atleast":
-            num = self.expect("number", "a count for atleast(k, ...)")
+            at = self.i
+            count = self.tokens[at]
+            if not count[:1].isdecimal():
+                self.error("expected a count for atleast(k, ...)", at)
+            self.i += 1
             try:
-                k = int(num[1])
+                k = int(count)
             except ValueError:
-                self.error(f"atleast count is an {long_integer()}", num[2])
+                self.error(f"atleast count is an {long_integer()}", at)
             if k < 1:
-                self.error("atleast count must be at least 1", num[2])
-            self.expect("comma", "','")
+                self.error("atleast count must be at least 1", at)
+            self.expect(",", "','")
         members = self.parse_names()
-        self.expect("rparen", "')'")
+        self.expect(")", "')'")
         if keyword == "any":
             return AnyOf(members)
         if k > len(members):
-            self.error(
-                f"atleast count {k} exceeds the {len(members)} listed terms", pos
-            )
+            self.error(f"atleast count {k} exceeds the {len(members)} listed terms", i)
         return AtLeastK(k, members)
 
     def parse_names(self) -> tuple[str, ...]:
-        members: list[str] = []
-        seen: set[str] = set()
-
-        def add(term: str) -> None:
-            if term not in seen:
-                seen.add(term)
-                members.append(term)
-
+        members: dict[str, None] = {}  # in the order first named
+        tokens = self.tokens
         while True:
-            kind, value, pos = self.next()
-            if kind == "word":
-                name = value.casefold()
-                if name in self.groups:
-                    for term in self.groups[name]:
-                        add(term)
-                elif (term := self.entry_term(value, pos)) is not None:
-                    add(term)
+            i = self.i
+            token = tokens[i]
+            self.i = i + 1
+            if token[:1] == '"':
+                members[" ".join(self.quoted_tokens(token, i))] = None
+            elif _is_word(token):
+                group = self.groups.get(token.casefold())
+                if group is not None:
+                    members.update(dict.fromkeys(group))
+                elif (term := self.entry_term(token, i)) is not None:
+                    members[term] = None
                 else:
-                    self.error(
-                        f"unknown group or term {value!r}", pos, UnknownNameError
-                    )
-            elif kind == "quoted":
-                add(" ".join(self.quoted_tokens(value, pos)))
+                    self.error(f"unknown group or term {token!r}", i, UnknownNameError)
             else:
-                self.error("expected a group or term name", pos)
-            if self.peek()[0] != "comma":
+                self.error("expected a group or term name", i)
+            if tokens[self.i] != ",":
                 return tuple(members)
-            self.next()
+            self.i += 1
 
 
 def parse_query(text: str, lexicon: Lexicon) -> Query:

@@ -4,14 +4,18 @@ a valid command line; awkward values then replace its arguments: non-finite
 and huge numbers, zero or negative sizes, years and totals, reversed year
 ranges, paths that are missing, a directory or binary, a corpus with
 malformed records, integers past Python's 4,300-digit limit for converting
-text (in a corpus, a lexicon and a query), and empty or over-deep queries. Every awkward value is
-tried alone, and hypothesis tries them in combination."""
+text (in a corpus, a lexicon, an index header and a query), and empty,
+malformed or over-deep queries. Every awkward value is tried alone, and
+hypothesis tries them in combination."""
 
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
+import struct
+import zlib
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +27,8 @@ from lexdrift.cli import main
 NUMBERS = ("nan", "inf", "-inf", "1e308", "0", "-1", "-2.5", "3")
 INTEGERS = ("0", "-1", "-2023", "1", "2019", "2101", str(10**30), "nan")
 HUGE = "9" * 5000
+# An index file's container header: magic, version, payload length, SHA-256.
+_CONTAINER = struct.Struct("<4sHQ32s")
 QUERIES = ("", "INTRICATE", "zebra", "atleast(2, strong)", "atleast(0, strong)",
            '"large language model"', "and", "any(", "¾",
            "(" * 150 + "intricate" + ")" * 150, f"atleast({HUGE}, strong)")
@@ -36,6 +42,7 @@ INPUTS = ("{index}", "{corpus}", "{counts}", "{lexicon}", "{missing}", "{directo
 # huge integers in it.
 CORPORA = (*INPUTS, "{malformed}", "{huge_corpus}")
 LEXICONS = (*INPUTS, "{huge_lexicon}")
+INDEXES = (*INPUTS, "{huge_index}")
 OUTPUTS = ("{out}", "{out_in_missing}", "{directory}")
 ON_ERROR = ("skip",)
 FORMATS = ("csv", "json")
@@ -47,27 +54,27 @@ COMMANDS = {
         "--corpus": CORPORA, "--out": OUTPUTS, "--lexicon": LEXICONS,
         "--on-error": ON_ERROR, "--from": INTEGERS, "--to": INTEGERS}),
     "drift": (["drift", "group1"], {
-        "SERIES": SERIES, "--counts": INPUTS, "--index": INPUTS, "--from": INTEGERS,
+        "SERIES": SERIES, "--counts": INPUTS, "--index": INDEXES, "--from": INTEGERS,
         "--to": INTEGERS, "--base-year": INTEGERS, "--target-year": INTEGERS,
         "--format": FORMATS, "--out": OUTPUTS}),
     "excess": (["excess", "group4"], {
-        "SERIES": SERIES, "--counts": INPUTS, "--index": INPUTS, "--base-year": INTEGERS,
+        "SERIES": SERIES, "--counts": INPUTS, "--index": INDEXES, "--base-year": INTEGERS,
         "--target-year": INTEGERS, "--growth": NUMBERS, "--total": INTEGERS,
         "--format": FORMATS}),
     "query": (["query", "any(strong)", "--corpus", "{corpus}"], {
-        "QUERY": QUERIES, "--index": INPUTS, "--corpus": CORPORA, "--lexicon": LEXICONS,
+        "QUERY": QUERIES, "--index": INDEXES, "--corpus": CORPORA, "--lexicon": LEXICONS,
         "--on-error": ON_ERROR, "--from": INTEGERS, "--to": INTEGERS,
         "--format": FORMATS}),
     "plot": (["plot", "group1", "--out", "{out}"], {
-        "SERIES": SERIES, "--counts": INPUTS, "--index": INPUTS,
+        "SERIES": SERIES, "--counts": INPUTS, "--index": INDEXES,
         "--metric": ("yoy", "count"), "--from": INTEGERS, "--to": INTEGERS,
         "--width": INTEGERS, "--height": INTEGERS, "--out": OUTPUTS}),
     "skew": (["skew", "any(strong)", "--corpus", "{corpus}", "--year", "2023"], {
-        "QUERY": QUERIES, "--index": INPUTS, "--corpus": CORPORA, "--lexicon": LEXICONS,
+        "QUERY": QUERIES, "--index": INDEXES, "--corpus": CORPORA, "--lexicon": LEXICONS,
         "--on-error": ON_ERROR, "--year": INTEGERS, "--format": FORMATS}),
     "counts import": (["counts", "import", "{counts}"], {"PATH": INPUTS}),
     "counts export": (["counts", "export", "strong", "--index", "{index}", "--out", "{out}"], {
-        "SERIES": SERIES, "--index": INPUTS, "--out": OUTPUTS}),
+        "SERIES": SERIES, "--index": INDEXES, "--out": OUTPUTS}),
 }
 
 
@@ -93,8 +100,16 @@ def paths(tmp_path_factory) -> dict[str, str]:
     (tmp / "huge_lexicon.json").write_text(json.dumps(
         {"name": "huge", "entries": [{"term": "intricate", "role": "adjective"}],
          "groups": {"strong": ["intricate"]}})[:-1] + f', "version": {HUGE}}}', encoding="utf-8")
+    # The index with a header field past the digit limit, its checksum valid.
+    payload = zlib.decompress(index.read_bytes()[_CONTAINER.size:])
+    (size,) = struct.unpack_from("<I", payload)
+    header = payload[4:4 + size - 1] + f', "x": {HUGE}}}'.encode()
+    blob = zlib.compress(struct.pack("<I", len(header)) + header + payload[4 + size:])
+    (tmp / "huge.idx").write_bytes(_CONTAINER.pack(b"LXDX", 2, len(blob), hashlib.sha256(blob).digest())
+                                   + blob)
     return {
         "index": str(index),
+        "huge_index": str(tmp / "huge.idx"),
         "huge_corpus": str(tmp / "huge.jsonl"),
         "huge_lexicon": str(tmp / "huge_lexicon.json"),
         "corpus": str(bundled_corpus_path()),

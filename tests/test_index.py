@@ -731,14 +731,28 @@ def _with_doc_field(position: int, value):
     _with_doc_field(3, None),
     _with_doc_field(3, ["\ud800x"]),
     lambda payload: zlib.compress(b"[" * 200_000),
+    lambda payload: zlib.compress(_with_long_integer(json.dumps(payload))),
 ], ids=["missing-key", "not-json", "not-zlib", "not-an-object", "not-utf8",
         "year-not-int", "mask-not-int", "mask-past-vocabulary",
         "category-not-str", "categories-not-list", "category-lone-surrogate",
-        "nested-too-deeply"])
+        "nested-too-deeply", "integer-too-long"])
 def test_malformed_payload_is_an_index_file_error(tmp_path, lexicon, capsys, make_blob):
     path = tmp_path / "bad.idx"
     _write_container(path, make_blob(_saved_payload(lexicon)))
     _assert_rejected(path, capsys)
+
+
+def _with_long_integer(text: str) -> bytes:
+    """The JSON object *text* with one more field: an integer past Python's
+    4,300-digit limit for converting text, which json.loads refuses with a
+    plain ValueError."""
+    return (text[:-1] + f', "x": {"9" * 5000}}}').encode()
+
+
+def test_a_long_integer_in_a_payload_is_worded_like_other_inputs(tmp_path, lexicon, capsys):
+    path = tmp_path / "long.idx"
+    _write_container(path, zlib.compress(_with_long_integer(json.dumps(_saved_payload(lexicon)))))
+    _assert_rejected(path, capsys, "malformed payload (integer of more than 4300 digits)")
 
 
 def _assert_rejected(path, capsys, problem: str = "") -> None:
@@ -771,8 +785,9 @@ def _v2_parts(tmp_path, lexicon) -> tuple[dict, bytearray]:
     return json.loads(payload[4:4 + size]), bytearray(payload[4 + size:])
 
 
-def _v2_blob(header: dict, columns: bytes, extra_length: int = 0) -> bytes:
-    text = json.dumps(header).encode()
+def _v2_blob(header: dict, columns: bytes, extra_length: int = 0,
+             long_integer: bool = False) -> bytes:
+    text = _with_long_integer(json.dumps(header)) if long_integer else json.dumps(header).encode()
     return zlib.compress(struct.pack("<I", len(text) + extra_length) + text + columns)
 
 
@@ -823,10 +838,12 @@ def _year_field(field: str, value):
      "a category in 2023 holds a lone surrogate U+DCFF"),
     (lambda header, columns: zlib.compress(struct.pack("<I", 200_000) + b"[" * 200_000),
      "malformed payload (JSON nested too deeply)"),
+    (lambda header, columns: _v2_blob(header, columns, long_integer=True),
+     "malformed payload (integer of more than 4300 digits)"),
 ], ids=["column-wider-than-year", "category-row-past-table", "category-row-without-documents",
         "trailing-bytes", "short-column-block", "id-not-str", "ids-unsorted", "ids-repeated",
         "category-table-unsorted", "category-table-repeated", "header-length-past-payload",
-        "category-lone-surrogate", "header-nested-too-deeply"])
+        "category-lone-surrogate", "header-nested-too-deeply", "header-integer-too-long"])
 def test_malformed_v2_payload_is_an_index_file_error(tmp_path, lexicon, capsys, make_blob,
                                                      problem):
     header, columns = _v2_parts(tmp_path, lexicon)
@@ -1113,3 +1130,50 @@ def test_concurrent_readers_of_a_fresh_index(tmp_path, lexicon):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert results == [expected] * 8
+
+
+# ------------------------------------------------------- a query's kept plan
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_one_query_evaluates_alike_on_indexes_of_other_term_orders(lexicon, seed):
+    """A query compiled against one index's term table and kept is never
+    used against another's: one query object, evaluated by turns on a scan
+    (its own terms, sorted) and on the lexicon's index, years reversed,
+    counts and skews as the oracle does."""
+    rng = random.Random(seed)
+    docs = make_random_corpus(rng, lexicon, 60, (2021, 2022, 2023))
+    index = build_index(docs, lexicon)
+    for _ in range(5):
+        q = make_random_query(rng, lexicon)
+        scan = scan_index(docs, lexicon, q)
+        assert any(scan.term_bit(t) != index.term_bit(t) for t in query_vocabulary(q))
+        for year in reversed(index.years):
+            for source in (scan, index, scan):
+                assert eval_count(source, q, year) == brute_force_count(docs, q, year), q
+                skew = category_skew(source, q, year)
+                assert (skew.matched, skew.total, dict(skew.rows)) == \
+                    brute_force_skew(docs, q, year), q
+
+
+def test_a_query_naming_a_term_the_index_lacks_fails_each_time(lexicon):
+    docs = _docs((2023, "an intricate zebra"), (2023, "a zebra"))
+    index = build_index(docs, lexicon)
+    q = Or((Term("intricate"), And((Term("notable"), Term("zebra")))))
+    for _ in range(2):
+        with pytest.raises(UnindexedTermError, match="'zebra'"):
+            eval_count(index, q, 2023)
+        with pytest.raises(UnindexedTermError, match="'zebra'"):
+            category_skew(index, q, 2023)
+    # The same query object still evaluates where the term is indexed.
+    assert eval_count(scan_index(docs, lexicon, q), q, 2023) == 1
+
+
+def test_an_unknown_year_is_reported_before_an_unindexed_term(lexicon):
+    index = build_index(_docs((2023, "an intricate plan")), lexicon)
+    known = Term("intricate")
+    assert eval_count(index, known, 2023) == 1  # compiled and kept
+    for q in (known, Term("zebra")):
+        for evaluate in (eval_count, category_skew):
+            with pytest.raises(UnknownYearError, match="no documents in year 2030"):
+                evaluate(index, q, 2030)

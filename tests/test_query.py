@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from lexdrift import (
@@ -24,6 +26,8 @@ from lexdrift import (
     series_from_index,
 )
 from lexdrift.query import MAX_NESTING, query_vocabulary
+
+from conftest import make_random_query
 
 
 def test_or_of_terms(lexicon):
@@ -360,3 +364,35 @@ def test_text_that_is_not_utf8_is_refused_before_it_is_read(lexicon, text, messa
     with pytest.raises(QueryError) as err:
         parse_query(text, lexicon)
     assert type(err.value) is QueryError and str(err.value) == message
+
+
+# ------------------------------------------------------- text and trees
+
+
+def _render(q, rng) -> str:
+    """Query text for the tree *q* over the builtin lexicon's terms, with
+    keywords in random case: a term bare or quoted, a phrase and every
+    listed member quoted (a bare member may name a group), each operand of
+    AND and OR in parentheses."""
+    def keyword(word: str) -> str:
+        return rng.choice((word, word.upper(), word.capitalize()))
+
+    if isinstance(q, Term):
+        return rng.choice((q.term, f'"{q.term}"'))
+    if isinstance(q, Phrase):
+        return f'"{q.text}"'
+    names = ", ".join(f'"{m}"' for m in getattr(q, "members", ()))
+    if isinstance(q, AnyOf):
+        return f"{keyword('any')}({names})"
+    if isinstance(q, AtLeastK):
+        return f"{keyword('atleast')}({q.k}, {names})"
+    joiner = f" {keyword('and' if isinstance(q, And) else 'or')} "
+    return joiner.join(f"({_render(part, rng)})" for part in q.parts)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_rendered_query_trees_parse_back(lexicon, seed):
+    rng = random.Random(seed)
+    for _ in range(40):
+        q = make_random_query(rng, lexicon, depth=4)
+        assert parse_query(_render(q, rng), lexicon) == q

@@ -25,7 +25,9 @@ from lexdrift import (
     Term,
     TermEntry,
     drift_report,
+    eval_count,
 )
+from lexdrift.index import scan_index
 
 ENTRY = TermEntry("a", "adjective")
 LEXICON = Lexicon("x", (ENTRY,), {"strong": ("a",)})
@@ -183,3 +185,18 @@ def test_keyword_and_default_construction():
 def test_validation_errors(make, error, message):
     with pytest.raises(error, match=message):
         make()
+
+
+@pytest.mark.parametrize("node", NODES, ids=repr)
+def test_an_evaluated_query_node_is_the_value_it_was(node):
+    # Evaluating a node keeps its compiled form on it, which is no field.
+    twin = eval(repr(node))
+    lexicon = Lexicon("x", (TermEntry("a", "adjective"), TermEntry("b", "adjective")))
+    docs = [Document("d", 2020, "a b")]
+    assert eval_count(scan_index(docs, lexicon, node), node, 2020) == 1
+    assert node == twin and hash(node) == hash(twin) and repr(node) == repr(twin)
+    assert pickle.dumps(node) == pickle.dumps(twin)
+    for copied in (copy.copy(node), copy.deepcopy(node), pickle.loads(pickle.dumps(node))):
+        assert type(copied) is type(node) and copied == twin and repr(copied) == repr(twin)
+    with pytest.raises(AttributeError):
+        setattr(node, "_plan", None)
