@@ -425,7 +425,7 @@ def compile_predicate(index: YearTermIndex, q: Query) -> Callable[[int], bool]:
 def eval_count(index: YearTermIndex, q: Query, year: int) -> int:
     """Exact number of documents in *year* satisfying *q* (presence
     semantics, each document counted once)."""
-    columns = _year(index, year).columns
+    columns = _year(index, year).columns  # an unknown year is reported first
     return _plan(index, q)(columns).bit_count()
 
 
@@ -473,7 +473,8 @@ def _compile(bit: Callable[[str], int], q: Query) -> Callable[[tuple[int, ...]],
         bits, k = [bit(m) for m in q.members], q.k
 
         def at_least(cols: tuple[int, ...]) -> int:
-            reach = [0] * k  # documents holding at least j + 1 of the members so far
+            # reach[j]: documents holding at least j + 1 of the members seen so far
+            reach = [0] * k
             for col in map(cols.__getitem__, bits):
                 for j in range(k - 1, 0, -1):
                     reach[j] |= reach[j - 1] & col

@@ -117,16 +117,6 @@ _TOKEN_RE = re.compile(rf"\s*({_TOKEN})")
 _COVER_RE = re.compile(rf"(?:\s*(?:{_TOKEN}))*\s*")
 
 
-def _join(node, parts: list[Query]) -> Query:
-    return parts[0] if len(parts) == 1 else node(tuple(parts))
-
-
-def _is_word(token: str) -> bool:
-    """Whether *token* is a word; the end of the text ("") is none."""
-    first = token[:1]
-    return first not in '(),"' and not first.isdecimal()
-
-
 def query_vocabulary(q: Query) -> set[str]:
     """All term/phrase strings the query refers to."""
     if isinstance(q, Term):
@@ -186,22 +176,25 @@ class _Parser:
         return q
 
     def parse_or(self) -> Query:
-        """AND chains of atoms joined by OR: AND binds tighter."""
-        ors, ands = [], [self.parse_atom()]
-        while (keyword := self.tokens[self.i].casefold()) in ("and", "or"):
+        parts = [self.parse_and()]
+        while self.tokens[self.i].casefold() == "or":
             self.i += 1
-            if keyword == "or":
-                ors.append(_join(And, ands))
-                ands = []
-            ands.append(self.parse_atom())
-        ors.append(_join(And, ands))
-        return _join(Or, ors)
+            parts.append(self.parse_and())
+        return parts[0] if len(parts) == 1 else Or(tuple(parts))
+
+    def parse_and(self) -> Query:
+        parts = [self.parse_atom()]
+        while self.tokens[self.i].casefold() == "and":
+            self.i += 1
+            parts.append(self.parse_atom())
+        return parts[0] if len(parts) == 1 else And(tuple(parts))
 
     def parse_atom(self) -> Query:
         i = self.i
         token = self.tokens[i]
+        first = token[:1]  # "" at the end of the text
         self.i = i + 1
-        if token == "(":
+        if first == "(":
             if self.depth == MAX_NESTING:
                 self.error(f"parentheses nested deeper than {MAX_NESTING}", i)
             self.depth += 1
@@ -209,10 +202,10 @@ class _Parser:
             self.expect(")", "')'")
             self.depth -= 1
             return q
-        if token[:1] == '"':
+        if first == '"':
             toks = self.quoted_tokens(token, i)
             return Term(toks[0]) if len(toks) == 1 else Phrase(tuple(toks))
-        if _is_word(token):
+        if first not in ")," and not first.isdecimal():  # a word
             keyword = token.casefold()
             if keyword == "and" or keyword == "or":
                 self.error(f"unexpected keyword {token!r}", i)
@@ -267,10 +260,11 @@ class _Parser:
         while True:
             i = self.i
             token = tokens[i]
+            first = token[:1]
             self.i = i + 1
-            if token[:1] == '"':
+            if first == '"':
                 members[" ".join(self.quoted_tokens(token, i))] = None
-            elif _is_word(token):
+            elif first not in "()," and not first.isdecimal():  # a word
                 group = self.groups.get(token.casefold())
                 if group is not None:
                     members.update(dict.fromkeys(group))
