@@ -112,6 +112,8 @@ MAX_NESTING = 100
 # them apart by their first character, and reads the end of the text as "".
 _TOKEN = rf'[(),]|\d+|"[^"]*"|{TOKEN_RE.pattern}'
 # A token and the whitespace before it, so that no search starts in between.
+# It is run on text with no trailing whitespace: there, a search would start
+# again at each character of the run and read the rest of it.
 _TOKEN_RE = re.compile(rf"\s*({_TOKEN})")
 # The stretch of a text, from its start, that tokens and whitespace cover.
 _COVER_RE = re.compile(rf"(?:\s*(?:{_TOKEN}))*\s*")
@@ -139,7 +141,7 @@ class _Parser:
                 raise QuerySyntaxError("unterminated quoted phrase", offset)
             raise QuerySyntaxError(f"unexpected character {text[end]!r}", offset)
         self.text = text
-        self.tokens = _TOKEN_RE.findall(text) + [""]
+        self.tokens = _TOKEN_RE.findall(text.rstrip()) + [""]
         self.i = 0  # the next token
         self.depth = 0
         self.lexicon = lexicon
@@ -148,7 +150,7 @@ class _Parser:
 
     def error(self, message: str, i: int, cls=QuerySyntaxError):
         """Raise *message* at token *i*, found again in the text."""
-        pos = [m.start(1) for m in _TOKEN_RE.finditer(self.text)] + [len(self.text)]
+        pos = [m.start(1) for m in _TOKEN_RE.finditer(self.text.rstrip())] + [len(self.text)]
         raise cls(message, len(self.text[:pos[i]].encode("utf-8")))
 
     def entry_term(self, name: str, i: int) -> str | None:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 
@@ -396,3 +397,21 @@ def test_rendered_query_trees_parse_back(lexicon, seed):
     for _ in range(40):
         q = make_random_query(rng, lexicon, depth=4)
         assert parse_query(_render(q, rng), lexicon) == q
+
+
+@pytest.mark.parametrize("text, error", [
+    ("intricate" + " " * 50_000, None),
+    ("any(" + " " * 50_000, "expected a group or term name (byte offset 50004)"),
+    ("intricate" + " \t" * 25_000 + "]", "unexpected character ']' (byte offset 50009)"),
+], ids=["trailing", "trailing-after-an-error", "before-a-bad-character"])
+def test_long_whitespace_runs_take_linear_time(lexicon, text, error):
+    # A token search that started again at each character of a trailing
+    # whitespace run would take minutes here, not milliseconds.
+    start = time.perf_counter()
+    if error is None:
+        assert parse_query(text, lexicon) == Term("intricate")
+    else:
+        with pytest.raises(QuerySyntaxError) as err:
+            parse_query(text, lexicon)
+        assert str(err.value) == error
+    assert time.perf_counter() - start < 5
