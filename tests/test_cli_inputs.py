@@ -105,8 +105,8 @@ def paths(tmp_path_factory) -> dict[str, str]:
     (size,) = struct.unpack_from("<I", payload)
     header = payload[4:4 + size - 1] + f', "x": {HUGE}}}'.encode()
     blob = zlib.compress(struct.pack("<I", len(header)) + header + payload[4 + size:])
-    (tmp / "huge.idx").write_bytes(_CONTAINER.pack(b"LXDX", 2, len(blob), hashlib.sha256(blob).digest())
-                                   + blob)
+    container = _CONTAINER.pack(b"LXDX", 2, len(blob), hashlib.sha256(blob).digest())
+    (tmp / "huge.idx").write_bytes(container + blob)
     return {
         "index": str(index),
         "huge_index": str(tmp / "huge.idx"),
