@@ -5,8 +5,9 @@ and huge numbers, zero or negative sizes, years and totals, reversed year
 ranges, paths that are missing, a directory or binary, a corpus with
 malformed records, integers past Python's 4,300-digit limit for converting
 text (in a corpus, a lexicon, an index header and a query), and empty,
-malformed or over-deep queries. Every awkward value is tried alone, and
-hypothesis tries them in combination."""
+malformed or over-deep queries, and index files that are corrupt or cut
+short. Every awkward value is tried alone, and hypothesis tries them in
+combination."""
 
 from __future__ import annotations
 
@@ -27,8 +28,11 @@ from lexdrift.cli import main
 NUMBERS = ("nan", "inf", "-inf", "1e308", "0", "-1", "-2.5", "3")
 INTEGERS = ("0", "-1", "-2023", "1", "2019", "2101", str(10**30), "nan")
 HUGE = "9" * 5000
-# An index file's container header: magic, version, payload length, SHA-256.
-_CONTAINER = struct.Struct("<4sHQ32s")
+# An index file's container header: magic, version, payload length, then the
+# payload's CRC-32 in version 3, which save_index writes, or its SHA-256 in
+# version 2.
+_CONTAINER = struct.Struct("<4sHQI")
+_SHA256_CONTAINER = struct.Struct("<4sHQ32s")
 QUERIES = ("", "INTRICATE", "zebra", "atleast(2, strong)", "atleast(0, strong)",
            '"large language model"', "and", "any(", "¾",
            "(" * 150 + "intricate" + ")" * 150, f"atleast({HUGE}, strong)")
@@ -42,7 +46,10 @@ INPUTS = ("{index}", "{corpus}", "{counts}", "{lexicon}", "{missing}", "{directo
 # huge integers in it.
 CORPORA = (*INPUTS, "{malformed}", "{huge_corpus}")
 LEXICONS = (*INPUTS, "{huge_lexicon}")
-INDEXES = (*INPUTS, "{huge_index}")
+# A saved index with one payload byte flipped, and one cut short of its header.
+BROKEN_INDEXES = {"corrupt_index": "checksum mismatch (truncated or corrupt)",
+                  "short_index": "not an index file"}
+INDEXES = (*INPUTS, "{huge_index}", "{corrupt_index}", "{short_index}")
 OUTPUTS = ("{out}", "{out_in_missing}", "{directory}")
 ON_ERROR = ("skip",)
 FORMATS = ("csv", "json")
@@ -105,11 +112,17 @@ def paths(tmp_path_factory) -> dict[str, str]:
     (size,) = struct.unpack_from("<I", payload)
     header = payload[4:4 + size - 1] + f', "x": {HUGE}}}'.encode()
     blob = zlib.compress(struct.pack("<I", len(header)) + header + payload[4 + size:])
-    container = _CONTAINER.pack(b"LXDX", 2, len(blob), hashlib.sha256(blob).digest())
+    container = _SHA256_CONTAINER.pack(b"LXDX", 2, len(blob), hashlib.sha256(blob).digest())
     (tmp / "huge.idx").write_bytes(container + blob)
+    data = bytearray(index.read_bytes())
+    data[-1] ^= 1
+    (tmp / "corrupt.idx").write_bytes(data)
+    (tmp / "short.idx").write_bytes(data[:_CONTAINER.size - 1])
     return {
         "index": str(index),
         "huge_index": str(tmp / "huge.idx"),
+        "corrupt_index": str(tmp / "corrupt.idx"),
+        "short_index": str(tmp / "short.idx"),
         "huge_corpus": str(tmp / "huge.jsonl"),
         "huge_lexicon": str(tmp / "huge_lexicon.json"),
         "corpus": str(bundled_corpus_path()),
@@ -161,6 +174,18 @@ def test_each_awkward_value_alone(paths):
             _check(command, [("--from", "2023"), ("--to", "2019")], paths)
         if "--on-error" in flags:
             _check(command, [("--corpus", "{malformed}"), ("--on-error", "skip")], paths)
+
+
+@pytest.mark.parametrize("name", sorted(BROKEN_INDEXES))
+def test_a_broken_index_is_exit_1_with_one_line(paths, name):
+    path, out = paths[name], paths["out"]
+    for argv in (["query", "any(strong)"], ["skew", "any(strong)", "--year", "2023"],
+                 ["drift", "group1"], ["excess", "group4"], ["plot", "group1", "--out", out],
+                 ["counts", "export", "strong", "--out", out]):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main([*argv, "--index", path])
+        assert (code, err.getvalue()) == (1, f"error: {path}: {BROKEN_INDEXES[name]}\n"), argv
 
 
 @st.composite

@@ -73,7 +73,10 @@ def test_corpus_reader_raises_only_data_errors(lines, on_error):
 
 # ------------------------------------------------------------------- index
 
-_HEADER = struct.Struct("<4sHQ32s")
+# The index file header: magic, version, payload length, then the payload's
+# CRC-32 in version 3 or its SHA-256 in versions 1 and 2.
+_HEADER = struct.Struct("<4sHQI")
+_SHA256_HEADER = struct.Struct("<4sHQ32s")
 _LEXICON = lexicon_to_dict(builtin_lexicon())
 _PAYLOAD = _json_with(
     ("format", "lexicon", "min_year", "max_year", "docs"),
@@ -89,7 +92,9 @@ _PAYLOAD = _json_with(
 
 
 def _container(blob: bytes, version: int = 1) -> bytes:
-    return _HEADER.pack(b"LXDX", version, len(blob), hashlib.sha256(blob).digest()) + blob
+    if version == 3:
+        return _HEADER.pack(b"LXDX", version, len(blob), zlib.crc32(blob)) + blob
+    return _SHA256_HEADER.pack(b"LXDX", version, len(blob), hashlib.sha256(blob).digest()) + blob
 
 
 _INDEX_FILE = (
@@ -173,12 +178,13 @@ def _v2_files(draw) -> bytes:
     payload = struct.pack("<I", max(length, 0)) + text + columns
     if draw(st.sampled_from((False,) * 7 + (True,))):
         payload = payload[:3]
-    return _container(zlib.compress(payload), 2)
+    # Versions 2 and 3 hold the same payload.
+    return _container(zlib.compress(payload), draw(st.sampled_from((2, 3))))
 
 
 @settings(max_examples=300, deadline=None)
-@given(data=_v2_files() | st.binary(max_size=80).map(zlib.compress).map(
-    lambda blob: _container(blob, 2)))
+@given(data=_v2_files() | st.builds(_container, st.binary(max_size=80).map(zlib.compress),
+                                    st.sampled_from((2, 3))))
 def test_v2_index_reader_raises_only_data_errors(data):
     _survives(load_index, data, "input.idx")
 

@@ -1,6 +1,8 @@
 """The package namespace loads submodules on first use, and each CLI command
 imports only the modules it runs; no command imports ``dataclasses`` or
-``inspect``, which cost a cold start more than most commands' own work.
+``inspect``, which cost a cold start more than most commands' own work, and
+no command on an index file this code wrote loads ``hashlib``, whose
+OpenSSL library costs more memory than the rest of a command's imports.
 Cold imports are checked in fresh interpreters, because this test process
 has long since loaded everything."""
 
@@ -21,19 +23,27 @@ import lexdrift
 
 SRC = Path(lexdrift.__file__).resolve().parents[1]
 INDEX_SIDE = {"lexdrift.index", "lexdrift.query", "lexdrift.corpus", "lexdrift.lexicon"}
-SLOW = {"dataclasses", "inspect"}
+SLOW = {"dataclasses", "inspect", "hashlib", "_hashlib"}
+# Written by the version 2 writer, which checksums with SHA-256.
+V2_SAMPLE = Path(__file__).parent / "data" / "sample-v2.idx"
 
 
-def _loaded_after(code: str) -> set[str]:
-    """The ``lexdrift`` modules a fresh interpreter holds after *code*,
-    which must have loaded none of SLOW."""
+def _modules_after(code: str) -> set[str]:
+    """The ``lexdrift`` modules and those of SLOW that a fresh interpreter
+    holds after *code*."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
     probe = code + ("\nimport sys\nprint(' '.join(m for m in sys.modules"
                     f" if m.startswith('lexdrift') or m in {sorted(SLOW)}))")
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout
-    loaded = set(out.splitlines()[-1].split())
+    return set(out.splitlines()[-1].split())
+
+
+def _loaded_after(code: str) -> set[str]:
+    """The ``lexdrift`` modules a fresh interpreter holds after *code*,
+    which must have loaded none of SLOW."""
+    loaded = _modules_after(code)
     assert loaded.isdisjoint(SLOW), loaded & SLOW
     return loaded
 
@@ -87,6 +97,19 @@ def test_query_by_index_loads_no_stats_module(sample_index):
     loaded = _loaded_after(_cold_main("query", "any(strong)", "--index", sample_index))
     assert "lexdrift.index" in loaded
     assert loaded.isdisjoint({"lexdrift.stats", "lexdrift.svg"}), loaded
+
+
+def test_drift_by_index_loads_no_svg_module(sample_index):
+    loaded = _loaded_after(_cold_main("drift", "strong", "--index", sample_index))
+    assert {"lexdrift.index", "lexdrift.stats"} <= loaded
+    assert "lexdrift.svg" not in loaded, loaded
+
+
+def test_a_version_2_file_loads_hashlib():
+    # So the probe does see hashlib when a command loads it: a version 2
+    # file checks its SHA-256.
+    loaded = _modules_after(_cold_main("query", "any(strong)", "--index", str(V2_SAMPLE)))
+    assert {"hashlib", "_hashlib"} <= loaded
 
 
 def test_index_build_loads_no_stats_module(tmp_path):
