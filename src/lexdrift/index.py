@@ -1,19 +1,18 @@
 """Immutable per-year index of lexicon-term evidence.
 
 Each document is reduced at build time to a bitset over the lexicon
-vocabulary (phrases included as ordinary entries), and ``finish`` turns each
-year's bitsets into posting columns: one big integer per vocabulary entry,
-whose bit *i* is set when document *i* of the year holds the entry. A year's
-categories are a table of its distinct per-document category tuples, with
-each document's row in that table. A boolean or at-least-k query or a
-term's document frequency then costs a few big-integer operations and
-popcounts per query node, and a category skew one pass over the matching
-documents' rows, not one test per document; none of them is tabulated ahead
-of time. The category table is known to this module alone: the category
-skew of a query (:func:`category_skew`) is tallied here. Builds are
-deterministic: document order and any partitioning of the corpus across
-builders produce identical indexes. The finished index is immutable and
-safe for concurrent readers.
+vocabulary (phrases included as ordinary entries), and ``finish`` turns the
+bitsets into posting columns: one big integer per vocabulary entry across
+the index, each year a byte-aligned bit range of it. A year's categories
+are a table of its distinct per-document category tuples, with each
+document's row in it. A boolean or at-least-k query is walked once over the
+columns, a few big-integer operations per node, and its node keeps the
+posting; a year's count or a term's document frequency is then a shift, a
+mask and a popcount, and a category skew (tallied here, the one module that
+knows the table) one pass over the matching documents' rows, not one test
+per document. Builds are deterministic: document order and any
+partitioning of the corpus across builders produce identical indexes. The
+finished index is immutable and safe for concurrent readers.
 
 A corpus scan (:func:`scan_index`) is a :class:`YearTermIndex` too, built
 by the same matcher and the same per-year tables over the query's own terms
@@ -27,12 +26,12 @@ Index files are a single binary container: magic, format version, payload
 length and checksum, then a zlib-compressed payload. The payload stores the
 columns themselves: a length-prefixed canonical JSON header (lexicon, year
 range, and per year the document ids and the category table), then each
-year's term columns and category rows as little-endian bytes. A load decodes
-no per-document JSON rows, and no query builds columns. Version 3, the one
-written, checks the payload with CRC-32: it catches a truncated or corrupt
-file, the check's one job, and unlike SHA-256 loads no OpenSSL (``hashlib``),
-a sixth of a command's memory. Versions 2 (the same payload with a SHA-256)
-and 1 (one JSON row per document) still load.
+year's bytes of the term columns and its category rows, little-endian. A
+load decodes no per-document JSON rows, and no query builds columns.
+Version 3, the one written, checks the payload with CRC-32: it catches a
+truncated or corrupt file, the check's one job, and unlike SHA-256 loads no
+OpenSSL (``hashlib``), a sixth of a command's memory. Versions 2 (the same
+payload with a SHA-256) and 1 (one JSON row per document) still load.
 """
 
 from __future__ import annotations
@@ -45,7 +44,7 @@ from array import array
 from collections import Counter
 from functools import reduce
 from itertools import chain, compress, product, repeat
-from operator import and_, itemgetter, lt, or_
+from operator import and_, lt, or_
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -82,33 +81,32 @@ CategoryTable = tuple[tuple[str, ...], ...]
 
 class _Year(NamedTuple):
     ids: tuple[str, ...]  # document i of the year, ascending
-    columns: tuple[int, ...]  # one posting column per vocabulary entry
+    start: int  # document i is bit start + i of each column; a multiple of 8
     table: CategoryTable
     rows: array  # document i's categories are table[rows[i]]
 
 
 class YearTermIndex:
-    """Per year, the document ids, one posting column per vocabulary entry
-    and the category table with each document's row in it, so a query
-    costs a few big-integer operations per node rather than a test per
-    document."""
+    """One posting column per vocabulary entry across all years and, per
+    year, the document ids, its bit range and its category table with each
+    document's row: a query costs a few big-integer operations per node."""
 
     def __init__(self, lexicon: Lexicon, min_year: int, max_year: int,
                  marks: Iterable[Mark]):
         terms = lexicon.terms()
-        self._init(lexicon, terms, min_year, max_year, _years(marks, len(terms)))
+        self._init(lexicon, terms, min_year, max_year, *_years(marks, len(terms)))
 
     @classmethod
-    def _from_columns(cls, lexicon: Lexicon, terms: tuple[str, ...], min_year: int,
-                      max_year: int, years: dict[int, _Year]) -> YearTermIndex:
-        """The index of ready columns over the vocabulary *terms*, *years*
+    def _from_columns(cls, lexicon: Lexicon, terms: tuple[str, ...], min_year: int, max_year: int,
+                      years: dict[int, _Year], columns: tuple[int, ...]) -> YearTermIndex:
+        """The index of ready *columns* over the vocabulary *terms*, *years*
         ascending."""
         index = cls.__new__(cls)
-        index._init(lexicon, terms, min_year, max_year, years)
+        index._init(lexicon, terms, min_year, max_year, years, columns)
         return index
 
     def _init(self, lexicon: Lexicon, terms: tuple[str, ...], min_year: int,
-              max_year: int, years: dict[int, _Year]) -> None:
+              max_year: int, years: dict[int, _Year], columns: tuple[int, ...]) -> None:
         self._lexicon = lexicon
         self._min_year = min_year
         self._max_year = max_year
@@ -116,6 +114,7 @@ class YearTermIndex:
         self._bit = {t: i for i, t in enumerate(terms)}
         self._by_year = years
         self._years = tuple(years)
+        self._columns = columns
 
     @property
     def lexicon(self) -> Lexicon:
@@ -151,28 +150,40 @@ class YearTermIndex:
     def df(self, term: str, year: int) -> int:
         bit = self.term_bit(term)
         y = self._by_year.get(year)
-        return y.columns[bit].bit_count() if y else 0
+        return _in_year(self._columns[bit], y).bit_count() if y else 0
 
     def doc_marks(self) -> Iterator[Mark]:
         """All (doc_id, year, bitmask, categories) rows, ordered by id
         within each year."""
         for year, y in self._by_year.items():
-            yield from zip(y.ids, repeat(year), _doc_masks(y.columns, len(y.ids)),
+            columns = [_in_year(col, y) for col in self._columns]
+            yield from zip(y.ids, repeat(year), _doc_masks(columns, len(y.ids)),
                            map(y.table.__getitem__, y.rows))
 
 
-def _years(marks: Iterable[Mark], width: int) -> dict[int, _Year]:
+def _in_year(posting: int, y: _Year) -> int:
+    """Year *y*'s bits of an index-wide *posting*, its document *i* at bit *i*."""
+    return posting >> y.start & ((1 << len(y.ids)) - 1)
+
+
+def _years(marks: Iterable[Mark], width: int) -> tuple[dict[int, _Year], tuple[int, ...]]:
     """Each year's table of *marks* over a vocabulary of *width* entries,
-    years ascending and the documents of a year by id."""
+    years ascending and the documents of a year by id, and the index-wide
+    columns."""
     per_year: dict[int, list[Mark]] = {}
     for mark in marks:
         per_year.setdefault(mark[1], []).append(mark)
-    years = {}
+    years, chunks, start = {}, [[] for _ in range(width)], 0
     for year in sorted(per_year):
         ms = sorted(per_year[year])
-        years[year] = _Year(tuple(m[0] for m in ms), _columns([m[2] for m in ms], width),
+        # Year by year: one bit string of all years would hold every mask as text.
+        size = (len(ms) + 7) // 8
+        for chunk, col in zip(chunks, _columns([m[2] for m in ms], width)):
+            chunk.append(col.to_bytes(size, "little"))
+        years[year] = _Year(tuple(m[0] for m in ms), start,
                             *_category_rows([m[3] for m in ms], year))
-    return years
+        start += 8 * size
+    return years, tuple(int.from_bytes(b"".join(chunk), "little") for chunk in chunks)
 
 
 def _columns(masks: Sequence[int], width: int) -> tuple[int, ...]:
@@ -424,18 +435,19 @@ def build_index(corpus: Iterable[Document], lexicon: Lexicon) -> YearTermIndex:
 # Unused in the package; bench/run.py's masks_tested counter patches it.
 def compile_predicate(index: YearTermIndex, q: Query) -> Callable[[int], bool]:
     """Turn a query into a predicate over document bitmasks, true where
-    :func:`eval_count` counts the document: *q* compiled as for it, run on
-    the mask's one-document columns. Raises UnindexedTermError when the
-    query mentions vocabulary the index does not carry."""
-    test, width = _compile(index.term_bit, q), len(index._terms)
-    return lambda m: test([m >> j & 1 for j in range(width)]) == 1
+    :func:`eval_count` counts the document: its walk of *q*, over the
+    mask's one-document columns. Raises UnindexedTermError when the query
+    mentions vocabulary the index does not carry."""
+    bit, width = index.term_bit, len(index._terms)
+    _walk([0] * width, bit, q)  # every term is looked up, so an unindexed one raises here
+    return lambda m: _walk([m >> j & 1 for j in range(width)], bit, q) == 1
 
 
 def eval_count(index: YearTermIndex, q: Query, year: int) -> int:
     """Exact number of documents in *year* satisfying *q* (presence
     semantics, each document counted once)."""
-    columns = _year(index, year).columns  # an unknown year is reported first
-    return _plan(index, q)(columns).bit_count()
+    y = _year(index, year)  # an unknown year is reported first
+    return _in_year(_posting(index, q), y).bit_count()
 
 
 class CategorySkew(NamedTuple):
@@ -453,7 +465,7 @@ def category_skew(index: YearTermIndex, q: Query, year: int) -> CategorySkew:
     """How matching documents skew across subject categories in one year.
     A document with several categories counts once per category."""
     y = _year(index, year)
-    return _skew(year, _plan(index, q)(y.columns), y.table, y.rows)
+    return _skew(year, _in_year(_posting(index, q), y), y.table, y.rows)
 
 
 def _year(index: YearTermIndex, year: int) -> _Year:
@@ -463,55 +475,39 @@ def _year(index: YearTermIndex, year: int) -> _Year:
     return y
 
 
-def _plan(index: YearTermIndex, q: Query) -> Callable[[tuple[int, ...]], int]:
-    """*q* compiled against the term table of *index*. The query node keeps
-    it, so a query evaluated year after year resolves its names once; a
-    query that names a term the index lacks keeps nothing."""
+def _posting(index: YearTermIndex, q: Query) -> int:
+    """The index-wide column of the documents satisfying *q*, kept on its
+    node with the columns it was walked over, so a query is walked once per
+    index; a query naming a term the index lacks keeps nothing."""
     plan = getattr(q, "_plan", None)
-    if plan is None or plan[0] is not index._bit:
-        plan = (index._bit, _compile(index.term_bit, q))
+    if plan is None or plan[0] is not index._columns:
+        plan = (index._columns, _walk(index._columns, index.term_bit, q))
         object.__setattr__(q, "_plan", plan)
     return plan[1]
 
 
-def _compile(bit: Callable[[str], int], q: Query) -> Callable[[tuple[int, ...]], int]:
-    """*q* as a function of one year's posting columns, giving the column of
-    the documents satisfying it; *bit* gives each term's column. Every term
-    is looked up here, so an unknown one raises wherever it sits."""
+def _walk(cols: Sequence[int], bit: Callable[[str], int], q: Query) -> int:
+    """The column of the documents satisfying *q*, each term's in *cols* at
+    *bit*(term). Every term is looked up, so an unknown one raises."""
+    if isinstance(q, Term):
+        return cols[bit(q.term)]
+    if isinstance(q, Or):
+        return reduce(or_, [_walk(cols, bit, p) for p in q.parts])
+    if isinstance(q, And):
+        return reduce(and_, [_walk(cols, bit, p) for p in q.parts])
+    if isinstance(q, AnyOf):
+        return reduce(or_, [cols[bit(m)] for m in q.members])
     if isinstance(q, AtLeastK):
-        bits, k = [bit(m) for m in q.members], q.k
-
-        def at_least(cols: tuple[int, ...]) -> int:
-            # reach[j]: documents holding at least j + 1 of the members seen so far
-            reach = [0] * k
-            for col in map(cols.__getitem__, bits):
-                for j in range(k - 1, 0, -1):
-                    reach[j] |= reach[j - 1] & col
-                reach[0] |= col
-            return reach[-1]
-        return at_least
-    op = and_ if isinstance(q, And) else or_
-    bits, parts = [], []
-
-    def gather(node: Query) -> None:
-        # A node of q's operator, nested or not, gives its own operands, so
-        # a chain of them costs one reduce.
-        if isinstance(node, (Term, Phrase)):
-            bits.append(bit(node.term if isinstance(node, Term) else node.text))
-        elif isinstance(node, AnyOf) and op is or_:
-            bits.extend(map(bit, node.members))
-        elif isinstance(node, Or if op is or_ else And):
-            for part in node.parts:
-                gather(part)
-        elif isinstance(node, (AnyOf, AtLeastK, And, Or)):
-            parts.append(_compile(bit, node))
-        else:
-            raise TypeError(f"not a query node: {node!r}")
-    gather(q)
-    if bits:
-        get = itemgetter(*bits)
-        parts.append(get if len(bits) == 1 else lambda cols: reduce(op, get(cols)))
-    return parts[0] if len(parts) == 1 else lambda cols: reduce(op, [p(cols) for p in parts])
+        # reach[j]: documents holding at least j + 1 of the members seen so far
+        reach = [0] * q.k
+        for col in map(cols.__getitem__, map(bit, q.members)):
+            for j in range(q.k - 1, 0, -1):
+                reach[j] |= reach[j - 1] & col
+            reach[0] |= col
+        return reach[-1]
+    if isinstance(q, Phrase):
+        return cols[bit(q.text)]
+    raise TypeError(f"not a query node: {q!r}")
 
 
 def scan_index(corpus: Iterable[Document], lexicon: Lexicon, q: Query) -> YearTermIndex:
@@ -531,10 +527,10 @@ def scan_index(corpus: Iterable[Document], lexicon: Lexicon, q: Query) -> YearTe
     vocab = _CompiledVocab({t: (f[0], case_sensitive[f[0]]) if len(f) == 1 else (t, False)
                             for t, f in found.items()}, q)
     gate, mask = vocab.gate, vocab.mask
-    years = _years([(doc_id, year, mask(text) if gate(text) else 0, tuple(cats))
-                    for doc_id, year, text, cats in corpus], len(terms))
+    years, columns = _years([(doc_id, year, mask(text) if gate(text) else 0, tuple(cats))
+                             for doc_id, year, text, cats in corpus], len(terms))
     return YearTermIndex._from_columns(lexicon, terms, min(years, default=DEFAULT_MIN_YEAR),
-                                       max(years, default=DEFAULT_MAX_YEAR), years)
+                                       max(years, default=DEFAULT_MAX_YEAR), years, columns)
 
 
 def eval_count_scan(corpus: Iterable[Document], lexicon: Lexicon, q: Query,
@@ -593,7 +589,7 @@ def save_index(index: YearTermIndex, path) -> None:
         size = (len(y.ids) + 7) // 8
         years.append({"year": year, "ids": list(y.ids),
                       "categories": [list(cats) for cats in y.table]})
-        columns += [col.to_bytes(size, "little") for col in y.columns]
+        columns += [_in_year(col, y).to_bytes(size, "little") for col in index._columns]
         columns.append(_little_endian(y.rows).tobytes())
     header = json.dumps({
         "format": _FORMAT,
@@ -668,7 +664,7 @@ def _decode_v2(payload: bytes) -> YearTermIndex:
     _check_years(doc["min_year"], doc["max_year"], years)
     _check_ascending(years, "the years")
     width = len(lexicon.terms())
-    by_year = {}
+    by_year, chunks, start = {}, [[] for _ in range(width)], 0
     for year, entry in zip(years, entries):
         ids, table = entry["ids"], entry["categories"]
         if type(ids) is not list or type(table) is not list or not all(
@@ -685,25 +681,29 @@ def _decode_v2(payload: bytes) -> YearTermIndex:
             raise ValueError(f"year {year} has no documents")
         step = (n + 7) // 8
         rows = array(_row_type(len(table)))
-        end = offset + width * step + n * rows.itemsize
+        cut = offset + width * step  # where the year's category rows start
+        end = cut + n * rows.itemsize
         if end > len(payload):
             raise ValueError(f"the columns of {year} are cut short")
-        cols = [int.from_bytes(payload[o:o + step], "little")
-                for o in range(offset, offset + width * step, step)]
-        if max(map(int.bit_length, cols), default=0) > n:
+        # A column's last byte of the year holds no bit past its n documents.
+        if n % 8 and any(payload[o] >> n % 8 for o in range(offset + step - 1, cut, step)):
             raise ValueError(f"a column of {year} is wider than its {n} documents")
-        rows.frombytes(payload[end - n * rows.itemsize:end])
+        for chunk, o in zip(chunks, range(offset, cut, step)):
+            chunk.append(payload[o:o + step])
+        rows.frombytes(payload[cut:end])
         rows = _little_endian(rows)
         offset = end
         if max(rows) >= len(table):
             raise ValueError(f"a document of {year} has no row in its category table")
         if len(set(rows)) != len(table):
             raise ValueError(f"a category-table row of {year} has no documents")
-        by_year[year] = _Year(tuple(ids), tuple(cols), table, rows)
+        by_year[year] = _Year(tuple(ids), start, table, rows)
+        start += 8 * step
     if offset != len(payload):
         raise ValueError(f"{len(payload) - offset} bytes after the last column")
+    columns = tuple(int.from_bytes(b"".join(chunk), "little") for chunk in chunks)
     return YearTermIndex._from_columns(lexicon, lexicon.terms(), doc["min_year"],
-                                       doc["max_year"], by_year)
+                                       doc["max_year"], by_year, columns)
 
 
 def _sha256(blob: bytes) -> bytes:

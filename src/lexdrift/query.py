@@ -38,8 +38,9 @@ from .value import Value
 
 # The nodes set their fields directly, not through Value._init, because a
 # parse builds many of them and the loop there doubles the cost of each.
-# Their _plan slot is no field: it holds the node compiled against the term
-# table of the index it was last evaluated on (see index.eval_count).
+# Their _plan slot is no field: it holds the columns of the index the node
+# was last evaluated on and the node's posting over them (see
+# index._posting), which keeps those columns alive.
 
 
 class Term(Value):

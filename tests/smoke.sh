@@ -30,9 +30,12 @@ for q in 'any(strong) AND any(disclosure)' intricate 'atleast(2, strong)' '"larg
   lexdrift query "$q" --index "$here/data/sample-v2.idx" --format csv > old.out
   lexdrift query "$q" --index sample.idx --format csv > new.out
   diff old.out new.out
-  lexdrift skew "$q" --index "$here/data/sample-v2.idx" --year 2023 --format csv > old.out
-  lexdrift skew "$q" --index sample.idx --year 2023 --format csv > new.out
-  diff old.out new.out
+  # Every year, so each year's bit range of the columns is read from both files.
+  for year in 2019 2020 2021 2022 2023; do
+    lexdrift skew "$q" --index "$here/data/sample-v2.idx" --year $year --format csv > old.out
+    lexdrift skew "$q" --index sample.idx --year $year --format csv > new.out
+    diff old.out new.out
+  done
 done
 lexdrift query 'outwith' --corpus "$corpus"
 # A malformed query is one line on stderr and exit 1.

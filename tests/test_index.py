@@ -824,6 +824,16 @@ def _column_byte(position: int, value: int):
     return edit
 
 
+def _padded_first_of_two_years(header: dict, columns: bytearray) -> bytes:
+    """A two-year file: 2022 a copy of 2023, whose first column has a bit
+    set past its 3 documents, then 2023 as saved."""
+    year = header["years"][0]
+    header = dict(header, years=[dict(year, year=2022), year])
+    padded = bytearray(columns)
+    padded[0] |= 0b1000
+    return _v2_blob(header, padded + columns)
+
+
 def _year_field(field: str, value):
     def edit(header: dict, columns: bytearray) -> bytes:
         header["years"][0][field] = value
@@ -833,6 +843,7 @@ def _year_field(field: str, value):
 
 @pytest.mark.parametrize("make_blob, problem", [
     (_column_byte(0, 0b1000), "a column of 2023 is wider than its 3 documents"),
+    (_padded_first_of_two_years, "a column of 2022 is wider than its 3 documents"),
     (_column_byte(-1, 2), "a document of 2023 has no row in its category table"),
     (_column_byte(-2, 0), "a category-table row of 2023 has no documents"),
     (lambda header, columns: _v2_blob(header, columns + b"\0"), "1 bytes after the last column"),
@@ -852,9 +863,9 @@ def _year_field(field: str, value):
      "malformed payload (JSON nested too deeply)"),
     (lambda header, columns: _v2_blob(header, columns, long_integer=True),
      "malformed payload (integer of more than 4300 digits)"),
-], ids=["column-wider-than-year", "category-row-past-table", "category-row-without-documents",
-        "trailing-bytes", "short-column-block", "id-not-str", "ids-unsorted", "ids-repeated",
-        "category-table-unsorted", "category-table-repeated", "header-length-past-payload",
+], ids=["column-wider-than-year", "first-of-two-years-padded", "category-row-past-table",
+        "category-row-without-documents", "trailing-bytes", "short-column-block", "id-not-str",
+        "ids-unsorted", "ids-repeated", "category-table-unsorted", "category-table-repeated", "header-length-past-payload",
         "category-lone-surrogate", "header-nested-too-deeply", "header-integer-too-long"])
 def test_malformed_v2_payload_is_an_index_file_error(tmp_path, lexicon, capsys, make_blob,
                                                      problem):
@@ -1213,10 +1224,10 @@ def test_concurrent_readers_of_a_fresh_index(tmp_path, lexicon):
 
 @pytest.mark.parametrize("seed", range(6))
 def test_one_query_evaluates_alike_on_indexes_of_other_term_orders(lexicon, seed):
-    """A query compiled against one index's term table and kept is never
-    used against another's: one query object, evaluated by turns on a scan
-    (its own terms, sorted) and on the lexicon's index, years reversed,
-    counts and skews as the oracle does."""
+    """A query's posting over one index, kept on its node, is never used on
+    another: one query object, evaluated by turns on a scan (its own terms,
+    sorted) and on the lexicon's index, years reversed, counts and skews as
+    the oracle does."""
     rng = random.Random(seed)
     docs = make_random_corpus(rng, lexicon, 60, (2021, 2022, 2023))
     index = build_index(docs, lexicon)
@@ -1248,8 +1259,100 @@ def test_a_query_naming_a_term_the_index_lacks_fails_each_time(lexicon):
 def test_an_unknown_year_is_reported_before_an_unindexed_term(lexicon):
     index = build_index(_docs((2023, "an intricate plan")), lexicon)
     known = Term("intricate")
-    assert eval_count(index, known, 2023) == 1  # compiled and kept
+    assert eval_count(index, known, 2023) == 1  # its posting kept
     for q in (known, Term("zebra")):
         for evaluate in (eval_count, category_skew):
             with pytest.raises(UnknownYearError, match="no documents in year 2030"):
                 evaluate(index, q, 2030)
+
+
+def _random_docs(lexicon, seed: int) -> list[Document]:
+    rng = random.Random(seed)
+    return make_random_corpus(rng, lexicon, 50, (2021, 2022, 2023))
+
+
+def test_a_kept_posting_belongs_to_one_index(tmp_path, lexicon):
+    """A query node keeps its posting over the index it was last evaluated
+    on, and only there: one query object, evaluated by turns on builds of
+    two corpora over one lexicon and on a fresh build and its reload, years
+    reversed, counts, skews and df as the oracle gives them."""
+    first, second = _random_docs(lexicon, 31), _random_docs(lexicon, 32)
+    index = build_index(first, lexicon)
+    path = tmp_path / "first.idx"
+    save_index(index, path)
+    sources = [(index, first), (build_index(second, lexicon), second), (index, first),
+               (load_index(path), first), (index, first)]
+    rng = random.Random(33)
+    queries = [make_random_query(rng, lexicon) for _ in range(12)]
+    assert any(brute_force_count(first, q, 2023) != brute_force_count(second, q, 2023)
+               for q in queries)
+    for q in queries:
+        for source, docs in sources:
+            for year in reversed(source.years):
+                assert eval_count(source, q, year) == brute_force_count(docs, q, year), q
+                skew = category_skew(source, q, year)
+                assert (skew.matched, skew.total, dict(skew.rows)) == \
+                    brute_force_skew(docs, q, year), q
+    for source, docs in sources:
+        for year in reversed(source.years):
+            for term in lexicon.terms():
+                assert source.df(term, year) == brute_force_count(docs, Term(term), year)
+
+
+# Years of 1, 7, 8, 9 and 17 documents: bit ranges that start at 0, 8, 16,
+# 24 and 40 and end inside a byte, on one or past it.
+_BOUNDARY_SIZES = {2019: 1, 2020: 7, 2021: 8, 2022: 9, 2023: 17}
+
+
+def _boundary_docs() -> list[Document]:
+    """The first and the last document of each year hold a term; the rest
+    draw a few words, terms among them, at random."""
+    rng = random.Random(34)
+    words = ["intricate", "notable", "large language model", "plain", "stone", "river"]
+    docs = []
+    for year, n in _BOUNDARY_SIZES.items():
+        for i in range(n):
+            text = " ".join(rng.choice(words) for _ in range(3))
+            if i in (0, n - 1):
+                text += " intricate" if i == 0 else " notable"
+            cats = tuple(rng.sample(("x", "y", "z"), rng.randrange(1, 3)))
+            docs.append(Document(f"d{year}-{i:02d}", year, text, cats))
+    return docs
+
+
+def _oracle_marks(docs: list[Document], bit, terms) -> list:
+    """doc_marks() as the oracle gives them: rows by year, then id."""
+    return [(d.id, d.year, sum(1 << bit(t) for t in terms
+                               if brute_force_count([d], Term(t), d.year)), d.categories)
+            for d in sorted(docs, key=lambda d: (d.year, d.id))]
+
+
+def test_year_boundaries_answer_like_brute_force(tmp_path, lexicon):
+    docs = _boundary_docs()
+    index = build_index(docs, lexicon)
+    path, again = tmp_path / "once.idx", tmp_path / "twice.idx"
+    save_index(index, path)
+    loaded = load_index(path)
+    save_index(loaded, again)
+    assert path.read_bytes() == again.read_bytes()
+    queries = [Term("intricate"), Term("notable"), Phrase(("large", "language", "model")),
+               And((Term("intricate"), Term("notable"))),
+               AtLeastK(2, ("intricate", "notable", "large language model")),
+               Or((Term("notable"), AnyOf(("intricate", "gpt"))))]
+    expected = _oracle_marks(docs, index.term_bit, lexicon.terms())
+    for source in (index, loaded):
+        assert [source.total(y) for y in source.years] == list(_BOUNDARY_SIZES.values())
+        assert list(source.doc_marks()) == expected
+    for q in queries:
+        scan = scan_index(docs, lexicon, AnyOf(tuple(sorted(query_vocabulary(q)))))
+        assert list(scan.doc_marks()) == _oracle_marks(docs, scan.term_bit, query_vocabulary(q))
+        for source in (index, scan, loaded):
+            for year in _BOUNDARY_SIZES:
+                assert eval_count(source, q, year) == brute_force_count(docs, q, year), q
+                skew = category_skew(source, q, year)
+                assert (skew.matched, skew.total, dict(skew.rows)) == \
+                    brute_force_skew(docs, q, year), q
+                for term in query_vocabulary(q):
+                    assert source.df(term, year) == brute_force_count(docs, Term(term), year)
+    for year in _BOUNDARY_SIZES:
+        assert brute_force_count(docs, Term("intricate"), year) >= 1
