@@ -188,6 +188,7 @@ def cmd_index(args: argparse.Namespace) -> int:
     )
     builder.add_all(_documents(args, min_year=builder.min_year, max_year=builder.max_year))
     index = builder.finish()
+    del builder  # its per-document lists, freed before the file is encoded
     save_index(index, args.out)
     print(f"indexed {index.doc_count} documents into {args.out}")
     for year in index.years:

@@ -41,7 +41,7 @@ import struct
 import sys
 import zlib
 from array import array
-from collections import Counter
+from collections import Counter, defaultdict
 from functools import reduce
 from itertools import chain, compress, product, repeat
 from operator import and_, lt, or_
@@ -94,13 +94,12 @@ class YearTermIndex:
     def __init__(self, lexicon: Lexicon, min_year: int, max_year: int,
                  marks: Iterable[Mark]):
         terms = lexicon.terms()
-        self._init(lexicon, terms, min_year, max_year, *_years(marks, len(terms)))
+        self._init(lexicon, terms, min_year, max_year, *_Gathered(marks).finish(len(terms)))
 
     @classmethod
     def _from_columns(cls, lexicon: Lexicon, terms: tuple[str, ...], min_year: int, max_year: int,
                       years: dict[int, _Year], columns: tuple[int, ...]) -> YearTermIndex:
-        """The index of ready *columns* over the vocabulary *terms*, *years*
-        ascending."""
+        """The index of ready *columns* over the vocabulary *terms*, *years* ascending."""
         index = cls.__new__(cls)
         index._init(lexicon, terms, min_year, max_year, years, columns)
         return index
@@ -166,24 +165,45 @@ def _in_year(posting: int, y: _Year) -> int:
     return posting >> y.start & ((1 << len(y.ids)) - 1)
 
 
-def _years(marks: Iterable[Mark], width: int) -> tuple[dict[int, _Year], tuple[int, ...]]:
-    """Each year's table of *marks* over a vocabulary of *width* entries,
-    years ascending and the documents of a year by id, and the index-wide
-    columns."""
-    per_year: dict[int, list[Mark]] = {}
-    for mark in marks:
-        per_year.setdefault(mark[1], []).append(mark)
-    years, chunks, start = {}, [[] for _ in range(width)], 0
-    for year in sorted(per_year):
-        ms = sorted(per_year[year])
-        # Year by year: one bit string of all years would hold every mask as text.
-        size = (len(ms) + 7) // 8
-        for chunk, col in zip(chunks, _columns([m[2] for m in ms], width)):
-            chunk.append(col.to_bytes(size, "little"))
-        years[year] = _Year(tuple(m[0] for m in ms), start,
-                            *_category_rows([m[3] for m in ms], year))
-        start += 8 * size
-    return years, tuple(int.from_bytes(b"".join(chunk), "little") for chunk in chunks)
+class _Gathered:
+    """Marks gathered as they come, per year: the ids, the masks, a dict from
+    each distinct category tuple to its row, first seen first, and the rows."""
+
+    def __init__(self, marks: Iterable[Mark] = ()):
+        self._years = defaultdict(lambda: ([], [], {}, []))
+        for mark in marks:
+            self.add(*mark)
+
+    def add(self, doc_id: str, year: int, mask: int, cats: tuple[str, ...]) -> None:
+        try:
+            hash(cats)
+        except TypeError:  # strings hash: a Document built in code may hold others
+            raise IndexBuildError(f"a category in {year} is not a string") from None
+        ids, masks, table, rows = self._years[year]
+        ids.append(doc_id)
+        masks.append(mask)
+        rows.append(table.setdefault(cats, len(table)))
+
+    def finish(self, width: int) -> tuple[dict[int, _Year], tuple[int, ...]]:
+        """Each year's table over a vocabulary of *width* entries, years
+        ascending and a year's documents by id, and the index-wide columns."""
+        years, chunks, start = {}, [[] for _ in range(width)], 0
+        for year, (ids, masks, seen, rows) in sorted(self._years.items()):
+            try:
+                table = tuple(sorted(seen))
+            except TypeError:  # strings sort: a Document built in code may hold others
+                raise IndexBuildError(f"a category in {year} is not a string") from None
+            rank = list(map({cats: r for r, cats in enumerate(table)}.__getitem__, seen))
+            # Equal ids, which a scan or a version 1 file can hold, go by mask, then categories.
+            order = sorted(range(len(ids)), key=lambda i: (ids[i], masks[i], rank[rows[i]]))
+            # Year by year: one bit string of all years would hold every mask as text.
+            size = (len(order) + 7) // 8
+            for chunk, col in zip(chunks, _columns([masks[i] for i in order], width)):
+                chunk.append(col.to_bytes(size, "little"))
+            years[year] = _Year(tuple(map(ids.__getitem__, order)), start, table,
+                                array(_row_type(len(table)), [rank[rows[i]] for i in order]))
+            start += 8 * size
+        return years, tuple(int.from_bytes(b"".join(chunk), "little") for chunk in chunks)
 
 
 def _columns(masks: Sequence[int], width: int) -> tuple[int, ...]:
@@ -207,18 +227,6 @@ def _doc_masks(columns: Sequence[int], n: int) -> list[int]:
     # mask of one document, the last document first.
     digits = [format(col, f"0{n}b") for col in reversed(columns)]
     return [int("".join(bits), 2) for bits in zip(*digits)][::-1]
-
-
-def _category_rows(cats: Sequence[tuple[str, ...]], year: int) -> tuple[CategoryTable, array]:
-    """The category table of *year*, given each document's categories, and
-    each document's row in it."""
-    try:
-        table = tuple(sorted(set(cats)))
-    except TypeError:
-        # Strings hash and sort: a Document built in code may hold others.
-        raise IndexBuildError(f"a category in {year} is not a string") from None
-    row = {c: i for i, c in enumerate(table)}
-    return table, array(_row_type(len(table)), map(row.__getitem__, cats))
 
 
 def _row_type(size: int) -> str:
@@ -390,21 +398,19 @@ class IndexBuilder:
         terms = lexicon.terms()
         self._vocab = _CompiledVocab({e.term: (e.term, e.case_sensitive)
                                       for e in lexicon.entries}, AnyOf(terms) if terms else None)
-        self._marks: list[Mark] = []
+        self._marks = _Gathered()
         self._seen: set[str] = set()
 
     def add(self, doc: Document) -> None:
         if not self.min_year <= doc.year <= self.max_year:
-            raise IndexBuildError(
-                f"document {doc.id!r}: year {doc.year} outside allowed range "
-                f"{self.min_year}-{self.max_year}"
-            )
+            raise IndexBuildError(f"document {doc.id!r}: year {doc.year} outside allowed "
+                                  f"range {self.min_year}-{self.max_year}")
         if doc.id in self._seen:
             raise IndexBuildError(f"duplicate document id {doc.id!r}")
-        self._seen.add(doc.id)
         vocab = self._vocab
-        self._marks.append((doc.id, doc.year, vocab.mask(doc.text) if vocab.gate(doc.text) else 0,
-                            tuple(doc.categories)))
+        self._marks.add(doc.id, doc.year, vocab.mask(doc.text) if vocab.gate(doc.text) else 0,
+                        tuple(doc.categories))
+        self._seen.add(doc.id)
 
     def add_all(self, corpus: Iterable[Document]) -> None:
         for doc in corpus:
@@ -415,14 +421,18 @@ class IndexBuilder:
             raise IndexBuildError("cannot merge builders with different lexicons")
         overlap = self._seen & other._seen
         if overlap:
-            raise IndexBuildError(
-                f"duplicate document id {sorted(overlap)[0]!r} across partitions"
-            )
+            raise IndexBuildError(f"duplicate document id {sorted(overlap)[0]!r} "
+                                  "across partitions")
         self._seen |= other._seen
-        self._marks.extend(other._marks)
+        for year, (ids, masks, table, rows) in other._marks._years.items():
+            tuples = list(table)
+            for doc_id, mask, row in zip(ids, masks, rows):
+                self._marks.add(doc_id, year, mask, tuples[row])
 
     def finish(self) -> YearTermIndex:
-        return YearTermIndex(self.lexicon, self.min_year, self.max_year, self._marks)
+        terms = self.lexicon.terms()
+        return YearTermIndex._from_columns(self.lexicon, terms, self.min_year, self.max_year,
+                                           *self._marks.finish(len(terms)))
 
 
 def build_index(corpus: Iterable[Document], lexicon: Lexicon) -> YearTermIndex:
@@ -527,8 +537,8 @@ def scan_index(corpus: Iterable[Document], lexicon: Lexicon, q: Query) -> YearTe
     vocab = _CompiledVocab({t: (f[0], case_sensitive[f[0]]) if len(f) == 1 else (t, False)
                             for t, f in found.items()}, q)
     gate, mask = vocab.gate, vocab.mask
-    years, columns = _years([(doc_id, year, mask(text) if gate(text) else 0, tuple(cats))
-                             for doc_id, year, text, cats in corpus], len(terms))
+    years, columns = _Gathered((doc_id, year, mask(text) if gate(text) else 0, tuple(cats))
+                               for doc_id, year, text, cats in corpus).finish(len(terms))
     return YearTermIndex._from_columns(lexicon, terms, min(years, default=DEFAULT_MIN_YEAR),
                                        max(years, default=DEFAULT_MAX_YEAR), years, columns)
 

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import random
 import struct
 import sys
 import tempfile
 import threading
+import tracemalloc
 import zlib
 from pathlib import Path
 
@@ -157,6 +159,61 @@ def test_build_independent_of_order_and_partitioning(lexicon):
             for term in lexicon.terms():
                 assert index.df(term, year) == whole.df(term, year)
         assert list(index.doc_marks()) == list(whole.doc_marks())
+
+
+def test_a_builder_holds_under_250_bytes_a_document(lexicon):
+    """Once added, a document costs the builder its id and a few list
+    slots, not a tuple of its own and its category strings."""
+    n = 20_000
+
+    def corpus():
+        # Fresh id and category strings for every document, as iter_corpus
+        # makes them; a marker in 1 document of 20.
+        for i in range(n):
+            text = "an intricate plan" if i % 20 == 0 else "a plain plan"
+            cats = tuple(f"cs.{name}" for name in ("CL", "LG")[:1 + i % 2])
+            yield Document(f"doc-{i:06d}", 2019 + i % 5, text, cats)
+
+    builder = IndexBuilder(lexicon)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        builder.add_all(corpus())
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held / n < 250
+    assert builder.finish().doc_count == n
+
+
+def test_equal_ids_and_category_orders_leave_no_trace(tmp_path, lexicon):
+    """A scan's documents sharing an id go by mask, then categories,
+    whatever their order; a merge of builders that first saw a year's
+    categories in opposite orders saves the bytes of one sequential build."""
+    shared = [Document("a", 2023, "an intricate plan", ("physics",)),
+              Document("a", 2023, "an intricate plan", ("biology",)),
+              Document("a", 2023, "a plain plan", ("physics",)),
+              Document("b", 2023, "a notable plan", ("biology", "physics")),
+              Document("c", 2022, "an intricate, notable plan")]
+    q = Or((Term("intricate"), Term("notable")))
+    expected = [("c", 2022, 3, ()), ("a", 2023, 0, ("physics",)), ("a", 2023, 1, ("biology",)),
+                ("a", 2023, 1, ("physics",)), ("b", 2023, 2, ("biology", "physics"))]
+    for docs in itertools.permutations(shared):
+        assert list(scan_index(docs, lexicon, q).doc_marks()) == expected
+
+    docs = [Document(f"d{i:02d}", 2022 + i % 2, "an intricate plan" if i % 3 else "a plain plan",
+                     (("x",), ("y",), ("x", "y"))[i % 3]) for i in range(24)]
+    sequential = tmp_path / "sequential.idx"
+    save_index(build_index(docs, lexicon), sequential)
+    # The two parts meet each year's three category tuples in opposite orders.
+    first, second = docs[:12], docs[12:][::-1]
+    for left, right in ((first, second), (second, first)):
+        builders = [IndexBuilder(lexicon), IndexBuilder(lexicon)]
+        for builder, part in zip(builders, (left, right)):
+            builder.add_all(part)
+        builders[0].merge(builders[1])
+        save_index(builders[0].finish(), tmp_path / "merged.idx")
+        assert (tmp_path / "merged.idx").read_bytes() == sequential.read_bytes()
 
 
 def test_merge_rejects_overlapping_ids(lexicon):
@@ -916,6 +973,17 @@ def test_a_category_that_is_no_string_is_a_build_error(lexicon, category):
                   lambda: scan_index(docs, lexicon, Term("intricate"))):
         with pytest.raises(IndexBuildError, match="^a category in 2023 is not a string$"):
             build()
+
+
+def test_a_document_refused_for_a_category_leaves_no_trace_in_the_builder(lexicon):
+    # An unhashable category is refused when the document is added, before
+    # its id or its year is recorded.
+    builder = IndexBuilder(lexicon)
+    with pytest.raises(IndexBuildError, match="^a category in 2022 is not a string$"):
+        builder.add(Document("a", 2022, "an intricate plan", (["c"],)))
+    builder.add(Document("a", 2023, "an intricate plan", ("c",)))
+    index = builder.finish()
+    assert list(index.doc_marks()) == [("a", 2023, 1 << index.term_bit("intricate"), ("c",))]
 
 
 # ------------------------------------------------------------ format versions
