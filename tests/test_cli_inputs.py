@@ -17,6 +17,8 @@ import io
 import json
 import struct
 import zlib
+from pathlib import Path
+from typing import Iterator
 
 import pytest
 from hypothesis import given, settings
@@ -85,9 +87,9 @@ COMMANDS = {
 }
 
 
-@pytest.fixture(scope="module")
-def paths(tmp_path_factory) -> dict[str, str]:
-    tmp = tmp_path_factory.mktemp("cli_inputs")
+def make_inputs(tmp: Path) -> dict[str, str]:
+    """Write the input files of the command lines above into *tmp*, and
+    return every path by the name that stands for it there."""
     index = tmp / "sample.idx"
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["index", "--corpus", str(bundled_corpus_path()), "--out", str(index)]) == 0
@@ -136,9 +138,15 @@ def paths(tmp_path_factory) -> dict[str, str]:
     }
 
 
-def _check(command: str, changes: list[tuple[str, str]], paths: dict[str, str]) -> None:
-    """Run the valid command line of *command* with each (flag, value) of
-    *changes* applied (a repeated flag overrides the earlier one)."""
+@pytest.fixture(scope="module")
+def paths(tmp_path_factory) -> dict[str, str]:
+    return make_inputs(tmp_path_factory.mktemp("cli_inputs"))
+
+
+def command_line(command: str, changes: list[tuple[str, str]]) -> list[str]:
+    """The valid command line of *command* with each (flag, value) of
+    *changes* applied (a repeated flag overrides the earlier one); paths
+    are still named by their ``{placeholder}``."""
     argv = list(COMMANDS[command][0])
     position = len(command.split())
     for flag, value in changes:
@@ -148,7 +156,27 @@ def _check(command: str, changes: list[tuple[str, str]], paths: dict[str, str]) 
             argv.insert(position, value)
         else:
             argv += [flag, value]
-    argv = [arg.format(**paths) if arg.startswith("{") else arg for arg in argv]
+    return argv
+
+
+def awkward_values_alone() -> Iterator[tuple[str, list[tuple[str, str]]]]:
+    """Each command with no change, then with each awkward value alone, a
+    reversed year range and a malformed corpus skipped."""
+    for command, (_, flags) in COMMANDS.items():
+        yield command, []
+        for flag, values in flags.items():
+            for value in values:
+                yield command, [(flag, value)]
+        if "--from" in flags:
+            yield command, [("--from", "2023"), ("--to", "2019")]
+        if "--on-error" in flags:
+            yield command, [("--corpus", "{malformed}"), ("--on-error", "skip")]
+
+
+def _check(command: str, changes: list[tuple[str, str]], paths: dict[str, str]) -> None:
+    """Run :func:`command_line` of *command* and *changes*."""
+    argv = [arg.format(**paths) if arg.startswith("{") else arg
+            for arg in command_line(command, changes)]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
@@ -165,15 +193,8 @@ def _check(command: str, changes: list[tuple[str, str]], paths: dict[str, str]) 
 
 
 def test_each_awkward_value_alone(paths):
-    for command, (_, flags) in COMMANDS.items():
-        _check(command, [], paths)
-        for flag, values in flags.items():
-            for value in values:
-                _check(command, [(flag, value)], paths)
-        if "--from" in flags:
-            _check(command, [("--from", "2023"), ("--to", "2019")], paths)
-        if "--on-error" in flags:
-            _check(command, [("--corpus", "{malformed}"), ("--on-error", "skip")], paths)
+    for command, changes in awkward_values_alone():
+        _check(command, changes, paths)
 
 
 @pytest.mark.parametrize("name", sorted(BROKEN_INDEXES))
