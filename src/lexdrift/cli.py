@@ -456,8 +456,8 @@ def _add_output(parser: argparse.ArgumentParser) -> None:
 
 def _add_series_source(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("series", nargs="*", metavar="SERIES",
-                        help="series ids (counts file) or group/term names "
-                             "(index); default: every series in the file")
+                        help="series ids (counts file), or group or term names "
+                             "or queries (index); default: every series in the file")
     source = parser.add_mutually_exclusive_group()
     source.add_argument("--counts", metavar="PATH",
                         help="count CSV to read ('builtin' or omitted: the "
@@ -555,7 +555,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     pc = csub.add_parser("export", help="derive a count CSV from an index")
     pc.add_argument("series", nargs="*", metavar="SERIES",
-                    help="group or term names (default: all lexicon groups)")
+                    help="group or term names, or queries (default: all "
+                         "lexicon groups)")
     pc.add_argument("--index", required=True, metavar="PATH")
     pc.add_argument("--out", metavar="PATH")
     pc.set_defaults(func=cmd_counts_export)

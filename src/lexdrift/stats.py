@@ -16,8 +16,9 @@ implies, which is useful when reconciling externally reported increases
 computed under the two different conventions.
 
 All arithmetic is double precision; callers round only at rendering time.
-This module is count-series arithmetic: it reads an index only through
-:func:`lexdrift.index.eval_count`, in :func:`series_from_index`.
+This module is count-series arithmetic. It reads an index only in
+:func:`series_from_index`, where a series name is a lexicon group, an entry,
+or else a query, counted with :func:`lexdrift.index.eval_count`.
 """
 
 from __future__ import annotations
@@ -303,28 +304,22 @@ def export_counts(series_map: Mapping[str, CountSeries]) -> str:
 
 
 def series_from_index(index: YearTermIndex, name: str) -> CountSeries:
-    """Per-year counts for a lexicon group or single term from an index.
-    A group name is matched ignoring case; a term name is the entry spelled
-    exactly so, else the one entry equal to it ignoring case."""
+    """Per-year counts for a named series from an index. A lexicon group
+    name (matched ignoring case) means ``any(group)``, and a name that
+    ``Lexicon.resolve`` maps to one entry means that entry. Any other name
+    is a query, such as ``atleast(2, strong)``, parsed against the index's
+    lexicon, so the parser or ``eval_count`` says what is wrong with it."""
     from .index import eval_count
-    from .query import AnyOf, Term
+    from .query import AnyOf, Term, parse_query
 
-    groups = index.lexicon.groups()
-    key = name.casefold()
+    group = index.lexicon.groups().get(name.casefold())
     terms = index.lexicon.resolve(name)
-    if key in groups:
-        query: Query = AnyOf(groups[key])
+    if group is not None:
+        query: Query = AnyOf(group)
     elif len(terms) == 1:
         query = Term(terms[0])
-    elif terms:
-        raise DataError(
-            f"ambiguous series {name!r}: lexicon entries "
-            f"{', '.join(map(repr, terms))} differ only in case"
-        )
     else:
-        raise DataError(
-            f"unknown series {name!r}: not a lexicon group or indexed term"
-        )
+        query = parse_query(name, index.lexicon)
     points = {
         year: (eval_count(index, query, year), index.total(year))
         for year in index.years

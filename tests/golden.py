@@ -87,6 +87,13 @@ def _index_files() -> list[list[str]]:
                  ["skew", "intricate", "--year", "2023"], ["plot", "strong"],
                  ["counts", "export", "strong"]):
         cases.append([*argv, "--index", "{v3}", "--out", "{out}"])
+    # A series named by a query, counted in combination.
+    combined = "atleast(2, strong)"
+    for fmt in FORMATS:
+        cases += [[command, combined, "--index", "{v3}", "--format", fmt]
+                  for command in ("drift", "excess", "query")]
+    cases += [["plot", combined, "--index", "{v3}", "--metric", "count"],
+              ["counts", "export", combined, "--index", "{v3}"]]
     return cases
 
 

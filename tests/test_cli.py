@@ -16,7 +16,7 @@ from lexdrift.cli import main
 
 from conftest import brute_force_count
 from lexdrift import load_corpus, parse_query, builtin_lexicon
-from lexdrift import bundled_counts_path, excess_report, import_counts
+from lexdrift import CountSeries, bundled_counts_path, excess_report, export_counts, import_counts
 
 
 @pytest.fixture()
@@ -675,6 +675,42 @@ def test_counts_export_round_trips_through_import(sample_index, tmp_path, capsys
     exported = out.read_text(encoding="utf-8")
     assert main(["counts", "import", str(out)]) == 0
     assert capsys.readouterr().out == exported
+
+
+def test_a_series_named_by_a_query_counts_what_query_counts(tmp_path, capsys):
+    # The abstract's markers "in combination": a series name that is no
+    # group or entry is a query, in every command that names series.
+    name = "atleast(2, strong)"
+    source = ["--index", str(Path(__file__).parent / "data" / "sample-v3.idx")]
+    queried = json.loads(_stdout(capsys, ["query", name, *source, "--format", "json"]))
+    assert queried["matches"] == [0, 0, 0, 0, 5]
+    rows = list(zip(queried["years"], queried["matches"], queried["totals"]))
+    for fmt in ("text", "csv", "json"):
+        drift = _stdout(capsys, ["drift", name, *source, "--format", fmt])
+        excess = _stdout(capsys, ["excess", name, *source, "--format", fmt])
+        if fmt == "json":
+            (drift,), (excess,) = json.loads(drift), json.loads(excess)
+            assert (drift["series"], drift["matches"]) == (name, queried["matches"])
+            assert excess["matches"] == queried["matches"]
+            assert excess["actual"] == queried["matches"][-1]
+        elif fmt == "csv":
+            drift_rows = list(csv.DictReader(io.StringIO(drift)))
+            assert [(int(r["year"]), int(r["matches"]), int(r["total"])) for r in drift_rows] \
+                == rows
+            (excess_row,) = csv.DictReader(io.StringIO(excess))
+            assert int(excess_row["actual"]) == queried["matches"][-1]
+        else:
+            title, _, *table = drift.splitlines()
+            assert title == f"series: {name}"
+            assert [tuple(map(int, line.split()[:3])) for line in table] == rows
+            assert f"actual 2023: {queried['matches'][-1]}\n" in excess
+    exported = _stdout(capsys, ["counts", "export", name, *source])
+    assert exported == export_counts({name: CountSeries(name, {
+        year: (matches, total) for year, matches, total in rows})})
+    counts = tmp_path / "counts.csv"
+    counts.write_text(exported, encoding="utf-8")
+    assert _stdout(capsys, ["plot", name, *source, "--metric", "count"]) \
+        == _stdout(capsys, ["plot", name, "--counts", str(counts), "--metric", "count"])
 
 
 # ------------------------------------------------------------------- skew

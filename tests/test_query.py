@@ -4,6 +4,8 @@ import random
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lexdrift import (
     And,
@@ -21,6 +23,7 @@ from lexdrift import (
     UnindexedTermError,
     UnknownNameError,
     build_index,
+    builtin_lexicon,
     eval_count,
     eval_count_scan,
     parse_query,
@@ -28,7 +31,7 @@ from lexdrift import (
 )
 from lexdrift.query import MAX_NESTING, query_vocabulary
 
-from conftest import make_random_query
+from conftest import make_random_corpus, make_random_query
 
 
 def test_or_of_terms(lexicon):
@@ -270,7 +273,7 @@ def test_name_told_apart_only_by_case_is_ambiguous():
     for text, offset in (("Gpt", 0), ('"Gpt"', 0), ("any(Gpt)", 4), ("atleast(1, gPT)", 11)):
         with pytest.raises(UnknownNameError, match=f"ambiguous.*offset {offset}"):
             parse_query(text, lexicon)
-    with pytest.raises(DataError, match="ambiguous series 'Gpt'"):
+    with pytest.raises(DataError, match="'Gpt' is ambiguous"):
         series_from_index(index, "Gpt")
     with pytest.raises(UnindexedTermError):
         index.df("Gpt", 2023)
@@ -397,6 +400,26 @@ def test_rendered_query_trees_parse_back(lexicon, seed):
     for _ in range(40):
         q = make_random_query(rng, lexicon, depth=4)
         assert parse_query(_render(q, rng), lexicon) == q
+
+
+@pytest.fixture(scope="module")
+def random_index():
+    lexicon = builtin_lexicon()
+    docs = make_random_corpus(random.Random(21), lexicon, 300, (2021, 2022, 2023))
+    return lexicon, build_index(docs, lexicon)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_a_series_named_by_query_text_counts_what_the_query_counts(random_index, seed):
+    lexicon, index = random_index
+    rng = random.Random(seed)
+    text = _render(make_random_query(rng, lexicon, depth=3), rng)
+    q = parse_query(text, lexicon)
+    series = series_from_index(index, text)
+    assert series.series_id == text
+    assert series.points == {year: (eval_count(index, q, year), index.total(year))
+                             for year in index.years}
 
 
 @pytest.mark.parametrize("text, error", [
