@@ -32,7 +32,7 @@ _MODULE_OF = {
         "query": "AnyOf AtLeastK And Or Phrase Query Term parse_query",
         "stats": "CountSeries DriftReport baseline_projection count_increase "
                  "drift_report excess excess_report export_counts implied_total_ratio "
-                 "import_counts max_historical_change series_from_index share "
+                 "import_counts series_from_index share "
                  "share_increase yoy_change",
         "svg": "PlotSpec render_line_chart",
     }.items()

@@ -184,27 +184,6 @@ class CountSeries(Value):
         return CountSeries(self.series_id, pts)
 
 
-def max_historical_change(series: CountSeries, from_year: int | None = None,
-                          to_year: int | None = None, *,
-                          absolute: bool = False) -> tuple[float, int]:
-    """Largest year-on-year share change in the window, with the year it
-    occurred. Signed maximum by default; ``absolute=True`` picks the change
-    of greatest magnitude instead (still returned signed)."""
-    window = series.slice(from_year, to_year)
-    changes = [
-        (c, y) for y in window.years
-        if (c := window.yoy_at(y)) is not None
-    ]
-    if not changes:
-        raise DataError(
-            f"series {series.series_id!r}: need at least two consecutive years "
-            "with positive shares"
-        )
-    key = (lambda cy: abs(cy[0])) if absolute else (lambda cy: cy[0])
-    best = max(changes, key=key)
-    return best
-
-
 def import_counts(source) -> dict[str, CountSeries]:
     """Read a count table (CSV with header ``series,year,matches,total``)
     into one CountSeries per series id, keeping first-appearance order.

@@ -2,15 +2,15 @@
 for a fixed list of command lines, the exit code, stdout, stderr and the
 file written by ``--out``, each run through ``lexdrift.cli.main``.
 
-    python tests/golden.py --write    # record the transcript anew
-    python tests/golden.py            # name the first command that differs
+    python tests/golden.py --write
 
 The list runs every command on the bundled counts, the bundled corpus and
 the index files kept in ``tests/data``, in each format and with ``--out``,
 and on an index built with a lexicon whose case-sensitive ``GPT`` stands
 beside ``gpt``; then each command line of ``test_cli_inputs.py`` with one
-awkward value. ``test_golden.py`` replays it, so a change to any output
-shows as a diff of the transcript.
+awkward value. ``test_golden.py`` replays it and names the first command
+line whose output differs, so an intended change to any output shows as a
+diff of the transcript, recorded anew.
 
 Paths are written as the ``{placeholder}`` that stands for them. An SVG is
 recorded as its SHA-256, and an index file as the SHA-256 of its inflated
@@ -34,7 +34,7 @@ from pathlib import Path
 from lexdrift import bundled_corpus_path, bundled_counts_path
 from lexdrift.cli import main
 
-from test_cli_inputs import awkward_values_alone, command_line, make_inputs
+from test_cli_inputs import awkward_values_alone, command_line, fill, make_inputs
 
 DATA = Path(__file__).resolve().parent / "data"
 GOLDEN = DATA / "cli-golden.txt"
@@ -44,8 +44,7 @@ _INDEX_HEADER = 18
 # Case-sensitive GPT beside gpt: "Gpt" names neither alone.
 _CASED_LEXICON = {"name": "cased", "entries": [
     {"term": "GPT", "role": "disclosure", "case_sensitive": True},
-    {"term": "gpt", "role": "disclosure"},
-    {"term": "intricate", "role": "adjective"}]}
+    {"term": "gpt", "role": "disclosure"}]}
 
 
 def _bundled() -> list[list[str]]:
@@ -138,10 +137,9 @@ def _run(argv: list[str], paths: dict[str, str]) -> str:
     out_path = Path(paths["out"])
     if out_path.is_file():
         out_path.unlink()
-    filled = [arg.format(**paths) if arg.startswith("{") else arg for arg in argv]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(filled)
+        code = main(fill(argv, paths))
     stderr = err.getvalue()
     if code == 2 and stderr.startswith("usage:"):
         stderr = stderr.splitlines(keepends=True)[-1]
@@ -178,30 +176,10 @@ def split(text: str) -> list[str]:
     return blocks
 
 
-def first_difference(fresh: list[str], kept: list[str]) -> str | None:
-    """The command line of the first block that differs, or None."""
-    for new, old in zip(fresh, kept):
-        if new != old:
-            return new.splitlines()[0]
-    if len(fresh) != len(kept):
-        return f"the transcript holds {len(kept)} command lines, the list {len(fresh)}"
-    return None
-
-
-def main_entry(argv: list[str]) -> int:
-    with tempfile.TemporaryDirectory() as tmp:
-        fresh = transcript(Path(tmp))
-    if argv == ["--write"]:
-        GOLDEN.write_text("".join(fresh), encoding="utf-8")
-        print(f"wrote {len(fresh)} command lines to {GOLDEN}")
-        return 0
-    differs = first_difference(fresh, split(GOLDEN.read_text(encoding="utf-8")))
-    if differs is not None:
-        print(f"differs from {GOLDEN.name}: {differs}")
-        return 1
-    print(f"all {len(fresh)} command lines print what {GOLDEN.name} holds")
-    return 0
-
-
 if __name__ == "__main__":
-    sys.exit(main_entry(sys.argv[1:]))
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: python tests/golden.py --write")
+    with tempfile.TemporaryDirectory() as tmp:
+        blocks = transcript(Path(tmp))
+    GOLDEN.write_text("".join(blocks), encoding="utf-8")
+    print(f"wrote {len(blocks)} command lines to {GOLDEN}")

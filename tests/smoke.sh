@@ -23,6 +23,17 @@ fresh, kept = (zlib.decompress(open(path, "rb").read()[18:]) for path in sys.arg
 if fresh != kept:
     sys.exit(f"the payload of {sys.argv[1]} differs from that of {sys.argv[2]}")
 ' sample.idx "$here/data/sample-v3.idx"
+# A series name that is no group or entry is a query: its excess counts
+# what the query counts in the last year.
+lexdrift excess 'atleast(2, strong)' --index sample.idx --format json > excess.json
+lexdrift query 'atleast(2, strong)' --index sample.idx --format json > query.json
+python -c '
+import json, sys
+(excess,), query = (json.load(open(path)) for path in sys.argv[1:])
+actual, matches = excess["actual"], query["matches"][-1]
+if actual != matches:
+    sys.exit(f"excess reports {actual} documents, the query counts {matches}")
+' excess.json query.json
 lexdrift query 'any(strong)' --index sample.idx > v2.txt
 # A cold query imports no dataclasses: importing and using them costs
 # more start-up time than the query itself. Nor, on a file this version

@@ -173,10 +173,14 @@ def awkward_values_alone() -> Iterator[tuple[str, list[tuple[str, str]]]]:
             yield command, [("--corpus", "{malformed}"), ("--on-error", "skip")]
 
 
+def fill(argv: list[str], paths: dict[str, str]) -> list[str]:
+    """*argv* with each ``{placeholder}`` replaced by its path."""
+    return [arg.format(**paths) if arg.startswith("{") else arg for arg in argv]
+
+
 def _check(command: str, changes: list[tuple[str, str]], paths: dict[str, str]) -> None:
     """Run :func:`command_line` of *command* and *changes*."""
-    argv = [arg.format(**paths) if arg.startswith("{") else arg
-            for arg in command_line(command, changes)]
+    argv = fill(command_line(command, changes), paths)
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)

@@ -150,6 +150,24 @@ def test_each_public_name_is_written_once():
         == dict.fromkeys(lexdrift.__all__, 1)
 
 
+def test_each_public_name_is_used_in_src_or_named_in_the_readme():
+    # A public name that only tests call is code kept for the tests' sake.
+    used = set()
+    for path in (SRC / "lexdrift").glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    named = set(re.findall(r"\w+", readme.read_text(encoding="utf-8")))
+    assert [name for name in lexdrift.__all__ if name not in used | named] == []
+
+
 def test_unknown_attribute_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         lexdrift.no_such_name

@@ -28,7 +28,6 @@ from lexdrift import (
     export_counts,
     implied_total_ratio,
     import_counts,
-    max_historical_change,
     series_from_index,
     share,
     share_increase,
@@ -226,46 +225,6 @@ def test_series_slice():
     assert window.years == (2020, 2021, 2022)
     with pytest.raises(DataError):
         series.slice(2030, 2031)
-
-
-def test_max_historical_change_flat():
-    series = _series({2019: (2, 100), 2020: (2, 100), 2021: (2, 100)})
-    change, _ = max_historical_change(series)
-    assert change == 0
-
-
-def test_max_historical_change_middle_peak():
-    series = _series({
-        2019: (200, 10000), 2020: (210, 10000), 2021: (200, 10000),
-    })
-    change, year = max_historical_change(series)
-    assert change == pytest.approx(0.05, abs=1e-12)
-    assert year == 2020
-
-
-def test_max_historical_change_absolute_mode():
-    series = _series({
-        2019: (100, 1000), 2020: (105, 1000), 2021: (63, 1000),
-    })
-    signed, year_signed = max_historical_change(series)
-    assert (round(signed, 2), year_signed) == (0.05, 2020)
-    absolute, year_abs = max_historical_change(series, absolute=True)
-    assert (round(absolute, 2), year_abs) == (-0.4, 2021)
-
-
-def test_max_historical_change_window():
-    series = _series({
-        2019: (100, 1000), 2020: (200, 1000), 2021: (210, 1000),
-        2022: (211, 1000),
-    })
-    change, year = max_historical_change(series, 2020, 2022)
-    assert year == 2021
-    assert change == pytest.approx(0.05)
-
-
-def test_max_historical_change_insufficient():
-    with pytest.raises(DataError):
-        max_historical_change(_series({2019: (1, 10)}))
 
 
 # ---------------------------------------------------------------- CSV I/O
