@@ -189,9 +189,11 @@ class _Gathered:
         ascending and a year's documents by id, and the index-wide columns."""
         years, chunks, start = {}, [[] for _ in range(width)], 0
         for year, (ids, masks, seen, rows) in sorted(self._years.items()):
+            # A Document built in code may hold an id or a category that is no string.
+            _check_strings(ids, f"a document id in {year}", IndexBuildError)
             try:
                 table = tuple(sorted(seen))
-            except TypeError:  # strings sort: a Document built in code may hold others
+            except TypeError:  # strings sort
                 raise IndexBuildError(f"a category in {year} is not a string") from None
             rank = list(map({cats: r for r, cats in enumerate(table)}.__getitem__, seen))
             # Equal ids, which a scan or a version 1 file can hold, go by mask, then categories.
@@ -405,7 +407,11 @@ class IndexBuilder:
         if not self.min_year <= doc.year <= self.max_year:
             raise IndexBuildError(f"document {doc.id!r}: year {doc.year} outside allowed "
                                   f"range {self.min_year}-{self.max_year}")
-        if doc.id in self._seen:
+        try:
+            seen = doc.id in self._seen
+        except TypeError:  # strings hash: finish refuses an id that hashes but is no string
+            raise IndexBuildError(f"a document id in {doc.year} is not a string") from None
+        if seen:
             raise IndexBuildError(f"duplicate document id {doc.id!r}")
         vocab = self._vocab
         self._marks.add(doc.id, doc.year, vocab.mask(doc.text) if vocab.gate(doc.text) else 0,
@@ -700,12 +706,18 @@ def _decode_v2(payload: bytes) -> YearTermIndex:
             raise ValueError(f"a column of {year} is wider than its {n} documents")
         for chunk, o in zip(chunks, range(offset, cut, step)):
             chunk.append(payload[o:o + step])
-        rows.frombytes(payload[cut:end])
+        raw = payload[cut:end]
+        rows.frombytes(raw)
         rows = _little_endian(rows)
         offset = end
-        if max(rows) >= len(table):
+        if rows.itemsize == 1:  # one C pass each: rows past the table, table rows unused
+            valid = bytes(range(len(table)))
+            past, unused = raw.translate(None, valid), valid.translate(None, raw)
+        else:
+            past, unused = max(rows) >= len(table), len(set(rows)) != len(table)
+        if past:
             raise ValueError(f"a document of {year} has no row in its category table")
-        if len(set(rows)) != len(table):
+        if unused:
             raise ValueError(f"a category-table row of {year} has no documents")
         by_year[year] = _Year(tuple(ids), start, table, rows)
         start += 8 * step
@@ -748,17 +760,18 @@ def _check_years(min_year, max_year, years: Iterable) -> None:
         raise ValueError("a year is not an integer")
 
 
-def _check_strings(values: Iterable, what: str) -> None:
-    if set(map(type, values)) - {str}:
-        raise ValueError(f"{what} is not a string")
+def _check_strings(values: Iterable, what: str, error: type[Exception] = ValueError) -> str:
+    """*values* joined, in one C call that refuses any that is no string."""
+    try:
+        return "".join(values)
+    except TypeError:
+        raise error(f"{what} is not a string") from None
 
 
 def _check_categories(values: Iterable, what: str) -> None:
     """Categories are printed, so they must be strings with no lone
     surrogate."""
-    values = list(values)
-    _check_strings(values, what)
-    problem = lone_surrogate("".join(values))
+    problem = lone_surrogate(_check_strings(values, what))
     if problem is not None:
         raise ValueError(f"{what} holds a {problem}")
 

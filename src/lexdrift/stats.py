@@ -32,7 +32,9 @@ from typing import TYPE_CHECKING, Mapping
 from .errors import (
     CountsFormatError,
     DataError,
+    QueryError,
     UndefinedChangeError,
+    UnindexedTermError,
     undecodable,
 )
 from .value import Value
@@ -287,22 +289,30 @@ def series_from_index(index: YearTermIndex, name: str) -> CountSeries:
     name (matched ignoring case) means ``any(group)``, and a name that
     ``Lexicon.resolve`` maps to one entry means that entry. Any other name
     is a query, such as ``atleast(2, strong)``, parsed against the index's
-    lexicon, so the parser or ``eval_count`` says what is wrong with it."""
+    lexicon; a QueryError says that the name was read as a query and what
+    the parser or ``eval_count`` found wrong with it."""
     from .index import eval_count
     from .query import AnyOf, Term, parse_query
 
     group = index.lexicon.groups().get(name.casefold())
     terms = index.lexicon.resolve(name)
-    if group is not None:
-        query: Query = AnyOf(group)
-    elif len(terms) == 1:
-        query = Term(terms[0])
-    else:
-        query = parse_query(name, index.lexicon)
-    points = {
-        year: (eval_count(index, query, year), index.total(year))
-        for year in index.years
-    }
+    try:
+        if group is not None:
+            query: Query = AnyOf(group)
+        elif len(terms) == 1:
+            query = Term(terms[0])
+        else:
+            query = parse_query(name, index.lexicon)
+        points = {
+            year: (eval_count(index, query, year), index.total(year))
+            for year in index.years
+        }
+    except QueryError as exc:  # only a name read as a query can fail here
+        # No advice to scan a corpus: a series is counted from the index alone.
+        problem = (f"term {exc.term!r} is not in the index vocabulary"
+                   if isinstance(exc, UnindexedTermError) else exc)
+        raise QueryError(f"series {name!r} is no group or entry of the index; "
+                         f"as a query: {problem}") from None
     if not points:
         raise DataError("index contains no documents")
     return CountSeries(name, points)

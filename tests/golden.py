@@ -6,11 +6,13 @@ file written by ``--out``, each run through ``lexdrift.cli.main``.
 
 The list runs every command on the bundled counts, the bundled corpus and
 the index files kept in ``tests/data``, in each format and with ``--out``,
-and on an index built with a lexicon whose case-sensitive ``GPT`` stands
-beside ``gpt``; then each command line of ``test_cli_inputs.py`` with one
-awkward value. ``test_golden.py`` replays it and names the first command
-line whose output differs, so an intended change to any output shows as a
-diff of the transcript, recorded anew.
+on an index built with a lexicon whose case-sensitive ``GPT`` stands
+beside ``gpt``, and on an index of a generated corpus whose 2023 has more
+than 256 category tuples, so that its category rows take two bytes a
+document where the others take one; then each command line of
+``test_cli_inputs.py`` with one awkward value. ``test_golden.py`` replays
+it and names the first command line whose output differs, so an intended
+change to any output shows as a diff of the transcript, recorded anew.
 
 Paths are written as the ``{placeholder}`` that stands for them. An SVG is
 recorded as its SHA-256, and an index file as the SHA-256 of its inflated
@@ -24,6 +26,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import shlex
 import sys
@@ -45,6 +48,8 @@ _INDEX_HEADER = 18
 _CASED_LEXICON = {"name": "cased", "entries": [
     {"term": "GPT", "role": "disclosure", "case_sensitive": True},
     {"term": "gpt", "role": "disclosure"}]}
+# 25 categories: each document of 2023 holds a pair of its own, 300 tuples.
+_CATEGORIES = [f"c{i:02d}" for i in range(25)]
 
 
 def _bundled() -> list[list[str]]:
@@ -108,18 +113,42 @@ def _cased() -> list[list[str]]:
     return cases
 
 
+def _two_byte_rows() -> list[list[str]]:
+    return [["index", "--corpus", "{wide_corpus}", "--out", "{wide_index}"],
+            ["query", "any(strong)", "--index", "{wide_index}"],
+            ["skew", "any(strong)", "--index", "{wide_index}", "--year", "2023"],
+            ["drift", "strong", "--index", "{wide_index}"]]
+
+
+def _wide_corpus() -> str:
+    """Two years of documents: 2022 with one category each, 2023 with a
+    pair of categories of its own each, so more than 256 tuples."""
+    lines = []
+    for year, tuples in ((2022, [(c,) for c in _CATEGORIES] * 2),
+                         (2023, list(itertools.combinations(_CATEGORIES, 2)))):
+        for i, cats in enumerate(tuples):
+            words = [word for word, k in (("intricate", 3), ("meticulously", year - 2018),
+                                          ("notable", 7)) if i % k == 0]
+            lines.append(json.dumps({"id": f"w{year}-{i:03d}", "year": year,
+                                     "text": " ".join(["a plain note", *words]),
+                                     "categories": list(cats)}) + "\n")
+    return "".join(lines)
+
+
 def command_lines() -> list[list[str]]:
     """Every command line of the transcript, in order."""
     pool = [command_line(command, changes) for command, changes in awkward_values_alone()]
-    return _bundled() + _corpus() + _index_files() + _cased() + pool
+    return _bundled() + _corpus() + _index_files() + _cased() + _two_byte_rows() + pool
 
 
 def _paths(tmp: Path) -> dict[str, str]:
     paths = make_inputs(tmp)
     (tmp / "cased.json").write_text(json.dumps(_CASED_LEXICON), encoding="utf-8")
+    (tmp / "wide.jsonl").write_text(_wide_corpus(), encoding="utf-8")
     paths.update(
         corpus=str(bundled_corpus_path()), counts=str(bundled_counts_path()),
         cased_lexicon=str(tmp / "cased.json"), cased_index=str(tmp / "cased.idx"),
+        wide_corpus=str(tmp / "wide.jsonl"), wide_index=str(tmp / "wide.idx"),
         **{f"v{n}": str(DATA / f"sample-v{n}.idx") for n in (1, 2, 3)})
     return paths
 

@@ -713,6 +713,25 @@ def test_a_series_named_by_a_query_counts_what_query_counts(tmp_path, capsys):
         == _stdout(capsys, ["plot", name, "--counts", str(counts), "--metric", "count"])
 
 
+@pytest.mark.parametrize("name, problem", [
+    ("group1", "unexpected input '1' (byte offset 5)"),
+    ("nosuch", "term 'nosuch' is not in the index vocabulary"),
+])
+def test_a_series_read_as_a_query_says_so(name, problem, capsys):
+    # No command that counts a series can scan a corpus, so none of them
+    # advises a scan.
+    index = str(Path(__file__).parent / "data" / "sample-v3.idx")
+    for command in (["drift"], ["excess"], ["plot"], ["counts", "export"]):
+        assert main([*command, name, "strong", "--index", index]) == 1
+        assert capsys.readouterr() == ("", f"error: series {name!r} is no group or entry of "
+                                           f"the index; as a query: {problem}\n")
+    # query and skew take --corpus, so they still advise one.
+    for command in (["query"], ["skew", "--year", "2023"]):
+        assert main([*command, "nosuch", "--index", index]) == 1
+        assert capsys.readouterr().err == ("error: term 'nosuch' is not in the index vocabulary; "
+                                           "evaluate it with a corpus scan instead\n")
+
+
 # ------------------------------------------------------------------- skew
 
 

@@ -843,10 +843,10 @@ _V2_DOCS = [
 ]
 
 
-def _v2_parts(tmp_path, lexicon) -> tuple[dict, bytearray]:
-    """The JSON header and the column bytes of the saved _V2_DOCS index."""
+def _v2_parts(tmp_path, lexicon, docs=_V2_DOCS) -> tuple[dict, bytearray]:
+    """The JSON header and the column bytes of the saved *docs* index."""
     path = tmp_path / "good.idx"
-    save_index(build_index(_V2_DOCS, lexicon), path)
+    save_index(build_index(docs, lexicon), path)
     payload = zlib.decompress(path.read_bytes()[_HEADER.size:])
     (size,) = struct.unpack_from("<I", payload)
     return json.loads(payload[4:4 + size]), bytearray(payload[4 + size:])
@@ -934,6 +934,59 @@ def test_malformed_v2_payload_is_an_index_file_error(tmp_path, lexicon, capsys, 
         _assert_rejected(path, capsys, problem)
 
 
+# 257 documents of 2023, each with a category tuple of its own: a table of
+# more than 256 rows, so two bytes a document's row.
+_TWO_BYTE_DOCS = [Document(f"d{i:03d}", 2023, "an intricate proof", (f"c{i:03d}",))
+                  for i in range(257)]
+
+
+@pytest.mark.parametrize("row, problem", [
+    (257, "a document of 2023 has no row in its category table"),
+    (0, "a category-table row of 2023 has no documents"),
+], ids=["category-row-past-table", "category-row-without-documents"])
+def test_malformed_two_byte_rows_are_an_index_file_error(tmp_path, lexicon, capsys, row,
+                                                         problem):
+    header, columns = _v2_parts(tmp_path, lexicon, _TWO_BYTE_DOCS)
+    assert columns[-2:] == (256).to_bytes(2, "little")  # the last document's row
+    columns[-2:] = row.to_bytes(2, "little")
+    path = tmp_path / "bad.idx"
+    for version in (2, 3):
+        _write_container(path, _v2_blob(header, columns), version=version)
+        _assert_rejected(path, capsys, problem)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_one_byte_rows_load_exactly_when_each_lies_in_and_uses_the_table(lexicon, data):
+    size = data.draw(st.integers(1, 256), label="table size")
+    top = data.draw(st.sampled_from([size - 1, size, 255]), label="largest row drawn")
+    rows = data.draw(st.lists(st.integers(0, top), min_size=1, max_size=300), label="rows")
+    if data.draw(st.booleans(), label="every row listed once more"):
+        rows = data.draw(st.permutations(rows + list(range(size))), label="rows")
+    n, width = len(rows), len(lexicon.terms())
+    header = {"format": "lexdrift.index", "lexicon": lexicon_to_dict(lexicon),
+              "min_year": 2023, "max_year": 2023,
+              "years": [{"year": 2023, "ids": [f"d{i:03d}" for i in range(n)],
+                         "categories": [[f"c{r:03d}"] for r in range(size)]}]}
+    # The rule spelled out one element at a time.
+    if max(rows) >= size:
+        problem = "a document of 2023 has no row in its category table"
+    elif len(set(rows)) != size:
+        problem = "a category-table row of 2023 has no documents"
+    else:
+        problem = None
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "rows.idx"
+        _write_container(path, _v2_blob(header, bytes(width * ((n + 7) // 8)) + bytes(rows)),
+                         version=3)
+        if problem is None:
+            assert [cats for _, _, _, cats in load_index(path).doc_marks()] \
+                == [(f"c{r:03d}",) for r in rows]
+        else:
+            with pytest.raises(IndexFileError, match=problem):
+                load_index(path)
+
+
 def test_saved_lone_surrogate_category_is_rejected_on_load(tmp_path, lexicon, capsys):
     # A JSON "\\ud800" escape in a category decodes to a lone surrogate,
     # which no output can print. save_index writes no such file, so this
@@ -973,6 +1026,31 @@ def test_a_category_that_is_no_string_is_a_build_error(lexicon, category):
                   lambda: scan_index(docs, lexicon, Term("intricate"))):
         with pytest.raises(IndexBuildError, match="^a category in 2023 is not a string$"):
             build()
+
+
+@pytest.mark.parametrize("ids", [(7,), (7, "d"), (["d"],)],
+                         ids=["int", "int-beside-str", "unhashable"])
+def test_a_document_id_that_is_no_string_is_a_build_error(tmp_path, lexicon, ids):
+    # The corpus reader reads ids as strings; a Document built in code
+    # reaches every build path unchecked, yet none of them may make an
+    # index the loader would refuse.
+    docs = [Document(i, 2023, "an intricate proof", ("a",)) for i in ids]
+
+    def merged():
+        parts = [IndexBuilder(lexicon) for _ in docs]
+        for part, doc in zip(parts, docs):
+            part.add(doc)
+        for part in parts[1:]:
+            parts[0].merge(part)
+        return parts[0].finish()
+
+    path = tmp_path / "bad.idx"
+    for build in (lambda: build_index(docs, lexicon), merged,
+                  lambda: YearTermIndex(lexicon, 2023, 2023, [(i, 2023, 0, ("a",)) for i in ids]),
+                  lambda: scan_index(docs, lexicon, Term("intricate"))):
+        with pytest.raises(IndexBuildError, match="^a document id in 2023 is not a string$"):
+            save_index(build(), path)
+    assert not path.exists()
 
 
 def test_a_document_refused_for_a_category_leaves_no_trace_in_the_builder(lexicon):

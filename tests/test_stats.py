@@ -388,7 +388,8 @@ def test_series_from_index(lexicon):
     assert series.points == {2022: (1, 2), 2023: (1, 1)}
     strong = series_from_index(index, "strong")
     assert strong.matches(2023) == 1
-    with pytest.raises(DataError, match="zzz"):
+    with pytest.raises(DataError, match="^series 'zzz' is no group or entry of the index; "
+                       "as a query: term 'zzz' is not in the index vocabulary$"):
         series_from_index(index, "zzz")
 
 
