@@ -43,8 +43,8 @@ import zlib
 from array import array
 from collections import Counter, defaultdict
 from functools import reduce
-from itertools import chain, compress, product, repeat
-from operator import and_, lt, or_
+from itertools import chain, compress, islice, product, repeat
+from operator import and_, eq, lt, or_
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -390,7 +390,9 @@ def _seq_contains(seq: list[str], toks: list[str]) -> bool:
 
 class IndexBuilder:
     """Accumulates document marks; partitions built separately merge into
-    the same index as a single sequential build."""
+    the same index as a single sequential build. Each id is held once, in
+    its year's list: a duplicate or non-string id is reported when the
+    builder finishes, not when the document is added or merged."""
 
     def __init__(self, lexicon: Lexicon, *, min_year: int = DEFAULT_MIN_YEAR,
                  max_year: int = DEFAULT_MAX_YEAR):
@@ -401,44 +403,39 @@ class IndexBuilder:
         self._vocab = _CompiledVocab({e.term: (e.term, e.case_sensitive)
                                       for e in lexicon.entries}, AnyOf(terms) if terms else None)
         self._marks = _Gathered()
-        self._seen: set[str] = set()
 
     def add(self, doc: Document) -> None:
         if not self.min_year <= doc.year <= self.max_year:
             raise IndexBuildError(f"document {doc.id!r}: year {doc.year} outside allowed "
                                   f"range {self.min_year}-{self.max_year}")
-        try:
-            seen = doc.id in self._seen
-        except TypeError:  # strings hash: finish refuses an id that hashes but is no string
-            raise IndexBuildError(f"a document id in {doc.year} is not a string") from None
-        if seen:
-            raise IndexBuildError(f"duplicate document id {doc.id!r}")
         vocab = self._vocab
         self._marks.add(doc.id, doc.year, vocab.mask(doc.text) if vocab.gate(doc.text) else 0,
                         tuple(doc.categories))
-        self._seen.add(doc.id)
 
     def add_all(self, corpus: Iterable[Document]) -> None:
         for doc in corpus:
             self.add(doc)
 
     def merge(self, other: "IndexBuilder") -> None:
+        """Add *other*'s documents; an id both hold is reported by :meth:`finish`."""
         if other.lexicon is not self.lexicon and other.lexicon != self.lexicon:
             raise IndexBuildError("cannot merge builders with different lexicons")
-        overlap = self._seen & other._seen
-        if overlap:
-            raise IndexBuildError(f"duplicate document id {sorted(overlap)[0]!r} "
-                                  "across partitions")
-        self._seen |= other._seen
         for year, (ids, masks, table, rows) in other._marks._years.items():
             tuples = list(table)
-            for doc_id, mask, row in zip(ids, masks, rows):
+            # Bounded by the length at entry, so a builder merged into itself ends.
+            for doc_id, mask, row in islice(zip(ids, masks, rows), len(ids)):
                 self._marks.add(doc_id, year, mask, tuples[row])
 
     def finish(self) -> YearTermIndex:
         terms = self.lexicon.terms()
+        years, columns = self._marks.finish(len(terms))
+        # Sorting merges the years' sorted runs; a repeat is an equal neighbour.
+        ids = sorted(chain.from_iterable(y.ids for y in years.values()))
+        twice = next(compress(ids, map(eq, ids, islice(ids, 1, None))), None)
+        if twice is not None:
+            raise IndexBuildError(f"duplicate document id {twice!r}")
         return YearTermIndex._from_columns(self.lexicon, terms, self.min_year, self.max_year,
-                                           *self._marks.finish(len(terms)))
+                                           years, columns)
 
 
 def build_index(corpus: Iterable[Document], lexicon: Lexicon) -> YearTermIndex:

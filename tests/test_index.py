@@ -125,8 +125,9 @@ def test_pair_df_symmetric_and_bounded(lexicon):
 def test_duplicate_id_rejected(lexicon):
     builder = IndexBuilder(lexicon)
     builder.add(Document(id="a", year=2023, text="x"))
+    builder.add(Document(id="a", year=2023, text="y"))
     with pytest.raises(IndexBuildError, match="duplicate"):
-        builder.add(Document(id="a", year=2023, text="y"))
+        builder.finish()
 
 
 def test_year_out_of_range_rejected(lexicon):
@@ -221,8 +222,9 @@ def test_merge_rejects_overlapping_ids(lexicon):
     a.add(Document(id="x", year=2023, text="one"))
     b = IndexBuilder(lexicon)
     b.add(Document(id="x", year=2023, text="two"))
+    a.merge(b)
     with pytest.raises(IndexBuildError, match="x"):
-        a.merge(b)
+        a.finish()
 
 
 def test_merge_rejects_a_different_lexicon(lexicon):
