@@ -405,12 +405,19 @@ class IndexBuilder:
         self._marks = _Gathered()
 
     def add(self, doc: Document) -> None:
-        if not self.min_year <= doc.year <= self.max_year:
-            raise IndexBuildError(f"document {doc.id!r}: year {doc.year} outside allowed "
+        doc_id, year, text, cats = doc
+        # The corpus reader checks these types; a Document built in code may hold others.
+        try:
+            in_range = self.min_year <= year <= self.max_year
+        except TypeError:
+            raise IndexBuildError(f"document {doc_id!r}: year {year!r} is not an integer") from None
+        if not in_range:
+            raise IndexBuildError(f"document {doc_id!r}: year {year} outside allowed "
                                   f"range {self.min_year}-{self.max_year}")
+        if not isinstance(text, str):
+            raise IndexBuildError(f"document {doc_id!r}: text is not a string")
         vocab = self._vocab
-        self._marks.add(doc.id, doc.year, vocab.mask(doc.text) if vocab.gate(doc.text) else 0,
-                        tuple(doc.categories))
+        self._marks.add(doc_id, year, vocab.mask(text) if vocab.gate(text) else 0, tuple(cats))
 
     def add_all(self, corpus: Iterable[Document]) -> None:
         for doc in corpus:
@@ -589,12 +596,16 @@ def save_index(index: YearTermIndex, path) -> None:
     more rows."""
     if index._terms != index.lexicon.terms():
         raise IndexBuildError("an index over a query's terms (a corpus scan) cannot be saved")
+    # What the loader would refuse is not written: a year or a category
+    # built in code, not read from a corpus, may be of another type, and a
+    # category may hold a lone surrogate.
+    try:
+        _check_years(*index.year_range, index.years)
+    except ValueError as exc:
+        raise IndexBuildError(f"cannot save the index: {exc}") from None
     years = []
     columns: list[bytes] = []
     for year, y in index._by_year.items():
-        # What the loader would refuse is not written: a category built in
-        # code, not read from a corpus, may be no string or hold a lone
-        # surrogate.
         try:
             _check_categories(chain.from_iterable(y.table), f"a category in {year}")
         except ValueError as exc:
