@@ -72,7 +72,7 @@ _SHA256_HEADER = struct.Struct("<4sHQ32s")
 _JSON_LENGTH = struct.Struct("<I")
 _FORMAT = "lexdrift.index"
 
-# One mark per document: (doc_id, year, vocabulary bitmask, categories).
+# One mark per document: (doc_id, year, vocabulary bitmask, categories), checked on intake.
 Mark = tuple[str, int, int, tuple[str, ...]]
 
 # The distinct category tuples of a year's documents, sorted.
@@ -106,6 +106,8 @@ class YearTermIndex:
 
     def _init(self, lexicon: Lexicon, terms: tuple[str, ...], min_year: int,
               max_year: int, years: dict[int, _Year], columns: tuple[int, ...]) -> None:
+        if type(min_year) is not int or type(max_year) is not int:
+            raise IndexBuildError(f"year range {min_year!r}-{max_year!r}: a year is not an integer")
         self._lexicon = lexicon
         self._min_year = min_year
         self._max_year = max_year
@@ -167,18 +169,29 @@ def _in_year(posting: int, y: _Year) -> int:
 
 class _Gathered:
     """Marks gathered as they come, per year: the ids, the masks, a dict from
-    each distinct category tuple to its row, first seen first, and the rows."""
+    each distinct category tuple to its row, first seen first, and the rows.
+    :meth:`add`, every build's one door, keeps nothing :func:`load_index` refuses."""
 
     def __init__(self, marks: Iterable[Mark] = ()):
         self._years = defaultdict(lambda: ([], [], {}, []))
         for mark in marks:
             self.add(*mark)
 
-    def add(self, doc_id: str, year: int, mask: int, cats: tuple[str, ...]) -> None:
+    def add(self, doc_id: str, year: int, mask: int, cats: Iterable[str]) -> None:
+        # The corpus reader checks these types; a Document built in code may hold others.
+        if type(year) is not int:
+            raise IndexBuildError(f"document {doc_id!r}: year {year!r} is not an integer")
+        if not isinstance(doc_id, str):
+            raise IndexBuildError(f"a document id in {year} is not a string")
+        if type(cats) is not tuple and (isinstance(cats, str) or not isinstance(cats, Iterable)):
+            raise IndexBuildError(f"document {doc_id!r}: categories {cats!r} "
+                                  "are not a tuple of strings")
         try:
-            hash(cats)
-        except TypeError:  # strings hash: a Document built in code may hold others
+            joined = "".join(cats := tuple(cats))  # a tuple is kept as it is
+        except TypeError:
             raise IndexBuildError(f"a category in {year} is not a string") from None
+        if not joined.isascii() and (problem := lone_surrogate(joined)):
+            raise IndexBuildError(f"a category in {year} holds a {problem}")
         ids, masks, table, rows = self._years[year]
         ids.append(doc_id)
         masks.append(mask)
@@ -189,12 +202,7 @@ class _Gathered:
         ascending and a year's documents by id, and the index-wide columns."""
         years, chunks, start = {}, [[] for _ in range(width)], 0
         for year, (ids, masks, seen, rows) in sorted(self._years.items()):
-            # A Document built in code may hold an id or a category that is no string.
-            _check_strings(ids, f"a document id in {year}", IndexBuildError)
-            try:
-                table = tuple(sorted(seen))
-            except TypeError:  # strings sort
-                raise IndexBuildError(f"a category in {year} is not a string") from None
+            table = tuple(sorted(seen))
             rank = list(map({cats: r for r, cats in enumerate(table)}.__getitem__, seen))
             # Equal ids, which a scan or a version 1 file can hold, go by mask, then categories.
             order = sorted(range(len(ids)), key=lambda i: (ids[i], masks[i], rank[rows[i]]))
@@ -390,9 +398,9 @@ def _seq_contains(seq: list[str], toks: list[str]) -> bool:
 
 class IndexBuilder:
     """Accumulates document marks; partitions built separately merge into
-    the same index as a single sequential build. Each id is held once, in
-    its year's list: a duplicate or non-string id is reported when the
-    builder finishes, not when the document is added or merged."""
+    the same index as a single sequential build. A document is checked when
+    it is added; each id is held once, in its year's list, so a duplicate is
+    reported when the builder finishes, not when it is added or merged."""
 
     def __init__(self, lexicon: Lexicon, *, min_year: int = DEFAULT_MIN_YEAR,
                  max_year: int = DEFAULT_MAX_YEAR):
@@ -406,18 +414,14 @@ class IndexBuilder:
 
     def add(self, doc: Document) -> None:
         doc_id, year, text, cats = doc
-        # The corpus reader checks these types; a Document built in code may hold others.
-        try:
-            in_range = self.min_year <= year <= self.max_year
-        except TypeError:
-            raise IndexBuildError(f"document {doc_id!r}: year {year!r} is not an integer") from None
-        if not in_range:
+        # A year of another type than int is refused by _Gathered.add.
+        if type(year) is int and not self.min_year <= year <= self.max_year:
             raise IndexBuildError(f"document {doc_id!r}: year {year} outside allowed "
                                   f"range {self.min_year}-{self.max_year}")
         if not isinstance(text, str):
             raise IndexBuildError(f"document {doc_id!r}: text is not a string")
         vocab = self._vocab
-        self._marks.add(doc_id, year, vocab.mask(text) if vocab.gate(text) else 0, tuple(cats))
+        self._marks.add(doc_id, year, vocab.mask(text) if vocab.gate(text) else 0, cats)
 
     def add_all(self, corpus: Iterable[Document]) -> None:
         for doc in corpus:
@@ -446,7 +450,8 @@ class IndexBuilder:
 
 
 def build_index(corpus: Iterable[Document], lexicon: Lexicon) -> YearTermIndex:
-    """Index a document sequence against a lexicon vocabulary."""
+    """Index a document sequence against a lexicon vocabulary. An id, text or
+    category that is no string, or a year that is no int, raises IndexBuildError."""
     builder = IndexBuilder(lexicon)
     builder.add_all(corpus)
     return builder.finish()
@@ -540,15 +545,18 @@ def scan_index(corpus: Iterable[Document], lexicon: Lexicon, q: Query) -> YearTe
     entry, or of several, is matched case-folded. A document that cannot
     match *q*, tested on plain substrings, holds no term in it, so the
     index answers *q* exactly and no other query. Such an index cannot be
-    saved."""
+    saved. Documents are checked as by :meth:`IndexBuilder.add`, in any year."""
     terms = tuple(sorted(query_vocabulary(q)))
     case_sensitive = {e.term: e.case_sensitive for e in lexicon.entries}
     found = {t: lexicon.resolve(t) for t in terms}
     vocab = _CompiledVocab({t: (f[0], case_sensitive[f[0]]) if len(f) == 1 else (t, False)
                             for t, f in found.items()}, q)
-    gate, mask = vocab.gate, vocab.mask
-    years, columns = _Gathered((doc_id, year, mask(text) if gate(text) else 0, tuple(cats))
-                               for doc_id, year, text, cats in corpus).finish(len(terms))
+    gate, mask, marks = vocab.gate, vocab.mask, _Gathered()
+    for doc_id, year, text, cats in corpus:
+        if not isinstance(text, str):
+            raise IndexBuildError(f"document {doc_id!r}: text is not a string")
+        marks.add(doc_id, year, mask(text) if gate(text) else 0, cats)
+    years, columns = marks.finish(len(terms))
     return YearTermIndex._from_columns(lexicon, terms, min(years, default=DEFAULT_MIN_YEAR),
                                        max(years, default=DEFAULT_MAX_YEAR), years, columns)
 
@@ -557,7 +565,8 @@ def eval_count_scan(corpus: Iterable[Document], lexicon: Lexicon, q: Query,
                     year: int) -> int:
     """:func:`eval_count` by one pass over *corpus* (see
     :func:`scan_index`); 0 for a year with no documents."""
-    index = scan_index((doc for doc in corpus if doc.year == year), lexicon, q)
+    # By position, for a plain tuple; a year of another type goes on to be refused.
+    index = scan_index((d for d in corpus if d[1] == year or type(d[1]) is not int), lexicon, q)
     return eval_count(index, q, year) if index.total(year) else 0
 
 
@@ -593,23 +602,12 @@ def save_index(index: YearTermIndex, path) -> None:
     """Write *index* as a version 3 file: the JSON header, then per year of
     n documents its term columns, ceil(n/8) bytes each, and the n category
     rows, one, two or four bytes each as the table has up to 2**8, 2**16 or
-    more rows."""
+    more rows. It checks nothing: no index holds what :func:`load_index` refuses."""
     if index._terms != index.lexicon.terms():
         raise IndexBuildError("an index over a query's terms (a corpus scan) cannot be saved")
-    # What the loader would refuse is not written: a year or a category
-    # built in code, not read from a corpus, may be of another type, and a
-    # category may hold a lone surrogate.
-    try:
-        _check_years(*index.year_range, index.years)
-    except ValueError as exc:
-        raise IndexBuildError(f"cannot save the index: {exc}") from None
     years = []
     columns: list[bytes] = []
     for year, y in index._by_year.items():
-        try:
-            _check_categories(chain.from_iterable(y.table), f"a category in {year}")
-        except ValueError as exc:
-            raise IndexBuildError(f"cannot save the index: {exc}") from None
         size = (len(y.ids) + 7) // 8
         years.append({"year": year, "ids": list(y.ids),
                       "categories": [list(cats) for cats in y.table]})
@@ -768,12 +766,12 @@ def _check_years(min_year, max_year, years: Iterable) -> None:
         raise ValueError("a year is not an integer")
 
 
-def _check_strings(values: Iterable, what: str, error: type[Exception] = ValueError) -> str:
+def _check_strings(values: Iterable, what: str) -> str:
     """*values* joined, in one C call that refuses any that is no string."""
     try:
         return "".join(values)
     except TypeError:
-        raise error(f"{what} is not a string") from None
+        raise ValueError(f"{what} is not a string") from None
 
 
 def _check_categories(values: Iterable, what: str) -> None:

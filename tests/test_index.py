@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import random
+import re
 import struct
 import sys
 import tempfile
@@ -392,6 +393,8 @@ def test_scan_fallback_counts_unindexed_terms(lexicon):
     assert eval_count_scan(docs, lexicon, Term("zebra"), 2023) == 1
     assert eval_count_scan(docs, lexicon, Term("zebra"), 2022) == 0
     assert eval_count_scan([], lexicon, Term("zebra"), 2023) == 0
+    # Plain tuples, as a build and a scan take them.
+    assert eval_count_scan(map(tuple, docs), lexicon, Term("zebra"), 2023) == 1
 
 
 def test_scan_index_holds_only_the_query_terms(lexicon):
@@ -1059,75 +1062,134 @@ def test_saved_lone_surrogate_category_is_rejected_on_load(tmp_path, lexicon, ca
     (7, "a category in 2023 is not a string"),
 ], ids=["lone-surrogate", "not-a-string"])
 def test_save_refuses_a_category_the_loader_refuses(tmp_path, lexicon, category, problem):
-    # The corpus reader rejects such a record; a Document built in code
-    # reaches the builder unchecked.
-    index = build_index([Document("a", 2023, "an intricate plan", (category,))], lexicon)
+    # The corpus reader rejects such a record; a Document built in code is
+    # refused by the build, so save_index is never reached.
     path = tmp_path / "bad.idx"
-    with pytest.raises(IndexBuildError, match=problem):
-        save_index(index, path)
+    with pytest.raises(IndexBuildError, match=f"^{problem}$"):
+        save_index(build_index([Document("a", 2023, "an intricate plan", (category,))], lexicon),
+                   path)
     assert not path.exists()
 
 
 def test_save_refuses_a_year_the_loader_refuses(tmp_path, lexicon):
-    # A year or a year bound given in code may be no int.
+    # A year or a year bound given in code may be no int; the build refuses it.
     builder = IndexBuilder(lexicon, min_year=2000.0)
     builder.add(Document("a", 2023, "an intricate plan"))
     path = tmp_path / "bad.idx"
-    for index in (YearTermIndex(lexicon, 2000, 2100, [("a", 2023.0, 0, ())]),
-                  YearTermIndex(lexicon, 2000, 2100, [("a", True, 0, ())]),
-                  builder.finish()):
-        with pytest.raises(IndexBuildError,
-                           match="^cannot save the index: a year is not an integer$"):
-            save_index(index, path)
+    for build, problem in [
+        (lambda: YearTermIndex(lexicon, 2000, 2100, [("a", 2023.0, 0, ())]),
+         "document 'a': year 2023.0 is not an integer"),
+        (lambda: YearTermIndex(lexicon, 2000, 2100, [("a", True, 0, ())]),
+         "document 'a': year True is not an integer"),
+        (lambda: YearTermIndex(lexicon, 2000, 2100.0, []),
+         "year range 2000-2100.0: a year is not an integer"),
+        (builder.finish, "year range 2000.0-2100: a year is not an integer"),
+    ]:
+        with pytest.raises(IndexBuildError, match=f"^{re.escape(problem)}$"):
+            save_index(build(), path)
     assert not path.exists()
 
 
-@pytest.mark.parametrize("doc, problem", [
-    (Document("a", "2023", "an intricate plan"), "year '2023' is not an integer"),
-    (Document("a", None, "an intricate plan"), "year None is not an integer"),
-    (Document("a", 2023, 7), "text is not a string"),
-], ids=["str-year", "no-year", "int-text"])
-def test_a_document_of_the_wrong_types_is_a_build_error(lexicon, doc, problem):
-    # The corpus reader checks these types; a Document built in code
-    # reaches the builder unchecked.
-    with pytest.raises(IndexBuildError, match=f"^document 'a': {problem}$"):
-        build_index([doc], lexicon)
+def _refused_on_every_path(lexicon, docs, problem):
+    """Every build path refuses *docs* with the message *problem*: a
+    build, a merge of two builders, a scan, a scan of one year and, for
+    documents whose text is a string, the marks constructor. A builder
+    that refuses a document keeps nothing of it."""
+    q = Term("intricate")
 
+    def merged():
+        left, right = IndexBuilder(lexicon), IndexBuilder(lexicon)
+        left.add(Document("z", 2023, "an intricate plan"))
+        right.add_all(docs)
+        left.merge(right)
+        return left.finish()
 
-@pytest.mark.parametrize("category", [7, ["c"]], ids=["int", "unhashable"])
-def test_a_category_that_is_no_string_is_a_build_error(lexicon, category):
-    # Beside string categories of the same year, it cannot be sorted into
-    # the year's category table.
-    docs = [Document("a", 2023, "x", (category,)), Document("b", 2023, "y", ("c",))]
-    for build in (lambda: build_index(docs, lexicon),
-                  lambda: scan_index(docs, lexicon, Term("intricate"))):
-        with pytest.raises(IndexBuildError, match="^a category in 2023 is not a string$"):
+    paths = [lambda: build_index(docs, lexicon), merged, lambda: scan_index(docs, lexicon, q),
+             lambda: eval_count_scan(docs, lexicon, q, 2023)]
+    if all(isinstance(doc[2], str) for doc in docs):
+        paths.append(lambda: YearTermIndex(lexicon, 2000, 2100,
+                                           [(i, y, 0, c) for i, y, _, c in docs]))
+    for build in paths:
+        with pytest.raises(IndexBuildError, match=f"^{re.escape(problem)}$"):
             build()
+    builder, kept = IndexBuilder(lexicon), []
+    for doc in docs:
+        try:
+            builder.add(doc)
+            kept.append(doc)
+        except IndexBuildError:
+            pass
+    assert len(kept) < len(docs)
+    assert list(builder.finish().doc_marks()) == list(build_index(kept, lexicon).doc_marks())
+
+
+@pytest.mark.parametrize("docs, problem", [
+    ([Document("a", "2023", "an intricate plan")], "document 'a': year '2023' is not an integer"),
+    ([Document("a", None, "an intricate plan")], "document 'a': year None is not an integer"),
+    ([Document("a", 2023, 7)], "document 'a': text is not a string"),
+    ([Document("a", 2023.0, "an intricate plan")], "document 'a': year 2023.0 is not an integer"),
+    ([Document("a", True, "an intricate plan")], "document 'a': year True is not an integer"),
+    ([Document("b", 2023, "an intricate plan"), Document("a", "2022", "an intricate plan")],
+     "document 'a': year '2022' is not an integer"),
+    ([Document("a", 2023, "an intricate plan", "cs.CL")],
+     "document 'a': categories 'cs.CL' are not a tuple of strings"),
+    ([Document("a", 2023, "an intricate plan", 7)],
+     "document 'a': categories 7 are not a tuple of strings"),
+], ids=["str-year", "no-year", "int-text", "float-year", "bool-year", "str-year-beside-int",
+        "str-categories", "int-categories"])
+def test_a_document_of_the_wrong_types_is_a_build_error(lexicon, docs, problem):
+    # The corpus reader checks these types; a Document built in code
+    # reaches every build path unchecked.
+    _refused_on_every_path(lexicon, docs, problem)
+
+
+@pytest.mark.parametrize("category, problem", [
+    (7, "a category in 2023 is not a string"),
+    (["c"], "a category in 2023 is not a string"),
+    ("\ud800x", "a category in 2023 holds a lone surrogate U+D800"),
+], ids=["int", "unhashable", "lone-surrogate"])
+def test_a_category_that_is_no_string_is_a_build_error(lexicon, category, problem):
+    # Beside string categories of the same year, it cannot be sorted into
+    # the year's category table, or printed.
+    docs = [Document("a", 2023, "x", (category,)), Document("b", 2023, "y", ("c",))]
+    _refused_on_every_path(lexicon, docs, problem)
 
 
 @pytest.mark.parametrize("ids", [(7,), (7, "d"), (["d"],)],
                          ids=["int", "int-beside-str", "unhashable"])
-def test_a_document_id_that_is_no_string_is_a_build_error(tmp_path, lexicon, ids):
+def test_a_document_id_that_is_no_string_is_a_build_error(lexicon, ids):
     # The corpus reader reads ids as strings; a Document built in code
     # reaches every build path unchecked, yet none of them may make an
     # index the loader would refuse.
     docs = [Document(i, 2023, "an intricate proof", ("a",)) for i in ids]
+    _refused_on_every_path(lexicon, docs, "a document id in 2023 is not a string")
 
-    def merged():
-        parts = [IndexBuilder(lexicon) for _ in docs]
-        for part, doc in zip(parts, docs):
-            part.add(doc)
-        for part in parts[1:]:
-            parts[0].merge(part)
-        return parts[0].finish()
 
-    path = tmp_path / "bad.idx"
-    for build in (lambda: build_index(docs, lexicon), merged,
-                  lambda: YearTermIndex(lexicon, 2023, 2023, [(i, 2023, 0, ("a",)) for i in ids]),
-                  lambda: scan_index(docs, lexicon, Term("intricate"))):
-        with pytest.raises(IndexBuildError, match="^a document id in 2023 is not a string$"):
-            save_index(build(), path)
-    assert not path.exists()
+def _any_of_the_types(right):
+    """A value of a Document field: mostly one drawn from *right*, else one
+    of another type the field may wrongly hold, or a list of them."""
+    wrong = st.one_of(st.sampled_from(["\ud800", "x\udfffy"]), st.integers(2022, 2023),
+                      st.floats(2022, 2023), st.booleans(), st.none())
+    wrong = st.one_of(wrong, st.lists(wrong, max_size=3))
+    return st.integers(0, 4).flatmap(lambda n: right if n else wrong)
+
+
+@settings(max_examples=300, deadline=None)
+@given(docs=st.lists(st.tuples(
+    _any_of_the_types(st.sampled_from(["a", "b", "c", "d\ud800"])),
+    _any_of_the_types(st.integers(2022, 2023)),
+    _any_of_the_types(st.sampled_from(["an intricate plan", "x", "intricate \udfff"])),
+    _any_of_the_types(st.lists(st.sampled_from(["c", "d", "\u00e9"]), max_size=2))), max_size=3))
+def test_a_build_refuses_a_document_or_saves_a_file_that_loads(lexicon, docs):
+    # save_index checks nothing, so what a build lets in must load.
+    try:
+        index = build_index(docs, lexicon)
+    except IndexBuildError:
+        return
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "index.idx"
+        save_index(index, path)
+        assert list(load_index(path).doc_marks()) == list(index.doc_marks())
 
 
 def test_a_document_refused_for_a_category_leaves_no_trace_in_the_builder(lexicon):
