@@ -106,8 +106,7 @@ class YearTermIndex:
 
     def _init(self, lexicon: Lexicon, terms: tuple[str, ...], min_year: int,
               max_year: int, years: dict[int, _Year], columns: tuple[int, ...]) -> None:
-        if type(min_year) is not int or type(max_year) is not int:
-            raise IndexBuildError(f"year range {min_year!r}-{max_year!r}: a year is not an integer")
+        _check_year_range(min_year, max_year)
         self._lexicon = lexicon
         self._min_year = min_year
         self._max_year = max_year
@@ -162,6 +161,18 @@ class YearTermIndex:
                            map(y.table.__getitem__, y.rows))
 
 
+def _check_year_range(min_year: int, max_year: int) -> None:
+    if type(min_year) is not int or type(max_year) is not int:
+        raise IndexBuildError(f"year range {min_year!r}-{max_year!r}: a year is not an integer")
+
+
+def _masks_fit(masks: Sequence, width: int) -> bool:
+    """Whether each of *masks* is an int of *width* bits at most, not
+    negative, as :func:`_columns` needs; three C passes, no Python loop."""
+    return not masks or not set(map(type, masks)) - {int} and min(masks) >= 0 \
+        and not max(masks) >> width
+
+
 def _in_year(posting: int, y: _Year) -> int:
     """Year *y*'s bits of an index-wide *posting*, its document *i* at bit *i*."""
     return posting >> y.start & ((1 << len(y.ids)) - 1)
@@ -170,7 +181,8 @@ def _in_year(posting: int, y: _Year) -> int:
 class _Gathered:
     """Marks gathered as they come, per year: the ids, the masks, a dict from
     each distinct category tuple to its row, first seen first, and the rows.
-    :meth:`add`, every build's one door, keeps nothing :func:`load_index` refuses."""
+    :meth:`add`, every build's one door, keeps nothing :func:`load_index` refuses,
+    but a mask: :meth:`finish`, which knows the vocabulary's width, checks those."""
 
     def __init__(self, marks: Iterable[Mark] = ()):
         self._years = defaultdict(lambda: ([], [], {}, []))
@@ -202,6 +214,11 @@ class _Gathered:
         ascending and a year's documents by id, and the index-wide columns."""
         years, chunks, start = {}, [[] for _ in range(width)], 0
         for year, (ids, masks, seen, rows) in sorted(self._years.items()):
+            if not _masks_fit(masks, width):
+                doc_id, mask = next((d, m) for d, m in zip(ids, masks)
+                                    if not _masks_fit((m,), width))
+                raise IndexBuildError(f"document {doc_id!r}: term bitmask {mask!r} is not "
+                                      f"an integer within the {width}-term vocabulary")
             table = tuple(sorted(seen))
             rank = list(map({cats: r for r, cats in enumerate(table)}.__getitem__, seen))
             # Equal ids, which a scan or a version 1 file can hold, go by mask, then categories.
@@ -404,6 +421,7 @@ class IndexBuilder:
 
     def __init__(self, lexicon: Lexicon, *, min_year: int = DEFAULT_MIN_YEAR,
                  max_year: int = DEFAULT_MAX_YEAR):
+        _check_year_range(min_year, max_year)
         self.lexicon = lexicon
         self.min_year = min_year
         self.max_year = max_year
@@ -662,8 +680,7 @@ def _decode_v1(payload: bytes) -> YearTermIndex:
     _check_years(doc["min_year"], doc["max_year"], years)
     _check_strings(ids, "a document id")
     _check_categories(chain.from_iterable(cats), "a category")
-    if masks and (set(map(type, masks)) - {int} or min(masks) < 0
-                  or max(masks) >> len(lexicon.terms())):
+    if not _masks_fit(masks, len(lexicon.terms())):
         raise ValueError("a term bitmask is not an integer within the vocabulary")
     return YearTermIndex(lexicon, doc["min_year"], doc["max_year"], marks)
 

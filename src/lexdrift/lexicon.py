@@ -115,7 +115,10 @@ class Lexicon(Value):
         """The entry terms *name* refers to: the entry spelled exactly so,
         else every entry equal to it ignoring case (more than one makes the
         name ambiguous), else none."""
-        found = self._folded.get(_fold(name), ())
+        # A folded entry is its own key, so most names are found unfolded.
+        found = self._folded.get(name, ())
+        if name not in found:
+            found = self._folded.get(_fold(name), ())
         return (name,) if name in found else found
 
     def groups(self) -> dict[str, tuple[str, ...]]:

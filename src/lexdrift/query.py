@@ -112,11 +112,13 @@ MAX_NESTING = 100
 # which is what the corpus tokenizer reads as one token; the parser tells
 # them apart by their first character, and reads the end of the text as "".
 _TOKEN = rf'[(),]|\d+|"[^"]*"|{TOKEN_RE.pattern}'
-# A token and the whitespace before it, so that no search starts in between.
-# It is run on text with no trailing whitespace: there, a search would start
-# again at each character of the run and read the rest of it.
-_TOKEN_RE = re.compile(rf"\s*({_TOKEN})")
-# The stretch of a text, from its start, that tokens and whitespace cover.
+# A token and the whitespace before it, or any other character as a token of
+# its own, which the parser refuses. It is run on text with no trailing
+# whitespace, so every search matches where it starts: in a trailing run, one
+# would start again at each character of the run and read the rest of it.
+_LEX_RE = re.compile(rf"\s*({_TOKEN}|\S)")
+# The stretch of a text, from its start, that tokens and whitespace cover;
+# read only when a query is refused.
 _COVER_RE = re.compile(rf"(?:\s*(?:{_TOKEN}))*\s*")
 
 
@@ -135,14 +137,8 @@ def query_vocabulary(q: Query) -> set[str]:
 
 class _Parser:
     def __init__(self, text: str, lexicon: Lexicon):
-        end = _COVER_RE.match(text).end()
-        if end < len(text):  # at a character that starts no token
-            offset = len(text[:end].encode("utf-8"))
-            if text[end] == '"':
-                raise QuerySyntaxError("unterminated quoted phrase", offset)
-            raise QuerySyntaxError(f"unexpected character {text[end]!r}", offset)
         self.text = text
-        self.tokens = _TOKEN_RE.findall(text.rstrip()) + [""]
+        self.tokens = _LEX_RE.findall(text.rstrip()) + [""]
         self.i = 0  # the next token
         self.depth = 0
         self.lexicon = lexicon
@@ -150,9 +146,17 @@ class _Parser:
         self.groups = lexicon.groups()
 
     def error(self, message: str, i: int, cls=QuerySyntaxError):
-        """Raise *message* at token *i*, found again in the text."""
-        pos = [m.start(1) for m in _TOKEN_RE.finditer(self.text.rstrip())] + [len(self.text)]
-        raise cls(message, len(self.text[:pos[i]].encode("utf-8")))
+        """Raise *message* at token *i*, found again in the text, unless a
+        character that starts no token comes first: that is the error."""
+        text = self.text
+        end = _COVER_RE.match(text).end()
+        if end < len(text):
+            offset = len(text[:end].encode("utf-8"))
+            if text[end] == '"':
+                raise QuerySyntaxError("unterminated quoted phrase", offset)
+            raise QuerySyntaxError(f"unexpected character {text[end]!r}", offset)
+        pos = [m.start(1) for m in _LEX_RE.finditer(text.rstrip())] + [len(text)]
+        raise cls(message, len(text[:pos[i]].encode("utf-8")))
 
     def entry_term(self, name: str, i: int) -> str | None:
         """The lexicon entry *name* refers to (see ``Lexicon.resolve``), or
@@ -179,18 +183,24 @@ class _Parser:
         return q
 
     def parse_or(self) -> Query:
-        parts = [self.parse_and()]
+        q = self.parse_and()
+        if self.tokens[self.i].casefold() != "or":
+            return q
+        parts = [q]
         while self.tokens[self.i].casefold() == "or":
             self.i += 1
             parts.append(self.parse_and())
-        return parts[0] if len(parts) == 1 else Or(tuple(parts))
+        return Or(tuple(parts))
 
     def parse_and(self) -> Query:
-        parts = [self.parse_atom()]
+        q = self.parse_atom()
+        if self.tokens[self.i].casefold() != "and":
+            return q
+        parts = [q]
         while self.tokens[self.i].casefold() == "and":
             self.i += 1
             parts.append(self.parse_atom())
-        return parts[0] if len(parts) == 1 else And(tuple(parts))
+        return And(tuple(parts))
 
     def parse_atom(self) -> Query:
         i = self.i
@@ -214,7 +224,9 @@ class _Parser:
                 self.error(f"unexpected keyword {token!r}", i)
             if (keyword == "any" or keyword == "atleast") and self.tokens[i + 1] == "(":
                 return self.call_atom(keyword, i)
-            toks = tokenize(token)
+            # An ASCII word that starts with a letter is one corpus token; a
+            # lone "'" or "-" is none, and tokenization refuses it.
+            toks = [keyword] if first.isalpha() and token.isascii() else tokenize(token)
             if len(toks) != 1:
                 # The lexer's word class admits numeric characters such as
                 # '¾' that tokenization drops or splits on.

@@ -98,6 +98,8 @@ def _index_files() -> list[list[str]]:
                   for command in ("drift", "excess", "query")]
     cases += [["plot", combined, "--index", "{v3}", "--metric", "count"],
               ["counts", "export", combined, "--index", "{v3}"]]
+    # A character that starts no token, alone, as an operand and as a member.
+    cases += [["query", q, "--index", "{v3}"] for q in ("'", "blue AND -", "any(strong, *)")]
     return cases
 
 

@@ -1072,9 +1072,8 @@ def test_save_refuses_a_category_the_loader_refuses(tmp_path, lexicon, category,
 
 
 def test_save_refuses_a_year_the_loader_refuses(tmp_path, lexicon):
-    # A year or a year bound given in code may be no int; the build refuses it.
-    builder = IndexBuilder(lexicon, min_year=2000.0)
-    builder.add(Document("a", 2023, "an intricate plan"))
+    # A year or a year bound given in code may be no int; the build refuses
+    # it, and a builder as it is made.
     path = tmp_path / "bad.idx"
     for build, problem in [
         (lambda: YearTermIndex(lexicon, 2000, 2100, [("a", 2023.0, 0, ())]),
@@ -1083,11 +1082,30 @@ def test_save_refuses_a_year_the_loader_refuses(tmp_path, lexicon):
          "document 'a': year True is not an integer"),
         (lambda: YearTermIndex(lexicon, 2000, 2100.0, []),
          "year range 2000-2100.0: a year is not an integer"),
-        (builder.finish, "year range 2000.0-2100: a year is not an integer"),
+        (lambda: IndexBuilder(lexicon, min_year=2000.0),
+         "year range 2000.0-2100: a year is not an integer"),
+        (lambda: IndexBuilder(lexicon, min_year="2000"),
+         "year range '2000'-2100: a year is not an integer"),
     ]:
         with pytest.raises(IndexBuildError, match=f"^{re.escape(problem)}$"):
             save_index(build(), path)
     assert not path.exists()
+
+
+@pytest.mark.parametrize("mask, shown", [(-1, "-1"), (1.0, "1.0"), (True, "True"),
+                                         (1 << 44, str(1 << 44)), ("1", "'1'")],
+                         ids=["negative", "float", "bool", "too-wide", "str"])
+def test_a_mask_that_is_no_vocabulary_bitmask_is_a_build_error(lexicon, mask, shown):
+    # The marks constructor takes the masks as given; one that is negative,
+    # wider than the vocabulary or no int would become bits of no term or
+    # of another document.
+    assert len(lexicon.terms()) == 44
+    problem = (f"document 'b': term bitmask {shown} is not an integer within the "
+               "44-term vocabulary")
+    with pytest.raises(IndexBuildError, match=f"^{re.escape(problem)}$"):
+        YearTermIndex(lexicon, 2000, 2100, [("a", 2023, 1, ()), ("b", 2023, mask, ())])
+    widest = [("a", 2023, 0, ()), ("b", 2023, (1 << 44) - 1, ())]
+    assert list(YearTermIndex(lexicon, 2000, 2100, widest).doc_marks()) == widest
 
 
 def _refused_on_every_path(lexicon, docs, problem):

@@ -299,9 +299,10 @@ def _case_lexicon():
 
 # Each error the parser raises: the query after the prefix, the lexicon
 # ("case" for the pair above), the exception type, the message and the
-# byte offset into the query after the prefix. The lexer reads the whole
-# text before the parser starts, so a lexer error wins over any parse
-# error before it.
+# byte offset into the query after the prefix. The lexer takes a character
+# that starts no token as a token of its own, which the parser refuses, and
+# a refused query is then read for such a character: a lexer error wins
+# over any parse error, before it or at it.
 ERRORS = [
     ('"large language', "builtin", QuerySyntaxError, "unterminated quoted phrase", 0),
     ('foo AND AND "bar', "builtin", QuerySyntaxError, "unterminated quoted phrase", 12),
@@ -343,6 +344,14 @@ ERRORS = [
      "'Gpt' is ambiguous: lexicon entries 'GPT', 'gpt' differ only in case", 0),
     ("atleast(1, gPT)", "case", UnknownNameError,
      "'gPT' is ambiguous: lexicon entries 'GPT', 'gpt' differ only in case", 11),
+    ("'", "builtin", QuerySyntaxError, "unexpected character \"'\"", 0),
+    ("-", "builtin", QuerySyntaxError, "unexpected character '-'", 0),
+    ("_", "builtin", QuerySyntaxError, "unexpected character '_'", 0),
+    ("*", "builtin", QuerySyntaxError, "unexpected character '*'", 0),
+    ('"', "builtin", QuerySyntaxError, "unterminated quoted phrase", 0),
+    ("blue AND -", "builtin", QuerySyntaxError, "unexpected character '-'", 9),
+    ("any(strong, *)", "builtin", QuerySyntaxError, "unexpected character '*'", 12),
+    ("atleast(*, strong)", "builtin", QuerySyntaxError, "unexpected character '*'", 8),
 ]
 
 
@@ -402,6 +411,28 @@ def test_rendered_query_trees_parse_back(lexicon, seed):
         assert parse_query(_render(q, rng), lexicon) == q
 
 
+def _token_boundaries(text: str) -> list[int]:
+    """The offsets of *text* where a token starts or ends: outside a quoted
+    phrase, next to a space, a parenthesis, a comma, a quote or an end."""
+    return [i for i in range(len(text) + 1)
+            if not text.count('"', 0, i) % 2
+            and (text[i - 1:i] in ' (),"' or text[i:i + 1] in ' (),"')]
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), char=st.sampled_from("'-_*]€"), data=st.data())
+def test_a_character_that_starts_no_token_is_found_wherever_it_stands(lexicon, seed, char,
+                                                                      data):
+    rng = random.Random(seed)
+    text = _render(make_random_query(rng, lexicon, depth=3), rng)
+    at = data.draw(st.sampled_from(_token_boundaries(text)))
+    with pytest.raises(QuerySyntaxError) as err:
+        parse_query(text[:at] + char + text[at:], lexicon)
+    offset = len(text[:at].encode("utf-8"))
+    assert type(err.value) is QuerySyntaxError
+    assert str(err.value) == f"unexpected character {char!r} (byte offset {offset})"
+
+
 @pytest.fixture(scope="module")
 def random_index():
     lexicon = builtin_lexicon()
@@ -426,10 +457,14 @@ def test_a_series_named_by_query_text_counts_what_the_query_counts(random_index,
     ("intricate" + " " * 50_000, None),
     ("any(" + " " * 50_000, "expected a group or term name (byte offset 50004)"),
     ("intricate" + " \t" * 25_000 + "]", "unexpected character ']' (byte offset 50009)"),
-], ids=["trailing", "trailing-after-an-error", "before-a-bad-character"])
+    ("intricate " + "]" * 50_000, "unexpected character ']' (byte offset 10)"),
+    ("intricate" + " OR intricate" * 3845 + "]", "unexpected character ']' (byte offset 49994)"),
+], ids=["trailing", "trailing-after-an-error", "before-a-bad-character", "bad-characters",
+        "after-a-long-query"])
 def test_long_whitespace_runs_take_linear_time(lexicon, text, error):
     # A token search that started again at each character of a trailing
-    # whitespace run would take minutes here, not milliseconds.
+    # whitespace run, or read the rest of the text at each character that
+    # starts no token, would take minutes here, not milliseconds.
     start = time.perf_counter()
     if error is None:
         assert parse_query(text, lexicon) == Term("intricate")
