@@ -109,23 +109,32 @@ def _line_problem(
 ) -> tuple[str | None, dict | None]:
     """Why *line* is a malformed record, by the rules in order, or None;
     and the record it decodes to, None for a blank line or one that does
-    not decode."""
-    if not line.strip():
-        return None, None
+    not decode. A value that :data:`_scan_json` reads to the end of the
+    line is the record; any other line (blank, padded with whitespace or
+    no JSON) is read again by ``json.loads``, for its message."""
+    # A bad byte is a lone surrogate, so a line that holds one is not blank.
     if from_file and not line.isascii():
         problem = undecodable(line)
         if problem is not None:
             return problem, None
     try:
-        record = json.loads(line)
-    except json.JSONDecodeError as exc:
-        return f"invalid JSON ({exc.msg})", None
-    except UnicodeDecodeError:  # of a line given as bytes
-        raise
-    except ValueError:  # the rest: an integer too long to convert
-        return f"invalid JSON ({long_integer()})", None
-    except RecursionError:
-        return "invalid JSON (nested too deeply)", None
+        record, end = _scan_json(line, 0)
+        whole = end == len(line) or line[end:] == "\n"
+    except (StopIteration, ValueError, RecursionError, TypeError):  # TypeError: bytes
+        whole = False
+    if not whole:
+        if not line.strip():
+            return None, None
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            return f"invalid JSON ({exc.msg})", None
+        except UnicodeDecodeError:  # of a line given as bytes
+            raise
+        except ValueError:  # the rest: an integer too long to convert
+            return f"invalid JSON ({long_integer()})", None
+        except RecursionError:
+            return "invalid JSON (nested too deeply)", None
     return _record_problem(record, seen, min_year, max_year), record
 
 
@@ -135,28 +144,31 @@ def _record_problem(
     min_year: int,
     max_year: int,
 ) -> str | None:
-    if not isinstance(record, dict):
+    if type(record) is not dict:
         return "record is not a JSON object"
-    for key in ("id", "year", "text"):
-        if key not in record:
-            return f"missing field {key!r}"
-    doc_id = record["id"]
-    if not isinstance(doc_id, str) or not doc_id:
+    try:
+        doc_id, year, text = record["id"], record["year"], record["text"]
+    except KeyError as exc:
+        return f"missing field {exc.args[0]!r}"
+    if type(doc_id) is not str or not doc_id:
         return "field 'id' must be a non-empty string"
     if doc_id in seen:
         return f"duplicate id {doc_id!r} (first seen on line {seen[doc_id]})"
-    year = record["year"]
-    if isinstance(year, bool) or not isinstance(year, int):
+    if type(year) is not int:
         return f"field 'year' must be an integer, got {year!r}"
     if not min_year <= year <= max_year:
         return f"year {year} outside allowed range {min_year}-{max_year}"
-    if not isinstance(record["text"], str):
+    if type(text) is not str:
         return "field 'text' must be a string"
-    cats = record.get("categories", [])
-    if not isinstance(cats, list) or not all(isinstance(c, str) for c in cats):
+    cats = record.get("categories", _NO_CATEGORIES)
+    try:
+        joined = "".join(cats) if type(cats) is list else None
+    except TypeError:  # a category that is no string
+        joined = None
+    if joined is None:
         return "field 'categories' must be a list of strings"
     # Categories are printed, so they must hold no lone surrogate.
-    problem = lone_surrogate("".join(cats))
+    problem = lone_surrogate(joined)
     if problem is not None:
         return f"field 'categories' holds a {problem}"
     return None
@@ -186,48 +198,21 @@ def iter_corpus(
         # so a bad line is reported by number instead of ending the read.
         stream = open(source, "r", encoding="utf-8", errors="surrogateescape")
         opened = True
-    scan = _scan_json
     try:
         seen: dict[str, int] = {}
         for lineno, line in enumerate(stream, start=1):
-            try:
-                record, end = scan(line, 0)
-            except (StopIteration, ValueError, RecursionError, TypeError):  # TypeError: bytes
-                record, end = None, 0
-            # One test passes a well-formed record: one JSON value that ends
-            # the line, decoded into exact types (no subclasses), with ASCII
-            # categories. Every other line is read again by _line_problem,
-            # by the rules in full.
-            try:
-                well_formed = (
-                    type(record) is dict
-                    and (end == len(line) or line[end:] == "\n")
-                    and (not opened or line.isascii() or undecodable(line) is None)
-                    and type(doc_id := record.get("id")) is str and doc_id != ""
-                    and doc_id not in seen
-                    and type(year := record.get("year")) is int
-                    and min_year <= year <= max_year
-                    and type(text := record.get("text")) is str
-                    and type(cats := record.get("categories", _NO_CATEGORIES)) is list
-                    and "".join(cats).isascii()
-                )
-            except TypeError:  # a category that is no string
-                well_formed = False
-            if not well_formed:
-                problem, record = _line_problem(line, opened, seen, min_year, max_year)
-                if problem is not None:
-                    err = CorpusFormatError(f"line {lineno}: {problem}", line=lineno)
-                    if on_error == "abort":
-                        raise err
-                    if errors is not None:
-                        errors.append(err)
-                    continue
-                if record is None:  # a blank line
-                    continue
-                doc_id, year, text = record["id"], record["year"], record["text"]
-                cats = record.get("categories", _NO_CATEGORIES)
-            seen[doc_id] = lineno
-            yield Document(doc_id, year, text, tuple(cats))
+            problem, record = _line_problem(line, opened, seen, min_year, max_year)
+            if problem is not None:
+                err = CorpusFormatError(f"line {lineno}: {problem}", line=lineno)
+                if on_error == "abort":
+                    raise err
+                if errors is not None:
+                    errors.append(err)
+            elif record is not None:  # not a blank line
+                doc_id = record["id"]
+                seen[doc_id] = lineno
+                yield Document(doc_id, record["year"], record["text"],
+                               tuple(record.get("categories", _NO_CATEGORIES)))
     finally:
         if opened:
             stream.close()

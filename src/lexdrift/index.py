@@ -50,6 +50,7 @@ from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .corpus import Document, DEFAULT_MAX_YEAR, DEFAULT_MIN_YEAR, JOINERS, raw_tokens, tokenize
 from .errors import (
+    DataError,
     IndexBuildError,
     IndexChecksumError,
     IndexFileError,
@@ -94,7 +95,9 @@ class YearTermIndex:
     def __init__(self, lexicon: Lexicon, min_year: int, max_year: int,
                  marks: Iterable[Mark]):
         terms = lexicon.terms()
-        self._init(lexicon, terms, min_year, max_year, *_Gathered(marks).finish(len(terms)))
+        years, columns = _Gathered(marks).finish(len(terms))
+        _check_unique(years)
+        self._init(lexicon, terms, min_year, max_year, years, columns)
 
     @classmethod
     def _from_columns(cls, lexicon: Lexicon, terms: tuple[str, ...], min_year: int, max_year: int,
@@ -166,6 +169,15 @@ def _check_year_range(min_year: int, max_year: int) -> None:
         raise IndexBuildError(f"year range {min_year!r}-{max_year!r}: a year is not an integer")
 
 
+def _check_unique(years: Mapping[int, _Year]) -> None:
+    """Refuse an id that two documents share, as :func:`load_index` does."""
+    # Sorting merges the years' sorted runs; a repeat is an equal neighbour.
+    ids = sorted(chain.from_iterable(y.ids for y in years.values()))
+    twice = next(compress(ids, map(eq, ids, islice(ids, 1, None))), None)
+    if twice is not None:
+        raise IndexBuildError(f"duplicate document id {twice!r}")
+
+
 def _masks_fit(masks: Sequence, width: int) -> bool:
     """Whether each of *masks* is an int of *width* bits at most, not
     negative, as :func:`_columns` needs; three C passes, no Python loop."""
@@ -181,8 +193,9 @@ def _in_year(posting: int, y: _Year) -> int:
 class _Gathered:
     """Marks gathered as they come, per year: the ids, the masks, a dict from
     each distinct category tuple to its row, first seen first, and the rows.
-    :meth:`add`, every build's one door, keeps nothing :func:`load_index` refuses,
-    but a mask: :meth:`finish`, which knows the vocabulary's width, checks those."""
+    :meth:`add`, every build's one door, keeps nothing :func:`load_index` refuses
+    but a mask, which :meth:`finish` checks against the vocabulary's width, and a
+    repeated id, which :func:`_check_unique` refuses in every build that can be saved."""
 
     def __init__(self, marks: Iterable[Mark] = ()):
         self._years = defaultdict(lambda: ([], [], {}, []))
@@ -190,7 +203,8 @@ class _Gathered:
             self.add(*mark)
 
     def add(self, doc_id: str, year: int, mask: int, cats: Iterable[str]) -> None:
-        # The corpus reader checks these types; a Document built in code may hold others.
+        # The corpus reader checks these types; a Document built in code, or a
+        # version 1 file's row, may hold others.
         if type(year) is not int:
             raise IndexBuildError(f"document {doc_id!r}: year {year!r} is not an integer")
         if not isinstance(doc_id, str):
@@ -221,7 +235,7 @@ class _Gathered:
                                       f"an integer within the {width}-term vocabulary")
             table = tuple(sorted(seen))
             rank = list(map({cats: r for r, cats in enumerate(table)}.__getitem__, seen))
-            # Equal ids, which a scan or a version 1 file can hold, go by mask, then categories.
+            # Equal ids, which a scan can hold, go by mask, then categories.
             order = sorted(range(len(ids)), key=lambda i: (ids[i], masks[i], rank[rows[i]]))
             # Year by year: one bit string of all years would hold every mask as text.
             size = (len(order) + 7) // 8
@@ -295,7 +309,7 @@ class _CompiledVocab:
     text: *q* evaluated on plain substrings (:func:`_gate`). Every token is a
     substring of the text it came from (of its case fold, for ``tokenize``),
     except that a curly apostrophe reads as a straight one, so a document
-    the gate fails cannot match *q*: its mask is 0, and :meth:`mask` need
+    the gate fails cannot match *q*: its mask is 0, and :meth:`mask` does
     not tokenize it. Without *q*, or with a gate of too many needles to pay,
     the gate passes every text."""
 
@@ -323,9 +337,13 @@ class _CompiledVocab:
         gate, size = _gate(q, needles) if q is not None else (None, 0)
         self.gate = _open_gate if gate is None or size > _GATE_MAX_NEEDLES else _text_gate(gate)
 
-    def mask(self, text: str) -> int:
-        """The mask of a document of *text*, from its tokens. Where
-        :attr:`gate` fails the text, the mask is 0 and need not be made."""
+    def mask(self, doc_id: str, text: str) -> int:
+        """The mask of document *doc_id* of *text*, from its tokens, or 0
+        where :attr:`gate` fails the text; a text that is no string is refused."""
+        if not isinstance(text, str):
+            raise IndexBuildError(f"document {doc_id!r}: text is not a string")
+        if not self.gate(text):
+            return 0
         mask = 0
         for split, probe, single, phrases in self.tables:
             seq = split(text)
@@ -436,10 +454,7 @@ class IndexBuilder:
         if type(year) is int and not self.min_year <= year <= self.max_year:
             raise IndexBuildError(f"document {doc_id!r}: year {year} outside allowed "
                                   f"range {self.min_year}-{self.max_year}")
-        if not isinstance(text, str):
-            raise IndexBuildError(f"document {doc_id!r}: text is not a string")
-        vocab = self._vocab
-        self._marks.add(doc_id, year, vocab.mask(text) if vocab.gate(text) else 0, cats)
+        self._marks.add(doc_id, year, self._vocab.mask(doc_id, text), cats)
 
     def add_all(self, corpus: Iterable[Document]) -> None:
         for doc in corpus:
@@ -458,11 +473,7 @@ class IndexBuilder:
     def finish(self) -> YearTermIndex:
         terms = self.lexicon.terms()
         years, columns = self._marks.finish(len(terms))
-        # Sorting merges the years' sorted runs; a repeat is an equal neighbour.
-        ids = sorted(chain.from_iterable(y.ids for y in years.values()))
-        twice = next(compress(ids, map(eq, ids, islice(ids, 1, None))), None)
-        if twice is not None:
-            raise IndexBuildError(f"duplicate document id {twice!r}")
+        _check_unique(years)
         return YearTermIndex._from_columns(self.lexicon, terms, self.min_year, self.max_year,
                                            years, columns)
 
@@ -569,11 +580,9 @@ def scan_index(corpus: Iterable[Document], lexicon: Lexicon, q: Query) -> YearTe
     found = {t: lexicon.resolve(t) for t in terms}
     vocab = _CompiledVocab({t: (f[0], case_sensitive[f[0]]) if len(f) == 1 else (t, False)
                             for t, f in found.items()}, q)
-    gate, mask, marks = vocab.gate, vocab.mask, _Gathered()
+    mask, marks = vocab.mask, _Gathered()
     for doc_id, year, text, cats in corpus:
-        if not isinstance(text, str):
-            raise IndexBuildError(f"document {doc_id!r}: text is not a string")
-        marks.add(doc_id, year, mask(text) if gate(text) else 0, cats)
+        marks.add(doc_id, year, mask(doc_id, text), cats)
     years, columns = marks.finish(len(terms))
     return YearTermIndex._from_columns(lexicon, terms, min(years, default=DEFAULT_MIN_YEAR),
                                        max(years, default=DEFAULT_MAX_YEAR), years, columns)
@@ -645,8 +654,9 @@ def save_index(index: YearTermIndex, path) -> None:
 
 
 def load_index(path) -> YearTermIndex:
-    """Read a version 1, 2 or 3 index file. Anything malformed is an
-    IndexFileError naming *path*."""
+    """Read a version 1, 2 or 3 index file. Anything malformed, the
+    embedded lexicon included, is an IndexFileError naming *path*; a
+    version 1 file's rows are checked by the build intake."""
     data = Path(path).read_bytes()
     version = int.from_bytes(data[4:6], "little")
     header, checksum, decode = _VERSIONS.get(version, (_HEADER, None, None))
@@ -665,29 +675,23 @@ def load_index(path) -> YearTermIndex:
         return decode(zlib.decompress(blob))
     except KeyError as exc:
         raise IndexFileError(f"{path}: malformed payload (no {exc} field)") from None
-    except (zlib.error, TypeError, ValueError) as exc:
+    except (zlib.error, TypeError, ValueError, DataError) as exc:
         raise IndexFileError(f"{path}: malformed payload ({exc})") from None
 
 
 def _decode_v1(payload: bytes) -> YearTermIndex:
-    """A version 1 payload, one JSON row per document, checked and then
-    built like a fresh index. A malformed payload raises KeyError,
-    TypeError or ValueError."""
+    """A version 1 payload, one JSON row (id, year, mask, categories) per
+    document, built by the marks constructor, whose intake checks each row
+    as it checks a fresh build's. A malformed payload raises KeyError,
+    TypeError, ValueError or a DataError."""
     doc = _json_object(payload)
-    lexicon = lexicon_from_dict(doc["lexicon"])
-    marks = [(i, y, m, tuple(c)) for i, y, m, c in doc["docs"]]
-    ids, years, masks, cats = zip(*marks) if marks else ((), (), (), ())
-    _check_years(doc["min_year"], doc["max_year"], years)
-    _check_strings(ids, "a document id")
-    _check_categories(chain.from_iterable(cats), "a category")
-    if not _masks_fit(masks, len(lexicon.terms())):
-        raise ValueError("a term bitmask is not an integer within the vocabulary")
-    return YearTermIndex(lexicon, doc["min_year"], doc["max_year"], marks)
+    return YearTermIndex(lexicon_from_dict(doc["lexicon"]), doc["min_year"], doc["max_year"],
+                         doc["docs"])
 
 
 def _decode_v2(payload: bytes) -> YearTermIndex:
     """A version 2 or 3 payload, each column read straight into an integer.
-    A malformed payload raises KeyError, TypeError or ValueError."""
+    A malformed payload raises KeyError, TypeError, ValueError or DataError."""
     if len(payload) < _JSON_LENGTH.size:
         raise ValueError("no header length")
     (size,) = _JSON_LENGTH.unpack_from(payload)

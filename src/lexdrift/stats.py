@@ -27,7 +27,7 @@ import csv
 import io
 import math
 from pathlib import Path
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
 from .errors import (
     CountsFormatError,
@@ -199,12 +199,11 @@ def import_counts(source) -> dict[str, CountSeries]:
                       newline="")
         close = True
     try:
-        reader = csv.reader(stream)
+        reader = csv.reader(_checked_lines(stream))
         try:
             header = next(reader)
         except StopIteration:
             raise CountsFormatError("count table is empty (missing header)", line=1)
-        _check_utf8(header, 1)
         if tuple(h.strip() for h in header) != COUNTS_HEADER:
             raise CountsFormatError(
                 f"line 1: expected header {','.join(COUNTS_HEADER)!r}, "
@@ -216,12 +215,13 @@ def import_counts(source) -> dict[str, CountSeries]:
             line = reader.line_num
             if not row:
                 continue
-            _check_utf8(row, line)
             if len(row) != 4:
                 raise CountsFormatError(
                     f"line {line}: expected 4 fields, got {len(row)}", line=line
                 )
             series_id = row[0].strip()
+            if not series_id:
+                raise CountsFormatError(f"line {line}: series id must be non-empty", line=line)
             try:
                 year, matches, total = (int(v) for v in row[1:])
             except ValueError:
@@ -255,7 +255,7 @@ def import_counts(source) -> dict[str, CountSeries]:
                 )
             pts[year] = (matches, total)
         return {sid: CountSeries(sid, pts) for sid, pts in acc.items()}
-    except csv.Error as exc:  # e.g. an oversized field; a NUL before 3.11
+    except csv.Error as exc:  # e.g. an oversized field
         line = reader.line_num
         raise CountsFormatError(f"line {line}: {exc}", line=line) from None
     finally:
@@ -263,11 +263,20 @@ def import_counts(source) -> dict[str, CountSeries]:
             stream.close()
 
 
-def _check_utf8(row: list[str], line: int) -> None:
-    text = ",".join(row)
-    problem = None if text.isascii() else undecodable(text)
-    if problem is not None:
-        raise CountsFormatError(f"line {line}: {problem}", line=line)
+def _checked_lines(lines: Iterable[str]) -> Iterator[str]:
+    """*lines*, each checked before the csv reader sees it, the same way on
+    every Python: first for a byte that is not UTF-8, then for a NUL, which
+    csv refuses before 3.11 and keeps from then on."""
+    for line, text in enumerate(lines, start=1):
+        problem = None
+        if isinstance(text, str):  # csv refuses any other line itself
+            if not text.isascii():
+                problem = undecodable(text)
+            if problem is None and "\0" in text:
+                problem = "line contains NUL"
+        if problem is not None:
+            raise CountsFormatError(f"line {line}: {problem}", line=line)
+        yield text
 
 
 def export_counts(series_map: Mapping[str, CountSeries]) -> str:

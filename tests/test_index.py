@@ -265,6 +265,15 @@ def test_a_repeated_id_is_reported_at_finish(lexicon, left, right):
             builders[0].finish()
 
 
+def test_the_marks_constructor_refuses_a_repeated_id(lexicon):
+    # Its index could be saved, and the loader refuses a file that repeats an id.
+    with pytest.raises(IndexBuildError, match="^duplicate document id 'a'$"):
+        YearTermIndex(lexicon, 2000, 2100, [("a", 2023, 0, ()), ("a", 2023, 1, ())])
+    with pytest.raises(IndexBuildError, match="^duplicate document id 'a'$"):
+        YearTermIndex(lexicon, 2000, 2100, [("a", 2022, 0, ()), ("b", 2023, 0, ()),
+                                            ("a", 2023, 0, ())])
+
+
 def test_a_builder_merged_into_itself_reports_its_ids(lexicon):
     builder = IndexBuilder(lexicon)
     builder.add_all([Document("b", 2022, "a plain plan"), Document("a", 2023, "a plain plan")])
@@ -831,6 +840,16 @@ def _without_lexicon(payload: dict) -> bytes:
     return zlib.compress(json.dumps(payload).encode())
 
 
+def _with_a_repeated_id(payload: dict) -> bytes:
+    payload["docs"] *= 2
+    return zlib.compress(json.dumps(payload).encode())
+
+
+def _with_an_unknown_role(payload: dict) -> bytes:
+    payload["lexicon"]["entries"][0]["role"] = "nonsense"
+    return zlib.compress(json.dumps(payload).encode())
+
+
 def _with_doc_field(position: int, value):
     def edit(payload: dict) -> bytes:
         payload["docs"][0][position] = value
@@ -852,10 +871,12 @@ def _with_doc_field(position: int, value):
     _with_doc_field(3, ["\ud800x"]),
     lambda payload: zlib.compress(b"[" * 200_000),
     lambda payload: zlib.compress(_with_long_integer(json.dumps(payload))),
+    _with_a_repeated_id,
+    _with_an_unknown_role,
 ], ids=["missing-key", "not-json", "not-zlib", "not-an-object", "not-utf8",
         "year-not-int", "mask-not-int", "mask-past-vocabulary",
         "category-not-str", "categories-not-list", "category-lone-surrogate",
-        "nested-too-deeply", "integer-too-long"])
+        "nested-too-deeply", "integer-too-long", "id-repeated", "lexicon-role-unknown"])
 def test_malformed_payload_is_an_index_file_error(tmp_path, lexicon, capsys, make_blob):
     path = tmp_path / "bad.idx"
     _write_container(path, make_blob(_saved_payload(lexicon)))
@@ -944,6 +965,12 @@ def _padded_first_of_two_years(header: dict, columns: bytearray) -> bytes:
     return _v2_blob(header, padded + columns)
 
 
+def _unknown_role(header: dict, columns: bytearray) -> bytes:
+    """The header's lexicon with a role no entry may have, and as many terms."""
+    header["lexicon"]["entries"][0]["role"] = "nonsense"
+    return _v2_blob(header, columns)
+
+
 def _year_field(field: str, value):
     def edit(header: dict, columns: bytearray) -> bytes:
         header["years"][0][field] = value
@@ -973,10 +1000,12 @@ def _year_field(field: str, value):
      "malformed payload (JSON nested too deeply)"),
     (lambda header, columns: _v2_blob(header, columns, long_integer=True),
      "malformed payload (integer of more than 4300 digits)"),
+    (_unknown_role, "malformed payload (unknown role 'nonsense' for term 'commendable')"),
 ], ids=["column-wider-than-year", "first-of-two-years-padded", "category-row-past-table",
         "category-row-without-documents", "trailing-bytes", "short-column-block", "id-not-str",
         "ids-unsorted", "ids-repeated", "category-table-unsorted", "category-table-repeated", "header-length-past-payload",
-        "category-lone-surrogate", "header-nested-too-deeply", "header-integer-too-long"])
+        "category-lone-surrogate", "header-nested-too-deeply", "header-integer-too-long",
+        "lexicon-role-unknown"])
 def test_malformed_v2_payload_is_an_index_file_error(tmp_path, lexicon, capsys, make_blob,
                                                      problem):
     header, columns = _v2_parts(tmp_path, lexicon)
@@ -1199,15 +1228,19 @@ def _any_of_the_types(right):
     _any_of_the_types(st.sampled_from(["an intricate plan", "x", "intricate \udfff"])),
     _any_of_the_types(st.lists(st.sampled_from(["c", "d", "\u00e9"]), max_size=2))), max_size=3))
 def test_a_build_refuses_a_document_or_saves_a_file_that_loads(lexicon, docs):
-    # save_index checks nothing, so what a build lets in must load.
-    try:
-        index = build_index(docs, lexicon)
-    except IndexBuildError:
-        return
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "index.idx"
-        save_index(index, path)
-        assert list(load_index(path).doc_marks()) == list(index.doc_marks())
+    # save_index checks nothing, so what a build lets in must load, whether
+    # the documents come through a builder or as marks.
+    builds = [lambda: build_index(docs, lexicon),
+              lambda: YearTermIndex(lexicon, 2000, 2100, [(i, y, 0, c) for i, y, _, c in docs])]
+    for build in builds:
+        try:
+            index = build()
+        except IndexBuildError:
+            continue
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "index.idx"
+            save_index(index, path)
+            assert list(load_index(path).doc_marks()) == list(index.doc_marks())
 
 
 def test_a_document_refused_for_a_category_leaves_no_trace_in_the_builder(lexicon):

@@ -33,6 +33,7 @@ from lexdrift import (
     share_increase,
     yoy_change,
 )
+from lexdrift.cli import main
 from lexdrift.index import scan_index
 from lexdrift.stats import CountSeries
 
@@ -265,6 +266,25 @@ def test_import_rejects_bytes_not_utf8_by_line(tmp_path):
     path.write_bytes(b"series,year,matches,total\ncaf\xc3\xa9,2022,1,5\ncaf\xe9,2023,1,5\n")
     with pytest.raises(CountsFormatError, match=r"line 3: not valid UTF-8 \(byte 0xe9\)") as err:
         import_counts(path)
+    assert err.value.line == 3
+
+
+def test_import_rejects_a_nul_by_line_on_every_python(tmp_path, capsys):
+    # csv refuses a NUL before Python 3.11 and keeps it from then on; the
+    # table is refused alike on each.
+    path = tmp_path / "c.csv"
+    path.write_bytes(b"series,year,matches,total\na\0b,2022,1,5\n")
+    with pytest.raises(CountsFormatError, match=r"^line 2: line contains NUL$") as err:
+        import_counts(path)
+    assert err.value.line == 2
+    assert main(["counts", "import", str(path)]) == 1
+    assert capsys.readouterr() == ("", "error: line 2: line contains NUL\n")
+
+
+def test_import_names_the_line_of_an_empty_series_id():
+    text = "series,year,matches,total\na,2022,1,5\n  ,2023,1,5\n"
+    with pytest.raises(CountsFormatError, match=r"^line 3: series id must be non-empty$") as err:
+        import_counts(io.StringIO(text))
     assert err.value.line == 3
 
 
