@@ -75,6 +75,7 @@ def _table(rows: Sequence[Sequence[str]]) -> str:
 
 
 def _csv_text(header: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
+    """*rows* under *header* as CSV: a float as its repr, None as an empty cell."""
     import csv
     import io
 
@@ -259,16 +260,9 @@ def cmd_drift(args: argparse.Namespace) -> int:
     elif args.format == "json":
         text = _json_dumps([_drift_payload(r) for r in reports])
     else:
-        rows = []
-        for rep in reports:
-            for i, year in enumerate(rep.years):
-                rows.append([
-                    rep.series_id, year, rep.matches[i], rep.totals[i],
-                    repr(rep.shares[i]),
-                    repr(rep.yoy[i]) if rep.yoy[i] is not None else "",
-                    repr(rep.count_increase) if rep.count_increase is not None else "",
-                    repr(rep.share_increase) if rep.share_increase is not None else "",
-                ])
+        rows = [[rep.series_id, year, rep.matches[i], rep.totals[i], rep.shares[i],
+                 rep.yoy[i], rep.count_increase, rep.share_increase]
+                for rep in reports for i, year in enumerate(rep.years)]
         text = _csv_text(
             ["series", "year", "matches", "total", "share", "yoy",
              "count_increase", "share_increase"],
@@ -326,8 +320,8 @@ def cmd_excess(args: argparse.Namespace) -> int:
         ])
     else:
         rows = [
-            [rep.series_id, rep.base_year, rep.target_year, repr(rep.growth),
-             rep.expected, rep.actual, rep.excess, repr(rep.excess_share)]
+            [rep.series_id, rep.base_year, rep.target_year, rep.growth,
+             rep.expected, rep.actual, rep.excess, rep.excess_share]
             for rep in reports
         ]
         text = _csv_text(
@@ -418,7 +412,7 @@ def cmd_skew(args: argparse.Namespace) -> int:
     elif args.format == "csv":
         text = _csv_text(
             ["category", "among_matches", "among_all"],
-            [[cat, repr(m), repr(a)] for cat, (m, a) in skew.rows.items()],
+            [[cat, m, a] for cat, (m, a) in skew.rows.items()],
         )
     else:
         rows = [["category", "among matches", "among all"]]

@@ -101,7 +101,7 @@ _scan_json = json.JSONDecoder().scan_once
 
 
 def _line_problem(
-    line: str,
+    line: str | bytes,
     from_file: bool,
     seen: dict[str, int],
     min_year: int,
@@ -111,7 +111,10 @@ def _line_problem(
     and the record it decodes to, None for a blank line or one that does
     not decode. A value that :data:`_scan_json` reads to the end of the
     line is the record; any other line (blank, padded with whitespace or
-    no JSON) is read again by ``json.loads``, for its message."""
+    no JSON) is read again by ``json.loads``, for its message. A line given
+    as bytes is decoded and checked as a line of a file is."""
+    if isinstance(line, (bytes, bytearray)):
+        line, from_file = line.decode("utf-8", "surrogateescape"), True
     # A bad byte is a lone surrogate, so a line that holds one is not blank.
     if from_file and not line.isascii():
         problem = undecodable(line)
@@ -120,7 +123,7 @@ def _line_problem(
     try:
         record, end = _scan_json(line, 0)
         whole = end == len(line) or line[end:] == "\n"
-    except (StopIteration, ValueError, RecursionError, TypeError):  # TypeError: bytes
+    except (StopIteration, ValueError, RecursionError):
         whole = False
     if not whole:
         if not line.strip():
@@ -129,8 +132,6 @@ def _line_problem(
             record = json.loads(line)
         except json.JSONDecodeError as exc:
             return f"invalid JSON ({exc.msg})", None
-        except UnicodeDecodeError:  # of a line given as bytes
-            raise
         except ValueError:  # the rest: an integer too long to convert
             return f"invalid JSON ({long_integer()})", None
         except RecursionError:
@@ -187,7 +188,8 @@ def iter_corpus(
     ``on_error="abort"`` raises CorpusFormatError at the first malformed
     record; ``"skip"`` collects the error (into *errors*, if given) and
     continues. Errors carry 1-based line numbers. In a file read from a
-    path, a line that is not valid UTF-8 is a malformed record.
+    path, or a line given as bytes, a line that is not valid UTF-8 is a
+    malformed record.
     """
     if on_error not in ("abort", "skip"):
         raise ValueError(f"unknown error policy {on_error!r}")
@@ -203,7 +205,7 @@ def iter_corpus(
         for lineno, line in enumerate(stream, start=1):
             problem, record = _line_problem(line, opened, seen, min_year, max_year)
             if problem is not None:
-                err = CorpusFormatError(f"line {lineno}: {problem}", line=lineno)
+                err = CorpusFormatError(problem, lineno)
                 if on_error == "abort":
                     raise err
                 if errors is not None:

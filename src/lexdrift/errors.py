@@ -13,10 +13,19 @@ class DataError(Exception):
     """A data or validation problem in user-supplied input."""
 
 
-class CorpusFormatError(DataError):
-    def __init__(self, message: str, line: int | None = None):
-        super().__init__(message)
+class _LineError(DataError):
+    """A problem on one line of an input file, worded ``line N: problem``."""
+
+    def __init__(self, problem: str, line: int):
+        super().__init__(problem, line)  # as args, so a copy or pickle is rebuilt
         self.line = line
+
+    def __str__(self) -> str:
+        return f"line {self.line}: {self.args[0]}"
+
+
+class CorpusFormatError(_LineError):
+    pass
 
 
 class LexiconError(DataError):
@@ -66,10 +75,8 @@ class IndexChecksumError(IndexFileError):
     pass
 
 
-class CountsFormatError(DataError):
-    def __init__(self, message: str, line: int | None = None):
-        super().__init__(message)
-        self.line = line
+class CountsFormatError(_LineError):
+    pass
 
 
 class UndefinedChangeError(DataError):

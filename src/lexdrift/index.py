@@ -95,20 +95,15 @@ class YearTermIndex:
     def __init__(self, lexicon: Lexicon, min_year: int, max_year: int,
                  marks: Iterable[Mark]):
         terms = lexicon.terms()
-        years, columns = _Gathered(marks).finish(len(terms))
+        # IndexBuilder.finish passes the marks it has gathered.
+        gathered = marks if type(marks) is _Gathered else _Gathered(marks)
+        years, columns = gathered.finish(len(terms))
         _check_unique(years)
         self._init(lexicon, terms, min_year, max_year, years, columns)
 
-    @classmethod
-    def _from_columns(cls, lexicon: Lexicon, terms: tuple[str, ...], min_year: int, max_year: int,
-                      years: dict[int, _Year], columns: tuple[int, ...]) -> YearTermIndex:
-        """The index of ready *columns* over the vocabulary *terms*, *years* ascending."""
-        index = cls.__new__(cls)
-        index._init(lexicon, terms, min_year, max_year, years, columns)
-        return index
-
-    def _init(self, lexicon: Lexicon, terms: tuple[str, ...], min_year: int,
-              max_year: int, years: dict[int, _Year], columns: tuple[int, ...]) -> None:
+    def _init(self, lexicon: Lexicon, terms: tuple[str, ...], min_year: int, max_year: int,
+              years: dict[int, _Year], columns: tuple[int, ...]) -> YearTermIndex:
+        """This index made of ready *columns* over the vocabulary *terms*, *years* ascending."""
         _check_year_range(min_year, max_year)
         self._lexicon = lexicon
         self._min_year = min_year
@@ -118,6 +113,7 @@ class YearTermIndex:
         self._by_year = years
         self._years = tuple(years)
         self._columns = columns
+        return self
 
     @property
     def lexicon(self) -> Lexicon:
@@ -170,7 +166,8 @@ def _check_year_range(min_year: int, max_year: int) -> None:
 
 
 def _check_unique(years: Mapping[int, _Year]) -> None:
-    """Refuse an id that two documents share, as :func:`load_index` does."""
+    """Refuse an id that two documents share. A load of a version 2 or 3
+    file checks ids within each year only."""
     # Sorting merges the years' sorted runs; a repeat is an equal neighbour.
     ids = sorted(chain.from_iterable(y.ids for y in years.values()))
     twice = next(compress(ids, map(eq, ids, islice(ids, 1, None))), None)
@@ -207,17 +204,15 @@ class _Gathered:
         # version 1 file's row, may hold others.
         if type(year) is not int:
             raise IndexBuildError(f"document {doc_id!r}: year {year!r} is not an integer")
-        if not isinstance(doc_id, str):
-            raise IndexBuildError(f"a document id in {year} is not a string")
-        if type(cats) is not tuple and (isinstance(cats, str) or not isinstance(cats, Iterable)):
-            raise IndexBuildError(f"document {doc_id!r}: categories {cats!r} "
-                                  "are not a tuple of strings")
-        try:
-            joined = "".join(cats := tuple(cats))  # a tuple is kept as it is
-        except TypeError:
-            raise IndexBuildError(f"a category in {year} is not a string") from None
-        if not joined.isascii() and (problem := lone_surrogate(joined)):
-            raise IndexBuildError(f"a category in {year} holds a {problem}")
+        _check_strings((doc_id,), "a document id", year)
+        if type(cats) is not tuple:
+            if isinstance(cats, (set, frozenset)):  # its order varies with the hash seed
+                raise IndexBuildError(f"document {doc_id!r}: categories in a set have no order")
+            if isinstance(cats, str) or not isinstance(cats, Iterable):
+                raise IndexBuildError(f"document {doc_id!r}: categories {cats!r} "
+                                      "are not a tuple of strings")
+            cats = tuple(cats)
+        _check_categories(cats, year)
         ids, masks, table, rows = self._years[year]
         ids.append(doc_id)
         masks.append(mask)
@@ -471,11 +466,7 @@ class IndexBuilder:
                 self._marks.add(doc_id, year, mask, tuples[row])
 
     def finish(self) -> YearTermIndex:
-        terms = self.lexicon.terms()
-        years, columns = self._marks.finish(len(terms))
-        _check_unique(years)
-        return YearTermIndex._from_columns(self.lexicon, terms, self.min_year, self.max_year,
-                                           years, columns)
+        return YearTermIndex(self.lexicon, self.min_year, self.max_year, self._marks)
 
 
 def build_index(corpus: Iterable[Document], lexicon: Lexicon) -> YearTermIndex:
@@ -584,8 +575,9 @@ def scan_index(corpus: Iterable[Document], lexicon: Lexicon, q: Query) -> YearTe
     for doc_id, year, text, cats in corpus:
         marks.add(doc_id, year, mask(doc_id, text), cats)
     years, columns = marks.finish(len(terms))
-    return YearTermIndex._from_columns(lexicon, terms, min(years, default=DEFAULT_MIN_YEAR),
-                                       max(years, default=DEFAULT_MAX_YEAR), years, columns)
+    return YearTermIndex.__new__(YearTermIndex)._init(
+        lexicon, terms, min(years, default=DEFAULT_MIN_YEAR), max(years, default=DEFAULT_MAX_YEAR),
+        years, columns)
 
 
 def eval_count_scan(corpus: Iterable[Document], lexicon: Lexicon, q: Query,
@@ -713,8 +705,8 @@ def _decode_v2(payload: bytes) -> YearTermIndex:
         if type(ids) is not list or type(table) is not list or not all(
                 type(row) is list for row in table):
             raise ValueError(f"the ids or the category table of {year} are not lists")
-        _check_strings(ids, f"a document id in {year}")
-        _check_categories(chain.from_iterable(table), f"a category in {year}")
+        _check_strings(ids, "a document id", year)
+        _check_categories(chain.from_iterable(table), year)
         table = tuple(map(tuple, table))
         # A strict order keeps doc_marks() ordered by id and a re-save canonical.
         _check_ascending(ids, f"the ids of {year}")
@@ -751,8 +743,8 @@ def _decode_v2(payload: bytes) -> YearTermIndex:
     if offset != len(payload):
         raise ValueError(f"{len(payload) - offset} bytes after the last column")
     columns = tuple(int.from_bytes(b"".join(chunk), "little") for chunk in chunks)
-    return YearTermIndex._from_columns(lexicon, lexicon.terms(), doc["min_year"],
-                                       doc["max_year"], by_year, columns)
+    return YearTermIndex.__new__(YearTermIndex)._init(lexicon, lexicon.terms(), doc["min_year"],
+                                                      doc["max_year"], by_year, columns)
 
 
 def _sha256(blob: bytes) -> bytes:
@@ -787,20 +779,21 @@ def _check_years(min_year, max_year, years: Iterable) -> None:
         raise ValueError("a year is not an integer")
 
 
-def _check_strings(values: Iterable, what: str) -> str:
-    """*values* joined, in one C call that refuses any that is no string."""
+def _check_strings(values: Iterable, what: str, year: int) -> str:
+    """*values*, the ids or categories (*what*) of *year*, joined in one C
+    call that refuses any that is no string."""
     try:
         return "".join(values)
     except TypeError:
-        raise ValueError(f"{what} is not a string") from None
+        raise IndexBuildError(f"{what} in {year} is not a string") from None
 
 
-def _check_categories(values: Iterable, what: str) -> None:
+def _check_categories(values: Iterable, year: int) -> None:
     """Categories are printed, so they must be strings with no lone
     surrogate."""
-    problem = lone_surrogate(_check_strings(values, what))
+    problem = lone_surrogate(_check_strings(values, "a category", year))
     if problem is not None:
-        raise ValueError(f"{what} holds a {problem}")
+        raise IndexBuildError(f"a category in {year} holds a {problem}")
 
 
 def _check_ascending(values: Sequence, what: str) -> None:

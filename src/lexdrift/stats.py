@@ -203,71 +203,54 @@ def import_counts(source) -> dict[str, CountSeries]:
         try:
             header = next(reader)
         except StopIteration:
-            raise CountsFormatError("count table is empty (missing header)", line=1)
+            raise CountsFormatError("count table is empty (missing header)", 1)
         if tuple(h.strip() for h in header) != COUNTS_HEADER:
-            raise CountsFormatError(
-                f"line 1: expected header {','.join(COUNTS_HEADER)!r}, "
-                f"got {','.join(header)!r}",
-                line=1,
-            )
+            raise CountsFormatError(f"expected header {','.join(COUNTS_HEADER)!r}, "
+                                    f"got {','.join(header)!r}", 1)
         acc: dict[str, dict[int, tuple[int, int]]] = {}
         for row in reader:
             line = reader.line_num
             if not row:
                 continue
             if len(row) != 4:
-                raise CountsFormatError(
-                    f"line {line}: expected 4 fields, got {len(row)}", line=line
-                )
+                raise CountsFormatError(f"expected 4 fields, got {len(row)}", line)
             series_id = row[0].strip()
             if not series_id:
-                raise CountsFormatError(f"line {line}: series id must be non-empty", line=line)
+                raise CountsFormatError("series id must be non-empty", line)
             try:
                 year, matches, total = (int(v) for v in row[1:])
             except ValueError:
-                raise CountsFormatError(
-                    f"line {line}: year, matches and total must be integers",
-                    line=line,
-                )
+                raise CountsFormatError("year, matches and total must be integers", line)
             try:
                 float(year), float(matches), float(total)
             except OverflowError:
                 # Shares, changes and charts are computed in floats.
-                raise CountsFormatError(
-                    f"line {line}: year, matches and total must fit a float",
-                    line=line,
-                ) from None
+                raise CountsFormatError("year, matches and total must fit a float",
+                                        line) from None
             if matches > total:
-                raise CountsFormatError(
-                    f"line {line}: matches {matches} exceeds total {total}",
-                    line=line,
-                )
+                raise CountsFormatError(f"matches {matches} exceeds total {total}", line)
             if matches < 0 or total <= 0:
-                raise CountsFormatError(
-                    f"line {line}: matches must be >= 0 and total positive",
-                    line=line,
-                )
+                raise CountsFormatError("matches must be >= 0 and total positive", line)
             pts = acc.setdefault(series_id, {})
             if year in pts:
-                raise CountsFormatError(
-                    f"line {line}: duplicate entry for ({series_id}, {year})",
-                    line=line,
-                )
+                raise CountsFormatError(f"duplicate entry for ({series_id}, {year})", line)
             pts[year] = (matches, total)
         return {sid: CountSeries(sid, pts) for sid, pts in acc.items()}
     except csv.Error as exc:  # e.g. an oversized field
-        line = reader.line_num
-        raise CountsFormatError(f"line {line}: {exc}", line=line) from None
+        raise CountsFormatError(str(exc), reader.line_num) from None
     finally:
         if close:
             stream.close()
 
 
-def _checked_lines(lines: Iterable[str]) -> Iterator[str]:
+def _checked_lines(lines: Iterable[str | bytes]) -> Iterator[str]:
     """*lines*, each checked before the csv reader sees it, the same way on
     every Python: first for a byte that is not UTF-8, then for a NUL, which
-    csv refuses before 3.11 and keeps from then on."""
+    csv refuses before 3.11 and keeps from then on. A line given as bytes
+    is decoded as a file's line is."""
     for line, text in enumerate(lines, start=1):
+        if isinstance(text, (bytes, bytearray)):
+            text = text.decode("utf-8", "surrogateescape")
         problem = None
         if isinstance(text, str):  # csv refuses any other line itself
             if not text.isascii():
@@ -275,7 +258,7 @@ def _checked_lines(lines: Iterable[str]) -> Iterator[str]:
             if problem is None and "\0" in text:
                 problem = "line contains NUL"
         if problem is not None:
-            raise CountsFormatError(f"line {line}: {problem}", line=line)
+            raise CountsFormatError(problem, line)
         yield text
 
 

@@ -29,11 +29,11 @@ def sample_index(tmp_path):
     return path
 
 
-def _fresh_cli(*argv: str) -> subprocess.CompletedProcess:
+def _fresh_cli(*argv: str, **env: str) -> subprocess.CompletedProcess:
     """The CLI in a fresh interpreter, as a user runs it, so a traceback
-    would show."""
+    would show; *env* is added to its environment."""
     src = str(Path(lexdrift.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     return subprocess.run(
         [sys.executable, "-c", "from lexdrift.cli import main_entry; main_entry()", *argv],
@@ -61,6 +61,17 @@ def test_index_valid_corpus(tmp_path, capsys):
     stdout = capsys.readouterr().out
     assert "3 documents" in stdout
     assert out.exists()
+
+
+def test_index_files_are_equal_under_any_hash_seed(tmp_path):
+    # A set or dict ordered by string hashes would make the saved file vary
+    # from one interpreter to the next.
+    paths = [tmp_path / f"seed{seed}.idx" for seed in (1, 2)]
+    for seed, path in zip((1, 2), paths):
+        run = _fresh_cli("index", "--corpus", str(bundled_corpus_path()), "--out", str(path),
+                         PYTHONHASHSEED=str(seed))
+        assert run.returncode == 0, run.stderr
+    assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
 def test_index_missing_corpus_exits_2(tmp_path, capsys):

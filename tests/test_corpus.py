@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import io
 import json
+import pickle
 import string
 import sys
 import tempfile
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 from lexdrift import (
     CorpusFormatError,
+    CountsFormatError,
     Document,
     Term,
     builtin_lexicon,
@@ -204,11 +206,22 @@ def test_lines_given_as_bytes_are_read_like_text():
         b"\n"
         b'{"id": "a", "year": 2020, "text": "dup"}\n'
         b'{"id": "b", "year": 2021, "text": "y", "categories": ["cs"]}\n'
+        b'{"id": "c", "year": 2021, "text": "caf\xe9"}\n'
     )
     errors: list[CorpusFormatError] = []
     docs = load_corpus(stream, on_error="skip", errors=errors)
     assert docs == [Document("a", 2020, "café"), Document("b", 2021, "y", ("cs",))]
-    assert [str(e) for e in errors] == ["line 3: duplicate id 'a' (first seen on line 1)"]
+    assert [str(e) for e in errors] == ["line 3: duplicate id 'a' (first seen on line 1)",
+                                        "line 5: not valid UTF-8 (byte 0xe9)"]
+    # A line that is not UTF-8 is refused by number, as in a file read from a path.
+    with pytest.raises(CorpusFormatError, match=r"^line 2: not valid UTF-8 \(byte 0xff\)$"):
+        load_corpus([b'{"id": "a", "year": 2023, "text": "x"}\n', b"\xff\n"])
+
+
+def test_a_line_error_keeps_its_line_through_a_pickle():
+    for err in (CorpusFormatError("bad", 3), CountsFormatError("bad", 3)):
+        twin = pickle.loads(pickle.dumps(err))
+        assert (type(twin), str(twin), twin.line) == (type(err), "line 3: bad", 3)
 
 
 def test_load_from_path(tmp_path):

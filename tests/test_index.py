@@ -1182,8 +1182,13 @@ def _refused_on_every_path(lexicon, docs, problem):
      "document 'a': categories 'cs.CL' are not a tuple of strings"),
     ([Document("a", 2023, "an intricate plan", 7)],
      "document 'a': categories 7 are not a tuple of strings"),
+    # A set's order, and so the category table, would vary with the hash seed.
+    ([Document("a", 2023, "an intricate plan", {"physics", "biology", "cs"})],
+     "document 'a': categories in a set have no order"),
+    ([Document("a", 2023, "an intricate plan", frozenset({"physics", "cs"}))],
+     "document 'a': categories in a set have no order"),
 ], ids=["str-year", "no-year", "int-text", "float-year", "bool-year", "str-year-beside-int",
-        "str-categories", "int-categories"])
+        "str-categories", "int-categories", "set-categories", "frozenset-categories"])
 def test_a_document_of_the_wrong_types_is_a_build_error(lexicon, docs, problem):
     # The corpus reader checks these types; a Document built in code
     # reaches every build path unchecked.

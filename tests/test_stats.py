@@ -269,6 +269,15 @@ def test_import_rejects_bytes_not_utf8_by_line(tmp_path):
     assert err.value.line == 3
 
 
+def test_import_reads_a_binary_stream_like_text():
+    # Each line is decoded as a file's is, so a bad byte is named by line.
+    text = b"series,year,matches,total\r\ncaf\xc3\xa9,2022,1,5\r\n"
+    assert import_counts(io.BytesIO(text)) == import_counts(io.StringIO(text.decode(), newline=""))
+    with pytest.raises(CountsFormatError, match=r"^line 3: not valid UTF-8 \(byte 0xe9\)$") as err:
+        import_counts(io.BytesIO(text + b"caf\xe9,2023,1,5\n"))
+    assert err.value.line == 3
+
+
 def test_import_rejects_a_nul_by_line_on_every_python(tmp_path, capsys):
     # csv refuses a NUL before Python 3.11 and keeps it from then on; the
     # table is refused alike on each.
