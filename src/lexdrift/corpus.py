@@ -15,10 +15,9 @@ from __future__ import annotations
 
 import json
 import re
-from pathlib import Path
 from typing import Iterator, NamedTuple
 
-from .errors import CorpusFormatError, lone_surrogate, long_integer, undecodable
+from .errors import CorpusFormatError, lone_surrogate, long_integer, text_lines, undecodable
 
 DEFAULT_MIN_YEAR = 2000
 DEFAULT_MAX_YEAR = 2100
@@ -101,8 +100,8 @@ _scan_json = json.JSONDecoder().scan_once
 
 
 def _line_problem(
-    line: str | bytes,
-    from_file: bool,
+    line: str,
+    from_bytes: bool,
     seen: dict[str, int],
     min_year: int,
     max_year: int,
@@ -111,12 +110,10 @@ def _line_problem(
     and the record it decodes to, None for a blank line or one that does
     not decode. A value that :data:`_scan_json` reads to the end of the
     line is the record; any other line (blank, padded with whitespace or
-    no JSON) is read again by ``json.loads``, for its message. A line given
-    as bytes is decoded and checked as a line of a file is."""
-    if isinstance(line, (bytes, bytearray)):
-        line, from_file = line.decode("utf-8", "surrogateescape"), True
+    no JSON) is read again by ``json.loads``, for its message. A line read
+    from bytes is checked for bytes that are not UTF-8 first."""
     # A bad byte is a lone surrogate, so a line that holds one is not blank.
-    if from_file and not line.isascii():
+    if from_bytes and not line.isascii():
         problem = undecodable(line)
         if problem is not None:
             return problem, None
@@ -193,17 +190,11 @@ def iter_corpus(
     """
     if on_error not in ("abort", "skip"):
         raise ValueError(f"unknown error policy {on_error!r}")
-    stream = source
-    opened = False
-    if isinstance(source, (str, Path)):
-        # surrogateescape turns each undecodable byte into a lone surrogate,
-        # so a bad line is reported by number instead of ending the read.
-        stream = open(source, "r", encoding="utf-8", errors="surrogateescape")
-        opened = True
+    lines = text_lines(source)
     try:
         seen: dict[str, int] = {}
-        for lineno, line in enumerate(stream, start=1):
-            problem, record = _line_problem(line, opened, seen, min_year, max_year)
+        for lineno, (line, from_bytes) in enumerate(lines, start=1):
+            problem, record = _line_problem(line, from_bytes, seen, min_year, max_year)
             if problem is not None:
                 err = CorpusFormatError(problem, lineno)
                 if on_error == "abort":
@@ -216,8 +207,7 @@ def iter_corpus(
                 yield Document(doc_id, record["year"], record["text"],
                                tuple(record.get("categories", _NO_CATEGORIES)))
     finally:
-        if opened:
-            stream.close()
+        lines.close()
 
 
 def load_corpus(source, **kwargs) -> list[Document]:

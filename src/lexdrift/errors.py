@@ -1,12 +1,15 @@
 """Exception types. All data/validation problems derive from DataError so the
 CLI can map them to exit code 1 (I/O and usage problems exit 2). The readers
-of corpus and count files and the query parser share the message for text
-that is not UTF-8, and the readers of corpus and lexicon files and the
-query parser the one for an integer too long to convert."""
+of corpus and count files share their line source, and with the query parser
+the message for text that is not UTF-8; the readers of corpus and lexicon
+files and the query parser share the one for an integer too long to convert."""
 
 from __future__ import annotations
 
 import sys
+from itertools import repeat
+from pathlib import Path
+from typing import Iterator
 
 
 class DataError(Exception):
@@ -81,6 +84,21 @@ class CountsFormatError(_LineError):
 
 class UndefinedChangeError(DataError):
     """A relative change whose reference value is zero; reported as a gap."""
+
+
+def text_lines(source, newline: str | None = None) -> Iterator[tuple[str, bool]]:
+    """Each line of *source*, a file path or an iterable of lines, and
+    whether it was read from bytes: a file's, opened with *newline*, or a
+    ``bytes`` line. Bytes are decoded as UTF-8 with ``surrogateescape``, so
+    a bad byte becomes a lone surrogate and its line is reported by number.
+    A reader that stops early closes this generator, and so the file."""
+    if isinstance(source, (str, Path)):
+        with open(source, encoding="utf-8", errors="surrogateescape", newline=newline) as stream:
+            yield from zip(stream, repeat(True))
+        return
+    for line in source:
+        raw = isinstance(line, (bytes, bytearray))
+        yield (line.decode("utf-8", "surrogateescape") if raw else line), raw
 
 
 def undecodable(text: str) -> str | None:

@@ -97,14 +97,27 @@ class YearTermIndex:
         terms = lexicon.terms()
         # IndexBuilder.finish passes the marks it has gathered.
         gathered = marks if type(marks) is _Gathered else _Gathered(marks)
-        years, columns = gathered.finish(len(terms))
-        _check_unique(years)
-        self._init(lexicon, terms, min_year, max_year, years, columns)
+        parts = list(gathered.finish(len(terms)))
+        _check_unique(parts)
+        self._init(lexicon, terms, min_year, max_year, parts)
 
     def _init(self, lexicon: Lexicon, terms: tuple[str, ...], min_year: int, max_year: int,
-              years: dict[int, _Year], columns: tuple[int, ...]) -> YearTermIndex:
-        """This index made of ready *columns* over the vocabulary *terms*, *years* ascending."""
+              parts: Iterable[tuple]) -> YearTermIndex:
+        """This index over the vocabulary *terms*, made of one part a year (year, ids, category
+        table, rows, its bytes of each column), the years strictly ascending integers within
+        *min_year*-*max_year*; each year is placed on byte-aligned bits of the joined columns."""
         _check_year_range(min_year, max_year)
+        years, chunks, start, last = {}, [[] for _ in terms], 0, min_year - 1
+        for year, ids, table, rows, columns in parts:
+            if type(year) is not int or not min_year <= year <= max_year:
+                raise IndexBuildError(f"document {ids[0]!r}: year {year!r} outside allowed "
+                                      f"range {min_year}-{max_year}")
+            if year <= last:
+                raise IndexBuildError(f"the years are not strictly ascending: {year} after {last}")
+            for chunk, column in zip(chunks, columns):
+                chunk.append(column)
+            years[year] = _Year(ids, start, table, rows)
+            start, last = start + 8 * ((len(ids) + 7) // 8), year
         self._lexicon = lexicon
         self._min_year = min_year
         self._max_year = max_year
@@ -112,7 +125,7 @@ class YearTermIndex:
         self._bit = {t: i for i, t in enumerate(terms)}
         self._by_year = years
         self._years = tuple(years)
-        self._columns = columns
+        self._columns = tuple(int.from_bytes(b"".join(chunk), "little") for chunk in chunks)
         return self
 
     @property
@@ -165,11 +178,11 @@ def _check_year_range(min_year: int, max_year: int) -> None:
         raise IndexBuildError(f"year range {min_year!r}-{max_year!r}: a year is not an integer")
 
 
-def _check_unique(years: Mapping[int, _Year]) -> None:
+def _check_unique(parts: Iterable[tuple]) -> None:
     """Refuse an id that two documents share. A load of a version 2 or 3
     file checks ids within each year only."""
     # Sorting merges the years' sorted runs; a repeat is an equal neighbour.
-    ids = sorted(chain.from_iterable(y.ids for y in years.values()))
+    ids = sorted(chain.from_iterable(part[1] for part in parts))
     twice = next(compress(ids, map(eq, ids, islice(ids, 1, None))), None)
     if twice is not None:
         raise IndexBuildError(f"duplicate document id {twice!r}")
@@ -191,7 +204,8 @@ class _Gathered:
     """Marks gathered as they come, per year: the ids, the masks, a dict from
     each distinct category tuple to its row, first seen first, and the rows.
     :meth:`add`, every build's one door, keeps nothing :func:`load_index` refuses
-    but a mask, which :meth:`finish` checks against the vocabulary's width, and a
+    but a mask, which :meth:`finish` checks against the vocabulary's width, a year
+    outside the index's range, which :meth:`YearTermIndex._init` refuses, and a
     repeated id, which :func:`_check_unique` refuses in every build that can be saved."""
 
     def __init__(self, marks: Iterable[Mark] = ()):
@@ -218,10 +232,15 @@ class _Gathered:
         masks.append(mask)
         rows.append(table.setdefault(cats, len(table)))
 
-    def finish(self, width: int) -> tuple[dict[int, _Year], tuple[int, ...]]:
-        """Each year's table over a vocabulary of *width* entries, years
-        ascending and a year's documents by id, and the index-wide columns."""
-        years, chunks, start = {}, [[] for _ in range(width)], 0
+    def marks(self) -> Iterator[Mark]:
+        """The marks gathered so far, year by year; one added while they are read is not."""
+        for year, (ids, masks, table, rows) in self._years.items():
+            cats = list(table)
+            yield from zip(islice(ids, len(ids)), repeat(year), masks, map(cats.__getitem__, rows))
+
+    def finish(self, width: int) -> Iterator[tuple]:
+        """Each year's part over a vocabulary of *width* entries, years
+        ascending and a year's documents by id."""
         for year, (ids, masks, seen, rows) in sorted(self._years.items()):
             if not _masks_fit(masks, width):
                 doc_id, mask = next((d, m) for d, m in zip(ids, masks)
@@ -234,12 +253,10 @@ class _Gathered:
             order = sorted(range(len(ids)), key=lambda i: (ids[i], masks[i], rank[rows[i]]))
             # Year by year: one bit string of all years would hold every mask as text.
             size = (len(order) + 7) // 8
-            for chunk, col in zip(chunks, _columns([masks[i] for i in order], width)):
-                chunk.append(col.to_bytes(size, "little"))
-            years[year] = _Year(tuple(map(ids.__getitem__, order)), start, table,
-                                array(_row_type(len(table)), [rank[rows[i]] for i in order]))
-            start += 8 * size
-        return years, tuple(int.from_bytes(b"".join(chunk), "little") for chunk in chunks)
+            yield (year, tuple(map(ids.__getitem__, order)), table,
+                   array(_row_type(len(table)), [rank[rows[i]] for i in order]),
+                   [col.to_bytes(size, "little")
+                    for col in _columns([masks[i] for i in order], width)])
 
 
 def _columns(masks: Sequence[int], width: int) -> tuple[int, ...]:
@@ -459,11 +476,8 @@ class IndexBuilder:
         """Add *other*'s documents; an id both hold is reported by :meth:`finish`."""
         if other.lexicon is not self.lexicon and other.lexicon != self.lexicon:
             raise IndexBuildError("cannot merge builders with different lexicons")
-        for year, (ids, masks, table, rows) in other._marks._years.items():
-            tuples = list(table)
-            # Bounded by the length at entry, so a builder merged into itself ends.
-            for doc_id, mask, row in islice(zip(ids, masks, rows), len(ids)):
-                self._marks.add(doc_id, year, mask, tuples[row])
+        for mark in other._marks.marks():
+            self._marks.add(*mark)
 
     def finish(self) -> YearTermIndex:
         return YearTermIndex(self.lexicon, self.min_year, self.max_year, self._marks)
@@ -574,10 +588,9 @@ def scan_index(corpus: Iterable[Document], lexicon: Lexicon, q: Query) -> YearTe
     mask, marks = vocab.mask, _Gathered()
     for doc_id, year, text, cats in corpus:
         marks.add(doc_id, year, mask(doc_id, text), cats)
-    years, columns = marks.finish(len(terms))
-    return YearTermIndex.__new__(YearTermIndex)._init(
-        lexicon, terms, min(years, default=DEFAULT_MIN_YEAR), max(years, default=DEFAULT_MAX_YEAR),
-        years, columns)
+    parts = list(marks.finish(len(terms)))
+    years = [part[0] for part in parts] or [DEFAULT_MIN_YEAR, DEFAULT_MAX_YEAR]  # ascending
+    return YearTermIndex.__new__(YearTermIndex)._init(lexicon, terms, years[0], years[-1], parts)
 
 
 def eval_count_scan(corpus: Iterable[Document], lexicon: Lexicon, q: Query,
@@ -695,13 +708,9 @@ def _decode_v2(payload: bytes) -> YearTermIndex:
     entries = doc["years"]
     if type(entries) is not list:
         raise ValueError("'years' is not a list")
-    years = [entry["year"] for entry in entries]
-    _check_years(doc["min_year"], doc["max_year"], years)
-    _check_ascending(years, "the years")
-    width = len(lexicon.terms())
-    by_year, chunks, start = {}, [[] for _ in range(width)], 0
-    for year, entry in zip(years, entries):
-        ids, table = entry["ids"], entry["categories"]
+    width, parts = len(lexicon.terms()), []
+    for entry in entries:
+        year, ids, table = entry["year"], entry["ids"], entry["categories"]
         if type(ids) is not list or type(table) is not list or not all(
                 type(row) is list for row in table):
             raise ValueError(f"the ids or the category table of {year} are not lists")
@@ -723,8 +732,7 @@ def _decode_v2(payload: bytes) -> YearTermIndex:
         # A column's last byte of the year holds no bit past its n documents.
         if n % 8 and any(payload[o] >> n % 8 for o in range(offset + step - 1, cut, step)):
             raise ValueError(f"a column of {year} is wider than its {n} documents")
-        for chunk, o in zip(chunks, range(offset, cut, step)):
-            chunk.append(payload[o:o + step])
+        columns = [payload[o:o + step] for o in range(offset, cut, step)]
         raw = payload[cut:end]
         rows.frombytes(raw)
         rows = _little_endian(rows)
@@ -738,13 +746,11 @@ def _decode_v2(payload: bytes) -> YearTermIndex:
             raise ValueError(f"a document of {year} has no row in its category table")
         if unused:
             raise ValueError(f"a category-table row of {year} has no documents")
-        by_year[year] = _Year(tuple(ids), start, table, rows)
-        start += 8 * step
+        parts.append((year, tuple(ids), table, rows, columns))
     if offset != len(payload):
         raise ValueError(f"{len(payload) - offset} bytes after the last column")
-    columns = tuple(int.from_bytes(b"".join(chunk), "little") for chunk in chunks)
     return YearTermIndex.__new__(YearTermIndex)._init(lexicon, lexicon.terms(), doc["min_year"],
-                                                      doc["max_year"], by_year, columns)
+                                                      doc["max_year"], parts)
 
 
 def _sha256(blob: bytes) -> bytes:
@@ -772,11 +778,6 @@ def _json_object(data: bytes) -> dict:
     if not isinstance(doc, dict) or doc.get("format") != _FORMAT:
         raise ValueError("not a lexdrift index payload")
     return doc
-
-
-def _check_years(min_year, max_year, years: Iterable) -> None:
-    if set(map(type, chain((min_year, max_year), years))) - {int}:
-        raise ValueError("a year is not an integer")
 
 
 def _check_strings(values: Iterable, what: str, year: int) -> str:

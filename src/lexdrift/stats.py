@@ -26,7 +26,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
 from .errors import (
@@ -35,6 +34,7 @@ from .errors import (
     QueryError,
     UndefinedChangeError,
     UnindexedTermError,
+    text_lines,
     undecodable,
 )
 from .value import Value
@@ -128,18 +128,20 @@ class CountSeries(Value):
     def __init__(self, series_id: str, points: Mapping[int, tuple[int, int]]):
         if not series_id:
             raise DataError("series id must be non-empty")
-        items = sorted(points.items())
-        for year, (matches, total) in items:
+        for year, (matches, total) in points.items():
+            where = f"series {series_id!r} year {year}"
+            # As import_counts reads them: exact ints, for the shares computed in floats.
+            if {type(year), type(matches), type(total)} != {int}:
+                raise DataError(f"{where}: year, matches and total must be integers")
+            try:
+                float(year), float(matches), float(total)
+            except OverflowError:
+                raise DataError(f"{where}: year, matches and total must fit a float") from None
             if total <= 0:
-                raise DataError(
-                    f"series {series_id!r} year {year}: total must be positive"
-                )
+                raise DataError(f"{where}: total must be positive")
             if not 0 <= matches <= total:
-                raise DataError(
-                    f"series {series_id!r} year {year}: matches {matches} "
-                    f"outside 0..{total}"
-                )
-        self._init(series_id, dict(items))
+                raise DataError(f"{where}: matches {matches} outside 0..{total}")
+        self._init(series_id, dict(sorted(points.items())))
 
     @property
     def years(self) -> tuple[int, ...]:
@@ -190,16 +192,9 @@ def import_counts(source) -> dict[str, CountSeries]:
     """Read a count table (CSV with header ``series,year,matches,total``)
     into one CountSeries per series id, keeping first-appearance order.
     Schema problems are reported with their line number."""
-    stream = source
-    close = False
-    if isinstance(source, (str, Path)):
-        # surrogateescape turns each undecodable byte into a lone surrogate,
-        # so a bad line is reported by number instead of ending the read.
-        stream = open(source, "r", encoding="utf-8", errors="surrogateescape",
-                      newline="")
-        close = True
+    lines = text_lines(source, newline="")
     try:
-        reader = csv.reader(_checked_lines(stream))
+        reader = csv.reader(_checked_lines(lines))
         try:
             header = next(reader)
         except StopIteration:
@@ -239,18 +234,15 @@ def import_counts(source) -> dict[str, CountSeries]:
     except csv.Error as exc:  # e.g. an oversized field
         raise CountsFormatError(str(exc), reader.line_num) from None
     finally:
-        if close:
-            stream.close()
+        lines.close()
 
 
-def _checked_lines(lines: Iterable[str | bytes]) -> Iterator[str]:
-    """*lines*, each checked before the csv reader sees it, the same way on
-    every Python: first for a byte that is not UTF-8, then for a NUL, which
-    csv refuses before 3.11 and keeps from then on. A line given as bytes
-    is decoded as a file's line is."""
-    for line, text in enumerate(lines, start=1):
-        if isinstance(text, (bytes, bytearray)):
-            text = text.decode("utf-8", "surrogateescape")
+def _checked_lines(lines: Iterable[tuple[str, bool]]) -> Iterator[str]:
+    """The text of *lines*, from :func:`text_lines`, each checked before the
+    csv reader sees it, the same way on every Python: first for a byte that
+    is not UTF-8, then for a NUL, which csv refuses before 3.11 and keeps
+    from then on."""
+    for line, (text, _) in enumerate(lines, start=1):
         problem = None
         if isinstance(text, str):  # csv refuses any other line itself
             if not text.isascii():
@@ -340,18 +332,18 @@ def drift_report(series: CountSeries, *, from_year: int | None = None,
                  to_year: int | None = None, base_year: int | None = None,
                  target_year: int | None = None) -> DriftReport:
     """Shares and year-on-year changes, plus both increase metrics between a
-    designated base/target year pair (default: first and last in range)."""
-    window = series.slice(from_year, to_year)
-    years = window.years
+    designated base/target year pair (default: first and last in range).
+    Each year's figures are the whole series', whatever the range."""
+    years = series.slice(from_year, to_year).years
     base = base_year if base_year is not None else years[0]
     target = target_year if target_year is not None else years[-1]
     report = DriftReport(
         series_id=series.series_id,
         years=years,
-        matches=tuple(window.matches(y) for y in years),
-        totals=tuple(window.total(y) for y in years),
-        shares=tuple(window.share_at(y) for y in years),
-        yoy=tuple(window.yoy_at(y) for y in years),
+        matches=tuple(series.matches(y) for y in years),
+        totals=tuple(series.total(y) for y in years),
+        shares=tuple(series.share_at(y) for y in years),
+        yoy=tuple(series.yoy_at(y) for y in years),
         base_year=base,
         target_year=target,
     )

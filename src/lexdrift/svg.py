@@ -60,12 +60,13 @@ class PlotSpec(Value):
         self._init(series, metric, from_year, to_year, width, height)
 
 
-def _metric_points(series: CountSeries, metric: str) -> dict[int, float | None]:
+def _metric_points(series: CountSeries, metric: str, years: Iterable) -> dict[int, float | None]:
+    """*metric* in each of *years*, figured on the whole *series*."""
     if metric == "count":
-        return {y: float(series.matches(y)) for y in series.years}
+        return {y: float(series.matches(y)) for y in years}
     if metric == "share":
-        return {y: series.share_at(y) for y in series.years}
-    return {y: series.yoy_at(y) for y in series.years}
+        return {y: series.share_at(y) for y in years}
+    return {y: series.yoy_at(y) for y in years}
 
 
 def _nice_step(span: float, target: int) -> float:
@@ -109,11 +110,8 @@ def render_line_chart(spec: PlotSpec, series_map: Mapping[str, CountSeries]) -> 
     missing = [name for name in spec.series if name not in series_map]
     if missing:
         raise DataError(f"no data for series: {', '.join(missing)}")
-    windows = [
-        series_map[name].slice(spec.from_year, spec.to_year)
-        for name in spec.series
-    ]
-    data = [_metric_points(w, spec.metric) for w in windows]
+    data = [_metric_points(series, spec.metric, series.slice(spec.from_year, spec.to_year).years)
+            for series in map(series_map.__getitem__, spec.series)]
 
     years = sorted({y for pts in data for y in pts})
     values = [v for pts in data for v in pts.values() if v is not None]

@@ -231,6 +231,32 @@ def test_a_window_without_years_names_its_bounds(command, window, words, capsys)
     assert capsys.readouterr().err == f"error: series 'group1': no years {words}\n"
 
 
+def test_a_window_keeps_the_change_of_its_first_year(tmp_path, capsys):
+    # 2023's change is against 2022, which the window leaves out.
+    assert main(["drift", "group1", "--format", "json"]) == 0
+    whole = json.loads(capsys.readouterr().out)[0]
+    assert main(["drift", "group1", "--from", "2023", "--format", "json"]) == 0
+    window = json.loads(capsys.readouterr().out)[0]
+    assert window["years"] == [2023] and whole["years"][-1] == 2023
+    for field in ("matches", "totals", "shares", "yoy"):
+        assert window[field] == whole[field][-1:]
+    assert main(["drift", "group1", "--from", "2023"]) == 0
+    assert capsys.readouterr().out.splitlines()[2].split() \
+        == ["2023", "159655", "5260000", "3.035%", "+87.4%"]
+    out = tmp_path / "yoy.svg"
+    assert main(["plot", "group1", "--from", "2023", "--metric", "yoy", "--out", str(out)]) == 0
+    markup = out.read_text(encoding="utf-8")
+    assert markup.count('class="series-dot"') == 1 and markup.count('class="x-tick"') == 1
+
+
+def test_a_count_past_the_float_range_is_refused_in_process(tmp_path, capsys):
+    counts = tmp_path / "big.csv"
+    counts.write_text(f"series,year,matches,total\ns,2022,1,{10**309}\n", encoding="utf-8")
+    assert main(["drift", "--counts", str(counts)]) == 1
+    assert capsys.readouterr().err \
+        == "error: line 2: year, matches and total must fit a float\n"
+
+
 # ----------------------------------------------------------------- excess
 
 

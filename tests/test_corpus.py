@@ -19,6 +19,7 @@ from lexdrift import (
     Term,
     builtin_lexicon,
     eval_count_scan,
+    import_counts,
     load_corpus,
 )
 from lexdrift.corpus import iter_corpus
@@ -246,6 +247,36 @@ def test_undecodable_line_is_a_format_error(tmp_path):
     docs = load_corpus(path, on_error="skip", errors=errors)
     assert [(d.id, d.text) for d in docs] == [("a", "café"), ("c", "y")]
     assert [e.line for e in errors] == [2]
+
+
+def test_a_reader_that_stops_has_closed_its_file(tmp_path, monkeypatch):
+    # Closed when the reader stops, not when the garbage collector comes by:
+    # each reader is still referenced when its file is checked.
+    corpus, counts = tmp_path / "c.jsonl", tmp_path / "c.csv"
+    corpus.write_text('{"id": "a", "year": 2020, "text": "x"}\nnot json\n', encoding="utf-8")
+    counts.write_text("series,year,matches,total\ns,x,1,2\n", encoding="utf-8")
+    opened = []
+    real_open = open
+
+    def recording_open(file, *args, **kwargs):
+        stream = real_open(file, *args, **kwargs)
+        if file in (corpus, counts):
+            opened.append(stream)
+        return stream
+
+    monkeypatch.setattr("builtins.open", recording_open)
+    docs = iter_corpus(corpus)
+    assert next(docs).id == "a" and not opened[-1].closed
+    with pytest.raises(CorpusFormatError, match="^line 2: invalid JSON"):
+        next(docs)
+    assert opened[-1].closed
+    early = iter_corpus(corpus)
+    next(early)
+    early.close()
+    assert opened[-1].closed
+    with pytest.raises(CountsFormatError, match="^line 2: year, matches and total must be"):
+        import_counts(counts)
+    assert len(opened) == 3 and opened[-1].closed
 
 
 # ---------------------------------------------------------------- the rules

@@ -1016,6 +1016,62 @@ def test_malformed_v2_payload_is_an_index_file_error(tmp_path, lexicon, capsys, 
         _assert_rejected(path, capsys, problem)
 
 
+def test_no_index_holds_a_year_outside_its_range(tmp_path, lexicon, capsys):
+    # IndexBuilder.add refuses such a document; the marks constructor and a
+    # load of any version refuse it alike, naming the year's first document.
+    problem = "document 'd0': year 1900 outside allowed range 2000-2100"
+    with pytest.raises(IndexBuildError, match=f"^{re.escape(problem)}$"):
+        YearTermIndex(lexicon, 2000, 2100, [("d1", 1900, 0, ()), ("d0", 1900, 0, ())])
+    path = tmp_path / "bad.idx"
+    payload = _saved_payload(lexicon)
+    payload["docs"][0][1] = 1900
+    _write_container(path, zlib.compress(json.dumps(payload).encode()), version=1)
+    _assert_rejected(path, capsys, f"malformed payload ({problem})")
+    header, columns = _v2_parts(tmp_path, lexicon)
+    header["years"][0]["year"] = 1900
+    _write_container(path, _v2_blob(header, columns), version=3)
+    _assert_rejected(path, capsys, f"malformed payload ({problem})")
+
+
+def _two_years(first, second, extra: bytes = b""):
+    """A two-year file: the saved year as *first*, then again as *second*,
+    then *extra* bytes."""
+    def edit(header: dict, columns: bytearray) -> bytes:
+        year = header["years"][0]
+        header = dict(header, years=[dict(year, year=first), dict(year, year=second)])
+        return _v2_blob(header, columns + columns + extra)
+    return edit
+
+
+@pytest.mark.parametrize("make_blob, problem", [
+    (_two_years(2023, 2022), "the years are not strictly ascending: 2022 after 2023"),
+    (_two_years(2023, 2023), "the years are not strictly ascending: 2023 after 2023"),
+    (_two_years(2022, "2023"), "document 'd0': year '2023' outside allowed range 2000-2100"),
+    (_two_years(2022, 2101), "document 'd0': year 2101 outside allowed range 2000-2100"),
+    (lambda header, columns: _v2_blob(dict(header, min_year="2000"), columns),
+     "year range '2000'-2100: a year is not an integer"),
+    # The years are checked after the columns and the trailing bytes.
+    (_two_years(2023, 2022, b"\0"), "1 bytes after the last column"),
+    (_two_years("2023", 2022, b"\0"), "1 bytes after the last column"),
+], ids=["years-unsorted", "years-repeated", "year-not-int", "year-past-range", "bound-not-int",
+        "years-unsorted-and-trailing-bytes", "year-not-int-and-trailing-bytes"])
+def test_a_version_2_or_3_load_checks_its_years_last(tmp_path, lexicon, capsys, make_blob,
+                                                     problem):
+    header, columns = _v2_parts(tmp_path, lexicon)
+    path = tmp_path / "bad.idx"
+    for version in (2, 3):
+        _write_container(path, make_blob(header, columns), version=version)
+        _assert_rejected(path, capsys, f"malformed payload ({problem})")
+
+
+def test_an_index_over_an_empty_vocabulary_gives_back_its_marks(tmp_path):
+    marks = [("a", 2022, 0, ("cs",)), ("b", 2023, 0, ())]
+    index = YearTermIndex(Lexicon("empty", ()), 2000, 2100, marks)
+    path = tmp_path / "empty.idx"
+    save_index(index, path)
+    assert list(index.doc_marks()) == list(load_index(path).doc_marks()) == marks
+
+
 # 257 documents of 2023, each with a category tuple of its own: a table of
 # more than 256 rows, so two bytes a document's row.
 _TWO_BYTE_DOCS = [Document(f"d{i:03d}", 2023, "an intricate proof", (f"c{i:03d}",))

@@ -175,12 +175,21 @@ def test_keyword_and_default_construction():
      "series 's' year 2020: total must be positive"),
     (lambda: CountSeries("s", {2020: (3, 2)}), DataError,
      r"series 's' year 2020: matches 3 outside 0\.\.2"),
+    (lambda: CountSeries("s", {2020: (1, 2.5)}), DataError,
+     "series 's' year 2020: year, matches and total must be integers"),
+    (lambda: CountSeries("s", {2020: (True, 2)}), DataError,
+     "series 's' year 2020: year, matches and total must be integers"),
+    (lambda: CountSeries("s", {"2020": (1, 2)}), DataError,
+     "series 's' year 2020: year, matches and total must be integers"),
+    (lambda: CountSeries("s", {2020: (10**400, 10**400)}), DataError,
+     "series 's' year 2020: year, matches and total must fit a float"),
     (lambda: PlotSpec(series=()), DataError, "plot needs at least one series"),
     (lambda: PlotSpec(series=("a",), metric="volume"), DataError, "unknown metric 'volume'"),
     (lambda: PlotSpec(series=("a",), height=149), DataError,
      "plot dimensions must be at least 200x150"),
 ], ids=["phrase", "any", "atleast-zero", "atleast-too-many", "and", "or", "lexicon-name",
         "lexicon-duplicate", "lexicon-group", "series-id", "series-total", "series-matches",
+        "series-float-total", "series-bool-matches", "series-str-year", "series-past-float",
         "plot-series", "plot-metric", "plot-size"])
 def test_validation_errors(make, error, message):
     with pytest.raises(error, match=message):
