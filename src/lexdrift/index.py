@@ -23,15 +23,18 @@ on plain substrings, so its columns are exact for those documents alone: a
 scan answers its own query, not another over the same terms.
 
 Index files are a single binary container: magic, format version, payload
-length and checksum, then a zlib-compressed payload. The payload stores the
-columns themselves: a length-prefixed canonical JSON header (lexicon, year
-range, and per year the document ids and the category table), then each
-year's bytes of the term columns and its category rows, little-endian. A
-load decodes no per-document JSON rows, and no query builds columns.
-Version 3, the one written, checks the payload with CRC-32: it catches a
-truncated or corrupt file, the check's one job, and unlike SHA-256 loads no
-OpenSSL (``hashlib``), a sixth of a command's memory. Versions 2 (the same
-payload with a SHA-256) and 1 (one JSON row per document) still load.
+length and checksum, then two zlib streams. The first stores the columns
+themselves: a length-prefixed canonical JSON header (lexicon, year range,
+and per year its document count and category table), then each year's bytes
+of the term columns and its category rows, little-endian. The second holds
+each year's document ids, which no query reads: a load keeps it deflated,
+and the ids are inflated and checked when first used. A load decodes no
+per-document JSON rows, and no query builds columns. Version 4, the one
+written, checks the payload with CRC-32: it catches a truncated or corrupt
+file, the check's one job, and unlike SHA-256 loads no OpenSSL
+(``hashlib``), a sixth of a command's memory. Versions 3 (one stream, the
+ids in the header), 2 (the same with a SHA-256) and 1 (one JSON row per
+document) still load.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ import sys
 import zlib
 from array import array
 from collections import Counter, defaultdict
-from functools import reduce
+from functools import partial, reduce
 from itertools import chain, compress, islice, product, repeat
 from operator import and_, eq, lt, or_
 from pathlib import Path
@@ -64,12 +67,12 @@ from .lexicon import Lexicon, lexicon_from_dict, lexicon_to_dict
 from .query import And, AnyOf, AtLeastK, Or, Phrase, Query, Term, query_vocabulary
 
 _MAGIC = b"LXDX"
-_VERSION = 3
+_VERSION = 4
 # Magic, version, payload length and the payload's CRC-32; versions 1 and 2
 # hold its SHA-256 instead.
 _HEADER = struct.Struct("<4sHQI")
 _SHA256_HEADER = struct.Struct("<4sHQ32s")
-# A version 2 or 3 payload starts with the byte length of its JSON header.
+# A version 2 to 4 payload starts with the byte length of its JSON header.
 _JSON_LENGTH = struct.Struct("<I")
 _FORMAT = "lexdrift.index"
 
@@ -81,7 +84,7 @@ CategoryTable = tuple[tuple[str, ...], ...]
 
 
 class _Year(NamedTuple):
-    ids: tuple[str, ...]  # document i of the year, ascending
+    n: int  # its documents
     start: int  # document i is bit start + i of each column; a multiple of 8
     table: CategoryTable
     rows: array  # document i's categories are table[rows[i]]
@@ -89,35 +92,40 @@ class _Year(NamedTuple):
 
 class YearTermIndex:
     """One posting column per vocabulary entry across all years and, per
-    year, the document ids, its bit range and its category table with each
-    document's row: a query costs a few big-integer operations per node."""
+    year, its bit range and its category table with each document's row: a
+    query costs a few big-integer operations per node. The document ids are
+    kept apart, since no query reads them."""
 
     def __init__(self, lexicon: Lexicon, min_year: int, max_year: int,
                  marks: Iterable[Mark]):
         terms = lexicon.terms()
         # IndexBuilder.finish passes the marks it has gathered.
         gathered = marks if type(marks) is _Gathered else _Gathered(marks)
-        parts = list(gathered.finish(len(terms)))
-        _check_unique(parts)
-        self._init(lexicon, terms, min_year, max_year, parts)
+        parts, ids = gathered.finish(len(terms))
+        _check_unique(ids)
+        self._init(lexicon, terms, min_year, max_year, parts, ids)
 
     def _init(self, lexicon: Lexicon, terms: tuple[str, ...], min_year: int, max_year: int,
-              parts: Iterable[tuple]) -> YearTermIndex:
-        """This index over the vocabulary *terms*, made of one part a year (year, ids, category
-        table, rows, its bytes of each column), the years strictly ascending integers within
-        *min_year*-*max_year*; each year is placed on byte-aligned bits of the joined columns."""
+              parts: Iterable[tuple],
+              ids: Sequence[tuple[str, ...]] | Callable[[], Sequence]) -> YearTermIndex:
+        """This index over the vocabulary *terms*, made of one part a year (year, document
+        count, category table, rows, its bytes of each column), the years strictly ascending
+        integers within *min_year*-*max_year*, and of each year's ascending *ids*, or the
+        function that decodes them; each year is placed on byte-aligned bits of the joined
+        columns."""
         _check_year_range(min_year, max_year)
+        self._ids = ids
         years, chunks, start, last = {}, [[] for _ in terms], 0, min_year - 1
-        for year, ids, table, rows, columns in parts:
+        for k, (year, n, table, rows, columns) in enumerate(parts):
             if type(year) is not int or not min_year <= year <= max_year:
-                raise IndexBuildError(f"document {ids[0]!r}: year {year!r} outside allowed "
-                                      f"range {min_year}-{max_year}")
+                raise IndexBuildError(f"document {self._doc_ids()[k][0]!r}: year {year!r} "
+                                      f"outside allowed range {min_year}-{max_year}")
             if year <= last:
                 raise IndexBuildError(f"the years are not strictly ascending: {year} after {last}")
             for chunk, column in zip(chunks, columns):
                 chunk.append(column)
-            years[year] = _Year(ids, start, table, rows)
-            start, last = start + 8 * ((len(ids) + 7) // 8), year
+            years[year] = _Year(n, start, table, rows)
+            start, last = start + 8 * ((n + 7) // 8), year
         self._lexicon = lexicon
         self._min_year = min_year
         self._max_year = max_year
@@ -142,11 +150,11 @@ class YearTermIndex:
 
     @property
     def doc_count(self) -> int:
-        return sum(len(y.ids) for y in self._by_year.values())
+        return sum(y.n for y in self._by_year.values())
 
     def total(self, year: int) -> int:
         y = self._by_year.get(year)
-        return len(y.ids) if y else 0
+        return y.n if y else 0
 
     def term_bit(self, term: str) -> int:
         """Bit position of a vocabulary entry; accepts the entry verbatim or
@@ -167,10 +175,19 @@ class YearTermIndex:
     def doc_marks(self) -> Iterator[Mark]:
         """All (doc_id, year, bitmask, categories) rows, ordered by id
         within each year."""
-        for year, y in self._by_year.items():
+        for (year, y), ids in zip(self._by_year.items(), self._doc_ids()):
             columns = [_in_year(col, y) for col in self._columns]
-            yield from zip(y.ids, repeat(year), _doc_masks(columns, len(y.ids)),
+            yield from zip(ids, repeat(year), _doc_masks(columns, y.n),
                            map(y.table.__getitem__, y.rows))
+
+    def _doc_ids(self) -> Sequence[tuple[str, ...]]:
+        """Each year's document ids. A version 4 file's are decoded, and
+        checked, when first asked for; two threads asking at once decode
+        them twice, to equal tuples, so no lock is needed."""
+        ids = self._ids
+        if callable(ids):
+            ids = self._ids = ids()
+        return ids
 
 
 def _check_year_range(min_year: int, max_year: int) -> None:
@@ -178,11 +195,10 @@ def _check_year_range(min_year: int, max_year: int) -> None:
         raise IndexBuildError(f"year range {min_year!r}-{max_year!r}: a year is not an integer")
 
 
-def _check_unique(parts: Iterable[tuple]) -> None:
-    """Refuse an id that two documents share. A load of a version 2 or 3
-    file checks ids within each year only."""
+def _check_unique(ids_by_year: Iterable[Sequence[str]]) -> None:
+    """Refuse an id that two documents share."""
     # Sorting merges the years' sorted runs; a repeat is an equal neighbour.
-    ids = sorted(chain.from_iterable(part[1] for part in parts))
+    ids = sorted(chain.from_iterable(ids_by_year))
     twice = next(compress(ids, map(eq, ids, islice(ids, 1, None))), None)
     if twice is not None:
         raise IndexBuildError(f"duplicate document id {twice!r}")
@@ -197,7 +213,7 @@ def _masks_fit(masks: Sequence, width: int) -> bool:
 
 def _in_year(posting: int, y: _Year) -> int:
     """Year *y*'s bits of an index-wide *posting*, its document *i* at bit *i*."""
-    return posting >> y.start & ((1 << len(y.ids)) - 1)
+    return posting >> y.start & ((1 << y.n) - 1)
 
 
 class _Gathered:
@@ -238,9 +254,10 @@ class _Gathered:
             cats = list(table)
             yield from zip(islice(ids, len(ids)), repeat(year), masks, map(cats.__getitem__, rows))
 
-    def finish(self, width: int) -> Iterator[tuple]:
-        """Each year's part over a vocabulary of *width* entries, years
-        ascending and a year's documents by id."""
+    def finish(self, width: int) -> tuple[list[tuple], list[tuple[str, ...]]]:
+        """Each year's part over a vocabulary of *width* entries, and its
+        ids, years ascending and a year's documents by id."""
+        parts, year_ids = [], []
         for year, (ids, masks, seen, rows) in sorted(self._years.items()):
             if not _masks_fit(masks, width):
                 doc_id, mask = next((d, m) for d, m in zip(ids, masks)
@@ -253,10 +270,12 @@ class _Gathered:
             order = sorted(range(len(ids)), key=lambda i: (ids[i], masks[i], rank[rows[i]]))
             # Year by year: one bit string of all years would hold every mask as text.
             size = (len(order) + 7) // 8
-            yield (year, tuple(map(ids.__getitem__, order)), table,
-                   array(_row_type(len(table)), [rank[rows[i]] for i in order]),
-                   [col.to_bytes(size, "little")
-                    for col in _columns([masks[i] for i in order], width)])
+            year_ids.append(tuple(map(ids.__getitem__, order)))
+            parts.append((year, len(order), table,
+                          array(_row_type(len(table)), [rank[rows[i]] for i in order]),
+                          [col.to_bytes(size, "little")
+                           for col in _columns([masks[i] for i in order], width)]))
+        return parts, year_ids
 
 
 def _columns(masks: Sequence[int], width: int) -> tuple[int, ...]:
@@ -588,9 +607,10 @@ def scan_index(corpus: Iterable[Document], lexicon: Lexicon, q: Query) -> YearTe
     mask, marks = vocab.mask, _Gathered()
     for doc_id, year, text, cats in corpus:
         marks.add(doc_id, year, mask(doc_id, text), cats)
-    parts = list(marks.finish(len(terms)))
+    parts, ids = marks.finish(len(terms))
     years = [part[0] for part in parts] or [DEFAULT_MIN_YEAR, DEFAULT_MAX_YEAR]  # ascending
-    return YearTermIndex.__new__(YearTermIndex)._init(lexicon, terms, years[0], years[-1], parts)
+    return YearTermIndex.__new__(YearTermIndex)._init(lexicon, terms, years[0], years[-1], parts,
+                                                      ids)
 
 
 def eval_count_scan(corpus: Iterable[Document], lexicon: Lexicon, q: Query,
@@ -631,18 +651,20 @@ def _skew(year: int, posting: int, table: CategoryTable, rows: Sequence[int]) ->
 
 
 def save_index(index: YearTermIndex, path) -> None:
-    """Write *index* as a version 3 file: the JSON header, then per year of
+    """Write *index* as a version 4 file: the JSON header, then per year of
     n documents its term columns, ceil(n/8) bytes each, and the n category
     rows, one, two or four bytes each as the table has up to 2**8, 2**16 or
-    more rows. It checks nothing: no index holds what :func:`load_index` refuses."""
+    more rows; then, in a stream of its own, each year's ids as a JSON list.
+    It checks nothing: no index holds what :func:`load_index` refuses, or
+    refuses when the ids are first used."""
     if index._terms != index.lexicon.terms():
         raise IndexBuildError("an index over a query's terms (a corpus scan) cannot be saved")
+    ids = json.dumps(index._doc_ids(), separators=(",", ":")).encode("utf-8")
     years = []
     columns: list[bytes] = []
     for year, y in index._by_year.items():
-        size = (len(y.ids) + 7) // 8
-        years.append({"year": year, "ids": list(y.ids),
-                      "categories": [list(cats) for cats in y.table]})
+        size = (y.n + 7) // 8
+        years.append({"year": year, "docs": y.n, "categories": [list(cats) for cats in y.table]})
         columns += [_in_year(col, y).to_bytes(size, "little") for col in index._columns]
         columns.append(_little_endian(y.rows).tobytes())
     header = json.dumps({
@@ -653,15 +675,17 @@ def save_index(index: YearTermIndex, path) -> None:
         "years": years,
     }, sort_keys=True, separators=(",", ":")).encode("utf-8")
     # Level 6: level 9 compresses four to six times slower for under 2% fewer bytes.
-    blob = zlib.compress(b"".join([_JSON_LENGTH.pack(len(header)), header, *columns]), 6)
+    blob = zlib.compress(b"".join([_JSON_LENGTH.pack(len(header)), header, *columns]), 6) \
+        + zlib.compress(ids, 6)
     head = _HEADER.pack(_MAGIC, _VERSION, len(blob), zlib.crc32(blob))
     Path(path).write_bytes(head + blob)
 
 
 def load_index(path) -> YearTermIndex:
-    """Read a version 1, 2 or 3 index file. Anything malformed, the
+    """Read a version 1, 2, 3 or 4 index file. Anything malformed, the
     embedded lexicon included, is an IndexFileError naming *path*; a
-    version 1 file's rows are checked by the build intake."""
+    version 1 file's rows are checked by the build intake, and a version 4
+    file's ids when they are first used."""
     data = Path(path).read_bytes()
     version = int.from_bytes(data[4:6], "little")
     header, checksum, decode = _VERSIONS.get(version, (_HEADER, None, None))
@@ -676,27 +700,42 @@ def load_index(path) -> YearTermIndex:
     blob = data[header.size:]
     if len(blob) != length or checksum(blob) != check:
         raise IndexChecksumError(f"{path}: checksum mismatch (truncated or corrupt)")
+    return _decoded(path, decode, blob, path)
+
+
+def _decoded(path, decode: Callable, *args, **kwargs):
+    """*decode*(*args*, **kwargs*), of the file *path*, whose malformed
+    payload is an IndexFileError naming it."""
     try:
-        return decode(zlib.decompress(blob))
+        return decode(*args, **kwargs)
+    except IndexFileError:  # a version 4 file's ids, decoded to name a year's first document
+        raise
     except KeyError as exc:
         raise IndexFileError(f"{path}: malformed payload (no {exc} field)") from None
     except (zlib.error, TypeError, ValueError, DataError) as exc:
         raise IndexFileError(f"{path}: malformed payload ({exc})") from None
 
 
-def _decode_v1(payload: bytes) -> YearTermIndex:
+def _decode_v1(blob: bytes, path) -> YearTermIndex:
     """A version 1 payload, one JSON row (id, year, mask, categories) per
     document, built by the marks constructor, whose intake checks each row
     as it checks a fresh build's. A malformed payload raises KeyError,
-    TypeError, ValueError or a DataError."""
-    doc = _json_object(payload)
+    TypeError, ValueError, zlib.error or a DataError."""
+    doc = _json_object(zlib.decompress(blob))
     return YearTermIndex(lexicon_from_dict(doc["lexicon"]), doc["min_year"], doc["max_year"],
                          doc["docs"])
 
 
-def _decode_v2(payload: bytes) -> YearTermIndex:
-    """A version 2 or 3 payload, each column read straight into an integer.
-    A malformed payload raises KeyError, TypeError, ValueError or DataError."""
+def _decode_v2(blob: bytes, path, id_stream: bool = False) -> YearTermIndex:
+    """A version 2 or 3 payload, or with *id_stream* a version 4 one, each
+    column read straight into an integer. Versions 2 and 3 list each year's
+    ids in the header, checked here; version 4 gives each year's document
+    count there and the ids in a second deflated stream, left to be decoded
+    and checked when first used. A malformed payload raises KeyError,
+    TypeError, ValueError, zlib.error or DataError."""
+    payload, stream = _inflate(blob)
+    if id_stream and not stream:
+        raise ValueError("no id stream after the payload")
     if len(payload) < _JSON_LENGTH.size:
         raise ValueError("no header length")
     (size,) = _JSON_LENGTH.unpack_from(payload)
@@ -708,20 +747,25 @@ def _decode_v2(payload: bytes) -> YearTermIndex:
     entries = doc["years"]
     if type(entries) is not list:
         raise ValueError("'years' is not a list")
-    width, parts = len(lexicon.terms()), []
+    width, parts, listed = len(lexicon.terms()), [], []
     for entry in entries:
-        year, ids, table = entry["year"], entry["ids"], entry["categories"]
-        if type(ids) is not list or type(table) is not list or not all(
-                type(row) is list for row in table):
-            raise ValueError(f"the ids or the category table of {year} are not lists")
-        _check_strings(ids, "a document id", year)
+        year, table = entry["year"], entry["categories"]
+        if id_stream:
+            n = entry["docs"]
+            if type(n) is not int:
+                raise ValueError(f"the document count of {year} is not an integer")
+        else:
+            listed.append(entry["ids"])
+            if type(listed[-1]) is not list:
+                raise ValueError(f"the ids of {year} are not a list")
+            n = len(listed[-1])
+        if type(table) is not list or not all(type(row) is list for row in table):
+            raise ValueError(f"the category table of {year} is not a list of lists")
         _check_categories(chain.from_iterable(table), year)
         table = tuple(map(tuple, table))
-        # A strict order keeps doc_marks() ordered by id and a re-save canonical.
-        _check_ascending(ids, f"the ids of {year}")
+        # A strict order keeps a re-save canonical.
         _check_ascending(table, f"the category-table rows of {year}")
-        n = len(ids)
-        if not n:
+        if n < 1:
             raise ValueError(f"year {year} has no documents")
         step = (n + 7) // 8
         rows = array(_row_type(len(table)))
@@ -746,11 +790,45 @@ def _decode_v2(payload: bytes) -> YearTermIndex:
             raise ValueError(f"a document of {year} has no row in its category table")
         if unused:
             raise ValueError(f"a category-table row of {year} has no documents")
-        parts.append((year, tuple(ids), table, rows, columns))
+        parts.append((year, n, table, rows, columns))
     if offset != len(payload):
         raise ValueError(f"{len(payload) - offset} bytes after the last column")
+    years, counts = [part[0] for part in parts], [part[1] for part in parts]
+    ids = partial(_decoded, path, _file_ids, years, counts, stream=stream) if id_stream \
+        else _file_ids(years, counts, listed)
     return YearTermIndex.__new__(YearTermIndex)._init(lexicon, lexicon.terms(), doc["min_year"],
-                                                      doc["max_year"], parts)
+                                                      doc["max_year"], parts, ids)
+
+
+def _file_ids(years: list, counts: list[int], listed=None,
+              stream: bytes = b"") -> tuple[tuple[str, ...], ...]:
+    """Each year's ids as a file lists them, in its header (*listed*) or a
+    deflated *stream* of their own, checked: for each of *years* a list of
+    its *counts* strings, strictly ascending, so that doc_marks() keeps them
+    ordered and a re-save canonical, and no id in two years."""
+    if listed is None:
+        text, rest = _inflate(stream)
+        if rest:
+            raise ValueError(f"{len(rest)} bytes after the id stream")
+        listed = _json(text)
+    if type(listed) is not list or len(listed) != len(years):
+        raise ValueError(f"the ids are not a list for each of the {len(years)} years")
+    for year, n, ids in zip(years, counts, listed):
+        if type(ids) is not list or len(ids) != n:
+            raise ValueError(f"the ids of {year} are not a list of its {n} documents")
+        _check_strings(ids, "a document id", year)
+        _check_ascending(ids, f"the ids of {year}")
+    _check_unique(listed)
+    return tuple(map(tuple, listed))
+
+
+def _inflate(data: bytes) -> tuple[bytes, bytes]:
+    """The first zlib stream of *data*, inflated, and the bytes after it."""
+    inflate = zlib.decompressobj()
+    inflated = inflate.decompress(data)
+    if not inflate.eof:
+        raise ValueError("a deflated stream does not end")
+    return inflated, inflate.unused_data
 
 
 def _sha256(blob: bytes) -> bytes:
@@ -762,22 +840,28 @@ def _sha256(blob: bytes) -> bytes:
 
 # Per version: the file header, the checksum of the payload and its decoder.
 _VERSIONS = {1: (_SHA256_HEADER, _sha256, _decode_v1), 2: (_SHA256_HEADER, _sha256, _decode_v2),
-             3: (_HEADER, zlib.crc32, _decode_v2)}
+             3: (_HEADER, zlib.crc32, _decode_v2),
+             4: (_HEADER, zlib.crc32, partial(_decode_v2, id_stream=True))}
 
 
 def _json_object(data: bytes) -> dict:
     """The JSON object of an index payload, checked to be one."""
+    doc = _json(data)
+    if not isinstance(doc, dict) or doc.get("format") != _FORMAT:
+        raise ValueError("not a lexdrift index payload")
+    return doc
+
+
+def _json(data: bytes):
+    """The JSON value of *data*; a malformed one raises ValueError."""
     try:
-        doc = json.loads(data.decode("utf-8"))
+        return json.loads(data.decode("utf-8"))
     except (json.JSONDecodeError, UnicodeDecodeError):
         raise
     except ValueError:  # the rest: an integer too long to convert
         raise ValueError(long_integer()) from None
     except RecursionError:
         raise ValueError("JSON nested too deeply") from None
-    if not isinstance(doc, dict) or doc.get("format") != _FORMAT:
-        raise ValueError("not a lexdrift index payload")
-    return doc
 
 
 def _check_strings(values: Iterable, what: str, year: int) -> str:

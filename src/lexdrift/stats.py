@@ -34,6 +34,7 @@ from .errors import (
     QueryError,
     UndefinedChangeError,
     UnindexedTermError,
+    long_integer,
     text_lines,
     undecodable,
 )
@@ -129,7 +130,10 @@ class CountSeries(Value):
         if not series_id:
             raise DataError("series id must be non-empty")
         for year, (matches, total) in points.items():
-            where = f"series {series_id!r} year {year}"
+            try:
+                where = f"series {series_id!r} year {year}"
+            except ValueError:  # a year too long to print
+                raise DataError(f"series {series_id!r}: year is an {long_integer()}") from None
             # As import_counts reads them: exact ints, for the shares computed in floats.
             if {type(year), type(matches), type(total)} != {int}:
                 raise DataError(f"{where}: year, matches and total must be integers")

@@ -16,9 +16,9 @@ change to any output shows as a diff of the transcript, recorded anew.
 
 Paths are written as the ``{placeholder}`` that stands for them. An SVG is
 recorded as its SHA-256, and an index file as the SHA-256 of its inflated
-payload, since deflate output may differ between zlib builds. Of a usage
-error only argparse's last line is kept: the usage text above it wraps
-with the terminal width.
+payload, every zlib stream of it, since deflate output may differ between
+zlib builds. Of a usage error only argparse's last line is kept: the usage
+text above it wraps with the terminal width.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from test_cli_inputs import awkward_values_alone, command_line, fill, make_input
 DATA = Path(__file__).resolve().parent / "data"
 GOLDEN = DATA / "cli-golden.txt"
 FORMATS = ("text", "csv", "json")
-# The size of a version 3 index file's header, before its deflated payload.
+# The size of a version 3 or 4 index file's header, before its deflated payload.
 _INDEX_HEADER = 18
 # Case-sensitive GPT beside gpt: "Gpt" names neither alone.
 _CASED_LEXICON = {"name": "cased", "entries": [
@@ -181,7 +181,7 @@ def _run(argv: list[str], paths: dict[str, str]) -> str:
     if out_path.is_file():
         data = out_path.read_bytes()
         if data.startswith(b"LXDX"):
-            payload = zlib.decompress(data[_INDEX_HEADER:])
+            payload = _inflate_all(data[_INDEX_HEADER:])
             block += f"--- {{out}}\nindex payload sha256 {hashlib.sha256(payload).hexdigest()}\n"
         else:
             block += _section("{out}", data.decode("utf-8"))
@@ -189,6 +189,16 @@ def _run(argv: list[str], paths: dict[str, str]) -> str:
     for name, path in sorted(paths.items(), key=lambda item: -len(item[1])):
         block = block.replace(path, f"{{{name}}}")
     return block
+
+
+def _inflate_all(data: bytes) -> bytes:
+    """The zlib streams that follow one another in *data*, each inflated."""
+    inflated = b""
+    while data:
+        inflate = zlib.decompressobj()
+        inflated += inflate.decompress(data)
+        data = inflate.unused_data
+    return inflated
 
 
 def transcript(tmp: Path) -> list[str]:

@@ -12,7 +12,6 @@ combination."""
 from __future__ import annotations
 
 import contextlib
-import hashlib
 import io
 import json
 import struct
@@ -31,10 +30,8 @@ NUMBERS = ("nan", "inf", "-inf", "1e308", "0", "-1", "-2.5", "3")
 INTEGERS = ("0", "-1", "-2023", "1", "2019", "2101", str(10**30), "nan")
 HUGE = "9" * 5000
 # An index file's container header: magic, version, payload length, then the
-# payload's CRC-32 in version 3, which save_index writes, or its SHA-256 in
-# version 2.
+# payload's CRC-32 in version 4, which save_index writes.
 _CONTAINER = struct.Struct("<4sHQI")
-_SHA256_CONTAINER = struct.Struct("<4sHQ32s")
 QUERIES = ("", "INTRICATE", "zebra", "atleast(2, strong)", "atleast(0, strong)",
            '"large language model"', "and", "any(", "¾",
            "(" * 150 + "intricate" + ")" * 150, f"atleast({HUGE}, strong)")
@@ -110,11 +107,14 @@ def make_inputs(tmp: Path) -> dict[str, str]:
         {"name": "huge", "entries": [{"term": "intricate", "role": "adjective"}],
          "groups": {"strong": ["intricate"]}})[:-1] + f', "version": {HUGE}}}', encoding="utf-8")
     # The index with a header field past the digit limit, its checksum valid.
-    payload = zlib.decompress(index.read_bytes()[_CONTAINER.size:])
+    inflate = zlib.decompressobj()
+    payload = inflate.decompress(index.read_bytes()[_CONTAINER.size:])
     (size,) = struct.unpack_from("<I", payload)
     header = payload[4:4 + size - 1] + f', "x": {HUGE}}}'.encode()
-    blob = zlib.compress(struct.pack("<I", len(header)) + header + payload[4 + size:])
-    container = _SHA256_CONTAINER.pack(b"LXDX", 2, len(blob), hashlib.sha256(blob).digest())
+    # The first stream, then the id stream as it was.
+    blob = zlib.compress(struct.pack("<I", len(header)) + header + payload[4 + size:]) \
+        + inflate.unused_data
+    container = _CONTAINER.pack(b"LXDX", 4, len(blob), zlib.crc32(blob))
     (tmp / "huge.idx").write_bytes(container + blob)
     data = bytearray(index.read_bytes())
     data[-1] ^= 1

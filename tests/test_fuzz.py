@@ -74,7 +74,7 @@ def test_corpus_reader_raises_only_data_errors(lines, on_error):
 # ------------------------------------------------------------------- index
 
 # The index file header: magic, version, payload length, then the payload's
-# CRC-32 in version 3 or its SHA-256 in versions 1 and 2.
+# CRC-32 in versions 3 and 4 or its SHA-256 in versions 1 and 2.
 _HEADER = struct.Struct("<4sHQI")
 _SHA256_HEADER = struct.Struct("<4sHQ32s")
 _LEXICON = lexicon_to_dict(builtin_lexicon())
@@ -92,7 +92,7 @@ _PAYLOAD = _json_with(
 
 
 def _container(blob: bytes, version: int = 1) -> bytes:
-    if version == 3:
+    if version >= 3:
         return _HEADER.pack(b"LXDX", version, len(blob), zlib.crc32(blob)) + blob
     return _SHA256_HEADER.pack(b"LXDX", version, len(blob), hashlib.sha256(blob).digest()) + blob
 
@@ -114,7 +114,9 @@ def test_index_reader_raises_only_data_errors(data):
 # A version 2 payload is a u32 header length, a JSON header and the column
 # bytes. Most headers are well formed, so that most files reach the column
 # checks, and their columns mostly fit the header before they are cut short
-# or extended.
+# or extended. Version 3 holds the same payload; version 4 gives each year's
+# count of ids in the header, and the ids in a second stream, mostly well
+# formed, whose checks run when the ids are first read.
 _WIDTH = len(builtin_lexicon().terms())
 _V2_YEAR = st.fixed_dictionaries({
     "year": st.integers(2019, 2023),
@@ -173,20 +175,49 @@ def _v2_files(draw) -> bytes:
     columns = draw(_fitting_columns(header))
     columns += draw(st.sampled_from((b"", b"", b"", b"\0", b"\xff\xff")))
     columns = columns[:len(columns) - draw(st.sampled_from((0, 0, 0, 1, 3)))]
-    text = json.dumps(header).encode()
+    version = draw(st.sampled_from((2, 3, 4)))
+    text, ids = _split_ids(header) if version == 4 else (json.dumps(header).encode(), None)
     length = len(text) + draw(st.sampled_from((0, 0, 0, -1, 1, 1 << 20)))
     payload = struct.pack("<I", max(length, 0)) + text + columns
     if draw(st.sampled_from((False,) * 7 + (True,))):
         payload = payload[:3]
-    # Versions 2 and 3 hold the same payload.
-    return _container(zlib.compress(payload), draw(st.sampled_from((2, 3))))
+    blob = zlib.compress(payload)
+    if version == 4:
+        blob += draw(_id_streams(ids))
+    return _container(blob, version)
+
+
+def _split_ids(header: dict) -> tuple[bytes, list]:
+    """A version 2 *header* as version 4 holds it, each year's ids replaced
+    by their count where they are a list, and the ids taken out."""
+    years = header.get("years")
+    if type(years) is not list or not all(type(y) is dict for y in years):
+        return json.dumps(header).encode(), []
+    ids = [year.get("ids") for year in years]
+    header = dict(header, years=[{k: v for k, v in year.items() if k != "ids"}
+                                 | {"docs": len(i) if type(i) is list else i}
+                                 for year, i in zip(years, ids)])
+    return json.dumps(header).encode(), ids
+
+
+def _id_streams(ids: list) -> st.SearchStrategy[bytes]:
+    """The second stream of a version 4 file holding *ids*, mostly well
+    formed, else missing, cut short, followed by bytes, or anything."""
+    good = zlib.compress(json.dumps(ids).encode())
+    return st.sampled_from((good,) * 4 + (b"", good[:-3], good + b"\0")) \
+        | _JSON.map(lambda v: zlib.compress(json.dumps(v).encode())) | st.binary(max_size=20)
+
+
+def _read_ids(path) -> None:
+    """Load *path*, then read its ids, which a version 4 load leaves for later."""
+    list(load_index(path).doc_marks())
 
 
 @settings(max_examples=300, deadline=None)
 @given(data=_v2_files() | st.builds(_container, st.binary(max_size=80).map(zlib.compress),
-                                    st.sampled_from((2, 3))))
+                                    st.sampled_from((2, 3, 4))))
 def test_v2_index_reader_raises_only_data_errors(data):
-    _survives(load_index, data, "input.idx")
+    _survives(_read_ids, data, "input.idx")
 
 
 # ------------------------------------------------------------ count table

@@ -61,10 +61,12 @@ from conftest import (
     make_random_query,
 )
 
-# Version 1 and version 2 indexes of the bundled sample corpus, written by
-# the writers of those versions; CHANGES.md says how they were made.
+# Version 1 to 4 indexes of the bundled sample corpus, written by the
+# writers of those versions; CHANGES.md says how they were made.
 V1_SAMPLE = Path(__file__).parent / "data" / "sample-v1.idx"
 V2_SAMPLE = Path(__file__).parent / "data" / "sample-v2.idx"
+V3_SAMPLE = Path(__file__).parent / "data" / "sample-v3.idx"
+V4_SAMPLE = Path(__file__).parent / "data" / "sample-v4.idx"
 
 
 def _docs(*texts_by_year: tuple[int, str]) -> list[Document]:
@@ -807,15 +809,15 @@ def test_wrong_magic(tmp_path):
 
 
 # Index file header: magic, format version, payload length, then the
-# payload's CRC-32 in the version 3 files save_index writes, or its SHA-256
-# in versions 1 and 2.
+# payload's CRC-32 in versions 3 and 4, the one save_index writes, or its
+# SHA-256 in versions 1 and 2.
 _HEADER = struct.Struct("<4sHQI")
 _SHA256_HEADER = struct.Struct("<4sHQ32s")
 
 
 def _write_container(path, blob: bytes, version: int = 1) -> None:
     """An index file around *blob* with a valid header and checksum."""
-    if version == 3:
+    if version >= 3:
         header = _HEADER.pack(b"LXDX", version, len(blob), zlib.crc32(blob))
     else:
         header = _SHA256_HEADER.pack(b"LXDX", version, len(blob), hashlib.sha256(blob).digest())
@@ -917,11 +919,35 @@ _V2_DOCS = [
 ]
 
 
+def _streams(data: bytes) -> list[bytes]:
+    """Each zlib stream after the header of the version 4 file *data*, inflated."""
+    streams, rest = [], data[_HEADER.size:]
+    while rest:
+        inflate = zlib.decompressobj()
+        streams.append(inflate.decompress(rest))
+        rest = inflate.unused_data
+    return streams
+
+
+def _v3_payload(data: bytes) -> bytes:
+    """The payload of the version 4 file *data* as version 3 holds it: one
+    stream, each year's ids in the JSON header in place of its count."""
+    payload, ids = _streams(data)
+    (size,) = struct.unpack_from("<I", payload)
+    header = json.loads(payload[4:4 + size])
+    for year, year_ids in zip(header["years"], json.loads(ids), strict=True):
+        assert year.pop("docs") == len(year_ids)
+        year["ids"] = year_ids
+    text = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    return struct.pack("<I", len(text)) + text + payload[4 + size:]
+
+
 def _v2_parts(tmp_path, lexicon, docs=_V2_DOCS) -> tuple[dict, bytearray]:
-    """The JSON header and the column bytes of the saved *docs* index."""
+    """The JSON header, as versions 2 and 3 hold it, and the column bytes
+    of the saved *docs* index."""
     path = tmp_path / "good.idx"
     save_index(build_index(docs, lexicon), path)
-    payload = zlib.decompress(path.read_bytes()[_HEADER.size:])
+    payload = _v3_payload(path.read_bytes())
     (size,) = struct.unpack_from("<I", payload)
     return json.loads(payload[4:4 + size]), bytearray(payload[4 + size:])
 
@@ -932,6 +958,20 @@ def _v2_blob(header: dict, columns: bytes, extra_length: int = 0,
     return zlib.compress(struct.pack("<I", len(text) + extra_length) + text + columns)
 
 
+def _v4_blob(header: dict, columns: bytes, stream: bytes | None = None) -> bytes:
+    """A version 4 payload of a version 2 *header* and its *columns*: each
+    year's count of ids in the header, then the ids in a stream of their
+    own, or *stream* in its place."""
+    listed = [year["ids"] for year in header["years"]]
+    header = dict(header, years=[{k: v for k, v in year.items() if k != "ids"}
+                                 | {"docs": len(year["ids"])} for year in header["years"]])
+    return _v2_blob(header, columns) + (_deflated(listed) if stream is None else stream)
+
+
+def _deflated(value) -> bytes:
+    return zlib.compress(json.dumps(value).encode())
+
+
 def test_v2_parts_reassemble_into_the_same_index(tmp_path, lexicon):
     header, columns = _v2_parts(tmp_path, lexicon)
     assert header["years"] == [{"year": 2023, "ids": ["d0", "d1", "d2"],
@@ -940,8 +980,9 @@ def test_v2_parts_reassemble_into_the_same_index(tmp_path, lexicon):
     assert len(columns) == width + 3
     assert columns[width:] == bytes([0, 1, 0])
     path = tmp_path / "again.idx"
-    for version in (2, 3):
-        _write_container(path, _v2_blob(header, columns), version=version)
+    for version, blob in ((2, _v2_blob(header, columns)), (3, _v2_blob(header, columns)),
+                          (4, _v4_blob(header, columns))):
+        _write_container(path, blob, version=version)
         assert list(load_index(path).doc_marks()) \
             == list(build_index(_V2_DOCS, lexicon).doc_marks())
 
@@ -1031,14 +1072,19 @@ def test_no_index_holds_a_year_outside_its_range(tmp_path, lexicon, capsys):
     header["years"][0]["year"] = 1900
     _write_container(path, _v2_blob(header, columns), version=3)
     _assert_rejected(path, capsys, f"malformed payload ({problem})")
+    # A version 4 file's ids are decoded to name the year's first document.
+    _write_container(path, _v4_blob(header, columns), version=4)
+    _assert_rejected(path, capsys, f"malformed payload ({problem})")
 
 
 def _two_years(first, second, extra: bytes = b""):
-    """A two-year file: the saved year as *first*, then again as *second*,
-    then *extra* bytes."""
+    """A two-year file: the saved year as *first*, its ids renamed, then
+    again as *second*, then *extra* bytes."""
     def edit(header: dict, columns: bytearray) -> bytes:
         year = header["years"][0]
-        header = dict(header, years=[dict(year, year=first), dict(year, year=second)])
+        renamed = ["c" + doc_id for doc_id in year["ids"]]
+        header = dict(header, years=[dict(year, year=first, ids=renamed),
+                                     dict(year, year=second)])
         return _v2_blob(header, columns + columns + extra)
     return edit
 
@@ -1062,6 +1108,104 @@ def test_a_version_2_or_3_load_checks_its_years_last(tmp_path, lexicon, capsys, 
     for version in (2, 3):
         _write_container(path, make_blob(header, columns), version=version)
         _assert_rejected(path, capsys, f"malformed payload ({problem})")
+
+
+def _count(value):
+    """A version 4 payload whose one year gives *value* as its document count."""
+    def edit(header: dict, columns: bytearray) -> bytes:
+        (year,) = header["years"]
+        ids = year.pop("ids")
+        year["docs"] = value
+        return _v2_blob(header, columns) + _deflated([ids])
+    return edit
+
+
+@pytest.mark.parametrize("make_blob, problem", [
+    (lambda header, columns: _v2_blob(header, columns), "no id stream after the payload"),
+    (lambda header, columns: _v2_blob(header, columns)[:-4], "a deflated stream does not end"),
+    (_count("3"), "the document count of 2023 is not an integer"),
+    (_count(True), "the document count of 2023 is not an integer"),
+    (_count(0), "year 2023 has no documents"),
+    (_count(-1), "year 2023 has no documents"),
+    (_count(9), "the columns of 2023 are cut short"),
+], ids=["no-id-stream", "payload-stream-unended", "count-not-int", "count-bool", "count-zero",
+        "count-negative", "count-past-columns"])
+def test_a_version_4_load_refuses_a_malformed_payload(tmp_path, lexicon, capsys, make_blob,
+                                                      problem):
+    header, columns = _v2_parts(tmp_path, lexicon)
+    path = tmp_path / "bad.idx"
+    _write_container(path, make_blob(header, columns), version=4)
+    _assert_rejected(path, capsys, f"malformed payload ({problem})")
+
+
+@pytest.mark.parametrize("stream, problem", [
+    (_deflated([[7, "d1", "d2"]]), "a document id in 2023 is not a string"),
+    (_deflated([["d1", "d0", "d2"]]), "the ids of 2023 are not strictly ascending"),
+    (_deflated([["d0", "d0", "d2"]]), "the ids of 2023 are not strictly ascending"),
+    (_deflated([["d0", "d1"]]), "the ids of 2023 are not a list of its 3 documents"),
+    (_deflated(["d0d1d2"]), "the ids of 2023 are not a list of its 3 documents"),
+    (_deflated([["d0", "d1", "d2"], []]), "the ids are not a list for each of the 1 years"),
+    (_deflated({"2023": ["d0", "d1", "d2"]}), "the ids are not a list for each of the 1 years"),
+    (zlib.compress(b"[[\"d0\""), "Expecting ',' delimiter: line 1 column 7 (char 6)"),
+    (zlib.compress(b"\xff"), "'utf-8' codec can't decode byte 0xff in position 0: invalid "
+                             "start byte"),
+    (zlib.compress(b"[" * 200_000), "JSON nested too deeply"),
+    (zlib.compress(b"[[" + b"9" * 5000 + b"]]"), "integer of more than 4300 digits"),
+    (b"plain bytes", "Error -3 while decompressing data: incorrect header check"),
+    (_deflated([["d0", "d1", "d2"]])[:-2], "a deflated stream does not end"),
+    (_deflated([["d0", "d1", "d2"]]) + b"\0", "1 bytes after the id stream"),
+], ids=["id-not-str", "ids-unsorted", "ids-repeated", "ids-too-few", "ids-not-list",
+        "ids-of-too-many-years", "ids-not-a-list", "not-json", "not-utf8", "nested-too-deeply",
+        "integer-too-long", "not-deflated", "stream-unended", "trailing-bytes"])
+def test_a_malformed_id_stream_is_refused_when_the_ids_are_first_used(
+        tmp_path, lexicon, capsys, stream, problem):
+    """A version 4 file's ids are decoded by doc_marks() and save_index,
+    never by a load or a query: a file whose id stream is malformed loads,
+    answers every query as the well-formed file does, and names the problem
+    as a version 2 or 3 load would once its ids are used."""
+    header, columns = _v2_parts(tmp_path, lexicon)
+    good, bad = tmp_path / "good.idx", tmp_path / "bad.idx"
+    _write_container(bad, _v4_blob(header, columns, stream), version=4)
+    index, fine = load_index(bad), load_index(good)
+    assert [index.total(y) for y in index.years] == [fine.total(y) for y in fine.years] == [3]
+    q = parse_query("any(strong) OR intricate OR notable", lexicon)
+    assert (eval_count(index, q, 2023), category_skew(index, q, 2023)) \
+        == (eval_count(fine, q, 2023), category_skew(fine, q, 2023))
+    for argv in (["query", "intricate"], ["skew", "intricate", "--year", "2023"]):
+        assert main([*argv, "--index", str(good)]) == 0
+        expected = capsys.readouterr()
+        assert main([*argv, "--index", str(bad)]) == 0
+        assert capsys.readouterr() == expected
+    for use in (lambda: list(index.doc_marks()), lambda: save_index(index, tmp_path / "re.idx")):
+        with pytest.raises(IndexFileError) as caught:
+            use()
+        assert str(caught.value) == f"{bad}: malformed payload ({problem})"
+    assert not (tmp_path / "re.idx").exists()
+
+
+def test_an_id_in_two_years_is_refused_wherever_ids_are_decoded(tmp_path, lexicon, capsys):
+    # A build, the marks constructor and a version 1 load refuse it too.
+    header, columns = _v2_parts(tmp_path, lexicon)
+    year = header["years"][0]
+    header = dict(header, years=[dict(year, year=2022, ids=["a", "b", "c"]),
+                                 dict(year, ids=["a", "d", "e"])])
+    columns = columns + columns
+    path = tmp_path / "twice.idx"
+    problem = f"{path}: malformed payload (duplicate document id 'a')"
+    _write_container(path, _v2_blob(header, columns), version=3)
+    _assert_rejected(path, capsys, problem)
+    _write_container(path, _v4_blob(header, columns), version=4)
+    index = load_index(path)
+    assert index.doc_count == 6
+    with pytest.raises(IndexFileError) as caught:
+        list(index.doc_marks())
+    assert str(caught.value) == problem
+
+
+def test_a_loaded_file_saves_to_the_same_bytes(tmp_path):
+    path = tmp_path / "again.idx"
+    save_index(load_index(V4_SAMPLE), path)
+    assert path.read_bytes() == V4_SAMPLE.read_bytes()
 
 
 def test_an_index_over_an_empty_vocabulary_gives_back_its_marks(tmp_path):
@@ -1334,12 +1478,13 @@ def _answers(index, lexicon) -> tuple:
     )
 
 
-@pytest.mark.parametrize("sample, version", [(V1_SAMPLE, 1), (V2_SAMPLE, 2)], ids=["v1", "v2"])
+@pytest.mark.parametrize("sample, version", [
+    (V1_SAMPLE, 1), (V2_SAMPLE, 2), (V3_SAMPLE, 3), (V4_SAMPLE, 4)], ids=["v1", "v2", "v3", "v4"])
 def test_old_file_answers_like_a_fresh_build(tmp_path, lexicon, sample, version):
     assert sample.read_bytes()[4:6] == version.to_bytes(2, "little")
     path = tmp_path / "sample.idx"
     save_index(build_index(load_corpus(bundled_corpus_path()), lexicon), path)
-    assert path.read_bytes()[4:6] == (3).to_bytes(2, "little")
+    assert path.read_bytes()[4:6] == (4).to_bytes(2, "little")
     old, new = load_index(sample), load_index(path)
     assert (old.lexicon, old.year_range, old.years) == (new.lexicon, new.year_range, new.years)
     assert old.doc_count == new.doc_count == 100
@@ -1350,12 +1495,16 @@ def test_old_file_answers_like_a_fresh_build(tmp_path, lexicon, sample, version)
 
 
 def test_v2_file_holds_the_payload_a_fresh_build_writes(tmp_path, lexicon):
-    # Version 3 changed the container alone. Inflated, so that another
-    # zlib build, which may deflate differently, compares alike.
+    # Version 3 changed the container alone; version 4 moved each year's ids
+    # from the header to a stream of their own, with a count in their place.
+    # Inflated, so that another zlib build, which may deflate differently,
+    # compares alike.
     path = tmp_path / "sample.idx"
     save_index(build_index(load_corpus(bundled_corpus_path()), lexicon), path)
+    fresh = path.read_bytes()
     assert zlib.decompress(V2_SAMPLE.read_bytes()[_SHA256_HEADER.size:]) \
-        == zlib.decompress(path.read_bytes()[_HEADER.size:])
+        == zlib.decompress(V3_SAMPLE.read_bytes()[_HEADER.size:]) == _v3_payload(fresh)
+    assert _streams(V4_SAMPLE.read_bytes()) == _streams(fresh)
 
 
 def _flip(position: int):
@@ -1377,23 +1526,26 @@ def _flip(position: int):
     (lambda data: data[:_HEADER.size - 1], "not an index file"),
     (lambda data: data[:6], "not an index file"),
     (lambda data: b"LXDY" + data[4:], "not an index file"),
-    (lambda data: data[:4] + (4).to_bytes(2, "little") + data[6:],
-     "unsupported index version 4 (supported: 1, 2, 3)"),
+    (lambda data: data[:4] + (5).to_bytes(2, "little") + data[6:],
+     "unsupported index version 5 (supported: 1, 2, 3, 4)"),
     (lambda data: data[:4] + (0).to_bytes(2, "little") + data[6:],
-     "unsupported index version 0 (supported: 1, 2, 3)"),
+     "unsupported index version 0 (supported: 1, 2, 3, 4)"),
 ], ids=["first-payload-byte-flipped", "last-payload-byte-flipped", "checksum-byte-flipped",
         "payload-truncated", "payload-missing", "byte-appended", "header-cut-short",
         "version-alone", "wrong-magic", "unknown-version", "version-0"])
 def test_broken_v3_file_is_one_exact_error(tmp_path, lexicon, capsys, edit, problem):
-    path = tmp_path / "v3.idx"
+    # Versions 3 and 4 share the container.
+    path = tmp_path / "v4.idx"
     save_index(build_index(_V2_DOCS, lexicon), path)
-    data = path.read_bytes()
-    assert data[4:6] == (3).to_bytes(2, "little")
-    path.write_bytes(edit(data))
-    with pytest.raises(IndexFileError) as caught:
-        load_index(path)
-    assert str(caught.value) == f"{path}: {problem}"
-    _assert_rejected(path, capsys, problem)
+    v4 = path.read_bytes()
+    assert v4[4:6] == (4).to_bytes(2, "little")
+    _write_container(path, zlib.compress(_v3_payload(v4)), version=3)
+    for data in (path.read_bytes(), v4):
+        path.write_bytes(edit(data))
+        with pytest.raises(IndexFileError) as caught:
+            load_index(path)
+        assert str(caught.value) == f"{path}: {problem}"
+        _assert_rejected(path, capsys, problem)
 
 
 @pytest.mark.parametrize("sample", [V1_SAMPLE, V2_SAMPLE], ids=["v1", "v2"])
@@ -1591,10 +1743,12 @@ def test_concurrent_readers_of_a_fresh_index(tmp_path, lexicon):
     def answers(index) -> list:
         return [(eval_count(index, q, year), index.df("notable", year),
                  eval_count(index, And((Term("gpt"), Term("llm"))), year))
-                for q in queries for year in index.years]
+                for q in queries for year in index.years] + list(index.doc_marks())
 
     expected = answers(load_index(path))
-    shared = load_index(path)  # one set of columns that every reader shares
+    # One set of columns that every reader shares, and ids that each of
+    # them may be the first to decode.
+    shared = load_index(path)
     start = threading.Barrier(8)
     results: list = [None] * 8
 

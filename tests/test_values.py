@@ -183,6 +183,8 @@ def test_keyword_and_default_construction():
      "series 's' year 2020: year, matches and total must be integers"),
     (lambda: CountSeries("s", {2020: (10**400, 10**400)}), DataError,
      "series 's' year 2020: year, matches and total must fit a float"),
+    (lambda: CountSeries("s", {10**5000: (1, 2)}), DataError,
+     "series 's': year is an integer of more than 4300 digits"),
     (lambda: PlotSpec(series=()), DataError, "plot needs at least one series"),
     (lambda: PlotSpec(series=("a",), metric="volume"), DataError, "unknown metric 'volume'"),
     (lambda: PlotSpec(series=("a",), height=149), DataError,
@@ -190,7 +192,7 @@ def test_keyword_and_default_construction():
 ], ids=["phrase", "any", "atleast-zero", "atleast-too-many", "and", "or", "lexicon-name",
         "lexicon-duplicate", "lexicon-group", "series-id", "series-total", "series-matches",
         "series-float-total", "series-bool-matches", "series-str-year", "series-past-float",
-        "plot-series", "plot-metric", "plot-size"])
+        "series-long-year", "plot-series", "plot-metric", "plot-size"])
 def test_validation_errors(make, error, message):
     with pytest.raises(error, match=message):
         make()
