@@ -29,12 +29,14 @@ and per year its document count and category table), then each year's bytes
 of the term columns and its category rows, little-endian. The second holds
 each year's document ids, which no query reads: a load keeps it deflated,
 and the ids are inflated and checked when first used. A load decodes no
-per-document JSON rows, and no query builds columns. Version 4, the one
-written, checks the payload with CRC-32: it catches a truncated or corrupt
-file, the check's one job, and unlike SHA-256 loads no OpenSSL
-(``hashlib``), a sixth of a command's memory. Versions 3 (one stream, the
-ids in the header), 2 (the same with a SHA-256) and 1 (one JSON row per
-document) still load.
+per-document JSON rows, and no query builds columns. Version 5, the one
+written, orders a year's documents by category row, mask and id, so that
+documents alike sit together and the columns and rows deflate to runs, and
+checks the payload with CRC-32: it catches a truncated or corrupt file, the
+check's one job, and unlike SHA-256 loads no OpenSSL (``hashlib``), a sixth
+of a command's memory. Versions 4 (the same, documents by id), 3 (one
+stream, the ids in the header), 2 (the same with a SHA-256) and 1 (one JSON
+row per document) still load.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from array import array
 from collections import Counter, defaultdict
 from functools import partial, reduce
 from itertools import chain, compress, islice, product, repeat
-from operator import and_, eq, lt, or_
+from operator import and_, eq, le, lt, or_
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -67,12 +69,12 @@ from .lexicon import Lexicon, lexicon_from_dict, lexicon_to_dict
 from .query import And, AnyOf, AtLeastK, Or, Phrase, Query, Term, query_vocabulary
 
 _MAGIC = b"LXDX"
-_VERSION = 4
+_VERSION = 5
 # Magic, version, payload length and the payload's CRC-32; versions 1 and 2
 # hold its SHA-256 instead.
 _HEADER = struct.Struct("<4sHQI")
 _SHA256_HEADER = struct.Struct("<4sHQ32s")
-# A version 2 to 4 payload starts with the byte length of its JSON header.
+# A version 2 to 5 payload starts with the byte length of its JSON header.
 _JSON_LENGTH = struct.Struct("<I")
 _FORMAT = "lexdrift.index"
 
@@ -101,39 +103,44 @@ class YearTermIndex:
         terms = lexicon.terms()
         # IndexBuilder.finish passes the marks it has gathered.
         gathered = marks if type(marks) is _Gathered else _Gathered(marks)
-        parts, ids = gathered.finish(len(terms))
-        _check_unique(ids)
-        self._init(lexicon, terms, min_year, max_year, parts, ids)
+        self._init(lexicon, terms, min_year, max_year, *gathered.finish(len(terms), unique=True))
+
+    # Whether the documents of each year are ordered by id, as a version 2
+    # to 4 file holds them, rather than by category row, mask and id.
+    _by_id = False
 
     def _init(self, lexicon: Lexicon, terms: tuple[str, ...], min_year: int, max_year: int,
               parts: Iterable[tuple],
-              ids: Sequence[tuple[str, ...]] | Callable[[], Sequence]) -> YearTermIndex:
+              ids: Sequence[tuple[str, ...]] | Callable[..., Sequence]) -> YearTermIndex:
         """This index over the vocabulary *terms*, made of one part a year (year, document
         count, category table, rows, its bytes of each column), the years strictly ascending
-        integers within *min_year*-*max_year*, and of each year's ascending *ids*, or the
-        function that decodes them; each year is placed on byte-aligned bits of the joined
-        columns."""
+        integers within *min_year*-*max_year*, and of each year's *ids* in its documents'
+        order, or the function that decodes them (see :meth:`_doc_ids`); each year is placed
+        on byte-aligned bits of the joined columns."""
         _check_year_range(min_year, max_year)
+        chunks, spans, start = [[] for _ in terms], [], 0
+        for year, n, table, rows, columns in parts:
+            for chunk, column in zip(chunks, columns):
+                chunk.append(column)
+            spans.append((year, _Year(n, start, table, rows)))
+            start += 8 * ((n + 7) // 8)
+        self._columns = tuple(int.from_bytes(b"".join(chunk), "little") for chunk in chunks)
         self._ids = ids
-        years, chunks, start, last = {}, [[] for _ in terms], 0, min_year - 1
-        for k, (year, n, table, rows, columns) in enumerate(parts):
+        last = min_year - 1
+        for k, (year, _) in enumerate(spans):
             if type(year) is not int or not min_year <= year <= max_year:
-                raise IndexBuildError(f"document {self._doc_ids()[k][0]!r}: year {year!r} "
+                raise IndexBuildError(f"document {min(self._doc_ids(spans)[k])!r}: year {year!r} "
                                       f"outside allowed range {min_year}-{max_year}")
             if year <= last:
                 raise IndexBuildError(f"the years are not strictly ascending: {year} after {last}")
-            for chunk, column in zip(chunks, columns):
-                chunk.append(column)
-            years[year] = _Year(n, start, table, rows)
-            start, last = start + 8 * ((n + 7) // 8), year
+            last = year
         self._lexicon = lexicon
         self._min_year = min_year
         self._max_year = max_year
         self._terms = terms
         self._bit = {t: i for i, t in enumerate(terms)}
-        self._by_year = years
-        self._years = tuple(years)
-        self._columns = tuple(int.from_bytes(b"".join(chunk), "little") for chunk in chunks)
+        self._by_year = dict(spans)
+        self._years = tuple(self._by_year)
         return self
 
     @property
@@ -177,16 +184,18 @@ class YearTermIndex:
         within each year."""
         for (year, y), ids in zip(self._by_year.items(), self._doc_ids()):
             columns = [_in_year(col, y) for col in self._columns]
-            yield from zip(ids, repeat(year), _doc_masks(columns, y.n),
-                           map(y.table.__getitem__, y.rows))
+            yield from sorted(zip(ids, repeat(year), _doc_masks(columns, y.n),
+                                  map(y.table.__getitem__, y.rows)))
 
-    def _doc_ids(self) -> Sequence[tuple[str, ...]]:
-        """Each year's document ids. A version 4 file's are decoded, and
-        checked, when first asked for; two threads asking at once decode
-        them twice, to equal tuples, so no lock is needed."""
+    def _doc_ids(self, spans: Sequence[tuple[int, _Year]] = ()) -> Sequence[tuple[str, ...]]:
+        """Each year's document ids, in its documents' order. A version 4 or
+        5 file's are decoded, and checked against this index's years and
+        columns, or *spans*, the (year, _Year) pairs of an index not yet
+        made, when first asked for; two threads asking at once decode them
+        twice, to equal tuples, so no lock is needed."""
         ids = self._ids
         if callable(ids):
-            ids = self._ids = ids()
+            ids = self._ids = ids(spans or tuple(self._by_year.items()), self._columns)
         return ids
 
 
@@ -197,7 +206,7 @@ def _check_year_range(min_year: int, max_year: int) -> None:
 
 def _check_unique(ids_by_year: Iterable[Sequence[str]]) -> None:
     """Refuse an id that two documents share."""
-    # Sorting merges the years' sorted runs; a repeat is an equal neighbour.
+    # Sorting merges the runs of ascending ids; a repeat is an equal neighbour.
     ids = sorted(chain.from_iterable(ids_by_year))
     twice = next(compress(ids, map(eq, ids, islice(ids, 1, None))), None)
     if twice is not None:
@@ -222,7 +231,7 @@ class _Gathered:
     :meth:`add`, every build's one door, keeps nothing :func:`load_index` refuses
     but a mask, which :meth:`finish` checks against the vocabulary's width, a year
     outside the index's range, which :meth:`YearTermIndex._init` refuses, and a
-    repeated id, which :func:`_check_unique` refuses in every build that can be saved."""
+    repeated id, which :meth:`finish` refuses in every build that can be saved."""
 
     def __init__(self, marks: Iterable[Mark] = ()):
         self._years = defaultdict(lambda: ([], [], {}, []))
@@ -254,10 +263,12 @@ class _Gathered:
             cats = list(table)
             yield from zip(islice(ids, len(ids)), repeat(year), masks, map(cats.__getitem__, rows))
 
-    def finish(self, width: int) -> tuple[list[tuple], list[tuple[str, ...]]]:
-        """Each year's part over a vocabulary of *width* entries, and its
-        ids, years ascending and a year's documents by id."""
-        parts, year_ids = [], []
+    def finish(self, width: int,
+               unique: bool = False) -> tuple[list[tuple], list[tuple[str, ...]]]:
+        """Each year's part over a vocabulary of *width* entries, and its ids,
+        years ascending and a year's documents by category row, mask and id;
+        with *unique*, an id that two documents share is refused."""
+        parts, year_ids, by_id = [], [], []
         for year, (ids, masks, seen, rows) in sorted(self._years.items()):
             if not _masks_fit(masks, width):
                 doc_id, mask = next((d, m) for d, m in zip(ids, masks)
@@ -266,15 +277,22 @@ class _Gathered:
                                       f"an integer within the {width}-term vocabulary")
             table = tuple(sorted(seen))
             rank = list(map({cats: r for r, cats in enumerate(table)}.__getitem__, seen))
-            # Equal ids, which a scan can hold, go by mask, then categories.
-            order = sorted(range(len(ids)), key=lambda i: (ids[i], masks[i], rank[rows[i]]))
+            ranks = list(map(rank.__getitem__, rows))
+            # By id, then stably by mask and by row: documents of equal ids, which
+            # a scan can hold, and equal rows and masks are alike.
+            order = sorted(range(len(ids)), key=ids.__getitem__)
+            if unique:  # each year's ids sorted, for _check_unique to merge
+                by_id.append(list(map(ids.__getitem__, order)))
+            order.sort(key=masks.__getitem__)
+            order.sort(key=ranks.__getitem__)
             # Year by year: one bit string of all years would hold every mask as text.
             size = (len(order) + 7) // 8
             year_ids.append(tuple(map(ids.__getitem__, order)))
             parts.append((year, len(order), table,
-                          array(_row_type(len(table)), [rank[rows[i]] for i in order]),
+                          array(_row_type(len(table)), map(ranks.__getitem__, order)),
                           [col.to_bytes(size, "little")
                            for col in _columns([masks[i] for i in order], width)]))
+        _check_unique(by_id)
         return parts, year_ids
 
 
@@ -651,14 +669,17 @@ def _skew(year: int, posting: int, table: CategoryTable, rows: Sequence[int]) ->
 
 
 def save_index(index: YearTermIndex, path) -> None:
-    """Write *index* as a version 4 file: the JSON header, then per year of
-    n documents its term columns, ceil(n/8) bytes each, and the n category
-    rows, one, two or four bytes each as the table has up to 2**8, 2**16 or
-    more rows; then, in a stream of its own, each year's ids as a JSON list.
-    It checks nothing: no index holds what :func:`load_index` refuses, or
-    refuses when the ids are first used."""
+    """Write *index* as a version 5 file: the JSON header, then per year of
+    n documents, ordered by category row, mask and id, its term columns,
+    ceil(n/8) bytes each, and the n category rows, one, two or four bytes
+    each as the table has up to 2**8, 2**16 or more rows; then, in a stream
+    of its own, each year's ids as a JSON list. It checks nothing: no index
+    holds what :func:`load_index` refuses, or refuses when the ids are first
+    used."""
     if index._terms != index.lexicon.terms():
         raise IndexBuildError("an index over a query's terms (a corpus scan) cannot be saved")
+    if index._by_id:  # an older file's documents: saved in the order a build gives them
+        index = YearTermIndex(index.lexicon, *index.year_range, index.doc_marks())
     ids = json.dumps(index._doc_ids(), separators=(",", ":")).encode("utf-8")
     years = []
     columns: list[bytes] = []
@@ -682,9 +703,9 @@ def save_index(index: YearTermIndex, path) -> None:
 
 
 def load_index(path) -> YearTermIndex:
-    """Read a version 1, 2, 3 or 4 index file. Anything malformed, the
-    embedded lexicon included, is an IndexFileError naming *path*; a
-    version 1 file's rows are checked by the build intake, and a version 4
+    """Read a version 1 to 5 index file. Anything malformed, the embedded
+    lexicon included, is an IndexFileError naming *path*; a version 1
+    file's rows are checked by the build intake, and a version 4 or 5
     file's ids when they are first used."""
     data = Path(path).read_bytes()
     version = int.from_bytes(data[4:6], "little")
@@ -708,7 +729,7 @@ def _decoded(path, decode: Callable, *args, **kwargs):
     payload is an IndexFileError naming it."""
     try:
         return decode(*args, **kwargs)
-    except IndexFileError:  # a version 4 file's ids, decoded to name a year's first document
+    except IndexFileError:  # a version 4 or 5 file's ids, decoded to name a year's smallest id
         raise
     except KeyError as exc:
         raise IndexFileError(f"{path}: malformed payload (no {exc} field)") from None
@@ -726,14 +747,16 @@ def _decode_v1(blob: bytes, path) -> YearTermIndex:
                          doc["docs"])
 
 
-def _decode_v2(blob: bytes, path, id_stream: bool = False) -> YearTermIndex:
-    """A version 2 or 3 payload, or with *id_stream* a version 4 one, each
-    column read straight into an integer. Versions 2 and 3 list each year's
-    ids in the header, checked here; version 4 gives each year's document
-    count there and the ids in a second deflated stream, left to be decoded
-    and checked when first used. A malformed payload raises KeyError,
+def _decode_v2(blob: bytes, path, version: int = 2) -> YearTermIndex:
+    """A payload of *version* 2 to 5, each column read straight into an
+    integer. Versions 2 and 3 list each year's ids in the header, checked
+    here; versions 4 and 5 give each year's document count there and the ids
+    in a second deflated stream, left to be decoded and checked when first
+    used. Versions 2 to 4 order a year's documents by id, version 5 by
+    category row, mask and id. A malformed payload raises KeyError,
     TypeError, ValueError, zlib.error or DataError."""
     payload, stream = _inflate(blob)
+    id_stream = version >= 4
     if id_stream and not stream:
         raise ValueError("no id stream after the payload")
     if len(payload) < _JSON_LENGTH.size:
@@ -794,32 +817,69 @@ def _decode_v2(blob: bytes, path, id_stream: bool = False) -> YearTermIndex:
     if offset != len(payload):
         raise ValueError(f"{len(payload) - offset} bytes after the last column")
     years, counts = [part[0] for part in parts], [part[1] for part in parts]
-    ids = partial(_decoded, path, _file_ids, years, counts, stream=stream) if id_stream \
+    ids = partial(_decoded, path, _stream_ids, stream, version >= 5) if id_stream \
         else _file_ids(years, counts, listed)
-    return YearTermIndex.__new__(YearTermIndex)._init(lexicon, lexicon.terms(), doc["min_year"],
-                                                      doc["max_year"], parts, ids)
+    index = YearTermIndex.__new__(YearTermIndex)
+    index._by_id = version < 5
+    return index._init(lexicon, lexicon.terms(), doc["min_year"], doc["max_year"], parts, ids)
 
 
-def _file_ids(years: list, counts: list[int], listed=None,
-              stream: bytes = b"") -> tuple[tuple[str, ...], ...]:
-    """Each year's ids as a file lists them, in its header (*listed*) or a
-    deflated *stream* of their own, checked: for each of *years* a list of
-    its *counts* strings, strictly ascending, so that doc_marks() keeps them
-    ordered and a re-save canonical, and no id in two years."""
-    if listed is None:
-        text, rest = _inflate(stream)
-        if rest:
-            raise ValueError(f"{len(rest)} bytes after the id stream")
-        listed = _json(text)
+def _stream_ids(stream: bytes, by_row: bool, spans: Sequence[tuple[int, _Year]],
+                columns: Sequence[int]) -> tuple[tuple[str, ...], ...]:
+    """The ids of a version 4 or 5 file, a deflated *stream* of their own,
+    checked for the index of *columns* and *spans*, its (year, _Year)
+    pairs: ordered by id, or *by_row* by category row, mask and id."""
+    text, rest = _inflate(stream)
+    if rest:
+        raise ValueError(f"{len(rest)} bytes after the id stream")
+    ids = _file_ids([year for year, _ in spans], [y.n for _, y in spans], _json(text),
+                    ascending=not by_row)
+    for (year, y), year_ids in zip(spans, ids):
+        if by_row and not _ordered(y, columns, year_ids):
+            raise ValueError(f"the (row, mask, id) keys of {year} are not strictly ascending")
+    return ids
+
+
+def _file_ids(years: Sequence, counts: Sequence[int], listed,
+              ascending: bool = True) -> tuple[tuple[str, ...], ...]:
+    """Each year's ids as a file lists them, checked: for each of *years* a
+    list of its *counts* strings, if *ascending* strictly so, which keeps a
+    re-save canonical, and no id in two years."""
     if type(listed) is not list or len(listed) != len(years):
         raise ValueError(f"the ids are not a list for each of the {len(years)} years")
     for year, n, ids in zip(years, counts, listed):
         if type(ids) is not list or len(ids) != n:
             raise ValueError(f"the ids of {year} are not a list of its {n} documents")
         _check_strings(ids, "a document id", year)
-        _check_ascending(ids, f"the ids of {year}")
+        if ascending:
+            _check_ascending(ids, f"the ids of {year}")
     _check_unique(listed)
     return tuple(map(tuple, listed))
+
+
+def _ordered(y: _Year, columns: Sequence[int], ids: Sequence[str]) -> bool:
+    """Whether the documents of year *y*, of these index-wide term *columns*
+    and *ids*, are ordered by (category row, mask, id) strictly. Each
+    document is compared with the next at once, as bit i of a few integers,
+    and no mask is built: of two masks, the greater holds the highest term
+    in which they differ."""
+    rows, last = y.rows, (1 << y.n - 1) - 1  # bit i: documents i and i + 1
+    same, up = last, 0  # the pairs of masks equal so far, and those found rising
+    for col in reversed(columns):
+        col = _in_year(col, y)
+        differ = (col ^ col >> 1) & same
+        up |= differ & col >> 1
+        same ^= differ
+    rising = _bits(map(lt, rows, rows[1:])) | up | same & _bits(map(lt, ids, ids[1:]))
+    return rising & last == last and all(map(le, rows, rows[1:]))
+
+
+def _bits(truths: Iterable[bool]) -> int:
+    """The integer whose bit i is the i-th of *truths*."""
+    return int(b"0" + bytes(truths).translate(_DIGITS)[::-1], 2)
+
+
+_DIGITS = bytes.maketrans(b"\0\1", b"01")
 
 
 def _inflate(data: bytes) -> tuple[bytes, bytes]:
@@ -840,8 +900,9 @@ def _sha256(blob: bytes) -> bytes:
 
 # Per version: the file header, the checksum of the payload and its decoder.
 _VERSIONS = {1: (_SHA256_HEADER, _sha256, _decode_v1), 2: (_SHA256_HEADER, _sha256, _decode_v2),
-             3: (_HEADER, zlib.crc32, _decode_v2),
-             4: (_HEADER, zlib.crc32, partial(_decode_v2, id_stream=True))}
+             3: (_HEADER, zlib.crc32, partial(_decode_v2, version=3)),
+             4: (_HEADER, zlib.crc32, partial(_decode_v2, version=4)),
+             5: (_HEADER, zlib.crc32, partial(_decode_v2, version=5))}
 
 
 def _json_object(data: bytes) -> dict:

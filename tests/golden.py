@@ -42,7 +42,7 @@ from test_cli_inputs import awkward_values_alone, command_line, fill, make_input
 DATA = Path(__file__).resolve().parent / "data"
 GOLDEN = DATA / "cli-golden.txt"
 FORMATS = ("text", "csv", "json")
-# The size of a version 3 or 4 index file's header, before its deflated payload.
+# The size of a version 3 to 5 index file's header, before its deflated payload.
 _INDEX_HEADER = 18
 # Case-sensitive GPT beside gpt: "Gpt" names neither alone.
 _CASED_LEXICON = {"name": "cased", "entries": [
@@ -78,7 +78,7 @@ def _corpus() -> list[list[str]]:
 
 def _index_files() -> list[list[str]]:
     cases = []
-    for index in ("{v1}", "{v2}", "{v3}"):
+    for index in ("{v1}", "{v2}", "{v3}", "{v4}"):
         for fmt in FORMATS:
             cases += [["drift", "--index", index, "--format", fmt],
                       ["excess", "--index", index, "--format", fmt],
@@ -151,7 +151,7 @@ def _paths(tmp: Path) -> dict[str, str]:
         corpus=str(bundled_corpus_path()), counts=str(bundled_counts_path()),
         cased_lexicon=str(tmp / "cased.json"), cased_index=str(tmp / "cased.idx"),
         wide_corpus=str(tmp / "wide.jsonl"), wide_index=str(tmp / "wide.idx"),
-        **{f"v{n}": str(DATA / f"sample-v{n}.idx") for n in (1, 2, 3)})
+        **{f"v{n}": str(DATA / f"sample-v{n}.idx") for n in (1, 2, 3, 4)})
     return paths
 
 

@@ -14,7 +14,7 @@ here=$(cd "$(dirname "$0")" && pwd)
 
 lexdrift drift --format json > drift.json
 lexdrift index --corpus "$corpus" --out sample.idx
-# A fresh index holds the payload of the version 4 file committed with the
+# A fresh index holds the payload of the version 5 file committed with the
 # tests, byte for byte. Payloads, after the 18-byte header, are compared
 # inflated, every zlib stream of them: deflate output may differ between
 # zlib builds.
@@ -30,7 +30,7 @@ def inflated(data):
 fresh, kept = (inflated(open(path, "rb").read()[18:]) for path in sys.argv[1:])
 if fresh != kept:
     sys.exit(f"the payload of {sys.argv[1]} differs from that of {sys.argv[2]}")
-' sample.idx "$here/data/sample-v4.idx"
+' sample.idx "$here/data/sample-v5.idx"
 # A series name that is no group or entry is a query: its excess counts
 # what the query counts in the last year.
 lexdrift excess 'atleast(2, strong)' --index sample.idx --format json > excess.json
@@ -53,9 +53,11 @@ done
 # Index files of the previous formats, committed with the tests, answer the same.
 lexdrift query 'any(strong)' --index "$here/data/sample-v1.idx" > v1.txt
 lexdrift query 'any(strong)' --index "$here/data/sample-v3.idx" > v3.txt
+lexdrift query 'any(strong)' --index "$here/data/sample-v4.idx" > v4.txt
 cat v2.txt
 diff v1.txt v2.txt
 diff v3.txt v2.txt
+diff v4.txt v2.txt
 for q in 'any(strong) AND any(disclosure)' intricate 'atleast(2, strong)' '"large language model"'; do
   lexdrift query "$q" --index "$here/data/sample-v2.idx" --format csv > old.out
   lexdrift query "$q" --index sample.idx --format csv > new.out

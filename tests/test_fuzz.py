@@ -114,9 +114,10 @@ def test_index_reader_raises_only_data_errors(data):
 # A version 2 payload is a u32 header length, a JSON header and the column
 # bytes. Most headers are well formed, so that most files reach the column
 # checks, and their columns mostly fit the header before they are cut short
-# or extended. Version 3 holds the same payload; version 4 gives each year's
-# count of ids in the header, and the ids in a second stream, mostly well
-# formed, whose checks run when the ids are first read.
+# or extended. Version 3 holds the same payload; versions 4 and 5 give each
+# year's count of ids in the header, and the ids in a second stream, mostly
+# well formed, whose checks run when the ids are first read; version 5 also
+# checks the documents' order there.
 _WIDTH = len(builtin_lexicon().terms())
 _V2_YEAR = st.fixed_dictionaries({
     "year": st.integers(2019, 2023),
@@ -175,21 +176,21 @@ def _v2_files(draw) -> bytes:
     columns = draw(_fitting_columns(header))
     columns += draw(st.sampled_from((b"", b"", b"", b"\0", b"\xff\xff")))
     columns = columns[:len(columns) - draw(st.sampled_from((0, 0, 0, 1, 3)))]
-    version = draw(st.sampled_from((2, 3, 4)))
-    text, ids = _split_ids(header) if version == 4 else (json.dumps(header).encode(), None)
+    version = draw(st.sampled_from((2, 3, 4, 5)))
+    text, ids = _split_ids(header) if version >= 4 else (json.dumps(header).encode(), None)
     length = len(text) + draw(st.sampled_from((0, 0, 0, -1, 1, 1 << 20)))
     payload = struct.pack("<I", max(length, 0)) + text + columns
     if draw(st.sampled_from((False,) * 7 + (True,))):
         payload = payload[:3]
     blob = zlib.compress(payload)
-    if version == 4:
+    if version >= 4:
         blob += draw(_id_streams(ids))
     return _container(blob, version)
 
 
 def _split_ids(header: dict) -> tuple[bytes, list]:
-    """A version 2 *header* as version 4 holds it, each year's ids replaced
-    by their count where they are a list, and the ids taken out."""
+    """A version 2 *header* as versions 4 and 5 hold it, each year's ids
+    replaced by their count where they are a list, and the ids taken out."""
     years = header.get("years")
     if type(years) is not list or not all(type(y) is dict for y in years):
         return json.dumps(header).encode(), []
@@ -201,7 +202,7 @@ def _split_ids(header: dict) -> tuple[bytes, list]:
 
 
 def _id_streams(ids: list) -> st.SearchStrategy[bytes]:
-    """The second stream of a version 4 file holding *ids*, mostly well
+    """The second stream of a version 4 or 5 file holding *ids*, mostly well
     formed, else missing, cut short, followed by bytes, or anything."""
     good = zlib.compress(json.dumps(ids).encode())
     return st.sampled_from((good,) * 4 + (b"", good[:-3], good + b"\0")) \
@@ -209,13 +210,13 @@ def _id_streams(ids: list) -> st.SearchStrategy[bytes]:
 
 
 def _read_ids(path) -> None:
-    """Load *path*, then read its ids, which a version 4 load leaves for later."""
+    """Load *path*, then read its ids, which a version 4 or 5 load leaves for later."""
     list(load_index(path).doc_marks())
 
 
 @settings(max_examples=300, deadline=None)
 @given(data=_v2_files() | st.builds(_container, st.binary(max_size=80).map(zlib.compress),
-                                    st.sampled_from((2, 3, 4))))
+                                    st.sampled_from((2, 3, 4, 5))))
 def test_v2_index_reader_raises_only_data_errors(data):
     _survives(_read_ids, data, "input.idx")
 

@@ -61,12 +61,13 @@ from conftest import (
     make_random_query,
 )
 
-# Version 1 to 4 indexes of the bundled sample corpus, written by the
+# Version 1 to 5 indexes of the bundled sample corpus, written by the
 # writers of those versions; CHANGES.md says how they were made.
 V1_SAMPLE = Path(__file__).parent / "data" / "sample-v1.idx"
 V2_SAMPLE = Path(__file__).parent / "data" / "sample-v2.idx"
 V3_SAMPLE = Path(__file__).parent / "data" / "sample-v3.idx"
 V4_SAMPLE = Path(__file__).parent / "data" / "sample-v4.idx"
+V5_SAMPLE = Path(__file__).parent / "data" / "sample-v5.idx"
 
 
 def _docs(*texts_by_year: tuple[int, str]) -> list[Document]:
@@ -920,7 +921,7 @@ _V2_DOCS = [
 
 
 def _streams(data: bytes) -> list[bytes]:
-    """Each zlib stream after the header of the version 4 file *data*, inflated."""
+    """Each zlib stream after the header of the version 4 or 5 file *data*, inflated."""
     streams, rest = [], data[_HEADER.size:]
     while rest:
         inflate = zlib.decompressobj()
@@ -929,17 +930,40 @@ def _streams(data: bytes) -> list[bytes]:
     return streams
 
 
-def _v3_payload(data: bytes) -> bytes:
-    """The payload of the version 4 file *data* as version 3 holds it: one
-    stream, each year's ids in the JSON header in place of its count."""
+def _by_id(data: bytes) -> tuple[dict, bytes, list]:
+    """The JSON header, the column bytes and each year's ids of the version 5
+    file *data*, each year's documents put in id order, as versions 2 to 4
+    hold them."""
     payload, ids = _streams(data)
     (size,) = struct.unpack_from("<I", payload)
-    header = json.loads(payload[4:4 + size])
-    for year, year_ids in zip(header["years"], json.loads(ids), strict=True):
+    header, offset, columns = json.loads(payload[4:4 + size]), 4 + size, b""
+    width, listed = len(header["lexicon"]["entries"]), json.loads(ids)
+    for year, year_ids in zip(header["years"], listed, strict=True):
+        n, table = year["docs"], len(year["categories"])
+        step, item = (n + 7) // 8, 1 if table <= 1 << 8 else 2 if table <= 1 << 16 else 4
+        order = sorted(range(n), key=year_ids.__getitem__)
+        for _ in range(width):
+            column = int.from_bytes(payload[offset:offset + step], "little")
+            columns += sum((column >> i & 1) << k for k, i in enumerate(order)).to_bytes(
+                step, "little")
+            offset += step
+        columns += b"".join(payload[offset + i * item:offset + (i + 1) * item] for i in order)
+        offset += n * item
+        year_ids.sort()
+    assert offset == len(payload)
+    return header, columns, listed
+
+
+def _v3_payload(data: bytes) -> bytes:
+    """The payload of the version 5 file *data* as version 3 holds it: one
+    stream, each year's documents by id and its ids in the JSON header in
+    place of its count."""
+    header, columns, listed = _by_id(data)
+    for year, year_ids in zip(header["years"], listed):
         assert year.pop("docs") == len(year_ids)
         year["ids"] = year_ids
     text = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-    return struct.pack("<I", len(text)) + text + payload[4 + size:]
+    return struct.pack("<I", len(text)) + text + columns
 
 
 def _v2_parts(tmp_path, lexicon, docs=_V2_DOCS) -> tuple[dict, bytearray]:
@@ -984,7 +1008,11 @@ def test_v2_parts_reassemble_into_the_same_index(tmp_path, lexicon):
                           (4, _v4_blob(header, columns))):
         _write_container(path, blob, version=version)
         assert list(load_index(path).doc_marks()) \
+            == list(load_index(tmp_path / "good.idx").doc_marks()) \
             == list(build_index(_V2_DOCS, lexicon).doc_marks())
+        # Saved again, the documents go back into the order a build gives them.
+        save_index(load_index(path), tmp_path / "resaved.idx")
+        assert (tmp_path / "resaved.idx").read_bytes() == (tmp_path / "good.idx").read_bytes()
 
 
 def _column_byte(position: int, value: int):
@@ -1072,9 +1100,16 @@ def test_no_index_holds_a_year_outside_its_range(tmp_path, lexicon, capsys):
     header["years"][0]["year"] = 1900
     _write_container(path, _v2_blob(header, columns), version=3)
     _assert_rejected(path, capsys, f"malformed payload ({problem})")
-    # A version 4 file's ids are decoded to name the year's first document.
+    # A version 4 or 5 file's ids are decoded to name the year's smallest id.
     _write_container(path, _v4_blob(header, columns), version=4)
     _assert_rejected(path, capsys, f"malformed payload ({problem})")
+    payload, ids = _streams((tmp_path / "good.idx").read_bytes())
+    _write_container(path, zlib.compress(payload.replace(b'"year":2023', b'"year":1900'))
+                     + zlib.compress(ids), version=5)
+    _assert_rejected(path, capsys, f"malformed payload ({problem})")
+    # The smallest id of a year ordered by category row need not come first.
+    with pytest.raises(IndexBuildError, match=f"^{re.escape(problem)}$"):
+        YearTermIndex(lexicon, 2000, 2100, [("d1", 1900, 0, ("a",)), ("d0", 1900, 0, ("b",))])
 
 
 def _two_years(first, second, extra: bytes = b""):
@@ -1138,34 +1173,40 @@ def test_a_version_4_load_refuses_a_malformed_payload(tmp_path, lexicon, capsys,
     _assert_rejected(path, capsys, f"malformed payload ({problem})")
 
 
-@pytest.mark.parametrize("stream, problem", [
-    (_deflated([[7, "d1", "d2"]]), "a document id in 2023 is not a string"),
-    (_deflated([["d1", "d0", "d2"]]), "the ids of 2023 are not strictly ascending"),
-    (_deflated([["d0", "d0", "d2"]]), "the ids of 2023 are not strictly ascending"),
-    (_deflated([["d0", "d1"]]), "the ids of 2023 are not a list of its 3 documents"),
-    (_deflated(["d0d1d2"]), "the ids of 2023 are not a list of its 3 documents"),
-    (_deflated([["d0", "d1", "d2"], []]), "the ids are not a list for each of the 1 years"),
-    (_deflated({"2023": ["d0", "d1", "d2"]}), "the ids are not a list for each of the 1 years"),
-    (zlib.compress(b"[[\"d0\""), "Expecting ',' delimiter: line 1 column 7 (char 6)"),
+@pytest.mark.parametrize("stream, problem, version", [
+    (_deflated([[7, "d1", "d2"]]), "a document id in 2023 is not a string", 4),
+    (_deflated([["d1", "d0", "d2"]]), "the ids of 2023 are not strictly ascending", 4),
+    (_deflated([["d0", "d0", "d2"]]), "the ids of 2023 are not strictly ascending", 4),
+    (_deflated([["d0", "d1"]]), "the ids of 2023 are not a list of its 3 documents", 4),
+    (_deflated(["d0d1d2"]), "the ids of 2023 are not a list of its 3 documents", 4),
+    (_deflated([["d0", "d1", "d2"], []]), "the ids are not a list for each of the 1 years", 4),
+    (_deflated({"2023": ["d0", "d1", "d2"]}), "the ids are not a list for each of the 1 years", 4),
+    (zlib.compress(b"[[\"d0\""), "Expecting ',' delimiter: line 1 column 7 (char 6)", 4),
     (zlib.compress(b"\xff"), "'utf-8' codec can't decode byte 0xff in position 0: invalid "
-                             "start byte"),
-    (zlib.compress(b"[" * 200_000), "JSON nested too deeply"),
-    (zlib.compress(b"[[" + b"9" * 5000 + b"]]"), "integer of more than 4300 digits"),
-    (b"plain bytes", "Error -3 while decompressing data: incorrect header check"),
-    (_deflated([["d0", "d1", "d2"]])[:-2], "a deflated stream does not end"),
-    (_deflated([["d0", "d1", "d2"]]) + b"\0", "1 bytes after the id stream"),
+                             "start byte", 4),
+    (zlib.compress(b"[" * 200_000), "JSON nested too deeply", 4),
+    (zlib.compress(b"[[" + b"9" * 5000 + b"]]"), "integer of more than 4300 digits", 4),
+    (b"plain bytes", "Error -3 while decompressing data: incorrect header check", 4),
+    (_deflated([["d0", "d1", "d2"]])[:-2], "a deflated stream does not end", 4),
+    (_deflated([["d0", "d1", "d2"]]) + b"\0", "1 bytes after the id stream", 4),
+    # Version 5 orders a year's documents by category row, mask and id.
+    (_deflated([["d0", "d1", "d2"]]), "the (row, mask, id) keys of 2023 are not strictly "
+                                      "ascending", 5),
 ], ids=["id-not-str", "ids-unsorted", "ids-repeated", "ids-too-few", "ids-not-list",
         "ids-of-too-many-years", "ids-not-a-list", "not-json", "not-utf8", "nested-too-deeply",
-        "integer-too-long", "not-deflated", "stream-unended", "trailing-bytes"])
+        "integer-too-long", "not-deflated", "stream-unended", "trailing-bytes",
+        "documents-by-id-in-version-5"])
 def test_a_malformed_id_stream_is_refused_when_the_ids_are_first_used(
-        tmp_path, lexicon, capsys, stream, problem):
-    """A version 4 file's ids are decoded by doc_marks() and save_index,
-    never by a load or a query: a file whose id stream is malformed loads,
-    answers every query as the well-formed file does, and names the problem
-    as a version 2 or 3 load would once its ids are used."""
+        tmp_path, lexicon, capsys, stream, problem, version):
+    """A version 4 or 5 file's ids are decoded by doc_marks() and
+    save_index, never by a load or a query: a file whose id stream is
+    malformed, or whose documents are out of order, loads, answers every
+    query as the well-formed file does, and names the problem as a version
+    2 or 3 load would once its ids are used."""
     header, columns = _v2_parts(tmp_path, lexicon)
     good, bad = tmp_path / "good.idx", tmp_path / "bad.idx"
-    _write_container(bad, _v4_blob(header, columns, stream), version=4)
+    # The documents by id, as version 4 holds them.
+    _write_container(bad, _v4_blob(header, columns, stream), version=version)
     index, fine = load_index(bad), load_index(good)
     assert [index.total(y) for y in index.years] == [fine.total(y) for y in fine.years] == [3]
     q = parse_query("any(strong) OR intricate OR notable", lexicon)
@@ -1203,9 +1244,26 @@ def test_an_id_in_two_years_is_refused_wherever_ids_are_decoded(tmp_path, lexico
 
 
 def test_a_loaded_file_saves_to_the_same_bytes(tmp_path):
+    # An older file's documents, by id, are saved in the order a build gives them.
     path = tmp_path / "again.idx"
-    save_index(load_index(V4_SAMPLE), path)
-    assert path.read_bytes() == V4_SAMPLE.read_bytes()
+    for sample in (V5_SAMPLE, V4_SAMPLE, V3_SAMPLE, V2_SAMPLE, V1_SAMPLE):
+        save_index(load_index(sample), path)
+        assert path.read_bytes() == V5_SAMPLE.read_bytes(), sample.name
+
+
+def test_doc_marks_come_by_id_where_the_larger_id_has_the_smaller_category_row(tmp_path,
+                                                                             lexicon):
+    docs = [Document("b", 2023, "an intricate proof", ("a",)),
+            Document("a", 2023, "an intricate proof", ("b",)),
+            Document("c", 2023, "plain prose", ("a",))]
+    index = build_index(docs, lexicon)
+    path = tmp_path / "rows.idx"
+    save_index(index, path)
+    # The file holds them by category row, then mask.
+    assert json.loads(_streams(path.read_bytes())[1]) == [["c", "b", "a"]]
+    bit = 1 << lexicon.terms().index("intricate")
+    assert list(index.doc_marks()) == list(load_index(path).doc_marks()) \
+        == [("a", 2023, bit, ("b",)), ("b", 2023, bit, ("a",)), ("c", 2023, 0, ("a",))]
 
 
 def test_an_index_over_an_empty_vocabulary_gives_back_its_marks(tmp_path):
@@ -1268,6 +1326,44 @@ def test_one_byte_rows_load_exactly_when_each_lies_in_and_uses_the_table(lexicon
         else:
             with pytest.raises(IndexFileError, match=problem):
                 load_index(path)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_a_version_5_file_gives_its_ids_exactly_when_its_documents_are_in_order(lexicon, data):
+    # Few rows and masks, so that neighbours often share one or both; masks
+    # differing in the lowest term, the highest, or both.
+    width = len(lexicon.terms())
+    masks = [0, 1, 2, 3, 1 << width - 1, 1 << width - 1 | 1, (1 << width) - 1]
+    docs = data.draw(st.lists(st.tuples(st.integers(0, 2), st.sampled_from(masks),
+                                        st.sampled_from("abcdefghij")),
+                              min_size=1, max_size=10, unique_by=lambda doc: doc[2]),
+                     label="documents (row, mask, id)")
+    if data.draw(st.booleans(), label="sorted"):
+        docs.sort()
+    if len(docs) > 1 and data.draw(st.booleans(), label="two neighbours swapped"):
+        i = data.draw(st.integers(0, len(docs) - 2), label="first of the two")
+        docs[i:i + 2] = docs[i + 1], docs[i]
+    used = sorted({row for row, _, _ in docs})  # every row of a table has documents
+    n = len(docs)
+    header = {"format": "lexdrift.index", "lexicon": lexicon_to_dict(lexicon),
+              "min_year": 2023, "max_year": 2023,
+              "years": [{"year": 2023, "ids": [doc_id for _, _, doc_id in docs],
+                         "categories": [[f"c{row}"] for row in used]}]}
+    columns = b"".join(sum((mask >> j & 1) << i for i, (_, mask, _) in enumerate(docs))
+                       .to_bytes((n + 7) // 8, "little") for j in range(width))
+    columns += bytes(used.index(row) for row, _, _ in docs)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "order.idx"
+        _write_container(path, _v4_blob(header, columns), version=5)
+        index = load_index(path)
+        # The rule spelled out on whole keys.
+        if docs == sorted(docs):
+            assert list(index.doc_marks()) \
+                == sorted((doc_id, 2023, mask, (f"c{row}",)) for row, mask, doc_id in docs)
+        else:
+            with pytest.raises(IndexFileError, match=r"the \(row, mask, id\) keys of 2023 "):
+                list(index.doc_marks())
 
 
 def test_saved_lone_surrogate_category_is_rejected_on_load(tmp_path, lexicon, capsys):
@@ -1479,12 +1575,13 @@ def _answers(index, lexicon) -> tuple:
 
 
 @pytest.mark.parametrize("sample, version", [
-    (V1_SAMPLE, 1), (V2_SAMPLE, 2), (V3_SAMPLE, 3), (V4_SAMPLE, 4)], ids=["v1", "v2", "v3", "v4"])
+    (V1_SAMPLE, 1), (V2_SAMPLE, 2), (V3_SAMPLE, 3), (V4_SAMPLE, 4), (V5_SAMPLE, 5)],
+    ids=["v1", "v2", "v3", "v4", "v5"])
 def test_old_file_answers_like_a_fresh_build(tmp_path, lexicon, sample, version):
     assert sample.read_bytes()[4:6] == version.to_bytes(2, "little")
     path = tmp_path / "sample.idx"
     save_index(build_index(load_corpus(bundled_corpus_path()), lexicon), path)
-    assert path.read_bytes()[4:6] == (4).to_bytes(2, "little")
+    assert path.read_bytes()[4:6] == (5).to_bytes(2, "little")
     old, new = load_index(sample), load_index(path)
     assert (old.lexicon, old.year_range, old.years) == (new.lexicon, new.year_range, new.years)
     assert old.doc_count == new.doc_count == 100
@@ -1496,7 +1593,8 @@ def test_old_file_answers_like_a_fresh_build(tmp_path, lexicon, sample, version)
 
 def test_v2_file_holds_the_payload_a_fresh_build_writes(tmp_path, lexicon):
     # Version 3 changed the container alone; version 4 moved each year's ids
-    # from the header to a stream of their own, with a count in their place.
+    # from the header to a stream of their own, with a count in their place;
+    # version 5 ordered each year's documents by category row, mask and id.
     # Inflated, so that another zlib build, which may deflate differently,
     # compares alike.
     path = tmp_path / "sample.idx"
@@ -1504,7 +1602,11 @@ def test_v2_file_holds_the_payload_a_fresh_build_writes(tmp_path, lexicon):
     fresh = path.read_bytes()
     assert zlib.decompress(V2_SAMPLE.read_bytes()[_SHA256_HEADER.size:]) \
         == zlib.decompress(V3_SAMPLE.read_bytes()[_HEADER.size:]) == _v3_payload(fresh)
-    assert _streams(V4_SAMPLE.read_bytes()) == _streams(fresh)
+    header, columns, listed = _by_id(fresh)
+    text = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    ids = json.dumps(listed, separators=(",", ":")).encode()
+    assert _streams(V4_SAMPLE.read_bytes()) == [struct.pack("<I", len(text)) + text + columns, ids]
+    assert _streams(V5_SAMPLE.read_bytes()) == _streams(fresh)
 
 
 def _flip(position: int):
@@ -1526,21 +1628,21 @@ def _flip(position: int):
     (lambda data: data[:_HEADER.size - 1], "not an index file"),
     (lambda data: data[:6], "not an index file"),
     (lambda data: b"LXDY" + data[4:], "not an index file"),
-    (lambda data: data[:4] + (5).to_bytes(2, "little") + data[6:],
-     "unsupported index version 5 (supported: 1, 2, 3, 4)"),
+    (lambda data: data[:4] + (6).to_bytes(2, "little") + data[6:],
+     "unsupported index version 6 (supported: 1, 2, 3, 4, 5)"),
     (lambda data: data[:4] + (0).to_bytes(2, "little") + data[6:],
-     "unsupported index version 0 (supported: 1, 2, 3, 4)"),
+     "unsupported index version 0 (supported: 1, 2, 3, 4, 5)"),
 ], ids=["first-payload-byte-flipped", "last-payload-byte-flipped", "checksum-byte-flipped",
         "payload-truncated", "payload-missing", "byte-appended", "header-cut-short",
         "version-alone", "wrong-magic", "unknown-version", "version-0"])
 def test_broken_v3_file_is_one_exact_error(tmp_path, lexicon, capsys, edit, problem):
-    # Versions 3 and 4 share the container.
-    path = tmp_path / "v4.idx"
+    # Versions 3 to 5 share the container.
+    path = tmp_path / "v5.idx"
     save_index(build_index(_V2_DOCS, lexicon), path)
-    v4 = path.read_bytes()
-    assert v4[4:6] == (4).to_bytes(2, "little")
-    _write_container(path, zlib.compress(_v3_payload(v4)), version=3)
-    for data in (path.read_bytes(), v4):
+    v5 = path.read_bytes()
+    assert v5[4:6] == (5).to_bytes(2, "little")
+    _write_container(path, zlib.compress(_v3_payload(v5)), version=3)
+    for data in (path.read_bytes(), v5):
         path.write_bytes(edit(data))
         with pytest.raises(IndexFileError) as caught:
             load_index(path)
