@@ -1,17 +1,23 @@
 from __future__ import annotations
 
 import json
+import struct
+import zlib
+from pathlib import Path
 
 import pytest
 
 from lexdrift import (
+    IndexFileError,
     Lexicon,
     LexiconError,
     TermEntry,
     builtin_lexicon,
+    load_index,
     load_lexicon,
     save_lexicon,
 )
+from lexdrift.lexicon import lexicon_from_dict, lexicon_to_dict
 
 
 def test_builtin_strength_groups(lexicon):
@@ -172,3 +178,123 @@ def test_load_rejects_non_utf8(tmp_path):
     path.write_bytes(b"\xf6g=*")
     with pytest.raises(LexiconError, match="not UTF-8"):
         load_lexicon(path)
+
+
+def _entry(term, role, **more) -> dict:
+    return {"term": term, "role": role, **more}
+
+
+_BLUE = _entry("blue", "control")
+
+
+# Each lexicon error once per rule, and two faults at once where the order of
+# the rules decides which is reported: every shape error of lexicon_from_dict
+# (entries, then groups) before any error of the entries' values, those by
+# entry order, and the strength groups last. An index header sorts its keys,
+# so groups are listed here in that order.
+_LEXICON_ERRORS = [
+    pytest.param(["x"], "lexicon file must contain a JSON object", id="not-an-object"),
+    pytest.param({"name": 3, "entries": []}, "lexicon 'name' must be a string", id="name-not-str"),
+    pytest.param({"name": "x", "entries": {}}, "lexicon 'entries' must be a list",
+                 id="entries-not-list"),
+    pytest.param({"name": "x", "entries": [{"term": 3}]}, "malformed entry: {'term': 3}",
+                 id="entry-malformed"),
+    pytest.param({"name": "x", "entries": [_entry("blue", "control", case_sensitive=1)]},
+                 "entry 'blue': case_sensitive must be a bool", id="case-sensitive-not-bool"),
+    pytest.param({"name": "x", "entries": [], "groups": []}, "lexicon 'groups' must be an object",
+                 id="groups-not-object"),
+    pytest.param({"name": "x", "entries": [], "groups": {"strong": "blue"}},
+                 "group 'strong' must be a list of terms", id="group-not-list"),
+    pytest.param({"name": "", "entries": [_BLUE]}, "lexicon name must be non-empty",
+                 id="name-empty"),
+    pytest.param({"name": "x", "entries": [_entry("blue", "colour")]},
+                 "unknown role 'colour' for term 'blue'", id="role-unknown"),
+    pytest.param({"name": "x", "entries": [_entry("", "control")]}, "empty term",
+                 id="term-empty"),
+    pytest.param({"name": "x", "entries": [_BLUE, _entry("blue", "adjective")]},
+                 "duplicate term 'blue'", id="term-duplicate"),
+    pytest.param({"name": "x", "entries": [_entry("gpt-4!", "extra")]},
+                 "term 'gpt-4!' does not survive tokenization; terms must be plain tokens "
+                 "(or token phrases)", id="term-not-tokens"),
+    pytest.param({"name": "x", "entries": [_entry("GPT4", "extra", case_sensitive=True)]},
+                 "term 'GPT4' does not survive tokenization; terms must be plain tokens "
+                 "(or token phrases)", id="case-sensitive-term-not-tokens"),
+    pytest.param({"name": "x", "entries": [_entry("very nice", "adjective")]},
+                 "term 'very nice': phrases are only permitted for the disclosure role",
+                 id="phrase-outside-disclosure"),
+    pytest.param({"name": "x", "entries": [_BLUE], "groups": {"huge": []}},
+                 "unknown strength group 'huge'", id="group-unknown"),
+    pytest.param({"name": "x", "entries": [_entry("notable", "adjective")],
+                  "groups": {"medium": ["notable", "notable"]}},
+                 "duplicate term 'notable' in group 'medium'", id="group-member-repeated"),
+    pytest.param({"name": "x", "entries": [_entry("intricate", "adjective")],
+                  "groups": {"medium": ["intricate"], "strong": ["intricate"]}},
+                 "term 'intricate' appears in both 'medium' and 'strong'", id="groups-overlap"),
+    pytest.param({"name": "x", "entries": [_BLUE], "groups": {"strong": ["blue"]}},
+                 "strength group member 'blue' is not an adjective or adverb entry",
+                 id="group-member-control"),
+    pytest.param({"name": "x", "entries": [_BLUE], "groups": {"strong": ["ghost"]}},
+                 "strength group member 'ghost' is not an adjective or adverb entry",
+                 id="group-member-missing"),
+    pytest.param({"name": "x", "entries": [_entry("blue", "colour"), {"term": 3}]},
+                 "malformed entry: {'term': 3}", id="role-unknown-then-entry-malformed"),
+    pytest.param({"name": "x", "entries": [_entry("gpt-4!", "extra")],
+                  "groups": {"strong": "gpt"}},
+                 "group 'strong' must be a list of terms", id="term-not-tokens-then-group-not-list"),
+    pytest.param({"name": "x", "entries": [_BLUE, _entry("blue", "adjective")],
+                  "groups": {"huge": []}},
+                 "duplicate term 'blue'", id="term-duplicate-then-group-unknown"),
+    pytest.param({"name": "", "entries": [_entry("blue", "colour")]},
+                 "lexicon name must be non-empty", id="name-empty-then-role-unknown"),
+    pytest.param({"name": "", "entries": [_entry("blue", "control", case_sensitive="yes")]},
+                 "entry 'blue': case_sensitive must be a bool",
+                 id="name-empty-then-case-sensitive-not-bool"),
+    pytest.param({"name": "x", "entries": [_entry("blue", "colour"), _entry("", "control")]},
+                 "unknown role 'colour' for term 'blue'", id="role-unknown-then-term-empty"),
+    pytest.param({"name": "x", "entries": [_entry("", "colour")]},
+                 "unknown role 'colour' for term ''", id="term-empty-with-role-unknown"),
+    pytest.param({"name": "x", "entries": [_entry("gpt-4!", "extra"), _BLUE, _BLUE],
+                  "groups": {"strong": ["ghost"]}},
+                 "term 'gpt-4!' does not survive tokenization; terms must be plain tokens "
+                 "(or token phrases)", id="term-not-tokens-then-term-duplicate"),
+]
+
+
+def _index_with_lexicon(path, data) -> None:
+    """Write to *path* the committed version 5 sample index with *data* in
+    place of the lexicon in its header, checksum and lengths mended."""
+    sample = (Path(__file__).parent / "data" / "sample-v5.idx").read_bytes()
+    head = struct.Struct("<4sHQI")
+    inflate = zlib.decompressobj()
+    payload = inflate.decompress(sample[head.size:])
+    (size,) = struct.unpack_from("<I", payload)
+    header = json.loads(payload[4:4 + size])
+    header["lexicon"] = data
+    text = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    blob = zlib.compress(struct.pack("<I", len(text)) + text + payload[4 + size:]) \
+        + inflate.unused_data
+    path.write_bytes(head.pack(b"LXDX", 5, len(blob), zlib.crc32(blob)) + blob)
+
+
+@pytest.mark.parametrize("data, message", _LEXICON_ERRORS)
+def test_a_lexicon_error_reads_alike_through_every_way_in(tmp_path, data, message):
+    with pytest.raises(LexiconError) as caught:
+        lexicon_from_dict(data)
+    assert str(caught.value) == message
+    path = tmp_path / "lex.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    with pytest.raises(LexiconError) as caught:
+        load_lexicon(path)
+    assert str(caught.value) == message
+    path = tmp_path / "lex.idx"
+    _index_with_lexicon(path, data)
+    with pytest.raises(IndexFileError) as caught:
+        load_index(path)
+    assert str(caught.value) == f"{path}: malformed payload ({message})"
+
+
+def test_the_sample_index_with_its_own_lexicon_written_back_loads(tmp_path, lexicon):
+    path = tmp_path / "same.idx"
+    _index_with_lexicon(path, lexicon_to_dict(lexicon))
+    assert path.read_bytes() == (Path(__file__).parent / "data" / "sample-v5.idx").read_bytes()
+    assert load_index(path).lexicon == lexicon
