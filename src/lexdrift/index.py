@@ -707,7 +707,8 @@ def load_index(path) -> YearTermIndex:
     lexicon included, is an IndexFileError naming *path*; a version 1
     file's rows are checked by the build intake, and a version 4 or 5
     file's ids when they are first used."""
-    data = Path(path).read_bytes()
+    with open(path, "rb") as file:
+        data = file.read()
     version = int.from_bytes(data[4:6], "little")
     header, checksum, decode = _VERSIONS.get(version, (_HEADER, None, None))
     if len(data) < header.size or data[:4] != _MAGIC:
@@ -770,7 +771,8 @@ def _decode_v2(blob: bytes, path, version: int = 2) -> YearTermIndex:
     entries = doc["years"]
     if type(entries) is not list:
         raise ValueError("'years' is not a list")
-    width, parts, listed = len(lexicon.terms()), [], []
+    terms = lexicon.terms()
+    width, parts, listed = len(terms), [], []
     for entry in entries:
         year, table = entry["year"], entry["categories"]
         if id_stream:
@@ -821,7 +823,7 @@ def _decode_v2(blob: bytes, path, version: int = 2) -> YearTermIndex:
         else _file_ids(years, counts, listed)
     index = YearTermIndex.__new__(YearTermIndex)
     index._by_id = version < 5
-    return index._init(lexicon, lexicon.terms(), doc["min_year"], doc["max_year"], parts, ids)
+    return index._init(lexicon, terms, doc["min_year"], doc["max_year"], parts, ids)
 
 
 def _stream_ids(stream: bytes, by_row: bool, spans: Sequence[tuple[int, _Year]],

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .corpus import raw_tokens, tokenize
 from .errors import LexiconError, long_integer
@@ -42,70 +42,61 @@ class Lexicon(Value):
 
     def __init__(self, name: str, entries: Iterable[TermEntry],
                  strength: Mapping[str, Iterable[str]] = {}):  # read, never kept
-        self._init(name, tuple(entries), {g: tuple(ts) for g, ts in strength.items()})
-        self._validate()
-        # Derived once, because every query parse reads both.
+        # One pass over the entries checks each and derives the tables every
+        # query parse reads. The first problem is raised once the last entry
+        # is read, so an error that reading them raises comes first (see
+        # lexicon_from_dict); then the strength groups are read and checked.
+        problem = None if name else "lexicon name must be non-empty"
+        kept: list[TermEntry] = []
+        roles: dict[str, str] = {}
+        members: dict[str, list[str]] = {role: [] for role in ROLES}
         folded: dict[str, tuple[str, ...]] = {}
-        for entry in self.entries:
-            key = _fold(entry.term)
-            folded[key] = folded.get(key, ()) + (entry.term,)
-        object.__setattr__(self, "_folded", folded)
-        groups: dict[str, tuple[str, ...]] = {}
-        for role in ROLES:
-            members = tuple(e.term for e in self.entries if e.role == role)
-            if members:
-                groups[role] = members
-        for group in STRENGTH_GROUPS:
-            members = self.strength.get(group, ())
-            if members:
-                groups[group] = members
-        object.__setattr__(self, "_groups", groups)
-
-    def _validate(self) -> None:
-        if not self.name:
-            raise LexiconError("lexicon name must be non-empty")
-        by_term: dict[str, TermEntry] = {}
-        for entry in self.entries:
-            if entry.role not in ROLES:
-                raise LexiconError(f"unknown role {entry.role!r} for term {entry.term!r}")
-            if not entry.term:
-                raise LexiconError("empty term")
-            if entry.term in by_term:
-                raise LexiconError(f"duplicate term {entry.term!r}")
-            toks = raw_tokens(entry.term) if entry.case_sensitive else tokenize(entry.term)
-            canon = entry.term if entry.case_sensitive else entry.term.casefold()
-            canon = canon.replace("’", "'")
-            if not toks or " ".join(toks) != canon:
-                raise LexiconError(
-                    f"term {entry.term!r} does not survive tokenization; "
-                    "terms must be plain tokens (or token phrases)"
-                )
-            if len(toks) > 1 and entry.role != "disclosure":
-                raise LexiconError(
-                    f"term {entry.term!r}: phrases are only permitted for the "
-                    "disclosure role"
-                )
-            by_term[entry.term] = entry
+        for entry in entries:
+            kept.append(entry)
+            if problem is not None:
+                continue
+            term, role = entry.term, entry.role
+            if role not in members:
+                problem = f"unknown role {role!r} for term {term!r}"
+            elif not term:
+                problem = "empty term"
+            elif term in roles:
+                problem = f"duplicate term {term!r}"
+            elif not (term.isascii() and term.isalpha()):  # else its one token, folded or not
+                toks = raw_tokens(term) if entry.case_sensitive else tokenize(term)
+                canon = term if entry.case_sensitive else term.casefold()
+                if not toks or " ".join(toks) != canon.replace("’", "'"):
+                    problem = (f"term {term!r} does not survive tokenization; "
+                               "terms must be plain tokens (or token phrases)")
+                elif len(toks) > 1 and role != "disclosure":
+                    problem = f"term {term!r}: phrases are only permitted for the disclosure role"
+            if problem is None:
+                roles[term] = role
+                members[role].append(term)
+                key = _fold(term)
+                folded[key] = folded.get(key, ()) + (term,)
+        if problem is not None:
+            raise LexiconError(problem)
+        strength = {g: tuple(ts) for g, ts in strength.items()}
         assigned: dict[str, str] = {}
-        for group, terms in self.strength.items():
+        for group, terms in strength.items():
             if group not in STRENGTH_GROUPS:
                 raise LexiconError(f"unknown strength group {group!r}")
-            seen: set[str] = set()
             for term in terms:
-                if term in seen:
-                    raise LexiconError(f"duplicate term {term!r} in group {group!r}")
-                seen.add(term)
                 if term in assigned:
                     raise LexiconError(
-                        f"term {term!r} appears in both {assigned[term]!r} and {group!r}"
+                        f"duplicate term {term!r} in group {group!r}" if assigned[term] == group
+                        else f"term {term!r} appears in both {assigned[term]!r} and {group!r}"
                     )
                 assigned[term] = group
-                entry = by_term.get(term)
-                if entry is None or entry.role not in ("adjective", "adverb"):
+                if roles.get(term) not in ("adjective", "adverb"):
                     raise LexiconError(
                         f"strength group member {term!r} is not an adjective or "
                         "adverb entry"
                     )
+        groups = {role: tuple(terms) for role, terms in members.items() if terms}
+        groups.update((g, strength[g]) for g in STRENGTH_GROUPS if strength.get(g))
+        self._init(name, tuple(kept), strength, folded, groups)
 
     def terms(self) -> tuple[str, ...]:
         """All entry terms, in entry order; this is the index vocabulary."""
@@ -193,24 +184,28 @@ def lexicon_from_dict(data: dict) -> Lexicon:
     raw_entries = data.get("entries")
     if not isinstance(raw_entries, list):
         raise LexiconError("lexicon 'entries' must be a list")
-    entries = []
+    groups = data.get("groups", {})
+    return Lexicon(name, _entries(raw_entries, groups), groups)
+
+
+def _entries(raw_entries: list, groups) -> Iterator[TermEntry]:
+    """The entries of a lexicon file, each checked for its shape as it is
+    read, and after the last its groups. :class:`Lexicon` reads the groups
+    and raises a problem of its own only after the last entry, so an error
+    of the file's shape comes first."""
     for item in raw_entries:
-        if not isinstance(item, dict) or not isinstance(item.get("term"), str) \
-                or not isinstance(item.get("role"), str):
+        if not isinstance(item, dict) or not isinstance(term := item.get("term"), str) \
+                or not isinstance(role := item.get("role"), str):
             raise LexiconError(f"malformed entry: {item!r}")
         cs = item.get("case_sensitive", False)
         if not isinstance(cs, bool):
-            raise LexiconError(f"entry {item['term']!r}: case_sensitive must be a bool")
-        entries.append(TermEntry(item["term"], item["role"], cs))
-    groups = data.get("groups", {})
+            raise LexiconError(f"entry {term!r}: case_sensitive must be a bool")
+        yield TermEntry(term, role, cs)
     if not isinstance(groups, dict):
         raise LexiconError("lexicon 'groups' must be an object")
-    strength = {}
     for g, ts in groups.items():
         if not isinstance(ts, list) or not all(isinstance(t, str) for t in ts):
             raise LexiconError(f"group {g!r} must be a list of terms")
-        strength[g] = tuple(ts)
-    return Lexicon(name=name, entries=tuple(entries), strength=strength)
 
 
 def save_lexicon(lex: Lexicon, path) -> None:

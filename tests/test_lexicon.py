@@ -6,18 +6,25 @@ import zlib
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lexdrift import (
+    Document,
     IndexFileError,
     Lexicon,
     LexiconError,
     TermEntry,
+    build_index,
     builtin_lexicon,
     load_index,
     load_lexicon,
+    save_index,
     save_lexicon,
+    tokenize,
 )
-from lexdrift.lexicon import lexicon_from_dict, lexicon_to_dict
+from lexdrift.corpus import raw_tokens
+from lexdrift.lexicon import ROLES, lexicon_from_dict, lexicon_to_dict
 
 
 def test_builtin_strength_groups(lexicon):
@@ -298,3 +305,100 @@ def test_the_sample_index_with_its_own_lexicon_written_back_loads(tmp_path, lexi
     _index_with_lexicon(path, lexicon_to_dict(lexicon))
     assert path.read_bytes() == (Path(__file__).parent / "data" / "sample-v5.idx").read_bytes()
     assert load_index(path).lexicon == lexicon
+
+
+_LETTERS = "abcXYZ"
+_WORD = st.text(_LETTERS, min_size=1, max_size=6)
+# Terms of every kind the tokenizer rule decides on: plain ASCII words in
+# mixed case, words joined or edged by a hyphen or an apostrophe, words with
+# digits, non-ASCII letters and numerals, phrases, and anything of these
+# characters.
+_TERMS = st.one_of(
+    _WORD,
+    st.tuples(_WORD, st.sampled_from("-'’"), _WORD).map("".join),
+    st.tuples(st.sampled_from(["", "-", "'", "’"]), _WORD,
+              st.sampled_from(["", "-", "'", "’", "--"])).map("".join),
+    st.tuples(_WORD, st.text("0123456789", min_size=1, max_size=2)).map("".join),
+    st.text(_LETTERS + "éßﬁİıΣςø²Ⅻ", min_size=1, max_size=6),
+    st.lists(_WORD, min_size=2, max_size=3).map(" ".join),
+    st.text(_LETTERS + "é-'’ 1_²­\t", min_size=1, max_size=8),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(term=_TERMS, role=st.sampled_from(ROLES), case_sensitive=st.booleans())
+def test_an_entry_is_accepted_exactly_when_the_tokenizer_keeps_it(term, role, case_sensitive):
+    # The rule spelled out with the tokenizer an entry is matched with.
+    toks = raw_tokens(term) if case_sensitive else tokenize(term)
+    canon = (term if case_sensitive else term.casefold()).replace("’", "'")
+    if not toks or " ".join(toks) != canon:
+        problem = (f"term {term!r} does not survive tokenization; "
+                   "terms must be plain tokens (or token phrases)")
+    elif len(toks) > 1 and role != "disclosure":
+        problem = f"term {term!r}: phrases are only permitted for the disclosure role"
+    else:
+        problem = None
+    entry = TermEntry(term, role, case_sensitive)
+    if problem is None:
+        assert Lexicon("x", (entry,)).entries == (entry,)
+    else:
+        with pytest.raises(LexiconError) as caught:
+            Lexicon("x", (entry,))
+        assert str(caught.value) == problem
+
+
+# Case-sensitive entries, and entries that differ only in case, among them
+# two that case alone tells apart and a phrase in two spellings.
+_CASED = Lexicon("cased", (
+    TermEntry("GPT", "disclosure", case_sensitive=True),
+    TermEntry("gpt", "disclosure"),
+    TermEntry("Nature", "control", case_sensitive=True),
+    TermEntry("nature", "control", case_sensitive=True),
+    TermEntry("Meticulous", "adjective"),
+    TermEntry("meticulously", "adverb"),
+    TermEntry("naïve", "extra"),
+    TermEntry("Straße", "control"),
+    TermEntry("don’t", "extra"),
+    TermEntry("well-known", "adjective"),
+    TermEntry("large language model", "disclosure"),
+    TermEntry("Large Language Model", "disclosure", case_sensitive=True),
+), {"strong": ("Meticulous",), "weak": ("meticulously", "well-known")})
+
+
+def _derived(lex: Lexicon) -> tuple:
+    names = [spelling for term in lex.terms()
+             for spelling in (term, term.upper(), term.lower(), term.replace("’", "'"))]
+    return ([(name, lex.resolve(name)) for name in names + ["ghost"]],
+            list(lex.groups().items()), lex.terms())
+
+
+@pytest.mark.parametrize("fresh", [builtin_lexicon(), _CASED], ids=["builtin", "cased"])
+def test_a_loaded_lexicon_derives_what_a_fresh_one_does(tmp_path, fresh):
+    # Equality compares the fields only, not the tables derived from them.
+    if fresh.name == "builtin":
+        loaded = load_index(Path(__file__).parent / "data" / "sample-v5.idx").lexicon
+    else:
+        path = tmp_path / "cased.idx"
+        save_index(build_index([Document("d1", 2023, "GPT and nature")], fresh), path)
+        loaded = load_index(path).lexicon
+    path = tmp_path / "lex.json"
+    save_lexicon(fresh, path)
+    for lex in (loaded, load_lexicon(path), lexicon_from_dict(lexicon_to_dict(fresh))):
+        assert lex == fresh
+        assert _derived(lex) == _derived(fresh)
+
+
+def test_a_name_resolves_to_the_entries_it_names():
+    assert [_CASED.resolve(name) for name in (
+        "GPT", "gpt", "Gpt", "NATURE", "nature", "STRASSE", "don't", "DON’T", "NAÏVE",
+        "large language model", "LARGE LANGUAGE MODEL", "ghost")] == [
+        ("GPT",), ("gpt",), ("GPT", "gpt"), ("Nature", "nature"), ("nature",), ("Straße",),
+        ("don’t",), ("don’t",), ("naïve",), ("large language model",),
+        ("large language model", "Large Language Model"), ()]
+    assert _CASED.groups() == {
+        "adjective": ("Meticulous", "well-known"), "adverb": ("meticulously",),
+        "control": ("Nature", "nature", "Straße"), "extra": ("naïve", "don’t"),
+        "disclosure": ("GPT", "gpt", "large language model", "Large Language Model"),
+        "strong": ("Meticulous",), "weak": ("meticulously", "well-known")}
+    assert list(_CASED.groups()) == ["adjective", "adverb", "control", "extra", "disclosure",
+                                     "strong", "weak"]
