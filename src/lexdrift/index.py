@@ -205,11 +205,11 @@ def _check_year_range(min_year: int, max_year: int) -> None:
 
 
 def _check_unique(ids_by_year: Iterable[Sequence[str]]) -> None:
-    """Refuse an id that two documents share."""
-    # Sorting merges the runs of ascending ids; a repeat is an equal neighbour.
-    ids = sorted(chain.from_iterable(ids_by_year))
-    twice = next(compress(ids, map(eq, ids, islice(ids, 1, None))), None)
-    if twice is not None:
+    """Refuse an id that two documents share, naming the smallest such."""
+    ids = list(chain.from_iterable(ids_by_year))
+    if len(set(ids)) != len(ids):
+        ids.sort()  # a repeat is an equal neighbour
+        twice = next(compress(ids, map(eq, ids, islice(ids, 1, None))))
         raise IndexBuildError(f"duplicate document id {twice!r}")
 
 
@@ -268,7 +268,7 @@ class _Gathered:
         """Each year's part over a vocabulary of *width* entries, and its ids,
         years ascending and a year's documents by category row, mask and id;
         with *unique*, an id that two documents share is refused."""
-        parts, year_ids, by_id = [], [], []
+        parts, year_ids = [], []
         for year, (ids, masks, seen, rows) in sorted(self._years.items()):
             if not _masks_fit(masks, width):
                 doc_id, mask = next((d, m) for d, m in zip(ids, masks)
@@ -281,8 +281,6 @@ class _Gathered:
             # By id, then stably by mask and by row: documents of equal ids, which
             # a scan can hold, and equal rows and masks are alike.
             order = sorted(range(len(ids)), key=ids.__getitem__)
-            if unique:  # each year's ids sorted, for _check_unique to merge
-                by_id.append(list(map(ids.__getitem__, order)))
             order.sort(key=masks.__getitem__)
             order.sort(key=ranks.__getitem__)
             # Year by year: one bit string of all years would hold every mask as text.
@@ -292,7 +290,8 @@ class _Gathered:
                           array(_row_type(len(table)), map(ranks.__getitem__, order)),
                           [col.to_bytes(size, "little")
                            for col in _columns([masks[i] for i in order], width)]))
-        _check_unique(by_id)
+        if unique:
+            _check_unique(year_ids)
         return parts, year_ids
 
 
