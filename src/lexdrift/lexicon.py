@@ -56,7 +56,7 @@ class Lexicon(Value):
             if problem is not None:
                 continue
             term, role = entry.term, entry.role
-            if role not in members:
+            if role not in ROLES:
                 problem = f"unknown role {role!r} for term {term!r}"
             elif not term:
                 problem = "empty term"
