@@ -33,10 +33,9 @@ per-document JSON rows, and no query builds columns. Version 5, the one
 written, orders a year's documents by category row, mask and id, so that
 documents alike sit together and the columns and rows deflate to runs, and
 checks the payload with CRC-32: it catches a truncated or corrupt file, the
-check's one job, and unlike SHA-256 loads no OpenSSL (``hashlib``), a sixth
-of a command's memory. Versions 4 (the same, documents by id), 3 (one
-stream, the ids in the header), 2 (the same with a SHA-256) and 1 (one JSON
-row per document) still load.
+check's one job, and loads no cryptographic library. Only version 5 loads:
+an index is derived data, so a file of another version is rebuilt from its
+corpus.
 """
 
 from __future__ import annotations
@@ -70,11 +69,9 @@ from .query import And, AnyOf, AtLeastK, Or, Phrase, Query, Term, query_vocabula
 
 _MAGIC = b"LXDX"
 _VERSION = 5
-# Magic, version, payload length and the payload's CRC-32; versions 1 and 2
-# hold its SHA-256 instead.
+# Magic, version, payload length and the payload's CRC-32.
 _HEADER = struct.Struct("<4sHQI")
-_SHA256_HEADER = struct.Struct("<4sHQ32s")
-# A version 2 to 5 payload starts with the byte length of its JSON header.
+# A payload starts with the byte length of its JSON header.
 _JSON_LENGTH = struct.Struct("<I")
 _FORMAT = "lexdrift.index"
 
@@ -104,10 +101,6 @@ class YearTermIndex:
         # IndexBuilder.finish passes the marks it has gathered.
         gathered = marks if type(marks) is _Gathered else _Gathered(marks)
         self._init(lexicon, terms, min_year, max_year, *gathered.finish(len(terms), unique=True))
-
-    # Whether the documents of each year are ordered by id, as a version 2
-    # to 4 file holds them, rather than by category row, mask and id.
-    _by_id = False
 
     def _init(self, lexicon: Lexicon, terms: tuple[str, ...], min_year: int, max_year: int,
               parts: Iterable[tuple],
@@ -188,8 +181,8 @@ class YearTermIndex:
                                   map(y.table.__getitem__, y.rows)))
 
     def _doc_ids(self, spans: Sequence[tuple[int, _Year]] = ()) -> Sequence[tuple[str, ...]]:
-        """Each year's document ids, in its documents' order. A version 4 or
-        5 file's are decoded, and checked against this index's years and
+        """Each year's document ids, in its documents' order. A loaded
+        file's are decoded, and checked against this index's years and
         columns, or *spans*, the (year, _Year) pairs of an index not yet
         made, when first asked for; two threads asking at once decode them
         twice, to equal tuples, so no lock is needed."""
@@ -239,8 +232,8 @@ class _Gathered:
             self.add(*mark)
 
     def add(self, doc_id: str, year: int, mask: int, cats: Iterable[str]) -> None:
-        # The corpus reader checks these types; a Document built in code, or a
-        # version 1 file's row, may hold others.
+        # The corpus reader checks these types; a Document built in code may
+        # hold others.
         if type(year) is not int:
             raise IndexBuildError(f"document {doc_id!r}: year {year!r} is not an integer")
         _check_strings((doc_id,), "a document id", year)
@@ -677,8 +670,6 @@ def save_index(index: YearTermIndex, path) -> None:
     used."""
     if index._terms != index.lexicon.terms():
         raise IndexBuildError("an index over a query's terms (a corpus scan) cannot be saved")
-    if index._by_id:  # an older file's documents: saved in the order a build gives them
-        index = YearTermIndex(index.lexicon, *index.year_range, index.doc_marks())
     ids = json.dumps(index._doc_ids(), separators=(",", ":")).encode("utf-8")
     years = []
     columns: list[bytes] = []
@@ -702,34 +693,30 @@ def save_index(index: YearTermIndex, path) -> None:
 
 
 def load_index(path) -> YearTermIndex:
-    """Read a version 1 to 5 index file. Anything malformed, the embedded
-    lexicon included, is an IndexFileError naming *path*; a version 1
-    file's rows are checked by the build intake, and a version 4 or 5
-    file's ids when they are first used."""
+    """Read a version 5 index file, the one :func:`save_index` writes; a
+    file of another version is an IndexVersionError. Anything malformed, the
+    embedded lexicon included, is an IndexFileError naming *path*; the ids
+    are checked when they are first used."""
     with open(path, "rb") as file:
         data = file.read()
-    version = int.from_bytes(data[4:6], "little")
-    header, checksum, decode = _VERSIONS.get(version, (_HEADER, None, None))
-    if len(data) < header.size or data[:4] != _MAGIC:
+    if len(data) < _HEADER.size or data[:4] != _MAGIC:
         raise IndexFileError(f"{path}: not an index file")
-    if decode is None:
-        raise IndexVersionError(
-            f"{path}: unsupported index version {version} "
-            f"(supported: {', '.join(map(str, _VERSIONS))})"
-        )
-    _, _, length, check = header.unpack_from(data)
-    blob = data[header.size:]
-    if len(blob) != length or checksum(blob) != check:
+    _, version, length, check = _HEADER.unpack_from(data)
+    if version != _VERSION:
+        raise IndexVersionError(f"{path}: unsupported index version {version} (supported: "
+                                f"{_VERSION}); rebuild the file with 'lexdrift index'")
+    blob = data[_HEADER.size:]
+    if len(blob) != length or zlib.crc32(blob) != check:
         raise IndexChecksumError(f"{path}: checksum mismatch (truncated or corrupt)")
-    return _decoded(path, decode, blob, path)
+    return _decoded(path, _decode, blob, path)
 
 
-def _decoded(path, decode: Callable, *args, **kwargs):
-    """*decode*(*args*, **kwargs*), of the file *path*, whose malformed
-    payload is an IndexFileError naming it."""
+def _decoded(path, decode: Callable, *args):
+    """*decode*(*args*), of the file *path*, whose malformed payload is an
+    IndexFileError naming it."""
     try:
-        return decode(*args, **kwargs)
-    except IndexFileError:  # a version 4 or 5 file's ids, decoded to name a year's smallest id
+        return decode(*args)
+    except IndexFileError:  # the ids, decoded to name a year's smallest id
         raise
     except KeyError as exc:
         raise IndexFileError(f"{path}: malformed payload (no {exc} field)") from None
@@ -737,27 +724,13 @@ def _decoded(path, decode: Callable, *args, **kwargs):
         raise IndexFileError(f"{path}: malformed payload ({exc})") from None
 
 
-def _decode_v1(blob: bytes, path) -> YearTermIndex:
-    """A version 1 payload, one JSON row (id, year, mask, categories) per
-    document, built by the marks constructor, whose intake checks each row
-    as it checks a fresh build's. A malformed payload raises KeyError,
-    TypeError, ValueError, zlib.error or a DataError."""
-    doc = _json_object(zlib.decompress(blob))
-    return YearTermIndex(lexicon_from_dict(doc["lexicon"]), doc["min_year"], doc["max_year"],
-                         doc["docs"])
-
-
-def _decode_v2(blob: bytes, path, version: int = 2) -> YearTermIndex:
-    """A payload of *version* 2 to 5, each column read straight into an
-    integer. Versions 2 and 3 list each year's ids in the header, checked
-    here; versions 4 and 5 give each year's document count there and the ids
-    in a second deflated stream, left to be decoded and checked when first
-    used. Versions 2 to 4 order a year's documents by id, version 5 by
-    category row, mask and id. A malformed payload raises KeyError,
-    TypeError, ValueError, zlib.error or DataError."""
+def _decode(blob: bytes, path) -> YearTermIndex:
+    """A payload, each column read straight into an integer: each year's
+    document count in the header, and the ids in a second deflated stream,
+    left to be decoded and checked when first used. A malformed payload
+    raises KeyError, TypeError, ValueError, zlib.error or DataError."""
     payload, stream = _inflate(blob)
-    id_stream = version >= 4
-    if id_stream and not stream:
+    if not stream:
         raise ValueError("no id stream after the payload")
     if len(payload) < _JSON_LENGTH.size:
         raise ValueError("no header length")
@@ -771,18 +744,11 @@ def _decode_v2(blob: bytes, path, version: int = 2) -> YearTermIndex:
     if type(entries) is not list:
         raise ValueError("'years' is not a list")
     terms = lexicon.terms()
-    width, parts, listed = len(terms), [], []
+    width, parts = len(terms), []
     for entry in entries:
-        year, table = entry["year"], entry["categories"]
-        if id_stream:
-            n = entry["docs"]
-            if type(n) is not int:
-                raise ValueError(f"the document count of {year} is not an integer")
-        else:
-            listed.append(entry["ids"])
-            if type(listed[-1]) is not list:
-                raise ValueError(f"the ids of {year} are not a list")
-            n = len(listed[-1])
+        year, table, n = entry["year"], entry["categories"], entry["docs"]
+        if type(n) is not int:
+            raise ValueError(f"the document count of {year} is not an integer")
         if type(table) is not list or not all(type(row) is list for row in table):
             raise ValueError(f"the category table of {year} is not a list of lists")
         _check_categories(chain.from_iterable(table), year)
@@ -817,44 +783,31 @@ def _decode_v2(blob: bytes, path, version: int = 2) -> YearTermIndex:
         parts.append((year, n, table, rows, columns))
     if offset != len(payload):
         raise ValueError(f"{len(payload) - offset} bytes after the last column")
-    years, counts = [part[0] for part in parts], [part[1] for part in parts]
-    ids = partial(_decoded, path, _stream_ids, stream, version >= 5) if id_stream \
-        else _file_ids(years, counts, listed)
-    index = YearTermIndex.__new__(YearTermIndex)
-    index._by_id = version < 5
-    return index._init(lexicon, terms, doc["min_year"], doc["max_year"], parts, ids)
+    ids = partial(_decoded, path, _stream_ids, stream)
+    return YearTermIndex.__new__(YearTermIndex)._init(lexicon, terms, doc["min_year"],
+                                                      doc["max_year"], parts, ids)
 
 
-def _stream_ids(stream: bytes, by_row: bool, spans: Sequence[tuple[int, _Year]],
+def _stream_ids(stream: bytes, spans: Sequence[tuple[int, _Year]],
                 columns: Sequence[int]) -> tuple[tuple[str, ...], ...]:
-    """The ids of a version 4 or 5 file, a deflated *stream* of their own,
-    checked for the index of *columns* and *spans*, its (year, _Year)
-    pairs: ordered by id, or *by_row* by category row, mask and id."""
+    """The ids of a file, a deflated *stream* of their own, checked for the
+    index of *columns* and *spans*, its (year, _Year) pairs: for each year a
+    list of as many strings as it has documents, no id in two years, and the
+    documents strictly ordered by category row, mask and id."""
     text, rest = _inflate(stream)
     if rest:
         raise ValueError(f"{len(rest)} bytes after the id stream")
-    ids = _file_ids([year for year, _ in spans], [y.n for _, y in spans], _json(text),
-                    ascending=not by_row)
-    for (year, y), year_ids in zip(spans, ids):
-        if by_row and not _ordered(y, columns, year_ids):
-            raise ValueError(f"the (row, mask, id) keys of {year} are not strictly ascending")
-    return ids
-
-
-def _file_ids(years: Sequence, counts: Sequence[int], listed,
-              ascending: bool = True) -> tuple[tuple[str, ...], ...]:
-    """Each year's ids as a file lists them, checked: for each of *years* a
-    list of its *counts* strings, if *ascending* strictly so, which keeps a
-    re-save canonical, and no id in two years."""
-    if type(listed) is not list or len(listed) != len(years):
-        raise ValueError(f"the ids are not a list for each of the {len(years)} years")
-    for year, n, ids in zip(years, counts, listed):
-        if type(ids) is not list or len(ids) != n:
-            raise ValueError(f"the ids of {year} are not a list of its {n} documents")
+    listed = _json(text)
+    if type(listed) is not list or len(listed) != len(spans):
+        raise ValueError(f"the ids are not a list for each of the {len(spans)} years")
+    for (year, y), ids in zip(spans, listed):
+        if type(ids) is not list or len(ids) != y.n:
+            raise ValueError(f"the ids of {year} are not a list of its {y.n} documents")
         _check_strings(ids, "a document id", year)
-        if ascending:
-            _check_ascending(ids, f"the ids of {year}")
     _check_unique(listed)
+    for (year, y), ids in zip(spans, listed):
+        if not _ordered(y, columns, ids):
+            raise ValueError(f"the (row, mask, id) keys of {year} are not strictly ascending")
     return tuple(map(tuple, listed))
 
 
@@ -890,20 +843,6 @@ def _inflate(data: bytes) -> tuple[bytes, bytes]:
     if not inflate.eof:
         raise ValueError("a deflated stream does not end")
     return inflated, inflate.unused_data
-
-
-def _sha256(blob: bytes) -> bytes:
-    # Imported here, so that only a file of version 1 or 2 loads it.
-    import hashlib
-
-    return hashlib.sha256(blob).digest()
-
-
-# Per version: the file header, the checksum of the payload and its decoder.
-_VERSIONS = {1: (_SHA256_HEADER, _sha256, _decode_v1), 2: (_SHA256_HEADER, _sha256, _decode_v2),
-             3: (_HEADER, zlib.crc32, partial(_decode_v2, version=3)),
-             4: (_HEADER, zlib.crc32, partial(_decode_v2, version=4)),
-             5: (_HEADER, zlib.crc32, partial(_decode_v2, version=5))}
 
 
 def _json_object(data: bytes) -> dict:

@@ -5,7 +5,7 @@ file written by ``--out``, each run through ``lexdrift.cli.main``.
     python tests/golden.py --write
 
 The list runs every command on the bundled counts, the bundled corpus and
-the index files kept in ``tests/data``, in each format and with ``--out``,
+the index file kept in ``tests/data``, in each format and with ``--out``,
 on an index built with a lexicon whose case-sensitive ``GPT`` stands
 beside ``gpt``, and on an index of a generated corpus whose 2023 has more
 than 256 category tuples, so that its category rows take two bytes a
@@ -42,7 +42,7 @@ from test_cli_inputs import awkward_values_alone, command_line, fill, make_input
 DATA = Path(__file__).resolve().parent / "data"
 GOLDEN = DATA / "cli-golden.txt"
 FORMATS = ("text", "csv", "json")
-# The size of a version 3 to 5 index file's header, before its deflated payload.
+# The size of an index file's header, before its deflated payload.
 _INDEX_HEADER = 18
 # Case-sensitive GPT beside gpt: "Gpt" names neither alone.
 _CASED_LEXICON = {"name": "cased", "entries": [
@@ -78,28 +78,27 @@ def _corpus() -> list[list[str]]:
 
 def _index_files() -> list[list[str]]:
     cases = []
-    for index in ("{v1}", "{v2}", "{v3}", "{v4}"):
-        for fmt in FORMATS:
-            cases += [["drift", "--index", index, "--format", fmt],
-                      ["excess", "--index", index, "--format", fmt],
-                      ["query", "any(strong) AND any(disclosure)", "--index", index,
-                       "--format", fmt],
-                      ["skew", "any(strong)", "--index", index, "--year", "2023",
-                       "--format", fmt]]
-        cases += [["plot", "--index", index], ["counts", "export", "--index", index]]
+    for fmt in FORMATS:
+        cases += [["drift", "--index", "{index}", "--format", fmt],
+                  ["excess", "--index", "{index}", "--format", fmt],
+                  ["query", "any(strong) AND any(disclosure)", "--index", "{index}",
+                   "--format", fmt],
+                  ["skew", "any(strong)", "--index", "{index}", "--year", "2023",
+                   "--format", fmt]]
+    cases += [["plot", "--index", "{index}"], ["counts", "export", "--index", "{index}"]]
     for argv in (["drift", "strong"], ["excess", "strong"], ["query", "intricate"],
                  ["skew", "intricate", "--year", "2023"], ["plot", "strong"],
                  ["counts", "export", "strong"]):
-        cases.append([*argv, "--index", "{v3}", "--out", "{out}"])
+        cases.append([*argv, "--index", "{index}", "--out", "{out}"])
     # A series named by a query, counted in combination.
     combined = "atleast(2, strong)"
     for fmt in FORMATS:
-        cases += [[command, combined, "--index", "{v3}", "--format", fmt]
+        cases += [[command, combined, "--index", "{index}", "--format", fmt]
                   for command in ("drift", "excess", "query")]
-    cases += [["plot", combined, "--index", "{v3}", "--metric", "count"],
-              ["counts", "export", combined, "--index", "{v3}"]]
+    cases += [["plot", combined, "--index", "{index}", "--metric", "count"],
+              ["counts", "export", combined, "--index", "{index}"]]
     # A character that starts no token, alone, as an operand and as a member.
-    cases += [["query", q, "--index", "{v3}"] for q in ("'", "blue AND -", "any(strong, *)")]
+    cases += [["query", q, "--index", "{index}"] for q in ("'", "blue AND -", "any(strong, *)")]
     return cases
 
 
@@ -150,8 +149,7 @@ def _paths(tmp: Path) -> dict[str, str]:
     paths.update(
         corpus=str(bundled_corpus_path()), counts=str(bundled_counts_path()),
         cased_lexicon=str(tmp / "cased.json"), cased_index=str(tmp / "cased.idx"),
-        wide_corpus=str(tmp / "wide.jsonl"), wide_index=str(tmp / "wide.idx"),
-        **{f"v{n}": str(DATA / f"sample-v{n}.idx") for n in (1, 2, 3, 4)})
+        wide_corpus=str(tmp / "wide.jsonl"), wide_index=str(tmp / "wide.idx"))
     return paths
 
 

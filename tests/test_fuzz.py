@@ -4,7 +4,6 @@ would be a traceback."""
 
 from __future__ import annotations
 
-import hashlib
 import json
 import struct
 import tempfile
@@ -73,35 +72,40 @@ def test_corpus_reader_raises_only_data_errors(lines, on_error):
 
 # ------------------------------------------------------------------- index
 
-# The index file header: magic, version, payload length, then the payload's
-# CRC-32 in versions 3 and 4 or its SHA-256 in versions 1 and 2.
+# The index file header: magic, version 5, payload length, then the
+# payload's CRC-32. The payload is two zlib streams: a u32 header length, a
+# JSON header and the column bytes, then the ids.
 _HEADER = struct.Struct("<4sHQI")
-_SHA256_HEADER = struct.Struct("<4sHQ32s")
 _LEXICON = lexicon_to_dict(builtin_lexicon())
 _PAYLOAD = _json_with(
-    ("format", "lexicon", "min_year", "max_year", "docs"),
+    ("format", "lexicon", "min_year", "max_year", "years"),
     st.just("lexdrift.index"), st.just(_LEXICON), st.integers(1990, 2110),
     st.lists(
-        st.tuples(st.text(max_size=4), st.integers(1990, 2110) | _JSON,
-                  st.integers(-2, 1 << 50) | _JSON,
-                  st.lists(st.text(max_size=4), max_size=2) | _JSON).map(list)
+        _json_with(("year", "docs", "categories"), st.integers(1990, 2110), st.integers(-2, 20),
+                   st.lists(st.lists(st.text(max_size=4), max_size=2), max_size=3))
         | _JSON,
         max_size=4,
     ),
 )
 
 
-def _container(blob: bytes, version: int = 1) -> bytes:
-    if version >= 3:
-        return _HEADER.pack(b"LXDX", version, len(blob), zlib.crc32(blob)) + blob
-    return _SHA256_HEADER.pack(b"LXDX", version, len(blob), hashlib.sha256(blob).digest()) + blob
+def _container(blob: bytes) -> bytes:
+    return _HEADER.pack(b"LXDX", 5, len(blob), zlib.crc32(blob)) + blob
+
+
+def _framed(header: bytes, columns: bytes, ids: bytes) -> bytes:
+    """A payload stream of a JSON *header* and *columns*, then an id stream of *ids*."""
+    return zlib.compress(struct.pack("<I", len(header)) + header + columns) + zlib.compress(ids)
 
 
 _INDEX_FILE = (
     st.binary(max_size=80)
     | st.binary(max_size=80).map(_container)
-    | st.binary(max_size=80).map(zlib.compress).map(_container)
-    | (_PAYLOAD | _JSON).map(lambda v: _container(zlib.compress(json.dumps(v).encode())))
+    | st.builds(lambda payload, ids: _container(zlib.compress(payload) + zlib.compress(ids)),
+                st.binary(max_size=80), st.binary(max_size=20))
+    | st.builds(lambda v, columns, ids: _container(_framed(json.dumps(v).encode(), columns,
+                                                           json.dumps(ids).encode())),
+                _PAYLOAD | _JSON, st.binary(max_size=60), _JSON)
 )
 
 
@@ -111,15 +115,13 @@ def test_index_reader_raises_only_data_errors(data):
     _survives(load_index, data, "input.idx")
 
 
-# A version 2 payload is a u32 header length, a JSON header and the column
-# bytes. Most headers are well formed, so that most files reach the column
-# checks, and their columns mostly fit the header before they are cut short
-# or extended. Version 3 holds the same payload; versions 4 and 5 give each
-# year's count of ids in the header, and the ids in a second stream, mostly
-# well formed, whose checks run when the ids are first read; version 5 also
-# checks the documents' order there.
+# Most headers are well formed, so that most files reach the column checks,
+# and their columns mostly fit the header before they are cut short or
+# extended. Each year's count of ids is in the header, and the ids in the
+# second stream, mostly well formed, whose checks, the documents' order
+# among them, run when the ids are first read.
 _WIDTH = len(builtin_lexicon().terms())
-_V2_YEAR = st.fixed_dictionaries({
+_YEAR = st.fixed_dictionaries({
     "year": st.integers(2019, 2023),
     "ids": st.lists(st.text(max_size=3), max_size=12, unique=True).map(sorted),
     "categories": st.lists(st.lists(st.sampled_from(("a", "b")), max_size=2), max_size=3,
@@ -128,10 +130,10 @@ _V2_YEAR = st.fixed_dictionaries({
 
 
 @st.composite
-def _v2_header(draw) -> dict:
-    """A well-formed header, or one with a single field replaced by
-    anything JSON."""
-    years = sorted(draw(st.lists(_V2_YEAR, max_size=3)), key=lambda y: y["year"])
+def _header(draw) -> dict:
+    """A well-formed header, its years' ids still in it, or one with a
+    single field replaced by anything JSON."""
+    years = sorted(draw(st.lists(_YEAR, max_size=3)), key=lambda y: y["year"])
     header = {"format": "lexdrift.index", "lexicon": _LEXICON, "min_year": 1990,
               "max_year": 2100, "years": years}
     where = draw(st.sampled_from((None, None, None, None, "format", "min_year", "years",
@@ -171,26 +173,22 @@ def _fitting_columns(draw, header) -> bytes:
 
 
 @st.composite
-def _v2_files(draw) -> bytes:
-    header = draw(_v2_header())
+def _files(draw) -> bytes:
+    header = draw(_header())
     columns = draw(_fitting_columns(header))
     columns += draw(st.sampled_from((b"", b"", b"", b"\0", b"\xff\xff")))
     columns = columns[:len(columns) - draw(st.sampled_from((0, 0, 0, 1, 3)))]
-    version = draw(st.sampled_from((2, 3, 4, 5)))
-    text, ids = _split_ids(header) if version >= 4 else (json.dumps(header).encode(), None)
+    text, ids = _split_ids(header)
     length = len(text) + draw(st.sampled_from((0, 0, 0, -1, 1, 1 << 20)))
     payload = struct.pack("<I", max(length, 0)) + text + columns
     if draw(st.sampled_from((False,) * 7 + (True,))):
         payload = payload[:3]
-    blob = zlib.compress(payload)
-    if version >= 4:
-        blob += draw(_id_streams(ids))
-    return _container(blob, version)
+    return _container(zlib.compress(payload) + draw(_id_streams(ids)))
 
 
 def _split_ids(header: dict) -> tuple[bytes, list]:
-    """A version 2 *header* as versions 4 and 5 hold it, each year's ids
-    replaced by their count where they are a list, and the ids taken out."""
+    """*header* as a file holds it, each year's ids replaced by their count
+    where they are a list, and the ids taken out."""
     years = header.get("years")
     if type(years) is not list or not all(type(y) is dict for y in years):
         return json.dumps(header).encode(), []
@@ -202,21 +200,21 @@ def _split_ids(header: dict) -> tuple[bytes, list]:
 
 
 def _id_streams(ids: list) -> st.SearchStrategy[bytes]:
-    """The second stream of a version 4 or 5 file holding *ids*, mostly well
-    formed, else missing, cut short, followed by bytes, or anything."""
+    """The second stream of a file holding *ids*, mostly well formed, else
+    missing, cut short, followed by bytes, or anything."""
     good = zlib.compress(json.dumps(ids).encode())
     return st.sampled_from((good,) * 4 + (b"", good[:-3], good + b"\0")) \
         | _JSON.map(lambda v: zlib.compress(json.dumps(v).encode())) | st.binary(max_size=20)
 
 
 def _read_ids(path) -> None:
-    """Load *path*, then read its ids, which a version 4 or 5 load leaves for later."""
+    """Load *path*, then read its ids, which a load leaves for later."""
     list(load_index(path).doc_marks())
 
 
 @settings(max_examples=300, deadline=None)
-@given(data=_v2_files() | st.builds(_container, st.binary(max_size=80).map(zlib.compress),
-                                    st.sampled_from((2, 3, 4, 5))))
+@given(data=_files() | st.builds(lambda payload, ids: _container(zlib.compress(payload) + ids),
+                                 st.binary(max_size=80), _JSON.flatmap(_id_streams)))
 def test_v2_index_reader_raises_only_data_errors(data):
     _survives(_read_ids, data, "input.idx")
 

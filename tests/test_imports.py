@@ -1,8 +1,8 @@
 """The package namespace loads submodules on first use, and each CLI command
 imports only the modules it runs; no command imports ``dataclasses`` or
 ``inspect``, which cost a cold start more than most commands' own work, and
-no command on an index file this code wrote loads ``hashlib``, whose
-OpenSSL library costs more memory than the rest of a command's imports.
+no module imports ``hashlib``, whose OpenSSL library costs more memory than
+the rest of a command's imports.
 Cold imports are checked in fresh interpreters, because this test process
 has long since loaded everything."""
 
@@ -24,8 +24,6 @@ import lexdrift
 SRC = Path(lexdrift.__file__).resolve().parents[1]
 INDEX_SIDE = {"lexdrift.index", "lexdrift.query", "lexdrift.corpus", "lexdrift.lexicon"}
 SLOW = {"dataclasses", "inspect", "hashlib", "_hashlib"}
-# Written by the version 2 writer, which checksums with SHA-256.
-V2_SAMPLE = Path(__file__).parent / "data" / "sample-v2.idx"
 
 
 def _modules_after(code: str) -> set[str]:
@@ -105,11 +103,20 @@ def test_drift_by_index_loads_no_svg_module(sample_index):
     assert "lexdrift.svg" not in loaded, loaded
 
 
-def test_a_version_2_file_loads_hashlib():
-    # So the probe does see hashlib when a command loads it: a version 2
-    # file checks its SHA-256.
-    loaded = _modules_after(_cold_main("query", "any(strong)", "--index", str(V2_SAMPLE)))
-    assert {"hashlib", "_hashlib"} <= loaded
+def test_the_probe_sees_a_slow_module_that_code_loads():
+    # So a probe that sees none of SLOW after a command shows it loaded none.
+    assert {"hashlib", "_hashlib"} <= _modules_after("import hashlib")
+
+
+def test_no_module_imports_hashlib():
+    found = []
+    for path in sorted((SRC / "lexdrift").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                found += [path.name for alias in node.names if alias.name == "hashlib"]
+            elif isinstance(node, ast.ImportFrom) and node.module == "hashlib":
+                found.append(path.name)
+    assert found == []
 
 
 def test_index_build_loads_no_stats_module(tmp_path):

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import hashlib
 import itertools
 import json
 import random
@@ -61,12 +60,8 @@ from conftest import (
     make_random_query,
 )
 
-# Version 1 to 5 indexes of the bundled sample corpus, written by the
-# writers of those versions; CHANGES.md says how they were made.
-V1_SAMPLE = Path(__file__).parent / "data" / "sample-v1.idx"
-V2_SAMPLE = Path(__file__).parent / "data" / "sample-v2.idx"
-V3_SAMPLE = Path(__file__).parent / "data" / "sample-v3.idx"
-V4_SAMPLE = Path(__file__).parent / "data" / "sample-v4.idx"
+# The version 5 index of the bundled sample corpus, kept with the tests so
+# that a change to what a build writes shows here.
 V5_SAMPLE = Path(__file__).parent / "data" / "sample-v5.idx"
 
 
@@ -810,80 +805,118 @@ def test_wrong_magic(tmp_path):
 
 
 # Index file header: magic, format version, payload length, then the
-# payload's CRC-32 in versions 3 and 4, the one save_index writes, or its
-# SHA-256 in versions 1 and 2.
+# payload's CRC-32. Some tests below keep in their names the format version
+# that brought in their rule; every file they write is of version 5, the one
+# load_index reads.
 _HEADER = struct.Struct("<4sHQI")
-_SHA256_HEADER = struct.Struct("<4sHQ32s")
 
 
-def _write_container(path, blob: bytes, version: int = 1) -> None:
-    """An index file around *blob* with a valid header and checksum."""
-    if version >= 3:
-        header = _HEADER.pack(b"LXDX", version, len(blob), zlib.crc32(blob))
-    else:
-        header = _SHA256_HEADER.pack(b"LXDX", version, len(blob), hashlib.sha256(blob).digest())
-    path.write_bytes(header + blob)
+def _write_container(path, blob: bytes) -> None:
+    """A version 5 index file around *blob* with a valid header and checksum."""
+    path.write_bytes(_HEADER.pack(b"LXDX", 5, len(blob), zlib.crc32(blob)) + blob)
 
 
-def _saved_payload(lexicon) -> dict:
-    """A one-document index as a version 1 payload: one JSON row per
-    document."""
-    index = build_index(_docs((2023, "an intricate proof")), lexicon)
-    return {
-        "format": "lexdrift.index",
-        "lexicon": lexicon_to_dict(lexicon),
-        "min_year": index.year_range[0],
-        "max_year": index.year_range[1],
-        "docs": [[i, y, m, list(c)] for i, y, m, c in index.doc_marks()],
-    }
+# Three documents of 2023, so one byte per column, with the category table
+# [["a"], ["b"]]. A file holds them by category row, then mask: d0 and d2, in
+# row 0, "a", then d1, in row 1, "b"; one byte a document's row.
+_THREE_DOCS = [
+    Document(id="d0", year=2023, text="an intricate proof", categories=("a",)),
+    Document(id="d1", year=2023, text="plain prose", categories=("b",)),
+    Document(id="d2", year=2023, text="a notable case", categories=("a",)),
+]
 
 
-def _without_lexicon(payload: dict) -> bytes:
-    del payload["lexicon"]
-    return zlib.compress(json.dumps(payload).encode())
+def _streams(data: bytes) -> list[bytes]:
+    """Each zlib stream after the header of the index file *data*, inflated."""
+    streams, rest = [], data[_HEADER.size:]
+    while rest:
+        inflate = zlib.decompressobj()
+        streams.append(inflate.decompress(rest))
+        rest = inflate.unused_data
+    return streams
 
 
-def _with_a_repeated_id(payload: dict) -> bytes:
-    payload["docs"] *= 2
-    return zlib.compress(json.dumps(payload).encode())
+def _parts(tmp_path, lexicon, docs=_THREE_DOCS) -> tuple[dict, bytearray, list]:
+    """The JSON header, the column bytes (each year's term columns, then its
+    category rows) and each year's ids of the index of *docs*, saved as
+    ``good.idx`` in *tmp_path*."""
+    path = tmp_path / "good.idx"
+    save_index(build_index(docs, lexicon), path)
+    payload, ids = _streams(path.read_bytes())
+    (size,) = struct.unpack_from("<I", payload)
+    return json.loads(payload[4:4 + size]), bytearray(payload[4 + size:]), json.loads(ids)
 
 
-def _with_an_unknown_role(payload: dict) -> bytes:
-    payload["lexicon"]["entries"][0]["role"] = "nonsense"
-    return zlib.compress(json.dumps(payload).encode())
+def _packed(header: dict | bytes, columns: bytes, ids: list | bytes,
+            extra_length: int = 0) -> bytes:
+    """The payload of a version 5 file: *header*, as JSON or as the bytes
+    given, after its length plus *extra_length* and before *columns*,
+    deflated; then *ids* deflated as JSON, or the bytes given in place of
+    the id stream."""
+    text = header if type(header) is bytes else json.dumps(header).encode()
+    stream = ids if type(ids) is bytes else _deflated(ids)
+    return zlib.compress(struct.pack("<I", len(text) + extra_length) + text + columns) + stream
 
 
-def _with_doc_field(position: int, value):
-    def edit(payload: dict) -> bytes:
-        payload["docs"][0][position] = value
-        return zlib.compress(json.dumps(payload).encode())
+def _deflated(value) -> bytes:
+    return zlib.compress(json.dumps(value).encode())
+
+
+def _year_field(field: str, value):
+    """An edit setting *field* of the header's first year to *value*."""
+    def edit(header: dict, columns: bytearray, ids: list) -> bytes:
+        header["years"][0][field] = value
+        return _packed(header, columns, ids)
     return edit
 
 
-@pytest.mark.parametrize("make_blob", [
-    _without_lexicon,
-    lambda payload: zlib.compress(b"{not json"),
-    lambda payload: b"plain bytes, not deflated",
-    lambda payload: zlib.compress(b"[1, 2]"),
-    lambda payload: zlib.compress(b"\xff\xfe"),
-    _with_doc_field(1, "2023"),
-    _with_doc_field(2, "1"),
-    _with_doc_field(2, 1 << 60),
-    _with_doc_field(3, [7]),
-    _with_doc_field(3, None),
-    _with_doc_field(3, ["\ud800x"]),
-    lambda payload: zlib.compress(b"[" * 200_000),
-    lambda payload: zlib.compress(_with_long_integer(json.dumps(payload))),
-    _with_a_repeated_id,
-    _with_an_unknown_role,
-], ids=["missing-key", "not-json", "not-zlib", "not-an-object", "not-utf8",
-        "year-not-int", "mask-not-int", "mask-past-vocabulary",
+def _unknown_role(position: int):
+    """An edit giving the header lexicon's entry at *position* a role no
+    entry may have, so that it has as many terms."""
+    def edit(header: dict, columns: bytearray, ids: list) -> bytes:
+        header["lexicon"]["entries"][position]["role"] = "nonsense"
+        return _packed(header, columns, ids)
+    return edit
+
+
+@pytest.mark.parametrize("make_blob, problem", [
+    (lambda header, columns, ids: _packed({k: v for k, v in header.items() if k != "lexicon"},
+                                          columns, ids),
+     "malformed payload (no 'lexicon' field)"),
+    (lambda header, columns, ids: _packed(b"{not json", columns, ids),
+     "malformed payload (Expecting property name enclosed in double quotes: line 1 column 2 "
+     "(char 1))"),
+    (lambda header, columns, ids: b"plain bytes, not deflated",
+     "malformed payload (Error -3 while decompressing data: incorrect header check)"),
+    (lambda header, columns, ids: _packed(b"[1, 2]", columns, ids),
+     "malformed payload (not a lexdrift index payload)"),
+    (lambda header, columns, ids: _packed(b"\xff\xfe", columns, ids),
+     "malformed payload ('utf-8' codec can't decode byte 0xff in position 0: invalid start "
+     "byte)"),
+    (_year_field("year", "2023"),
+     "malformed payload (document 'd0': year '2023' outside allowed range 2000-2100)"),
+    (_year_field("categories", [[7], ["b"]]), "malformed payload (a category in 2023 is not a "
+                                              "string)"),
+    (_year_field("categories", None), "malformed payload (the category table of 2023 is not a "
+                                      "list of lists)"),
+    (_year_field("categories", [["\ud800x"], ["b"]]),
+     "malformed payload (a category in 2023 holds a lone surrogate U+D800)"),
+    (lambda header, columns, ids: _packed(b'{"format": "lexdrift.index", "lexicon": '
+                                          + b"[" * 200_000, columns, ids),
+     "malformed payload (JSON nested too deeply)"),
+    (lambda header, columns, ids: _packed(json.dumps(header).replace(
+        '"docs": 3', f'"docs": {"9" * 5000}').encode(), columns, ids),
+     "malformed payload (integer of more than 4300 digits)"),
+    (_unknown_role(-1),
+     "malformed payload (unknown role 'nonsense' for term 'artificial intelligence')"),
+], ids=["missing-key", "not-json", "not-zlib", "not-an-object", "not-utf8", "year-not-int",
         "category-not-str", "categories-not-list", "category-lone-surrogate",
-        "nested-too-deeply", "integer-too-long", "id-repeated", "lexicon-role-unknown"])
-def test_malformed_payload_is_an_index_file_error(tmp_path, lexicon, capsys, make_blob):
+        "nested-too-deeply", "integer-too-long", "lexicon-role-unknown"])
+def test_malformed_payload_is_an_index_file_error(tmp_path, lexicon, capsys, make_blob, problem):
+    header, columns, ids = _parts(tmp_path, lexicon)
     path = tmp_path / "bad.idx"
-    _write_container(path, make_blob(_saved_payload(lexicon)))
-    _assert_rejected(path, capsys)
+    _write_container(path, make_blob(header, columns, ids))
+    _assert_rejected(path, capsys, problem)
 
 
 def _with_long_integer(text: str) -> bytes:
@@ -894,8 +927,9 @@ def _with_long_integer(text: str) -> bytes:
 
 
 def test_a_long_integer_in_a_payload_is_worded_like_other_inputs(tmp_path, lexicon, capsys):
+    header, columns, ids = _parts(tmp_path, lexicon)
     path = tmp_path / "long.idx"
-    _write_container(path, zlib.compress(_with_long_integer(json.dumps(_saved_payload(lexicon)))))
+    _write_container(path, _packed(_with_long_integer(json.dumps(header)), columns, ids))
     _assert_rejected(path, capsys, "malformed payload (integer of more than 4300 digits)")
 
 
@@ -910,202 +944,89 @@ def _assert_rejected(path, capsys, problem: str = "") -> None:
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
-# Three documents of 2023, so one byte per column, with the category table
-# [["a"], ["b"]]: documents 0 and 2 are in row 0, "a", document 1 in row 1,
-# "b", one byte per document.
-_V2_DOCS = [
-    Document(id="d0", year=2023, text="an intricate proof", categories=("a",)),
-    Document(id="d1", year=2023, text="plain prose", categories=("b",)),
-    Document(id="d2", year=2023, text="a notable case", categories=("a",)),
-]
-
-
-def _streams(data: bytes) -> list[bytes]:
-    """Each zlib stream after the header of the version 4 or 5 file *data*, inflated."""
-    streams, rest = [], data[_HEADER.size:]
-    while rest:
-        inflate = zlib.decompressobj()
-        streams.append(inflate.decompress(rest))
-        rest = inflate.unused_data
-    return streams
-
-
-def _by_id(data: bytes) -> tuple[dict, bytes, list]:
-    """The JSON header, the column bytes and each year's ids of the version 5
-    file *data*, each year's documents put in id order, as versions 2 to 4
-    hold them."""
-    payload, ids = _streams(data)
-    (size,) = struct.unpack_from("<I", payload)
-    header, offset, columns = json.loads(payload[4:4 + size]), 4 + size, b""
-    width, listed = len(header["lexicon"]["entries"]), json.loads(ids)
-    for year, year_ids in zip(header["years"], listed, strict=True):
-        n, table = year["docs"], len(year["categories"])
-        step, item = (n + 7) // 8, 1 if table <= 1 << 8 else 2 if table <= 1 << 16 else 4
-        order = sorted(range(n), key=year_ids.__getitem__)
-        for _ in range(width):
-            column = int.from_bytes(payload[offset:offset + step], "little")
-            columns += sum((column >> i & 1) << k for k, i in enumerate(order)).to_bytes(
-                step, "little")
-            offset += step
-        columns += b"".join(payload[offset + i * item:offset + (i + 1) * item] for i in order)
-        offset += n * item
-        year_ids.sort()
-    assert offset == len(payload)
-    return header, columns, listed
-
-
-def _v3_payload(data: bytes) -> bytes:
-    """The payload of the version 5 file *data* as version 3 holds it: one
-    stream, each year's documents by id and its ids in the JSON header in
-    place of its count."""
-    header, columns, listed = _by_id(data)
-    for year, year_ids in zip(header["years"], listed):
-        assert year.pop("docs") == len(year_ids)
-        year["ids"] = year_ids
-    text = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-    return struct.pack("<I", len(text)) + text + columns
-
-
-def _v2_parts(tmp_path, lexicon, docs=_V2_DOCS) -> tuple[dict, bytearray]:
-    """The JSON header, as versions 2 and 3 hold it, and the column bytes
-    of the saved *docs* index."""
-    path = tmp_path / "good.idx"
-    save_index(build_index(docs, lexicon), path)
-    payload = _v3_payload(path.read_bytes())
-    (size,) = struct.unpack_from("<I", payload)
-    return json.loads(payload[4:4 + size]), bytearray(payload[4 + size:])
-
-
-def _v2_blob(header: dict, columns: bytes, extra_length: int = 0,
-             long_integer: bool = False) -> bytes:
-    text = _with_long_integer(json.dumps(header)) if long_integer else json.dumps(header).encode()
-    return zlib.compress(struct.pack("<I", len(text) + extra_length) + text + columns)
-
-
-def _v4_blob(header: dict, columns: bytes, stream: bytes | None = None) -> bytes:
-    """A version 4 payload of a version 2 *header* and its *columns*: each
-    year's count of ids in the header, then the ids in a stream of their
-    own, or *stream* in its place."""
-    listed = [year["ids"] for year in header["years"]]
-    header = dict(header, years=[{k: v for k, v in year.items() if k != "ids"}
-                                 | {"docs": len(year["ids"])} for year in header["years"]])
-    return _v2_blob(header, columns) + (_deflated(listed) if stream is None else stream)
-
-
-def _deflated(value) -> bytes:
-    return zlib.compress(json.dumps(value).encode())
-
-
 def test_v2_parts_reassemble_into_the_same_index(tmp_path, lexicon):
-    header, columns = _v2_parts(tmp_path, lexicon)
-    assert header["years"] == [{"year": 2023, "ids": ["d0", "d1", "d2"],
-                                "categories": [["a"], ["b"]]}]
+    # The parts of a file, its header, column bytes and ids, pack back into it.
+    header, columns, ids = _parts(tmp_path, lexicon)
+    assert header["years"] == [{"year": 2023, "docs": 3, "categories": [["a"], ["b"]]}]
+    assert ids == [["d0", "d2", "d1"]]
     width = len(lexicon.terms())
     assert len(columns) == width + 3
-    assert columns[width:] == bytes([0, 1, 0])
+    assert columns[width:] == bytes([0, 0, 1])
     path = tmp_path / "again.idx"
-    for version, blob in ((2, _v2_blob(header, columns)), (3, _v2_blob(header, columns)),
-                          (4, _v4_blob(header, columns))):
-        _write_container(path, blob, version=version)
-        assert list(load_index(path).doc_marks()) \
-            == list(load_index(tmp_path / "good.idx").doc_marks()) \
-            == list(build_index(_V2_DOCS, lexicon).doc_marks())
-        # Saved again, the documents go back into the order a build gives them.
-        save_index(load_index(path), tmp_path / "resaved.idx")
-        assert (tmp_path / "resaved.idx").read_bytes() == (tmp_path / "good.idx").read_bytes()
+    _write_container(path, _packed(header, columns, ids))
+    assert list(load_index(path).doc_marks()) \
+        == list(load_index(tmp_path / "good.idx").doc_marks()) \
+        == list(build_index(_THREE_DOCS, lexicon).doc_marks())
+    # Saved again, the header is canonical JSON again.
+    save_index(load_index(path), tmp_path / "resaved.idx")
+    assert (tmp_path / "resaved.idx").read_bytes() == (tmp_path / "good.idx").read_bytes()
 
 
 def _column_byte(position: int, value: int):
     """Set one byte of the column bytes: the term columns' bytes come
     first, the documents' category rows last."""
-    def edit(header: dict, columns: bytearray) -> bytes:
+    def edit(header: dict, columns: bytearray, ids: list) -> bytes:
         columns[position] = value
-        return _v2_blob(header, columns)
+        return _packed(header, columns, ids)
     return edit
 
 
-def _padded_first_of_two_years(header: dict, columns: bytearray) -> bytes:
+def _padded_first_of_two_years(header: dict, columns: bytearray, ids: list) -> bytes:
     """A two-year file: 2022 a copy of 2023, whose first column has a bit
     set past its 3 documents, then 2023 as saved."""
     year = header["years"][0]
     header = dict(header, years=[dict(year, year=2022), year])
     padded = bytearray(columns)
     padded[0] |= 0b1000
-    return _v2_blob(header, padded + columns)
-
-
-def _unknown_role(header: dict, columns: bytearray) -> bytes:
-    """The header's lexicon with a role no entry may have, and as many terms."""
-    header["lexicon"]["entries"][0]["role"] = "nonsense"
-    return _v2_blob(header, columns)
-
-
-def _year_field(field: str, value):
-    def edit(header: dict, columns: bytearray) -> bytes:
-        header["years"][0][field] = value
-        return _v2_blob(header, columns)
-    return edit
+    return _packed(header, padded + columns, ids)
 
 
 @pytest.mark.parametrize("make_blob, problem", [
     (_column_byte(0, 0b1000), "a column of 2023 is wider than its 3 documents"),
     (_padded_first_of_two_years, "a column of 2022 is wider than its 3 documents"),
     (_column_byte(-1, 2), "a document of 2023 has no row in its category table"),
-    (_column_byte(-2, 0), "a category-table row of 2023 has no documents"),
-    (lambda header, columns: _v2_blob(header, columns + b"\0"), "1 bytes after the last column"),
-    (lambda header, columns: _v2_blob(header, columns[:-1]), "the columns of 2023 are cut short"),
-    (_year_field("ids", [7, "d1", "d2"]), "a document id in 2023 is not a string"),
-    (_year_field("ids", ["d1", "d0", "d2"]), "the ids of 2023 are not strictly ascending"),
-    (_year_field("ids", ["d0", "d0", "d2"]), "the ids of 2023 are not strictly ascending"),
+    (_column_byte(-1, 0), "a category-table row of 2023 has no documents"),
+    (lambda header, columns, ids: _packed(header, columns + b"\0", ids),
+     "1 bytes after the last column"),
+    (lambda header, columns, ids: _packed(header, columns[:-1], ids),
+     "the columns of 2023 are cut short"),
     (_year_field("categories", [["b"], ["a"]]),
      "the category-table rows of 2023 are not strictly ascending"),
     (_year_field("categories", [["a"], ["a"]]),
      "the category-table rows of 2023 are not strictly ascending"),
-    (lambda header, columns: _v2_blob(header, columns, extra_length=len(columns) + 1),
+    (lambda header, columns, ids: _packed(header, columns, ids, extra_length=len(columns) + 1),
      "runs past the payload"),
     (_year_field("categories", [["a"], ["b\udcff"]]),
      "a category in 2023 holds a lone surrogate U+DCFF"),
-    (lambda header, columns: zlib.compress(struct.pack("<I", 200_000) + b"[" * 200_000),
+    (lambda header, columns, ids: _packed(b"[" * 200_000, b"", ids),
      "malformed payload (JSON nested too deeply)"),
-    (lambda header, columns: _v2_blob(header, columns, long_integer=True),
+    (lambda header, columns, ids: _packed(_with_long_integer(json.dumps(header)), columns, ids),
      "malformed payload (integer of more than 4300 digits)"),
-    (_unknown_role, "malformed payload (unknown role 'nonsense' for term 'commendable')"),
+    (_unknown_role(0), "malformed payload (unknown role 'nonsense' for term 'commendable')"),
 ], ids=["column-wider-than-year", "first-of-two-years-padded", "category-row-past-table",
-        "category-row-without-documents", "trailing-bytes", "short-column-block", "id-not-str",
-        "ids-unsorted", "ids-repeated", "category-table-unsorted", "category-table-repeated", "header-length-past-payload",
+        "category-row-without-documents", "trailing-bytes", "short-column-block",
+        "category-table-unsorted", "category-table-repeated", "header-length-past-payload",
         "category-lone-surrogate", "header-nested-too-deeply", "header-integer-too-long",
         "lexicon-role-unknown"])
 def test_malformed_v2_payload_is_an_index_file_error(tmp_path, lexicon, capsys, make_blob,
                                                      problem):
-    header, columns = _v2_parts(tmp_path, lexicon)
+    header, columns, ids = _parts(tmp_path, lexicon)
     path = tmp_path / "bad.idx"
-    # Versions 2 and 3 hold the same payload.
-    for version in (2, 3):
-        _write_container(path, make_blob(header, columns), version=version)
-        _assert_rejected(path, capsys, problem)
+    _write_container(path, make_blob(header, columns, ids))
+    _assert_rejected(path, capsys, problem)
 
 
 def test_no_index_holds_a_year_outside_its_range(tmp_path, lexicon, capsys):
     # IndexBuilder.add refuses such a document; the marks constructor and a
-    # load of any version refuse it alike, naming the year's first document.
+    # load refuse it alike, naming the year's smallest id.
     problem = "document 'd0': year 1900 outside allowed range 2000-2100"
     with pytest.raises(IndexBuildError, match=f"^{re.escape(problem)}$"):
         YearTermIndex(lexicon, 2000, 2100, [("d1", 1900, 0, ()), ("d0", 1900, 0, ())])
-    path = tmp_path / "bad.idx"
-    payload = _saved_payload(lexicon)
-    payload["docs"][0][1] = 1900
-    _write_container(path, zlib.compress(json.dumps(payload).encode()), version=1)
-    _assert_rejected(path, capsys, f"malformed payload ({problem})")
-    header, columns = _v2_parts(tmp_path, lexicon)
+    # A load decodes the ids to name it.
+    header, columns, ids = _parts(tmp_path, lexicon)
     header["years"][0]["year"] = 1900
-    _write_container(path, _v2_blob(header, columns), version=3)
-    _assert_rejected(path, capsys, f"malformed payload ({problem})")
-    # A version 4 or 5 file's ids are decoded to name the year's smallest id.
-    _write_container(path, _v4_blob(header, columns), version=4)
-    _assert_rejected(path, capsys, f"malformed payload ({problem})")
-    payload, ids = _streams((tmp_path / "good.idx").read_bytes())
-    _write_container(path, zlib.compress(payload.replace(b'"year":2023', b'"year":1900'))
-                     + zlib.compress(ids), version=5)
+    path = tmp_path / "bad.idx"
+    _write_container(path, _packed(header, columns, ids))
     _assert_rejected(path, capsys, f"malformed payload ({problem})")
     # The smallest id of a year ordered by category row need not come first.
     with pytest.raises(IndexBuildError, match=f"^{re.escape(problem)}$"):
@@ -1115,12 +1036,11 @@ def test_no_index_holds_a_year_outside_its_range(tmp_path, lexicon, capsys):
 def _two_years(first, second, extra: bytes = b""):
     """A two-year file: the saved year as *first*, its ids renamed, then
     again as *second*, then *extra* bytes."""
-    def edit(header: dict, columns: bytearray) -> bytes:
+    def edit(header: dict, columns: bytearray, ids: list) -> bytes:
         year = header["years"][0]
-        renamed = ["c" + doc_id for doc_id in year["ids"]]
-        header = dict(header, years=[dict(year, year=first, ids=renamed),
-                                     dict(year, year=second)])
-        return _v2_blob(header, columns + columns + extra)
+        header = dict(header, years=[dict(year, year=first), dict(year, year=second)])
+        renamed = ["c" + doc_id for doc_id in ids[0]]
+        return _packed(header, columns + columns + extra, [renamed, *ids])
     return edit
 
 
@@ -1129,7 +1049,7 @@ def _two_years(first, second, extra: bytes = b""):
     (_two_years(2023, 2023), "the years are not strictly ascending: 2023 after 2023"),
     (_two_years(2022, "2023"), "document 'd0': year '2023' outside allowed range 2000-2100"),
     (_two_years(2022, 2101), "document 'd0': year 2101 outside allowed range 2000-2100"),
-    (lambda header, columns: _v2_blob(dict(header, min_year="2000"), columns),
+    (lambda header, columns, ids: _packed(dict(header, min_year="2000"), columns, ids),
      "year range '2000'-2100: a year is not an integer"),
     # The years are checked after the columns and the trailing bytes.
     (_two_years(2023, 2022, b"\0"), "1 bytes after the last column"),
@@ -1138,75 +1058,68 @@ def _two_years(first, second, extra: bytes = b""):
         "years-unsorted-and-trailing-bytes", "year-not-int-and-trailing-bytes"])
 def test_a_version_2_or_3_load_checks_its_years_last(tmp_path, lexicon, capsys, make_blob,
                                                      problem):
-    header, columns = _v2_parts(tmp_path, lexicon)
+    header, columns, ids = _parts(tmp_path, lexicon)
     path = tmp_path / "bad.idx"
-    for version in (2, 3):
-        _write_container(path, make_blob(header, columns), version=version)
-        _assert_rejected(path, capsys, f"malformed payload ({problem})")
-
-
-def _count(value):
-    """A version 4 payload whose one year gives *value* as its document count."""
-    def edit(header: dict, columns: bytearray) -> bytes:
-        (year,) = header["years"]
-        ids = year.pop("ids")
-        year["docs"] = value
-        return _v2_blob(header, columns) + _deflated([ids])
-    return edit
+    _write_container(path, make_blob(header, columns, ids))
+    _assert_rejected(path, capsys, f"malformed payload ({problem})")
 
 
 @pytest.mark.parametrize("make_blob, problem", [
-    (lambda header, columns: _v2_blob(header, columns), "no id stream after the payload"),
-    (lambda header, columns: _v2_blob(header, columns)[:-4], "a deflated stream does not end"),
-    (_count("3"), "the document count of 2023 is not an integer"),
-    (_count(True), "the document count of 2023 is not an integer"),
-    (_count(0), "year 2023 has no documents"),
-    (_count(-1), "year 2023 has no documents"),
-    (_count(9), "the columns of 2023 are cut short"),
+    (lambda header, columns, ids: _packed(header, columns, b""),
+     "no id stream after the payload"),
+    (lambda header, columns, ids: _packed(header, columns, b"")[:-4],
+     "a deflated stream does not end"),
+    (_year_field("docs", "3"), "the document count of 2023 is not an integer"),
+    (_year_field("docs", True), "the document count of 2023 is not an integer"),
+    (_year_field("docs", 0), "year 2023 has no documents"),
+    (_year_field("docs", -1), "year 2023 has no documents"),
+    (_year_field("docs", 9), "the columns of 2023 are cut short"),
 ], ids=["no-id-stream", "payload-stream-unended", "count-not-int", "count-bool", "count-zero",
         "count-negative", "count-past-columns"])
 def test_a_version_4_load_refuses_a_malformed_payload(tmp_path, lexicon, capsys, make_blob,
                                                       problem):
-    header, columns = _v2_parts(tmp_path, lexicon)
+    header, columns, ids = _parts(tmp_path, lexicon)
     path = tmp_path / "bad.idx"
-    _write_container(path, make_blob(header, columns), version=4)
+    _write_container(path, make_blob(header, columns, ids))
     _assert_rejected(path, capsys, f"malformed payload ({problem})")
 
 
-@pytest.mark.parametrize("stream, problem, version", [
-    (_deflated([[7, "d1", "d2"]]), "a document id in 2023 is not a string", 4),
-    (_deflated([["d1", "d0", "d2"]]), "the ids of 2023 are not strictly ascending", 4),
-    (_deflated([["d0", "d0", "d2"]]), "the ids of 2023 are not strictly ascending", 4),
-    (_deflated([["d0", "d1"]]), "the ids of 2023 are not a list of its 3 documents", 4),
-    (_deflated(["d0d1d2"]), "the ids of 2023 are not a list of its 3 documents", 4),
-    (_deflated([["d0", "d1", "d2"], []]), "the ids are not a list for each of the 1 years", 4),
-    (_deflated({"2023": ["d0", "d1", "d2"]}), "the ids are not a list for each of the 1 years", 4),
-    (zlib.compress(b"[[\"d0\""), "Expecting ',' delimiter: line 1 column 7 (char 6)", 4),
+@pytest.mark.parametrize("stream, problem, by_id", [
+    (_deflated([[7, "d2", "d1"]]), "a document id in 2023 is not a string", False),
+    (_deflated([["d0", "d0", "d1"]]), "duplicate document id 'd0'", False),
+    (_deflated([["d0", "d2"]]), "the ids of 2023 are not a list of its 3 documents", False),
+    (_deflated(["d0d2d1"]), "the ids of 2023 are not a list of its 3 documents", False),
+    (_deflated([["d0", "d2", "d1"], []]), "the ids are not a list for each of the 1 years",
+     False),
+    (_deflated({"2023": ["d0", "d2", "d1"]}), "the ids are not a list for each of the 1 years",
+     False),
+    (zlib.compress(b"[[\"d0\""), "Expecting ',' delimiter: line 1 column 7 (char 6)", False),
     (zlib.compress(b"\xff"), "'utf-8' codec can't decode byte 0xff in position 0: invalid "
-                             "start byte", 4),
-    (zlib.compress(b"[" * 200_000), "JSON nested too deeply", 4),
-    (zlib.compress(b"[[" + b"9" * 5000 + b"]]"), "integer of more than 4300 digits", 4),
-    (b"plain bytes", "Error -3 while decompressing data: incorrect header check", 4),
-    (_deflated([["d0", "d1", "d2"]])[:-2], "a deflated stream does not end", 4),
-    (_deflated([["d0", "d1", "d2"]]) + b"\0", "1 bytes after the id stream", 4),
-    # Version 5 orders a year's documents by category row, mask and id.
+                             "start byte", False),
+    (zlib.compress(b"[" * 200_000), "JSON nested too deeply", False),
+    (zlib.compress(b"[[" + b"9" * 5000 + b"]]"), "integer of more than 4300 digits", False),
+    (b"plain bytes", "Error -3 while decompressing data: incorrect header check", False),
+    (_deflated([["d0", "d2", "d1"]])[:-2], "a deflated stream does not end", False),
+    (_deflated([["d0", "d2", "d1"]]) + b"\0", "1 bytes after the id stream", False),
+    # The documents in id order, not by category row, mask and id.
     (_deflated([["d0", "d1", "d2"]]), "the (row, mask, id) keys of 2023 are not strictly "
-                                      "ascending", 5),
-], ids=["id-not-str", "ids-unsorted", "ids-repeated", "ids-too-few", "ids-not-list",
-        "ids-of-too-many-years", "ids-not-a-list", "not-json", "not-utf8", "nested-too-deeply",
-        "integer-too-long", "not-deflated", "stream-unended", "trailing-bytes",
-        "documents-by-id-in-version-5"])
+                                      "ascending", True),
+], ids=["id-not-str", "ids-repeated", "ids-too-few", "ids-not-list", "ids-of-too-many-years",
+        "ids-not-a-list", "not-json", "not-utf8", "nested-too-deeply", "integer-too-long",
+        "not-deflated", "stream-unended", "trailing-bytes", "documents-by-id-in-version-5"])
 def test_a_malformed_id_stream_is_refused_when_the_ids_are_first_used(
-        tmp_path, lexicon, capsys, stream, problem, version):
-    """A version 4 or 5 file's ids are decoded by doc_marks() and
-    save_index, never by a load or a query: a file whose id stream is
-    malformed, or whose documents are out of order, loads, answers every
-    query as the well-formed file does, and names the problem as a version
-    2 or 3 load would once its ids are used."""
-    header, columns = _v2_parts(tmp_path, lexicon)
+        tmp_path, lexicon, capsys, stream, problem, by_id):
+    """A file's ids are decoded by doc_marks() and save_index, never by a
+    load or a query: a file whose id stream is malformed, or whose documents
+    are out of order, loads, answers every query as the well-formed file
+    does, and names the problem once its ids are used."""
+    header, columns, _ = _parts(tmp_path, lexicon)
+    if by_id:
+        # d1 and d2 trade places: the rows become 0, 1, 0, and "notable",
+        # d2's one term, moves from the second document to the third.
+        columns[lexicon.terms().index("notable")], columns[-2:] = 0b100, b"\1\0"
     good, bad = tmp_path / "good.idx", tmp_path / "bad.idx"
-    # The documents by id, as version 4 holds them.
-    _write_container(bad, _v4_blob(header, columns, stream), version=version)
+    _write_container(bad, _packed(header, columns, stream))
     index, fine = load_index(bad), load_index(good)
     assert [index.total(y) for y in index.years] == [fine.total(y) for y in fine.years] == [3]
     q = parse_query("any(strong) OR intricate OR notable", lexicon)
@@ -1224,31 +1137,25 @@ def test_a_malformed_id_stream_is_refused_when_the_ids_are_first_used(
     assert not (tmp_path / "re.idx").exists()
 
 
-def test_an_id_in_two_years_is_refused_wherever_ids_are_decoded(tmp_path, lexicon, capsys):
-    # A build, the marks constructor and a version 1 load refuse it too.
-    header, columns = _v2_parts(tmp_path, lexicon)
+def test_an_id_in_two_years_is_refused_wherever_ids_are_decoded(tmp_path, lexicon):
+    # A build and the marks constructor refuse it too.
+    header, columns, _ = _parts(tmp_path, lexicon)
     year = header["years"][0]
-    header = dict(header, years=[dict(year, year=2022, ids=["a", "b", "c"]),
-                                 dict(year, ids=["a", "d", "e"])])
-    columns = columns + columns
+    header = dict(header, years=[dict(year, year=2022), year])
     path = tmp_path / "twice.idx"
-    problem = f"{path}: malformed payload (duplicate document id 'a')"
-    _write_container(path, _v2_blob(header, columns), version=3)
-    _assert_rejected(path, capsys, problem)
-    _write_container(path, _v4_blob(header, columns), version=4)
+    _write_container(path, _packed(header, columns + columns,
+                                   [["a", "b", "c"], ["a", "d", "e"]]))
     index = load_index(path)
     assert index.doc_count == 6
     with pytest.raises(IndexFileError) as caught:
         list(index.doc_marks())
-    assert str(caught.value) == problem
+    assert str(caught.value) == f"{path}: malformed payload (duplicate document id 'a')"
 
 
 def test_a_loaded_file_saves_to_the_same_bytes(tmp_path):
-    # An older file's documents, by id, are saved in the order a build gives them.
     path = tmp_path / "again.idx"
-    for sample in (V5_SAMPLE, V4_SAMPLE, V3_SAMPLE, V2_SAMPLE, V1_SAMPLE):
-        save_index(load_index(sample), path)
-        assert path.read_bytes() == V5_SAMPLE.read_bytes(), sample.name
+    save_index(load_index(V5_SAMPLE), path)
+    assert path.read_bytes() == V5_SAMPLE.read_bytes()
 
 
 def test_doc_marks_come_by_id_where_the_larger_id_has_the_smaller_category_row(tmp_path,
@@ -1286,13 +1193,12 @@ _TWO_BYTE_DOCS = [Document(f"d{i:03d}", 2023, "an intricate proof", (f"c{i:03d}"
 ], ids=["category-row-past-table", "category-row-without-documents"])
 def test_malformed_two_byte_rows_are_an_index_file_error(tmp_path, lexicon, capsys, row,
                                                          problem):
-    header, columns = _v2_parts(tmp_path, lexicon, _TWO_BYTE_DOCS)
+    header, columns, ids = _parts(tmp_path, lexicon, _TWO_BYTE_DOCS)
     assert columns[-2:] == (256).to_bytes(2, "little")  # the last document's row
     columns[-2:] = row.to_bytes(2, "little")
     path = tmp_path / "bad.idx"
-    for version in (2, 3):
-        _write_container(path, _v2_blob(header, columns), version=version)
-        _assert_rejected(path, capsys, problem)
+    _write_container(path, _packed(header, columns, ids))
+    _assert_rejected(path, capsys, problem)
 
 
 @settings(max_examples=150, deadline=None)
@@ -1303,11 +1209,12 @@ def test_one_byte_rows_load_exactly_when_each_lies_in_and_uses_the_table(lexicon
     top = data.draw(st.sampled_from([size - 1, min(size, 255), 255]), label="largest row drawn")
     rows = data.draw(st.lists(st.integers(0, top), min_size=1, max_size=300), label="rows")
     if data.draw(st.booleans(), label="every row listed once more"):
-        rows = data.draw(st.permutations(rows + list(range(size))), label="rows")
+        rows += range(size)
+    rows.sort()  # a year's documents come by category row; the row checks ignore the order
     n, width = len(rows), len(lexicon.terms())
     header = {"format": "lexdrift.index", "lexicon": lexicon_to_dict(lexicon),
               "min_year": 2023, "max_year": 2023,
-              "years": [{"year": 2023, "ids": [f"d{i:03d}" for i in range(n)],
+              "years": [{"year": 2023, "docs": n,
                          "categories": [[f"c{r:03d}"] for r in range(size)]}]}
     # The rule spelled out one element at a time.
     if max(rows) >= size:
@@ -1318,8 +1225,8 @@ def test_one_byte_rows_load_exactly_when_each_lies_in_and_uses_the_table(lexicon
         problem = None
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "rows.idx"
-        _write_container(path, _v2_blob(header, bytes(width * ((n + 7) // 8)) + bytes(rows)),
-                         version=3)
+        _write_container(path, _packed(header, bytes(width * ((n + 7) // 8)) + bytes(rows),
+                                       [[f"d{i:03d}" for i in range(n)]]))
         if problem is None:
             assert [cats for _, _, _, cats in load_index(path).doc_marks()] \
                 == [(f"c{r:03d}",) for r in rows]
@@ -1348,14 +1255,14 @@ def test_a_version_5_file_gives_its_ids_exactly_when_its_documents_are_in_order(
     n = len(docs)
     header = {"format": "lexdrift.index", "lexicon": lexicon_to_dict(lexicon),
               "min_year": 2023, "max_year": 2023,
-              "years": [{"year": 2023, "ids": [doc_id for _, _, doc_id in docs],
+              "years": [{"year": 2023, "docs": n,
                          "categories": [[f"c{row}"] for row in used]}]}
     columns = b"".join(sum((mask >> j & 1) << i for i, (_, mask, _) in enumerate(docs))
                        .to_bytes((n + 7) // 8, "little") for j in range(width))
     columns += bytes(used.index(row) for row, _, _ in docs)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "order.idx"
-        _write_container(path, _v4_blob(header, columns), version=5)
+        _write_container(path, _packed(header, columns, [[doc_id for _, _, doc_id in docs]]))
         index = load_index(path)
         # The rule spelled out on whole keys.
         if docs == sorted(docs):
@@ -1370,10 +1277,10 @@ def test_saved_lone_surrogate_category_is_rejected_on_load(tmp_path, lexicon, ca
     # A JSON "\\ud800" escape in a category decodes to a lone surrogate,
     # which no output can print. save_index writes no such file, so this
     # one is made by hand.
-    header, columns = _v2_parts(tmp_path, lexicon)
+    header, columns, ids = _parts(tmp_path, lexicon)
     header["years"][0]["categories"] = [["b"], ["\ud800x"]]
     path = tmp_path / "surrogate.idx"
-    _write_container(path, _v2_blob(header, columns), version=2)
+    _write_container(path, _packed(header, columns, ids))
     error = f"error: {path}: malformed payload (a category in 2023 holds a lone surrogate U+D800)\n"
     out = tmp_path / "skew.txt"
     for argv in ([], ["--out", str(out)]):
@@ -1574,14 +1481,11 @@ def _answers(index, lexicon) -> tuple:
     )
 
 
-@pytest.mark.parametrize("sample, version", [
-    (V1_SAMPLE, 1), (V2_SAMPLE, 2), (V3_SAMPLE, 3), (V4_SAMPLE, 4), (V5_SAMPLE, 5)],
-    ids=["v1", "v2", "v3", "v4", "v5"])
+@pytest.mark.parametrize("sample, version", [(V5_SAMPLE, 5)], ids=["v5"])
 def test_old_file_answers_like_a_fresh_build(tmp_path, lexicon, sample, version):
     assert sample.read_bytes()[4:6] == version.to_bytes(2, "little")
     path = tmp_path / "sample.idx"
     save_index(build_index(load_corpus(bundled_corpus_path()), lexicon), path)
-    assert path.read_bytes()[4:6] == (5).to_bytes(2, "little")
     old, new = load_index(sample), load_index(path)
     assert (old.lexicon, old.year_range, old.years) == (new.lexicon, new.year_range, new.years)
     assert old.doc_count == new.doc_count == 100
@@ -1592,21 +1496,11 @@ def test_old_file_answers_like_a_fresh_build(tmp_path, lexicon, sample, version)
 
 
 def test_v2_file_holds_the_payload_a_fresh_build_writes(tmp_path, lexicon):
-    # Version 3 changed the container alone; version 4 moved each year's ids
-    # from the header to a stream of their own, with a count in their place;
-    # version 5 ordered each year's documents by category row, mask and id.
-    # Inflated, so that another zlib build, which may deflate differently,
-    # compares alike.
+    # The committed file: inflated, so that another zlib build, which may
+    # deflate differently, compares alike.
     path = tmp_path / "sample.idx"
     save_index(build_index(load_corpus(bundled_corpus_path()), lexicon), path)
-    fresh = path.read_bytes()
-    assert zlib.decompress(V2_SAMPLE.read_bytes()[_SHA256_HEADER.size:]) \
-        == zlib.decompress(V3_SAMPLE.read_bytes()[_HEADER.size:]) == _v3_payload(fresh)
-    header, columns, listed = _by_id(fresh)
-    text = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-    ids = json.dumps(listed, separators=(",", ":")).encode()
-    assert _streams(V4_SAMPLE.read_bytes()) == [struct.pack("<I", len(text)) + text + columns, ids]
-    assert _streams(V5_SAMPLE.read_bytes()) == _streams(fresh)
+    assert _streams(V5_SAMPLE.read_bytes()) == _streams(path.read_bytes())
 
 
 def _flip(position: int):
@@ -1628,40 +1522,35 @@ def _flip(position: int):
     (lambda data: data[:_HEADER.size - 1], "not an index file"),
     (lambda data: data[:6], "not an index file"),
     (lambda data: b"LXDY" + data[4:], "not an index file"),
-    (lambda data: data[:4] + (6).to_bytes(2, "little") + data[6:],
-     "unsupported index version 6 (supported: 1, 2, 3, 4, 5)"),
-    (lambda data: data[:4] + (0).to_bytes(2, "little") + data[6:],
-     "unsupported index version 0 (supported: 1, 2, 3, 4, 5)"),
 ], ids=["first-payload-byte-flipped", "last-payload-byte-flipped", "checksum-byte-flipped",
         "payload-truncated", "payload-missing", "byte-appended", "header-cut-short",
-        "version-alone", "wrong-magic", "unknown-version", "version-0"])
-def test_broken_v3_file_is_one_exact_error(tmp_path, lexicon, capsys, edit, problem):
-    # Versions 3 to 5 share the container.
+        "version-alone", "wrong-magic"])
+def test_broken_v5_file_is_one_exact_error(tmp_path, lexicon, capsys, edit, problem):
     path = tmp_path / "v5.idx"
-    save_index(build_index(_V2_DOCS, lexicon), path)
-    v5 = path.read_bytes()
-    assert v5[4:6] == (5).to_bytes(2, "little")
-    _write_container(path, zlib.compress(_v3_payload(v5)), version=3)
-    for data in (path.read_bytes(), v5):
-        path.write_bytes(edit(data))
-        with pytest.raises(IndexFileError) as caught:
-            load_index(path)
-        assert str(caught.value) == f"{path}: {problem}"
-        _assert_rejected(path, capsys, problem)
+    save_index(build_index(_THREE_DOCS, lexicon), path)
+    path.write_bytes(edit(path.read_bytes()))
+    with pytest.raises(IndexFileError) as caught:
+        load_index(path)
+    assert str(caught.value) == f"{path}: {problem}"
+    _assert_rejected(path, capsys, problem)
 
 
-@pytest.mark.parametrize("sample", [V1_SAMPLE, V2_SAMPLE], ids=["v1", "v2"])
-def test_a_flipped_byte_of_an_old_file_is_a_checksum_mismatch(tmp_path, capsys, sample):
-    data = sample.read_bytes()
-    for position in (_SHA256_HEADER.size, len(data) // 2, len(data) - 1):
-        path = tmp_path / f"flipped-{position}.idx"
-        path.write_bytes(_flip(position)(data))
-        with pytest.raises(IndexChecksumError) as caught:
-            load_index(path)
-        assert str(caught.value) == f"{path}: checksum mismatch (truncated or corrupt)"
-    path = tmp_path / "short.idx"
-    path.write_bytes(data[:_SHA256_HEADER.size - 1])
-    _assert_rejected(path, capsys, "not an index file")
+@pytest.mark.parametrize("version", [0, 1, 2, 3, 4, 6, 99])
+def test_a_file_of_another_version_is_refused_with_advice_to_rebuild_it(tmp_path, lexicon,
+                                                                        capsys, version):
+    # An index is derived data: a file of an older version is rebuilt from
+    # its corpus, not read.
+    path = tmp_path / "other.idx"
+    save_index(build_index(_THREE_DOCS, lexicon), path)
+    data = path.read_bytes()
+    path.write_bytes(data[:4] + version.to_bytes(2, "little") + data[6:])
+    problem = (f"{path}: unsupported index version {version} (supported: 5); "
+               "rebuild the file with 'lexdrift index'")
+    with pytest.raises(IndexVersionError) as caught:
+        load_index(path)
+    assert str(caught.value) == problem
+    assert main(["query", "intricate", "--index", str(path)]) == 1
+    assert capsys.readouterr() == ("", f"error: {problem}\n")
 
 
 def test_awkward_ids_round_trip(tmp_path, lexicon):
