@@ -5,6 +5,9 @@ machinery."""
 from __future__ import annotations
 
 import random
+import struct
+import zlib
+from pathlib import Path
 from typing import Sequence
 
 import pytest
@@ -22,6 +25,21 @@ from lexdrift import (
     TermEntry,
     builtin_lexicon,
 )
+
+# The index of the bundled sample corpus, kept with the tests so that a
+# change to what a build writes shows.
+SAMPLE_INDEX = Path(__file__).resolve().parent / "data" / "sample.idx"
+# The index file format version that save_index writes, and the header
+# before an index file's payload: magic, version, payload length and the
+# payload's CRC-32.
+INDEX_VERSION = 5
+INDEX_HEADER = struct.Struct("<4sHQI")
+
+
+def index_container(blob: bytes) -> bytes:
+    """An index file of payload *blob*, with a valid header and checksum."""
+    return INDEX_HEADER.pack(b"LXDX", INDEX_VERSION, len(blob), zlib.crc32(blob)) + blob
+
 
 FILLER = (
     "alpha", "beta", "gamma", "delta", "epsilon", "zeta", "theta", "kappa",

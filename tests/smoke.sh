@@ -11,10 +11,13 @@ set -euo pipefail
 
 corpus=$1
 here=$(cd "$(dirname "$0")" && pwd)
+sample=$here/data/sample.idx
+# The index format version that lexdrift writes and reads.
+version=5
 
 lexdrift drift --format json > drift.json
 lexdrift index --corpus "$corpus" --out sample.idx
-# A fresh index holds the payload of the version 5 file committed with the
+# A fresh index holds the payload of the index file committed with the
 # tests, byte for byte. Payloads, after the 18-byte header, are compared
 # inflated, every zlib stream of them: deflate output may differ between
 # zlib builds.
@@ -30,7 +33,7 @@ def inflated(data):
 fresh, kept = (inflated(open(path, "rb").read()[18:]) for path in sys.argv[1:])
 if fresh != kept:
     sys.exit(f"the payload of {sys.argv[1]} differs from that of {sys.argv[2]}")
-' sample.idx "$here/data/sample-v5.idx"
+' sample.idx "$sample"
 # A series name that is no group or entry is a query: its excess counts
 # what the query counts in the last year.
 lexdrift excess 'atleast(2, strong)' --index sample.idx --format json > excess.json
@@ -50,33 +53,34 @@ for module in dataclasses hashlib; do
   if grep -E "\| +$module\$" importtime.txt; then echo "a cold query imports $module"; exit 1; fi
 done
 # The index file committed with the tests answers as the fresh one does.
-lexdrift query 'any(strong)' --index "$here/data/sample-v5.idx" > old.out
+lexdrift query 'any(strong)' --index "$sample" > old.out
 lexdrift query 'any(strong)' --index sample.idx > new.out
 cat new.out
 diff old.out new.out
 for q in 'any(strong) AND any(disclosure)' intricate 'atleast(2, strong)' '"large language model"'; do
-  lexdrift query "$q" --index "$here/data/sample-v5.idx" --format csv > old.out
+  lexdrift query "$q" --index "$sample" --format csv > old.out
   lexdrift query "$q" --index sample.idx --format csv > new.out
   diff old.out new.out
   # Every year, so each year's bit range of the columns is read from both files.
   for year in 2019 2020 2021 2022 2023; do
-    lexdrift skew "$q" --index "$here/data/sample-v5.idx" --year $year --format csv > old.out
+    lexdrift skew "$q" --index "$sample" --year $year --format csv > old.out
     lexdrift skew "$q" --index sample.idx --year $year --format csv > new.out
     diff old.out new.out
   done
 done
-# A file of another format version is refused in one line that says to rebuild it.
+# A file of the version before is refused in one line that says to rebuild it.
+old=$((version - 1))
 python -c '
 import sys
 data = bytearray(open(sys.argv[1], "rb").read())
-data[4:6] = (4).to_bytes(2, "little")
+data[4:6] = int(sys.argv[3]).to_bytes(2, "little")
 open(sys.argv[2], "wb").write(data)
-' sample.idx v4.idx
-code=0; lexdrift query 'any(strong)' --index v4.idx 2> v4.err || code=$?
+' sample.idx old.idx $old
+code=0; lexdrift query 'any(strong)' --index old.idx 2> old.err || code=$?
 test "$code" = 1
-cat v4.err
-test "$(wc -l < v4.err)" -eq 1
-test "$(cat v4.err)" = "error: v4.idx: unsupported index version 4 (supported: 5); rebuild the file with 'lexdrift index'"
+cat old.err
+test "$(wc -l < old.err)" -eq 1
+test "$(cat old.err)" = "error: old.idx: unsupported index version $old (supported: $version); rebuild the file with 'lexdrift index'"
 lexdrift query 'outwith' --corpus "$corpus"
 # A malformed query is one line on stderr and exit 1.
 code=0; lexdrift query 'any(strong' --index sample.idx 2> malformed.err || code=$?

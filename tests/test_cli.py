@@ -14,7 +14,7 @@ import lexdrift
 from lexdrift import bundled_corpus_path
 from lexdrift.cli import main
 
-from conftest import brute_force_count
+from conftest import SAMPLE_INDEX, brute_force_count
 from lexdrift import load_corpus, parse_query, builtin_lexicon
 from lexdrift import CountSeries, bundled_counts_path, excess_report, export_counts, import_counts
 
@@ -718,7 +718,7 @@ def test_a_series_named_by_a_query_counts_what_query_counts(tmp_path, capsys):
     # The abstract's markers "in combination": a series name that is no
     # group or entry is a query, in every command that names series.
     name = "atleast(2, strong)"
-    source = ["--index", str(Path(__file__).parent / "data" / "sample-v5.idx")]
+    source = ["--index", str(SAMPLE_INDEX)]
     queried = json.loads(_stdout(capsys, ["query", name, *source, "--format", "json"]))
     assert queried["matches"] == [0, 0, 0, 0, 5]
     rows = list(zip(queried["years"], queried["matches"], queried["totals"]))
@@ -757,7 +757,7 @@ def test_a_series_named_by_a_query_counts_what_query_counts(tmp_path, capsys):
 def test_a_series_read_as_a_query_says_so(name, problem, capsys):
     # No command that counts a series can scan a corpus, so none of them
     # advises a scan.
-    index = str(Path(__file__).parent / "data" / "sample-v5.idx")
+    index = str(SAMPLE_INDEX)
     for command in (["drift"], ["excess"], ["plot"], ["counts", "export"]):
         assert main([*command, name, "strong", "--index", index]) == 1
         assert capsys.readouterr() == ("", f"error: series {name!r} is no group or entry of "

@@ -26,15 +26,14 @@ from hypothesis import strategies as st
 from lexdrift import builtin_lexicon, bundled_corpus_path, bundled_counts_path, save_lexicon
 from lexdrift.cli import main
 
+from conftest import INDEX_HEADER, SAMPLE_INDEX, index_container
+
 NUMBERS = ("nan", "inf", "-inf", "1e308", "0", "-1", "-2.5", "3")
 INTEGERS = ("0", "-1", "-2023", "1", "2019", "2101", str(10**30), "nan")
 HUGE = "9" * 5000
-# An index file's container header: magic, version, payload length, then the
-# payload's CRC-32 in version 5, which save_index writes.
-_CONTAINER = struct.Struct("<4sHQI")
-# The index read where text is expected: bytes kept with the tests, since the
-# errors quote them and deflate output may differ between zlib builds.
-SAMPLE_INDEX = Path(__file__).resolve().parent / "data" / "sample-v5.idx"
+# The index read where text is expected is SAMPLE_INDEX: bytes kept with
+# the tests, since the errors quote them and deflate output may differ
+# between zlib builds.
 QUERIES = ("", "INTRICATE", "zebra", "atleast(2, strong)", "atleast(0, strong)",
            '"large language model"', "and", "any(", "¾",
            "(" * 150 + "intricate" + ")" * 150, f"atleast({HUGE}, strong)")
@@ -110,18 +109,17 @@ def make_inputs(tmp: Path) -> dict[str, str]:
          "groups": {"strong": ["intricate"]}})[:-1] + f', "version": {HUGE}}}', encoding="utf-8")
     # The index with a header field past the digit limit, its checksum valid.
     inflate = zlib.decompressobj()
-    payload = inflate.decompress(index.read_bytes()[_CONTAINER.size:])
+    payload = inflate.decompress(index.read_bytes()[INDEX_HEADER.size:])
     (size,) = struct.unpack_from("<I", payload)
     header = payload[4:4 + size - 1] + f', "x": {HUGE}}}'.encode()
     # The first stream, then the id stream as it was.
     blob = zlib.compress(struct.pack("<I", len(header)) + header + payload[4 + size:]) \
         + inflate.unused_data
-    container = _CONTAINER.pack(b"LXDX", 5, len(blob), zlib.crc32(blob))
-    (tmp / "huge.idx").write_bytes(container + blob)
+    (tmp / "huge.idx").write_bytes(index_container(blob))
     data = bytearray(index.read_bytes())
     data[-1] ^= 1
     (tmp / "corrupt.idx").write_bytes(data)
-    (tmp / "short.idx").write_bytes(data[:_CONTAINER.size - 1])
+    (tmp / "short.idx").write_bytes(data[:INDEX_HEADER.size - 1])
     return {
         "index": str(index),
         "huge_index": str(tmp / "huge.idx"),

@@ -24,6 +24,8 @@ from lexdrift import (
 )
 from lexdrift.lexicon import lexicon_to_dict
 
+from conftest import index_container
+
 _JSON = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
     lambda inner: st.lists(inner, max_size=4)
@@ -72,10 +74,8 @@ def test_corpus_reader_raises_only_data_errors(lines, on_error):
 
 # ------------------------------------------------------------------- index
 
-# The index file header: magic, version 5, payload length, then the
-# payload's CRC-32. The payload is two zlib streams: a u32 header length, a
-# JSON header and the column bytes, then the ids.
-_HEADER = struct.Struct("<4sHQI")
+# An index file's payload is two zlib streams: a u32 header length, a JSON
+# header and the column bytes, then the ids.
 _LEXICON = lexicon_to_dict(builtin_lexicon())
 _PAYLOAD = _json_with(
     ("format", "lexicon", "min_year", "max_year", "years"),
@@ -89,10 +89,6 @@ _PAYLOAD = _json_with(
 )
 
 
-def _container(blob: bytes) -> bytes:
-    return _HEADER.pack(b"LXDX", 5, len(blob), zlib.crc32(blob)) + blob
-
-
 def _framed(header: bytes, columns: bytes, ids: bytes) -> bytes:
     """A payload stream of a JSON *header* and *columns*, then an id stream of *ids*."""
     return zlib.compress(struct.pack("<I", len(header)) + header + columns) + zlib.compress(ids)
@@ -100,10 +96,10 @@ def _framed(header: bytes, columns: bytes, ids: bytes) -> bytes:
 
 _INDEX_FILE = (
     st.binary(max_size=80)
-    | st.binary(max_size=80).map(_container)
-    | st.builds(lambda payload, ids: _container(zlib.compress(payload) + zlib.compress(ids)),
+    | st.binary(max_size=80).map(index_container)
+    | st.builds(lambda payload, ids: index_container(zlib.compress(payload) + zlib.compress(ids)),
                 st.binary(max_size=80), st.binary(max_size=20))
-    | st.builds(lambda v, columns, ids: _container(_framed(json.dumps(v).encode(), columns,
+    | st.builds(lambda v, columns, ids: index_container(_framed(json.dumps(v).encode(), columns,
                                                            json.dumps(ids).encode())),
                 _PAYLOAD | _JSON, st.binary(max_size=60), _JSON)
 )
@@ -183,7 +179,7 @@ def _files(draw) -> bytes:
     payload = struct.pack("<I", max(length, 0)) + text + columns
     if draw(st.sampled_from((False,) * 7 + (True,))):
         payload = payload[:3]
-    return _container(zlib.compress(payload) + draw(_id_streams(ids)))
+    return index_container(zlib.compress(payload) + draw(_id_streams(ids)))
 
 
 def _split_ids(header: dict) -> tuple[bytes, list]:
@@ -213,9 +209,9 @@ def _read_ids(path) -> None:
 
 
 @settings(max_examples=300, deadline=None)
-@given(data=_files() | st.builds(lambda payload, ids: _container(zlib.compress(payload) + ids),
+@given(data=_files() | st.builds(lambda payload, ids: index_container(zlib.compress(payload) + ids),
                                  st.binary(max_size=80), _JSON.flatmap(_id_streams)))
-def test_v2_index_reader_raises_only_data_errors(data):
+def test_index_reader_raises_only_data_errors_when_its_ids_are_read(data):
     _survives(_read_ids, data, "input.idx")
 
 

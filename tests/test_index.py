@@ -54,15 +54,15 @@ from lexdrift.query import query_vocabulary
 
 from conftest import (
     FILLER,
+    INDEX_HEADER,
+    INDEX_VERSION,
+    SAMPLE_INDEX,
     brute_force_count,
     brute_force_skew,
+    index_container,
     make_random_corpus,
     make_random_query,
 )
-
-# The version 5 index of the bundled sample corpus, kept with the tests so
-# that a change to what a build writes shows here.
-V5_SAMPLE = Path(__file__).parent / "data" / "sample-v5.idx"
 
 
 def _docs(*texts_by_year: tuple[int, str]) -> list[Document]:
@@ -804,16 +804,10 @@ def test_wrong_magic(tmp_path):
         load_index(path)
 
 
-# Index file header: magic, format version, payload length, then the
-# payload's CRC-32. Some tests below keep in their names the format version
-# that brought in their rule; every file they write is of version 5, the one
-# load_index reads.
-_HEADER = struct.Struct("<4sHQI")
-
-
+# Some tests below keep in their names the format version that brought in
+# their rule; every file they write is of the version load_index reads.
 def _write_container(path, blob: bytes) -> None:
-    """A version 5 index file around *blob* with a valid header and checksum."""
-    path.write_bytes(_HEADER.pack(b"LXDX", 5, len(blob), zlib.crc32(blob)) + blob)
+    path.write_bytes(index_container(blob))
 
 
 # Three documents of 2023, so one byte per column, with the category table
@@ -828,7 +822,7 @@ _THREE_DOCS = [
 
 def _streams(data: bytes) -> list[bytes]:
     """Each zlib stream after the header of the index file *data*, inflated."""
-    streams, rest = [], data[_HEADER.size:]
+    streams, rest = [], data[INDEX_HEADER.size:]
     while rest:
         inflate = zlib.decompressobj()
         streams.append(inflate.decompress(rest))
@@ -849,7 +843,7 @@ def _parts(tmp_path, lexicon, docs=_THREE_DOCS) -> tuple[dict, bytearray, list]:
 
 def _packed(header: dict | bytes, columns: bytes, ids: list | bytes,
             extra_length: int = 0) -> bytes:
-    """The payload of a version 5 file: *header*, as JSON or as the bytes
+    """The payload of an index file: *header*, as JSON or as the bytes
     given, after its length plus *extra_length* and before *columns*,
     deflated; then *ids* deflated as JSON, or the bytes given in place of
     the id stream."""
@@ -944,7 +938,7 @@ def _assert_rejected(path, capsys, problem: str = "") -> None:
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
-def test_v2_parts_reassemble_into_the_same_index(tmp_path, lexicon):
+def test_parts_reassemble_into_the_same_index(tmp_path, lexicon):
     # The parts of a file, its header, column bytes and ids, pack back into it.
     header, columns, ids = _parts(tmp_path, lexicon)
     assert header["years"] == [{"year": 2023, "docs": 3, "categories": [["a"], ["b"]]}]
@@ -1154,8 +1148,8 @@ def test_an_id_in_two_years_is_refused_wherever_ids_are_decoded(tmp_path, lexico
 
 def test_a_loaded_file_saves_to_the_same_bytes(tmp_path):
     path = tmp_path / "again.idx"
-    save_index(load_index(V5_SAMPLE), path)
-    assert path.read_bytes() == V5_SAMPLE.read_bytes()
+    save_index(load_index(SAMPLE_INDEX), path)
+    assert path.read_bytes() == SAMPLE_INDEX.read_bytes()
 
 
 def test_doc_marks_come_by_id_where_the_larger_id_has_the_smaller_category_row(tmp_path,
@@ -1481,9 +1475,9 @@ def _answers(index, lexicon) -> tuple:
     )
 
 
-@pytest.mark.parametrize("sample, version", [(V5_SAMPLE, 5)], ids=["v5"])
-def test_old_file_answers_like_a_fresh_build(tmp_path, lexicon, sample, version):
-    assert sample.read_bytes()[4:6] == version.to_bytes(2, "little")
+def test_the_committed_sample_answers_like_a_fresh_build(tmp_path, lexicon):
+    sample = SAMPLE_INDEX
+    assert sample.read_bytes()[4:6] == INDEX_VERSION.to_bytes(2, "little")
     path = tmp_path / "sample.idx"
     save_index(build_index(load_corpus(bundled_corpus_path()), lexicon), path)
     old, new = load_index(sample), load_index(path)
@@ -1495,12 +1489,12 @@ def test_old_file_answers_like_a_fresh_build(tmp_path, lexicon, sample, version)
     assert any(skew.rows for skew in expected[-1])
 
 
-def test_v2_file_holds_the_payload_a_fresh_build_writes(tmp_path, lexicon):
+def test_the_committed_sample_holds_the_payload_a_fresh_build_writes(tmp_path, lexicon):
     # The committed file: inflated, so that another zlib build, which may
     # deflate differently, compares alike.
     path = tmp_path / "sample.idx"
     save_index(build_index(load_corpus(bundled_corpus_path()), lexicon), path)
-    assert _streams(V5_SAMPLE.read_bytes()) == _streams(path.read_bytes())
+    assert _streams(SAMPLE_INDEX.read_bytes()) == _streams(path.read_bytes())
 
 
 def _flip(position: int):
@@ -1513,13 +1507,13 @@ def _flip(position: int):
 
 
 @pytest.mark.parametrize("edit, problem", [
-    (_flip(_HEADER.size), "checksum mismatch (truncated or corrupt)"),
+    (_flip(INDEX_HEADER.size), "checksum mismatch (truncated or corrupt)"),
     (_flip(-1), "checksum mismatch (truncated or corrupt)"),
-    (_flip(_HEADER.size - 1), "checksum mismatch (truncated or corrupt)"),
+    (_flip(INDEX_HEADER.size - 1), "checksum mismatch (truncated or corrupt)"),
     (lambda data: data[:-7], "checksum mismatch (truncated or corrupt)"),
-    (lambda data: data[:_HEADER.size], "checksum mismatch (truncated or corrupt)"),
+    (lambda data: data[:INDEX_HEADER.size], "checksum mismatch (truncated or corrupt)"),
     (lambda data: data + b"\0", "checksum mismatch (truncated or corrupt)"),
-    (lambda data: data[:_HEADER.size - 1], "not an index file"),
+    (lambda data: data[:INDEX_HEADER.size - 1], "not an index file"),
     (lambda data: data[:6], "not an index file"),
     (lambda data: b"LXDY" + data[4:], "not an index file"),
 ], ids=["first-payload-byte-flipped", "last-payload-byte-flipped", "checksum-byte-flipped",
@@ -1544,7 +1538,7 @@ def test_a_file_of_another_version_is_refused_with_advice_to_rebuild_it(tmp_path
     save_index(build_index(_THREE_DOCS, lexicon), path)
     data = path.read_bytes()
     path.write_bytes(data[:4] + version.to_bytes(2, "little") + data[6:])
-    problem = (f"{path}: unsupported index version {version} (supported: 5); "
+    problem = (f"{path}: unsupported index version {version} (supported: {INDEX_VERSION}); "
                "rebuild the file with 'lexdrift index'")
     with pytest.raises(IndexVersionError) as caught:
         load_index(path)
@@ -1612,7 +1606,7 @@ def test_category_rows_cost_a_few_bytes_per_document(tmp_path, lexicon, docs, tu
     index = YearTermIndex(lexicon, 1990, 2100, marks)
     path = tmp_path / "rows.idx"
     save_index(index, path)
-    payload = zlib.decompress(path.read_bytes()[_HEADER.size:])
+    payload = zlib.decompress(path.read_bytes()[INDEX_HEADER.size:])
     (size,) = struct.unpack_from("<I", payload)
     width = len(lexicon.terms())
     assert len(payload) - 4 - size == width * ((docs + 7) // 8) + docs * row_bytes

@@ -3,7 +3,6 @@ from __future__ import annotations
 import json
 import struct
 import zlib
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +24,8 @@ from lexdrift import (
 )
 from lexdrift.corpus import raw_tokens
 from lexdrift.lexicon import ROLES, lexicon_from_dict, lexicon_to_dict
+
+from conftest import INDEX_HEADER, SAMPLE_INDEX, index_container
 
 
 def test_builtin_strength_groups(lexicon):
@@ -268,19 +269,17 @@ _LEXICON_ERRORS = [
 
 
 def _index_with_lexicon(path, data) -> None:
-    """Write to *path* the committed version 5 sample index with *data* in
-    place of the lexicon in its header, checksum and lengths mended."""
-    sample = (Path(__file__).parent / "data" / "sample-v5.idx").read_bytes()
-    head = struct.Struct("<4sHQI")
+    """Write to *path* the committed sample index with *data* in place of
+    the lexicon in its header, checksum and lengths mended."""
     inflate = zlib.decompressobj()
-    payload = inflate.decompress(sample[head.size:])
+    payload = inflate.decompress(SAMPLE_INDEX.read_bytes()[INDEX_HEADER.size:])
     (size,) = struct.unpack_from("<I", payload)
     header = json.loads(payload[4:4 + size])
     header["lexicon"] = data
     text = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
     blob = zlib.compress(struct.pack("<I", len(text)) + text + payload[4 + size:]) \
         + inflate.unused_data
-    path.write_bytes(head.pack(b"LXDX", 5, len(blob), zlib.crc32(blob)) + blob)
+    path.write_bytes(index_container(blob))
 
 
 @pytest.mark.parametrize("data, message", _LEXICON_ERRORS)
@@ -303,7 +302,7 @@ def test_a_lexicon_error_reads_alike_through_every_way_in(tmp_path, data, messag
 def test_the_sample_index_with_its_own_lexicon_written_back_loads(tmp_path, lexicon):
     path = tmp_path / "same.idx"
     _index_with_lexicon(path, lexicon_to_dict(lexicon))
-    assert path.read_bytes() == (Path(__file__).parent / "data" / "sample-v5.idx").read_bytes()
+    assert path.read_bytes() == SAMPLE_INDEX.read_bytes()
     assert load_index(path).lexicon == lexicon
 
 
@@ -376,7 +375,7 @@ def _derived(lex: Lexicon) -> tuple:
 def test_a_loaded_lexicon_derives_what_a_fresh_one_does(tmp_path, fresh):
     # Equality compares the fields only, not the tables derived from them.
     if fresh.name == "builtin":
-        loaded = load_index(Path(__file__).parent / "data" / "sample-v5.idx").lexicon
+        loaded = load_index(SAMPLE_INDEX).lexicon
     else:
         path = tmp_path / "cased.idx"
         save_index(build_index([Document("d1", 2023, "GPT and nature")], fresh), path)
