@@ -29,13 +29,12 @@ and per year its document count and category table), then each year's bytes
 of the term columns and its category rows, little-endian. The second holds
 each year's document ids, which no query reads: a load keeps it deflated,
 and the ids are inflated and checked when first used. A load decodes no
-per-document JSON rows, and no query builds columns. Version 5, the one
-written, orders a year's documents by category row, mask and id, so that
-documents alike sit together and the columns and rows deflate to runs, and
-checks the payload with CRC-32: it catches a truncated or corrupt file, the
-check's one job, and loads no cryptographic library. Only version 5 loads:
-an index is derived data, so a file of another version is rebuilt from its
-corpus.
+per-document JSON rows, and no query builds columns. Version 6, the one
+written, holds a year's documents in id order and front-codes the ids, so
+that they deflate to little, and checks the payload with CRC-32: it catches
+a truncated or corrupt file, the check's one job, and loads no
+cryptographic library. Only version 6 loads: an index is derived data, so a
+file of another version is rebuilt from its corpus.
 """
 
 from __future__ import annotations
@@ -47,8 +46,8 @@ import zlib
 from array import array
 from collections import Counter, defaultdict
 from functools import partial, reduce
-from itertools import chain, compress, islice, product, repeat
-from operator import and_, eq, le, lt, or_
+from itertools import chain, compress, count, islice, product, repeat
+from operator import and_, eq, lt, ne, or_
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -68,7 +67,7 @@ from .lexicon import Lexicon, lexicon_from_dict, lexicon_to_dict
 from .query import And, AnyOf, AtLeastK, Or, Phrase, Query, Term, query_vocabulary
 
 _MAGIC = b"LXDX"
-_VERSION = 5
+_VERSION = 6
 # Magic, version, payload length and the payload's CRC-32.
 _HEADER = struct.Struct("<4sHQI")
 # A payload starts with the byte length of its JSON header.
@@ -122,7 +121,7 @@ class YearTermIndex:
         last = min_year - 1
         for k, (year, _) in enumerate(spans):
             if type(year) is not int or not min_year <= year <= max_year:
-                raise IndexBuildError(f"document {min(self._doc_ids(spans)[k])!r}: year {year!r} "
+                raise IndexBuildError(f"document {self._doc_ids(spans)[k][0]!r}: year {year!r} "
                                       f"outside allowed range {min_year}-{max_year}")
             if year <= last:
                 raise IndexBuildError(f"the years are not strictly ascending: {year} after {last}")
@@ -174,21 +173,21 @@ class YearTermIndex:
 
     def doc_marks(self) -> Iterator[Mark]:
         """All (doc_id, year, bitmask, categories) rows, ordered by id
-        within each year."""
+        within each year, as the documents are."""
         for (year, y), ids in zip(self._by_year.items(), self._doc_ids()):
             columns = [_in_year(col, y) for col in self._columns]
-            yield from sorted(zip(ids, repeat(year), _doc_masks(columns, y.n),
-                                  map(y.table.__getitem__, y.rows)))
+            yield from zip(ids, repeat(year), _doc_masks(columns, y.n),
+                           map(y.table.__getitem__, y.rows))
 
     def _doc_ids(self, spans: Sequence[tuple[int, _Year]] = ()) -> Sequence[tuple[str, ...]]:
-        """Each year's document ids, in its documents' order. A loaded
-        file's are decoded, and checked against this index's years and
-        columns, or *spans*, the (year, _Year) pairs of an index not yet
-        made, when first asked for; two threads asking at once decode them
-        twice, to equal tuples, so no lock is needed."""
+        """Each year's document ids, ascending. A loaded file's are
+        decoded, and checked against this index's years, or *spans*, the
+        (year, _Year) pairs of an index not yet made, when first asked for;
+        two threads asking at once decode them twice, to equal tuples, so no
+        lock is needed."""
         ids = self._ids
         if callable(ids):
-            ids = self._ids = ids(spans or tuple(self._by_year.items()), self._columns)
+            ids = self._ids = ids(spans or tuple(self._by_year.items()))
         return ids
 
 
@@ -259,8 +258,8 @@ class _Gathered:
     def finish(self, width: int,
                unique: bool = False) -> tuple[list[tuple], list[tuple[str, ...]]]:
         """Each year's part over a vocabulary of *width* entries, and its ids,
-        years ascending and a year's documents by category row, mask and id;
-        with *unique*, an id that two documents share is refused."""
+        years ascending and a year's documents by id; with *unique*, an id that
+        two documents share is refused."""
         parts, year_ids = [], []
         for year, (ids, masks, seen, rows) in sorted(self._years.items()):
             if not _masks_fit(masks, width):
@@ -271,11 +270,9 @@ class _Gathered:
             table = tuple(sorted(seen))
             rank = list(map({cats: r for r, cats in enumerate(table)}.__getitem__, seen))
             ranks = list(map(rank.__getitem__, rows))
-            # By id, then stably by mask and by row: documents of equal ids, which
-            # a scan can hold, and equal rows and masks are alike.
-            order = sorted(range(len(ids)), key=ids.__getitem__)
-            order.sort(key=masks.__getitem__)
-            order.sort(key=ranks.__getitem__)
+            # By id; equal ids, which only a scan keeps, by mask, then row.
+            order = sorted(range(len(ids)), key=ids.__getitem__ if unique
+                           else lambda i: (ids[i], masks[i], ranks[i]))
             # Year by year: one bit string of all years would hold every mask as text.
             size = (len(order) + 7) // 8
             year_ids.append(tuple(map(ids.__getitem__, order)))
@@ -661,16 +658,19 @@ def _skew(year: int, posting: int, table: CategoryTable, rows: Sequence[int]) ->
 
 
 def save_index(index: YearTermIndex, path) -> None:
-    """Write *index* as a version 5 file: the JSON header, then per year of
-    n documents, ordered by category row, mask and id, its term columns,
-    ceil(n/8) bytes each, and the n category rows, one, two or four bytes
-    each as the table has up to 2**8, 2**16 or more rows; then, in a stream
-    of its own, each year's ids as a JSON list. It checks nothing: no index
-    holds what :func:`load_index` refuses, or refuses when the ids are first
-    used."""
+    """Write *index* as a version 6 file: the JSON header, then per year of
+    n documents, by id, its term columns, ceil(n/8) bytes each, and the n
+    category rows, one, two or four bytes each as the table has up to 2**8,
+    2**16 or more rows; then, in a stream of its own, a JSON list of each
+    year's :func:`_front_coded` ids. It checks nothing: no index holds what
+    :func:`load_index` refuses, or refuses when the ids are first used."""
     if index._terms != index.lexicon.terms():
         raise IndexBuildError("an index over a query's terms (a corpus scan) cannot be saved")
-    ids = json.dumps(index._doc_ids(), separators=(",", ":")).encode("utf-8")
+    # Coded and deflated year by year, so that one year's lists at most are held at once.
+    deflate = zlib.compressobj(6)
+    ids = deflate.compress(b"[") + b"".join(deflate.compress(b"," * (k > 0) + json.dumps(
+        _front_coded(year_ids), separators=(",", ":")).encode("utf-8"))
+        for k, year_ids in enumerate(index._doc_ids())) + deflate.compress(b"]") + deflate.flush()
     years = []
     columns: list[bytes] = []
     for year, y in index._by_year.items():
@@ -686,14 +686,13 @@ def save_index(index: YearTermIndex, path) -> None:
         "years": years,
     }, sort_keys=True, separators=(",", ":")).encode("utf-8")
     # Level 6: level 9 compresses four to six times slower for under 2% fewer bytes.
-    blob = zlib.compress(b"".join([_JSON_LENGTH.pack(len(header)), header, *columns]), 6) \
-        + zlib.compress(ids, 6)
+    blob = zlib.compress(b"".join([_JSON_LENGTH.pack(len(header)), header, *columns]), 6) + ids
     head = _HEADER.pack(_MAGIC, _VERSION, len(blob), zlib.crc32(blob))
     Path(path).write_bytes(head + blob)
 
 
 def load_index(path) -> YearTermIndex:
-    """Read a version 5 index file, the one :func:`save_index` writes; a
+    """Read a version 6 index file, the one :func:`save_index` writes; a
     file of another version is an IndexVersionError. Anything malformed, the
     embedded lexicon included, is an IndexFileError naming *path*; the ids
     are checked when they are first used."""
@@ -738,14 +737,18 @@ def _decode(blob: bytes, path) -> YearTermIndex:
     offset = _JSON_LENGTH.size + size
     if offset > len(payload):
         raise ValueError(f"header length {size} runs past the payload")
-    doc = _json_object(payload[_JSON_LENGTH.size:offset])
+    doc = _json(payload[_JSON_LENGTH.size:offset])
+    if not isinstance(doc, dict) or doc.get("format") != _FORMAT:
+        raise ValueError("not a lexdrift index payload")
     lexicon = lexicon_from_dict(doc["lexicon"])
     entries = doc["years"]
     if type(entries) is not list:
         raise ValueError("'years' is not a list")
     terms = lexicon.terms()
     width, parts = len(terms), []
-    for entry in entries:
+    for k, entry in enumerate(entries):
+        if type(entry) is not dict:
+            raise ValueError(f"'years' entry {k} is not an object")
         year, table, n = entry["year"], entry["categories"], entry["docs"]
         if type(n) is not int:
             raise ValueError(f"the document count of {year} is not an integer")
@@ -753,8 +756,8 @@ def _decode(blob: bytes, path) -> YearTermIndex:
             raise ValueError(f"the category table of {year} is not a list of lists")
         _check_categories(chain.from_iterable(table), year)
         table = tuple(map(tuple, table))
-        # A strict order keeps a re-save canonical.
-        _check_ascending(table, f"the category-table rows of {year}")
+        if not all(map(lt, table, table[1:])):  # a strict order keeps a re-save canonical
+            raise ValueError(f"the category-table rows of {year} are not strictly ascending")
         if n < 1:
             raise ValueError(f"year {year} has no documents")
         step = (n + 7) // 8
@@ -788,52 +791,57 @@ def _decode(blob: bytes, path) -> YearTermIndex:
                                                       doc["max_year"], parts, ids)
 
 
-def _stream_ids(stream: bytes, spans: Sequence[tuple[int, _Year]],
-                columns: Sequence[int]) -> tuple[tuple[str, ...], ...]:
+def _stream_ids(stream: bytes, spans: Sequence[tuple[int, _Year]]) -> tuple[tuple[str, ...], ...]:
     """The ids of a file, a deflated *stream* of their own, checked for the
-    index of *columns* and *spans*, its (year, _Year) pairs: for each year a
-    list of as many strings as it has documents, no id in two years, and the
-    documents strictly ordered by category row, mask and id."""
+    index of *spans*, its (year, _Year) pairs: for each year the pair of
+    lists :func:`_front_decoded` decodes, and no id in two years."""
     text, rest = _inflate(stream)
     if rest:
         raise ValueError(f"{len(rest)} bytes after the id stream")
     listed = _json(text)
-    if type(listed) is not list or len(listed) != len(spans):
-        raise ValueError(f"the ids are not a list for each of the {len(spans)} years")
-    for (year, y), ids in zip(spans, listed):
-        if type(ids) is not list or len(ids) != y.n:
-            raise ValueError(f"the ids of {year} are not a list of its {y.n} documents")
-        _check_strings(ids, "a document id", year)
-    _check_unique(listed)
-    for (year, y), ids in zip(spans, listed):
-        if not _ordered(y, columns, ids):
-            raise ValueError(f"the (row, mask, id) keys of {year} are not strictly ascending")
-    return tuple(map(tuple, listed))
+    if type(listed) is not list or len(listed) != len(spans) \
+            or not all(type(pair) is list and len(pair) == 2 for pair in listed):
+        raise ValueError(f"the ids are not a pair of lists for each of the {len(spans)} years")
+    ids = [_front_decoded(year, y.n, *pair) for (year, y), pair in zip(spans, listed)]
+    _check_unique(ids)
+    return tuple(map(tuple, ids))
 
 
-def _ordered(y: _Year, columns: Sequence[int], ids: Sequence[str]) -> bool:
-    """Whether the documents of year *y*, of these index-wide term *columns*
-    and *ids*, are ordered by (category row, mask, id) strictly. Each
-    document is compared with the next at once, as bit i of a few integers,
-    and no mask is built: of two masks, the greater holds the highest term
-    in which they differ."""
-    rows, last = y.rows, (1 << y.n - 1) - 1  # bit i: documents i and i + 1
-    same, up = last, 0  # the pairs of masks equal so far, and those found rising
-    for col in reversed(columns):
-        col = _in_year(col, y)
-        differ = (col ^ col >> 1) & same
-        up |= differ & col >> 1
-        same ^= differ
-    rising = _bits(map(lt, rows, rows[1:])) | up | same & _bits(map(lt, ids, ids[1:]))
-    return rising & last == last and all(map(le, rows, rows[1:]))
+def _front_coded(ids: Iterable[str]) -> list[list]:
+    """Strictly ascending *ids* front-coded: the length of the longest prefix
+    each shares with the id before it (the first, with ""), and the rests."""
+    shared, rests, last = [], [], ""
+    for doc_id in ids:
+        n = next(compress(count(), map(ne, last, doc_id)), min(len(last), len(doc_id)))
+        shared.append(n)
+        rests.append(doc_id[n:])
+        last = doc_id
+    return [shared, rests]
 
 
-def _bits(truths: Iterable[bool]) -> int:
-    """The integer whose bit i is the i-th of *truths*."""
-    return int(b"0" + bytes(truths).translate(_DIGITS)[::-1], 2)
-
-
-_DIGITS = bytes.maketrans(b"\0\1", b"01")
+def _front_decoded(year: int, n: int, shared, rests) -> list[str]:
+    """The ids of the *n* documents of *year* from the lists *shared* and
+    *rests* of :func:`_front_coded`, checked so that they code to the same
+    lists again: shared lengths ints from 0 to the length of the id before,
+    rests strings, and, id by id, each id after the one before it and its
+    shared length the longest."""
+    if type(shared) is not list or type(rests) is not list or not len(shared) == len(rests) == n:
+        raise ValueError(f"the id lists of {year} are not two lists of its {n} documents")
+    if set(map(type, shared)) - {int}:
+        raise ValueError(f"a shared length in {year} is not an integer")
+    _check_strings(rests, "the rest of a document id", year)
+    ids, last = [], ""
+    for k, rest in zip(shared, rests):
+        if not 0 <= k <= len(last):
+            raise ValueError(f"a shared length in {year} is negative or past the id before it")
+        # After the id before it, and sharing no longer prefix with it, exactly
+        # when the rest starts after that id's next character.
+        if rest[:1] <= last[k:k + 1] and ids:
+            raise ValueError(f"a shared length in {year} is not the longest"
+                             if rest[:1] == last[k:k + 1] != "" else
+                             f"the ids of {year} are not strictly ascending")
+        ids.append(last := last[:k] + rest)
+    return ids
 
 
 def _inflate(data: bytes) -> tuple[bytes, bytes]:
@@ -843,14 +851,6 @@ def _inflate(data: bytes) -> tuple[bytes, bytes]:
     if not inflate.eof:
         raise ValueError("a deflated stream does not end")
     return inflated, inflate.unused_data
-
-
-def _json_object(data: bytes) -> dict:
-    """The JSON object of an index payload, checked to be one."""
-    doc = _json(data)
-    if not isinstance(doc, dict) or doc.get("format") != _FORMAT:
-        raise ValueError("not a lexdrift index payload")
-    return doc
 
 
 def _json(data: bytes):
@@ -880,8 +880,3 @@ def _check_categories(values: Iterable, year: int) -> None:
     problem = lone_surrogate(_check_strings(values, "a category", year))
     if problem is not None:
         raise IndexBuildError(f"a category in {year} holds a {problem}")
-
-
-def _check_ascending(values: Sequence, what: str) -> None:
-    if not all(map(lt, values, values[1:])):
-        raise ValueError(f"{what} are not strictly ascending")

@@ -4,6 +4,7 @@ machinery."""
 
 from __future__ import annotations
 
+import os
 import random
 import struct
 import zlib
@@ -32,13 +33,22 @@ SAMPLE_INDEX = Path(__file__).resolve().parent / "data" / "sample.idx"
 # The index file format version that save_index writes, and the header
 # before an index file's payload: magic, version, payload length and the
 # payload's CRC-32.
-INDEX_VERSION = 5
+INDEX_VERSION = 6
 INDEX_HEADER = struct.Struct("<4sHQI")
 
 
 def index_container(blob: bytes) -> bytes:
     """An index file of payload *blob*, with a valid header and checksum."""
     return INDEX_HEADER.pack(b"LXDX", INDEX_VERSION, len(blob), zlib.crc32(blob)) + blob
+
+
+def front_coded(ids: Sequence[str]) -> list[list]:
+    """A year's ids as an index file's id stream holds them: the lengths of
+    the longest prefix each shares with the id before it (0 for the first),
+    and the rest of each."""
+    shared = [len(os.path.commonprefix([before, doc_id]))
+              for before, doc_id in zip(["", *ids], ids)]
+    return [shared, [doc_id[n:] for doc_id, n in zip(ids, shared)]]
 
 
 FILLER = (

@@ -13,7 +13,7 @@ corpus=$1
 here=$(cd "$(dirname "$0")" && pwd)
 sample=$here/data/sample.idx
 # The index format version that lexdrift writes and reads.
-version=5
+version=6
 
 lexdrift drift --format json > drift.json
 lexdrift index --corpus "$corpus" --out sample.idx
@@ -34,6 +34,13 @@ fresh, kept = (inflated(open(path, "rb").read()[18:]) for path in sys.argv[1:])
 if fresh != kept:
     sys.exit(f"the payload of {sys.argv[1]} differs from that of {sys.argv[2]}")
 ' sample.idx "$sample"
+# A fresh index, loaded and saved again through the library, keeps its bytes.
+python -c '
+import sys
+from lexdrift import load_index, save_index
+save_index(load_index(sys.argv[1]), sys.argv[2])
+' sample.idx resaved.idx
+cmp sample.idx resaved.idx
 # A series name that is no group or entry is a query: its excess counts
 # what the query counts in the last year.
 lexdrift excess 'atleast(2, strong)' --index sample.idx --format json > excess.json

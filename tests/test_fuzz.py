@@ -24,7 +24,7 @@ from lexdrift import (
 )
 from lexdrift.lexicon import lexicon_to_dict
 
-from conftest import index_container
+from conftest import front_coded, index_container
 
 _JSON = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
@@ -114,8 +114,8 @@ def test_index_reader_raises_only_data_errors(data):
 # Most headers are well formed, so that most files reach the column checks,
 # and their columns mostly fit the header before they are cut short or
 # extended. Each year's count of ids is in the header, and the ids in the
-# second stream, mostly well formed, whose checks, the documents' order
-# among them, run when the ids are first read.
+# second stream, mostly well formed, whose checks run when the ids are
+# first read.
 _WIDTH = len(builtin_lexicon().terms())
 _YEAR = st.fixed_dictionaries({
     "year": st.integers(2019, 2023),
@@ -196,8 +196,12 @@ def _split_ids(header: dict) -> tuple[bytes, list]:
 
 
 def _id_streams(ids: list) -> st.SearchStrategy[bytes]:
-    """The second stream of a file holding *ids*, mostly well formed, else
-    missing, cut short, followed by bytes, or anything."""
+    """The second stream of a file holding *ids*, each year's front-coded
+    where they are strings, mostly well formed, else missing, cut short,
+    followed by bytes, or anything."""
+    if type(ids) is list:
+        ids = [front_coded(i) if type(i) is list and all(type(d) is str for d in i) else i
+               for i in ids]
     good = zlib.compress(json.dumps(ids).encode())
     return st.sampled_from((good,) * 4 + (b"", good[:-3], good + b"\0")) \
         | _JSON.map(lambda v: zlib.compress(json.dumps(v).encode())) | st.binary(max_size=20)

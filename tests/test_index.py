@@ -59,6 +59,7 @@ from conftest import (
     SAMPLE_INDEX,
     brute_force_count,
     brute_force_skew,
+    front_coded,
     index_container,
     make_random_corpus,
     make_random_query,
@@ -811,8 +812,8 @@ def _write_container(path, blob: bytes) -> None:
 
 
 # Three documents of 2023, so one byte per column, with the category table
-# [["a"], ["b"]]. A file holds them by category row, then mask: d0 and d2, in
-# row 0, "a", then d1, in row 1, "b"; one byte a document's row.
+# [["a"], ["b"]]. A file holds them by id, and their rows, one byte each,
+# are 0, 1, 0.
 _THREE_DOCS = [
     Document(id="d0", year=2023, text="an intricate proof", categories=("a",)),
     Document(id="d1", year=2023, text="plain prose", categories=("b",)),
@@ -832,23 +833,32 @@ def _streams(data: bytes) -> list[bytes]:
 
 def _parts(tmp_path, lexicon, docs=_THREE_DOCS) -> tuple[dict, bytearray, list]:
     """The JSON header, the column bytes (each year's term columns, then its
-    category rows) and each year's ids of the index of *docs*, saved as
-    ``good.idx`` in *tmp_path*."""
+    category rows) and each year's ids, decoded, of the index of *docs*,
+    saved as ``good.idx`` in *tmp_path*."""
     path = tmp_path / "good.idx"
     save_index(build_index(docs, lexicon), path)
     payload, ids = _streams(path.read_bytes())
     (size,) = struct.unpack_from("<I", payload)
-    return json.loads(payload[4:4 + size]), bytearray(payload[4 + size:]), json.loads(ids)
+    return json.loads(payload[4:4 + size]), bytearray(payload[4 + size:]), \
+        [_front_decoded(*pair) for pair in json.loads(ids)]
+
+
+def _front_decoded(shared: list[int], rests: list[str]) -> list[str]:
+    """The ids of one year that :func:`front_coded` gives *shared* and *rests*."""
+    ids = [""]
+    for n, rest in zip(shared, rests):
+        ids.append(ids[-1][:n] + rest)
+    return ids[1:]
 
 
 def _packed(header: dict | bytes, columns: bytes, ids: list | bytes,
             extra_length: int = 0) -> bytes:
     """The payload of an index file: *header*, as JSON or as the bytes
     given, after its length plus *extra_length* and before *columns*,
-    deflated; then *ids* deflated as JSON, or the bytes given in place of
-    the id stream."""
+    deflated; then each year's *ids* front-coded, deflated as JSON, or the
+    bytes given in place of the id stream."""
     text = header if type(header) is bytes else json.dumps(header).encode()
-    stream = ids if type(ids) is bytes else _deflated(ids)
+    stream = ids if type(ids) is bytes else _deflated([front_coded(year) for year in ids])
     return zlib.compress(struct.pack("<I", len(text) + extra_length) + text + columns) + stream
 
 
@@ -913,6 +923,17 @@ def test_malformed_payload_is_an_index_file_error(tmp_path, lexicon, capsys, mak
     _assert_rejected(path, capsys, problem)
 
 
+@pytest.mark.parametrize("entries", [["2020"], [[2020]], [7]], ids=["string", "list", "int"])
+def test_a_years_entry_that_is_no_object_is_named(tmp_path, lexicon, capsys, entries):
+    header, columns, ids = _parts(tmp_path, lexicon)
+    path = tmp_path / "bad.idx"
+    _write_container(path, _packed(dict(header, years=entries), columns, ids))
+    with pytest.raises(IndexFileError) as caught:
+        load_index(path)
+    assert str(caught.value) == f"{path}: malformed payload ('years' entry 0 is not an object)"
+    _assert_rejected(path, capsys)
+
+
 def _with_long_integer(text: str) -> bytes:
     """The JSON object *text* with one more field: an integer past Python's
     4,300-digit limit for converting text, which json.loads refuses with a
@@ -942,10 +963,10 @@ def test_parts_reassemble_into_the_same_index(tmp_path, lexicon):
     # The parts of a file, its header, column bytes and ids, pack back into it.
     header, columns, ids = _parts(tmp_path, lexicon)
     assert header["years"] == [{"year": 2023, "docs": 3, "categories": [["a"], ["b"]]}]
-    assert ids == [["d0", "d2", "d1"]]
+    assert ids == [["d0", "d1", "d2"]]
     width = len(lexicon.terms())
     assert len(columns) == width + 3
-    assert columns[width:] == bytes([0, 0, 1])
+    assert columns[width:] == bytes([0, 1, 0])
     path = tmp_path / "again.idx"
     _write_container(path, _packed(header, columns, ids))
     assert list(load_index(path).doc_marks()) \
@@ -979,7 +1000,7 @@ def _padded_first_of_two_years(header: dict, columns: bytearray, ids: list) -> b
     (_column_byte(0, 0b1000), "a column of 2023 is wider than its 3 documents"),
     (_padded_first_of_two_years, "a column of 2022 is wider than its 3 documents"),
     (_column_byte(-1, 2), "a document of 2023 has no row in its category table"),
-    (_column_byte(-1, 0), "a category-table row of 2023 has no documents"),
+    (_column_byte(-2, 0), "a category-table row of 2023 has no documents"),
     (lambda header, columns, ids: _packed(header, columns + b"\0", ids),
      "1 bytes after the last column"),
     (lambda header, columns, ids: _packed(header, columns[:-1], ids),
@@ -1022,7 +1043,7 @@ def test_no_index_holds_a_year_outside_its_range(tmp_path, lexicon, capsys):
     path = tmp_path / "bad.idx"
     _write_container(path, _packed(header, columns, ids))
     _assert_rejected(path, capsys, f"malformed payload ({problem})")
-    # The smallest id of a year ordered by category row need not come first.
+    # The smallest id of a year need not be given first.
     with pytest.raises(IndexBuildError, match=f"^{re.escape(problem)}$"):
         YearTermIndex(lexicon, 2000, 2100, [("d1", 1900, 0, ("a",)), ("d0", 1900, 0, ("b",))])
 
@@ -1078,41 +1099,58 @@ def test_a_version_4_load_refuses_a_malformed_payload(tmp_path, lexicon, capsys,
     _assert_rejected(path, capsys, f"malformed payload ({problem})")
 
 
-@pytest.mark.parametrize("stream, problem, by_id", [
-    (_deflated([[7, "d2", "d1"]]), "a document id in 2023 is not a string", False),
-    (_deflated([["d0", "d0", "d1"]]), "duplicate document id 'd0'", False),
-    (_deflated([["d0", "d2"]]), "the ids of 2023 are not a list of its 3 documents", False),
-    (_deflated(["d0d2d1"]), "the ids of 2023 are not a list of its 3 documents", False),
-    (_deflated([["d0", "d2", "d1"], []]), "the ids are not a list for each of the 1 years",
-     False),
-    (_deflated({"2023": ["d0", "d2", "d1"]}), "the ids are not a list for each of the 1 years",
-     False),
-    (zlib.compress(b"[[\"d0\""), "Expecting ',' delimiter: line 1 column 7 (char 6)", False),
+# The id stream of _THREE_DOCS: d0, d1 and d2 front-coded.
+_THREE_IDS = [[0, 1, 1], ["d0", "1", "2"]]
+_WITHIN = "a shared length in 2023 is negative or past the id before it"
+
+
+@pytest.mark.parametrize("stream, problem", [
+    (_deflated([[[0, 1, 1], [7, "1", "2"]]]),
+     "the rest of a document id in 2023 is not a string"),
+    (_deflated([[[0, 2, 1], ["d0", "", "1"]]]), "the ids of 2023 are not strictly ascending"),
+    (_deflated([[[0, 1, 1], ["d0", "2", "1"]]]), "the ids of 2023 are not strictly ascending"),
+    (_deflated([[[0, 1], ["d0", "1"]]]),
+     "the id lists of 2023 are not two lists of its 3 documents"),
+    (_deflated([[[0, 1, 1, 1], ["d0", "1", "2"]]]),
+     "the id lists of 2023 are not two lists of its 3 documents"),
+    (_deflated([["0,1,1", ["d0", "1", "2"]]]),
+     "the id lists of 2023 are not two lists of its 3 documents"),
+    (_deflated([[0, 1, 1, "d0", "1", "2"]]),
+     "the ids are not a pair of lists for each of the 1 years"),
+    (_deflated([[*_THREE_IDS, []]]), "the ids are not a pair of lists for each of the 1 years"),
+    (_deflated(["d0d1d2"]), "the ids are not a pair of lists for each of the 1 years"),
+    (_deflated([_THREE_IDS, [[], []]]), "the ids are not a pair of lists for each of the 1 years"),
+    (_deflated({"2023": _THREE_IDS}), "the ids are not a pair of lists for each of the 1 years"),
+    (_deflated([[[0, 1.0, 1], ["d0", "1", "2"]]]), "a shared length in 2023 is not an integer"),
+    (_deflated([[[0, True, 1], ["d0", "1", "2"]]]), "a shared length in 2023 is not an integer"),
+    (_deflated([[[0, -1, 1], ["d0", "1", "2"]]]), _WITHIN),
+    (_deflated([[[0, 3, 1], ["d0", "1", "2"]]]), _WITHIN),
+    (_deflated([[[1, 1, 1], ["0", "1", "2"]]]), _WITHIN),
+    (_deflated([[[0, 0, 1], ["d0", "d1", "2"]]]), "a shared length in 2023 is not the longest"),
+    (_deflated([[[0, 1, 0], ["d0", "1", "d2"]]]), "a shared length in 2023 is not the longest"),
+    (zlib.compress(b'[[[0,1,1],["d0"'), "Expecting ',' delimiter: line 1 column 16 (char 15)"),
     (zlib.compress(b"\xff"), "'utf-8' codec can't decode byte 0xff in position 0: invalid "
-                             "start byte", False),
-    (zlib.compress(b"[" * 200_000), "JSON nested too deeply", False),
-    (zlib.compress(b"[[" + b"9" * 5000 + b"]]"), "integer of more than 4300 digits", False),
-    (b"plain bytes", "Error -3 while decompressing data: incorrect header check", False),
-    (_deflated([["d0", "d2", "d1"]])[:-2], "a deflated stream does not end", False),
-    (_deflated([["d0", "d2", "d1"]]) + b"\0", "1 bytes after the id stream", False),
-    # The documents in id order, not by category row, mask and id.
-    (_deflated([["d0", "d1", "d2"]]), "the (row, mask, id) keys of 2023 are not strictly "
-                                      "ascending", True),
-], ids=["id-not-str", "ids-repeated", "ids-too-few", "ids-not-list", "ids-of-too-many-years",
-        "ids-not-a-list", "not-json", "not-utf8", "nested-too-deeply", "integer-too-long",
-        "not-deflated", "stream-unended", "trailing-bytes", "documents-by-id-in-version-5"])
+                             "start byte"),
+    (zlib.compress(b"[" * 200_000), "JSON nested too deeply"),
+    (zlib.compress(b"[[[" + b"9" * 5000 + b"]]]"), "integer of more than 4300 digits"),
+    (b"plain bytes", "Error -3 while decompressing data: incorrect header check"),
+    (_deflated([_THREE_IDS])[:-2], "a deflated stream does not end"),
+    (_deflated([_THREE_IDS]) + b"\0", "1 bytes after the id stream"),
+], ids=["id-not-str", "ids-repeated", "ids-unsorted", "ids-too-few", "ids-too-many",
+        "shared-not-a-list", "ids-not-list", "pair-of-three-lists", "ids-not-a-pair",
+        "ids-of-too-many-years", "ids-not-a-list", "shared-not-int", "shared-bool",
+        "shared-negative", "shared-past-id-before", "first-shared-not-0", "shared-shorter",
+        "shared-shorter-after-a-carry", "not-json", "not-utf8", "nested-too-deeply",
+        "integer-too-long", "not-deflated", "stream-unended", "trailing-bytes"])
 def test_a_malformed_id_stream_is_refused_when_the_ids_are_first_used(
-        tmp_path, lexicon, capsys, stream, problem, by_id):
+        tmp_path, lexicon, capsys, stream, problem):
     """A file's ids are decoded by doc_marks() and save_index, never by a
-    load or a query: a file whose id stream is malformed, or whose documents
-    are out of order, loads, answers every query as the well-formed file
-    does, and names the problem once its ids are used."""
+    load or a query: a file whose id stream is malformed loads, answers
+    every query as the well-formed file does, and names the problem once
+    its ids are used."""
     header, columns, _ = _parts(tmp_path, lexicon)
-    if by_id:
-        # d1 and d2 trade places: the rows become 0, 1, 0, and "notable",
-        # d2's one term, moves from the second document to the third.
-        columns[lexicon.terms().index("notable")], columns[-2:] = 0b100, b"\1\0"
     good, bad = tmp_path / "good.idx", tmp_path / "bad.idx"
+    assert json.loads(_streams(good.read_bytes())[1]) == [_THREE_IDS]
     _write_container(bad, _packed(header, columns, stream))
     index, fine = load_index(bad), load_index(good)
     assert [index.total(y) for y in index.years] == [fine.total(y) for y in fine.years] == [3]
@@ -1160,8 +1198,9 @@ def test_doc_marks_come_by_id_where_the_larger_id_has_the_smaller_category_row(t
     index = build_index(docs, lexicon)
     path = tmp_path / "rows.idx"
     save_index(index, path)
-    # The file holds them by category row, then mask.
-    assert json.loads(_streams(path.read_bytes())[1]) == [["c", "b", "a"]]
+    # The file holds them by id, front-coded, whatever their rows.
+    assert json.loads(_streams(path.read_bytes())[1]) == [[[0, 0, 0], ["a", "b", "c"]]]
+    assert _streams(path.read_bytes())[0][-3:] == bytes([1, 0, 0])
     bit = 1 << lexicon.terms().index("intricate")
     assert list(index.doc_marks()) == list(load_index(path).doc_marks()) \
         == [("a", 2023, bit, ("b",)), ("b", 2023, bit, ("a",)), ("c", 2023, 0, ("a",))]
@@ -1204,7 +1243,7 @@ def test_one_byte_rows_load_exactly_when_each_lies_in_and_uses_the_table(lexicon
     rows = data.draw(st.lists(st.integers(0, top), min_size=1, max_size=300), label="rows")
     if data.draw(st.booleans(), label="every row listed once more"):
         rows += range(size)
-    rows.sort()  # a year's documents come by category row; the row checks ignore the order
+    rows.sort()  # the row checks ignore the order
     n, width = len(rows), len(lexicon.terms())
     header = {"format": "lexdrift.index", "lexicon": lexicon_to_dict(lexicon),
               "min_year": 2023, "max_year": 2023,
@@ -1231,40 +1270,76 @@ def test_one_byte_rows_load_exactly_when_each_lies_in_and_uses_the_table(lexicon
 
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
-def test_a_version_5_file_gives_its_ids_exactly_when_its_documents_are_in_order(lexicon, data):
-    # Few rows and masks, so that neighbours often share one or both; masks
-    # differing in the lowest term, the highest, or both.
-    width = len(lexicon.terms())
-    masks = [0, 1, 2, 3, 1 << width - 1, 1 << width - 1 | 1, (1 << width) - 1]
-    docs = data.draw(st.lists(st.tuples(st.integers(0, 2), st.sampled_from(masks),
-                                        st.sampled_from("abcdefghij")),
-                              min_size=1, max_size=10, unique_by=lambda doc: doc[2]),
-                     label="documents (row, mask, id)")
+def test_ids_load_exactly_when_ascending_and_coded_with_longest_prefixes(lexicon, data):
+    # Short ids of two letters, so that neighbours often share a prefix.
+    ids = data.draw(st.lists(st.text("ab", max_size=4), min_size=1, max_size=10, unique=True),
+                    label="ids")
     if data.draw(st.booleans(), label="sorted"):
-        docs.sort()
-    if len(docs) > 1 and data.draw(st.booleans(), label="two neighbours swapped"):
-        i = data.draw(st.integers(0, len(docs) - 2), label="first of the two")
-        docs[i:i + 2] = docs[i + 1], docs[i]
-    used = sorted({row for row, _, _ in docs})  # every row of a table has documents
-    n = len(docs)
+        ids.sort()
+    if len(ids) > 1 and data.draw(st.booleans(), label="two neighbours swapped"):
+        i = data.draw(st.integers(0, len(ids) - 2), label="first of the two")
+        ids[i:i + 2] = ids[i + 1], ids[i]
+    shared, rests = front_coded(ids)
+    longest = list(shared)
+    if any(shared) and data.draw(st.booleans(), label="a shared length cut"):
+        i = data.draw(st.sampled_from([i for i, n in enumerate(shared) if n]), label="whose")
+        shared[i] = data.draw(st.integers(0, shared[i] - 1), label="to")
+        rests[i] = ids[i][shared[i]:]
+    n = len(ids)
     header = {"format": "lexdrift.index", "lexicon": lexicon_to_dict(lexicon),
               "min_year": 2023, "max_year": 2023,
-              "years": [{"year": 2023, "docs": n,
-                         "categories": [[f"c{row}"] for row in used]}]}
-    columns = b"".join(sum((mask >> j & 1) << i for i, (_, mask, _) in enumerate(docs))
-                       .to_bytes((n + 7) // 8, "little") for j in range(width))
-    columns += bytes(used.index(row) for row, _, _ in docs)
+              "years": [{"year": 2023, "docs": n, "categories": [[]]}]}
+    # No document holds a term, and each has the one row, no categories.
+    columns = bytes(len(lexicon.terms()) * ((n + 7) // 8) + n)
+    # The rule spelled out id by id: the first id that breaks one is named.
+    problem = None
+    for i in range(1, n):
+        if shared[i] < longest[i]:
+            problem = "a shared length in 2023 is not the longest"
+            break
+        if ids[i] <= ids[i - 1]:
+            problem = "the ids of 2023 are not strictly ascending"
+            break
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "order.idx"
-        _write_container(path, _packed(header, columns, [[doc_id for _, _, doc_id in docs]]))
+        _write_container(path, _packed(header, columns, _deflated([[shared, rests]])))
         index = load_index(path)
-        # The rule spelled out on whole keys.
-        if docs == sorted(docs):
-            assert list(index.doc_marks()) \
-                == sorted((doc_id, 2023, mask, (f"c{row}",)) for row, mask, doc_id in docs)
+        if problem is None:
+            assert list(index.doc_marks()) == [(doc_id, 2023, 0, ()) for doc_id in ids]
+            save_index(index, Path(tmp) / "again.idx")
+            # The header is canonical JSON once saved; the ids code alike.
+            assert json.loads(_streams((Path(tmp) / "again.idx").read_bytes())[1]) \
+                == [[shared, rests]]
         else:
-            with pytest.raises(IndexFileError, match=r"the \(row, mask, id\) keys of 2023 "):
+            with pytest.raises(IndexFileError) as caught:
                 list(index.doc_marks())
+            assert str(caught.value) == f"{path}: malformed payload ({problem})"
+
+
+# Ids that share long prefixes, and characters JSON escapes or that take
+# more than one byte or UTF-16 unit.
+_PREFIXES = st.sampled_from(["", "10.1000/j.nlp.2023.", "10.1000/j.nlp.2023.0", "x" * 40])
+_AWKWARD_IDS = st.lists(st.builds(str.__add__, _PREFIXES,
+                                  st.text(st.sampled_from('ab\n"\\é物\U0001F600'), max_size=3)),
+                        min_size=1, max_size=12, unique=True)
+
+
+@settings(max_examples=100, deadline=None)
+@given(ids=_AWKWARD_IDS)
+def test_ids_of_long_shared_prefixes_and_awkward_characters_round_trip(lexicon, ids):
+    docs = [Document(doc_id, 2022 + k % 2, "an intricate case" if k % 3 else "plain")
+            for k, doc_id in enumerate(ids)]
+    index = build_index(docs, lexicon)
+    with tempfile.TemporaryDirectory() as tmp:
+        path, again = Path(tmp) / "ids.idx", Path(tmp) / "again.idx"
+        save_index(index, path)
+        by_year = [sorted(doc.id for doc in docs if doc.year == year) for year in index.years]
+        assert json.loads(_streams(path.read_bytes())[1]) == list(map(front_coded, by_year))
+        loaded = load_index(path)
+        assert list(loaded.doc_marks()) == list(index.doc_marks())
+        assert [doc_id for doc_id, *_ in loaded.doc_marks()] == sum(by_year, [])
+        save_index(loaded, again)
+        assert again.read_bytes() == path.read_bytes()
 
 
 def test_saved_lone_surrogate_category_is_rejected_on_load(tmp_path, lexicon, capsys):
@@ -1520,7 +1595,7 @@ def _flip(position: int):
         "payload-truncated", "payload-missing", "byte-appended", "header-cut-short",
         "version-alone", "wrong-magic"])
 def test_broken_v5_file_is_one_exact_error(tmp_path, lexicon, capsys, edit, problem):
-    path = tmp_path / "v5.idx"
+    path = tmp_path / "broken.idx"
     save_index(build_index(_THREE_DOCS, lexicon), path)
     path.write_bytes(edit(path.read_bytes()))
     with pytest.raises(IndexFileError) as caught:
@@ -1529,7 +1604,7 @@ def test_broken_v5_file_is_one_exact_error(tmp_path, lexicon, capsys, edit, prob
     _assert_rejected(path, capsys, problem)
 
 
-@pytest.mark.parametrize("version", [0, 1, 2, 3, 4, 6, 99])
+@pytest.mark.parametrize("version", [0, 1, 2, 3, 4, 5, 7, 99])
 def test_a_file_of_another_version_is_refused_with_advice_to_rebuild_it(tmp_path, lexicon,
                                                                         capsys, version):
     # An index is derived data: a file of an older version is rebuilt from

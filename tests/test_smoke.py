@@ -28,7 +28,10 @@ def test_smoke_script_passes_from_source(tmp_path):
     (bin_dir / "python").symlink_to(sys.executable)
     work = tmp_path / "work"
     work.mkdir()
-    env = dict(os.environ, PATH=f"{bin_dir}{os.pathsep}{os.environ.get('PATH', '')}")
+    # The script's own python finds this checkout's lexdrift too.
+    python_path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PATH=f"{bin_dir}{os.pathsep}{os.environ.get('PATH', '')}",
+               PYTHONPATH=python_path)
     result = subprocess.run(["bash", str(ROOT / "tests" / "smoke.sh"), str(bundled_corpus_path())],
                             cwd=work, env=env, capture_output=True, text=True, timeout=600)
     assert result.returncode == 0, result.stdout[-2000:] + result.stderr[-2000:]
