@@ -668,9 +668,11 @@ def save_index(index: YearTermIndex, path) -> None:
         raise IndexBuildError("an index over a query's terms (a corpus scan) cannot be saved")
     # Coded and deflated year by year, so that one year's lists at most are held at once.
     deflate = zlib.compressobj(6)
-    ids = deflate.compress(b"[") + b"".join(deflate.compress(b"," * (k > 0) + json.dumps(
-        _front_coded(year_ids), separators=(",", ":")).encode("utf-8"))
-        for k, year_ids in enumerate(index._doc_ids())) + deflate.compress(b"]") + deflate.flush()
+    ids = [deflate.compress(b"[")]
+    for k, year_ids in enumerate(index._doc_ids()):
+        pair = json.dumps(_front_coded(year_ids), separators=(",", ":")).encode("utf-8")
+        ids.append(deflate.compress(b"," * (k > 0) + pair))
+    ids.append(deflate.compress(b"]") + deflate.flush())
     years = []
     columns: list[bytes] = []
     for year, y in index._by_year.items():
@@ -686,7 +688,8 @@ def save_index(index: YearTermIndex, path) -> None:
         "years": years,
     }, sort_keys=True, separators=(",", ":")).encode("utf-8")
     # Level 6: level 9 compresses four to six times slower for under 2% fewer bytes.
-    blob = zlib.compress(b"".join([_JSON_LENGTH.pack(len(header)), header, *columns]), 6) + ids
+    blob = zlib.compress(b"".join([_JSON_LENGTH.pack(len(header)), header, *columns]), 6) \
+        + b"".join(ids)
     head = _HEADER.pack(_MAGIC, _VERSION, len(blob), zlib.crc32(blob))
     Path(path).write_bytes(head + blob)
 
@@ -812,6 +815,7 @@ def _front_coded(ids: Iterable[str]) -> list[list]:
     each shares with the id before it (the first, with ""), and the rests."""
     shared, rests, last = [], [], ""
     for doc_id in ids:
+        # Where the two first differ, else the shorter one's length.
         n = next(compress(count(), map(ne, last, doc_id)), min(len(last), len(doc_id)))
         shared.append(n)
         rests.append(doc_id[n:])

@@ -874,6 +874,13 @@ def _year_field(field: str, value):
     return edit
 
 
+def _years(entries: list):
+    """An edit setting the header's years to *entries*."""
+    def edit(header: dict, columns: bytearray, ids: list) -> bytes:
+        return _packed(dict(header, years=entries), columns, ids)
+    return edit
+
+
 def _unknown_role(position: int):
     """An edit giving the header lexicon's entry at *position* a role no
     entry may have, so that it has as many terms."""
@@ -913,25 +920,18 @@ def _unknown_role(position: int):
      "malformed payload (integer of more than 4300 digits)"),
     (_unknown_role(-1),
      "malformed payload (unknown role 'nonsense' for term 'artificial intelligence')"),
+    (_years(["2020"]), "malformed payload ('years' entry 0 is not an object)"),
+    (_years([[2020]]), "malformed payload ('years' entry 0 is not an object)"),
+    (_years([7]), "malformed payload ('years' entry 0 is not an object)"),
 ], ids=["missing-key", "not-json", "not-zlib", "not-an-object", "not-utf8", "year-not-int",
         "category-not-str", "categories-not-list", "category-lone-surrogate",
-        "nested-too-deeply", "integer-too-long", "lexicon-role-unknown"])
+        "nested-too-deeply", "integer-too-long", "lexicon-role-unknown", "years-entry-string",
+        "years-entry-list", "years-entry-int"])
 def test_malformed_payload_is_an_index_file_error(tmp_path, lexicon, capsys, make_blob, problem):
     header, columns, ids = _parts(tmp_path, lexicon)
     path = tmp_path / "bad.idx"
     _write_container(path, make_blob(header, columns, ids))
     _assert_rejected(path, capsys, problem)
-
-
-@pytest.mark.parametrize("entries", [["2020"], [[2020]], [7]], ids=["string", "list", "int"])
-def test_a_years_entry_that_is_no_object_is_named(tmp_path, lexicon, capsys, entries):
-    header, columns, ids = _parts(tmp_path, lexicon)
-    path = tmp_path / "bad.idx"
-    _write_container(path, _packed(dict(header, years=entries), columns, ids))
-    with pytest.raises(IndexFileError) as caught:
-        load_index(path)
-    assert str(caught.value) == f"{path}: malformed payload ('years' entry 0 is not an object)"
-    _assert_rejected(path, capsys)
 
 
 def _with_long_integer(text: str) -> bytes:
