@@ -194,6 +194,8 @@ class YearTermIndex:
 def _check_year_range(min_year: int, max_year: int) -> None:
     if type(min_year) is not int or type(max_year) is not int:
         raise IndexBuildError(f"year range {min_year!r}-{max_year!r}: a year is not an integer")
+    if min_year > max_year:
+        raise IndexBuildError(f"year range {min_year}-{max_year}: the first year is after the last")
 
 
 def _check_unique(ids_by_year: Iterable[Sequence[str]]) -> None:

@@ -31,19 +31,17 @@ import json
 import shlex
 import sys
 import tempfile
-import zlib
 from pathlib import Path
 
 from lexdrift import bundled_corpus_path, bundled_counts_path
 from lexdrift.cli import main
 
+import index_file
 from test_cli_inputs import awkward_values_alone, command_line, fill, make_inputs
 
 DATA = Path(__file__).resolve().parent / "data"
 GOLDEN = DATA / "cli-golden.txt"
 FORMATS = ("text", "csv", "json")
-# The size of an index file's header, before its deflated payload.
-_INDEX_HEADER = 18
 # Case-sensitive GPT beside gpt: "Gpt" names neither alone.
 _CASED_LEXICON = {"name": "cased", "entries": [
     {"term": "GPT", "role": "disclosure", "case_sensitive": True},
@@ -179,7 +177,7 @@ def _run(argv: list[str], paths: dict[str, str]) -> str:
     if out_path.is_file():
         data = out_path.read_bytes()
         if data.startswith(b"LXDX"):
-            payload = _inflate_all(data[_INDEX_HEADER:])
+            payload = b"".join(index_file.streams(data))
             block += f"--- {{out}}\nindex payload sha256 {hashlib.sha256(payload).hexdigest()}\n"
         else:
             block += _section("{out}", data.decode("utf-8"))
@@ -187,16 +185,6 @@ def _run(argv: list[str], paths: dict[str, str]) -> str:
     for name, path in sorted(paths.items(), key=lambda item: -len(item[1])):
         block = block.replace(path, f"{{{name}}}")
     return block
-
-
-def _inflate_all(data: bytes) -> bytes:
-    """The zlib streams that follow one another in *data*, each inflated."""
-    inflated = b""
-    while data:
-        inflate = zlib.decompressobj()
-        inflated += inflate.decompress(data)
-        data = inflate.unused_data
-    return inflated
 
 
 def transcript(tmp: Path) -> list[str]:

@@ -12,28 +12,31 @@ set -euo pipefail
 corpus=$1
 here=$(cd "$(dirname "$0")" && pwd)
 sample=$here/data/sample.idx
+# tests/index_file.py reads an index file as the README describes it,
+# sharing no code with lexdrift.
+export PYTHONPATH="$here${PYTHONPATH:+:$PYTHONPATH}"
 # The index format version that lexdrift writes and reads.
-version=6
+version=$(python -c 'import index_file; print(index_file.VERSION)')
 
 lexdrift drift --format json > drift.json
 lexdrift index --corpus "$corpus" --out sample.idx
 # A fresh index holds the payload of the index file committed with the
-# tests, byte for byte. Payloads, after the 18-byte header, are compared
-# inflated, every zlib stream of them: deflate output may differ between
-# zlib builds.
+# tests, byte for byte. Payloads are compared inflated, every zlib stream
+# of them: deflate output may differ between zlib builds.
 python -c '
-import sys, zlib
-def inflated(data):
-    streams = []
-    while data:
-        inflate = zlib.decompressobj()
-        streams.append(inflate.decompress(data))
-        data = inflate.unused_data
-    return streams
-fresh, kept = (inflated(open(path, "rb").read()[18:]) for path in sys.argv[1:])
+import sys, index_file
+fresh, kept = (index_file.streams(open(path, "rb").read()) for path in sys.argv[1:])
 if fresh != kept:
     sys.exit(f"the payload of {sys.argv[1]} differs from that of {sys.argv[2]}")
 ' sample.idx "$sample"
+# Its rows, read as the README describes the file, are the ones lexdrift
+# gives back.
+python -c '
+import sys, index_file
+from lexdrift import load_index
+if index_file.rows(open(sys.argv[1], "rb").read()) != list(load_index(sys.argv[1]).doc_marks()):
+    sys.exit(f"the rows of {sys.argv[1]} differ from its doc_marks()")
+' sample.idx
 # A fresh index, loaded and saved again through the library, keeps its bytes.
 python -c '
 import sys
@@ -78,10 +81,9 @@ done
 # A file of the version before is refused in one line that says to rebuild it.
 old=$((version - 1))
 python -c '
-import sys
-data = bytearray(open(sys.argv[1], "rb").read())
-data[4:6] = int(sys.argv[3]).to_bytes(2, "little")
-open(sys.argv[2], "wb").write(data)
+import sys, index_file
+payload = index_file.unframed(open(sys.argv[1], "rb").read())[1]
+open(sys.argv[2], "wb").write(index_file.framed(payload, int(sys.argv[3])))
 ' sample.idx old.idx $old
 code=0; lexdrift query 'any(strong)' --index old.idx 2> old.err || code=$?
 test "$code" = 1

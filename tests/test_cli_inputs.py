@@ -14,8 +14,6 @@ from __future__ import annotations
 import contextlib
 import io
 import json
-import struct
-import zlib
 from pathlib import Path
 from typing import Iterator
 
@@ -26,7 +24,8 @@ from hypothesis import strategies as st
 from lexdrift import builtin_lexicon, bundled_corpus_path, bundled_counts_path, save_lexicon
 from lexdrift.cli import main
 
-from conftest import INDEX_HEADER, SAMPLE_INDEX, index_container
+import index_file
+from conftest import SAMPLE_INDEX
 
 NUMBERS = ("nan", "inf", "-inf", "1e308", "0", "-1", "-2.5", "3")
 INTEGERS = ("0", "-1", "-2023", "1", "2019", "2101", str(10**30), "nan")
@@ -108,18 +107,13 @@ def make_inputs(tmp: Path) -> dict[str, str]:
         {"name": "huge", "entries": [{"term": "intricate", "role": "adjective"}],
          "groups": {"strong": ["intricate"]}})[:-1] + f', "version": {HUGE}}}', encoding="utf-8")
     # The index with a header field past the digit limit, its checksum valid.
-    inflate = zlib.decompressobj()
-    payload = inflate.decompress(index.read_bytes()[INDEX_HEADER.size:])
-    (size,) = struct.unpack_from("<I", payload)
-    header = payload[4:4 + size - 1] + f', "x": {HUGE}}}'.encode()
-    # The first stream, then the id stream as it was.
-    blob = zlib.compress(struct.pack("<I", len(header)) + header + payload[4 + size:]) \
-        + inflate.unused_data
-    (tmp / "huge.idx").write_bytes(index_container(blob))
+    header, columns, ids = index_file.parts(index.read_bytes())
+    text = (json.dumps(header)[:-1] + f', "x": {HUGE}}}').encode()
+    (tmp / "huge.idx").write_bytes(index_file.framed(index_file.packed(text, columns, ids)))
     data = bytearray(index.read_bytes())
     data[-1] ^= 1
     (tmp / "corrupt.idx").write_bytes(data)
-    (tmp / "short.idx").write_bytes(data[:INDEX_HEADER.size - 1])
+    (tmp / "short.idx").write_bytes(data[:index_file.HEADER.size - 1])
     return {
         "index": str(index),
         "huge_index": str(tmp / "huge.idx"),

@@ -5,7 +5,6 @@ would be a traceback."""
 from __future__ import annotations
 
 import json
-import struct
 import tempfile
 import zlib
 from pathlib import Path
@@ -24,7 +23,7 @@ from lexdrift import (
 )
 from lexdrift.lexicon import lexicon_to_dict
 
-from conftest import front_coded, index_container
+from index_file import framed, front_coded, id_stream, packed
 
 _JSON = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
@@ -89,18 +88,13 @@ _PAYLOAD = _json_with(
 )
 
 
-def _framed(header: bytes, columns: bytes, ids: bytes) -> bytes:
-    """A payload stream of a JSON *header* and *columns*, then an id stream of *ids*."""
-    return zlib.compress(struct.pack("<I", len(header)) + header + columns) + zlib.compress(ids)
-
-
 _INDEX_FILE = (
     st.binary(max_size=80)
-    | st.binary(max_size=80).map(index_container)
-    | st.builds(lambda payload, ids: index_container(zlib.compress(payload) + zlib.compress(ids)),
+    | st.binary(max_size=80).map(framed)
+    | st.builds(lambda payload, ids: framed(zlib.compress(payload) + zlib.compress(ids)),
                 st.binary(max_size=80), st.binary(max_size=20))
-    | st.builds(lambda v, columns, ids: index_container(_framed(json.dumps(v).encode(), columns,
-                                                           json.dumps(ids).encode())),
+    | st.builds(lambda v, columns, ids: framed(packed(json.dumps(v).encode(), columns,
+                                                      id_stream(ids))),
                 _PAYLOAD | _JSON, st.binary(max_size=60), _JSON)
 )
 
@@ -175,11 +169,12 @@ def _files(draw) -> bytes:
     columns += draw(st.sampled_from((b"", b"", b"", b"\0", b"\xff\xff")))
     columns = columns[:len(columns) - draw(st.sampled_from((0, 0, 0, 1, 3)))]
     text, ids = _split_ids(header)
-    length = len(text) + draw(st.sampled_from((0, 0, 0, -1, 1, 1 << 20)))
-    payload = struct.pack("<I", max(length, 0)) + text + columns
+    extra_length = draw(st.sampled_from((0, 0, 0, -1, 1, 1 << 20)))
+    stream = draw(_id_streams(ids))
     if draw(st.sampled_from((False,) * 7 + (True,))):
-        payload = payload[:3]
-    return index_container(zlib.compress(payload) + draw(_id_streams(ids)))
+        # A first stream too short to hold the header's length.
+        return framed(zlib.compress(text[:3]) + stream)
+    return framed(packed(text, columns, stream, extra_length))
 
 
 def _split_ids(header: dict) -> tuple[bytes, list]:
@@ -202,9 +197,9 @@ def _id_streams(ids: list) -> st.SearchStrategy[bytes]:
     if type(ids) is list:
         ids = [front_coded(i) if type(i) is list and all(type(d) is str for d in i) else i
                for i in ids]
-    good = zlib.compress(json.dumps(ids).encode())
+    good = id_stream(ids)
     return st.sampled_from((good,) * 4 + (b"", good[:-3], good + b"\0")) \
-        | _JSON.map(lambda v: zlib.compress(json.dumps(v).encode())) | st.binary(max_size=20)
+        | _JSON.map(id_stream) | st.binary(max_size=20)
 
 
 def _read_ids(path) -> None:
@@ -213,7 +208,7 @@ def _read_ids(path) -> None:
 
 
 @settings(max_examples=300, deadline=None)
-@given(data=_files() | st.builds(lambda payload, ids: index_container(zlib.compress(payload) + ids),
+@given(data=_files() | st.builds(lambda payload, ids: framed(zlib.compress(payload) + ids),
                                  st.binary(max_size=80), _JSON.flatmap(_id_streams)))
 def test_index_reader_raises_only_data_errors_when_its_ids_are_read(data):
     _survives(_read_ids, data, "input.idx")

@@ -4,7 +4,6 @@ import itertools
 import json
 import random
 import re
-import struct
 import sys
 import tempfile
 import threading
@@ -52,15 +51,13 @@ from lexdrift.lexicon import lexicon_to_dict
 from lexdrift.index import _GATE_MAX_NEEDLES, compile_predicate, scan_index
 from lexdrift.query import query_vocabulary
 
+import index_file
+from index_file import framed, front_coded, id_stream, packed, streams
 from conftest import (
     FILLER,
-    INDEX_HEADER,
-    INDEX_VERSION,
     SAMPLE_INDEX,
     brute_force_count,
     brute_force_skew,
-    front_coded,
-    index_container,
     make_random_corpus,
     make_random_query,
 )
@@ -791,9 +788,7 @@ def test_corrupted_payload(tmp_path, lexicon):
 def test_future_version(tmp_path, lexicon):
     path = tmp_path / "corpus.idx"
     save_index(build_index(_docs((2023, "x")), lexicon), path)
-    blob = bytearray(path.read_bytes())
-    blob[4:6] = (99).to_bytes(2, "little")
-    path.write_bytes(bytes(blob))
+    path.write_bytes(framed(index_file.unframed(path.read_bytes())[1], 99))
     with pytest.raises(IndexVersionError, match="99"):
         load_index(path)
 
@@ -807,9 +802,6 @@ def test_wrong_magic(tmp_path):
 
 # Some tests below keep in their names the format version that brought in
 # their rule; every file they write is of the version load_index reads.
-def _write_container(path, blob: bytes) -> None:
-    path.write_bytes(index_container(blob))
-
 
 # Three documents of 2023, so one byte per column, with the category table
 # [["a"], ["b"]]. A file holds them by id, and their rows, one byte each,
@@ -821,63 +813,26 @@ _THREE_DOCS = [
 ]
 
 
-def _streams(data: bytes) -> list[bytes]:
-    """Each zlib stream after the header of the index file *data*, inflated."""
-    streams, rest = [], data[INDEX_HEADER.size:]
-    while rest:
-        inflate = zlib.decompressobj()
-        streams.append(inflate.decompress(rest))
-        rest = inflate.unused_data
-    return streams
-
-
 def _parts(tmp_path, lexicon, docs=_THREE_DOCS) -> tuple[dict, bytearray, list]:
-    """The JSON header, the column bytes (each year's term columns, then its
-    category rows) and each year's ids, decoded, of the index of *docs*,
-    saved as ``good.idx`` in *tmp_path*."""
+    """The header, column bytes (each year's term columns, then its category
+    rows) and ids of the index of *docs*, saved as ``good.idx`` in *tmp_path*."""
     path = tmp_path / "good.idx"
     save_index(build_index(docs, lexicon), path)
-    payload, ids = _streams(path.read_bytes())
-    (size,) = struct.unpack_from("<I", payload)
-    return json.loads(payload[4:4 + size]), bytearray(payload[4 + size:]), \
-        [_front_decoded(*pair) for pair in json.loads(ids)]
-
-
-def _front_decoded(shared: list[int], rests: list[str]) -> list[str]:
-    """The ids of one year that :func:`front_coded` gives *shared* and *rests*."""
-    ids = [""]
-    for n, rest in zip(shared, rests):
-        ids.append(ids[-1][:n] + rest)
-    return ids[1:]
-
-
-def _packed(header: dict | bytes, columns: bytes, ids: list | bytes,
-            extra_length: int = 0) -> bytes:
-    """The payload of an index file: *header*, as JSON or as the bytes
-    given, after its length plus *extra_length* and before *columns*,
-    deflated; then each year's *ids* front-coded, deflated as JSON, or the
-    bytes given in place of the id stream."""
-    text = header if type(header) is bytes else json.dumps(header).encode()
-    stream = ids if type(ids) is bytes else _deflated([front_coded(year) for year in ids])
-    return zlib.compress(struct.pack("<I", len(text) + extra_length) + text + columns) + stream
-
-
-def _deflated(value) -> bytes:
-    return zlib.compress(json.dumps(value).encode())
+    return index_file.parts(path.read_bytes())
 
 
 def _year_field(field: str, value):
     """An edit setting *field* of the header's first year to *value*."""
     def edit(header: dict, columns: bytearray, ids: list) -> bytes:
         header["years"][0][field] = value
-        return _packed(header, columns, ids)
+        return packed(header, columns, ids)
     return edit
 
 
 def _years(entries: list):
     """An edit setting the header's years to *entries*."""
     def edit(header: dict, columns: bytearray, ids: list) -> bytes:
-        return _packed(dict(header, years=entries), columns, ids)
+        return packed(dict(header, years=entries), columns, ids)
     return edit
 
 
@@ -886,22 +841,22 @@ def _unknown_role(position: int):
     entry may have, so that it has as many terms."""
     def edit(header: dict, columns: bytearray, ids: list) -> bytes:
         header["lexicon"]["entries"][position]["role"] = "nonsense"
-        return _packed(header, columns, ids)
+        return packed(header, columns, ids)
     return edit
 
 
 @pytest.mark.parametrize("make_blob, problem", [
-    (lambda header, columns, ids: _packed({k: v for k, v in header.items() if k != "lexicon"},
-                                          columns, ids),
+    (lambda header, columns, ids: packed({k: v for k, v in header.items() if k != "lexicon"},
+                                         columns, ids),
      "malformed payload (no 'lexicon' field)"),
-    (lambda header, columns, ids: _packed(b"{not json", columns, ids),
+    (lambda header, columns, ids: packed(b"{not json", columns, ids),
      "malformed payload (Expecting property name enclosed in double quotes: line 1 column 2 "
      "(char 1))"),
     (lambda header, columns, ids: b"plain bytes, not deflated",
      "malformed payload (Error -3 while decompressing data: incorrect header check)"),
-    (lambda header, columns, ids: _packed(b"[1, 2]", columns, ids),
+    (lambda header, columns, ids: packed(b"[1, 2]", columns, ids),
      "malformed payload (not a lexdrift index payload)"),
-    (lambda header, columns, ids: _packed(b"\xff\xfe", columns, ids),
+    (lambda header, columns, ids: packed(b"\xff\xfe", columns, ids),
      "malformed payload ('utf-8' codec can't decode byte 0xff in position 0: invalid start "
      "byte)"),
     (_year_field("year", "2023"),
@@ -912,10 +867,10 @@ def _unknown_role(position: int):
                                       "list of lists)"),
     (_year_field("categories", [["\ud800x"], ["b"]]),
      "malformed payload (a category in 2023 holds a lone surrogate U+D800)"),
-    (lambda header, columns, ids: _packed(b'{"format": "lexdrift.index", "lexicon": '
-                                          + b"[" * 200_000, columns, ids),
+    (lambda header, columns, ids: packed(b'{"format": "lexdrift.index", "lexicon": '
+                                         + b"[" * 200_000, columns, ids),
      "malformed payload (JSON nested too deeply)"),
-    (lambda header, columns, ids: _packed(json.dumps(header).replace(
+    (lambda header, columns, ids: packed(json.dumps(header).replace(
         '"docs": 3', f'"docs": {"9" * 5000}').encode(), columns, ids),
      "malformed payload (integer of more than 4300 digits)"),
     (_unknown_role(-1),
@@ -930,7 +885,7 @@ def _unknown_role(position: int):
 def test_malformed_payload_is_an_index_file_error(tmp_path, lexicon, capsys, make_blob, problem):
     header, columns, ids = _parts(tmp_path, lexicon)
     path = tmp_path / "bad.idx"
-    _write_container(path, make_blob(header, columns, ids))
+    path.write_bytes(framed(make_blob(header, columns, ids)))
     _assert_rejected(path, capsys, problem)
 
 
@@ -944,7 +899,7 @@ def _with_long_integer(text: str) -> bytes:
 def test_a_long_integer_in_a_payload_is_worded_like_other_inputs(tmp_path, lexicon, capsys):
     header, columns, ids = _parts(tmp_path, lexicon)
     path = tmp_path / "long.idx"
-    _write_container(path, _packed(_with_long_integer(json.dumps(header)), columns, ids))
+    path.write_bytes(framed(packed(_with_long_integer(json.dumps(header)), columns, ids)))
     _assert_rejected(path, capsys, "malformed payload (integer of more than 4300 digits)")
 
 
@@ -968,11 +923,11 @@ def test_parts_reassemble_into_the_same_index(tmp_path, lexicon):
     assert len(columns) == width + 3
     assert columns[width:] == bytes([0, 1, 0])
     path = tmp_path / "again.idx"
-    _write_container(path, _packed(header, columns, ids))
+    path.write_bytes(framed(packed(header, columns, ids)))
+    assert streams(path.read_bytes()) == streams((tmp_path / "good.idx").read_bytes())
     assert list(load_index(path).doc_marks()) \
         == list(load_index(tmp_path / "good.idx").doc_marks()) \
         == list(build_index(_THREE_DOCS, lexicon).doc_marks())
-    # Saved again, the header is canonical JSON again.
     save_index(load_index(path), tmp_path / "resaved.idx")
     assert (tmp_path / "resaved.idx").read_bytes() == (tmp_path / "good.idx").read_bytes()
 
@@ -982,7 +937,7 @@ def _column_byte(position: int, value: int):
     first, the documents' category rows last."""
     def edit(header: dict, columns: bytearray, ids: list) -> bytes:
         columns[position] = value
-        return _packed(header, columns, ids)
+        return packed(header, columns, ids)
     return edit
 
 
@@ -993,7 +948,7 @@ def _padded_first_of_two_years(header: dict, columns: bytearray, ids: list) -> b
     header = dict(header, years=[dict(year, year=2022), year])
     padded = bytearray(columns)
     padded[0] |= 0b1000
-    return _packed(header, padded + columns, ids)
+    return packed(header, padded + columns, ids)
 
 
 @pytest.mark.parametrize("make_blob, problem", [
@@ -1001,21 +956,21 @@ def _padded_first_of_two_years(header: dict, columns: bytearray, ids: list) -> b
     (_padded_first_of_two_years, "a column of 2022 is wider than its 3 documents"),
     (_column_byte(-1, 2), "a document of 2023 has no row in its category table"),
     (_column_byte(-2, 0), "a category-table row of 2023 has no documents"),
-    (lambda header, columns, ids: _packed(header, columns + b"\0", ids),
+    (lambda header, columns, ids: packed(header, columns + b"\0", ids),
      "1 bytes after the last column"),
-    (lambda header, columns, ids: _packed(header, columns[:-1], ids),
+    (lambda header, columns, ids: packed(header, columns[:-1], ids),
      "the columns of 2023 are cut short"),
     (_year_field("categories", [["b"], ["a"]]),
      "the category-table rows of 2023 are not strictly ascending"),
     (_year_field("categories", [["a"], ["a"]]),
      "the category-table rows of 2023 are not strictly ascending"),
-    (lambda header, columns, ids: _packed(header, columns, ids, extra_length=len(columns) + 1),
+    (lambda header, columns, ids: packed(header, columns, ids, extra_length=len(columns) + 1),
      "runs past the payload"),
     (_year_field("categories", [["a"], ["b\udcff"]]),
      "a category in 2023 holds a lone surrogate U+DCFF"),
-    (lambda header, columns, ids: _packed(b"[" * 200_000, b"", ids),
+    (lambda header, columns, ids: packed(b"[" * 200_000, b"", ids),
      "malformed payload (JSON nested too deeply)"),
-    (lambda header, columns, ids: _packed(_with_long_integer(json.dumps(header)), columns, ids),
+    (lambda header, columns, ids: packed(_with_long_integer(json.dumps(header)), columns, ids),
      "malformed payload (integer of more than 4300 digits)"),
     (_unknown_role(0), "malformed payload (unknown role 'nonsense' for term 'commendable')"),
 ], ids=["column-wider-than-year", "first-of-two-years-padded", "category-row-past-table",
@@ -1027,7 +982,7 @@ def test_malformed_v2_payload_is_an_index_file_error(tmp_path, lexicon, capsys, 
                                                      problem):
     header, columns, ids = _parts(tmp_path, lexicon)
     path = tmp_path / "bad.idx"
-    _write_container(path, make_blob(header, columns, ids))
+    path.write_bytes(framed(make_blob(header, columns, ids)))
     _assert_rejected(path, capsys, problem)
 
 
@@ -1041,7 +996,7 @@ def test_no_index_holds_a_year_outside_its_range(tmp_path, lexicon, capsys):
     header, columns, ids = _parts(tmp_path, lexicon)
     header["years"][0]["year"] = 1900
     path = tmp_path / "bad.idx"
-    _write_container(path, _packed(header, columns, ids))
+    path.write_bytes(framed(packed(header, columns, ids)))
     _assert_rejected(path, capsys, f"malformed payload ({problem})")
     # The smallest id of a year need not be given first.
     with pytest.raises(IndexBuildError, match=f"^{re.escape(problem)}$"):
@@ -1055,7 +1010,7 @@ def _two_years(first, second, extra: bytes = b""):
         year = header["years"][0]
         header = dict(header, years=[dict(year, year=first), dict(year, year=second)])
         renamed = ["c" + doc_id for doc_id in ids[0]]
-        return _packed(header, columns + columns + extra, [renamed, *ids])
+        return packed(header, columns + columns + extra, [renamed, *ids])
     return edit
 
 
@@ -1064,7 +1019,7 @@ def _two_years(first, second, extra: bytes = b""):
     (_two_years(2023, 2023), "the years are not strictly ascending: 2023 after 2023"),
     (_two_years(2022, "2023"), "document 'd0': year '2023' outside allowed range 2000-2100"),
     (_two_years(2022, 2101), "document 'd0': year 2101 outside allowed range 2000-2100"),
-    (lambda header, columns, ids: _packed(dict(header, min_year="2000"), columns, ids),
+    (lambda header, columns, ids: packed(dict(header, min_year="2000"), columns, ids),
      "year range '2000'-2100: a year is not an integer"),
     # The years are checked after the columns and the trailing bytes.
     (_two_years(2023, 2022, b"\0"), "1 bytes after the last column"),
@@ -1075,14 +1030,14 @@ def test_a_version_2_or_3_load_checks_its_years_last(tmp_path, lexicon, capsys, 
                                                      problem):
     header, columns, ids = _parts(tmp_path, lexicon)
     path = tmp_path / "bad.idx"
-    _write_container(path, make_blob(header, columns, ids))
+    path.write_bytes(framed(make_blob(header, columns, ids)))
     _assert_rejected(path, capsys, f"malformed payload ({problem})")
 
 
 @pytest.mark.parametrize("make_blob, problem", [
-    (lambda header, columns, ids: _packed(header, columns, b""),
+    (lambda header, columns, ids: packed(header, columns, b""),
      "no id stream after the payload"),
-    (lambda header, columns, ids: _packed(header, columns, b"")[:-4],
+    (lambda header, columns, ids: packed(header, columns, b"")[:-4],
      "a deflated stream does not end"),
     (_year_field("docs", "3"), "the document count of 2023 is not an integer"),
     (_year_field("docs", True), "the document count of 2023 is not an integer"),
@@ -1095,7 +1050,7 @@ def test_a_version_4_load_refuses_a_malformed_payload(tmp_path, lexicon, capsys,
                                                       problem):
     header, columns, ids = _parts(tmp_path, lexicon)
     path = tmp_path / "bad.idx"
-    _write_container(path, make_blob(header, columns, ids))
+    path.write_bytes(framed(make_blob(header, columns, ids)))
     _assert_rejected(path, capsys, f"malformed payload ({problem})")
 
 
@@ -1105,37 +1060,37 @@ _WITHIN = "a shared length in 2023 is negative or past the id before it"
 
 
 @pytest.mark.parametrize("stream, problem", [
-    (_deflated([[[0, 1, 1], [7, "1", "2"]]]),
+    (id_stream([[[0, 1, 1], [7, "1", "2"]]]),
      "the rest of a document id in 2023 is not a string"),
-    (_deflated([[[0, 2, 1], ["d0", "", "1"]]]), "the ids of 2023 are not strictly ascending"),
-    (_deflated([[[0, 1, 1], ["d0", "2", "1"]]]), "the ids of 2023 are not strictly ascending"),
-    (_deflated([[[0, 1], ["d0", "1"]]]),
+    (id_stream([[[0, 2, 1], ["d0", "", "1"]]]), "the ids of 2023 are not strictly ascending"),
+    (id_stream([[[0, 1, 1], ["d0", "2", "1"]]]), "the ids of 2023 are not strictly ascending"),
+    (id_stream([[[0, 1], ["d0", "1"]]]),
      "the id lists of 2023 are not two lists of its 3 documents"),
-    (_deflated([[[0, 1, 1, 1], ["d0", "1", "2"]]]),
+    (id_stream([[[0, 1, 1, 1], ["d0", "1", "2"]]]),
      "the id lists of 2023 are not two lists of its 3 documents"),
-    (_deflated([["0,1,1", ["d0", "1", "2"]]]),
+    (id_stream([["0,1,1", ["d0", "1", "2"]]]),
      "the id lists of 2023 are not two lists of its 3 documents"),
-    (_deflated([[0, 1, 1, "d0", "1", "2"]]),
+    (id_stream([[0, 1, 1, "d0", "1", "2"]]),
      "the ids are not a pair of lists for each of the 1 years"),
-    (_deflated([[*_THREE_IDS, []]]), "the ids are not a pair of lists for each of the 1 years"),
-    (_deflated(["d0d1d2"]), "the ids are not a pair of lists for each of the 1 years"),
-    (_deflated([_THREE_IDS, [[], []]]), "the ids are not a pair of lists for each of the 1 years"),
-    (_deflated({"2023": _THREE_IDS}), "the ids are not a pair of lists for each of the 1 years"),
-    (_deflated([[[0, 1.0, 1], ["d0", "1", "2"]]]), "a shared length in 2023 is not an integer"),
-    (_deflated([[[0, True, 1], ["d0", "1", "2"]]]), "a shared length in 2023 is not an integer"),
-    (_deflated([[[0, -1, 1], ["d0", "1", "2"]]]), _WITHIN),
-    (_deflated([[[0, 3, 1], ["d0", "1", "2"]]]), _WITHIN),
-    (_deflated([[[1, 1, 1], ["0", "1", "2"]]]), _WITHIN),
-    (_deflated([[[0, 0, 1], ["d0", "d1", "2"]]]), "a shared length in 2023 is not the longest"),
-    (_deflated([[[0, 1, 0], ["d0", "1", "d2"]]]), "a shared length in 2023 is not the longest"),
+    (id_stream([[*_THREE_IDS, []]]), "the ids are not a pair of lists for each of the 1 years"),
+    (id_stream(["d0d1d2"]), "the ids are not a pair of lists for each of the 1 years"),
+    (id_stream([_THREE_IDS, [[], []]]), "the ids are not a pair of lists for each of the 1 years"),
+    (id_stream({"2023": _THREE_IDS}), "the ids are not a pair of lists for each of the 1 years"),
+    (id_stream([[[0, 1.0, 1], ["d0", "1", "2"]]]), "a shared length in 2023 is not an integer"),
+    (id_stream([[[0, True, 1], ["d0", "1", "2"]]]), "a shared length in 2023 is not an integer"),
+    (id_stream([[[0, -1, 1], ["d0", "1", "2"]]]), _WITHIN),
+    (id_stream([[[0, 3, 1], ["d0", "1", "2"]]]), _WITHIN),
+    (id_stream([[[1, 1, 1], ["0", "1", "2"]]]), _WITHIN),
+    (id_stream([[[0, 0, 1], ["d0", "d1", "2"]]]), "a shared length in 2023 is not the longest"),
+    (id_stream([[[0, 1, 0], ["d0", "1", "d2"]]]), "a shared length in 2023 is not the longest"),
     (zlib.compress(b'[[[0,1,1],["d0"'), "Expecting ',' delimiter: line 1 column 16 (char 15)"),
     (zlib.compress(b"\xff"), "'utf-8' codec can't decode byte 0xff in position 0: invalid "
                              "start byte"),
     (zlib.compress(b"[" * 200_000), "JSON nested too deeply"),
     (zlib.compress(b"[[[" + b"9" * 5000 + b"]]]"), "integer of more than 4300 digits"),
     (b"plain bytes", "Error -3 while decompressing data: incorrect header check"),
-    (_deflated([_THREE_IDS])[:-2], "a deflated stream does not end"),
-    (_deflated([_THREE_IDS]) + b"\0", "1 bytes after the id stream"),
+    (id_stream([_THREE_IDS])[:-2], "a deflated stream does not end"),
+    (id_stream([_THREE_IDS]) + b"\0", "1 bytes after the id stream"),
 ], ids=["id-not-str", "ids-repeated", "ids-unsorted", "ids-too-few", "ids-too-many",
         "shared-not-a-list", "ids-not-list", "pair-of-three-lists", "ids-not-a-pair",
         "ids-of-too-many-years", "ids-not-a-list", "shared-not-int", "shared-bool",
@@ -1150,8 +1105,8 @@ def test_a_malformed_id_stream_is_refused_when_the_ids_are_first_used(
     its ids are used."""
     header, columns, _ = _parts(tmp_path, lexicon)
     good, bad = tmp_path / "good.idx", tmp_path / "bad.idx"
-    assert json.loads(_streams(good.read_bytes())[1]) == [_THREE_IDS]
-    _write_container(bad, _packed(header, columns, stream))
+    assert json.loads(streams(good.read_bytes())[1]) == [_THREE_IDS]
+    bad.write_bytes(framed(packed(header, columns, stream)))
     index, fine = load_index(bad), load_index(good)
     assert [index.total(y) for y in index.years] == [fine.total(y) for y in fine.years] == [3]
     q = parse_query("any(strong) OR intricate OR notable", lexicon)
@@ -1175,8 +1130,8 @@ def test_an_id_in_two_years_is_refused_wherever_ids_are_decoded(tmp_path, lexico
     year = header["years"][0]
     header = dict(header, years=[dict(year, year=2022), year])
     path = tmp_path / "twice.idx"
-    _write_container(path, _packed(header, columns + columns,
-                                   [["a", "b", "c"], ["a", "d", "e"]]))
+    path.write_bytes(framed(packed(header, columns + columns,
+                                   [["a", "b", "c"], ["a", "d", "e"]])))
     index = load_index(path)
     assert index.doc_count == 6
     with pytest.raises(IndexFileError) as caught:
@@ -1199,8 +1154,8 @@ def test_doc_marks_come_by_id_where_the_larger_id_has_the_smaller_category_row(t
     path = tmp_path / "rows.idx"
     save_index(index, path)
     # The file holds them by id, front-coded, whatever their rows.
-    assert json.loads(_streams(path.read_bytes())[1]) == [[[0, 0, 0], ["a", "b", "c"]]]
-    assert _streams(path.read_bytes())[0][-3:] == bytes([1, 0, 0])
+    assert json.loads(streams(path.read_bytes())[1]) == [[[0, 0, 0], ["a", "b", "c"]]]
+    assert streams(path.read_bytes())[0][-3:] == bytes([1, 0, 0])
     bit = 1 << lexicon.terms().index("intricate")
     assert list(index.doc_marks()) == list(load_index(path).doc_marks()) \
         == [("a", 2023, bit, ("b",)), ("b", 2023, bit, ("a",)), ("c", 2023, 0, ("a",))]
@@ -1230,7 +1185,7 @@ def test_malformed_two_byte_rows_are_an_index_file_error(tmp_path, lexicon, caps
     assert columns[-2:] == (256).to_bytes(2, "little")  # the last document's row
     columns[-2:] = row.to_bytes(2, "little")
     path = tmp_path / "bad.idx"
-    _write_container(path, _packed(header, columns, ids))
+    path.write_bytes(framed(packed(header, columns, ids)))
     _assert_rejected(path, capsys, problem)
 
 
@@ -1258,8 +1213,8 @@ def test_one_byte_rows_load_exactly_when_each_lies_in_and_uses_the_table(lexicon
         problem = None
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "rows.idx"
-        _write_container(path, _packed(header, bytes(width * ((n + 7) // 8)) + bytes(rows),
-                                       [[f"d{i:03d}" for i in range(n)]]))
+        path.write_bytes(framed(packed(header, bytes(width * ((n + 7) // 8)) + bytes(rows),
+                                       [[f"d{i:03d}" for i in range(n)]])))
         if problem is None:
             assert [cats for _, _, _, cats in load_index(path).doc_marks()] \
                 == [(f"c{r:03d}",) for r in rows]
@@ -1302,13 +1257,13 @@ def test_ids_load_exactly_when_ascending_and_coded_with_longest_prefixes(lexicon
             break
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "order.idx"
-        _write_container(path, _packed(header, columns, _deflated([[shared, rests]])))
+        path.write_bytes(framed(packed(header, columns, id_stream([[shared, rests]]))))
         index = load_index(path)
         if problem is None:
             assert list(index.doc_marks()) == [(doc_id, 2023, 0, ()) for doc_id in ids]
             save_index(index, Path(tmp) / "again.idx")
             # The header is canonical JSON once saved; the ids code alike.
-            assert json.loads(_streams((Path(tmp) / "again.idx").read_bytes())[1]) \
+            assert json.loads(streams((Path(tmp) / "again.idx").read_bytes())[1]) \
                 == [[shared, rests]]
         else:
             with pytest.raises(IndexFileError) as caught:
@@ -1334,7 +1289,7 @@ def test_ids_of_long_shared_prefixes_and_awkward_characters_round_trip(lexicon, 
         path, again = Path(tmp) / "ids.idx", Path(tmp) / "again.idx"
         save_index(index, path)
         by_year = [sorted(doc.id for doc in docs if doc.year == year) for year in index.years]
-        assert json.loads(_streams(path.read_bytes())[1]) == list(map(front_coded, by_year))
+        assert json.loads(streams(path.read_bytes())[1]) == list(map(front_coded, by_year))
         loaded = load_index(path)
         assert list(loaded.doc_marks()) == list(index.doc_marks())
         assert [doc_id for doc_id, *_ in loaded.doc_marks()] == sum(by_year, [])
@@ -1349,7 +1304,7 @@ def test_saved_lone_surrogate_category_is_rejected_on_load(tmp_path, lexicon, ca
     header, columns, ids = _parts(tmp_path, lexicon)
     header["years"][0]["categories"] = [["b"], ["\ud800x"]]
     path = tmp_path / "surrogate.idx"
-    _write_container(path, _packed(header, columns, ids))
+    path.write_bytes(framed(packed(header, columns, ids)))
     error = f"error: {path}: malformed payload (a category in 2023 holds a lone surrogate U+D800)\n"
     out = tmp_path / "skew.txt"
     for argv in ([], ["--out", str(out)]):
@@ -1391,6 +1346,30 @@ def test_save_refuses_a_year_the_loader_refuses(tmp_path, lexicon):
         with pytest.raises(IndexBuildError, match=f"^{re.escape(problem)}$"):
             save_index(build(), path)
     assert not path.exists()
+
+
+def test_an_inverted_year_range_is_refused_before_any_document(tmp_path, lexicon, capsys):
+    # A range whose first year is after its last holds no year. A builder,
+    # the marks constructor and a load refuse it in the same words, and the
+    # command line before it reads a record, whatever --on-error says.
+    problem = "year range 2030-2020: the first year is after the last"
+    for build in (lambda: IndexBuilder(lexicon, min_year=2030, max_year=2020),
+                  lambda: YearTermIndex(lexicon, 2030, 2020, []),
+                  lambda: YearTermIndex(lexicon, 2030, 2020, [("a", 2025, 0, ())])):
+        with pytest.raises(IndexBuildError, match=f"^{re.escape(problem)}$"):
+            build()
+    header, columns, ids = _parts(tmp_path, lexicon)
+    path = tmp_path / "bad.idx"
+    path.write_bytes(framed(packed(dict(header, min_year=2030, max_year=2020), columns, ids)))
+    _assert_rejected(path, capsys, f"malformed payload ({problem})")
+    corpus, out = tmp_path / "corpus.jsonl", tmp_path / "out.idx"
+    corpus.write_text('garbage\n{"id": "a", "year": 2025, "text": "an intricate plan"}\n',
+                      encoding="utf-8")
+    for on_error in ("abort", "skip"):
+        assert main(["index", "--corpus", str(corpus), "--out", str(out), "--from", "2030",
+                     "--to", "2020", "--on-error", on_error]) == 1
+        assert capsys.readouterr() == ("", f"error: {problem}\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("mask, shown", [(-1, "-1"), (1.0, "1.0"), (True, "True"),
@@ -1552,7 +1531,7 @@ def _answers(index, lexicon) -> tuple:
 
 def test_the_committed_sample_answers_like_a_fresh_build(tmp_path, lexicon):
     sample = SAMPLE_INDEX
-    assert sample.read_bytes()[4:6] == INDEX_VERSION.to_bytes(2, "little")
+    assert index_file.unframed(sample.read_bytes())[0] == index_file.VERSION
     path = tmp_path / "sample.idx"
     save_index(build_index(load_corpus(bundled_corpus_path()), lexicon), path)
     old, new = load_index(sample), load_index(path)
@@ -1569,7 +1548,7 @@ def test_the_committed_sample_holds_the_payload_a_fresh_build_writes(tmp_path, l
     # deflate differently, compares alike.
     path = tmp_path / "sample.idx"
     save_index(build_index(load_corpus(bundled_corpus_path()), lexicon), path)
-    assert _streams(SAMPLE_INDEX.read_bytes()) == _streams(path.read_bytes())
+    assert streams(SAMPLE_INDEX.read_bytes()) == streams(path.read_bytes())
 
 
 def _flip(position: int):
@@ -1582,13 +1561,13 @@ def _flip(position: int):
 
 
 @pytest.mark.parametrize("edit, problem", [
-    (_flip(INDEX_HEADER.size), "checksum mismatch (truncated or corrupt)"),
+    (_flip(index_file.HEADER.size), "checksum mismatch (truncated or corrupt)"),
     (_flip(-1), "checksum mismatch (truncated or corrupt)"),
-    (_flip(INDEX_HEADER.size - 1), "checksum mismatch (truncated or corrupt)"),
+    (_flip(index_file.HEADER.size - 1), "checksum mismatch (truncated or corrupt)"),
     (lambda data: data[:-7], "checksum mismatch (truncated or corrupt)"),
-    (lambda data: data[:INDEX_HEADER.size], "checksum mismatch (truncated or corrupt)"),
+    (lambda data: data[:index_file.HEADER.size], "checksum mismatch (truncated or corrupt)"),
     (lambda data: data + b"\0", "checksum mismatch (truncated or corrupt)"),
-    (lambda data: data[:INDEX_HEADER.size - 1], "not an index file"),
+    (lambda data: data[:index_file.HEADER.size - 1], "not an index file"),
     (lambda data: data[:6], "not an index file"),
     (lambda data: b"LXDY" + data[4:], "not an index file"),
 ], ids=["first-payload-byte-flipped", "last-payload-byte-flipped", "checksum-byte-flipped",
@@ -1611,9 +1590,8 @@ def test_a_file_of_another_version_is_refused_with_advice_to_rebuild_it(tmp_path
     # its corpus, not read.
     path = tmp_path / "other.idx"
     save_index(build_index(_THREE_DOCS, lexicon), path)
-    data = path.read_bytes()
-    path.write_bytes(data[:4] + version.to_bytes(2, "little") + data[6:])
-    problem = (f"{path}: unsupported index version {version} (supported: {INDEX_VERSION}); "
+    path.write_bytes(framed(index_file.unframed(path.read_bytes())[1], version))
+    problem = (f"{path}: unsupported index version {version} (supported: {index_file.VERSION}); "
                "rebuild the file with 'lexdrift index'")
     with pytest.raises(IndexVersionError) as caught:
         load_index(path)
@@ -1681,10 +1659,9 @@ def test_category_rows_cost_a_few_bytes_per_document(tmp_path, lexicon, docs, tu
     index = YearTermIndex(lexicon, 1990, 2100, marks)
     path = tmp_path / "rows.idx"
     save_index(index, path)
-    payload = zlib.decompress(path.read_bytes()[INDEX_HEADER.size:])
-    (size,) = struct.unpack_from("<I", payload)
+    _, columns, _ = index_file.parts(path.read_bytes())
     width = len(lexicon.terms())
-    assert len(payload) - 4 - size == width * ((docs + 7) // 8) + docs * row_bytes
+    assert len(columns) == width * ((docs + 7) // 8) + docs * row_bytes
     loaded = load_index(path)
     assert list(loaded.doc_marks()) == list(index.doc_marks())
     # vocabulary entry 0 is in the documents whose mask i % 7 is odd

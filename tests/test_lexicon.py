@@ -1,8 +1,6 @@
 from __future__ import annotations
 
 import json
-import struct
-import zlib
 
 import pytest
 from hypothesis import given, settings
@@ -25,7 +23,8 @@ from lexdrift import (
 from lexdrift.corpus import raw_tokens
 from lexdrift.lexicon import ROLES, lexicon_from_dict, lexicon_to_dict
 
-from conftest import INDEX_HEADER, SAMPLE_INDEX, index_container
+import index_file
+from conftest import SAMPLE_INDEX
 
 
 def test_builtin_strength_groups(lexicon):
@@ -271,15 +270,9 @@ _LEXICON_ERRORS = [
 def _index_with_lexicon(path, data) -> None:
     """Write to *path* the committed sample index with *data* in place of
     the lexicon in its header, checksum and lengths mended."""
-    inflate = zlib.decompressobj()
-    payload = inflate.decompress(SAMPLE_INDEX.read_bytes()[INDEX_HEADER.size:])
-    (size,) = struct.unpack_from("<I", payload)
-    header = json.loads(payload[4:4 + size])
+    header, columns, ids = index_file.parts(SAMPLE_INDEX.read_bytes())
     header["lexicon"] = data
-    text = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-    blob = zlib.compress(struct.pack("<I", len(text)) + text + payload[4 + size:]) \
-        + inflate.unused_data
-    path.write_bytes(index_container(blob))
+    path.write_bytes(index_file.framed(index_file.packed(header, columns, ids)))
 
 
 @pytest.mark.parametrize("data, message", _LEXICON_ERRORS)
