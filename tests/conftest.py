@@ -5,6 +5,7 @@ machinery."""
 from __future__ import annotations
 
 import random
+import zlib
 from pathlib import Path
 from typing import Sequence
 
@@ -31,6 +32,12 @@ FILLER = (
     "alpha", "beta", "gamma", "delta", "epsilon", "zeta", "theta", "kappa",
     "sigma", "omega", "north", "south", "east", "west", "river", "stone",
 )
+
+
+def pytest_report_header() -> str:
+    # A re-save is compared with SAMPLE_INDEX byte for byte, and another zlib
+    # build may deflate the same streams to other bytes.
+    return f"zlib {zlib.ZLIB_VERSION} (compiled), {zlib.ZLIB_RUNTIME_VERSION} (runtime)"
 
 
 @pytest.fixture(scope="session")

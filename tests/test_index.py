@@ -1145,6 +1145,30 @@ def test_a_loaded_file_saves_to_the_same_bytes(tmp_path):
     assert path.read_bytes() == SAMPLE_INDEX.read_bytes()
 
 
+def _huffman_only(stream: bytes) -> bytes:
+    deflate = zlib.compressobj(1, strategy=zlib.Z_HUFFMAN_ONLY)
+    return deflate.compress(stream) + deflate.flush()
+
+
+def test_a_file_loads_however_its_streams_were_deflated(tmp_path, lexicon):
+    # How a writer deflates is its own choice: one zlib.compress a stream,
+    # with no block boundaries, as every file before Z_FILTERED was written,
+    # or Huffman codes alone, loads to the same index.
+    sample = load_index(SAMPLE_INDEX)
+    q = parse_query("any(strong)", lexicon)
+    inflated = streams(SAMPLE_INDEX.read_bytes())
+    for name, payload in [("one-shot", packed(*index_file.parts(SAMPLE_INDEX.read_bytes()))),
+                          ("huffman", b"".join(map(_huffman_only, inflated)))]:
+        path = tmp_path / f"{name}.idx"
+        path.write_bytes(framed(payload))
+        assert path.read_bytes() != SAMPLE_INDEX.read_bytes()
+        assert streams(path.read_bytes()) == inflated
+        index = load_index(path)
+        assert list(index.doc_marks()) == list(sample.doc_marks())
+        assert [eval_count(index, q, y) for y in index.years] \
+            == [eval_count(sample, q, y) for y in sample.years]
+
+
 def test_doc_marks_come_by_id_where_the_larger_id_has_the_smaller_category_row(tmp_path,
                                                                              lexicon):
     docs = [Document("b", 2023, "an intricate proof", ("a",)),
@@ -1370,6 +1394,34 @@ def test_an_inverted_year_range_is_refused_before_any_document(tmp_path, lexicon
                      "--to", "2020", "--on-error", on_error]) == 1
         assert capsys.readouterr() == ("", f"error: {problem}\n")
     assert not out.exists()
+
+
+_HUGE = 10**5000
+_TOO_LONG = f"<an integer of more than {sys.get_int_max_str_digits()} digits>"
+
+
+@pytest.mark.parametrize("call, error, problem", [
+    (lambda lex: IndexBuilder(lex, min_year=_HUGE), IndexBuildError,
+     f"year range {_TOO_LONG}-2100: the first year is after the last"),
+    (lambda lex: IndexBuilder(lex).add(Document("a", _HUGE, "x")), IndexBuildError,
+     f"document 'a': year {_TOO_LONG} outside allowed range 2000-2100"),
+    (lambda lex: YearTermIndex(lex, _HUGE, 2100, []), IndexBuildError,
+     f"year range {_TOO_LONG}-2100: the first year is after the last"),
+    (lambda lex: YearTermIndex(lex, 2000, 2100, [("a", _HUGE, 0, ())]), IndexBuildError,
+     f"document 'a': year {_TOO_LONG} outside allowed range 2000-2100"),
+    (lambda lex: YearTermIndex(lex, 2000, _HUGE, [("a", _HUGE * 10, 0, ())]), IndexBuildError,
+     f"document 'a': year {_TOO_LONG} outside allowed range 2000-{_TOO_LONG}"),
+    (lambda lex: scan_index([Document("a", _HUGE, "x", (1,))], lex, Term("intricate")),
+     IndexBuildError, f"a category in {_TOO_LONG} is not a string"),
+    (lambda lex: eval_count(build_index([Document("a", 2023, "x")], lex), Term("intricate"),
+                            _HUGE), UnknownYearError, f"no documents in year {_TOO_LONG}"),
+], ids=["builder-bound", "builder-add", "marks-bound", "marks-year", "marks-both", "scan",
+        "eval-count"])
+def test_a_year_too_long_to_print_is_named_for_what_it_is(lexicon, call, error, problem):
+    # Python prints no int of more digits than its limit: the message says
+    # what the year is instead of failing to show it.
+    with pytest.raises(error, match=f"^{re.escape(problem)}$"):
+        call(lexicon)
 
 
 @pytest.mark.parametrize("mask, shown", [(-1, "-1"), (1.0, "1.0"), (True, "True"),

@@ -295,7 +295,8 @@ def test_a_lexicon_error_reads_alike_through_every_way_in(tmp_path, data, messag
 def test_the_sample_index_with_its_own_lexicon_written_back_loads(tmp_path, lexicon):
     path = tmp_path / "same.idx"
     _index_with_lexicon(path, lexicon_to_dict(lexicon))
-    assert path.read_bytes() == SAMPLE_INDEX.read_bytes()
+    # The same index: index_file.packed deflates otherwise than save_index does.
+    assert index_file.streams(path.read_bytes()) == index_file.streams(SAMPLE_INDEX.read_bytes())
     assert load_index(path).lexicon == lexicon
 
 
