@@ -20,21 +20,23 @@ instead of the lexicon, so a scan also counts terms outside the lexicon.
 :func:`eval_count` and :func:`category_skew` answer its query like any
 index's. It tokenizes only the documents whose text could satisfy the query
 on plain substrings, so its columns are exact for those documents alone: a
-scan answers its own query, not another over the same terms.
+scan answers its own query, not another over the same terms. It keeps no
+document ids, so it has no ``doc_marks()`` and cannot be saved.
 
 Index files are a single binary container: magic, format version, payload
 length and checksum, then two zlib streams. The first stores the columns
 themselves: a length-prefixed canonical JSON header (lexicon, year range,
 and per year its document count and category table), then each year's bytes
 of the term columns and its category rows, little-endian. The second holds
-each year's document ids, which no query reads: a load keeps it deflated,
-and the ids are inflated and checked when first used. A load decodes no
-per-document JSON rows, and no query builds columns. Version 6, the one
-written, holds a year's documents in id order and front-codes the ids, so
-that they deflate to little, and checks the payload with CRC-32: it catches
-a truncated or corrupt file, the check's one job, and loads no
-cryptographic library. Only version 6 loads: an index is derived data, so a
-file of another version is rebuilt from its corpus.
+each year's document ids, which no query reads: a build codes that stream
+and a load keeps the file's, both deflated, and the ids are inflated and
+checked where used. A load decodes no per-document JSON rows, and no
+query builds columns. Version 6, the one written, holds a year's documents
+in id order and front-codes the ids, so that they deflate to little, and
+checks the payload with CRC-32: it catches a truncated or corrupt file, the
+check's one job, and loads no cryptographic library. Only version 6 loads:
+an index is derived data, so a file of another version is rebuilt from its
+corpus.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ import sys
 import zlib
 from array import array
 from collections import Counter, defaultdict
-from functools import partial, reduce
+from functools import reduce
 from itertools import chain, compress, count, islice, product, repeat
 from operator import and_, eq, lt, ne, or_
 from pathlib import Path
@@ -92,7 +94,7 @@ class YearTermIndex:
     """One posting column per vocabulary entry across all years and, per
     year, its bit range and its category table with each document's row: a
     query costs a few big-integer operations per node. The document ids are
-    kept apart, since no query reads them."""
+    kept apart, as a file's deflated id stream, since no query reads them."""
 
     def __init__(self, lexicon: Lexicon, min_year: int, max_year: int,
                  marks: Iterable[Mark]):
@@ -102,13 +104,13 @@ class YearTermIndex:
         self._init(lexicon, terms, min_year, max_year, *gathered.finish(len(terms), unique=True))
 
     def _init(self, lexicon: Lexicon, terms: tuple[str, ...], min_year: int, max_year: int,
-              parts: Iterable[tuple],
-              ids: Sequence[tuple[str, ...]] | Callable[..., Sequence]) -> YearTermIndex:
+              parts: Iterable[tuple], ids: bytes | None, path=None) -> YearTermIndex:
         """This index over the vocabulary *terms*, made of one part a year (year, document
         count, category table, rows, its bytes of each column), the years strictly ascending
-        integers within *min_year*-*max_year*, and of each year's *ids* in its documents'
-        order, or the function that decodes them (see :meth:`_doc_ids`); each year is placed
-        on byte-aligned bits of the joined columns."""
+        integers within *min_year*-*max_year*, and of *ids*, the deflated id stream of a file
+        (see :func:`save_index`), or None for a scan, which keeps no ids; *path* names the
+        file a loaded index was read from. Each year is placed on byte-aligned bits of the
+        joined columns."""
         _check_year_range(min_year, max_year)
         chunks, spans, start = [[] for _ in terms], [], 0
         for year, n, table, rows, columns in parts:
@@ -117,7 +119,7 @@ class YearTermIndex:
             spans.append((year, _Year(n, start, table, rows)))
             start += 8 * ((n + 7) // 8)
         self._columns = tuple(int.from_bytes(b"".join(chunk), "little") for chunk in chunks)
-        self._ids = ids
+        self._ids, self._path = ids, path
         last = min_year - 1
         for k, (year, _) in enumerate(spans):
             if type(year) is not int or not min_year <= year <= max_year:
@@ -180,16 +182,13 @@ class YearTermIndex:
             yield from zip(ids, repeat(year), _doc_masks(columns, y.n),
                            map(y.table.__getitem__, y.rows))
 
-    def _doc_ids(self, spans: Sequence[tuple[int, _Year]] = ()) -> Sequence[tuple[str, ...]]:
-        """Each year's document ids, ascending. A loaded file's are
-        decoded, and checked against this index's years, or *spans*, the
-        (year, _Year) pairs of an index not yet made, when first asked for;
-        two threads asking at once decode them twice, to equal tuples, so no
-        lock is needed."""
-        ids = self._ids
-        if callable(ids):
-            ids = self._ids = ids(spans or tuple(self._by_year.items()))
-        return ids
+    def _doc_ids(self, spans: Sequence[tuple[int, _Year]] = ()) -> tuple[tuple[str, ...], ...]:
+        """Each year's document ids, ascending, decoded from the id stream
+        and checked against this index's years, or *spans*, the (year, _Year)
+        pairs of an index not yet made; a scan has none."""
+        if self._ids is None:
+            raise IndexBuildError("a corpus scan keeps no document ids")
+        return _decoded(self._path, _stream_ids, self._ids, spans or tuple(self._by_year.items()))
 
 
 def _check_year_range(min_year: int, max_year: int) -> None:
@@ -268,13 +267,16 @@ class _Gathered:
             cats = list(table)
             yield from zip(islice(ids, len(ids)), repeat(year), masks, map(cats.__getitem__, rows))
 
-    def finish(self, width: int,
-               unique: bool = False) -> tuple[list[tuple], list[tuple[str, ...]]]:
-        """Each year's part over a vocabulary of *width* entries, and its ids,
-        years ascending and a year's documents by id; with *unique*, an id that
-        two documents share is refused."""
-        parts, year_ids = [], []
-        for year, (ids, masks, seen, rows) in sorted(self._years.items()):
+    def finish(self, width: int, unique: bool = False) -> tuple[list[tuple], bytes | None]:
+        """Each year's part over a vocabulary of *width* entries, years ascending. With
+        *unique*, a year's documents go by id, an id two documents share is refused, and
+        the ids come as a file's deflated id stream: a JSON list of each year's
+        :func:`_front_coded` ids. Without, for a scan, they go as they came, with no ids."""
+        parts = []
+        if unique:  # Coded year by year, so that one year's lists at most are held at once.
+            deflate = zlib.compressobj(9)  # 10% off the id stream of level 6, for 0.2 ms
+            stream = [deflate.compress(b"[")]
+        for k, (year, (ids, masks, seen, rows)) in enumerate(sorted(self._years.items())):
             if not _masks_fit(masks, width):
                 doc_id, mask = next((d, m) for d, m in zip(ids, masks)
                                     if not _masks_fit((m,), width))
@@ -283,19 +285,20 @@ class _Gathered:
             table = tuple(sorted(seen))
             rank = list(map({cats: r for r, cats in enumerate(table)}.__getitem__, seen))
             ranks = list(map(rank.__getitem__, rows))
-            # By id; equal ids, which only a scan keeps, by mask, then row.
-            order = sorted(range(len(ids)), key=ids.__getitem__ if unique
-                           else lambda i: (ids[i], masks[i], ranks[i]))
+            if unique:
+                order = sorted(range(len(ids)), key=ids.__getitem__)
+                pair = json.dumps(_front_coded(map(ids.__getitem__, order)), separators=(",", ":"))
+                stream.append(deflate.compress(b"," * (k > 0) + pair.encode("utf-8")))
+                masks, ranks = [masks[i] for i in order], [ranks[i] for i in order]
             # Year by year: one bit string of all years would hold every mask as text.
-            size = (len(order) + 7) // 8
-            year_ids.append(tuple(map(ids.__getitem__, order)))
-            parts.append((year, len(order), table,
-                          array(_row_type(len(table)), map(ranks.__getitem__, order)),
-                          [col.to_bytes(size, "little")
-                           for col in _columns([masks[i] for i in order], width)]))
-        if unique:
-            _check_unique(year_ids)
-        return parts, year_ids
+            size = (len(masks) + 7) // 8
+            parts.append((year, len(masks), table, array(_row_type(len(table)), ranks),
+                          [col.to_bytes(size, "little") for col in _columns(masks, width)]))
+        if not unique:
+            return parts, None
+        _check_unique(ids for ids, *_ in self._years.values())
+        stream.append(deflate.compress(b"]") + deflate.flush())
+        return parts, b"".join(stream)
 
 
 def _columns(masks: Sequence[int], width: int) -> tuple[int, ...]:
@@ -617,8 +620,9 @@ def scan_index(corpus: Iterable[Document], lexicon: Lexicon, q: Query) -> YearTe
     is spelled, case-sensitive exactly when the entry is; a name of no
     entry, or of several, is matched case-folded. A document that cannot
     match *q*, tested on plain substrings, holds no term in it, so the
-    index answers *q* exactly and no other query. Such an index cannot be
-    saved. Documents are checked as by :meth:`IndexBuilder.add`, in any year."""
+    index answers *q* exactly and no other query. Such an index keeps no
+    ids and cannot be saved. Documents are checked as by :meth:`IndexBuilder.add`,
+    in any year."""
     terms = tuple(sorted(query_vocabulary(q)))
     case_sensitive = {e.term: e.case_sensitive for e in lexicon.entries}
     found = {t: lexicon.resolve(t) for t in terms}
@@ -674,18 +678,14 @@ def save_index(index: YearTermIndex, path) -> None:
     """Write *index* as a version 6 file: the JSON header, then per year of
     n documents, by id, its term columns, ceil(n/8) bytes each, and the n
     category rows, one, two or four bytes each as the table has up to 2**8,
-    2**16 or more rows; then, in a stream of its own, a JSON list of each
-    year's :func:`_front_coded` ids. It checks nothing: no index holds what
-    :func:`load_index` refuses, or refuses when the ids are first used."""
-    if index._terms != index.lexicon.terms():
+    2**16 or more rows; then the id stream the index holds, a loaded file's
+    as that file deflated it. It checks only a loaded file's ids, as
+    ``doc_marks()`` does: no index holds what :func:`load_index` refuses, or
+    refuses where the ids are used."""
+    if index._ids is None:
         raise IndexBuildError("an index over a query's terms (a corpus scan) cannot be saved")
-    # Coded and deflated year by year, so that one year's lists at most are held at once.
-    deflate = zlib.compressobj(9)
-    ids = [deflate.compress(b"[")]
-    for k, year_ids in enumerate(index._doc_ids()):
-        pair = json.dumps(_front_coded(year_ids), separators=(",", ":")).encode("utf-8")
-        ids.append(deflate.compress(b"," * (k > 0) + pair))
-    ids.append(deflate.compress(b"]") + deflate.flush())
+    if index._path is not None:
+        index._doc_ids()
     years = []
     regions: list[bytes] = []
     for year, y in index._by_year.items():
@@ -710,12 +710,12 @@ def save_index(index: YearTermIndex, path) -> None:
     # 11.2-11.9% on a dense one, for under 1 ms more deflate, and either alone saves at
     # most half as much; below about 200 documents the block headers cost a few dozen
     # bytes more than they save. Level 9 takes three to five times as long here for at
-    # most 5.5% fewer bytes, but takes 10% off the id stream for 0.2 ms.
+    # most 5.5% fewer bytes.
     deflate = zlib.compressobj(6, zlib.DEFLATED, zlib.MAX_WBITS, zlib.DEF_MEM_LEVEL,
                                zlib.Z_FILTERED)
     blob = b"".join(deflate.compress(region) + deflate.flush(zlib.Z_BLOCK)
                     for region in [_JSON_LENGTH.pack(len(header)) + header, *regions]) \
-        + deflate.flush() + b"".join(ids)
+        + deflate.flush() + index._ids
     head = _HEADER.pack(_MAGIC, _VERSION, len(blob), zlib.crc32(blob))
     Path(path).write_bytes(head + blob)
 
@@ -724,7 +724,7 @@ def load_index(path) -> YearTermIndex:
     """Read a version 6 index file, the one :func:`save_index` writes; a
     file of another version is an IndexVersionError. Anything malformed, the
     embedded lexicon included, is an IndexFileError naming *path*; the ids
-    are checked when they are first used."""
+    are checked where they are used."""
     with open(path, "rb") as file:
         data = file.read()
     if len(data) < _HEADER.size or data[:4] != _MAGIC:
@@ -755,7 +755,7 @@ def _decoded(path, decode: Callable, *args):
 def _decode(blob: bytes, path) -> YearTermIndex:
     """A payload, each column read straight into an integer: each year's
     document count in the header, and the ids in a second deflated stream,
-    left to be decoded and checked when first used. A malformed payload
+    left to be decoded and checked where used. A malformed payload
     raises KeyError, TypeError, ValueError, zlib.error or DataError."""
     payload, stream = _inflate(blob)
     if not stream:
@@ -815,9 +815,8 @@ def _decode(blob: bytes, path) -> YearTermIndex:
         parts.append((year, n, table, rows, columns))
     if offset != len(payload):
         raise ValueError(f"{len(payload) - offset} bytes after the last column")
-    ids = partial(_decoded, path, _stream_ids, stream)
     return YearTermIndex.__new__(YearTermIndex)._init(lexicon, terms, doc["min_year"],
-                                                      doc["max_year"], parts, ids)
+                                                      doc["max_year"], parts, stream, path)
 
 
 def _stream_ids(stream: bytes, spans: Sequence[tuple[int, _Year]]) -> tuple[tuple[str, ...], ...]:

@@ -118,8 +118,8 @@ _TOKEN = rf'[(),]|\d+|"[^"]*"|{TOKEN_RE.pattern}'
 # would start again at each character of the run and read the rest of it.
 _LEX_RE = re.compile(rf"\s*({_TOKEN}|\S)")
 # The stretch of a text, from its start, that tokens and whitespace cover;
-# read only when a query is refused.
-_COVER_RE = re.compile(rf"(?:\s*(?:{_TOKEN}))*\s*")
+# read only when a query is refused, so compiled then, through re's cache.
+_COVER = rf"(?:\s*(?:{_TOKEN}))*\s*"
 
 
 def query_vocabulary(q: Query) -> set[str]:
@@ -149,7 +149,7 @@ class _Parser:
         """Raise *message* at token *i*, found again in the text, unless a
         character that starts no token comes first: that is the error."""
         text = self.text
-        end = _COVER_RE.match(text).end()
+        end = re.match(_COVER, text).end()
         if end < len(text):
             offset = len(text[:end].encode("utf-8"))
             if text[end] == '"':

@@ -15,7 +15,8 @@ equal; implied_total_ratio reconstructs the totals ratio a share-based figure
 implies, which is useful when reconciling externally reported increases
 computed under the two different conventions.
 
-All arithmetic is double precision; callers round only at rendering time.
+All arithmetic is double precision, except the baseline projection, an
+integer computed exactly; callers round only at rendering time.
 This module is count-series arithmetic. It reads an index only in
 :func:`series_from_index`, where a series name is a lexicon group, an entry,
 or else a query, counted with :func:`lexdrift.index.eval_count`.
@@ -97,16 +98,25 @@ def implied_total_ratio(count_inc: float, share_inc: float) -> float:
 
 def baseline_projection(n_base: int, growth: float) -> int:
     """Expected count after one year of organic growth *growth* (e.g. 0.05),
-    rounded half away from zero."""
+    rounded half away from zero. It is computed exactly, in integers, from
+    the decimal that ``repr(float(growth))`` spells, the shortest one that
+    reads back as the same float: a base of 50 at 0.13 is 56.5, so 57."""
     if n_base < 0:
         raise ValueError(f"base count must be non-negative, got {n_base}")
     if not -1.0 < growth < math.inf:
         raise ValueError(f"growth must be finite and greater than -1, got {growth}")
+    # repr gives digits, an optional point and an optional exponent: "0.13", "1e-05".
+    mantissa, _, exponent = repr(float(growth)).partition("e")
+    whole, _, fraction = mantissa.partition(".")
+    num, scale = int(whole + fraction), int(exponent or 0) - len(fraction)
+    num, den = (num * 10 ** scale, 1) if scale >= 0 else (num, 10 ** -scale)
+    projected = (2 * n_base * (den + num) + den) // (2 * den)  # den + num > 0
     try:
-        return math.floor(n_base * (1.0 + growth) + 0.5)
+        float(projected)
     except OverflowError:
         raise ValueError(f"growth {growth} projects the base count past the "
                          "float range") from None
+    return projected
 
 
 def excess(actual: int, expected: int, total: int | None = None) -> tuple[int, float | None]:

@@ -285,6 +285,16 @@ def test_excess_zero_growth_flat(tmp_path, capsys):
     assert "excess: 0" in capsys.readouterr().out
 
 
+def test_excess_projects_an_exact_half_away_from_zero(tmp_path, capsys):
+    # 50 * 1.13 is 56.5, rounded to 57; in doubles it is 56.49999999999999.
+    counts = tmp_path / "c.csv"
+    counts.write_text("series,year,matches,total\ns,2022,50,100\ns,2023,60,100\n",
+                      encoding="utf-8")
+    assert main(["excess", "--counts", str(counts), "--growth", "0.13"]) == 0
+    out = capsys.readouterr().out
+    assert "expected 2023: 57\n" in out and "excess: 3 (" in out
+
+
 def test_excess_total_override(capsys):
     assert main([
         "excess", "group4", "--growth", "0.05", "--total", "5260000",

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import io
+import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -128,6 +130,23 @@ def test_baseline_projection_reference_values():
 def test_baseline_projection_rounds_half_away_from_zero():
     assert baseline_projection(3, 0.5) == 5  # 4.5 -> 5, not banker's 4
     assert baseline_projection(5, -0.5) == 3  # 2.5 -> 3
+    assert baseline_projection(50, 0.13) == 57  # 56.5, whose double is 56.49999999999999
+
+
+def _exact_projection(n_base: int, growth: float) -> int:
+    """The README's projection in exact arithmetic: round(n_base × (1 +
+    growth)), half away from zero, growth read as its repr spells it."""
+    return math.floor(n_base * (1 + Fraction(repr(growth))) + Fraction(1, 2))
+
+
+# Growths of up to four decimals, and bases of which a growth of two decimals
+# makes an exact half (50 * 1.13), which a product in doubles can round down.
+@given(st.integers(0, 10**7) | st.integers(0, 10**5).map(lambda m: 50 * m),
+       st.integers(-99, 10**3).map(lambda k: k / 100)
+       | st.integers(-9999, 10**5).map(lambda k: k / 10**4)
+       | st.floats(-1.0, 1e6, exclude_min=True, allow_nan=False))
+def test_baseline_projection_is_exact(n_base, growth):
+    assert baseline_projection(n_base, growth) == _exact_projection(n_base, growth)
 
 
 @pytest.mark.parametrize("growth", [float("nan"), float("inf"), float("-inf"), -1.0])
