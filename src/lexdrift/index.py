@@ -6,13 +6,14 @@ bitsets into posting columns: one big integer per vocabulary entry across
 the index, each year a byte-aligned bit range of it. A year's categories
 are a table of its distinct per-document category tuples, with each
 document's row in it. A boolean or at-least-k query is walked once over the
-columns, a few big-integer operations per node, and its node keeps the
-posting; a year's count or a term's document frequency is then a shift, a
-mask and a popcount, and a category skew (tallied here, the one module that
-knows the table) one pass over the matching documents' rows, not one test
-per document. Builds are deterministic: document order and any
-partitioning of the corpus across builders produce identical indexes. The
-finished index is immutable and safe for concurrent readers.
+columns, a few big-integer operations per node, and the index keeps the
+posting of the last query evaluated on it; a year's count or a term's
+document frequency is then a shift, a mask and a popcount, and a category
+skew (tallied here, the one module that knows the table) one pass over the
+matching documents' rows, not one test per document. Builds are
+deterministic: document order and any partitioning of the corpus across
+builders produce identical indexes. The finished index is immutable, but
+for that kept posting, and safe for concurrent readers.
 
 A corpus scan (:func:`scan_index`) is a :class:`YearTermIndex` too, built
 by the same matcher and the same per-year tables over the query's own terms
@@ -48,7 +49,7 @@ import zlib
 from array import array
 from collections import Counter, defaultdict
 from functools import reduce
-from itertools import chain, compress, count, islice, product, repeat
+from itertools import chain, compress, count, islice, repeat
 from operator import and_, eq, lt, ne, or_
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
@@ -120,6 +121,7 @@ class YearTermIndex:
             start += 8 * ((n + 7) // 8)
         self._columns = tuple(int.from_bytes(b"".join(chunk), "little") for chunk in chunks)
         self._ids, self._path = ids, path
+        self._last = (None, 0)  # the last query evaluated here and its posting (see _posting)
         last = min_year - 1
         for k, (year, _) in enumerate(spans):
             if type(year) is not int or not min_year <= year <= max_year:
@@ -179,7 +181,7 @@ class YearTermIndex:
         within each year, as the documents are."""
         for (year, y), ids in zip(self._by_year.items(), self._doc_ids()):
             columns = [_in_year(col, y) for col in self._columns]
-            yield from zip(ids, repeat(year), _doc_masks(columns, y.n),
+            yield from zip(ids, repeat(year), _transposed(columns, y.n),
                            map(y.table.__getitem__, y.rows))
 
     def _doc_ids(self, spans: Sequence[tuple[int, _Year]] = ()) -> tuple[tuple[str, ...], ...]:
@@ -219,7 +221,7 @@ def _check_unique(ids_by_year: Iterable[Sequence[str]]) -> None:
 
 def _masks_fit(masks: Sequence, width: int) -> bool:
     """Whether each of *masks* is an int of *width* bits at most, not
-    negative, as :func:`_columns` needs; three C passes, no Python loop."""
+    negative, as :func:`_transposed` needs; three C passes, no Python loop."""
     return not masks or not set(map(type, masks)) - {int} and min(masks) >= 0 \
         and not max(masks) >> width
 
@@ -293,7 +295,7 @@ class _Gathered:
             # Year by year: one bit string of all years would hold every mask as text.
             size = (len(masks) + 7) // 8
             parts.append((year, len(masks), table, array(_row_type(len(table)), ranks),
-                          [col.to_bytes(size, "little") for col in _columns(masks, width)]))
+                          [col.to_bytes(size, "little") for col in _transposed(masks, width)]))
         if not unique:
             return parts, None
         _check_unique(ids for ids, *_ in self._years.values())
@@ -301,27 +303,19 @@ class _Gathered:
         return parts, b"".join(stream)
 
 
-def _columns(masks: Sequence[int], width: int) -> tuple[int, ...]:
-    """Posting columns of one year's document masks: for each of the
-    *width* vocabulary bits, an integer whose bit *i* is set when document
-    *i* holds it."""
-    # Each mask as a fixed-width binary string, all documents in one
-    # string; reversed, the string holds the last document first and
-    # vocabulary bit j of every document at positions j, j+width, ...
-    bits = "".join(map(format, masks, repeat(f"0{width}b")))[::-1]
-    return tuple(int(bits[j::width], 2) for j in range(width))
-
-
-def _doc_masks(columns: Sequence[int], n: int) -> list[int]:
-    """The masks of *n* documents from their posting columns: the inverse
-    of :func:`_columns`."""
-    if not columns:  # an empty vocabulary
-        return [0] * n
-    # Column j as an n-digit binary string holds document i at position
-    # n - 1 - i; read down the columns from the last, a position spells the
-    # mask of one document, the last document first.
-    digits = [format(col, f"0{n}b") for col in reversed(columns)]
-    return [int("".join(bits), 2) for bits in zip(*digits)][::-1]
+def _transposed(rows: Sequence[int], width: int) -> list[int]:
+    """The bit matrix of *rows*, ints of *width* bits at most, read by
+    column: for each bit *j* below *width*, the int whose bit *i* is bit *j*
+    of row *i*. It is its own inverse: a year's masks give its posting
+    columns, and the columns, with the year's document count for *width*,
+    give back the masks."""
+    if not rows:
+        return [0] * width
+    # Each row as a fixed-width binary string, all rows in one string;
+    # reversed, the string holds the last row first and bit j of every row
+    # at positions j, j+width, ...
+    bits = "".join(map(format, rows, repeat(f"0{width}b")))[::-1]
+    return [int(bits[j::width], 2) for j in range(width)]
 
 
 def _row_type(size: int) -> str:
@@ -504,10 +498,7 @@ class IndexBuilder:
 
     def add(self, doc: Document) -> None:
         doc_id, year, text, cats = doc
-        # A year of another type than int is refused by _Gathered.add.
-        if type(year) is int and not self.min_year <= year <= self.max_year:
-            raise IndexBuildError(f"document {doc_id!r}: year {_shown(year)} outside allowed "
-                                  f"range {_shown(self.min_year)}-{_shown(self.max_year)}")
+        self._check_year(doc_id, year)
         self._marks.add(doc_id, year, self._vocab.mask(doc_id, text), cats)
 
     def add_all(self, corpus: Iterable[Document]) -> None:
@@ -515,11 +506,20 @@ class IndexBuilder:
             self.add(doc)
 
     def merge(self, other: "IndexBuilder") -> None:
-        """Add *other*'s documents; an id both hold is reported by :meth:`finish`."""
+        """Add *other*'s documents, or none where a year of one is outside this
+        builder's range; an id both hold is reported by :meth:`finish`."""
         if other.lexicon is not self.lexicon and other.lexicon != self.lexicon:
             raise IndexBuildError("cannot merge builders with different lexicons")
+        for doc_id, year, *_ in other._marks.marks():
+            self._check_year(doc_id, year)
         for mark in other._marks.marks():
             self._marks.add(*mark)
+
+    def _check_year(self, doc_id: str, year: int) -> None:
+        # A year of another type than int is refused by _Gathered.add.
+        if type(year) is int and not self.min_year <= year <= self.max_year:
+            raise IndexBuildError(f"document {doc_id!r}: year {_shown(year)} outside allowed "
+                                  f"range {_shown(self.min_year)}-{_shown(self.max_year)}")
 
     def finish(self) -> YearTermIndex:
         return YearTermIndex(self.lexicon, self.min_year, self.max_year, self._marks)
@@ -577,14 +577,14 @@ def _year(index: YearTermIndex, year: int) -> _Year:
 
 
 def _posting(index: YearTermIndex, q: Query) -> int:
-    """The index-wide column of the documents satisfying *q*, kept on its
-    node with the columns it was walked over, so a query is walked once per
-    index; a query naming a term the index lacks keeps nothing."""
-    plan = getattr(q, "_plan", None)
-    if plan is None or plan[0] is not index._columns:
-        plan = (index._columns, _walk(index._columns, index.term_bit, q))
-        object.__setattr__(q, "_plan", plan)
-    return plan[1]
+    """The index-wide column of the documents satisfying *q*. The index keeps
+    the last query evaluated on it, by identity, with its posting, so a query
+    asked of every year in turn is walked once; a query naming a term the
+    index lacks replaces nothing."""
+    last = index._last  # read once: another thread may replace it
+    if last[0] is not q:
+        last = index._last = (q, _walk(index._columns, index.term_bit, q))
+    return last[1]
 
 
 def _walk(cols: Sequence[int], bit: Callable[[str], int], q: Query) -> int:
@@ -646,17 +646,14 @@ def eval_count_scan(corpus: Iterable[Document], lexicon: Lexicon, q: Query,
     return eval_count(index, q, year) if index.total(year) else 0
 
 
-# The bits of each byte value, lowest first.
-_BYTE_BITS = [bits[::-1] for bits in product((0, 1), repeat=8)]
-
-
 def _skew(year: int, posting: int, table: CategoryTable, rows: Sequence[int]) -> CategorySkew:
     """Tally the documents of *year*, given as the posting column of the
     query's matches, the category table and each document's row in it;
     a document listing a category twice counts twice."""
-    # The bits of the posting, document by document, pick the matches' rows.
-    bits = chain.from_iterable(map(_BYTE_BITS.__getitem__,
-                                   posting.to_bytes((len(rows) + 7) // 8, "little")))
+    # The posting's binary digits, reversed to go document by document and
+    # made the bytes 0 and 1, pick the matches' rows.
+    bits = format(posting, f"0{len(rows)}b")[::-1].encode().translate(
+        bytes.maketrans(b"01", b"\0\1"))
     hits, docs = Counter(compress(rows, bits)), Counter(rows)
     matches: dict[str, int] = {}
     every: dict[str, int] = {}

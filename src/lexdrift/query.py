@@ -38,20 +38,17 @@ from .value import Value
 
 # The nodes set their fields directly, not through Value._init, because a
 # parse builds many of them and the loop there doubles the cost of each.
-# Their _plan slot is no field: it holds the columns of the index the node
-# was last evaluated on and the node's posting over them (see
-# index._posting), which keeps those columns alive.
 
 
 class Term(Value):
-    __slots__ = ("term", "_plan")
+    __slots__ = ("term",)
 
     def __init__(self, term: str):
         object.__setattr__(self, "term", term)
 
 
 class Phrase(Value):
-    __slots__ = ("tokens", "_plan")
+    __slots__ = ("tokens",)
 
     def __init__(self, tokens: tuple[str, ...]):
         if not tokens:
@@ -64,7 +61,7 @@ class Phrase(Value):
 
 
 class AnyOf(Value):
-    __slots__ = ("members", "_plan")
+    __slots__ = ("members",)
 
     def __init__(self, members: tuple[str, ...]):
         if not members:
@@ -73,7 +70,7 @@ class AnyOf(Value):
 
 
 class AtLeastK(Value):
-    __slots__ = ("k", "members", "_plan")
+    __slots__ = ("k", "members")
 
     def __init__(self, k: int, members: tuple[str, ...]):
         if k < 1:
@@ -85,7 +82,7 @@ class AtLeastK(Value):
 
 
 class And(Value):
-    __slots__ = ("parts", "_plan")
+    __slots__ = ("parts",)
 
     def __init__(self, parts: tuple[Query, ...]):
         if not parts:
@@ -94,7 +91,7 @@ class And(Value):
 
 
 class Or(Value):
-    __slots__ = ("parts", "_plan")
+    __slots__ = ("parts",)
 
     def __init__(self, parts: tuple[Query, ...]):
         if not parts:

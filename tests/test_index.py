@@ -312,6 +312,25 @@ def test_a_builder_merged_into_itself_reports_its_ids(lexicon):
     assert empty.finish().doc_count == 0
 
 
+def test_a_merge_with_a_year_outside_the_range_adds_nothing(tmp_path, lexicon):
+    """A merge refuses a document outside the builder's year range as add
+    does, before it adds any document, so the builder finishes as if the
+    merge had not been tried."""
+    kept = [Document("b", 2022, "a plain plan"), Document("a", 2023, "an intricate plan", ("x",))]
+    builder = IndexBuilder(lexicon)
+    builder.add_all(kept)
+    wide = IndexBuilder(lexicon, min_year=1900)
+    wide.add_all([Document("new", 2023, "a notable plan"), Document("old", 1950, "a plan")])
+    message = "^document 'old': year 1950 outside allowed range 2000-2100$"
+    with pytest.raises(IndexBuildError, match=message):
+        IndexBuilder(lexicon).add(Document("old", 1950, "a plan"))
+    with pytest.raises(IndexBuildError, match=message):
+        builder.merge(wide)
+    save_index(builder.finish(), tmp_path / "tried.idx")
+    save_index(build_index(kept, lexicon), tmp_path / "kept.idx")
+    assert (tmp_path / "tried.idx").read_bytes() == (tmp_path / "kept.idx").read_bytes()
+
+
 def test_merge_rejects_a_different_lexicon(lexicon):
     other = IndexBuilder(Lexicon("other", (TermEntry("blue", "control"),)))
     with pytest.raises(IndexBuildError, match="different lexicons"):
@@ -1898,13 +1917,13 @@ def test_concurrent_readers_of_a_fresh_index(tmp_path, lexicon):
     assert results == [expected] * 8
 
 
-# ------------------------------------------------------- a query's kept plan
+# --------------------------------------------------- the posting an index keeps
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_one_query_evaluates_alike_on_indexes_of_other_term_orders(lexicon, seed):
-    """A query's posting over one index, kept on its node, is never used on
-    another: one query object, evaluated by turns on a scan (its own terms,
+    """A query's posting over one index, kept by that index, is never used
+    on another: one query object, evaluated by turns on a scan (its own terms,
     sorted) and on the lexicon's index, years reversed, counts and skews as
     the oracle does."""
     rng = random.Random(seed)
@@ -1951,10 +1970,11 @@ def _random_docs(lexicon, seed: int) -> list[Document]:
 
 
 def test_a_kept_posting_belongs_to_one_index(tmp_path, lexicon):
-    """A query node keeps its posting over the index it was last evaluated
-    on, and only there: one query object, evaluated by turns on builds of
-    two corpora over one lexicon and on a fresh build and its reload, years
-    reversed, counts, skews and df as the oracle gives them."""
+    """An index keeps the posting of the last query evaluated on it, and
+    only for that query object: one query object, evaluated by turns on
+    builds of two corpora over one lexicon and on a fresh build and its
+    reload, years reversed, and two queries asked of one index by turns,
+    year by year, count, skew and df as the oracle gives them."""
     first, second = _random_docs(lexicon, 31), _random_docs(lexicon, 32)
     index = build_index(first, lexicon)
     path = tmp_path / "first.idx"
@@ -1972,6 +1992,10 @@ def test_a_kept_posting_belongs_to_one_index(tmp_path, lexicon):
                 skew = category_skew(source, q, year)
                 assert (skew.matched, skew.total, dict(skew.rows)) == \
                     brute_force_skew(docs, q, year), q
+    for q, r in zip(queries, queries[1:]):
+        for year in index.years:
+            for p in (q, r):
+                assert eval_count(index, p, year) == brute_force_count(first, p, year), p
     for source, docs in sources:
         for year in reversed(source.years):
             for term in lexicon.terms():

@@ -15,7 +15,10 @@ from hypothesis import strategies as st
 
 from lexdrift import (
     Document,
+    Lexicon,
     Term,
+    TermEntry,
+    YearTermIndex,
     build_index,
     builtin_lexicon,
     bundled_corpus_path,
@@ -68,6 +71,33 @@ def test_the_rows_of_a_file_are_its_doc_marks(lexicon, docs):
         save_index(index, path)
         rows = index_file.rows(path.read_bytes())
         assert rows == list(load_index(path).doc_marks()) == list(index.doc_marks())
+
+
+# Vocabularies of no entry, one, either side of 64 and past 128; years of 1,
+# 7, 8, 9 and 17 documents, whose bits end inside a byte, on one or past it.
+_WIDTHS = (0, 1, 63, 64, 65, 130)
+_SIZES = {2019: 1, 2020: 7, 2021: 8, 2022: 9, 2023: 17}
+
+
+@pytest.mark.parametrize("width", _WIDTHS)
+def test_the_marks_of_every_vocabulary_width_come_back(tmp_path, width):
+    """Drawn marks, each year's first document holding every entry, are the
+    rows of the saved file, the doc_marks() of its build from documents and
+    of its load, and those of the marks constructor."""
+    terms = [f"t{chr(97 + k // 26)}{chr(97 + k % 26)}" for k in range(width)]
+    lexicon = Lexicon(f"width {width}", tuple(TermEntry(t, "adjective") for t in terms))
+    rng = random.Random(width)
+    marks = [(f"d{year}-{i:02d}", year, (1 << width) - 1 if i == 0 else rng.getrandbits(width),
+              tuple(rng.sample("xyz", rng.randrange(3))))
+             for year, n in _SIZES.items() for i in range(n)]
+    docs = [Document(doc_id, year, " ".join(t for k, t in enumerate(terms) if mask >> k & 1),
+                     cats) for doc_id, year, mask, cats in marks]
+    path = tmp_path / "wide.idx"
+    build = build_index(docs, lexicon)
+    save_index(build, path)
+    assert index_file.rows(path.read_bytes()) == list(build.doc_marks()) \
+        == list(load_index(path).doc_marks()) \
+        == list(YearTermIndex(lexicon, 2000, 2100, marks).doc_marks()) == marks
 
 
 def _as_documents(data: bytes) -> list[Document]:
