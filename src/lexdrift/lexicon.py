@@ -42,41 +42,37 @@ class Lexicon(Value):
 
     def __init__(self, name: str, entries: Iterable[TermEntry],
                  strength: Mapping[str, Iterable[str]] = {}):  # read, never kept
-        # One pass over the entries checks each and derives the tables every
-        # query parse reads. The first problem is raised once the last entry
-        # is read, so an error that reading them raises comes first (see
-        # lexicon_from_dict); then the strength groups are read and checked.
-        problem = None if name else "lexicon name must be non-empty"
-        kept: list[TermEntry] = []
+        # Reading the entries first puts an error that reading raises (see
+        # lexicon_from_dict) before any problem of theirs; then one pass
+        # checks each and derives the tables every query parse reads, and the
+        # strength groups are read and checked last.
+        kept = tuple(entries)
+        if not name:
+            raise LexiconError("lexicon name must be non-empty")
         roles: dict[str, str] = {}
         members: dict[str, list[str]] = {role: [] for role in ROLES}
         folded: dict[str, tuple[str, ...]] = {}
-        for entry in entries:
-            kept.append(entry)
-            if problem is not None:
-                continue
+        for entry in kept:
             term, role = entry.term, entry.role
             if role not in ROLES:
-                problem = f"unknown role {role!r} for term {term!r}"
-            elif not term:
-                problem = "empty term"
-            elif term in roles:
-                problem = f"duplicate term {term!r}"
-            elif not (term.isascii() and term.isalpha()):  # else its one token, folded or not
+                raise LexiconError(f"unknown role {role!r} for term {term!r}")
+            if not term:
+                raise LexiconError("empty term")
+            if term in roles:
+                raise LexiconError(f"duplicate term {term!r}")
+            if not (term.isascii() and term.isalpha()):  # else its one token, folded or not
                 toks = raw_tokens(term) if entry.case_sensitive else tokenize(term)
                 canon = term if entry.case_sensitive else term.casefold()
                 if not toks or " ".join(toks) != canon.replace("’", "'"):
-                    problem = (f"term {term!r} does not survive tokenization; "
-                               "terms must be plain tokens (or token phrases)")
-                elif len(toks) > 1 and role != "disclosure":
-                    problem = f"term {term!r}: phrases are only permitted for the disclosure role"
-            if problem is None:
-                roles[term] = role
-                members[role].append(term)
-                key = _fold(term)
-                folded[key] = folded.get(key, ()) + (term,)
-        if problem is not None:
-            raise LexiconError(problem)
+                    raise LexiconError(f"term {term!r} does not survive tokenization; "
+                                       "terms must be plain tokens (or token phrases)")
+                if len(toks) > 1 and role != "disclosure":
+                    raise LexiconError(f"term {term!r}: phrases are only permitted for the "
+                                       "disclosure role")
+            roles[term] = role
+            members[role].append(term)
+            key = _fold(term)
+            folded[key] = folded.get(key, ()) + (term,)
         strength = {g: tuple(ts) for g, ts in strength.items()}
         assigned: dict[str, str] = {}
         for group, terms in strength.items():
@@ -96,7 +92,7 @@ class Lexicon(Value):
                     )
         groups = {role: tuple(terms) for role, terms in members.items() if terms}
         groups.update((g, strength[g]) for g in STRENGTH_GROUPS if strength.get(g))
-        self._init(name, tuple(kept), strength, folded, groups)
+        self._init(name, kept, strength, folded, groups)
 
     def terms(self) -> tuple[str, ...]:
         """All entry terms, in entry order; this is the index vocabulary."""
