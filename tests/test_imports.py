@@ -2,7 +2,8 @@
 imports only the modules it runs; no command imports ``dataclasses`` or
 ``inspect``, which cost a cold start more than most commands' own work, and
 no module imports ``hashlib``, whose OpenSSL library costs more memory than
-the rest of a command's imports.
+the rest of a command's imports. The test-side references share no code
+with the package they check.
 Cold imports are checked in fresh interpreters, because this test process
 has long since loaded everything."""
 
@@ -24,6 +25,12 @@ import lexdrift
 SRC = Path(lexdrift.__file__).resolve().parents[1]
 INDEX_SIDE = {"lexdrift.index", "lexdrift.query", "lexdrift.corpus", "lexdrift.lexicon"}
 SLOW = {"dataclasses", "inspect", "hashlib", "_hashlib"}
+TESTS = Path(__file__).resolve().parent
+# What the brute-force oracle in conftest.py may take from the package: the
+# record and query-node types it builds and the lexicons it reads; nothing
+# that tokenizes, parses, indexes or loads.
+ORACLE_NAMES = {"And", "AnyOf", "AtLeastK", "Document", "Lexicon", "Or", "Phrase", "Query",
+                "Term", "builtin_lexicon"}
 
 
 def _modules_after(code: str) -> set[str]:
@@ -180,3 +187,25 @@ def test_unknown_attribute_raises_attribute_error():
         lexdrift.no_such_name
     with pytest.raises(ImportError):
         exec("from lexdrift import no_such_name", {})
+
+
+def _imports(path: Path) -> list[tuple[str, str | None]]:
+    """The (module, name) pairs the file *path* imports, name None for an
+    ``import module``; a relative module keeps its leading dots."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            found += [(alias.name, None) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            found += [("." * node.level + (node.module or ""), alias.name) for alias in node.names]
+    return found
+
+
+def test_the_test_side_references_share_no_code_with_the_package():
+    # The README's index-file reader and the brute-force oracle are what the
+    # package is checked against, so neither may run the package's own code.
+    stdlib = sys.stdlib_module_names
+    assert {module.split(".")[0] for module, _ in _imports(TESTS / "index_file.py")} <= stdlib
+    taken = {(module, name) for module, name in _imports(TESTS / "conftest.py")
+             if module.split(".")[0] not in stdlib | {"pytest"}}
+    assert taken <= {("lexdrift", name) for name in ORACLE_NAMES}
