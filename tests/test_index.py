@@ -917,11 +917,11 @@ def _two_years(first, second, extra: bytes = b""):
     return _payload(edit)
 
 
-def _flip(position: int):
-    """An edit flipping one bit of the file's byte at *position*."""
+def _flip(position: int, bits: int = 0x10):
+    """An edit flipping *bits* of the file's byte at *position*."""
     def edit(data: bytes) -> bytes:
         flipped = bytearray(data)
-        flipped[position] ^= 0x10
+        flipped[position] ^= bits
         return bytes(flipped)
     return edit
 
@@ -946,16 +946,21 @@ _CHECKSUM = "checksum mismatch (truncated or corrupt)"
 _REFUSALS = [
     ("header-cut-short", lambda data: data[:HEADER.size - 1], IndexFileError,
      "not an index file"),
+    ("header-cut-after-version", lambda data: data[:6], IndexFileError, "not an index file"),
     ("magic-wrong", lambda data: b"LXDY" + data[4:], IndexFileError, "not an index file"),
+    ("file-foreign", lambda data: b"not an index file at all", IndexFileError,
+     "not an index file"),
     # An index is derived data: a file of an older version is rebuilt from
     # its corpus, not read.
     *[(f"other-version-{version}", _version(version), IndexVersionError,
        f"unsupported index version {version} (supported: 6); rebuild the file with "
-       "'lexdrift index'") for version in (0, 1, 2, 3, 4, 5, 7, 99)],
+       "'lexdrift index'") for version in (0, 1, 2, 3, 4, 5, 7, 99, 65535)],
     ("first-payload-byte-flipped", _flip(HEADER.size), IndexChecksumError, _CHECKSUM),
     ("last-payload-byte-flipped", _flip(-1), IndexChecksumError, _CHECKSUM),
+    ("last-payload-byte-inverted", _flip(-1, 0xFF), IndexChecksumError, _CHECKSUM),
     ("checksum-byte-flipped", _flip(HEADER.size - 1), IndexChecksumError, _CHECKSUM),
     ("payload-truncated", lambda data: data[:-7], IndexChecksumError, _CHECKSUM),
+    ("payload-last-byte-missing", lambda data: data[:-1], IndexChecksumError, _CHECKSUM),
     ("payload-missing", lambda data: data[:HEADER.size], IndexChecksumError, _CHECKSUM),
     ("byte-appended", lambda data: data + b"\0", IndexChecksumError, _CHECKSUM),
     ("length-past-payload", _length_past_payload, IndexChecksumError, _CHECKSUM),
@@ -979,8 +984,20 @@ _REFUSALS = [
      "(char 1))"),
     ("header-nested-too-deeply", _header_bytes(b"[" * 200_000), IndexFileError,
      "malformed payload (JSON nested too deeply)"),
+    ("lexicon-nested-too-deeply",
+     _header_bytes(b'{"format": "lexdrift.index", "lexicon": ' + b"[" * 200_000), IndexFileError,
+     "malformed payload (JSON nested too deeply)"),
     ("header-integer-too-long", _header_bytes(b"9" * 5000), IndexFileError,
      "malformed payload (integer of more than 4300 digits)"),
+    ("field-integer-too-long",
+     _payload(lambda header, columns, ids: packed(
+         json.dumps(header)[:-1].encode() + b', "x": ' + b"9" * 5000 + b"}", columns, ids)),
+     IndexFileError, "malformed payload (integer of more than 4300 digits)"),
+    ("count-integer-too-long",
+     _payload(lambda header, columns, ids: packed(
+         json.dumps(header).replace('"docs": 3', '"docs": ' + "9" * 5000).encode(), columns,
+         ids)),
+     IndexFileError, "malformed payload (integer of more than 4300 digits)"),
     ("header-not-an-object", _header_bytes(b"[1, 2]"), IndexFileError,
      "malformed payload (not a lexdrift index payload)"),
     ("format-foreign", _header(format="lexdrift.counts"), IndexFileError,
@@ -996,6 +1013,10 @@ _REFUSALS = [
     ("years-not-a-list", _header(years={}), IndexFileError,
      "malformed payload ('years' is not a list)"),
     ("years-entry-not-an-object", _header(years=[[2020]]), IndexFileError,
+     "malformed payload ('years' entry 0 is not an object)"),
+    ("years-entry-a-string", _header(years=["2020"]), IndexFileError,
+     "malformed payload ('years' entry 0 is not an object)"),
+    ("years-entry-an-integer", _header(years=[7]), IndexFileError,
      "malformed payload ('years' entry 0 is not an object)"),
     ("count-not-int", _year_field(docs="3"), IndexFileError,
      "malformed payload (the document count of 2023 is not an integer)"),
@@ -1019,8 +1040,12 @@ _REFUSALS = [
      "malformed payload (the category-table rows of 2023 are not strictly ascending)"),
     ("count-zero", _year_field(docs=0), IndexFileError,
      "malformed payload (year 2023 has no documents)"),
+    ("count-negative", _year_field(docs=-1), IndexFileError,
+     "malformed payload (year 2023 has no documents)"),
     ("columns-cut-short", _payload(lambda header, columns, ids: packed(header, columns[:-1], ids)),
      IndexFileError, "malformed payload (the columns of 2023 are cut short)"),
+    ("count-past-columns", _year_field(docs=9), IndexFileError,
+     "malformed payload (the columns of 2023 are cut short)"),
     ("column-wider-than-year", _column_byte(0, 0b1000), IndexFileError,
      "malformed payload (a column of 2023 is wider than its 3 documents)"),
     ("column-of-first-year-wider", _payload(_padded_first_of_two_years), IndexFileError,
@@ -1039,6 +1064,8 @@ _REFUSALS = [
      "malformed payload (year range '2000'-2100: a year is not an integer)"),
     ("year-not-int", _two_years(2022, "2023"), IndexFileError,
      "malformed payload (document 'd0': year '2023' outside allowed range 2000-2100)"),
+    ("only-year-not-int", _year_field(year="2023"), IndexFileError,
+     "malformed payload (document 'd0': year '2023' outside allowed range 2000-2100)"),
     ("year-past-range", _two_years(2022, 2101), IndexFileError,
      "malformed payload (document 'd0': year 2101 outside allowed range 2000-2100)"),
     ("years-unsorted", _two_years(2023, 2022), IndexFileError,
@@ -1046,6 +1073,8 @@ _REFUSALS = [
     ("years-repeated", _two_years(2023, 2023), IndexFileError,
      "malformed payload (the years are not strictly ascending: 2023 after 2023)"),
     ("trailing-bytes-before-years", _two_years(2023, 2022, b"\0"), IndexFileError,
+     "malformed payload (1 bytes after the last column)"),
+    ("trailing-bytes-before-year-not-int", _two_years("2023", 2022, b"\0"), IndexFileError,
      "malformed payload (1 bytes after the last column)"),
 ]
 
