@@ -27,6 +27,9 @@ DEFAULT_MAX_YEAR = 2100
 JOINERS = "'’-"
 _LETTER = r"[^\W\d_]"
 TOKEN_RE = re.compile(rf"{_LETTER}+(?:[{JOINERS}]{_LETTER}+)*")
+# TOKEN_RE's pattern for ASCII text, whose letters are [A-Za-z]: it matches
+# the same tokens there, in fewer steps of the regex engine.
+ASCII_TOKEN = TOKEN_RE.pattern.replace(_LETTER, "[A-Za-z]")
 
 # ASCII fast path: the translate tables keep letters (lowercased when
 # folding) and the two ASCII joiners and turn everything else into a space;

@@ -28,9 +28,10 @@ nest at most ``MAX_NESTING`` deep.
 from __future__ import annotations
 
 import re
+from itertools import product
 from typing import Union
 
-from .corpus import TOKEN_RE, raw_tokens, tokenize
+from .corpus import ASCII_TOKEN, TOKEN_RE, raw_tokens, tokenize
 from .errors import QueryError, QuerySyntaxError, UnknownNameError, long_integer, undecodable
 from .lexicon import Lexicon
 from .value import Value
@@ -105,18 +106,33 @@ Query = Union[Term, Phrase, AnyOf, AtLeastK, And, Or]
 # so this keeps a hostile query far from the interpreter's recursion limit.
 MAX_NESTING = 100
 
-# A token is a parenthesis, a comma, a number, a quoted phrase or a word,
-# which is what the corpus tokenizer reads as one token; the parser tells
-# them apart by their first character, and reads the end of the text as "".
-_TOKEN = rf'[(),]|\d+|"[^"]*"|{TOKEN_RE.pattern}'
-# A token and the whitespace before it, or any other character as a token of
-# its own, which the parser refuses. It is run on text with no trailing
-# whitespace, so every search matches where it starts: in a trailing run, one
-# would start again at each character of the run and read the rest of it.
-_LEX_RE = re.compile(rf"\s*({_TOKEN}|\S)")
-# The stretch of a text, from its start, that tokens and whitespace cover;
-# read only when a query is refused, so compiled then, through re's cache.
-_COVER = rf"(?:\s*(?:{_TOKEN}))*\s*"
+
+def _lexer(word: str) -> tuple[str, str]:
+    """The lexer and cover patterns of a query text whose words *word*
+    matches.
+
+    A token is a parenthesis, a comma, a number, a quoted phrase or a word,
+    which is what the corpus tokenizer reads as one token; the parser tells
+    them apart by their first character, and reads the end of the text as "".
+    The lexer matches a token and the whitespace before it, or any other
+    character as a token of its own, which the parser refuses. It is run on
+    text with no trailing whitespace, so every search matches where it
+    starts: in a trailing run, one would start again at each character of
+    the run and read the rest of it. The cover matches the stretch of a
+    text, from its start, that tokens and whitespace cover; it is read only
+    when a query is refused."""
+    token = rf'[(),]|\d+|"[^"]*"|{word}'
+    return rf"\s*({token}|\S)", rf"(?:\s*(?:{token}))*\s*"
+
+
+# The patterns for ASCII text and for any other, compiled on first use
+# through re's cache, so a command that reads one ASCII query compiles only
+# the ASCII ones. Their \s is Unicode's in both, as it is in the tokenizer:
+# re.ASCII's would leave out \x1c-\x1f.
+_LEXERS = {True: _lexer(ASCII_TOKEN), False: _lexer(TOKEN_RE.pattern)}
+# Every case spelling of the keywords, which are compared after case folding:
+# no character but an ASCII letter folds to letters of theirs.
+_OR, _AND = ({"".join(s) for s in product(*zip(w, w.upper()))} for w in ("or", "and"))
 
 
 def query_vocabulary(q: Query) -> set[str]:
@@ -135,24 +151,27 @@ def query_vocabulary(q: Query) -> set[str]:
 class _Parser:
     def __init__(self, text: str, lexicon: Lexicon):
         self.text = text
-        self.tokens = _LEX_RE.findall(text.rstrip()) + [""]
+        self.lexer, self.cover = _LEXERS[text.isascii()]
+        self.tokens = re.findall(self.lexer, text.rstrip()) + [""]
         self.i = 0  # the next token
         self.depth = 0
         self.lexicon = lexicon
-        # Group names are role and strength names: lowercase already.
-        self.groups = lexicon.groups()
+        # The lexicon's own tables, read and never changed. Group names are
+        # role and strength names: lowercase already.
+        self.groups = lexicon._groups
+        self.folded = lexicon._folded
 
     def error(self, message: str, i: int, cls=QuerySyntaxError):
         """Raise *message* at token *i*, found again in the text, unless a
         character that starts no token comes first: that is the error."""
         text = self.text
-        end = re.match(_COVER, text).end()
+        end = re.match(self.cover, text).end()
         if end < len(text):
             offset = len(text[:end].encode("utf-8"))
             if text[end] == '"':
                 raise QuerySyntaxError("unterminated quoted phrase", offset)
             raise QuerySyntaxError(f"unexpected character {text[end]!r}", offset)
-        pos = [m.start(1) for m in _LEX_RE.finditer(text.rstrip())] + [len(text)]
+        pos = [m.start(1) for m in re.finditer(self.lexer, text.rstrip())] + [len(text)]
         raise cls(message, len(text[:pos[i]].encode("utf-8")))
 
     def entry_term(self, name: str, i: int) -> str | None:
@@ -181,20 +200,20 @@ class _Parser:
 
     def parse_or(self) -> Query:
         q = self.parse_and()
-        if self.tokens[self.i].casefold() != "or":
+        if self.tokens[self.i] not in _OR:
             return q
         parts = [q]
-        while self.tokens[self.i].casefold() == "or":
+        while self.tokens[self.i] in _OR:
             self.i += 1
             parts.append(self.parse_and())
         return Or(tuple(parts))
 
     def parse_and(self) -> Query:
         q = self.parse_atom()
-        if self.tokens[self.i].casefold() != "and":
+        if self.tokens[self.i] not in _AND:
             return q
         parts = [q]
-        while self.tokens[self.i].casefold() == "and":
+        while self.tokens[self.i] in _AND:
             self.i += 1
             parts.append(self.parse_atom())
         return And(tuple(parts))
@@ -235,6 +254,9 @@ class _Parser:
         """The tokens of a quoted phrase: those of the lexicon entry it
         names, else its case-folded tokens."""
         text = token[1:-1]
+        # An entry that folds to itself is its own tokens joined by spaces.
+        if text in self.folded.get(text, ()):
+            return text.split(" ")
         term = self.entry_term(" ".join(raw_tokens(text)), i)
         if term is not None:
             return term.split(" ")
@@ -268,7 +290,7 @@ class _Parser:
 
     def parse_names(self) -> tuple[str, ...]:
         members: dict[str, None] = {}  # in the order first named
-        tokens = self.tokens
+        tokens, groups, folded = self.tokens, self.groups, self.folded
         while True:
             i = self.i
             token = tokens[i]
@@ -277,8 +299,13 @@ class _Parser:
             if first == '"':
                 members[" ".join(self.quoted_tokens(token, i))] = None
             elif first not in "()," and not first.isdecimal():  # a word
-                group = self.groups.get(token.casefold())
-                if group is not None:
+                # A name spelled as a group or an entry is found as it
+                # stands. The folded table lists an entry under its own
+                # spelling only if that folds to itself, and so to no group.
+                group = groups.get(token)
+                if group is None and token in folded.get(token, ()):
+                    members[token] = None
+                elif group is not None or (group := groups.get(token.casefold())) is not None:
                     members.update(dict.fromkeys(group))
                 elif (term := self.entry_term(token, i)) is not None:
                     members[term] = None

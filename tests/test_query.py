@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import random
 import time
 
@@ -289,6 +290,19 @@ def test_name_resolves_ignoring_case_when_unambiguous():
     assert parse_query("zebra", lexicon) == Term("zebra")
 
 
+def test_a_listed_name_of_a_group_and_an_entry_means_the_group():
+    lexicon = Lexicon("both", (TermEntry("weak", "adjective"), TermEntry("innovative", "adjective"),
+                               TermEntry("Strong", "adjective", case_sensitive=True),
+                               TermEntry("notable", "adjective")),
+                      {"weak": ["innovative"], "strong": ["notable"]})
+    assert parse_query("any(weak)", lexicon) == parse_query("any(WEAK)", lexicon) \
+        == AnyOf(("innovative",))
+    assert parse_query("atleast(2, Strong, weak)", lexicon) == \
+        AtLeastK(2, ("notable", "innovative"))
+    # Outside a list, a name is a term.
+    assert parse_query("weak", lexicon) == Term("weak")
+
+
 # ------------------------------------------------------------ every error
 
 
@@ -473,3 +487,106 @@ def test_long_whitespace_runs_take_linear_time(lexicon, text, error):
             parse_query(text, lexicon)
         assert str(err.value) == error
     assert time.perf_counter() - start < 5
+
+
+# ------------------------------------------------- lexers and keywords
+
+# A lexicon whose names hit every way a name resolves: a case-sensitive
+# entry beside a folded one (so "Gpt" is ambiguous), joined words, a phrase
+# and a strength group.
+_MIXED = Lexicon("mixed", (
+    TermEntry("GPT", "disclosure", case_sensitive=True), TermEntry("gpt", "disclosure"),
+    TermEntry("well-known", "adjective"), TermEntry("don't", "adverb"),
+    TermEntry("large language model", "disclosure"), TermEntry("notable", "adjective"),
+), {"strong": ["well-known", "notable"]})
+_LEXICONS = {"builtin": builtin_lexicon(), "mixed": _MIXED}
+_NAMES = sorted({name for lex in _LEXICONS.values() for name in (*lex.terms(), *lex.groups())}
+                | {"zzq", "a-", "-b", "o'", "x2", "2x"})
+_KEYWORDS = ("and", "or", "any", "atleast")
+# Whitespace that str.isspace() and re's \s match, \x1c-\x1f among it.
+_SPACE = st.text(" \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f", max_size=2)
+
+
+def _any_case(word: str):
+    return st.tuples(*(st.sampled_from((c.lower(), c.upper())) for c in word)).map("".join)
+
+
+_FRAGMENT = st.one_of(
+    st.sampled_from(_NAMES).flatmap(_any_case),
+    st.sampled_from(_KEYWORDS).flatmap(_any_case),
+    st.sampled_from(("any(", "atleast(1,", "atleast(2, ")).flatmap(_any_case),
+    st.sampled_from(_NAMES).map(lambda name: f'"{name}"'),
+    st.text("abAB '-19\t\x1c", max_size=6).map(lambda text: f'"{text}"'),
+    st.integers(0, 12).map(str),
+    st.sampled_from(("(", ")", ",", "'", "-", '"')),
+    st.characters(max_codepoint=127),
+)
+
+
+@st.composite
+def _ascii_queries(draw) -> str:
+    """ASCII query text: fragments after whitespace, or a rendered query
+    tree with its spaces drawn from the whitespace above, as it is, in
+    upper case or with no quotes."""
+    if draw(st.booleans()):
+        parts = draw(st.lists(st.tuples(_SPACE, _FRAGMENT), max_size=14))
+        return "".join(space + fragment for space, fragment in parts) + draw(_SPACE)
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    text = _render(make_random_query(rng, _LEXICONS["builtin"], depth=3), rng)
+    text = draw(st.sampled_from((text, text.upper(), text.replace('"', ""))))
+    return "".join(word + draw(_SPACE.filter(bool)) for word in text.split(" "))
+
+
+def _parsed(text: str, lexicon: Lexicon):
+    """The query *text* parses to, or the QuerySyntaxError it raises."""
+    try:
+        return parse_query(text, lexicon)
+    except QuerySyntaxError as exc:
+        return exc
+
+
+@settings(max_examples=500, deadline=None)
+@given(lexicon_name=st.sampled_from(sorted(_LEXICONS)), text=_ascii_queries())
+def test_the_ascii_lexer_reads_what_the_unicode_lexer_reads(lexicon_name, text):
+    # A leading U+3000, ideographic space, sends the text through the
+    # Unicode lexer and moves every offset 3 bytes on.
+    lexicon = _LEXICONS[lexicon_name]
+    assert text.isascii()
+    ascii_read, unicode_read = _parsed(text, lexicon), _parsed("　" + text, lexicon)
+    if not isinstance(ascii_read, QuerySyntaxError):
+        assert unicode_read == ascii_read
+        return
+    assert type(unicode_read) is type(ascii_read)
+    assert unicode_read.offset == ascii_read.offset + 3
+    message = str(ascii_read).removesuffix(f" (byte offset {ascii_read.offset})")
+    assert str(unicode_read) == f"{message} (byte offset {ascii_read.offset + 3})"
+
+
+@pytest.mark.parametrize("word, node", [("or", Or), ("and", And)])
+def test_every_case_spelling_of_a_keyword_is_the_keyword(lexicon, word, node):
+    spellings = {"".join(s) for s in itertools.product(*zip(word, word.upper()))}
+    assert len(spellings) == 2 ** len(word)
+    for spelling in spellings:
+        assert parse_query(f"blue {spelling} red", lexicon) == node((Term("blue"), Term("red")))
+        with pytest.raises(QuerySyntaxError) as err:
+            parse_query(spelling, lexicon)
+        assert str(err.value) == f"unexpected keyword {spelling!r} (byte offset 0)"
+
+
+@pytest.mark.parametrize("word", ["orr", "an", "nd", "andd", "o", "r", "nor", "AN", "Andy",
+                                  "OR'd", "and-or", "ſor"])
+def test_a_near_miss_of_a_keyword_is_a_word(lexicon, word):
+    with pytest.raises(QuerySyntaxError) as err:
+        parse_query(f"blue {word} red", lexicon)
+    assert str(err.value) == f"unexpected input {word!r} (byte offset 5)"
+    assert parse_query(word, lexicon) == Term(word.casefold())
+
+
+def test_no_character_but_an_ascii_letter_folds_to_letters_of_a_keyword():
+    # The parser reads a keyword by its case spellings, which equals folding
+    # it only while this holds. Today ſ and K (Kelvin) are the non-ASCII
+    # characters that fold to one ASCII letter, s and k; none folds to "".
+    to_letters = [c for c in map(chr, range(0x80, 0x110000))
+                  if not c.casefold() or c.casefold().isascii() and c.casefold().isalpha()]
+    assert {"ſ", "K"} <= set(to_letters)
+    assert [c for c in to_letters if set(c.casefold()) <= set("andor")] == []
