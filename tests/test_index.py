@@ -830,12 +830,12 @@ _THREE_DOCS = [
 ]
 
 
-def _parts(tmp_path, lexicon) -> tuple[dict, bytearray, list]:
+def _parts(tmp_path, lexicon, docs=_THREE_DOCS) -> tuple[dict, bytearray, list]:
     """The header, column bytes (each year's term columns, then its category
-    rows) and ids of the index of _THREE_DOCS, saved as ``good.idx`` in
+    rows) and ids of the index of *docs*, saved as ``good.idx`` in
     *tmp_path*."""
     path = tmp_path / "good.idx"
-    save_index(build_index(_THREE_DOCS, lexicon), path)
+    save_index(build_index(docs, lexicon), path)
     return index_file.parts(path.read_bytes())
 
 
@@ -1147,7 +1147,7 @@ _THREE_IDS = [[0, 1, 1], ["d0", "1", "2"]]
 _WITHIN = "a shared length in 2023 is negative or past the id before it"
 
 
-@pytest.mark.parametrize("stream, problem", [
+@pytest.mark.parametrize("docs, stream, problem", [(_THREE_DOCS, *row) for row in [
     (id_stream([[[0, 1, 1], [7, "1", "2"]]]),
      "the rest of a document id in 2023 is not a string"),
     (id_stream([[[0, 2, 1], ["d0", "", "1"]]]), "the ids of 2023 are not strictly ascending"),
@@ -1158,6 +1158,10 @@ _WITHIN = "a shared length in 2023 is negative or past the id before it"
      "the id lists of 2023 are not two lists of its 3 documents"),
     (id_stream([["0,1,1", ["d0", "1", "2"]]]),
      "the id lists of 2023 are not two lists of its 3 documents"),
+    # A string of the right length: "d12" would decode to d, d1 and d2.
+    (id_stream([["011", ["d0", "1", "2"]]]),
+     "the id lists of 2023 are not two lists of its 3 documents"),
+    (id_stream([[[0, 1, 1], "d12"]]), "the id lists of 2023 are not two lists of its 3 documents"),
     (id_stream([[0, 1, 1, "d0", "1", "2"]]),
      "the ids are not a pair of lists for each of the 1 years"),
     (id_stream([[*_THREE_IDS, []]]), "the ids are not a pair of lists for each of the 1 years"),
@@ -1179,31 +1183,35 @@ _WITHIN = "a shared length in 2023 is negative or past the id before it"
     (b"plain bytes", "Error -3 while decompressing data: incorrect header check"),
     (id_stream([_THREE_IDS])[:-2], "a deflated stream does not end"),
     (id_stream([_THREE_IDS]) + b"\0", "1 bytes after the id stream"),
-], ids=["id-not-str", "ids-repeated", "ids-unsorted", "ids-too-few", "ids-too-many",
-        "shared-not-a-list", "ids-not-list", "pair-of-three-lists", "ids-not-a-pair",
+]] + [([], id_stream({}), "the ids are not a pair of lists for each of the 0 years")],
+    ids=["id-not-str", "ids-repeated", "ids-unsorted", "ids-too-few", "ids-too-many",
+        "shared-not-a-list", "shared-a-string-of-n-digits", "rests-a-string-of-n-characters",
+        "ids-not-list", "pair-of-three-lists", "ids-not-a-pair",
         "ids-of-too-many-years", "ids-not-a-list", "shared-not-int", "shared-bool",
         "shared-negative", "shared-past-id-before", "first-shared-not-0", "shared-shorter",
         "shared-shorter-after-a-carry", "not-json", "not-utf8", "nested-too-deeply",
-        "integer-too-long", "not-deflated", "stream-unended", "trailing-bytes"])
+        "integer-too-long", "not-deflated", "stream-unended", "trailing-bytes",
+        "ids-of-no-years-not-a-list"])
 def test_a_malformed_id_stream_is_refused_when_the_ids_are_first_used(
-        tmp_path, lexicon, capsys, stream, problem):
+        tmp_path, lexicon, capsys, docs, stream, problem):
     """A file's ids are decoded by doc_marks() and save_index, never by a
     load or a query: a file whose id stream is malformed loads, answers
     every query as the well-formed file does, and names the problem once
-    its ids are used."""
-    header, columns, _ = _parts(tmp_path, lexicon)
+    its ids are used. A file of no years answers no query."""
+    header, columns, _ = _parts(tmp_path, lexicon, docs)
     good, bad = tmp_path / "good.idx", tmp_path / "bad.idx"
-    assert json.loads(streams(good.read_bytes())[1]) == [_THREE_IDS]
+    assert json.loads(streams(good.read_bytes())[1]) == ([_THREE_IDS] if docs else [])
     bad.write_bytes(framed(packed(header, columns, stream)))
     index, fine = load_index(bad), load_index(good)
-    assert [index.total(y) for y in index.years] == [fine.total(y) for y in fine.years] == [3]
+    assert [index.total(y) for y in index.years] == [fine.total(y) for y in fine.years] \
+        == ([3] if docs else [])
     q = parse_query("any(strong) OR intricate OR notable", lexicon)
-    assert (eval_count(index, q, 2023), category_skew(index, q, 2023)) \
-        == (eval_count(fine, q, 2023), category_skew(fine, q, 2023))
+    assert [(eval_count(index, q, y), category_skew(index, q, y)) for y in index.years] \
+        == [(eval_count(fine, q, y), category_skew(fine, q, y)) for y in fine.years]
     for argv in (["query", "intricate"], ["skew", "intricate", "--year", "2023"]):
-        assert main([*argv, "--index", str(good)]) == 0
+        assert main([*argv, "--index", str(good)]) == (0 if docs else 1)
         expected = capsys.readouterr()
-        assert main([*argv, "--index", str(bad)]) == 0
+        assert main([*argv, "--index", str(bad)]) == (0 if docs else 1)
         assert capsys.readouterr() == expected
     for use in (lambda: list(index.doc_marks()), lambda: save_index(index, tmp_path / "re.idx")):
         with pytest.raises(IndexFileError) as caught:
