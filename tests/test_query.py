@@ -552,7 +552,7 @@ def test_the_ascii_lexer_reads_what_the_unicode_lexer_reads(lexicon_name, text):
     # Unicode lexer and moves every offset 3 bytes on.
     lexicon = _LEXICONS[lexicon_name]
     assert text.isascii()
-    ascii_read, unicode_read = _parsed(text, lexicon), _parsed("　" + text, lexicon)
+    ascii_read, unicode_read = _parsed(text, lexicon), _parsed("\u3000" + text, lexicon)
     if not isinstance(ascii_read, QuerySyntaxError):
         assert unicode_read == ascii_read
         return
