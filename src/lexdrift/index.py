@@ -67,7 +67,7 @@ from .errors import (
     long_integer,
 )
 from .lexicon import Lexicon, lexicon_from_dict, lexicon_to_dict
-from .query import And, AnyOf, AtLeastK, Or, Phrase, Query, Term, query_vocabulary
+from .query import And, AnyOf, AtLeastK, Or, Query, Term, query_vocabulary
 
 _MAGIC = b"LXDX"
 _VERSION = 6
@@ -125,7 +125,7 @@ class YearTermIndex:
         last = min_year - 1
         for k, (year, _) in enumerate(spans):
             if type(year) is not int or not min_year <= year <= max_year:
-                raise IndexBuildError(f"document {self._doc_ids(spans)[k][0]!r}: year "
+                raise IndexBuildError(f"document {_stream_ids(ids, spans)[k][0]!r}: year "
                                       f"{_shown(year)} outside allowed range "
                                       f"{_shown(min_year)}-{_shown(max_year)}")
             if year <= last:
@@ -184,13 +184,12 @@ class YearTermIndex:
             yield from zip(ids, repeat(year), _transposed(columns, y.n),
                            map(y.table.__getitem__, y.rows))
 
-    def _doc_ids(self, spans: Sequence[tuple[int, _Year]] = ()) -> tuple[tuple[str, ...], ...]:
+    def _doc_ids(self) -> tuple[tuple[str, ...], ...]:
         """Each year's document ids, ascending, decoded from the id stream
-        and checked against this index's years, or *spans*, the (year, _Year)
-        pairs of an index not yet made; a scan has none."""
+        and checked against this index's years; a scan has none."""
         if self._ids is None:
             raise IndexBuildError("a corpus scan keeps no document ids")
-        return _decoded(self._path, _stream_ids, self._ids, spans or tuple(self._by_year.items()))
+        return _decoded(self._path, _stream_ids, self._ids, tuple(self._by_year.items()))
 
 
 def _check_year_range(min_year: int, max_year: int) -> None:
@@ -429,8 +428,7 @@ def _gate(q: Query, needles: Mapping[str, tuple[int, tuple[str, ...]]]) -> _Gate
         parts = sorted((_gate(p, needles) for p in q.parts), key=lambda part: part[1])
         k = len(parts) if isinstance(q, And) else 1
     else:
-        members = q.members if isinstance(q, (AnyOf, AtLeastK)) else (
-            q.term if isinstance(q, Term) else q.text,)
+        members = q.members if isinstance(q, (AnyOf, AtLeastK)) else (q.term,)
         k = q.k if isinstance(q, AtLeastK) else 1
         leaves = [needles[m] for m in members]
         if len({hay for hay, _ in leaves}) == 1 and all(len(f) <= 1 for _, f in leaves):
@@ -606,8 +604,6 @@ def _walk(cols: Sequence[int], bit: Callable[[str], int], q: Query) -> int:
                 reach[j] |= reach[j - 1] & col
             reach[0] |= col
         return reach[-1]
-    if isinstance(q, Phrase):
-        return cols[bit(q.text)]
     raise TypeError(f"not a query node: {q!r}")
 
 
@@ -741,8 +737,6 @@ def _decoded(path, decode: Callable, *args):
     IndexFileError naming it."""
     try:
         return decode(*args)
-    except IndexFileError:  # the ids, decoded to name a year's smallest id
-        raise
     except KeyError as exc:
         raise IndexFileError(f"{path}: malformed payload (no {exc} field)") from None
     except (zlib.error, TypeError, ValueError, DataError) as exc:

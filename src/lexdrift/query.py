@@ -17,9 +17,10 @@ control, extra, disclosure, strong, medium, weak) which expands to its member
 terms, or a lexicon term. Quoted strings in those lists are taken literally.
 A bare word outside the operators is a plain term and need not be in the
 lexicon (such terms can only be counted by a corpus scan, not via an index).
-A word or quoted phrase that names a lexicon term means the entry spelled
-exactly so, else the one entry equal to it ignoring case; a name that only
-case tells apart from several entries is an ``UnknownNameError``.
+A word or quoted phrase is a ``Term``: the lexicon entry it names, spelled
+exactly so, else the one equal to it ignoring case (a name case alone tells
+apart from several is an ``UnknownNameError``), else its case-folded tokens
+joined by single spaces.
 
 Syntax errors report the byte offset of the offending input. Parentheses
 nest at most ``MAX_NESTING`` deep.
@@ -46,19 +47,6 @@ class Term(Value):
 
     def __init__(self, term: str):
         object.__setattr__(self, "term", term)
-
-
-class Phrase(Value):
-    __slots__ = ("tokens",)
-
-    def __init__(self, tokens: tuple[str, ...]):
-        if not tokens:
-            raise ValueError("phrase needs at least one token")
-        object.__setattr__(self, "tokens", tokens)
-
-    @property
-    def text(self) -> str:
-        return " ".join(self.tokens)
 
 
 class AnyOf(Value):
@@ -100,7 +88,7 @@ class Or(Value):
         object.__setattr__(self, "parts", parts)
 
 
-Query = Union[Term, Phrase, AnyOf, AtLeastK, And, Or]
+Query = Union[Term, AnyOf, AtLeastK, And, Or]
 
 # Deepest parenthesis nesting the parser accepts; it recurses once per level,
 # so this keeps a hostile query far from the interpreter's recursion limit.
@@ -136,11 +124,9 @@ _OR, _AND = ({"".join(s) for s in product(*zip(w, w.upper()))} for w in ("or", "
 
 
 def query_vocabulary(q: Query) -> set[str]:
-    """All term/phrase strings the query refers to."""
+    """All term strings the query refers to."""
     if isinstance(q, Term):
         return {q.term}
-    if isinstance(q, Phrase):
-        return {q.text}
     if isinstance(q, (AnyOf, AtLeastK)):
         return set(q.members)
     if isinstance(q, (And, Or)):
@@ -232,8 +218,7 @@ class _Parser:
             self.depth -= 1
             return q
         if first == '"':
-            toks = self.quoted_tokens(token, i)
-            return Term(toks[0]) if len(toks) == 1 else Phrase(tuple(toks))
+            return Term(self.quoted_text(token, i))
         if first not in ")," and not first.isdecimal():  # a word
             keyword = token.casefold()
             if keyword == "and" or keyword == "or":
@@ -250,20 +235,20 @@ class _Parser:
             return Term(self.entry_term(token, i) or toks[0])
         self.error("expected a term, phrase, group operator or '('", i)
 
-    def quoted_tokens(self, token: str, i: int) -> list[str]:
-        """The tokens of a quoted phrase: those of the lexicon entry it
-        names, else its case-folded tokens."""
+    def quoted_text(self, token: str, i: int) -> str:
+        """The term a quoted phrase names: the lexicon entry it names, else
+        its case-folded tokens joined by single spaces."""
         text = token[1:-1]
-        # An entry that folds to itself is its own tokens joined by spaces.
+        # The text of an entry that folds to itself is that entry.
         if text in self.folded.get(text, ()):
-            return text.split(" ")
+            return text
         term = self.entry_term(" ".join(raw_tokens(text)), i)
         if term is not None:
-            return term.split(" ")
+            return term
         toks = tokenize(text)
         if not toks:
             self.error("quoted phrase contains no tokens", i)
-        return toks
+        return " ".join(toks)
 
     def call_atom(self, keyword: str, i: int) -> Query:
         self.i += 1  # the '(' the caller saw
@@ -297,7 +282,7 @@ class _Parser:
             first = token[:1]
             self.i = i + 1
             if first == '"':
-                members[" ".join(self.quoted_tokens(token, i))] = None
+                members[self.quoted_text(token, i)] = None
             elif first not in "()," and not first.isdecimal():  # a word
                 # A name spelled as a group or an entry is found as it
                 # stands. The folded table lists an entry under its own

@@ -100,7 +100,8 @@ test "$(cat malformed.err)" = "error: expected ')' (byte offset 10)"
 # it tests its query on substrings first (few words) or not (many).
 for fmt in text csv json; do
   for q in 'any(strong) AND any(disclosure)' intricate 'any(adjective, adverb)' \
-      'atleast(2, strong)' 'any(weak) OR (any(strong) AND any(extra))'; do
+      'atleast(2, strong)' 'any(weak) OR (any(strong) AND any(extra))' \
+      '"large language model"' '"artificial intelligence" OR intricate'; do
     lexdrift query "$q" --index sample.idx --format $fmt > index.out
     lexdrift query "$q" --corpus "$corpus" --format $fmt > corpus.out
     diff index.out corpus.out
@@ -141,7 +142,7 @@ printf '%s\n' '{"name": "cased", "entries": [' \
   '{"term": "large language model", "role": "disclosure"}]}' > cased.json
 lexdrift index --corpus "$corpus" --lexicon cased.json --out cased.idx
 for fmt in text csv json; do
-  for q in GPT chatgpt 'any(disclosure)'; do
+  for q in GPT chatgpt 'any(disclosure)' '"large language model"'; do
     lexdrift query "$q" --index cased.idx --format $fmt > index.out
     lexdrift query "$q" --corpus "$corpus" --lexicon cased.json --format $fmt > corpus.out
     diff index.out corpus.out

@@ -146,6 +146,16 @@ def test_usage_error_exits_2(capsys):
     assert main(["no-such-command"]) == 2
 
 
+def test_running_out_of_memory_is_one_line(monkeypatch, capsys):
+    # A huge input can exhaust memory; the command then ends as a data
+    # error does, in one line.
+    def exhausted(path):
+        raise MemoryError
+    monkeypatch.setattr("lexdrift.index.load_index", exhausted)
+    assert main(["query", "intricate", "--index", str(SAMPLE_INDEX)]) == 1
+    assert capsys.readouterr().err == "error: out of memory\n"
+
+
 # ------------------------------------------------------------------ drift
 
 

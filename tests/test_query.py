@@ -15,7 +15,6 @@ from lexdrift import (
     DataError,
     Lexicon,
     Or,
-    Phrase,
     QueryError,
     QuerySyntaxError,
     Document,
@@ -86,7 +85,7 @@ def test_keywords_case_insensitive(lexicon):
 
 def test_quoted_phrase(lexicon):
     q = parse_query('"large language model"', lexicon)
-    assert q == Phrase(("large", "language", "model"))
+    assert q == Term("large language model")
 
 
 def test_quoted_single_token_is_term(lexicon):
@@ -235,8 +234,7 @@ def test_ast_k_invariant():
         AtLeastK(3, ("a", "b"))
 
 
-@pytest.mark.parametrize("make", [lambda: Phrase(()), lambda: AnyOf(()),
-                                  lambda: And(()), lambda: Or(())])
+@pytest.mark.parametrize("make", [lambda: AnyOf(()), lambda: And(()), lambda: Or(())])
 def test_empty_ast_node_rejected(make):
     with pytest.raises(ValueError, match="at least one"):
         make()
@@ -285,8 +283,7 @@ def test_name_resolves_ignoring_case_when_unambiguous():
                               TermEntry("Large Language Model", "disclosure")))
     assert parse_query("gpt", lexicon) == Term("GPT")
     assert parse_query("any(Gpt)", lexicon) == AnyOf(("GPT",))
-    assert parse_query('"large language model"', lexicon) == \
-        Phrase(("Large", "Language", "Model"))
+    assert parse_query('"large language model"', lexicon) == Term("Large Language Model")
     assert parse_query("zebra", lexicon) == Term("zebra")
 
 
@@ -398,16 +395,15 @@ def test_text_that_is_not_utf8_is_refused_before_it_is_read(lexicon, text, messa
 
 def _render(q, rng) -> str:
     """Query text for the tree *q* over the builtin lexicon's terms, with
-    keywords in random case: a term bare or quoted, a phrase and every
-    listed member quoted (a bare member may name a group), each operand of
-    AND and OR in parentheses."""
+    keywords in random case: a term of one word bare or quoted, one of
+    several and every listed member quoted (a bare member may name a group,
+    and bare words are separate terms), each operand of AND and OR in
+    parentheses."""
     def keyword(word: str) -> str:
         return rng.choice((word, word.upper(), word.capitalize()))
 
     if isinstance(q, Term):
-        return rng.choice((q.term, f'"{q.term}"'))
-    if isinstance(q, Phrase):
-        return f'"{q.text}"'
+        return f'"{q.term}"' if " " in q.term else rng.choice((q.term, f'"{q.term}"'))
     names = ", ".join(f'"{m}"' for m in getattr(q, "members", ()))
     if isinstance(q, AnyOf):
         return f"{keyword('any')}({names})"

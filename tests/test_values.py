@@ -21,7 +21,6 @@ from lexdrift import (
     Lexicon,
     LexiconError,
     Or,
-    Phrase,
     PlotSpec,
     Term,
     TermEntry,
@@ -38,11 +37,9 @@ SKEW = CategorySkew(2020, 1, 2, {"c": (1.0, 0.5)})
 # Each value, then its repr.
 REPRS = [
     (Term("a"), "Term(term='a')"),
-    (Phrase(("a", "b")), "Phrase(tokens=('a', 'b'))"),
     (AnyOf(("a",)), "AnyOf(members=('a',))"),
     (AtLeastK(1, ("a",)), "AtLeastK(k=1, members=('a',))"),
-    (And((Term("a"), Phrase(("b", "c")))),
-     "And(parts=(Term(term='a'), Phrase(tokens=('b', 'c'))))"),
+    (And((Term("a"), Term("b c"))), "And(parts=(Term(term='a'), Term(term='b c')))"),
     (Or((Term("a"),)), "Or(parts=(Term(term='a'),))"),
     (Document(id="a", year=2020, text="t"),
      "Document(id='a', year=2020, text='t', categories=())"),
@@ -62,7 +59,7 @@ REPRS = [
      "excess_denominator=None)"),
 ]
 
-NODES = [Term("a"), Phrase(("a", "b")), AnyOf(("a", "b")), AtLeastK(1, ("a", "b")),
+NODES = [Term("a"), AnyOf(("a", "b")), AtLeastK(1, ("a", "b")),
          And((Term("a"), Term("b"))), Or((Term("a"), Term("b")))]
 HASHABLE = NODES + [Document("a", 2020, "t", ("c",)), ENTRY, PlotSpec(("a", "b"))]
 UNHASHABLE = [LEXICON, SERIES, SKEW, drift_report(SERIES)]
@@ -86,7 +83,7 @@ def test_query_nodes_equal_only_their_own_type():
     for a in NODES:
         for b in NODES:
             assert (a == b) == (a is b)
-    assert Phrase(("a", "b")) != AnyOf(("a", "b"))
+    assert Term("a b") != AnyOf(("a", "b"))
     assert And((Term("a"),)) != Or((Term("a"),))
     assert Term("a") != ("a",) and ("a",) != Term("a")
     assert AnyOf(("a",)) != ("a",)
@@ -136,7 +133,6 @@ def test_drift_report_fields_can_be_assigned():
 
 def test_keyword_and_default_construction():
     assert Term(term="a") == Term("a")
-    assert Phrase(tokens=("a", "b")).text == "a b"
     assert AnyOf(members=("a",)) == AnyOf(("a",))
     assert AtLeastK(k=1, members=("a",)) == AtLeastK(1, ("a",))
     assert And(parts=(Term("a"),)) == And((Term("a"),))
@@ -161,7 +157,6 @@ def test_keyword_and_default_construction():
 
 
 @pytest.mark.parametrize("make, error, message", [
-    (lambda: Phrase(()), ValueError, "phrase needs at least one token"),
     (lambda: AnyOf(()), ValueError, r"any\(\) needs at least one member"),
     (lambda: AtLeastK(0, ("a",)), ValueError, "k must be at least 1"),
     (lambda: AtLeastK(2, ("a",)), ValueError, "k=2 exceeds the 1 listed members"),
@@ -190,7 +185,7 @@ def test_keyword_and_default_construction():
     (lambda: PlotSpec(series=("a",), metric="volume"), DataError, "unknown metric 'volume'"),
     (lambda: PlotSpec(series=("a",), height=149), DataError,
      "plot dimensions must be at least 200x150"),
-], ids=["phrase", "any", "atleast-zero", "atleast-too-many", "and", "or", "lexicon-name",
+], ids=["any", "atleast-zero", "atleast-too-many", "and", "or", "lexicon-name",
         "lexicon-duplicate", "lexicon-group", "series-id", "series-total", "series-matches",
         "series-float-total", "series-bool-matches", "series-str-year", "series-past-float",
         "series-long-year", "plot-series", "plot-metric", "plot-size"])
