@@ -29,7 +29,7 @@ _MODULE_OF = {
         "index": "CategorySkew IndexBuilder YearTermIndex build_index category_skew "
                  "eval_count eval_count_scan load_index save_index",
         "lexicon": "Lexicon TermEntry builtin_lexicon load_lexicon save_lexicon",
-        "query": "AnyOf AtLeastK And Or Query Term parse_query",
+        "query": "AtLeastK And Or Query Term parse_query",
         "stats": "CountSeries DriftReport baseline_projection count_increase "
                  "drift_report excess excess_report export_counts implied_total_ratio "
                  "import_counts series_from_index share "

@@ -67,7 +67,7 @@ from .errors import (
     long_integer,
 )
 from .lexicon import Lexicon, lexicon_from_dict, lexicon_to_dict
-from .query import And, AnyOf, AtLeastK, Or, Query, Term, query_vocabulary
+from .query import And, AtLeastK, Or, Query, Term, query_vocabulary
 
 _MAGIC = b"LXDX"
 _VERSION = 6
@@ -428,7 +428,7 @@ def _gate(q: Query, needles: Mapping[str, tuple[int, tuple[str, ...]]]) -> _Gate
         parts = sorted((_gate(p, needles) for p in q.parts), key=lambda part: part[1])
         k = len(parts) if isinstance(q, And) else 1
     else:
-        members = q.members if isinstance(q, (AnyOf, AtLeastK)) else (q.term,)
+        members = q.members if isinstance(q, AtLeastK) else (q.term,)
         k = q.k if isinstance(q, AtLeastK) else 1
         leaves = [needles[m] for m in members]
         if len({hay for hay, _ in leaves}) == 1 and all(len(f) <= 1 for _, f in leaves):
@@ -490,8 +490,8 @@ class IndexBuilder:
         self.min_year = min_year
         self.max_year = max_year
         terms = lexicon.terms()
-        self._vocab = _CompiledVocab({e.term: (e.term, e.case_sensitive)
-                                      for e in lexicon.entries}, AnyOf(terms) if terms else None)
+        self._vocab = _CompiledVocab({e.term: (e.term, e.case_sensitive) for e in lexicon.entries},
+                                     AtLeastK(1, terms) if terms else None)
         self._marks = _Gathered()
 
     def add(self, doc: Document) -> None:
@@ -594,9 +594,9 @@ def _walk(cols: Sequence[int], bit: Callable[[str], int], q: Query) -> int:
         return reduce(or_, [_walk(cols, bit, p) for p in q.parts])
     if isinstance(q, And):
         return reduce(and_, [_walk(cols, bit, p) for p in q.parts])
-    if isinstance(q, AnyOf):
-        return reduce(or_, [cols[bit(m)] for m in q.members])
     if isinstance(q, AtLeastK):
+        if q.k == 1:
+            return reduce(or_, [cols[bit(m)] for m in q.members])
         # reach[j]: documents holding at least j + 1 of the members seen so far
         reach = [0] * q.k
         for col in map(cols.__getitem__, map(bit, q.members)):

@@ -11,12 +11,14 @@ Surface syntax (keywords are case-insensitive)::
            | ATLEAST '(' k ',' name {',' name} ')'
            | word
 
-AND binds tighter than OR. Inside ``any()`` / ``atleast()``, a bare name must
-resolve against the active lexicon: either a group name (adjective, adverb,
-control, extra, disclosure, strong, medium, weak) which expands to its member
-terms, or a lexicon term. Quoted strings in those lists are taken literally.
-A bare word outside the operators is a plain term and need not be in the
-lexicon (such terms can only be counted by a corpus scan, not via an index).
+AND binds tighter than OR. ``any(NAMES)`` is ``atleast(1, NAMES)`` and
+parses to the same ``AtLeastK``. Inside ``any()`` / ``atleast()``, a bare
+name must resolve against the active lexicon: either a group name
+(adjective, adverb, control, extra, disclosure, strong, medium, weak) which
+expands to its member terms, or a lexicon term. Quoted strings in those
+lists are taken literally. A bare word outside the operators is a plain term
+and need not be in the lexicon (such terms can only be counted by a corpus
+scan, not via an index).
 A word or quoted phrase is a ``Term``: the lexicon entry it names, spelled
 exactly so, else the one equal to it ignoring case (a name case alone tells
 apart from several is an ``UnknownNameError``), else its case-folded tokens
@@ -49,15 +51,6 @@ class Term(Value):
         object.__setattr__(self, "term", term)
 
 
-class AnyOf(Value):
-    __slots__ = ("members",)
-
-    def __init__(self, members: tuple[str, ...]):
-        if not members:
-            raise ValueError("any() needs at least one member")
-        object.__setattr__(self, "members", members)
-
-
 class AtLeastK(Value):
     __slots__ = ("k", "members")
 
@@ -88,7 +81,7 @@ class Or(Value):
         object.__setattr__(self, "parts", parts)
 
 
-Query = Union[Term, AnyOf, AtLeastK, And, Or]
+Query = Union[Term, AtLeastK, And, Or]
 
 # Deepest parenthesis nesting the parser accepts; it recurses once per level,
 # so this keeps a hostile query far from the interpreter's recursion limit.
@@ -127,7 +120,7 @@ def query_vocabulary(q: Query) -> set[str]:
     """All term strings the query refers to."""
     if isinstance(q, Term):
         return {q.term}
-    if isinstance(q, (AnyOf, AtLeastK)):
+    if isinstance(q, AtLeastK):
         return set(q.members)
     if isinstance(q, (And, Or)):
         return set().union(*(query_vocabulary(p) for p in q.parts))
@@ -252,6 +245,7 @@ class _Parser:
 
     def call_atom(self, keyword: str, i: int) -> Query:
         self.i += 1  # the '(' the caller saw
+        k = 1  # any(NAMES) is atleast(1, NAMES)
         if keyword == "atleast":
             at = self.i
             count = self.tokens[at]
@@ -267,8 +261,6 @@ class _Parser:
             self.expect(",", "','")
         members = self.parse_names()
         self.expect(")", "')'")
-        if keyword == "any":
-            return AnyOf(members)
         if k > len(members):
             self.error(f"atleast count {k} exceeds the {len(members)} listed terms", i)
         return AtLeastK(k, members)

@@ -290,13 +290,13 @@ def series_from_index(index: YearTermIndex, name: str) -> CountSeries:
     lexicon; a QueryError says that the name was read as a query and what
     the parser or ``eval_count`` found wrong with it."""
     from .index import eval_count
-    from .query import AnyOf, Term, parse_query
+    from .query import AtLeastK, Term, parse_query
 
     group = index.lexicon.groups().get(name.casefold())
     terms = index.lexicon.resolve(name)
     try:
         if group is not None:
-            query: Query = AnyOf(group)
+            query: Query = AtLeastK(1, group)
         elif len(terms) == 1:
             query = Term(terms[0])
         else:

@@ -13,7 +13,6 @@ import pytest
 
 from lexdrift import (
     And,
-    AnyOf,
     AtLeastK,
     Document,
     Lexicon,
@@ -152,8 +151,6 @@ def _matches(tokens: list[str], q: Query, cased: frozenset[str] = frozenset(),
     token_set = set(tokens)
     if isinstance(q, Term):
         return _member_present(tokens, token_set, q.term, cased, raw)
-    if isinstance(q, AnyOf):
-        return any(_member_present(tokens, token_set, m, cased, raw) for m in q.members)
     if isinstance(q, AtLeastK):
         hits = sum(1 for m in q.members if _member_present(tokens, token_set, m, cased, raw))
         return hits >= q.k
@@ -174,12 +171,9 @@ def make_random_query(rng: random.Random, lexicon: Lexicon, depth: int = 3) -> Q
         kind = rng.randrange(4)
         if kind == 0 and phrases:
             return Term(" ".join(oracle_tokens(rng.choice(phrases))))
-        if kind == 1:
+        if kind == 1 or kind == 2:  # any() is atleast(1, ...)
             members = tuple(rng.sample(vocab, rng.randrange(2, 6)))
-            return AnyOf(members)
-        if kind == 2:
-            members = tuple(rng.sample(vocab, rng.randrange(2, 6)))
-            return AtLeastK(rng.randrange(1, len(members) + 1), members)
+            return AtLeastK(1 if kind == 1 else rng.randrange(1, len(members) + 1), members)
         return Term(rng.choice(singles))
 
     def node(d: int) -> Query:

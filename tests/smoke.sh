@@ -101,7 +101,8 @@ test "$(cat malformed.err)" = "error: expected ')' (byte offset 10)"
 for fmt in text csv json; do
   for q in 'any(strong) AND any(disclosure)' intricate 'any(adjective, adverb)' \
       'atleast(2, strong)' 'any(weak) OR (any(strong) AND any(extra))' \
-      '"large language model"' '"artificial intelligence" OR intricate'; do
+      '"large language model"' '"artificial intelligence" OR intricate' \
+      'atleast(1, strong)' 'atleast(1, adjective, adverb)'; do
     lexdrift query "$q" --index sample.idx --format $fmt > index.out
     lexdrift query "$q" --corpus "$corpus" --format $fmt > corpus.out
     diff index.out corpus.out
@@ -110,6 +111,14 @@ for fmt in text csv json; do
   lexdrift skew 'any(strong)' --corpus "$corpus" --year 2023 --format $fmt > corpus.out
   diff index.out corpus.out
 done
+# any(NAMES) is atleast(1, NAMES): the same node, so the same bytes from
+# an index and from a scan.
+lexdrift query 'any(strong)' --index sample.idx --format csv > any.out
+lexdrift query 'atleast(1, strong)' --index sample.idx --format csv > atleast.out
+cmp any.out atleast.out
+lexdrift query 'any(strong)' --corpus "$corpus" --format csv > any.out
+lexdrift query 'atleast(1, strong)' --corpus "$corpus" --format csv > atleast.out
+cmp any.out atleast.out
 # The same under --on-error skip, with one malformed line of each
 # kind the README names appended: not UTF-8, not JSON, a missing
 # field, a repeated id, a year out of range, a lone surrogate.

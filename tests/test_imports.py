@@ -29,7 +29,7 @@ TESTS = Path(__file__).resolve().parent
 # What the brute-force oracle in conftest.py may take from the package: the
 # record and query-node types it builds and the lexicons it reads; nothing
 # that tokenizes, parses, indexes or loads.
-ORACLE_NAMES = {"And", "AnyOf", "AtLeastK", "Document", "Lexicon", "Or", "Query", "Term",
+ORACLE_NAMES = {"And", "AtLeastK", "Document", "Lexicon", "Or", "Query", "Term",
                 "builtin_lexicon"}
 
 

@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 
 from lexdrift import (
     And,
-    AnyOf,
     AtLeastK,
     Document,
     IndexBuildError,
@@ -361,10 +360,11 @@ def test_atleast_one_equals_any(lexicon):
     docs = make_random_corpus(rng, lexicon, 150, (2022, 2023))
     index = build_index(docs, lexicon)
     group = lexicon.groups()["strong"]
+    q = parse_query("any(strong)", lexicon)
+    assert q == AtLeastK(1, group)
     for year in index.years:
-        assert eval_count(index, AtLeastK(1, group), year) == eval_count(
-            index, AnyOf(group), year
-        )
+        assert eval_count(index, q, year) == eval_count(index, Or(tuple(map(Term, group))), year) \
+            == brute_force_count(docs, q, year) > 0
 
 
 def test_and_of_two_terms_equals_pair_df(lexicon):
@@ -694,7 +694,7 @@ def test_scans_and_builds_count_like_brute_force_on_awkward_text(wide, data):
     terms = lex.terms()
     docs = data.draw(_fuzz_docs(terms))
     index = build_index(docs, lex)
-    for q in [AnyOf(terms), *map(Term, terms)]:
+    for q in [AtLeastK(1, terms), *map(Term, terms)]:
         expected = brute_force_count(docs, q, 2023, cased)
         assert eval_count_scan(docs, lex, q, 2023) == expected, q
         assert eval_count(index, q, 2023) == expected, q
@@ -709,7 +709,7 @@ def _fuzz_query(terms: tuple[str, ...]) -> st.SearchStrategy:
         lambda ms: st.sampled_from((tuple(ms), (*ms, ms[0]))))
     leaf = st.one_of(
         st.sampled_from(terms).map(Term), st.just(Term(phrase)),
-        members.map(AnyOf),
+        members.map(lambda ms: AtLeastK(1, ms)),
         members.flatmap(lambda ms: st.integers(1, len(ms)).map(lambda k: AtLeastK(k, ms))),
     )
 
@@ -723,8 +723,6 @@ def _renamed(q, name):
     """*q* with each term and member renamed by *name*."""
     if isinstance(q, Term):
         return Term(name(q.term))
-    if isinstance(q, AnyOf):
-        return AnyOf(tuple(map(name, q.members)))
     if isinstance(q, AtLeastK):
         return AtLeastK(q.k, tuple(map(name, q.members)))
     return type(q)(tuple(_renamed(p, name) for p in q.parts))
@@ -778,7 +776,7 @@ def test_a_compiled_predicate_looks_its_terms_up_when_compiled(lexicon):
     q = AtLeastK(2, ("intricate", "intricate"))
     assert compile_predicate(index, q)(next(index.doc_marks())[2]) is True
     with pytest.raises(UnindexedTermError):
-        compile_predicate(index, And((q, AnyOf(("notable", "zebra")))))
+        compile_predicate(index, And((q, AtLeastK(1, ("notable", "zebra")))))
 
 
 def test_parse_and_eval_together(lexicon):
@@ -1794,7 +1792,7 @@ def test_repeated_masks_count_like_brute_force(pool, data):
     k = data.draw(st.integers(1, len(members)))
     phrase = data.draw(st.sampled_from([t for t in _VOCAB if " " in t]))
     queries = [
-        Term(a), Term(phrase), AnyOf(members),
+        Term(a), Term(phrase), AtLeastK(1, members),
         AtLeastK(k, members), And((Term(a), Term(b))), Or((Term(a), Term(b))),
     ]
     index = build_index(docs, lexicon)
@@ -1833,9 +1831,9 @@ def test_wide_columns_count_like_brute_force(lexicon):
     medium = lexicon.groups()["medium"]
     queries = [
         Term("intricate"), Term("large language model"),
-        AnyOf(medium), AtLeastK(1, strong), AtLeastK(2, strong),
+        AtLeastK(1, medium), AtLeastK(1, strong), AtLeastK(2, strong),
         AtLeastK(len(strong), strong),
-        And((Term("notable"), AnyOf(strong))), Or((Term("gpt"), AtLeastK(2, medium))),
+        And((Term("notable"), AtLeastK(1, strong))), Or((Term("gpt"), AtLeastK(2, medium))),
         And((Or((Term("blue"), Term("red"))), AtLeastK(2, strong + medium))),
     ]
     rng = random.Random(17)
@@ -2020,13 +2018,13 @@ def test_year_boundaries_answer_like_brute_force(tmp_path, lexicon):
     queries = [Term("intricate"), Term("notable"), Term("large language model"),
                And((Term("intricate"), Term("notable"))),
                AtLeastK(2, ("intricate", "notable", "large language model")),
-               Or((Term("notable"), AnyOf(("intricate", "gpt"))))]
+               Or((Term("notable"), AtLeastK(1, ("intricate", "gpt"))))]
     expected = _oracle_marks(docs, index.term_bit, lexicon.terms())
     for source in (index, loaded):
         assert [source.total(y) for y in source.years] == list(_BOUNDARY_SIZES.values())
         assert list(source.doc_marks()) == expected
     for q in queries:
-        scan = scan_index(docs, lexicon, AnyOf(tuple(sorted(query_vocabulary(q)))))
+        scan = scan_index(docs, lexicon, AtLeastK(1, tuple(sorted(query_vocabulary(q)))))
         with pytest.raises(IndexBuildError, match="^a corpus scan keeps no document ids$"):
             list(scan.doc_marks())
         for source in (index, scan, loaded):

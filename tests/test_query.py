@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from lexdrift import (
     And,
-    AnyOf,
     AtLeastK,
     DataError,
     Lexicon,
@@ -57,8 +56,8 @@ def test_any_and_any(lexicon):
     q = parse_query("any(strong) AND any(disclosure)", lexicon)
     assert isinstance(q, And)
     first, second = q.parts
-    assert isinstance(first, AnyOf) and isinstance(second, AnyOf)
-    assert "large language model" in second.members
+    assert first == AtLeastK(1, lexicon.groups()["strong"])
+    assert second.k == 1 and "large language model" in second.members
 
 
 def test_and_binds_tighter_than_or(lexicon):
@@ -234,7 +233,7 @@ def test_ast_k_invariant():
         AtLeastK(3, ("a", "b"))
 
 
-@pytest.mark.parametrize("make", [lambda: AnyOf(()), lambda: And(()), lambda: Or(())])
+@pytest.mark.parametrize("make", [lambda: And(()), lambda: Or(())])
 def test_empty_ast_node_rejected(make):
     with pytest.raises(ValueError, match="at least one"):
         make()
@@ -282,7 +281,7 @@ def test_name_resolves_ignoring_case_when_unambiguous():
     lexicon = Lexicon("one", (TermEntry("GPT", "disclosure", case_sensitive=True),
                               TermEntry("Large Language Model", "disclosure")))
     assert parse_query("gpt", lexicon) == Term("GPT")
-    assert parse_query("any(Gpt)", lexicon) == AnyOf(("GPT",))
+    assert parse_query("any(Gpt)", lexicon) == AtLeastK(1, ("GPT",))
     assert parse_query('"large language model"', lexicon) == Term("Large Language Model")
     assert parse_query("zebra", lexicon) == Term("zebra")
 
@@ -293,11 +292,25 @@ def test_a_listed_name_of_a_group_and_an_entry_means_the_group():
                                TermEntry("notable", "adjective")),
                       {"weak": ["innovative"], "strong": ["notable"]})
     assert parse_query("any(weak)", lexicon) == parse_query("any(WEAK)", lexicon) \
-        == AnyOf(("innovative",))
+        == AtLeastK(1, ("innovative",))
     assert parse_query("atleast(2, Strong, weak)", lexicon) == \
         AtLeastK(2, ("notable", "innovative"))
     # Outside a list, a name is a term.
     assert parse_query("weak", lexicon) == Term("weak")
+
+
+@pytest.mark.parametrize("names, members", [
+    ("strong", ("intricate", "meticulous", "meticulously", "commendable")),
+    ("notable", ("notable",)),
+    ('"Large  Language Model"', ("large language model",)),
+    ("STRONG, Notable", ("intricate", "meticulous", "meticulously", "commendable", "notable")),
+    ("GPT", ("GPT",)),
+], ids=["group", "entry", "phrase", "other-case", "cased-entry"])
+def test_any_parses_to_atleast_one(lexicon, names, members):
+    if names == "GPT":
+        lexicon = _case_lexicon()
+    assert parse_query(f"any({names})", lexicon) == parse_query(f"atleast(1, {names})", lexicon) \
+        == AtLeastK(1, members)
 
 
 # ------------------------------------------------------------ every error
@@ -397,17 +410,17 @@ def _render(q, rng) -> str:
     """Query text for the tree *q* over the builtin lexicon's terms, with
     keywords in random case: a term of one word bare or quoted, one of
     several and every listed member quoted (a bare member may name a group,
-    and bare words are separate terms), each operand of AND and OR in
-    parentheses."""
+    and bare words are separate terms), at-least-one as any() or atleast(1,
+    ...), each operand of AND and OR in parentheses."""
     def keyword(word: str) -> str:
         return rng.choice((word, word.upper(), word.capitalize()))
 
     if isinstance(q, Term):
         return f'"{q.term}"' if " " in q.term else rng.choice((q.term, f'"{q.term}"'))
     names = ", ".join(f'"{m}"' for m in getattr(q, "members", ()))
-    if isinstance(q, AnyOf):
-        return f"{keyword('any')}({names})"
     if isinstance(q, AtLeastK):
+        if q.k == 1 and rng.random() < 0.5:
+            return f"{keyword('any')}({names})"
         return f"{keyword('atleast')}({q.k}, {names})"
     joiner = f" {keyword('and' if isinstance(q, And) else 'or')} "
     return joiner.join(f"({_render(part, rng)})" for part in q.parts)

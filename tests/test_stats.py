@@ -30,6 +30,7 @@ from lexdrift import (
     export_counts,
     implied_total_ratio,
     import_counts,
+    load_index,
     series_from_index,
     share,
     share_increase,
@@ -38,6 +39,8 @@ from lexdrift import (
 from lexdrift.cli import main
 from lexdrift.index import scan_index
 from lexdrift.stats import CountSeries
+
+from conftest import SAMPLE_INDEX
 
 from conftest import FILLER, make_random_corpus, make_random_query
 
@@ -439,6 +442,14 @@ def test_series_from_index(lexicon):
     with pytest.raises(DataError, match="^series 'zzz' is no group or entry of the index; "
                        "as a query: term 'zzz' is not in the index vocabulary$"):
         series_from_index(index, "zzz")
+
+
+def test_a_group_series_counts_what_atleast_one_of_its_members_counts():
+    # A group name means any(group), which is atleast(1, group).
+    index = load_index(SAMPLE_INDEX)
+    group = series_from_index(index, "strong")
+    assert group.points == series_from_index(index, "atleast(1, strong)").points
+    assert any(matches for matches, _ in group.points.values())
 
 
 def test_category_skew_recovers_constructed_mix(lexicon):

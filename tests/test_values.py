@@ -11,7 +11,6 @@ import pytest
 
 from lexdrift import (
     And,
-    AnyOf,
     AtLeastK,
     CategorySkew,
     CountSeries,
@@ -37,7 +36,6 @@ SKEW = CategorySkew(2020, 1, 2, {"c": (1.0, 0.5)})
 # Each value, then its repr.
 REPRS = [
     (Term("a"), "Term(term='a')"),
-    (AnyOf(("a",)), "AnyOf(members=('a',))"),
     (AtLeastK(1, ("a",)), "AtLeastK(k=1, members=('a',))"),
     (And((Term("a"), Term("b c"))), "And(parts=(Term(term='a'), Term(term='b c')))"),
     (Or((Term("a"),)), "Or(parts=(Term(term='a'),))"),
@@ -59,7 +57,7 @@ REPRS = [
      "excess_denominator=None)"),
 ]
 
-NODES = [Term("a"), AnyOf(("a", "b")), AtLeastK(1, ("a", "b")),
+NODES = [Term("a"), AtLeastK(1, ("a", "b")),
          And((Term("a"), Term("b"))), Or((Term("a"), Term("b")))]
 HASHABLE = NODES + [Document("a", 2020, "t", ("c",)), ENTRY, PlotSpec(("a", "b"))]
 UNHASHABLE = [LEXICON, SERIES, SKEW, drift_report(SERIES)]
@@ -83,10 +81,10 @@ def test_query_nodes_equal_only_their_own_type():
     for a in NODES:
         for b in NODES:
             assert (a == b) == (a is b)
-    assert Term("a b") != AnyOf(("a", "b"))
+    assert Term("a b") != AtLeastK(1, ("a", "b"))
     assert And((Term("a"),)) != Or((Term("a"),))
     assert Term("a") != ("a",) and ("a",) != Term("a")
-    assert AnyOf(("a",)) != ("a",)
+    assert AtLeastK(1, ("a",)) != (1, ("a",))
     assert Term("a") != Term("b")
     assert AtLeastK(1, ("a", "b")) != AtLeastK(2, ("a", "b"))
 
@@ -133,7 +131,6 @@ def test_drift_report_fields_can_be_assigned():
 
 def test_keyword_and_default_construction():
     assert Term(term="a") == Term("a")
-    assert AnyOf(members=("a",)) == AnyOf(("a",))
     assert AtLeastK(k=1, members=("a",)) == AtLeastK(1, ("a",))
     assert And(parts=(Term("a"),)) == And((Term("a"),))
     assert Or(parts=(Term("a"),)) == Or((Term("a"),))
@@ -157,7 +154,7 @@ def test_keyword_and_default_construction():
 
 
 @pytest.mark.parametrize("make, error, message", [
-    (lambda: AnyOf(()), ValueError, r"any\(\) needs at least one member"),
+    (lambda: AtLeastK(1, ()), ValueError, "k=1 exceeds the 0 listed members"),
     (lambda: AtLeastK(0, ("a",)), ValueError, "k must be at least 1"),
     (lambda: AtLeastK(2, ("a",)), ValueError, "k=2 exceeds the 1 listed members"),
     (lambda: And(()), ValueError, "and needs at least one operand"),
