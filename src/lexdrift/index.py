@@ -171,11 +171,6 @@ class YearTermIndex:
                 raise UnindexedTermError(term)
         return bit
 
-    def df(self, term: str, year: int) -> int:
-        bit = self.term_bit(term)
-        y = self._by_year.get(year)
-        return _in_year(self._columns[bit], y).bit_count() if y else 0
-
     def doc_marks(self) -> Iterator[Mark]:
         """All (doc_id, year, bitmask, categories) rows, ordered by id
         within each year, as the documents are."""

@@ -10,9 +10,13 @@ on an index built with a lexicon whose case-sensitive ``GPT`` stands
 beside ``gpt``, and on an index of a generated corpus whose 2023 has more
 than 256 category tuples, so that its category rows take two bytes a
 document where the others take one; then each command line of
-``test_cli_inputs.py`` with one awkward value. ``test_golden.py`` replays
-it and names the first command line whose output differs, so an intended
-change to any output shows as a diff of the transcript, recorded anew.
+``test_cli_inputs.py`` with one awkward value, and last the command lines
+that a rule refuses, each with a comment naming its rule, on inputs written
+for them. ``test_golden.py`` replays it and names the first command line
+whose output differs, so an intended change to any output shows as a diff
+of the transcript, recorded anew; and it holds every block to the exit
+rule of ``test_cli_inputs.check_exit``. A test that names a rule replays
+the command lines of that rule alone through :func:`check`.
 
 Paths are written as the ``{placeholder}`` that stands for them. An SVG is
 recorded as its SHA-256, and an index file as the SHA-256 of its inflated
@@ -48,6 +52,18 @@ _CASED_LEXICON = {"name": "cased", "entries": [
     {"term": "gpt", "role": "disclosure"}]}
 # 25 categories: each document of 2023 holds a pair of its own, 300 tuples.
 _CATEGORIES = [f"c{i:02d}" for i in range(25)]
+_FLOAT_MAX = int(sys.float_info.max)
+# The rows of each count table of the refusals, under a header.
+_TABLES = {
+    "one_year": ["s,2023,5,100"],
+    "header_only": [],
+    "over_total": ["a,2022,9,5"],
+    "count_past_float": [f"s,2022,{10**400},{10**400}"],
+    "total_past_float": [f"s,2021,1,{2 * 10**323}", "s,2022,1,1"],
+    # Every count fits a float, but the change from a share of 1/max is not finite.
+    "yoy_past_float": [f"s,2021,1,{_FLOAT_MAX}", "s,2022,1,1"],
+    "count_near_float_max": [f"s,2022,{_FLOAT_MAX},{_FLOAT_MAX}"],
+}
 
 
 def _bundled() -> list[list[str]]:
@@ -134,17 +150,110 @@ def _wide_corpus() -> str:
     return "".join(lines)
 
 
+def _refusals() -> list[list[str]]:
+    """Command lines that a rule refuses, beside the awkward values of
+    ``test_cli_inputs.py``, and the scans that skip what it refuses."""
+    cases = [
+        # index: a repeated id ends the build; a byte that is not UTF-8 is
+        # a malformed record, which --on-error skip leaves out.
+        ["index", "--corpus", "{repeated}", "--out", "{out}"],
+        ["index", "--corpus", "{non_utf8}", "--out", "{out}"],
+        ["index", "--corpus", "{non_utf8}", "--out", "{out}", "--on-error", "skip"],
+        ["index"],
+        # A series that names nothing, a table of one year (no base year
+        # before the target), a table of no series.
+        ["drift", "group99"],
+        ["excess", "--counts", "{one_year}"],
+        ["plot", "--counts", "{header_only}"],
+        # A growth that is not finite, written with "=" since argparse reads
+        # a bare -inf as an option; a total below 1; matches above the total.
+        *(["excess", "group4", f"--growth={growth}"] for growth in ("nan", "inf", "-inf")),
+        ["excess", "group4", "--total", "-10"],
+        ["counts", "import", "{over_total}"],
+        # A count past the float range, or a metric of counts near it, is
+        # refused before a chart is written.
+        ["drift", "--counts", "{total_past_float}"],
+    ]
+    cases += [["plot", "s", "--counts", f"{{{table}}}", "--metric", metric, "--out", "{out}"]
+              for table, metric in (("count_past_float", "count"), ("total_past_float", "yoy"),
+                                    ("yoy_past_float", "yoy"),
+                                    ("count_near_float_max", "count"))]
+    # A year window that holds no year names its bounds.
+    for window in (["--from", "2030"], ["--to", "1990"], ["--from", "2030", "--to", "2031"]):
+        cases += [["drift", "group1", *window], ["plot", "group1", *window]]
+    # A query or skew of no indexed year.
+    cases += [["query", "intricate", "--index", "{index}", "--from", "2030"],
+              ["query", "intricate", "--index", "{index}", "--from", "2030", "--to", "2031"],
+              ["skew", "intricate", "--index", "{index}", "--year", "2030"]]
+    # A scan refuses a malformed record, or under --on-error skip leaves it
+    # out and reports it, before the command's own error too.
+    cases += [["query", "zebra", "--corpus", "{repeated}"],
+              ["query", "zebra", "--corpus", "{repeated}", "--on-error", "skip",
+               "--format", "csv"],
+              ["skew", "zebra", "--corpus", "{repeated}", "--year", "2023"],
+              ["skew", "zebra", "--corpus", "{repeated}", "--year", "2023",
+               "--on-error", "skip", "--format", "csv"],
+              ["query", "intricate", "--corpus", "{malformed}", "--on-error", "skip",
+               "--from", "2030"],
+              ["skew", "zebra", "--corpus", "{repeated}", "--on-error", "skip",
+               "--year", "2030"]]
+    # A category holding a lone surrogate is a malformed record in every format.
+    cases += [["skew", "intricate", "--corpus", "{surrogate}", "--year", "2023", "--format", fmt]
+              for fmt in FORMATS]
+    cases.append(["skew", "intricate", "--corpus", "{surrogate}", "--year", "2023",
+                  "--on-error", "skip", "--format", "csv"])
+    # Query text the parser refuses, and a lexicon that is not UTF-8. The
+    # parser stops at depth 100, so a deeper nest takes the same path.
+    cases += [["query", q, "--index", "{index}"]
+              for q in ("atleast(0, strong)", "any(strong",
+                        "(" * 150 + "intricate" + ")" * 150)]
+    cases.append(["query", "strong", "--lexicon", "{latin1_lexicon}", "--corpus", "{corpus}"])
+    # One source is needed, and only one.
+    cases += [["query", "intricate"], ["skew", "intricate", "--year", "2023"],
+              ["query", "intricate", "--index", "{index}", "--corpus", "{corpus}"],
+              ["skew", "intricate", "--year", "2023", "--corpus", "{corpus}",
+               "--index", "{index}"],
+              ["drift", "--index", "{index}", "--counts", "{counts}"],
+              ["excess", "--counts", "{counts}", "--index", "{index}"],
+              ["plot", "--index", "{index}", "--counts", "builtin"]]
+    # A series that is no group or entry is read as a query, and its error
+    # says so; only query and skew, which can scan, advise a scan.
+    for name in ("group1", "nosuch"):
+        cases += [[*command, name, "strong", "--index", "{index}"]
+                  for command in (["drift"], ["excess"], ["plot"], ["counts", "export"])]
+    cases += [["query", "nosuch", "--index", "{index}"],
+              ["skew", "nosuch", "--index", "{index}", "--year", "2023"]]
+    return cases
+
+
 def command_lines() -> list[list[str]]:
     """Every command line of the transcript, in order."""
     pool = [command_line(command, changes) for command, changes in awkward_values_alone()]
-    return _bundled() + _corpus() + _index_files() + _cased() + _two_byte_rows() + pool
+    return (_bundled() + _corpus() + _index_files() + _cased() + _two_byte_rows() + pool
+            + _refusals())
 
 
 def _paths(tmp: Path) -> dict[str, str]:
     paths = make_inputs(tmp)
     (tmp / "cased.json").write_text(json.dumps(_CASED_LEXICON), encoding="utf-8")
     (tmp / "wide.jsonl").write_text(_wide_corpus(), encoding="utf-8")
+    (tmp / "repeated.jsonl").write_text("".join(json.dumps(doc) + "\n" for doc in [
+        {"id": "a", "year": 2023, "text": "a zebra crossing", "categories": ["x"]},
+        {"id": "b", "year": 2022, "text": "no stripes", "categories": ["y"]},
+        {"id": "a", "year": 2023, "text": "a repeated id"}]), encoding="utf-8")
+    (tmp / "non_utf8.jsonl").write_bytes(b'{"id": "a", "year": 2023, "text": "x"}\n'
+                                         b'{"id": "b", "year": 2023, "text": "caf\xe9"}\n')
+    (tmp / "surrogate.jsonl").write_text(
+        '{"id": "a", "year": 2023, "text": "an intricate plan", "categories": ["\\ud800x"]}\n'
+        '{"id": "b", "year": 2023, "text": "plain", "categories": ["y"]}\n', encoding="utf-8")
+    (tmp / "latin1.json").write_bytes(b"\xf6g=*")
+    for name, rows in _TABLES.items():
+        paths[name] = str(tmp / f"{name}.csv")
+        Path(paths[name]).write_text("".join(
+            row + "\n" for row in ["series,year,matches,total", *rows]), encoding="utf-8")
     paths.update(
+        repeated=str(tmp / "repeated.jsonl"), non_utf8=str(tmp / "non_utf8.jsonl"),
+        surrogate=str(tmp / "surrogate.jsonl"), latin1_lexicon=str(tmp / "latin1.json"),
         corpus=str(bundled_corpus_path()), counts=str(bundled_counts_path()),
         cased_lexicon=str(tmp / "cased.json"), cased_index=str(tmp / "cased.idx"),
         wide_corpus=str(tmp / "wide.jsonl"), wide_index=str(tmp / "wide.idx"))
@@ -191,6 +300,21 @@ def transcript(tmp: Path) -> list[str]:
     """The block of each command line, run with its input files in *tmp*."""
     paths = _paths(tmp)
     return [_run(argv, paths) for argv in command_lines()]
+
+
+def check(tmp: Path, *argvs: list[str]) -> list[str]:
+    """Run each of *argvs*, command lines of the transcript, with its input
+    files in *tmp*, assert that it prints what the transcript holds, and
+    return the blocks."""
+    kept = {block.splitlines()[0]: block
+            for block in split(GOLDEN.read_text(encoding="utf-8"))}
+    paths = _paths(tmp)
+    blocks = [_run(argv, paths) for argv in argvs]
+    for block in blocks:
+        command = block.splitlines()[0]
+        assert command in kept, f"not in the transcript: {command}"
+        assert block == kept[command], command
+    return blocks
 
 
 def split(text: str) -> list[str]:

@@ -11,6 +11,7 @@ import time
 from lexdrift import (
     Document,
     IndexBuilder,
+    Term,
     build_index,
     builtin_lexicon,
     bundled_counts_path,
@@ -224,7 +225,7 @@ def test_criterion_7_determinism_and_persistence(capsys, tmp_path):
                     identical = False
 
     counts_preserved = all(
-        reloaded.df(t, y) == whole.df(t, y)
+        eval_count(reloaded, Term(t), y) == eval_count(whole, Term(t), y)
         for t in lexicon.terms() for y in whole.years
     ) and all(reloaded.total(y) == whole.total(y) for y in whole.years)
 

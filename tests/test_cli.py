@@ -14,6 +14,7 @@ import lexdrift
 from lexdrift import bundled_corpus_path
 from lexdrift.cli import main
 
+import golden
 from conftest import SAMPLE_INDEX, brute_force_count
 from lexdrift import load_corpus, parse_query, builtin_lexicon
 from lexdrift import CountSeries, bundled_counts_path, excess_report, export_counts, import_counts
@@ -74,21 +75,13 @@ def test_index_files_are_equal_under_any_hash_seed(tmp_path):
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
-def test_index_missing_corpus_exits_2(tmp_path, capsys):
-    missing = tmp_path / "nowhere.jsonl"
-    code = main(["index", "--corpus", str(missing), "--out", str(tmp_path / "x.idx")])
-    assert code == 2
-    assert "nowhere.jsonl" in capsys.readouterr().err
+def test_index_missing_corpus_exits_2(tmp_path):
+    golden.check(tmp_path, ["index", "--corpus", "{corpus}", "--out", "{out}",
+                            "--corpus", "{missing}"])
 
 
-def test_index_duplicate_id_abort_exits_1(tmp_path, capsys):
-    corpus = _write_corpus(tmp_path, [
-        '{"id": "a", "year": 2023, "text": "x"}',
-        '{"id": "a", "year": 2023, "text": "y"}',
-    ])
-    code = main(["index", "--corpus", str(corpus), "--out", str(tmp_path / "x.idx")])
-    assert code == 1
-    assert "duplicate" in capsys.readouterr().err
+def test_index_duplicate_id_abort_exits_1(tmp_path):
+    golden.check(tmp_path, ["index", "--corpus", "{repeated}", "--out", "{out}"])
 
 
 def test_index_skip_policy(tmp_path, capsys):
@@ -125,24 +118,14 @@ def test_index_clean_corpus_reports_nothing(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
-def test_index_non_utf8_corpus(tmp_path, capsys):
-    corpus = tmp_path / "corpus.jsonl"
-    corpus.write_bytes(
-        b'{"id": "a", "year": 2023, "text": "x"}\n'
-        b'{"id": "b", "year": 2023, "text": "caf\xe9"}\n'
-    )
-    args = ["index", "--corpus", str(corpus), "--out", str(tmp_path / "c.idx")]
-    assert main(args) == 1
-    err = capsys.readouterr().err
-    assert err == "error: line 2: not valid UTF-8 (byte 0xe9)\n"
-    assert main([*args, "--on-error", "skip"]) == 0
-    captured = capsys.readouterr()
-    assert "indexed 1 documents" in captured.out
-    assert captured.err == "skipped 1 malformed records (lines 2)\n"
+def test_index_non_utf8_corpus(tmp_path):
+    golden.check(tmp_path, ["index", "--corpus", "{non_utf8}", "--out", "{out}"],
+                 ["index", "--corpus", "{non_utf8}", "--out", "{out}", "--on-error", "skip"])
 
 
 def test_usage_error_exits_2(capsys):
-    assert main(["index"]) == 2  # --corpus and --out are required
+    # argparse's list of choices is worded differently from one Python to
+    # the next, so this usage error is not in the golden transcript.
     assert main(["no-such-command"]) == 2
 
 
@@ -193,14 +176,12 @@ def test_drift_single_year_series_renders_gap(tmp_path, capsys):
     assert row.rstrip().endswith("-")
 
 
-def test_drift_unknown_series_exits_1(capsys):
-    assert main(["drift", "group99"]) == 1
-    assert "group99" in capsys.readouterr().err
+def test_drift_unknown_series_exits_1(tmp_path):
+    golden.check(tmp_path, ["drift", "group99"])
 
 
-def test_drift_missing_counts_file_exits_2(tmp_path, capsys):
-    assert main(["drift", "--counts", str(tmp_path / "ghost.csv")]) == 2
-    assert "ghost.csv" in capsys.readouterr().err
+def test_drift_missing_counts_file_exits_2(tmp_path):
+    golden.check(tmp_path, ["drift", "group1", "--counts", "{missing}"])
 
 
 def test_drift_json_and_csv_carry_identical_values(capsys):
@@ -236,9 +217,9 @@ def test_drift_year_window_from_index(sample_index, capsys):
     (["--to", "1990"], "to 1990"),
     (["--from", "2030", "--to", "2031"], "from 2030 to 2031"),
 ])
-def test_a_window_without_years_names_its_bounds(command, window, words, capsys):
-    assert main([command, "group1", *window]) == 1
-    assert capsys.readouterr().err == f"error: series 'group1': no years {words}\n"
+def test_a_window_without_years_names_its_bounds(command, window, words, tmp_path):
+    [block] = golden.check(tmp_path, [command, "group1", *window])
+    assert f"error: series 'group1': no years {words}\n" in block
 
 
 def test_a_window_keeps_the_change_of_its_first_year(tmp_path, capsys):
@@ -259,12 +240,8 @@ def test_a_window_keeps_the_change_of_its_first_year(tmp_path, capsys):
     assert markup.count('class="series-dot"') == 1 and markup.count('class="x-tick"') == 1
 
 
-def test_a_count_past_the_float_range_is_refused_in_process(tmp_path, capsys):
-    counts = tmp_path / "big.csv"
-    counts.write_text(f"series,year,matches,total\ns,2022,1,{10**309}\n", encoding="utf-8")
-    assert main(["drift", "--counts", str(counts)]) == 1
-    assert capsys.readouterr().err \
-        == "error: line 2: year, matches and total must fit a float\n"
+def test_a_count_past_the_float_range_is_refused_in_process(tmp_path):
+    golden.check(tmp_path, ["drift", "--counts", "{total_past_float}"])
 
 
 # ----------------------------------------------------------------- excess
@@ -315,31 +292,22 @@ def test_excess_total_override(capsys):
     assert round(payload["excess_share"] * 100, 2) == 1.63
 
 
-def test_excess_missing_year_exits_1(tmp_path, capsys):
-    counts = tmp_path / "c.csv"
-    counts.write_text("series,year,matches,total\ns,2023,5,100\n", encoding="utf-8")
-    assert main(["excess", "--counts", str(counts)]) == 1
+def test_excess_missing_year_exits_1(tmp_path):
+    golden.check(tmp_path, ["excess", "--counts", "{one_year}"])
 
 
-def test_excess_growth_at_or_below_minus_one_exits_1(capsys):
-    assert main(["excess", "group4", "--growth", "-1"]) == 1
-    assert "growth" in capsys.readouterr().err
-    assert main(["excess", "group4", "--growth", "-2.5"]) == 1
+def test_excess_growth_at_or_below_minus_one_exits_1(tmp_path):
+    golden.check(tmp_path, ["excess", "group4", "--growth", "-1"],
+                 ["excess", "group4", "--growth", "-2.5"])
 
 
 @pytest.mark.parametrize("growth", ["nan", "inf", "-inf"])
-def test_excess_growth_not_finite_exits_1(growth):
-    run = _fresh_cli("excess", "group4", f"--growth={growth}")
-    assert run.returncode == 1
-    assert run.stderr.startswith("error: growth must be finite")
-    assert run.stderr.count("\n") == 1 and "Traceback" not in run.stderr
+def test_excess_growth_not_finite_exits_1(growth, tmp_path):
+    golden.check(tmp_path, ["excess", "group4", f"--growth={growth}"])
 
 
-def test_excess_growth_overflowing_the_projection_exits_1():
-    run = _fresh_cli("excess", "group4", "--growth", "1e308")
-    assert run.returncode == 1
-    assert run.stderr.startswith("error: growth 1e+308 projects")
-    assert run.stderr.count("\n") == 1 and "Traceback" not in run.stderr
+def test_excess_growth_overflowing_the_projection_exits_1(tmp_path):
+    golden.check(tmp_path, ["excess", "group4", "--growth", "1e308"])
 
 
 def test_excess_csv_row_is_the_excess_report(capsys):
@@ -366,16 +334,13 @@ def test_excess_text_prints_the_report_denominator(total, capsys):
         f"excess: {rep.excess} ({rep.excess_share:.2%} of {rep.excess_denominator})\n")
 
 
-def test_drift_counts_given_an_index_file_exits_1(sample_index, capsys):
-    assert main(["drift", "--counts", str(sample_index)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: line 1: not valid UTF-8") and err.count("\n") == 1
+def test_drift_counts_given_an_index_file_exits_1(tmp_path):
+    golden.check(tmp_path, ["drift", "group1", "--counts", "{index}"])
 
 
-def test_excess_nonpositive_total_exits_1(capsys):
-    assert main(["excess", "group4", "--total", "0"]) == 1
-    assert "total" in capsys.readouterr().err
-    assert main(["excess", "group4", "--total", "-10"]) == 1
+def test_excess_nonpositive_total_exits_1(tmp_path):
+    golden.check(tmp_path, ["excess", "group4", "--total", "0"],
+                 ["excess", "group4", "--total", "-10"])
 
 
 # ------------------------------------------------------------------ query
@@ -402,15 +367,12 @@ def test_query_disclosure_combination(sample_index, capsys):
     assert len(stdout.splitlines()) == 7  # header + column row + 5 years
 
 
-def test_query_parse_error_exits_1(sample_index, capsys):
-    assert main(["query", "atleast(0, strong)", "--index", str(sample_index)]) == 1
-    err = capsys.readouterr().err
-    assert "at least 1" in err
+def test_query_parse_error_exits_1(tmp_path):
+    golden.check(tmp_path, ["query", "atleast(0, strong)", "--index", "{index}"])
 
 
-def test_query_syntax_error_offset(sample_index, capsys):
-    assert main(["query", "any(strong", "--index", str(sample_index)]) == 1
-    assert "offset" in capsys.readouterr().err
+def test_query_syntax_error_offset(tmp_path):
+    golden.check(tmp_path, ["query", "any(strong", "--index", "{index}"])
 
 
 def test_query_corpus_scan_for_unindexed_term(capsys):
@@ -436,20 +398,11 @@ def test_query_corpus_scans_a_term_outside_the_lexicon(capsys):
     assert sum(payload["matches"]) > 0
 
 
-def test_query_corpus_scan_applies_on_error(tmp_path, capsys):
-    corpus = _write_corpus(tmp_path, [
-        '{"id": "a", "year": 2023, "text": "a zebra crossing"}',
-        'garbage',
-        '{"id": "b", "year": 2022, "text": "no stripes"}',
-        '{"id": "a", "year": 2022, "text": "a repeated id"}',
-    ])
-    assert main(["query", "zebra", "--corpus", str(corpus)]) == 1
-    assert capsys.readouterr().err == "error: line 2: invalid JSON (Expecting value)\n"
-    assert main(["query", "zebra", "--corpus", str(corpus), "--on-error", "skip",
-                 "--format", "csv"]) == 0
-    captured = capsys.readouterr()
-    assert captured.out == "year,matches,total\n2022,0,1\n2023,1,1\n"
-    assert captured.err == "skipped 2 malformed records (lines 2, 4)\n"
+def test_query_corpus_scan_applies_on_error(tmp_path):
+    golden.check(tmp_path, ["query", "zebra", "--corpus", "{repeated}"],
+                 ["query", "zebra", "--corpus", "{repeated}", "--on-error", "skip",
+                  "--format", "csv"],
+                 ["query", "any(strong)", "--corpus", "{corpus}", "--corpus", "{malformed}"])
 
 
 def _stdout(capsys, argv: list[str]) -> str:
@@ -537,40 +490,22 @@ def test_a_scan_reads_the_years_between_a_named_year_and_the_default_range(tmp_p
                                    "skipped 2 malformed records (lines 1, 2)\n")
 
 
-def test_a_failed_scan_reports_its_skipped_records_first(tmp_path, capsys):
-    corpus = _write_corpus(tmp_path, [
-        '{"id": "a", "year": 2023, "text": "an intricate plan"}',
-        'garbage',
-        '{"id": "b", "year": 2030, "text": 7}',
-    ])
-    index = str(tmp_path / "c.idx")
-    skipped = "skipped 2 malformed records (lines 2, 3)\n"
-    assert main(["index", "--corpus", str(corpus), "--out", index, "--on-error", "skip"]) == 0
-    assert capsys.readouterr().err == skipped
-    for argv, error in ((["query", "intricate", "--from", "2030"],
-                         "error: no indexed years in the requested range\n"),
-                        (["skew", "intricate", "--year", "2030"],
-                         "error: no documents in year 2030\n")):
-        assert main([*argv, "--corpus", str(corpus), "--on-error", "skip"]) == 1
-        assert capsys.readouterr() == ("", skipped + error), argv
-        assert main([*argv, "--index", index]) == 1
-        assert capsys.readouterr() == ("", error), argv
+def test_a_failed_scan_reports_its_skipped_records_first(tmp_path):
+    golden.check(tmp_path, ["query", "intricate", "--corpus", "{malformed}", "--on-error", "skip",
+                            "--from", "2030"],
+                 ["query", "intricate", "--index", "{index}", "--from", "2030"],
+                 ["skew", "zebra", "--corpus", "{repeated}", "--on-error", "skip",
+                  "--year", "2030"],
+                 ["skew", "intricate", "--index", "{index}", "--year", "2030"])
 
 
-def test_query_nested_too_deep_exits_1(sample_index, capsys):
-    text = "(" * 5000 + "intricate" + ")" * 5000
-    assert main(["query", text, "--index", str(sample_index)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: parentheses nested deeper") and err.count("\n") == 1
+def test_query_nested_too_deep_exits_1(tmp_path):
+    golden.check(tmp_path, ["query", "(" * 150 + "intricate" + ")" * 150, "--index", "{index}"])
 
 
-def test_query_bad_input_exits_1_with_one_line(tmp_path, capsys):
-    lexicon = tmp_path / "latin1.json"
-    lexicon.write_bytes(b"\xf6g=*")
-    for args in (["¾"], ["strong", "--lexicon", str(lexicon)]):
-        assert main(["query", *args, "--corpus", str(bundled_corpus_path())]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1, args
+def test_query_bad_input_exits_1_with_one_line(tmp_path):
+    golden.check(tmp_path, ["query", "¾", "--corpus", "{corpus}"],
+                 ["query", "strong", "--lexicon", "{latin1_lexicon}", "--corpus", "{corpus}"])
 
 
 def test_query_text_not_utf8_exits_1(tmp_path):
@@ -583,45 +518,33 @@ def test_query_text_not_utf8_exits_1(tmp_path):
     assert not out.exists()
 
 
-def test_lone_surrogate_category_is_a_malformed_record(tmp_path, capsys):
-    corpus = _write_corpus(tmp_path, [
-        '{"id": "a", "year": 2023, "text": "an intricate plan", "categories": ["\\ud800x"]}',
-        '{"id": "b", "year": 2023, "text": "plain", "categories": ["y"]}',
-    ])
-    for fmt in ("text", "csv", "json"):
-        assert main(["skew", "intricate", "--corpus", str(corpus), "--year", "2023",
-                     "--format", fmt]) == 1
-        assert capsys.readouterr() == (
-            "", "error: line 1: field 'categories' holds a lone surrogate U+D800\n")
-    assert main(["skew", "intricate", "--corpus", str(corpus), "--year", "2023",
-                 "--on-error", "skip", "--format", "csv"]) == 0
-    assert capsys.readouterr() == ("category,among_matches,among_all\ny,0.0,1.0\n",
-                                   "skipped 1 malformed records (lines 1)\n")
+def test_lone_surrogate_category_is_a_malformed_record(tmp_path):
+    golden.check(tmp_path, *(["skew", "intricate", "--corpus", "{surrogate}", "--year", "2023",
+                              "--format", fmt] for fmt in ("text", "csv", "json")),
+                 ["skew", "intricate", "--corpus", "{surrogate}", "--year", "2023",
+                  "--on-error", "skip", "--format", "csv"])
 
 
 @pytest.mark.parametrize("command", [["query", "intricate"],
                                      ["skew", "intricate", "--year", "2023"]])
-def test_query_source_missing_exits_1(command, capsys):
-    assert main(command) == 1
-    assert capsys.readouterr().err == "error: either --index or --corpus is required\n"
+def test_query_source_missing_exits_1(command, tmp_path):
+    golden.check(tmp_path, command)
 
 
 @pytest.mark.parametrize("command", [
-    ["query", "intricate", "--index", "s.idx", "--corpus", "c.jsonl"],
-    ["skew", "intricate", "--year", "2023", "--corpus", "c.jsonl", "--index", "s.idx"],
-    ["drift", "--index", "s.idx", "--counts", "c.csv"],
-    ["excess", "--counts", "c.csv", "--index", "s.idx"],
-    ["plot", "--index", "s.idx", "--counts", "builtin"],
+    ["query", "intricate", "--index", "{index}", "--corpus", "{corpus}"],
+    ["skew", "intricate", "--year", "2023", "--corpus", "{corpus}", "--index", "{index}"],
+    ["drift", "--index", "{index}", "--counts", "{counts}"],
+    ["excess", "--counts", "{counts}", "--index", "{index}"],
+    ["plot", "--index", "{index}", "--counts", "builtin"],
 ])
-def test_two_sources_are_a_usage_error(command, capsys):
-    assert main(command) == 2
-    assert "not allowed with argument" in capsys.readouterr().err
+def test_two_sources_are_a_usage_error(command, tmp_path):
+    golden.check(tmp_path, command)
 
 
-def test_query_year_window_without_indexed_years_exits_1(sample_index, capsys):
-    assert main(["query", "intricate", "--index", str(sample_index),
-                 "--from", "2030", "--to", "2031"]) == 1
-    assert capsys.readouterr().err == "error: no indexed years in the requested range\n"
+def test_query_year_window_without_indexed_years_exits_1(tmp_path):
+    golden.check(tmp_path, ["query", "intricate", "--index", "{index}",
+                            "--from", "2030", "--to", "2031"])
 
 
 def test_query_year_window(sample_index, capsys):
@@ -667,34 +590,17 @@ def test_plot_from_counts_fixture(tmp_path):
     assert out.read_text(encoding="utf-8").count("<polyline") == 2
 
 
-def test_plot_empty_selection_errors(tmp_path, capsys):
-    counts = tmp_path / "c.csv"
-    counts.write_text("series,year,matches,total\n", encoding="utf-8")
-    assert main(["plot", "--counts", str(counts)]) == 1
+def test_plot_empty_selection_errors(tmp_path):
+    golden.check(tmp_path, ["plot", "--counts", "{header_only}"])
 
 
-_FLOAT_MAX = int(sys.float_info.max)
-
-
-@pytest.mark.parametrize("rows, metric, message", [
-    ([f"s,2022,{10**400},{10**400}"], "count",
-     "error: line 2: year, matches and total must fit a float"),
-    ([f"s,2021,1,{2 * 10**323}", "s,2022,1,1"], "yoy",
-     "error: line 2: year, matches and total must fit a float"),
-    # Every count fits a float, but the change from a share of 1/max is not finite.
-    ([f"s,2021,1,{_FLOAT_MAX}", "s,2022,1,1"], "yoy",
-     "error: metric 'yoy' is not finite in every year"),
-    ([f"s,2022,{_FLOAT_MAX},{_FLOAT_MAX}"], "count",
-     "error: metric 'count' is too large to scale an axis for"),
+@pytest.mark.parametrize("table, metric", [
+    ("count_past_float", "count"), ("total_past_float", "yoy"), ("yoy_past_float", "yoy"),
+    ("count_near_float_max", "count"),
 ], ids=["count-past-float", "total-past-float", "yoy-not-finite", "count-near-float-max"])
-def test_plot_of_counts_past_the_float_range_exits_1(tmp_path, rows, metric, message):
-    counts = tmp_path / "big.csv"
-    counts.write_text("\n".join(["series,year,matches,total", *rows]) + "\n", encoding="utf-8")
-    run = _fresh_cli("plot", "s", "--counts", str(counts), "--metric", metric,
-                     "--out", str(tmp_path / "big.svg"))
-    assert run.returncode == 1
-    assert run.stderr == message + "\n"
-    assert not (tmp_path / "big.svg").exists()
+def test_plot_of_counts_past_the_float_range_exits_1(table, metric, tmp_path):
+    golden.check(tmp_path, ["plot", "s", "--counts", f"{{{table}}}", "--metric", metric,
+                            "--out", "{out}"])
 
 
 # ----------------------------------------------------------------- counts
@@ -716,11 +622,8 @@ def test_counts_import_canonicalizes(tmp_path, capsys):
     ]
 
 
-def test_counts_import_invalid_exits_1(tmp_path, capsys):
-    bad = tmp_path / "bad.csv"
-    bad.write_text("series,year,matches,total\na,2022,9,5\n", encoding="utf-8")
-    assert main(["counts", "import", str(bad)]) == 1
-    assert "line 2" in capsys.readouterr().err
+def test_counts_import_invalid_exits_1(tmp_path):
+    golden.check(tmp_path, ["counts", "import", "{over_total}"])
 
 
 def test_counts_export_round_trips_through_import(sample_index, tmp_path, capsys):
@@ -774,21 +677,16 @@ def test_a_series_named_by_a_query_counts_what_query_counts(tmp_path, capsys):
     ("group1", "unexpected input '1' (byte offset 5)"),
     ("nosuch", "term 'nosuch' is not in the index vocabulary"),
 ])
-def test_a_series_read_as_a_query_says_so(name, problem, capsys):
+def test_a_series_read_as_a_query_says_so(name, problem, tmp_path):
     # No command that counts a series can scan a corpus, so none of them
-    # advises a scan.
-    index = str(SAMPLE_INDEX)
-    for command in (["drift"], ["excess"], ["plot"], ["counts", "export"]):
-        assert main([*command, name, "strong", "--index", index]) == 1
-        assert capsys.readouterr() == ("", f"error: series {name!r} is no group or entry of "
-                                           f"the index; as a query: {problem}\n")
-    # query and skew take --corpus, so they still advise one.
-    for command in (["query"], ["skew", "--year", "2023"]):
-        assert main([*command, "nosuch", "--index", index]) == 1
-        assert capsys.readouterr().err == ("error: term 'nosuch' is not in the index vocabulary; "
-                                           "evaluate it with a corpus scan instead\n")
-
-
+    # advises a scan; query and skew take --corpus, so they still advise one.
+    blocks = golden.check(tmp_path, *([*command, name, "strong", "--index", "{index}"]
+                                      for command in (["drift"], ["excess"], ["plot"],
+                                                      ["counts", "export"])),
+                          ["query", "nosuch", "--index", "{index}"],
+                          ["skew", "nosuch", "--index", "{index}", "--year", "2023"])
+    for block in blocks[:4]:
+        assert f"as a query: {problem}\n" in block
 # ------------------------------------------------------------------- skew
 
 
@@ -846,28 +744,12 @@ def test_skew_text_warns_of_a_year_without_categories(tmp_path, capsys):
     )
 
 
-def test_skew_corpus_scan_applies_on_error(tmp_path, capsys):
-    corpus = _write_corpus(tmp_path, [
-        '{"id": "a", "year": 2023, "text": "a zebra crossing", "categories": ["x"]}',
-        'garbage',
-        '{"id": "b", "year": 2023, "text": "no stripes", "categories": ["y"]}',
-        '{"id": "a", "year": 2023, "text": "a repeated id"}',
-    ])
-    assert main(["skew", "zebra", "--corpus", str(corpus), "--year", "2023"]) == 1
-    assert capsys.readouterr().err == "error: line 2: invalid JSON (Expecting value)\n"
-    assert main(["skew", "zebra", "--corpus", str(corpus), "--year", "2023",
-                 "--on-error", "skip", "--format", "csv"]) == 0
-    captured = capsys.readouterr()
-    assert captured.out == "category,among_matches,among_all\nx,1.0,0.5\ny,0.0,0.5\n"
-    assert captured.err == "skipped 2 malformed records (lines 2, 4)\n"
-    index = str(tmp_path / "c.idx")
-    assert main(["index", "--corpus", str(corpus), "--out", index, "--on-error", "skip"]) == 0
-    capsys.readouterr()
-    # A year with no documents is the same error from a scan and from an
-    # index; the scan first reports the records it skipped.
-    error = "error: no documents in year 2030\n"
-    for source, expected in ((["--corpus", str(corpus), "--on-error", "skip"],
-                              "skipped 2 malformed records (lines 2, 4)\n" + error),
-                             (["--index", index], error)):
-        assert main(["skew", "zebra", *source, "--year", "2030"]) == 1
-        assert capsys.readouterr().err == expected
+def test_skew_corpus_scan_applies_on_error(tmp_path):
+    golden.check(tmp_path, ["skew", "zebra", "--corpus", "{repeated}", "--year", "2023"],
+                 ["skew", "zebra", "--corpus", "{repeated}", "--year", "2023",
+                  "--on-error", "skip", "--format", "csv"],
+                 ["skew", "zebra", "--corpus", "{repeated}", "--on-error", "skip",
+                  "--year", "2030"],
+                 ["skew", "intricate", "--index", "{index}", "--year", "2030"],
+                 ["skew", "any(strong)", "--corpus", "{corpus}", "--year", "2023",
+                  "--corpus", "{malformed}"])

@@ -6,8 +6,9 @@ ranges, paths that are missing, a directory or binary, a corpus with
 malformed records, integers past Python's 4,300-digit limit for converting
 text (in a corpus, a lexicon, an index header and a query), and empty,
 malformed or over-deep queries, and index files that are corrupt or cut
-short. Every awkward value is tried alone, and hypothesis tries them in
-combination."""
+short. Each awkward value alone is a command line of the golden transcript
+(``tests/golden.py``), whose every block ``test_golden.py`` holds to the
+rule of :func:`check_exit`; hypothesis tries them here in combination."""
 
 from __future__ import annotations
 
@@ -47,15 +48,14 @@ INPUTS = ("{index}", "{corpus}", "{counts}", "{lexicon}", "{missing}", "{directo
 CORPORA = (*INPUTS, "{malformed}", "{huge_corpus}")
 LEXICONS = (*INPUTS, "{huge_lexicon}")
 # A saved index with one payload byte flipped, and one cut short of its header.
-BROKEN_INDEXES = {"corrupt_index": "checksum mismatch (truncated or corrupt)",
-                  "short_index": "not an index file"}
 INDEXES = (*INPUTS, "{huge_index}", "{corrupt_index}", "{short_index}")
 OUTPUTS = ("{out}", "{out_in_missing}", "{directory}")
 ON_ERROR = ("skip",)
 FORMATS = ("csv", "json")
 
 # Per command: a valid command line, then the awkward values of each flag.
-# QUERY and PATH replace the positional argument, SERIES adds a series name.
+# QUERY and PATH replace the positional argument, SERIES adds a series name,
+# and --index takes the place of --corpus, which it excludes.
 COMMANDS = {
     "index": (["index", "--corpus", "{corpus}", "--out", "{out}"], {
         "--corpus": CORPORA, "--out": OUTPUTS, "--lexicon": LEXICONS,
@@ -139,8 +139,9 @@ def paths(tmp_path_factory) -> dict[str, str]:
 
 def command_line(command: str, changes: list[tuple[str, str]]) -> list[str]:
     """The valid command line of *command* with each (flag, value) of
-    *changes* applied (a repeated flag overrides the earlier one); paths
-    are still named by their ``{placeholder}``."""
+    *changes* applied (a repeated flag overrides the earlier one, and an
+    ``--index`` replaces a ``--corpus`` pair); paths are still named by
+    their ``{placeholder}``."""
     argv = list(COMMANDS[command][0])
     position = len(command.split())
     for flag, value in changes:
@@ -148,6 +149,9 @@ def command_line(command: str, changes: list[tuple[str, str]]) -> list[str]:
             argv[position] = value
         elif flag == "SERIES":
             argv.insert(position, value)
+        elif flag == "--index" and "--corpus" in argv:
+            at = argv.index("--corpus")
+            argv[at:at + 2] = [flag, value]
         else:
             argv += [flag, value]
     return argv
@@ -172,39 +176,35 @@ def fill(argv: list[str], paths: dict[str, str]) -> list[str]:
     return [arg.format(**paths) if arg.startswith("{") else arg for arg in argv]
 
 
+def check_exit(code: int, err_lines: list[str], context: object) -> None:
+    """The rule every command line keeps: exit 0, 1 or 2, and a data error
+    (exit 1) reported in one ``error:`` line; under --on-error skip, the
+    report of the skipped records may come before it."""
+    assert code in (0, 1, 2), (context, code)
+    assert not any("Traceback" in line for line in err_lines), context
+    if code == 1:
+        assert len(err_lines) in (1, 2) and err_lines[-1].startswith("error: "), \
+            (context, err_lines)
+        assert len(err_lines) == 1 or err_lines[0].startswith("skipped "), (context, err_lines)
+
+
 def _check(command: str, changes: list[tuple[str, str]], paths: dict[str, str]) -> None:
     """Run :func:`command_line` of *command* and *changes*."""
     argv = fill(command_line(command, changes), paths)
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
-    lines = err.getvalue().splitlines()
-    assert code in (0, 1, 2), (argv, code)
     # Output that a UTF-8 stdout cannot encode would end in a traceback.
     out.getvalue().encode("utf-8")
-    assert not any("Traceback" in line for line in lines), argv
-    if code == 1:
-        # One error line; under --on-error skip, the report of the skipped
-        # records may come before it.
-        assert len(lines) in (1, 2) and lines[-1].startswith("error: "), (argv, lines)
-        assert len(lines) == 1 or lines[0].startswith("skipped "), (argv, lines)
+    check_exit(code, err.getvalue().splitlines(), argv)
 
 
-def test_each_awkward_value_alone(paths):
-    for command, changes in awkward_values_alone():
-        _check(command, changes, paths)
-
-
-@pytest.mark.parametrize("name", sorted(BROKEN_INDEXES))
-def test_a_broken_index_is_exit_1_with_one_line(paths, name):
-    path, out = paths[name], paths["out"]
-    for argv in (["query", "any(strong)"], ["skew", "any(strong)", "--year", "2023"],
-                 ["drift", "group1"], ["excess", "group4"], ["plot", "group1", "--out", out],
-                 ["counts", "export", "strong", "--out", out]):
-        err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            code = main([*argv, "--index", path])
-        assert (code, err.getvalue()) == (1, f"error: {path}: {BROKEN_INDEXES[name]}\n"), argv
+@pytest.mark.parametrize("name", ["corrupt_index", "short_index"])
+def test_a_broken_index_is_exit_1_with_one_line(tmp_path, name):
+    import golden  # golden imports this module
+    golden.check(tmp_path, *(command_line(command, [("--index", f"{{{name}}}")])
+                             for command in ("query", "skew", "drift", "excess", "plot",
+                                             "counts export")))
 
 
 @st.composite

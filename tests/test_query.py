@@ -251,7 +251,8 @@ def _case_pair():
 
 def test_case_sensitive_entry_is_reachable():
     lexicon, docs, index = _case_pair()
-    assert index.df("GPT", 2023) == 1 and index.df("gpt", 2023) == 2
+    assert eval_count(index, Term("GPT"), 2023) == 1
+    assert eval_count(index, Term("gpt"), 2023) == 2
     for text, term, count in (('"GPT"', "GPT", 1), ("GPT", "GPT", 1), ("gpt", "gpt", 2),
                               ('"gpt"', "gpt", 2)):
         q = parse_query(text, lexicon)
@@ -274,7 +275,7 @@ def test_name_told_apart_only_by_case_is_ambiguous():
     with pytest.raises(DataError, match="'Gpt' is ambiguous"):
         series_from_index(index, "Gpt")
     with pytest.raises(UnindexedTermError):
-        index.df("Gpt", 2023)
+        eval_count(index, Term("Gpt"), 2023)
 
 
 def test_name_resolves_ignoring_case_when_unambiguous():
